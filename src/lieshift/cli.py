@@ -444,6 +444,17 @@ _COMMANDS = {
 }
 
 
+def _positive_int(text):
+    """argparse type of --samples, --bound and --max-deg: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("expected an integer >= 1, got %d" % n)
+    return n
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lieshift",
@@ -456,11 +467,11 @@ def build_parser():
     common.add_argument("--preset", help="built-in algebra name, e.g. sl2, heisenberg3")
     common.add_argument("--file", help="path to a lieshift/1 algebra file")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    common.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+    common.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
+    common.add_argument("--bound", type=_positive_int, default=DEFAULT_BOUND)
     common.add_argument(
         "--max-deg",
-        type=int,
+        type=_positive_int,
         default=None,
         help="degree bound: invariant search (default 3) or probe depth (default 1)",
     )

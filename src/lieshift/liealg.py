@@ -48,7 +48,12 @@ class LinearForm:
 
 
 class Subspace:
-    """Subspace of K^n in canonical reduced-echelon basis."""
+    """Subspace of K^n in canonical reduced-echelon basis.
+
+    Each basis row is content-normalized and is the only row that is nonzero
+    at its pivot column (``pivots[i]`` for ``basis[i]``). Membership is read
+    from those stored pivots and then checked exactly, with no elimination.
+    """
 
     __slots__ = ("field", "ambient_dim", "basis", "pivots")
 
@@ -68,11 +73,23 @@ class Subspace:
         return len(self.basis)
 
     def coordinates(self, v):
-        """Coefficients of v in the echelon basis, or None if outside."""
-        if not self.basis:
-            return [] if all(c.is_zero for c in vec(self.field, v)) else None
-        cols = [list(b) for b in zip(*self.basis)]
-        return solve(self.field, cols, list(vec(self.field, v)))
+        """Coefficients of v in the echelon basis, or None if outside.
+
+        The only candidate is c_i = v[p_i] / basis[i][p_i] at the pivots p_i;
+        v is in the span exactly when sum c_i basis[i] == v, which is checked
+        coordinate by coordinate, so a non-None answer is a proof.
+        """
+        v = vec(self.field, v)
+        coords = [v[p] / b[p] for b, p in zip(self.basis, self.pivots)]
+        terms = [(c, b) for c, b in zip(coords, self.basis) if not c.is_zero]
+        for k, target in enumerate(v):
+            s = self.field.zero
+            for c, b in terms:
+                if not b[k].is_zero:
+                    s = s + c * b[k]
+            if s != target:
+                return None
+        return coords
 
     def contains(self, v):
         return self.coordinates(v) is not None
@@ -197,17 +214,23 @@ class ValidationReport:
 
 
 def validate(L):
-    """Check Jacobi on all basis triples and sanity of annotations."""
+    """Check Jacobi on all basis triples and sanity of annotations.
+
+    Jacobi is summed from the sparse structure constants, as
+    [[e_i, e_j], e_k] = sum_m c_ij^m [e_m, e_k] plus the two cyclic terms;
+    failing triples (i < j < k) are listed in lexicographic order.
+    """
     report = ValidationReport()
-    basis = [L.basis_vector(i) for i in range(L.dim)]
+    br = [[L.bracket_basis(a, b) for b in range(L.dim)] for a in range(L.dim)]
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            bij = bracket(L, basis[i], basis[j])
             for k in range(j + 1, L.dim):
-                s = bracket(L, bij, basis[k])
-                s = _vec_add(L, s, bracket(L, bracket(L, basis[j], basis[k]), basis[i]))
-                s = _vec_add(L, s, bracket(L, bracket(L, basis[k], basis[i]), basis[j]))
-                if any(not c.is_zero for c in s):
+                s = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, cm in br[a][b].items():
+                        for t, ct in br[m][c].items():
+                            s[t] = s[t] + cm * ct if t in s else cm * ct
+                if any(not x.is_zero for x in s.values()):
                     report.jacobi_failures.append((i, j, k))
     cen = L.central_indices()
     for i in sorted(cen):
@@ -227,10 +250,6 @@ def validate(L):
     if split is not None:
         report.annotation_failures.extend(check_split(L, split))
     return report
-
-
-def _vec_add(L, a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def _is_subalgebra(L, S):
@@ -707,31 +726,31 @@ def _greedy_pairing(L, v_basis, z):
 
 
 def _v_stabilizer(L, v_vectors, z):
-    """{xi in q : [xi, v] stays in v}, cut out by the z-component vanishing."""
+    """{xi in q : [xi, v] stays in v}, cut out by the z-component vanishing.
+
+    Every [x_i, w] (w in v) must lie in v + span z; its z-component is
+    phi([x_i, w]) for one functional phi with phi(v) = 0 and phi(z) = 1,
+    solved once. Raises LieAlgebraError when z lies in span v (no such phi)
+    or when a bracket leaves v + span z.
+    """
     F = L.field
     v = Subspace(F, L.dim, v_vectors)
+    vz_rows = list(v.basis) + [z]
+    vz = Subspace(F, L.dim, vz_rows)
+    phi = solve(F, vz_rows, [F.zero] * v.dim + [F.one])
+    if phi is None:
+        raise LieAlgebraError("z lies in span v: no z-component modulo v")
+    phi = LinearForm(F, phi)
     rows = []
     for w in v.basis:
         row = []
         for i in range(L.dim):
             b = bracket(L, L.basis_vector(i), w)
-            row.append(_omega_coeff(F, v, z, b))
+            if not vz.contains(b):
+                raise LieAlgebraError("vector outside v + span z")
+            row.append(phi.of_vector(b))
         rows.append(row)
-    ker = kernel_basis(Matrix(F, rows, ncols=L.dim)) if rows else []
-    if not rows:
-        ker = [L.basis_vector(i) for i in range(L.dim)]
-    return Subspace(F, L.dim, ker)
-
-
-def _omega_coeff(F, v, z, b):
-    """Coefficient of z in b modulo v (b must lie in v + span z)."""
-    cols = [list(col) for col in zip(*(list(v.basis) + [z]))] if v.dim else [
-        [c] for c in z
-    ]
-    sol = solve(F, cols, list(b))
-    if sol is None:
-        raise LieAlgebraError("vector outside v + span z")
-    return sol[-1]
+    return Subspace(F, L.dim, kernel_basis(Matrix(F, rows, ncols=L.dim)))
 
 
 def ltilde(L, split):

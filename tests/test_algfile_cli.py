@@ -263,3 +263,33 @@ def test_cli_text_mode_prints_timing():
     assert out.returncode == 0
     assert "elapsed:" in out.stdout
     assert "b: 2" in out.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("index", "--preset", "sl2", "--bound", "0"), "--bound"),
+        (("index", "--preset", "sl2", "--samples", "0"), "--samples"),
+        (("index", "--preset", "sl2", "--bound", "-5"), "--bound"),
+        (("b", "--preset", "sl2", "--samples", "0", "--json"), "--samples"),
+        (("maximality", "--preset", "heisenberg1", "--max-deg", "0"), "--max-deg"),
+        (("invariants", "--preset", "sl2", "--max-deg", "two"), "--max-deg"),
+    ],
+)
+def test_cli_rejects_nonpositive_sampling_args(argv, flag, capsys):
+    from lieshift.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument %s: expected an integer >= 1" % flag in captured.err
+
+
+def test_cli_accepts_smallest_sampling_args(capsys):
+    from lieshift.cli import main
+
+    assert main(["index", "--preset", "sl2", "--samples", "1", "--bound", "1", "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["results"]["index"]["samples"] == 1

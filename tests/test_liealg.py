@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lieshift.construct import abelian_qhat
 from lieshift.fields import QQ
 from lieshift.liealg import (
     HeisenbergSplit,
@@ -21,10 +23,11 @@ from lieshift.liealg import (
     stabilizer,
     structure_series,
     subalgebra_of,
+    _v_stabilizer,
     validate,
     vec,
 )
-from lieshift.linalg import rank
+from lieshift.linalg import rank, solve
 from lieshift.presets import preset
 
 
@@ -73,6 +76,45 @@ def test_validate_good_and_bad():
     assert rep.jacobi_failures == [(0, 1, 2)]
 
 
+def reference_jacobi_failures(L):
+    """Jacobi failures from dense bracket vectors on every basis triple."""
+    basis = [L.basis_vector(i) for i in range(L.dim)]
+    out = []
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            for k in range(j + 1, L.dim):
+                s = bracket(L, bracket(L, basis[i], basis[j]), basis[k])
+                for a, b, c in ((j, k, i), (k, i, j)):
+                    t = bracket(L, bracket(L, basis[a], basis[b]), basis[c])
+                    s = tuple(x + y for x, y in zip(s, t))
+                if any(not x.is_zero for x in s):
+                    out.append((i, j, k))
+    return out
+
+
+def _perturbed(L, key, k, c):
+    table = {ij: dict(comp) for ij, comp in L.table.items()}
+    comp = table.setdefault(key, {})
+    comp[k] = comp.get(k, L.field.zero) + c
+    return LieAlgebra(L.field, L.labels, table)
+
+
+def test_validate_lists_every_failing_triple():
+    gl3 = preset("gl3").algebra
+    bad = _perturbed(gl3, (1, 5), 2, QQ.from_int(1))  # [e12, e23] = e13 + e13
+    rep = validate(bad)
+    assert len(rep.jacobi_failures) > 1
+    assert rep.jacobi_failures == reference_jacobi_failures(bad)
+    L = preset("borel-sl3").algebra
+    hat = abelian_qhat(L, classify_nilradical(L).h).algebra
+    assert hat.field.level == 1 and validate(hat).ok
+    w1 = hat.field.var("w1")
+    bad_hat = _perturbed(hat, (0, 3), 1, w1)  # [u1, delta] = w1 e12
+    rep = validate(bad_hat)
+    assert len(rep.jacobi_failures) > 1
+    assert rep.jacobi_failures == reference_jacobi_failures(bad_hat)
+
+
 def test_validate_annotation_failures():
     L = LieAlgebra(QQ, ["x", "y", "z"], {(0, 1): {2: 1}}, {"central": [0]})
     rep = validate(L)
@@ -91,6 +133,82 @@ def test_subspace_basics():
     c = S.coordinates(vec(QQ, [2, 2, -1]))
     got = [sum((ci * bi for ci, bi in zip(c, col)), QQ.zero) for col in zip(*S.basis)]
     assert tuple(got) == vec(QQ, [2, 2, -1])
+
+
+# -- Subspace.coordinates against the elimination it replaced ----------------
+
+QT = QQ.extend("t")
+
+
+def reference_coordinates(S, v):
+    """Coordinates by solving basis^T c = v with a fresh elimination."""
+    if not S.basis:
+        return [] if all(c.is_zero for c in vec(S.field, v)) else None
+    cols = [list(b) for b in zip(*S.basis)]
+    return solve(S.field, cols, list(vec(S.field, v)))
+
+
+def _scalar(field):
+    small = st.integers(-3, 3)
+    if field is QQ:
+        return st.builds(QQ.rational, small, st.integers(1, 3))
+    t = QT.var("t")
+    return st.builds(
+        lambda a, b, c, d: (QT.from_int(a) + QT.from_int(b) * t) / (QT.from_int(c) + t * d),
+        small, small, st.integers(1, 3), st.integers(0, 1),
+    )
+
+
+@st.composite
+def subspace_and_probes(draw, field):
+    n = draw(st.integers(1, 4))
+    scalar = _scalar(field)
+    vector = st.lists(scalar, min_size=n, max_size=n).map(tuple)
+    shape = draw(st.sampled_from(["random", "empty", "full"]))
+    if shape == "empty":
+        gens = []
+    elif shape == "full":
+        gens = [tuple(field.one if k == i else field.zero for k in range(n)) for i in range(n)]
+    else:
+        gens = draw(st.lists(vector, min_size=1, max_size=n + 1))
+    S = Subspace(field, n, gens)
+    inside = []
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(scalar, min_size=len(gens), max_size=len(gens)))
+        w = [field.zero] * n
+        for c, g in zip(coeffs, gens):
+            w = [a + c * b for a, b in zip(w, g)]
+        inside.append(tuple(w))
+    # arbitrary vectors lie outside a proper subspace unless they happen to
+    # land in it
+    arbitrary = draw(st.lists(vector, max_size=3))
+    return S, inside, arbitrary, gens
+
+
+def _check_coordinates_match(case):
+    S, inside, arbitrary, gens = case
+    for v in inside:
+        assert S.coordinates(v) == reference_coordinates(S, v)
+        assert S.coordinates(v) is not None
+    for v in arbitrary:
+        assert S.coordinates(v) == reference_coordinates(S, v)
+    T = Subspace(S.field, S.ambient_dim, inside + arbitrary)
+    assert S.contains_subspace(T) == all(
+        reference_coordinates(S, b) is not None for b in T.basis
+    )
+    assert S.contains_subspace(Subspace(S.field, S.ambient_dim, gens))
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspace_and_probes(QQ))
+def test_coordinates_match_reference_level0(case):
+    _check_coordinates_match(case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subspace_and_probes(QT))
+def test_coordinates_match_reference_level1(case):
+    _check_coordinates_match(case)
 
 
 def test_subspace_equality_is_canonical():
@@ -215,3 +333,20 @@ def test_ltilde():
     assert lt.contains(split.z)
     for i in range(3):  # sl2 copy sits inside the stabilizer
         assert lt.contains(L.basis_vector(i))
+
+
+def test_v_stabilizer_rejects_z_in_span_v():
+    N = h3()
+    x, y, z = (N.basis_vector(i) for i in range(3))
+    with pytest.raises(LieAlgebraError, match="z lies in span v"):
+        _v_stabilizer(N, [x, y], x)
+    with pytest.raises(LieAlgebraError, match="z lies in span v"):
+        _v_stabilizer(N, [x, y], N.zero_vector())
+
+
+def test_v_stabilizer_rejects_bracket_outside_v_plus_z():
+    L = sl2()
+    h, e, f = (L.basis_vector(i) for i in range(3))
+    # [f, e] = -h lies outside span{e} + span{f}
+    with pytest.raises(LieAlgebraError, match="vector outside v \\+ span z"):
+        _v_stabilizer(L, [e], f)
