@@ -194,7 +194,7 @@ def _cmd_invariants(L, P, args):
 def _cmd_mf(L, P, args):
     cas = _casimirs(L, P, args)
     gamma = _regular_form(L, **_sampling(args))
-    gens = mf_subalgebra(L, cas, gamma, **_sampling(args))
+    gens = mf_subalgebra(L, cas, gamma)
     td = trdeg_jacobian(gens, **_sampling(args))
     return {
         "gamma": [str(c) for c in gamma.coords],
@@ -207,7 +207,7 @@ def _cmd_mf(L, P, args):
 def _cmd_quantum_mf(L, P, args):
     cas = _casimirs(L, P, args)
     gamma = _regular_form(L, **_sampling(args))
-    gens = quantum_mf(L, cas, gamma, **_sampling(args))
+    gens = quantum_mf(L, cas, gamma)
     td = trdeg_jacobian(gens, **_sampling(args))
     return {
         "gamma": [str(c) for c in gamma.coords],

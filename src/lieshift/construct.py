@@ -7,9 +7,9 @@ abelian ideal to a smaller algebra over a rational function field, central
 specialization, and the orchestrator gluing these into a certified
 commutative subalgebra of transcendence degree (dim + index)/2.
 
-Nothing here is trusted without a check: commutators are recomputed exactly,
-dimension formulas are compared against sampled stabilizers, and every
-certificate re-verifies its own generators.
+Nothing here is trusted without a check: dimension formulas are compared
+against sampled stabilizers, the public builders check their own output, and
+construct_theorem leaves every commutator and trdeg check to _certify.
 """
 
 from dataclasses import dataclass
@@ -34,7 +34,6 @@ from .linalg import Matrix, kernel_basis, rank, solve
 from .polyring import PolyElement, gamma_shift, poisson
 from .pbw import (
     EnvelopingAlgebra,
-    PBWElement,
     ad_invariant,
     centralizer_up_to_degree,
     commutator,
@@ -48,6 +47,7 @@ from .invariants import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     GeneratorSet,
+    _check_sampling,
     b_of,
     index_of,
     sample_point,
@@ -63,16 +63,20 @@ class ConstructError(Exception):
     pass
 
 
+def _failing_pair(elements, bracket):
+    """The first pair (a, b), a < b, whose bracket is nonzero, or None."""
+    for a in range(len(elements)):
+        for b in range(a + 1, len(elements)):
+            if not bracket(elements[a], elements[b]).is_zero:
+                return a, b
+    return None
+
+
 # -- argument shifts ---------------------------------------------------------
 
 
-def mf_subalgebra(L, casimirs, gamma, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAULT_SEED):
-    """All nonconstant directional derivatives of the given invariants along
-    gamma, as a Poisson-commutative generating set (commutativity verified).
-
-    For each invariant H of degree m the shifts are the derivatives of order
-    0 <= k < m; constants are dropped.
-    """
+def _shift_family(L, casimirs, gamma):
+    """mf_subalgebra without the pair check; the input invariants are checked."""
     if not isinstance(gamma, LinearForm):
         gamma = LinearForm(L.field, gamma)
     gens, prov = [], []
@@ -90,42 +94,47 @@ def mf_subalgebra(L, casimirs, gamma, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOU
                 continue
             gens.append(s)
             prov.append("order-%d shift of invariant %d" % (k, idx))
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            if not poisson(L, gens[a], gens[b]).is_zero:
-                raise ConstructError(
-                    "shift family fails to Poisson-commute (generators %d, %d)"
-                    % (a, b)
-                )
     return GeneratorSet("poisson", gens, prov)
 
 
-def quantum_mf(L, casimirs, gamma, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAULT_SEED, alg=None):
-    """Symmetrize the shift family into U(L) and verify it still commutes.
-
-    A commutator that fails to vanish is raised with the offending pair; the
-    principal symbol of each lift is checked to reproduce the shift it came
-    from.
-    """
-    mf = mf_subalgebra(L, casimirs, gamma, samples, bound, seed)
-    if alg is None:
-        alg = EnvelopingAlgebra(L)
+def _symmetrize_family(L, family):
+    """Lift a Poisson family to U(L), checking principal symbols but no pairs."""
+    alg = EnvelopingAlgebra(L)
     gens, prov = [], []
-    for f, p in zip(mf.elements, mf.provenance):
+    for f, p in zip(family.elements, family.provenance):
         u = symmetrize(alg, f)
         if principal_symbol(u) != f.top_part():
             raise ConstructError("symmetrized lift changed the principal symbol")
         gens.append(u)
         prov.append("symmetrized " + p)
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            if not commutator(gens[a], gens[b]).is_zero:
-                raise ConstructError(
-                    "symmetrized shifts fail to commute in the enveloping "
-                    "algebra (generators %d, %d); recording negative verdict"
-                    % (a, b)
-                )
     return GeneratorSet("associative", gens, prov)
+
+
+def mf_subalgebra(L, casimirs, gamma):
+    """All nonconstant directional derivatives of the given invariants along
+    gamma, as a Poisson-commutative generating set (commutativity verified).
+
+    For each invariant H of degree m the shifts are the derivatives of order
+    0 <= k < m; constants are dropped.
+    """
+    out = _shift_family(L, casimirs, gamma)
+    if bad := _failing_pair(out.elements, lambda f, g: poisson(L, f, g)):
+        raise ConstructError("shift family fails to Poisson-commute (generators %d, %d)" % bad)
+    return out
+
+
+def quantum_mf(L, casimirs, gamma):
+    """Symmetrize the shift family into U(L) and verify it still commutes.
+
+    A Poisson bracket or commutator that fails to vanish is raised with the
+    offending pair (construct_theorem leaves pairs to _certify); the principal
+    symbol of each lift is checked to reproduce the shift it came from.
+    """
+    out = _symmetrize_family(L, mf_subalgebra(L, casimirs, gamma))
+    if bad := _failing_pair(out.elements, commutator):
+        raise ConstructError("symmetrized shifts fail to commute in the enveloping algebra "
+                             "(generators %d, %d); recording negative verdict" % bad)
+    return out
 
 
 # -- Heisenberg correction ---------------------------------------------------
@@ -219,21 +228,10 @@ def _clear_laurent(u, zi):
     return u * u.alg.gen(zi, -m)
 
 
-def heisenberg_lift(L, split, A_l, sub_vectors, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAULT_SEED):
-    """Push a commutative set over the stabilizing subalgebra into U(L).
-
-    Each generator of A_l maps multiplicatively through the correction map,
-    gets multiplied by the least power of the split center clearing formal
-    inverses, and the isotropic x-generators and the center are adjoined.
-    Commutativity and the transcendence-degree target b(sub) + n (+1 when the
-    center is outside sub) are verified.
-    """
-    _require_valid_split(L, split)
-    if A_l.flavor != "associative":
-        raise ConstructError("heisenberg_lift expects an associative set")
+def _corrected_lift(L, split, A_l, sub_vectors):
+    """heisenberg_lift without its checks; the caller has validated the split."""
     alg = hat_algebra(L, split)
     zi = _split_z_index(L, split)
-    sub_vectors = [tuple(v) for v in sub_vectors]
     images = [_hat_unchecked(L, split, v, alg) for v in sub_vectors]
     gens, prov = [], []
     for u, p in zip(A_l.elements, A_l.provenance):
@@ -249,8 +247,25 @@ def heisenberg_lift(L, split, A_l, sub_vectors, samples=DEFAULT_SAMPLES, bound=D
     if all(g != z_elem for g in gens):
         gens.append(z_elem)
         prov.append("adjoined split center")
-    out = GeneratorSet("associative", gens, prov)
-    _verify_commutative(out.elements, "corrected lift")
+    return GeneratorSet("associative", gens, prov)
+
+
+def heisenberg_lift(L, split, A_l, sub_vectors, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAULT_SEED):
+    """Push a commutative set over the stabilizing subalgebra into U(L).
+
+    Each generator of A_l maps multiplicatively through the correction map,
+    gets multiplied by the least power of the split center clearing formal
+    inverses, and the isotropic x-generators and the center are adjoined.
+    Commutativity and the transcendence-degree target b(sub) + n (+1 when the
+    center is outside sub) are verified; construct_theorem leaves both to _certify.
+    """
+    _require_valid_split(L, split)
+    if A_l.flavor != "associative":
+        raise ConstructError("heisenberg_lift expects an associative set")
+    sub_vectors = [tuple(v) for v in sub_vectors]
+    out = _corrected_lift(L, split, A_l, sub_vectors)
+    if bad := _failing_pair(out.elements, commutator):
+        raise ConstructError("corrected lift: generators %d and %d do not commute" % bad)
     n = len(split.x)
     if sub_vectors:
         sub_space = Subspace(L.field, L.dim, sub_vectors)
@@ -339,6 +354,7 @@ def abelian_qhat(L, h, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAUL
     """
     if not isinstance(h, Subspace):
         h = Subspace(L.field, L.dim, [tuple(v) for v in h])
+    _check_sampling(samples, bound)
     if h.dim == 0:
         raise ConstructError("the ideal must be nonzero")
     _check_abelian_ideal(L, h)
@@ -610,25 +626,18 @@ class ConstructionCertificate:
     trace: tuple
 
 
-def _verify_commutative(elements, context):
-    elements = list(elements)
-    for a in range(len(elements)):
-        for b in range(a + 1, len(elements)):
-            if not commutator(elements[a], elements[b]).is_zero:
-                raise ConstructError(
-                    "%s: generators %d and %d do not commute" % (context, a, b)
-                )
-    return len(elements) * (len(elements) - 1) // 2
-
-
 def _certify(L, gens, b_target, trace, samples, bound, seed):
-    pairs = _verify_commutative(gens.elements, "certificate")
+    """Check every generator pair exactly and the sampled trdeg against
+    b_target: the only commutator and trdeg checks in construct_theorem."""
+    if bad := _failing_pair(gens.elements, commutator):
+        raise ConstructError("certificate: generators %d and %d do not commute" % bad)
     td = trdeg_jacobian(gens, samples, bound, seed)
     if td.value != b_target:
         raise ConstructError(
             "certified set has transcendence degree %d but the target is %s"
             % (td.value, b_target)
         )
+    pairs = len(gens) * (len(gens) - 1) // 2
     max_deg = max((g.degree() for g in gens.elements), default=0)
     return ConstructionCertificate(
         algebra=L,
@@ -659,7 +668,8 @@ def construct_theorem(L, casimirs=None, max_inv_deg=3, samples=DEFAULT_SAMPLES, 
     function field, specialize the central element, lift, adjoin the ideal),
     and a Heisenberg nilradical (recurse on the levi factor or on the
     bracket stabilizer of the symplectic part, then lift through the
-    correction map).
+    correction map).  Each level validates L and its case's inputs; commutators
+    and the transcendence degree are checked only by _certify, once per level.
     """
     if _depth > max_depth:
         raise ConstructError("reduction recursion exceeded %d levels" % max_depth)
@@ -694,7 +704,7 @@ def construct_theorem(L, casimirs=None, max_inv_deg=3, samples=DEFAULT_SAMPLES, 
                 % max_inv_deg
             )
         gamma = _regular_form(L, samples, bound, seed)
-        gens = quantum_mf(L, cas, gamma, samples, bound, seed)
+        gens = _symmetrize_family(L, _shift_family(L, cas, gamma))
         trace.append(
             "reductive: symmetrized shift family from %d invariants at a "
             "sampled regular form" % len(cas)
@@ -792,9 +802,7 @@ def construct_theorem(L, casimirs=None, max_inv_deg=3, samples=DEFAULT_SAMPLES, 
         sub_L, None, max_inv_deg, samples, bound, seed, candidates, max_depth, _depth + 1
     )
     trace.extend("  [stabilizer] " + t for t in sub_cert.trace)
-    gens = heisenberg_lift(
-        L, split, sub_cert.generators, sub_vectors, samples, bound, seed
-    )
+    gens = _corrected_lift(L, split, sub_cert.generators, sub_vectors)
     trace.append("corrected lift with %d generators" % len(gens.elements))
     return _certify(L, gens, b_target, trace, samples, bound, seed)
 
@@ -833,7 +841,8 @@ def maximality_probe(A, d, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DE
         raise ConstructError("the probe degree must be at least 1")
     elements = list(A.elements)
     alg = elements[0].alg
-    _verify_commutative(elements, "maximality probe input")
+    if bad := _failing_pair(elements, commutator):
+        raise ConstructError("maximality probe input: generators %d and %d do not commute" % bad)
     cen = centralizer_up_to_degree(alg, elements, d)
 
     prods = [alg.one()]
@@ -860,20 +869,12 @@ def maximality_probe(A, d, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DE
     prod_rows = [coords(p) for p in prods]
     new = [u for u in cen if not _in_span(F, prod_rows, coords(u))]
     enlarged = elements + new
-    still = True
-    for a in range(len(enlarged)):
-        for b in range(a + 1, len(enlarged)):
-            if not commutator(enlarged[a], enlarged[b]).is_zero:
-                still = False
-                break
-        if not still:
-            break
     before = trdeg_jacobian(elements, samples, bound, seed).value
     after = trdeg_jacobian(enlarged, samples, bound, seed).value
     return MaximalityReport(
         degree=d,
         centralizer_dim=len(cen),
         new_elements=tuple(new),
-        still_commutative=still,
+        still_commutative=_failing_pair(enlarged, commutator) is None,
         trdeg_gain=after - before,
     )

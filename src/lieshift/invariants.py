@@ -9,9 +9,7 @@ the witness point that attained it.  All arithmetic stays exact.
 
 import itertools
 import random
-import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fields import FieldError
 from .liealg import LinearForm, Subspace, coadjoint_form, stabilizer, subalgebra_of
@@ -73,12 +71,18 @@ def sample_seed(seed, i):
     return seed * 1_000_003 + i
 
 
+def _check_sampling(samples, bound):
+    if samples < 1 or bound < 1:
+        raise ValueError("samples and bound must be at least 1, got %s, %s" % (samples, bound))
+
+
 def sample_point(field, n, seed, bound, nonzero=frozenset()):
     """Random integer point, coordinates uniform in [-bound, bound].
 
     Indices in `nonzero` are redrawn until nonzero (they sit under a formal
     inverse somewhere in the caller's data).
     """
+    _check_sampling(1, bound)
     rng = random.Random(seed)
     pt = []
     for i in range(n):
@@ -95,6 +99,7 @@ def index_of(L, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAULT_SEED)
     The form gamma([x_i, x_j]) is evaluated at sampled integer points of the
     dual space; its rank is maximal outside a proper closed locus.
     """
+    _check_sampling(samples, bound)
     best = -1
     witness = ()
     ranks = []
@@ -117,13 +122,10 @@ def index_of(L, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAULT_SEED)
 def b_of(L, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAULT_SEED):
     """(dim + index)/2, the upper bound for transcendence degrees of
     Poisson-commutative subalgebras of S(L)."""
-    ind = index_of(L, samples, bound, seed).value
-    two_b = L.dim + ind
+    two_b = L.dim + index_of(L, samples, bound, seed).value
     if two_b % 2:
-        # the coadjoint form is antisymmetric, so its rank is even and this
-        # branch signals a sampling failure rather than a real half-integer
-        warnings.warn("dim + index came out odd; reporting a half-integer")
-        return Fraction(two_b, 2)
+        # the coadjoint rank is even: an odd dim + index is a sampling failure
+        raise ValueError("dim + index came out odd: the index sampling failed")
     return two_b // 2
 
 
@@ -137,12 +139,8 @@ def b_rel(L, sub, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAULT_SEE
         sub = Subspace(L.field, L.dim, [tuple(v) for v in sub])
     sub_alg, _ = subalgebra_of(L, sub)
     ind_l = index_of(sub_alg, samples, bound, seed).value
-    out = (
-        Fraction(b_of(L, samples, bound, seed))
-        - Fraction(sub_alg.dim + ind_l, 2)
-        + ind_l
-    )
-    return int(out) if out.denominator == 1 else out
+    # b(l) - ind(l) = (dim l - ind l)/2, half the even rank of l's coadjoint form
+    return b_of(L, samples, bound, seed) - (sub_alg.dim - ind_l) // 2
 
 
 def monomials_of_degree(nvars, d):
@@ -203,6 +201,7 @@ def trdeg_jacobian(gens, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFA
     differentials is then sampled exactly as in index_of.  Coordinates under a
     formal inverse are kept nonzero.
     """
+    _check_sampling(samples, bound)
     if isinstance(gens, GeneratorSet):
         elements = list(gens.elements)
         if gens.flavor == "associative":

@@ -1,5 +1,6 @@
 import pytest
 
+import lieshift.construct as construct_mod
 from lieshift.construct import (
     ConstructError,
     abelian_qhat,
@@ -194,6 +195,13 @@ def test_abelian_qhat_h5_center():
     assert hat.b_hat == hat.b_ambient - (hat.h.dim - 1)
 
 
+@pytest.mark.parametrize("kw", [{"samples": 0}, {"bound": 0}])
+def test_abelian_qhat_rejects_nonpositive_sampling_arguments(kw):
+    L = preset("aff1").algebra
+    with pytest.raises(ValueError, match="at least 1"):
+        abelian_qhat(L, L.span_of_indices([1]), **kw)
+
+
 def test_abelian_qhat_rejects_bad_input():
     L = preset("heisenberg1").algebra
     with pytest.raises(ConstructError):
@@ -355,6 +363,62 @@ def test_certificate_commutators_exact():
         "pairs": n * (n - 1) // 2,
         "max_degree": 3,
     }
+
+
+def test_construct_checks_each_pair_once(monkeypatch):
+    calls = {"commutator": 0, "poisson": 0}
+    for name in calls:
+        real = getattr(construct_mod, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(construct_mod, name, counted)
+    P = preset("sl3")
+    cert = construct_theorem(P.algebra, casimirs=P.casimirs)
+    n = len(cert.generators)
+    assert calls["commutator"] == n * (n - 1) // 2 == cert.commutativity["pairs"]
+    # only the ad-invariance check of the caller's invariants
+    assert calls["poisson"] == P.algebra.dim * len(P.casimirs)
+
+
+def test_certificate_catches_noncommuting_reductive_lift(monkeypatch):
+    # e added to the lifted Casimir keeps its principal symbol but [C + e, 2h] != 0
+    P = preset("sl2")
+    real = construct_mod.symmetrize
+
+    def faulty(alg, f):
+        u = real(alg, f)
+        return u + alg.gen(1) if f.degree() == 2 else u
+
+    monkeypatch.setattr(construct_mod, "symmetrize", faulty)
+    with pytest.raises(ConstructError, match="^certificate: generators 0 and 1 do not commute$"):
+        construct_theorem(P.algebra, casimirs=P.casimirs)
+    gamma = LinearForm(QQ, vec(QQ, [1, 0, 0]))
+    with pytest.raises(ConstructError, match="^symmetrized shifts fail to commute"):
+        quantum_mf(P.algebra, P.casimirs, gamma)
+
+
+def test_certificate_catches_noncommuting_heisenberg_lift(monkeypatch):
+    # y does not commute with the adjoined x
+    real = construct_mod._corrected_lift
+
+    def faulty(L, split, A_l, sub_vectors):
+        out = real(L, split, A_l, sub_vectors)
+        y = out.elements[0].alg.from_vector(split.y[0])
+        return GeneratorSet("associative", out.elements + (y,), out.provenance + ("y",))
+
+    monkeypatch.setattr(construct_mod, "_corrected_lift", faulty)
+    P = preset("sl2-semidirect-h3")
+    with pytest.raises(ConstructError, match=r"^certificate: generators \d+ and \d+ do not commute$"):
+        construct_theorem(P.algebra, casimirs=P.casimirs)
+    L = P.algebra
+    split = classify_nilradical(L).split
+    sub_alg, amb = subalgebra_of(L, L.span_of_indices([0]))
+    gs = GeneratorSet("associative", [EnvelopingAlgebra(sub_alg).gen(0)], ["h"])
+    with pytest.raises(ConstructError, match="^corrected lift: generators"):
+        heisenberg_lift(L, split, gs, amb)
 
 
 # -- maximality probe ----------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from lieshift.fields import QQ
@@ -49,6 +51,28 @@ def test_index_report_fields():
     assert rep.seed == 2020 and rep.samples == 5
     assert len(rep.ranks) == 5 and max(rep.ranks) == 2
     assert len(rep.witness) == 3
+
+
+@pytest.mark.parametrize("kw", [{"samples": 0}, {"samples": -1}, {"bound": 0}, {"bound": -5}])
+def test_nonpositive_sampling_arguments_rejected(kw):
+    L = preset("sl2").algebra
+    gens = GeneratorSet("poisson", [PolyElement.variable(QQ, 3, 0)], ["h"])
+    for fn, arg in ((index_of, L), (b_of, L), (trdeg_jacobian, gens)):
+        with pytest.raises(ValueError, match="at least 1"):
+            fn(arg, **kw)
+    if "bound" in kw:
+        with pytest.raises(ValueError, match="at least 1"):
+            sample_point(QQ, 2, 7, kw["bound"])
+
+
+def test_b_of_raises_on_odd_dim_plus_index(monkeypatch):
+    # the coadjoint rank is even, so an odd dim + index is a sampling failure
+    import lieshift.invariants as inv
+
+    real = inv.index_of
+    monkeypatch.setattr(inv, "index_of", lambda *a: dataclasses.replace(real(*a), value=0))
+    with pytest.raises(ValueError, match="odd"):
+        b_of(preset("sl2").algebra)
 
 
 def test_sampling_determinism():
