@@ -515,8 +515,14 @@ def specialize_search(A, z_index, candidates=None, samples=DEFAULT_SAMPLES, boun
         raise ConstructError("specialization works on enveloping-algebra sets")
     if not A.elements:
         raise ConstructError("nothing to specialize")
-    alg = A.elements[0].alg
     before = trdeg_jacobian(A, samples, bound, seed).value
+    return _specialize(A, z_index, before, candidates, samples, bound, seed)
+
+
+def _specialize(A, z_index, before, candidates, samples, bound, seed):
+    """specialize_search given before, the sampled trdeg of the nonempty
+    associative set A with the same samples, bound and seed."""
+    alg = A.elements[0].alg
     if candidates is None:
         candidates = range(1, 21)
     for cand in candidates:
@@ -737,8 +743,10 @@ def construct_theorem(L, casimirs=None, max_inv_deg=3, samples=DEFAULT_SAMPLES, 
             max_depth, _depth + 1,
         )
         trace.extend("  [reduced] " + t for t in sub_cert.trace)
-        c, spec = specialize_search(
-            sub_cert.generators, hat.algebra.dim - 1, candidates, samples, bound, seed
+        # _certify sampled the sub-certificate's trdeg with these arguments
+        c, spec = _specialize(
+            sub_cert.generators, hat.algebra.dim - 1, sub_cert.trdeg.value,
+            candidates, samples, bound, seed,
         )
         trace.append("specialized the central element to %s" % c)
         target_alg = EnvelopingAlgebra(L)

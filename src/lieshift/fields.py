@@ -6,9 +6,11 @@ K(h*) during the abelian-ideal reduction. Elements are kept in a canonical
 reduced form: numerator and denominator coprime, denominator with grlex
 leading coefficient 1 (positive denominator at level 0).
 
-Arithmetic is delegated to sympy's polys domains (gmpy2-backed rationals,
-nested fraction fields with grlex ordering); this module owns the canonical
-form, the tower bookkeeping and the error contract.
+Arithmetic is delegated to sympy's polys domains (nested fraction fields
+with grlex ordering over sympy's QQ); this module owns the canonical form,
+the tower bookkeeping and the error contract. sympy's QQ uses gmpy2's mpq
+when gmpy2 is installed and falls back to its pure-Python ``PythonMPQ``
+otherwise; ``QQ.domain.dtype`` tells which one is running.
 """
 
 from __future__ import annotations
@@ -207,7 +209,7 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldError(
                     "tower-level mismatch: %r vs %r" % (self.field, other.field)
                 )

@@ -11,8 +11,9 @@ symplectic complement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
-from .fields import FieldElement
+from .fields import FieldElement, FieldError
 from .linalg import Matrix, kernel_basis, normalize_vector, rref, solve
 
 
@@ -149,6 +150,11 @@ class LieAlgebra:
             row = {}
             for k, c in comp.items():
                 c = c if isinstance(c, FieldElement) else field.rational(c)
+                if c.field is not field and c.field != field:
+                    raise LieAlgebraError(
+                        "structure constant of %r in an algebra over %r"
+                        % (c.field, field)
+                    )
                 if not c.is_zero:
                     row[k] = c
             if row:
@@ -182,6 +188,16 @@ class LieAlgebra:
             return self.table.get((i, j), {})
         return {k: -c for k, c in self.table.get((j, i), {}).items()}
 
+    @cached_property
+    def raw_brackets(self):
+        """{i: {j: ((k, c_ij^k), ...)}} over the nonzero brackets [x_i, x_j],
+        both orders, with raw domain coefficients, for the arithmetic kernels."""
+        out = {}
+        for (i, j), comp in self.table.items():
+            out.setdefault(i, {})[j] = tuple((k, c.raw) for k, c in comp.items())
+            out.setdefault(j, {})[i] = tuple((k, -c.raw) for k, c in comp.items())
+        return out
+
     def central_indices(self):
         return self.annotations.get("central", frozenset())
 
@@ -189,18 +205,43 @@ class LieAlgebra:
         return "LieAlgebra(%s)" % ", ".join(self.labels)
 
 
+def _raw_support(field, v):
+    """(index, raw coefficient) at the nonzero coordinates of v."""
+    out = []
+    for i, c in enumerate(v):
+        if not isinstance(c, FieldElement):
+            c = field.rational(c)
+        elif c.field is not field and c.field != field:
+            raise FieldError("tower-level mismatch: %r vs %r" % (field, c.field))
+        if c.raw:
+            out.append((i, c.raw))
+    return out
+
+
 def bracket(L, a, b):
-    """[a, b] for coordinate vectors a, b."""
-    a = vec(L.field, a)
-    b = vec(L.field, b)
-    out = [L.field.zero] * L.dim
-    for (i, j), comp in L.table.items():
-        c = a[i] * b[j] - a[j] * b[i]
-        if c.is_zero:
+    """[a, b] for coordinate vectors a, b.
+
+    Sums c_ij^k a_i b_j over the nonzero coordinates of a and b on raw domain
+    values and wraps each output coordinate once.
+    """
+    if len(a) != L.dim or len(b) != L.dim:
+        raise LieAlgebraError("vector length does not match ambient dim")
+    field = L.field
+    rows = L.raw_brackets
+    sb = _raw_support(field, b)
+    out = [field.domain.zero] * L.dim
+    for i, ca in _raw_support(field, a):
+        row = rows.get(i)
+        if row is None:
             continue
-        for k, s in comp.items():
-            out[k] = out[k] + c * s
-    return tuple(out)
+        for j, cb in sb:
+            comp = row.get(j)
+            if comp is None:
+                continue
+            c = ca * cb
+            for k, s in comp:
+                out[k] += c * s
+    return tuple(FieldElement(field, x) for x in out)
 
 
 @dataclass

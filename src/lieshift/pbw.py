@@ -6,6 +6,12 @@ are straightened by the rewriting x_j x_i = x_i x_j + [x_j, x_i] with
 memoization on monomial pairs; designated central generators may carry
 negative exponents (localization at z), which is sound because they commute
 with everything (verified, not assumed).
+
+The straightening kernels (``mul_mono``, ``symm_mono``, products,
+``commutator``, ``symmetrize``) compute on raw ``field.domain`` values, and
+``_mul_cache`` holds raw coefficients; each result is wrapped once, through
+a trusted constructor that skips the per-term checks the public
+constructor keeps for caller input.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from math import factorial
 
 from .fields import FieldElement, FieldError
 from .linalg import Matrix, kernel_basis
-from .polyring import PolyElement
+from .polyring import PolyElement, _acc
 
 
 class EnvelopingAlgebra:
@@ -23,6 +29,7 @@ class EnvelopingAlgebra:
     def __init__(self, L, laurent=()):
         self.L = L
         self.field = L.field
+        self._one = L.field.domain.one
         self.dim = L.dim
         self.laurent = frozenset(laurent)
         for z in sorted(self.laurent | L.central_indices()):
@@ -31,7 +38,8 @@ class EnvelopingAlgebra:
                     raise FieldError(
                         "designated central index %d brackets nontrivially" % z
                     )
-        central = sorted(L.central_indices() | self.laurent)
+        self._central = self.laurent | L.central_indices()
+        central = sorted(self._central)
         rest = [i for i in range(L.dim) if i not in central]
         order = rest + central
         self._pos = [0] * L.dim
@@ -72,12 +80,9 @@ class EnvelopingAlgebra:
 
     # -- straightening core ----------------------------------------------------
 
-    def _central_set(self):
-        return self.laurent | self.L.central_indices()
-
     def mul_mono(self, a, b):
-        """Product of two normal monomials as a {monomial: coeff} dict."""
-        cen = self._central_set()
+        """Product of two normal monomials as a {monomial: raw coeff} dict."""
+        cen = self._central
         if cen:
             ca = tuple(e if i in cen else 0 for i, e in enumerate(a))
             cb = tuple(e if i in cen else 0 for i, e in enumerate(b))
@@ -95,9 +100,9 @@ class EnvelopingAlgebra:
 
     def _mul_core(self, a, b):
         if not any(a):
-            return {b: self.field.one}
+            return {b: self._one}
         if not any(b):
-            return {a: self.field.one}
+            return {a: self._one}
         key = (a, b)
         hit = self._mul_cache.get(key)
         if hit is not None:
@@ -106,7 +111,7 @@ class EnvelopingAlgebra:
         i = max((k for k, e in enumerate(a) if e), key=lambda k: pos[k])
         j = min((k for k, e in enumerate(b) if e), key=lambda k: pos[k])
         if pos[i] <= pos[j]:
-            out = {tuple(x + y for x, y in zip(a, b)): self.field.one}
+            out = {tuple(x + y for x, y in zip(a, b)): self._one}
             self._mul_cache[key] = out
             return out
         a0 = tuple(e - 1 if k == i else e for k, e in enumerate(a))
@@ -116,20 +121,17 @@ class EnvelopingAlgebra:
         out = {}
         left = self.mul_mono(a0, ej)
         right = self.mul_mono(ei, b0)
-        for m1, c1 in left.items():
-            for m2, c2 in right.items():
-                for m, c in self.mul_mono(m1, m2).items():
-                    _acc(out, m, c1 * c2 * c, self.field)
-        for k, ck in self.L.bracket_basis(i, j).items():
+        _product_into(out, self, left, right)
+        for k, ck in self.L.raw_brackets.get(i, {}).get(j, ()):
             ek = tuple(1 if t == k else 0 for t in range(self.dim))
-            for m1, c1 in self.mul_mono(a0, ek).items():
-                for m, c in self.mul_mono(m1, b0).items():
-                    _acc(out, m, ck * c1 * c, self.field)
+            left = {m1: ck * c1 for m1, c1 in self.mul_mono(a0, ek).items()}
+            _product_into(out, self, left, {b0: self._one})
         self._mul_cache[key] = out
         return out
 
     def symm_mono(self, exps):
-        """Symmetrization of one monomial: weighted distinct orderings."""
+        """Symmetrization of one monomial as a {monomial: raw coeff} dict:
+        weighted distinct orderings."""
         hit = self._symm_cache.get(exps)
         if hit is not None:
             return hit
@@ -140,36 +142,40 @@ class EnvelopingAlgebra:
             letters.extend([i] * e)
         k = len(letters)
         if k <= 1:
-            out = {exps: self.field.one}
+            out = {exps: self._one}
             self._symm_cache[exps] = out
             return out
         mult = 1
         for e in exps:
             mult *= factorial(e)
-        weight = self.field.rational(mult, factorial(k))
+        weight = self.field.rational(mult, factorial(k)).raw
         total = {}
         for word in _multiset_perms(letters):
-            cur = {(0,) * self.dim: self.field.one}
+            cur = {(0,) * self.dim: self._one}
             for letter in word:
                 el = tuple(1 if t == letter else 0 for t in range(self.dim))
                 nxt = {}
                 for m, c in cur.items():
                     for m2, c2 in self.mul_mono(m, el).items():
-                        _acc(nxt, m2, c * c2, self.field)
+                        _acc(nxt, m2, c * c2)
                 cur = nxt
             for m, c in cur.items():
-                _acc(total, m, c * weight, self.field)
+                _acc(total, m, c * weight)
         self._symm_cache[exps] = total
         return total
 
 
-def _acc(d, m, c, field):
-    s = d.get(m)
-    s = c if s is None else s + c
-    if s.is_zero:
-        d.pop(m, None)
-    else:
-        d[m] = s
+def _product_into(out, alg, left, right):
+    """Accumulate left * right into out; all three map monomials to raw
+    coefficients. Most straightening coefficients are the domain's one, so
+    products with that object are skipped."""
+    mul_mono = alg.mul_mono
+    one = alg._one
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            c12 = c1 if c2 is one else c2 if c1 is one else c1 * c2
+            for m, c in mul_mono(m1, m2).items():
+                _acc(out, m, c12 if c is one else c * c12)
 
 
 def _multiset_perms(letters):
@@ -209,6 +215,8 @@ class PBWElement:
                 if e < 0 and i not in alg.laurent:
                     raise FieldError("negative exponent at non-Laurent index %d" % i)
             c = c if isinstance(c, FieldElement) else field.rational(c)
+            if c.field is not field and c.field != field:
+                raise FieldError("coefficient of %r in an algebra over %r" % (c.field, field))
             if not c.is_zero:
                 prev = clean.get(exps)
                 s = c if prev is None else prev + c
@@ -217,6 +225,19 @@ class PBWElement:
                 else:
                     clean[exps] = s
         self.terms = clean
+
+    @classmethod
+    def _from_raw(cls, alg, raw):
+        """Trusted constructor for kernel output: raw maps well-formed
+        monomials to nonzero domain values, so only the wrapping is done."""
+        self = object.__new__(cls)
+        self.alg = alg
+        field = alg.field
+        self.terms = {m: FieldElement(field, c) for m, c in raw.items()}
+        return self
+
+    def _raw_terms(self):
+        return {m: c.raw for m, c in self.terms.items()}
 
     def _check(self, other):
         if self.alg is not other.alg:
@@ -228,7 +249,7 @@ class PBWElement:
         self._check(other)
         t = dict(self.terms)
         for m, c in other.terms.items():
-            _acc(t, m, c, self.alg.field)
+            _acc(t, m, c)
         return PBWElement(self.alg, t)
 
     __radd__ = __add__
@@ -256,12 +277,8 @@ class PBWElement:
             )
         self._check(other)
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c12 = c1 * c2
-                for m, c in self.alg.mul_mono(m1, m2).items():
-                    _acc(out, m, c12 * c, self.alg.field)
-        return PBWElement(self.alg, out)
+        _product_into(out, self.alg, self._raw_terms(), other._raw_terms())
+        return PBWElement._from_raw(self.alg, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, FieldElement)):
@@ -334,7 +351,13 @@ def _const(alg, c):
 
 
 def commutator(u, v):
-    return u * v - v * u
+    """[u, v] = u*v - v*u, both products accumulated into one raw dict."""
+    u._check(v)
+    ru, rv = u._raw_terms(), v._raw_terms()
+    out = {}
+    _product_into(out, u.alg, ru, rv)
+    _product_into(out, u.alg, {m: -c for m, c in rv.items()}, ru)
+    return PBWElement._from_raw(u.alg, out)
 
 
 def symmetrize(alg, p):
@@ -343,9 +366,10 @@ def symmetrize(alg, p):
         raise FieldError("polynomial ambient does not match the algebra")
     out = {}
     for exps, c in p.terms.items():
+        c = c.raw
         for m, cc in alg.symm_mono(exps).items():
-            _acc(out, m, c * cc, alg.field)
-    return PBWElement(alg, out)
+            _acc(out, m, c * cc)
+    return PBWElement._from_raw(alg, out)
 
 
 def principal_symbol(u):
@@ -376,7 +400,7 @@ def specialize_central(u, z_index, c):
     rejected when any monomial holds a formal inverse of z.
     """
     alg = u.alg
-    if z_index not in alg._central_set():
+    if z_index not in alg._central:
         raise FieldError("index %d is not a designated central generator" % z_index)
     c = c if isinstance(c, FieldElement) else alg.field.rational(c)
     out = {}
@@ -385,7 +409,7 @@ def specialize_central(u, z_index, c):
         if k < 0 and c.is_zero:
             raise FieldError("specializing a formal inverse at zero")
         ne = tuple(0 if i == z_index else e for i, e in enumerate(exps))
-        _acc(out, ne, co * c**k, alg.field)
+        _acc(out, ne, co * c**k)
     return PBWElement(alg, out)
 
 

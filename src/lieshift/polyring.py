@@ -4,6 +4,10 @@ Elements of the symmetric algebra S(q) are sparse exponent-vector dicts over
 the algebra's tower field. Negative exponents are allowed only at explicitly
 flagged (central) indices, mirroring the localized enveloping algebra; the
 formal inverse obeys z * z^-1 = 1 eagerly through exponent addition.
+
+The Poisson kernel computes on raw ``field.domain`` values and wraps each
+result coefficient once, through a trusted constructor that skips the
+per-term checks the public constructor keeps for caller input.
 """
 
 from __future__ import annotations
@@ -27,11 +31,24 @@ class PolyElement:
                 if e < 0 and i not in self.laurent:
                     raise FieldError("negative exponent at non-Laurent index %d" % i)
             c = c if isinstance(c, FieldElement) else field.rational(c)
+            if c.field is not field and c.field != field:
+                raise FieldError("coefficient of %r in a ring over %r" % (c.field, field))
             if not c.is_zero:
                 clean[exps] = clean.get(exps, field.zero) + c
                 if clean[exps].is_zero:
                     del clean[exps]
         self.terms = clean
+
+    @classmethod
+    def _from_raw(cls, field, nvars, raw, laurent):
+        """Trusted constructor for kernel output: raw holds nonzero domain
+        values at well-formed exponents, so only the wrapping is done."""
+        self = object.__new__(cls)
+        self.field = field
+        self.nvars = nvars
+        self.laurent = frozenset(laurent)
+        self.terms = {e: FieldElement(field, c) for e, c in raw.items()}
+        return self
 
     # -- constructors ----------------------------------------------------
 
@@ -242,25 +259,54 @@ class PolyElement:
         )
 
 
-def bracket_poly(L, i, j):
-    """[x_i, x_j] as a linear polynomial."""
-    terms = {}
-    for k, c in L.bracket_basis(i, j).items():
-        terms[tuple(1 if t == k else 0 for t in range(L.dim))] = c
-    return PolyElement(L.field, L.dim, terms)
-
-
 def poisson(L, f, g):
-    """Lie-Poisson bracket {f, g} on S(q), a biderivation over the bracket."""
-    out = PolyElement.zero(L.field, L.dim, f.laurent | g.laurent)
-    pf = {i: f.partial(i) for i in range(L.dim)}
-    pg = {j: g.partial(j) for j in range(L.dim)}
-    for (i, j) in L.table:
-        a = pf[i] * pg[j] - pf[j] * pg[i]
-        if a.is_zero:
+    """Lie-Poisson bracket {f, g} on S(q), a biderivation over the bracket.
+
+    Term by term: each pair c1 x^e1, c2 x^e2 and each i in supp(e1),
+    j in supp(e2) with [x_i, x_j] = sum_k c_ij^k x_k adds
+    c1 c2 e1_i e2_j c_ij^k at x^(e1 + e2 - eps_i - eps_j + eps_k).
+    """
+    if f.field != L.field or g.field != L.field or f.nvars != L.dim or g.nvars != L.dim:
+        raise FieldError("mixed polynomial ambients")
+    rows = L.raw_brackets
+    gterms = [
+        (e2, c2.raw, [j for j, x in enumerate(e2) if x]) for e2, c2 in g.terms.items()
+    ]
+    out = {}
+    for e1, c1 in f.terms.items():
+        c1 = c1.raw
+        s1 = [(i, rows[i]) for i, x in enumerate(e1) if x and i in rows]
+        if not s1:
             continue
-        out = out + a * bracket_poly(L, i, j)
-    return out
+        for e2, c2, s2 in gterms:
+            c12 = c1 * c2
+            base = [x + y for x, y in zip(e1, e2)]
+            for i, row in s1:
+                for j in s2:
+                    comp = row.get(j)
+                    if comp is None:
+                        continue
+                    w = c12 * (e1[i] * e2[j])
+                    base[i] -= 1
+                    base[j] -= 1
+                    for k, ck in comp:
+                        base[k] += 1
+                        _acc(out, tuple(base), w * ck)
+                        base[k] -= 1
+                    base[i] += 1
+                    base[j] += 1
+    return PolyElement._from_raw(L.field, L.dim, out, f.laurent | g.laurent)
+
+
+def _acc(d, m, c):
+    """d[m] += c, dropping a zero sum; works on raw and wrapped values."""
+    s = d.get(m)
+    if s is not None:
+        c = s + c
+    if c:
+        d[m] = c
+    else:
+        d.pop(m, None)
 
 
 def differential_at(f, point):

@@ -383,6 +383,21 @@ def test_construct_checks_each_pair_once(monkeypatch):
     assert calls["poisson"] == P.algebra.dim * len(P.casimirs)
 
 
+@pytest.mark.parametrize("name,calls", [("aff1", 3), ("borel-sl2", 3), ("borel-sl3", 4)])
+def test_construct_samples_each_trdeg_once(monkeypatch, name, calls):
+    # the specialization reuses the trdeg _certify sampled one level down
+    seen = []
+    real = construct_mod.trdeg_jacobian
+
+    def counted(A, *args):
+        seen.append(tuple((g.alg.field, g.render()) for g in getattr(A, "elements", A)))
+        return real(A, *args)
+
+    monkeypatch.setattr(construct_mod, "trdeg_jacobian", counted)
+    construct_theorem(preset(name).algebra)
+    assert len(seen) == len(set(seen)) == calls
+
+
 def test_certificate_catches_noncommuting_reductive_lift(monkeypatch):
     # e added to the lifted Casimir keeps its principal symbol but [C + e, 2h] != 0
     P = preset("sl2")

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lieshift.construct import abelian_qhat
-from lieshift.fields import QQ
+from lieshift.fields import QQ, FieldError
 from lieshift.liealg import (
     HeisenbergSplit,
     LieAlgebra,
@@ -66,6 +66,18 @@ def test_bracket_bilinear():
     assert bracket(L, two_h, e) == tuple(c + c for c in he)
     ef = bracket(L, e, f)
     assert [str(c) for c in ef] == ["1", "0", "0"]
+
+
+def test_bracket_rejects_foreign_input():
+    L = sl2()
+    F = QQ.extend("t")
+    h, e = L.basis_vector(0), L.basis_vector(1)
+    with pytest.raises(LieAlgebraError):
+        bracket(L, h, e[:2])
+    with pytest.raises(FieldError):
+        bracket(L, (F.var("t"), QQ.zero, QQ.zero), e)
+    with pytest.raises(LieAlgebraError):
+        LieAlgebra(QQ, ["a", "b"], {(0, 1): {1: F.var("t")}})
 
 
 def test_validate_good_and_bad():

@@ -158,3 +158,19 @@ def test_centralizer_of_casimir():
     cen = centralizer_up_to_degree(A, [cas], 1)
     # everything of degree <= 1 commutes with the Casimir
     assert len(cen) == 4
+
+
+def test_foreign_coefficient_rejected():
+    _, A = sl2_alg()
+    with pytest.raises(FieldError):
+        A.element({(1, 0, 0): QQ.extend("t").var("t")})
+
+
+def test_mul_cache_golden_size():
+    # the benchmark's pbw.mul_cache_entries metric counts _mul_cache entries
+    P = preset("sl3")
+    A = EnvelopingAlgebra(P.algebra)
+    c2, c3 = (symmetrize(A, c) for c in P.casimirs)
+    assert commutator(c2, c3).is_zero
+    assert isinstance(A._mul_cache, dict)
+    assert len(A._mul_cache) == 591

@@ -37,6 +37,17 @@ def test_mixed_size_rejected():
         a + b
 
 
+def test_foreign_coefficients_and_ambients_rejected():
+    F = QQ.extend("t")
+    with pytest.raises(FieldError):
+        PolyElement(QQ, 2, {(1, 0): F.var("t")})
+    L, h, e, f = sl2_gens()
+    with pytest.raises(FieldError):
+        poisson(L, h, PolyElement.variable(QQ, 2, 0))
+    with pytest.raises(FieldError):
+        poisson(L, h, PolyElement.variable(F, 3, 0))
+
+
 def test_top_and_homogeneous_parts():
     _, h, e, f = sl2_gens()
     p = h * h * h + e * f + h + PolyElement.constant(QQ, 3, QQ.one)

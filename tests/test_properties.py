@@ -11,7 +11,7 @@ from factories import (
 from lieshift.construct import construct_theorem, mf_subalgebra
 from lieshift.fields import QQ
 from lieshift.invariants import b_of, index_of, is_regular, sample_point, trdeg_jacobian
-from lieshift.liealg import LinearForm, bracket, direct_sum, vec
+from lieshift.liealg import LieAlgebra, LinearForm, bracket, direct_sum, vec
 from lieshift.pbw import EnvelopingAlgebra, commutator, principal_symbol, symmetrize
 from lieshift.polyring import PolyElement, poisson
 from lieshift.presets import preset
@@ -135,3 +135,178 @@ def test_index_additivity_on_direct_sums():
         assert index_of(s).value == index_of(L1).value + index_of(L2).value, (n1, n2)
         cases += 1
     assert cases == 100
+
+
+# -- raw-coefficient kernels against wrapped references -------------------------
+#
+# The kernels in liealg.bracket, polyring.poisson and pbw.commutator compute on
+# raw domain values. Each reference below uses FieldElement arithmetic only and
+# shares no code with its kernel; results must agree by ==, hash and render.
+# Cases cycle over level 0, a level-1 field Q(t) whose structure constants and
+# coefficients carry non-monic denominators, and a Laurent central z with
+# negative exponents (at both levels).
+
+QT = QQ.extend("t")
+KERNEL_SETTINGS = ((QQ, False), (QT, False), (QQ, True), (QT, True))
+LAURENT_POOL = ["heisenberg1", "heisenberg2", "sl2-semidirect-h3"]
+
+
+def _random_scalar(rng, F):
+    if F.level == 0:
+        return QQ.rational(rng.randint(-9, 9), rng.randint(1, 5))
+    t = F.var("t")
+    num = F.from_int(rng.randint(-4, 4)) * t + rng.randint(-4, 4)
+    den = F.from_int(rng.choice((2, 3, 5))) * t * t + rng.randint(1, 4)
+    return num / den
+
+
+def _nonzero_scalar(rng, F):
+    while True:
+        c = _random_scalar(rng, F)
+        if not c.is_zero:
+            return c
+
+
+def _kernel_algebra(rng, setting):
+    """(L, Laurent index or None): a preset, rescaled over Q(t) at level 1."""
+    F, laurent = KERNEL_SETTINGS[setting % len(KERNEL_SETTINGS)]
+    _, L = random_preset_algebra(rng, LAURENT_POOL if laurent else None)
+    z = max(L.central_indices()) if laurent else None
+    if F.level == 0:
+        return L, z
+    # x_i -> s_i x_i keeps Jacobi: c_ij^k becomes s_i s_j c_ij^k / s_k
+    s = [_nonzero_scalar(rng, F) for _ in range(L.dim)]
+    table = {
+        (i, j): {k: s[i] * s[j] * F.lift(c) / s[k] for k, c in comp.items()}
+        for (i, j), comp in L.table.items()
+    }
+    ann = {"central": L.central_indices()} if L.central_indices() else {}
+    return LieAlgebra(F, L.labels, table, ann), z
+
+
+def _random_exps(rng, n, z, max_deg):
+    e = [0] * n
+    for _ in range(rng.randint(0, max_deg)):
+        e[rng.randrange(n)] += 1
+    if z is not None:
+        e[z] = rng.randint(-2, 2)
+    return tuple(e)
+
+
+def _random_kernel_poly(rng, L, z, max_deg=3):
+    laurent = frozenset() if z is None else {z}
+    terms = {
+        _random_exps(rng, L.dim, z, max_deg): _random_scalar(rng, L.field)
+        for _ in range(rng.randint(1, 3))
+    }
+    return PolyElement(L.field, L.dim, terms, laurent)
+
+
+def _same(new, ref, render):
+    assert new == ref
+    assert hash(new) == hash(ref)
+    assert render(new) == render(ref)
+
+
+def _ref_bracket(L, a, b):
+    """The dense structure-table loop."""
+    out = [L.field.zero] * L.dim
+    for (i, j), comp in L.table.items():
+        c = a[i] * b[j] - a[j] * b[i]
+        if c.is_zero:
+            continue
+        for k, s in comp.items():
+            out[k] = out[k] + c * s
+    return tuple(out)
+
+
+def _ref_poisson(L, f, g):
+    """sum over i < j of (df/dx_i dg/dx_j - df/dx_j dg/dx_i) [x_i, x_j]."""
+    n = L.dim
+    out = PolyElement.zero(L.field, n, f.laurent | g.laurent)
+    for (i, j), comp in L.table.items():
+        a = f.partial(i) * g.partial(j) - f.partial(j) * g.partial(i)
+        lin = PolyElement(
+            L.field, n, {tuple(int(t == k) for t in range(n)): c for k, c in comp.items()}
+        )
+        out = out + a * lin
+    return out
+
+
+def _ref_normal_word(L, pos, word, memo):
+    """Normal-ordered expansion of a word of generators, by adjacent swaps
+    x_p x_q = x_q x_p + [x_p, x_q]; coefficients as FieldElements."""
+    hit = memo.get(word)
+    if hit is not None:
+        return hit
+    out = {}
+    for t in range(len(word) - 1):
+        p, q = word[t], word[t + 1]
+        if pos[p] > pos[q]:
+            parts = [(L.field.one, word[:t] + (q, p) + word[t + 2 :])]
+            parts += [(c, word[:t] + (k,) + word[t + 2 :]) for k, c in L.bracket_basis(p, q).items()]
+            for c, w in parts:
+                for m, cm in _ref_normal_word(L, pos, w, memo).items():
+                    out[m] = out.get(m, L.field.zero) + c * cm
+            break
+    else:
+        exps = [0] * L.dim
+        for p in word:
+            exps[p] += 1
+        out[tuple(exps)] = L.field.one
+    memo[word] = out
+    return out
+
+
+def _ref_product(u, v):
+    A = u.alg
+    L = A.L
+    cen = set(A.laurent | L.central_indices())
+    # the documented normal order: input order, central generators last
+    order = [i for i in range(L.dim) if i not in cen] + sorted(cen)
+    pos = {i: p for p, i in enumerate(order)}
+    memo = {}
+    terms = {}
+    for m1, c1 in u.terms.items():
+        for m2, c2 in v.terms.items():
+            word = tuple(i for m in (m1, m2) for i in order if i not in cen for _ in range(m[i]))
+            shift = [m1[i] + m2[i] if i in cen else 0 for i in range(L.dim)]
+            for m, c in _ref_normal_word(L, pos, word, memo).items():
+                key = tuple(x + y for x, y in zip(m, shift))
+                terms[key] = terms.get(key, L.field.zero) + c1 * c2 * c
+    return A.element(terms)
+
+
+def test_bracket_matches_dense_table_loop():
+    rng = random.Random(808)
+    for case in range(120):
+        L, _ = _kernel_algebra(rng, case)
+        a = tuple(_random_scalar(rng, L.field) if rng.random() < 0.6 else L.field.zero for _ in range(L.dim))
+        b = tuple(_random_scalar(rng, L.field) if rng.random() < 0.6 else L.field.zero for _ in range(L.dim))
+        _same(bracket(L, a, b), _ref_bracket(L, a, b), lambda v: [str(c) for c in v])
+
+
+def test_poisson_matches_partial_derivative_formula():
+    rng = random.Random(909)
+    for case in range(120):
+        L, z = _kernel_algebra(rng, case)
+        f = _random_kernel_poly(rng, L, z)
+        g = _random_kernel_poly(rng, L, z)
+        _same(poisson(L, f, g), _ref_poisson(L, f, g), lambda p: p.render(L.labels))
+
+
+def test_commutator_matches_reference_straightening():
+    rng = random.Random(1010)
+    for case in range(120):
+        L, z = _kernel_algebra(rng, case)
+        A = EnvelopingAlgebra(L, () if z is None else (z,))
+        u = A.element(
+            {_random_exps(rng, L.dim, z, 3): _random_scalar(rng, L.field) for _ in range(rng.randint(1, 3))}
+        )
+        v = A.element(
+            {_random_exps(rng, L.dim, z, 2): _random_scalar(rng, L.field) for _ in range(rng.randint(1, 3))}
+        )
+        ref = _ref_product(u, v) - _ref_product(v, u)
+        _same(commutator(u, v), ref, lambda w: w.render())
+        _same(u * v - v * u, ref, lambda w: w.render())
+        _same(u * v, _ref_product(u, v), lambda w: w.render())
