@@ -32,14 +32,14 @@ class EnvelopingAlgebra:
         self._one = L.field.domain.one
         self.dim = L.dim
         self.laurent = frozenset(laurent)
-        for z in sorted(self.laurent | L.central_indices()):
+        self._central = self.laurent | L.central_indices()
+        central = sorted(self._central)
+        for z in central:
             for j in range(L.dim):
                 if any(not c.is_zero for c in L.bracket_basis(z, j).values()):
                     raise FieldError(
                         "designated central index %d brackets nontrivially" % z
                     )
-        self._central = self.laurent | L.central_indices()
-        central = sorted(self._central)
         rest = [i for i in range(L.dim) if i not in central]
         order = rest + central
         self._pos = [0] * L.dim

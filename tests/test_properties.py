@@ -202,6 +202,17 @@ def _random_kernel_poly(rng, L, z, max_deg=3):
     return PolyElement(L.field, L.dim, terms, laurent)
 
 
+def _sparse_vector(rng, F, n):
+    return tuple(_random_scalar(rng, F) if rng.random() < 0.6 else F.zero for _ in range(n))
+
+
+def _random_pbw(rng, A, z, max_deg):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        terms[_random_exps(rng, A.dim, z, max_deg)] = _random_scalar(rng, A.field)
+    return A.element(terms)
+
+
 def _same(new, ref, render):
     assert new == ref
     assert hash(new) == hash(ref)
@@ -244,7 +255,8 @@ def _ref_normal_word(L, pos, word, memo):
         p, q = word[t], word[t + 1]
         if pos[p] > pos[q]:
             parts = [(L.field.one, word[:t] + (q, p) + word[t + 2 :])]
-            parts += [(c, word[:t] + (k,) + word[t + 2 :]) for k, c in L.bracket_basis(p, q).items()]
+            for k, c in L.bracket_basis(p, q).items():
+                parts.append((c, word[:t] + (k,) + word[t + 2 :]))
             for c, w in parts:
                 for m, cm in _ref_normal_word(L, pos, w, memo).items():
                     out[m] = out.get(m, L.field.zero) + c * cm
@@ -263,13 +275,13 @@ def _ref_product(u, v):
     L = A.L
     cen = set(A.laurent | L.central_indices())
     # the documented normal order: input order, central generators last
-    order = [i for i in range(L.dim) if i not in cen] + sorted(cen)
-    pos = {i: p for p, i in enumerate(order)}
+    rest = [i for i in range(L.dim) if i not in cen]
+    pos = {i: p for p, i in enumerate(rest + sorted(cen))}
     memo = {}
     terms = {}
     for m1, c1 in u.terms.items():
         for m2, c2 in v.terms.items():
-            word = tuple(i for m in (m1, m2) for i in order if i not in cen for _ in range(m[i]))
+            word = tuple(i for m in (m1, m2) for i in rest for _ in range(m[i]))
             shift = [m1[i] + m2[i] if i in cen else 0 for i in range(L.dim)]
             for m, c in _ref_normal_word(L, pos, word, memo).items():
                 key = tuple(x + y for x, y in zip(m, shift))
@@ -281,8 +293,8 @@ def test_bracket_matches_dense_table_loop():
     rng = random.Random(808)
     for case in range(120):
         L, _ = _kernel_algebra(rng, case)
-        a = tuple(_random_scalar(rng, L.field) if rng.random() < 0.6 else L.field.zero for _ in range(L.dim))
-        b = tuple(_random_scalar(rng, L.field) if rng.random() < 0.6 else L.field.zero for _ in range(L.dim))
+        a = _sparse_vector(rng, L.field, L.dim)
+        b = _sparse_vector(rng, L.field, L.dim)
         _same(bracket(L, a, b), _ref_bracket(L, a, b), lambda v: [str(c) for c in v])
 
 
@@ -300,12 +312,8 @@ def test_commutator_matches_reference_straightening():
     for case in range(120):
         L, z = _kernel_algebra(rng, case)
         A = EnvelopingAlgebra(L, () if z is None else (z,))
-        u = A.element(
-            {_random_exps(rng, L.dim, z, 3): _random_scalar(rng, L.field) for _ in range(rng.randint(1, 3))}
-        )
-        v = A.element(
-            {_random_exps(rng, L.dim, z, 2): _random_scalar(rng, L.field) for _ in range(rng.randint(1, 3))}
-        )
+        u = _random_pbw(rng, A, z, 3)
+        v = _random_pbw(rng, A, z, 2)
         ref = _ref_product(u, v) - _ref_product(v, u)
         _same(commutator(u, v), ref, lambda w: w.render())
         _same(u * v - v * u, ref, lambda w: w.render())
