@@ -47,6 +47,16 @@ def encode_scalar(c):
     return {"num": poly(c.raw.numer), "den": poly(c.raw.denom)}
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _expect_list(data, what):
+    if not isinstance(data, list):
+        raise AlgebraFileError("%s must be a list, got %r" % (what, data))
+    return data
+
+
 def decode_scalar(field, data):
     if isinstance(data, str):
         if not _RATIONAL.match(data):
@@ -55,7 +65,7 @@ def decode_scalar(field, data):
             )
         fr = Fraction(data)
         return field.rational(fr.numerator, fr.denominator)
-    if isinstance(data, int):
+    if _is_int(data):
         return field.from_int(data)
     if not isinstance(data, dict) or set(data) != {"num", "den"}:
         raise AlgebraFileError("bad scalar %r" % (data,))
@@ -64,12 +74,17 @@ def decode_scalar(field, data):
 
     def poly(pairs):
         acc = field.zero
-        for exps, cdata in pairs:
-            if len(exps) != len(field.variables):
+        for pair in _expect_list(pairs, "scalar polynomial"):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise AlgebraFileError("bad polynomial term %r" % (pair,))
+            exps, cdata = pair
+            if not isinstance(exps, list) or len(exps) != len(field.variables):
                 raise AlgebraFileError("exponent tuple of wrong length")
+            if not all(_is_int(e) for e in exps):
+                raise AlgebraFileError("non-integer exponent in %r" % (exps,))
             term = field.lift(decode_scalar(field.base, cdata))
             for name, e in zip(field.variables, exps):
-                term = term * field.var(name) ** int(e)
+                term = term * field.var(name) ** e
             acc = acc + term
         return acc
 
@@ -104,10 +119,17 @@ def _encode_field(f):
 def _decode_field(data):
     if data is None:
         return QQ
-    tower = data.get("tower", [])
+    if not isinstance(data, dict):
+        raise AlgebraFileError("field must be an object, got %r" % (data,))
     f = QQ
     try:
-        for names in tower:
+        for names in _expect_list(data.get("tower", []), "field tower"):
+            if not isinstance(names, list) or not all(
+                isinstance(n, str) and n.isidentifier() for n in names
+            ):
+                raise AlgebraFileError(
+                    "tower level must list identifier names, got %r" % (names,)
+                )
             f = f.extend(*names)
     except FieldError as e:
         raise AlgebraFileError("bad field tower: %s" % e)
@@ -160,18 +182,18 @@ def load_algebra(data, check=True):
     dim = data.get("dim")
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise AlgebraFileError("basis must be a list of labels")
-    if dim != len(labels):
+    if not _is_int(dim) or dim != len(labels):
         raise AlgebraFileError("dim %r does not match %d labels" % (dim, len(labels)))
     field = _decode_field(data.get("field"))
     index = {lab: k for k, lab in enumerate(labels)}
     if len(index) != len(labels):
         raise AlgebraFileError("duplicate basis labels")
     table = {}
-    for entry in data.get("brackets", []):
-        try:
-            i, j = int(entry["i"]), int(entry["j"])
-            coeffs = entry["coeffs"]
-        except (KeyError, TypeError, ValueError):
+    for entry in _expect_list(data.get("brackets", []), "brackets"):
+        if not isinstance(entry, dict) or not {"i", "j", "coeffs"} <= set(entry):
+            raise AlgebraFileError("bad bracket entry %r" % (entry,))
+        i, j, coeffs = entry["i"], entry["j"], entry["coeffs"]
+        if not (_is_int(i) and _is_int(j) and isinstance(coeffs, dict)):
             raise AlgebraFileError("bad bracket entry %r" % (entry,))
         if not (0 <= i < j < dim):
             raise AlgebraFileError("bracket indices (%d, %d) out of range" % (i, j))
@@ -184,28 +206,37 @@ def load_algebra(data, check=True):
             row[index[lab]] = decode_scalar(field, c)
         table[(i, j)] = row
 
-    def subspace(vectors):
-        return Subspace(field, dim, [_decode_vector(field, v, dim) for v in vectors])
+    def vectors(data, what):
+        return [_decode_vector(field, v, dim) for v in _expect_list(data, what)]
 
+    def indices(data, what):
+        if not all(_is_int(k) and 0 <= k < dim for k in data):
+            raise AlgebraFileError(
+                "%s must list basis indices in [0, %d), got %r" % (what, dim, data)
+            )
+        return list(data)
+
+    annotations = data.get("annotations") or {}
+    if not isinstance(annotations, dict):
+        raise AlgebraFileError("annotations must be an object, got %r" % (annotations,))
     ann = {}
-    for key, val in (data.get("annotations") or {}).items():
+    for key, val in annotations.items():
         if key == "central":
-            ann[key] = frozenset(int(k) for k in val)
+            ann[key] = frozenset(indices(_expect_list(val, key), key))
         elif key == "heisenberg_split":
-            try:
-                ann[key] = HeisenbergSplit(
-                    l_basis=subspace(val["l_basis"]),
-                    x=tuple(_decode_vector(field, v, dim) for v in val["x"]),
-                    y=tuple(_decode_vector(field, v, dim) for v in val["y"]),
-                    z=_decode_vector(field, val["z"], dim),
-                )
-            except (KeyError, TypeError):
+            if not isinstance(val, dict) or not {"l_basis", "x", "y", "z"} <= set(val):
                 raise AlgebraFileError("bad heisenberg_split annotation")
+            ann[key] = HeisenbergSplit(
+                l_basis=Subspace(field, dim, vectors(val["l_basis"], "l_basis")),
+                x=tuple(vectors(val["x"], "split x")),
+                y=tuple(vectors(val["y"], "split y")),
+                z=_decode_vector(field, val["z"], dim),
+            )
         elif key in ("levi", "nilradical", "solvable_radical"):
-            if all(isinstance(v, int) for v in val):
-                ann[key] = list(val)
+            if any(_is_int(v) for v in _expect_list(val, key)):
+                ann[key] = indices(val, key)
             else:
-                ann[key] = subspace(val)
+                ann[key] = Subspace(field, dim, vectors(val, key))
         else:
             ann[key] = val
     L = LieAlgebra(field, labels, table, ann)

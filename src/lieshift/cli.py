@@ -2,7 +2,8 @@
 
 Reports are plain dicts; --json prints them byte-identically for a fixed
 (input, seed) pair, so wall-clock timing only appears in text mode.
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
+error (an unexpected exception, reported on stderr without a traceback).
 """
 
 import argparse
@@ -35,7 +36,7 @@ from .invariants import (
     symmetric_invariants,
     trdeg_jacobian,
 )
-from .liealg import LieAlgebraError, classify_nilradical, validate
+from .liealg import LieAlgebraError, Subspace, classify_nilradical, validate
 
 
 class InputError(Exception):
@@ -150,8 +151,10 @@ def _cmd_info(L, P, args):
             ann[key] = sorted(val)
         elif key == "heisenberg_split":
             ann[key] = "pairs=%d" % len(val.x)
-        else:
+        elif isinstance(val, Subspace):
             ann[key] = "dim %d" % val.dim
+        else:
+            ann[key] = val
     results = {
         "dim": L.dim,
         "basis": list(L.labels),
@@ -569,6 +572,9 @@ def main(argv=None):
     except (ConstructError, LieAlgebraError, FieldError) as e:
         print("verification failure: %s" % e, file=sys.stderr)
         return 1
+    except Exception as e:
+        print("internal error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+        return 3
     report = {
         "command": args.command,
         "inputs": inputs,

@@ -31,14 +31,17 @@ class Field:
     """Descriptor of one level of the scalar tower.
 
     Immutable; equality and hashing are structural so a field can key caches.
+    The sympy domain is computed once, when the field is built; structurally
+    equal fields share one domain.
     """
 
-    __slots__ = ("level", "variables", "base")
+    __slots__ = ("level", "variables", "base", "domain")
 
     def __init__(self, level, variables, base):
         self.level = level
         self.variables = tuple(variables)
         self.base = base
+        self.domain = _sympy_domain(self.variables, base)
 
     def __eq__(self, other):
         return (
@@ -74,10 +77,6 @@ class Field:
             out = list(f.variables) + out
             f = f.base
         return out
-
-    @property
-    def domain(self):
-        return _sympy_domain(self)
 
     # -- element constructors ------------------------------------------------
 
@@ -181,11 +180,11 @@ class Field:
 
 
 @lru_cache(maxsize=None)
-def _sympy_domain(field):
-    if field.level == 0:
+def _sympy_domain(variables, base):
+    """The sympy domain of the field over ``base`` adjoining ``variables``."""
+    if base is None:
         return _SYMPY_QQ
-    base = _sympy_domain(field.base)
-    return base.frac_field(*field.variables, order=grlex)
+    return base.domain.frac_field(*variables, order=grlex)
 
 
 QQ = Field(0, (), None)

@@ -6,6 +6,13 @@ classification helpers cover exactly what the construction pipeline needs:
 centers, derived/lower-central series, nilradical handling, abelian-ideal
 candidates, Heisenberg (Darboux) splits and the bracket-stabilizer of the
 symplectic complement.
+
+The structure series are lazy and cached per algebra: ``structure_series(L)``
+returns one object per algebra, and each of its center, derived algebra,
+lower central series and derived series is computed the first time it is
+read. The center comes from one equation per nonzero structure constant,
+and ``Subspace`` membership runs on raw domain values stored once per
+subspace.
 """
 
 from __future__ import annotations
@@ -54,9 +61,11 @@ class Subspace:
     Each basis row is content-normalized and is the only row that is nonzero
     at its pivot column (``pivots[i]`` for ``basis[i]``). Membership is read
     from those stored pivots and then checked exactly, with no elimination.
+    The raw domain values of each row's nonzero entries are stored once, when
+    the subspace is built, for that check.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_raw_rows")
 
     def __init__(self, field, ambient_dim, vectors):
         self.field = field
@@ -66,8 +75,25 @@ class Subspace:
             if len(r) != ambient_dim:
                 raise LieAlgebraError("vector length does not match ambient dim")
         red, piv = rref(field, rows)
-        self.basis = [tuple(normalize_vector(field, r)) for r in red]
-        self.pivots = tuple(piv)
+        self._store([tuple(normalize_vector(field, r)) for r in red], piv)
+
+    @classmethod
+    def _echelon(cls, field, ambient_dim, basis, pivots):
+        """Trusted constructor from a basis already in canonical echelon form."""
+        self = object.__new__(cls)
+        self.field = field
+        self.ambient_dim = ambient_dim
+        self._store(basis, pivots)
+        return self
+
+    def _store(self, basis, pivots):
+        self.basis = basis
+        self.pivots = tuple(pivots)
+        # (pivot column, raw pivot entry, ((k, raw entry), ...) over nonzeros)
+        self._raw_rows = tuple(
+            (p, b[p].raw, tuple((k, c.raw) for k, c in enumerate(b) if c.raw))
+            for b, p in zip(basis, self.pivots)
+        )
 
     @property
     def dim(self):
@@ -77,20 +103,30 @@ class Subspace:
         """Coefficients of v in the echelon basis, or None if outside.
 
         The only candidate is c_i = v[p_i] / basis[i][p_i] at the pivots p_i;
-        v is in the span exactly when sum c_i basis[i] == v, which is checked
-        coordinate by coordinate, so a non-None answer is a proof.
+        v is in the span exactly when sum c_i basis[i] - v vanishes, which is
+        checked coordinate by coordinate, so a non-None answer is a proof.
+        The sum runs on raw domain values over the nonzero entries; the
+        residual is tested by difference, since raw values above level 0 are
+        not in canonical form and ``==`` on them can report false mismatches.
         """
-        v = vec(self.field, v)
-        coords = [v[p] / b[p] for b, p in zip(self.basis, self.pivots)]
-        terms = [(c, b) for c, b in zip(coords, self.basis) if not c.is_zero]
-        for k, target in enumerate(v):
-            s = self.field.zero
-            for c, b in terms:
-                if not b[k].is_zero:
-                    s = s + c * b[k]
-            if s != target:
-                return None
-        return coords
+        if len(v) != self.ambient_dim:
+            raise LieAlgebraError("vector length does not match ambient dim")
+        field = self.field
+        zero = field.domain.zero
+        # acc is the residual sum c_i basis[i] - v, over its nonzero support
+        acc = {k: -x for k, x in _raw_support(field, v)}
+        coords = [zero] * len(self._raw_rows)
+        for i, (p, piv, row) in enumerate(self._raw_rows):
+            x = acc.get(p)
+            if x is None:
+                continue
+            c = -x / piv
+            coords[i] = c
+            for k, b in row:
+                acc[k] = acc.get(k, zero) + c * b
+        if any(acc.values()):
+            return None
+        return [FieldElement(field, c) for c in coords]
 
     def contains(self, v):
         return self.coordinates(v) is not None
@@ -169,8 +205,12 @@ class LieAlgebra:
             self.annotations["central"] = frozenset(self.annotations["central"])
 
     def span_of_indices(self, idxs):
-        return Subspace(
-            self.field, self.dim, [self.basis_vector(i) for i in idxs]
+        """span{x_i : i in idxs}; indices outside the basis add nothing. The
+        unit vectors in increasing order are already the canonical echelon
+        basis, so no elimination runs."""
+        cols = sorted({i for i in idxs if 0 <= i < self.dim})
+        return Subspace._echelon(
+            self.field, self.dim, [self.basis_vector(i) for i in cols], cols
         )
 
     def basis_vector(self, i):
@@ -187,6 +227,10 @@ class LieAlgebra:
         if i < j:
             return self.table.get((i, j), {})
         return {k: -c for k, c in self.table.get((j, i), {}).items()}
+
+    @cached_property
+    def _structure_series(self):
+        return StructureSeries(self)
 
     @cached_property
     def raw_brackets(self):
@@ -318,7 +362,10 @@ def _check_annotated_subspace(L, key, S):
     else:
         if not _is_ideal(L, S):
             out.append("%s annotation is not an ideal" % key)
-        sub, _ = subalgebra_of(L, S)
+        try:
+            sub, _ = subalgebra_of(L, S)
+        except LieAlgebraError:
+            return out  # not bracket-closed: no structure constants to test
         series = structure_series(sub)
         if key == "nilradical" and not series.is_nilpotent:
             out.append("nilradical annotation is not nilpotent")
@@ -388,58 +435,96 @@ def stabilizer(L, gamma):
     return Subspace(L.field, L.dim, kernel_basis(coadjoint_form(L, gamma)))
 
 
-@dataclass
 class StructureSeries:
-    center: Subspace
-    derived: Subspace
-    lower_central: list
-    derived_series: list
-    is_nilpotent: bool
-    is_solvable: bool
-    is_abelian: bool
+    """Center, derived algebra and the two series of one algebra.
+
+    Each is computed the first time it is read, so a caller pays only for
+    what it reads: ``is_nilpotent`` builds the lower central series,
+    ``is_solvable`` the derived series, and ``is_abelian`` reads the bracket
+    table. Obtain it through ``structure_series``, which keeps one per
+    algebra.
+    """
+
+    def __init__(self, L):
+        self.algebra = L
+
+    @cached_property
+    def full(self):
+        return self.algebra.span_of_indices(range(self.algebra.dim))
+
+    @cached_property
+    def center(self):
+        return center_of(self.algebra)
+
+    @cached_property
+    def derived(self):
+        return _bracket_span(self.algebra, self.full, self.full)
+
+    @cached_property
+    def lower_central(self):
+        lower = [self.derived]
+        while lower[-1].dim:
+            nxt = _bracket_span(self.algebra, self.full, lower[-1])
+            if nxt.dim == lower[-1].dim:
+                break
+            lower.append(nxt)
+        return lower
+
+    @cached_property
+    def derived_series(self):
+        dseries = [self.derived]
+        while dseries[-1].dim:
+            nxt = _bracket_span(self.algebra, dseries[-1], dseries[-1])
+            if nxt.dim == dseries[-1].dim:
+                break
+            dseries.append(nxt)
+        return dseries
+
+    @property
+    def is_nilpotent(self):
+        return self.lower_central[-1].dim == 0
+
+    @property
+    def is_solvable(self):
+        return self.derived_series[-1].dim == 0
+
+    @property
+    def is_abelian(self):
+        # the table keeps only nonzero brackets
+        return not self.algebra.table
 
 
 def center_of(L):
+    """Kernel of x -> ([x, e_j])_j, one equation per nonzero c_ij^k.
+
+    Row (j, k) holds c_ij^k at column i; rows of (j, k) pairs with no nonzero
+    constant are zero and do not change the kernel, so they are left out.
+    """
     F = L.field
-    rows = []
-    for j in range(L.dim):
-        for k in range(L.dim):
-            rows.append([L.bracket_basis(i, j).get(k, F.zero) for i in range(L.dim)])
+    eqs = {}
+    for (i, j), comp in L.table.items():
+        for k, c in comp.items():
+            eqs.setdefault((j, k), {})[i] = c
+            eqs.setdefault((i, k), {})[j] = -c
+    zero = F.zero
+    rows = [[row.get(i, zero) for i in range(L.dim)] for _, row in sorted(eqs.items())]
     return Subspace(F, L.dim, kernel_basis(Matrix(F, rows, ncols=L.dim)))
 
 
 def _bracket_span(L, A, B):
-    vecs = []
-    for u in A.basis:
-        for w in B.basis:
-            vecs.append(bracket(L, u, w))
+    """span [A, B]; when A is B only the pairs a < b are bracketed."""
+    if A is B:
+        vecs = [
+            bracket(L, u, w) for i, u in enumerate(A.basis) for w in A.basis[i + 1 :]
+        ]
+    else:
+        vecs = [bracket(L, u, w) for u in A.basis for w in B.basis]
     return Subspace(L.field, L.dim, vecs)
 
 
 def structure_series(L):
-    full = Subspace(L.field, L.dim, [L.basis_vector(i) for i in range(L.dim)])
-    derived = _bracket_span(L, full, full)
-    lower = [derived]
-    while lower[-1].dim:
-        nxt = _bracket_span(L, full, lower[-1])
-        if nxt.dim == lower[-1].dim:
-            break
-        lower.append(nxt)
-    dseries = [derived]
-    while dseries[-1].dim:
-        nxt = _bracket_span(L, dseries[-1], dseries[-1])
-        if nxt.dim == dseries[-1].dim:
-            break
-        dseries.append(nxt)
-    return StructureSeries(
-        center=center_of(L),
-        derived=derived,
-        lower_central=lower,
-        derived_series=dseries,
-        is_nilpotent=lower[-1].dim == 0,
-        is_solvable=dseries[-1].dim == 0,
-        is_abelian=derived.dim == 0,
-    )
+    """The algebra's lazy ``StructureSeries``, one per algebra."""
+    return L._structure_series
 
 
 def subalgebra_of(L, S):
@@ -468,10 +553,9 @@ def subalgebra_of(L, S):
             if comp:
                 table[(i, j)] = comp
     ann = {}
-    central = []
-    for k, b in enumerate(basis):
-        if all(all(c.is_zero for c in bracket(L, b, w)) for w in basis):
-            central.append(k)
+    # the table holds every nonzero [b_i, b_j], so b_k is central exactly
+    # when no entry involves k
+    central = set(range(len(basis))).difference(*table)
     if central:
         ann["central"] = frozenset(central)
     return LieAlgebra(F, labels, table, ann), basis
@@ -573,7 +657,7 @@ def nilradical_of(L):
         return S
     series = structure_series(L)
     if series.is_nilpotent:
-        return Subspace(L.field, L.dim, [L.basis_vector(i) for i in range(L.dim)])
+        return series.full
     if series.is_solvable:
         cand = Subspace(L.field, L.dim, kernel_basis(killing_matrix(L)))
         if _is_ideal(L, cand):
@@ -634,7 +718,7 @@ def classify_nilradical(L):
             continue
         seen.append(h)
         hsub, _ = subalgebra_of(L, h)
-        if structure_series(hsub).derived.dim != 0:
+        if not structure_series(hsub).is_abelian:
             continue
         if not _is_ideal(L, h):
             continue
@@ -647,7 +731,7 @@ def classify_nilradical(L):
             return NilradicalClass(kind="abelian_ideal", nilradical=n_space, h=h)
     if n_space.dim == 1:
         return NilradicalClass(kind="line", nilradical=n_space, h=n_space)
-    split = darboux_split(L, n_space)
+    split = _darboux_split(L, n_space, sub, sub_basis)
     return NilradicalClass(kind="heisenberg", nilradical=n_space, split=split)
 
 
@@ -658,8 +742,13 @@ def darboux_split(L, n_space):
     kernel of a functional vanishing on [levi, n], which makes span{x, y}
     levi-stable whenever that is possible.
     """
-    F = L.field
     sub, sub_basis = subalgebra_of(L, n_space)
+    return _darboux_split(L, n_space, sub, sub_basis)
+
+
+def _darboux_split(L, n_space, sub, sub_basis):
+    """darboux_split on the nilradical's subalgebra, as built by the caller."""
+    F = L.field
     zc = structure_series(sub).center
     if zc.dim != 1:
         raise LieAlgebraError(
@@ -675,9 +764,8 @@ def darboux_split(L, n_space):
             )
     for i, u in enumerate(n_space.basis):
         for w in n_space.basis[i + 1 :]:
-            if any(not c.is_zero for c in bracket(L, u, w)) and not zline.contains(
-                bracket(L, u, w)
-            ):
+            b = bracket(L, u, w)
+            if any(not c.is_zero for c in b) and not zline.contains(b):
                 raise LieAlgebraError(
                     "Darboux construction failure: [n, n] leaves the center line"
                 )

@@ -310,8 +310,46 @@ def _acc(d, m, c):
 
 
 def differential_at(f, point):
-    """Gradient vector of f evaluated at a point of the dual space."""
-    return [f.partial(i).evaluate(point) for i in range(f.nvars)]
+    """Gradient vector of f evaluated at a point of the dual space.
+
+    One pass over the terms on raw domain values: a term c x^e adds
+    c e_i x^(e - eps_i) to entry i for every i with e_i != 0. Powers are
+    computed once per (index, exponent), and factors equal to 1 (a zeroth
+    power, e_i = 1) are not multiplied in. A formal inverse evaluated at
+    zero raises FieldError, as ``evaluate`` does on the partial derivatives.
+    """
+    field = f.field
+    if len(point) != f.nvars:
+        raise FieldError("point has %d coordinates, want %d" % (len(point), f.nvars))
+    pt = []
+    for c in point:
+        if not isinstance(c, FieldElement):
+            c = field.rational(c)
+        elif c.field is not field and c.field != field:
+            raise FieldError("tower-level mismatch: %r vs %r" % (field, c.field))
+        pt.append(c.raw)
+    one = field.domain.one
+    powers = {}
+
+    def power(i, k):
+        p = powers.get((i, k))
+        if p is None:
+            p = powers[(i, k)] = pt[i] ** k if k else one
+        return p
+
+    grad = [field.domain.zero] * f.nvars
+    for e, c in f.terms.items():
+        supp = [(i, k) for i, k in enumerate(e) if k]
+        if any(k < 0 and not pt[i] for i, k in supp):
+            raise FieldError("evaluating a formal inverse at zero")
+        for i, k in supp:
+            g = c.raw if k == 1 else c.raw * k
+            for j, kj in supp:
+                p = power(j, kj - 1 if j == i else kj)
+                if p is not one:
+                    g = g * p
+            grad[i] += g
+    return [FieldElement(field, g) for g in grad]
 
 
 def gamma_shift(h, gamma, k):

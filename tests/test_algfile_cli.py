@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lieshift.algfile import (
     AlgebraFileError,
@@ -293,3 +294,142 @@ def test_cli_accepts_smallest_sampling_args(capsys):
     assert main(["index", "--preset", "sl2", "--samples", "1", "--bound", "1", "--json"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["results"]["index"]["samples"] == 1
+
+
+# -- malformed documents: AlgebraFileError, and exit 2 from the CLI -----------
+
+
+def _with_tower_exponent(exp):
+    def mutate(d):
+        d["field"] = {"tower": [["t"]]}
+        d["brackets"][0]["coeffs"]["e"] = {"num": [[[exp], "2"]], "den": [[[0], "1"]]}
+
+    return mutate
+
+
+MALFORMED_SL2 = {
+    "central not an index": lambda d: d.update(annotations={"central": ["a"]}),
+    "central out of range": lambda d: d.update(annotations={"central": [99]}),
+    "coeffs a list": lambda d: d["brackets"][0].update(coeffs=["h"]),
+    "brackets a number": lambda d: d.update(brackets=5),
+    "annotations a list": lambda d: d.update(annotations=[1]),
+    "field a list": lambda d: d.update(field=[1]),
+    "exponent a string": _with_tower_exponent("x"),
+    "exponent a fraction": _with_tower_exponent(1.5),
+    "dim a fraction": lambda d: d.update(dim=3.0),
+    "levi out of range": lambda d: d.update(annotations={"levi": [99]}),
+    "levi negative": lambda d: d.update(annotations={"levi": [-1]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SL2))
+def test_malformed_file_is_an_input_error(case, tmp_path, capsys):
+    from lieshift.cli import main
+
+    data = dump_algebra(preset("sl2").algebra)
+    MALFORMED_SL2[case](data)
+    with pytest.raises(AlgebraFileError):
+        load_algebra(data, check=False)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    assert main(["validate", "--file", str(p), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+
+
+def test_cli_info_shows_an_unknown_annotation_as_loaded(tmp_path, capsys):
+    from lieshift.cli import main
+
+    data = dump_algebra(preset("sl2").algebra)
+    data["annotations"] = {"note": ["from a notebook", 2]}
+    p = tmp_path / "noted.json"
+    p.write_text(json.dumps(data))
+    assert main(["info", "--file", str(p), "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["results"]["annotations"] == {"note": ["from a notebook", 2]}
+
+
+def test_cli_internal_error_exit_3(monkeypatch, capsys):
+    from lieshift import cli
+
+    def broken(L, P, args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "info", broken)
+    assert cli.main(["info", "--preset", "sl2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: boom\n"
+    assert captured.out == ""
+
+
+def _documents():
+    from lieshift.construct import abelian_qhat
+    from lieshift.liealg import LieAlgebra
+
+    H = preset("heisenberg2").algebra
+    split = darboux_split(H, nilradical_of(H))
+    ann = dict(H.annotations, heisenberg_split=split)
+    return [
+        dump_algebra(preset("sl2").algebra),
+        dump_algebra(preset("sl2-semidirect-h3").algebra),
+        dump_algebra(LieAlgebra(QQ, H.labels, H.table, ann)),
+        dump_algebra(abelian_qhat(H, H.span_of_indices([4])).algebra),
+    ]
+
+
+DOCUMENTS = _documents()
+_KEYS = ["format", "dim", "basis", "field", "tower", "brackets", "i", "j", "coeffs",
+         "annotations", "central", "levi", "nilradical", "solvable_radical",
+         "heisenberg_split", "l_basis", "x", "y", "z", "num", "den", "h", "e", "w1"]
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-3, 12)
+    | st.floats(allow_nan=False, allow_infinity=False, width=16)
+    | st.text(max_size=3)
+    | st.sampled_from(["1", "-1/2", "0", "h", "e", "w1", "t", "lieshift/1"])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _paths(v, prefix + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _paths(v, prefix + (i,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one or two nodes replaced by JSON or deleted."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(DOCUMENTS))))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        delete = draw(st.integers(0, 2)) == 0
+        if not path:
+            doc = doc if delete else draw(_JSON_VALUES)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if delete:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_documents(), st.booleans())
+def test_load_raises_only_algebra_file_errors(doc, check):
+    try:
+        load_algebra(doc, check=check)
+    except AlgebraFileError:
+        pass

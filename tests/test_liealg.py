@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lieshift import liealg
 from lieshift.construct import abelian_qhat
 from lieshift.fields import QQ, FieldError
 from lieshift.liealg import (
@@ -27,8 +30,8 @@ from lieshift.liealg import (
     validate,
     vec,
 )
-from lieshift.linalg import rank, solve
-from lieshift.presets import preset
+from lieshift.linalg import Matrix, kernel_basis, rank, solve
+from lieshift.presets import preset, preset_names
 
 
 def sl2():
@@ -134,6 +137,12 @@ def test_validate_annotation_failures():
     L2 = LieAlgebra(QQ, ["h", "e", "f"], preset("sl2").algebra.table, {"nilradical": [1]})
     rep2 = validate(L2)
     assert any("not an ideal" in m for m in rep2.annotation_failures)
+
+
+def test_validate_reports_an_annotation_that_is_not_bracket_closed():
+    # [e, f] = h leaves span{e, f}: no structure constants to test nilpotency on
+    L = LieAlgebra(QQ, ("h", "e", "f"), sl2().table, {"nilradical": [1, 2]})
+    assert validate(L).annotation_failures == ["nilradical annotation is not an ideal"]
 
 
 def test_subspace_basics():
@@ -362,3 +371,152 @@ def test_v_stabilizer_rejects_bracket_outside_v_plus_z():
     # [f, e] = -h lies outside span{e} + span{f}
     with pytest.raises(LieAlgebraError, match="vector outside v \\+ span z"):
         _v_stabilizer(L, [e], f)
+
+
+# -- the lazy structure layer against an eager reference ---------------------
+
+
+def reference_center(L):
+    """Kernel of the dense matrix with one row per (j, k), zero rows kept."""
+    F = L.field
+    rows = [
+        [L.bracket_basis(i, j).get(k, F.zero) for i in range(L.dim)]
+        for j in range(L.dim)
+        for k in range(L.dim)
+    ]
+    return Subspace(F, L.dim, kernel_basis(Matrix(F, rows, ncols=L.dim)))
+
+
+def reference_span(L, A, B):
+    """span [A, B] over all ordered pairs."""
+    vecs = [bracket(L, u, w) for u in A.basis for w in B.basis]
+    return Subspace(L.field, L.dim, vecs)
+
+
+def reference_series(L, step):
+    full = L.span_of_indices(range(L.dim))
+    out = [reference_span(L, full, full)]
+    while out[-1].dim:
+        nxt = step(full, out[-1])
+        if nxt.dim == out[-1].dim:
+            break
+        out.append(nxt)
+    return out
+
+
+def _permuted(L, perm):
+    """The same algebra with basis vector i renamed perm[i]."""
+    labels = [None] * L.dim
+    for i, lab in enumerate(L.labels):
+        labels[perm[i]] = lab
+    table = {}
+    for (i, j), comp in L.table.items():
+        a, b = perm[i], perm[j]
+        sign = 1 if a < b else -1
+        table[(min(a, b), max(a, b))] = {perm[k]: c * sign for k, c in comp.items()}
+    return LieAlgebra(L.field, labels, table)
+
+
+def _rescaled(L, field):
+    """x_i -> s_i x_i over Q(t) with non-monic denominators s_i."""
+    t = field.var("t")
+    s = [
+        (field.from_int(i + 2) * t + 1) / (field.from_int(3) * t + i - 1)
+        for i in range(L.dim)
+    ]
+    table = {
+        (i, j): {k: s[i] * s[j] * field.lift(c) / s[k] for k, c in comp.items()}
+        for (i, j), comp in L.table.items()
+    }
+    return LieAlgebra(field, L.labels, table)
+
+
+def filiform5():
+    """[x0, xi] = x(i+1) for i = 1, 2, 3: a lower central series of length 4."""
+    brackets = {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {4: 1}}
+    return LieAlgebra(QQ, ["x0", "x1", "x2", "x3", "x4"], brackets)
+
+
+def _structure_cases():
+    rng = random.Random(505)
+    yield "filiform5", filiform5()
+    for name in ["abelian3", "heisenberg1", "heisenberg2"] + [
+        n for n in preset_names() if not n.endswith("N")
+    ]:
+        L = preset(name).algebra
+        yield name, L
+        perm = list(range(L.dim))
+        rng.shuffle(perm)
+        yield name + " permuted", _permuted(L, perm)
+        if L.dim <= 6:
+            yield name + " over Q(t)", _rescaled(L, QT)
+
+
+def test_structure_series_matches_eager_reference():
+    for name, L in _structure_cases():
+        s = structure_series(L)
+        full = L.span_of_indices(range(L.dim))
+        lower = reference_series(L, lambda full, last: reference_span(L, full, last))
+        dseries = reference_series(L, lambda full, last: reference_span(L, last, last))
+        assert center_of(L) == reference_center(L), name
+        assert s.center == reference_center(L), name
+        assert s.derived == reference_span(L, full, full), name
+        assert s.lower_central == lower, name
+        assert s.derived_series == dseries, name
+        assert s.is_nilpotent == (lower[-1].dim == 0), name
+        assert s.is_solvable == (dseries[-1].dim == 0), name
+        assert s.is_abelian == (lower[0].dim == 0), name
+    assert [S.dim for S in structure_series(filiform5()).lower_central] == [3, 2, 1, 0]
+
+
+def test_structure_series_is_cached_per_algebra():
+    L = preset("borel-sl3").algebra
+    assert structure_series(L) is structure_series(L)
+    copy = LieAlgebra(L.field, L.labels, L.table)
+    assert structure_series(copy) is not structure_series(L)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    inner = getattr(liealg, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(liealg, name, counted)
+    return calls
+
+
+def test_is_reductive_builds_center_and_derived_once(monkeypatch):
+    gl3 = preset("gl3").algebra
+    L = LieAlgebra(gl3.field, gl3.labels, gl3.table)  # no cached series yet
+    centers = _counting(monkeypatch, "center_of")
+    spans = _counting(monkeypatch, "_bracket_span")
+    assert is_reductive(L)
+    assert len(centers) == 1
+    assert len(spans) == 1
+
+
+def test_bracket_span_of_a_space_with_itself_brackets_each_pair_once(monkeypatch):
+    L = preset("gl3").algebra
+    full = L.span_of_indices(range(L.dim))
+    calls = _counting(monkeypatch, "bracket")
+    liealg._bracket_span(L, full, full)
+    assert len(calls) == L.dim * (L.dim - 1) // 2
+
+
+def test_subalgebra_of_marks_the_central_basis_vectors():
+    for name in ["heisenberg2", "borel-sl3", "sl2-semidirect-h3", "gl3"]:
+        L = preset(name).algebra
+        spaces = [L.span_of_indices(range(L.dim)), structure_series(L).center,
+                  structure_series(L).derived]
+        if "nilradical" in L.annotations:
+            spaces.append(L.annotations["nilradical"])
+        for S in spaces:
+            sub, basis = subalgebra_of(L, S)
+            want = {
+                k for k, b in enumerate(basis)
+                if all(all(c.is_zero for c in bracket(L, b, w)) for w in basis)
+            }
+            assert set(sub.central_indices()) == want, name

@@ -130,3 +130,14 @@ def test_map_coefficients():
     q = p.map_coefficients(F.lift, F)
     assert q.field is F
     assert q.render(("h", "e", "f")) == "h^2 + 3*e"
+
+
+def test_differential_at_rejects_a_foreign_point():
+    _, h, e, f = sl2_gens()
+    p = h * h * e + f
+    pt = vec(QQ, [2, 3, 5])
+    with pytest.raises(FieldError):
+        differential_at(p, pt[:2])
+    t = QQ.extend("t").var("t")
+    with pytest.raises(FieldError):
+        differential_at(p, (pt[0], pt[1], t))

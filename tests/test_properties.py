@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from factories import (
     PRESET_POOL,
     random_poly,
@@ -9,11 +11,11 @@ from factories import (
     random_vector,
 )
 from lieshift.construct import construct_theorem, mf_subalgebra
-from lieshift.fields import QQ
+from lieshift.fields import QQ, FieldError
 from lieshift.invariants import b_of, index_of, is_regular, sample_point, trdeg_jacobian
 from lieshift.liealg import LieAlgebra, LinearForm, bracket, direct_sum, vec
 from lieshift.pbw import EnvelopingAlgebra, commutator, principal_symbol, symmetrize
-from lieshift.polyring import PolyElement, poisson
+from lieshift.polyring import PolyElement, differential_at, poisson
 from lieshift.presets import preset
 
 
@@ -318,3 +320,26 @@ def test_commutator_matches_reference_straightening():
         _same(commutator(u, v), ref, lambda w: w.render())
         _same(u * v - v * u, ref, lambda w: w.render())
         _same(u * v, _ref_product(u, v), lambda w: w.render())
+
+
+def test_differential_at_matches_partials():
+    """The one-pass gradient against evaluating each partial derivative, at
+    points with zero coordinates; a formal inverse at zero raises in both."""
+    rng = random.Random(1111)
+    raised = 0
+    for case in range(120):
+        L, z = _kernel_algebra(rng, case)
+        f = _random_kernel_poly(rng, L, z)
+        pt = [_random_scalar(rng, L.field) if rng.random() < 0.75 else L.field.zero
+              for _ in range(L.dim)]
+        try:
+            ref = [f.partial(i).evaluate(pt) for i in range(L.dim)]
+        except FieldError:
+            raised += 1
+            with pytest.raises(FieldError, match="formal inverse at zero"):
+                differential_at(f, pt)
+            continue
+        got = differential_at(f, pt)
+        assert [c.field for c in got] == [L.field] * L.dim
+        _same(tuple(got), tuple(ref), lambda v: [str(c) for c in v])
+    assert raised
