@@ -257,8 +257,10 @@ def read_algebra(path, check=True):
             data = json.load(fh)
     except OSError as e:
         raise AlgebraFileError("cannot read %s: %s" % (path, e))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise AlgebraFileError("malformed JSON in %s: %s" % (path, e))
+    except RecursionError:
+        raise AlgebraFileError("JSON in %s is nested too deeply" % (path,))
     return load_algebra(data, check=check)
 
 

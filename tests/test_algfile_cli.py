@@ -338,6 +338,24 @@ def test_malformed_file_is_an_input_error(case, tmp_path, capsys):
     assert captured.err.startswith("input error: ")
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"format": "lieshift/1", "basis": ["\xff"]}', b"[" * 100000 + b"]" * 100000],
+    ids=["invalid utf-8", "nested too deeply"],
+)
+def test_unreadable_file_is_an_input_error(content, tmp_path, capsys):
+    from lieshift.cli import main
+
+    p = tmp_path / "bad.json"
+    p.write_bytes(content)
+    with pytest.raises(AlgebraFileError):
+        read_algebra(str(p))
+    assert main(["validate", "--file", str(p), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+
+
 def test_cli_info_shows_an_unknown_annotation_as_loaded(tmp_path, capsys):
     from lieshift.cli import main
 

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -474,6 +476,21 @@ def test_structure_series_is_cached_per_algebra():
     assert structure_series(L) is structure_series(L)
     copy = LieAlgebra(L.field, L.labels, L.table)
     assert structure_series(copy) is not structure_series(L)
+
+
+def test_an_algebra_with_a_cached_series_is_freed_by_reference_counting():
+    gl3 = preset("gl3").algebra
+    L = LieAlgebra(gl3.field, gl3.labels, gl3.table)
+    s = structure_series(L)
+    assert s.center.dim == 1 and s.derived.dim == 8
+    ref = weakref.ref(L)
+    gc.disable()  # a reference cycle would keep L until the cyclic collector runs
+    try:
+        del L
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert s.lower_central[-1].dim == 8  # the series outlives its algebra
 
 
 def _counting(monkeypatch, name):
