@@ -164,6 +164,9 @@ class Field:
 
     def clear_row(self, elems):
         """Common-denominator clearing: field elements -> numerator-ring row."""
+        for e in elems:
+            if e.field is not self and e.field != self:
+                raise FieldError("tower-level mismatch: %r vs %r" % (self, e.field))
         if self.level == 0:
             from math import lcm
 
@@ -184,7 +187,32 @@ def _sympy_domain(variables, base):
     """The sympy domain of the field over ``base`` adjoining ``variables``."""
     if base is None:
         return _SYMPY_QQ
-    return base.domain.frac_field(*variables, order=grlex)
+    domain = base.domain.frac_field(*variables, order=grlex)
+    if base.level > 0:
+        _convert_ground_elements(domain)
+    return domain
+
+
+def _convert_ground_elements(domain):
+    """Let a fraction field over a fraction field take elements of its ground.
+
+    sympy's ``FractionField.from_FractionField`` maps an element by generator
+    names, so Q(w)(v) rejects an element of Q(w) that is not a constant with
+    ``CoercionFailed``. Cancelling a fraction one level up, in Q(w)(v)(u),
+    converts such coefficients back into Q(w)(v), so level-3 arithmetic and
+    lifts need this. Only this domain object is changed, and only where
+    sympy's conversion gives up.
+    """
+    sympy_convert = domain.from_FractionField
+    ring = domain.field.ring
+
+    def from_fraction_field(a, base):
+        out = sympy_convert(a, base)
+        if out is None and base == domain.domain:
+            out = domain.field.raw_new(ring.ground_new(a), ring.one)
+        return out
+
+    domain.from_FractionField = from_fraction_field
 
 
 QQ = Field(0, (), None)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .fields import FieldElement, FieldError
-from .linalg import Matrix, kernel_basis, normalize_vector, rref, solve
+from .linalg import Matrix, echelon_basis, kernel_basis, solve
 
 
 class LieAlgebraError(Exception):
@@ -58,12 +58,12 @@ class LinearForm:
 class Subspace:
     """Subspace of K^n in canonical reduced-echelon basis.
 
-    Each basis row is content-normalized and is the only row that is nonzero
-    at its pivot column (``pivots[i]`` for ``basis[i]``). Membership is read
-    from those stored pivots and then checked exactly, with no elimination.
-    The raw domain values of each row's nonzero entries are stored once, on
-    the first membership query, for that check; a subspace that is never
-    queried does not carry them.
+    ``linalg.echelon_basis`` builds the basis by one fraction-free elimination:
+    each row is content-normalized and is the only row nonzero at its pivot
+    column (``pivots[i]`` for ``basis[i]``). Membership is read from those
+    stored pivots and then checked exactly, with no elimination. The raw
+    domain values of each row's nonzero entries are stored once, on the first
+    membership query, for that check; a subspace never queried lacks them.
     """
 
     __slots__ = ("field", "ambient_dim", "basis", "pivots", "_raw_rows")
@@ -75,11 +75,7 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim:
                 raise LieAlgebraError("vector length does not match ambient dim")
-        red, piv = rref(field, rows)
-        zero = field.zero  # one shared element for the (many) zero entries
-        self.basis = [
-            tuple(c if c.raw else zero for c in normalize_vector(field, r)) for r in red
-        ]
+        self.basis, piv = echelon_basis(field, rows)
         self.pivots = tuple(piv)
         self._raw_rows = None
 
@@ -182,6 +178,8 @@ class LieAlgebra:
                 raise LieAlgebraError("bracket key (%d, %d) out of range" % (i, j))
             row = {}
             for k, c in comp.items():
+                if k not in range(self.dim):
+                    raise LieAlgebraError("bracket component %r out of range" % (k,))
                 c = c if isinstance(c, FieldElement) else field.rational(c)
                 if c.field is not field and c.field != field:
                     raise LieAlgebraError(
@@ -199,7 +197,9 @@ class LieAlgebra:
             if s is not None and not isinstance(s, Subspace):
                 self.annotations[key] = self.span_of_indices(s)
         if "central" in self.annotations:
-            self.annotations["central"] = frozenset(self.annotations["central"])
+            central = self.annotations["central"] = frozenset(self.annotations["central"])
+            if not central <= frozenset(range(self.dim)):
+                raise LieAlgebraError("central index outside range(%d)" % self.dim)
 
     def span_of_indices(self, idxs):
         return Subspace(
@@ -207,6 +207,8 @@ class LieAlgebra:
         )
 
     def basis_vector(self, i):
+        if i not in range(self.dim):
+            raise LieAlgebraError("basis index %r outside range(%d)" % (i, self.dim))
         one, zero = self.field.one, self.field.zero
         return tuple(one if k == i else zero for k in range(self.dim))
 

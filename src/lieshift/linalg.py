@@ -1,9 +1,13 @@
 """Exact linear algebra over the scalar tower.
 
-Rank and kernel go through fraction-free (Bareiss) elimination on rows cleared
-to the numerator ring: integers at level 0, polynomials above. Kernel vectors
-are back-substituted over the field, then cleared to polynomial form and
-content-normalized so output is canonical and deterministic.
+All elimination is one fraction-free (Bareiss) forward pass, ``_bareiss``, on
+rows cleared to the numerator ring: integers at level 0, polynomials above.
+``rank`` counts its pivots. ``kernel_basis`` and ``solve`` (on [A | -b], free
+variables 0) add back-substitution, ``_back_substitute``. ``echelon_basis``,
+the basis of ``liealg.Subspace``, adds clearing above each pivot in the ring.
+``kernel_basis``, ``echelon_basis`` and ``normalize_vector`` normalize with
+``_normalize_ring_row``: content divided out, first nonzero entry positive
+(level 0) or monic (above), so every basis returned here is canonical.
 """
 
 from __future__ import annotations
@@ -47,7 +51,9 @@ class Matrix:
 
 
 def _bareiss(field, rows, ncols):
-    """One-step Bareiss elimination in place; returns pivot (row, col) list."""
+    """One-step Bareiss elimination of field rows cleared to the numerator
+    ring; returns the eliminated nonzero ring rows and the pivot (row, col) list."""
+    rows = [row for row in map(field.clear_row, rows) if any(row)]
     pivots = []
     prev = field.ring_one()
     r = 0
@@ -83,91 +89,89 @@ def _bareiss(field, rows, ncols):
         r += 1
         if r == nrows:
             break
-    return pivots
+    return rows, pivots
 
 
 def rank(M):
-    rows = [M.field.clear_row(r) for r in M.rows]
-    return len(_bareiss(M.field, rows, M.ncols))
+    return len(_bareiss(M.field, M.rows, M.ncols)[1])
+
+
+def _back_substitute(field, rows, pivots, ncols, free):
+    """The v with v[free] = 1, 0 at the other non-pivot columns and row . v = 0
+    for each eliminated row; raw domain values times ring entries, wrapped once."""
+    dom = field.domain
+    v = [dom.zero] * ncols
+    v[free] = dom.one
+    for r, c in reversed(pivots):
+        row = rows[r]
+        s = dom.zero
+        for j in range(c + 1, ncols):
+            if v[j] and not field.ring_is_zero(row[j]):
+                s = s + v[j] * row[j]
+        v[c] = -s / row[c]
+    return [FieldElement(field, x) for x in v]
 
 
 def kernel_basis(M):
-    """Canonical right-kernel basis, entries cleared to polynomial form.
-
-    One vector per free column, unit at that column before normalization;
-    vectors are content-reduced with the first nonzero entry made positive
-    (level 0) or monic (levels above).
-    """
+    """Canonical right-kernel basis: one normalized vector per free column,
+    unit at that column before normalization."""
     field = M.field
-    rows = [field.clear_row(r) for r in M.rows]
-    pivots = _bareiss(field, rows, M.ncols)
-    pivot_cols = [c for (_, c) in pivots]
-    free_cols = [c for c in range(M.ncols) if c not in pivot_cols]
-    basis = []
-    zero, one = field.zero, field.one
-    for f in free_cols:
-        v = [zero] * M.ncols
-        v[f] = one
-        for (r, c) in reversed(pivots):
-            s = zero
-            row = rows[r]
-            for j in range(c + 1, M.ncols):
-                if not field.ring_is_zero(row[j]) and not v[j].is_zero:
-                    s = s + field.from_ring(row[j]) * v[j]
-            v[c] = -s / field.from_ring(row[c])
-        basis.append(normalize_vector(field, v))
-    return basis
+    rows, pivots = _bareiss(field, M.rows, M.ncols)
+    pivot_cols = {c for _, c in pivots}
+    return [
+        normalize_vector(field, _back_substitute(field, rows, pivots, M.ncols, f))
+        for f in range(M.ncols)
+        if f not in pivot_cols
+    ]
+
+
+def echelon_basis(field, rows):
+    """Reduced-echelon basis of the span of ``rows``, and its pivot columns.
+
+    Basis row i is the only one nonzero at column ``pivots[i]``; each row is
+    normalized, so a span has one basis. Zero entries share one element.
+    """
+    if not rows:
+        return [], []
+    ring, pivots = _bareiss(field, rows, len(rows[0]))
+    for r, c in reversed(pivots):
+        row = ring[r] = _normalize_ring_row(field, ring[r])
+        for i in range(r):
+            head = ring[i][c]
+            if not field.ring_is_zero(head):
+                ring[i] = [
+                    field.ring_sub(field.ring_mul(row[c], a), field.ring_mul(head, b))
+                    for a, b in zip(ring[i], row)
+                ]
+    return [_from_ring_row(field, ring[r]) for r, _ in pivots], [c for _, c in pivots]
 
 
 def normalize_vector(field, vec):
     """Clear denominators, divide out content, orient the first nonzero entry."""
     if all(e.is_zero for e in vec):
         return list(vec)
-    row = field.clear_row(vec)
+    return list(_from_ring_row(field, _normalize_ring_row(field, field.clear_row(vec))))
+
+
+def _normalize_ring_row(field, row):
+    """A nonzero ring row over its content, first nonzero entry made positive
+    (level 0) or with leading coefficient 1 (above)."""
     content = None
     for a in row:
         if field.ring_is_zero(a):
             continue
         content = a if content is None else field.ring_gcd(content, a)
     row = [a if field.ring_is_zero(a) else field.ring_quo(a, content) for a in row]
-    out = [field.from_ring(a) for a in row]
-    lead = next(e for e in out if not e.is_zero)
+    lead = next(a for a in row if not field.ring_is_zero(a))
     if field.level == 0:
-        p, _ = lead.as_rational()
-        if p < 0:
-            out = [-e for e in out]
-    else:
-        lc = FieldElement(field.base, lead.raw.numer.LC)
-        scale = field.lift(lc.inverse())
-        out = [e * scale for e in out]
-    return out
+        return [-a for a in row] if lead < 0 else row
+    lc = lead.LC
+    return row if lc == field.base.domain.one else [a.quo_ground(lc) for a in row]
 
 
-def rref(field, rows):
-    """Reduced row echelon form over the field. Returns (rows, pivot_cols)."""
-    rows = [list(r) for r in rows if any(not e.is_zero for e in r)]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero:
-                fac = rows[i][c]
-                rows[i] = [a - fac * b for a, b in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    rows = [row for row in rows if any(not e.is_zero for e in row)]
-    return rows, pivot_cols
+def _from_ring_row(field, row):
+    zero = field.zero  # one shared element for the (many) zero entries
+    return tuple(zero if field.ring_is_zero(a) else field.from_ring(a) for a in row)
 
 
 def solve(field, a_rows, rhs):
@@ -175,18 +179,12 @@ def solve(field, a_rows, rhs):
     if not a_rows:
         return [] if all(e.is_zero for e in rhs) else None
     ncols = len(a_rows[0])
-    aug = [list(r) + [b] for r, b in zip(a_rows, rhs)]
-    red, pivots = rref(field, aug)
-    x = [field.zero] * ncols
-    for row, c in zip(red, pivots):
-        if c == ncols:
-            return None
-        s = row[ncols]
-        for j in range(c + 1, ncols):
-            if not row[j].is_zero and not x[j].is_zero:
-                s = s - row[j] * x[j]
-        x[c] = s
-    # rref leaves pivots with zeros above/below, so x is exact; verify anyway
+    aug = [list(r) + [-b] for r, b in zip(a_rows, rhs)]
+    rows, pivots = _bareiss(field, aug, ncols + 1)
+    if pivots and pivots[-1][1] == ncols:
+        return None
+    x = _back_substitute(field, rows, pivots, ncols + 1, ncols)[:ncols]
+    # back-substitution is exact; verify anyway
     for r, b in zip(a_rows, rhs):
         acc = field.zero
         for aij, xj in zip(r, x):

@@ -165,3 +165,51 @@ PRESET_POOL = [
 def random_preset_algebra(rng, pool=None):
     name = (pool or PRESET_POOL)[rng.randrange(len(pool or PRESET_POOL))]
     return name, preset(name).algebra
+
+
+# -- reference elimination -----------------------------------------------------
+# Gauss-Jordan on wrapped field elements, independent of the Bareiss path in
+# lieshift.linalg; the library's echelon bases, ranks and solutions are
+# checked against it.
+
+
+def rref(field, rows):
+    """Reduced row echelon form over the field. Returns (rows, pivot_cols)."""
+    rows = [list(r) for r in rows if any(not e.is_zero for e in r)]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivot_cols = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [e * inv for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero:
+                fac = rows[i][c]
+                rows[i] = [a - fac * b for a, b in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    rows = [row for row in rows if any(not e.is_zero for e in row)]
+    return rows, pivot_cols
+
+
+def reference_solve(field, a_rows, rhs):
+    """The solution of A x = rhs with free variables 0, read off the reference
+    rref of [A | rhs], or None when the rhs column is a pivot."""
+    if not a_rows:
+        return [] if all(e.is_zero for e in rhs) else None
+    ncols = len(a_rows[0])
+    red, pivots = rref(field, [list(r) + [b] for r, b in zip(a_rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [field.zero] * ncols
+    for row, c in zip(red, pivots):
+        x[c] = row[ncols]
+    return x

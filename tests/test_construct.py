@@ -315,6 +315,35 @@ def test_construct_borel_sl3_two_level():
     assert any(t.startswith("  [reduced] heisenberg-stabilizer:") for t in cert.trace)
 
 
+def borel_gl(n):
+    """Upper-triangular n x n matrices, basis e_ij (i <= j), no annotations."""
+    idx = [(i, j) for i in range(n) for j in range(i, n)]
+    pos = {p: k for k, p in enumerate(idx)}
+    brackets = {}
+    for a, (i, j) in enumerate(idx):
+        for b in range(a + 1, len(idx)):
+            k, l = idx[b]
+            # [e_ij, e_kl] = [j == k] e_il - [l == i] e_kj
+            comp = {}
+            if j == k:
+                comp[pos[(i, l)]] = 1
+            if l == i:
+                comp[pos[(k, j)]] = comp.get(pos[(k, j)], 0) - 1
+            if any(comp.values()):
+                brackets[(a, b)] = comp
+    labels = ["e%d%d" % (i + 1, j + 1) for i, j in idx]
+    return LieAlgebra(QQ, labels, brackets)
+
+
+def test_construct_borel_gl4_three_level_tower():
+    # two abelian-ideal reductions take the coefficients to level 3 of the
+    # tower; lifting level-2 ground elements there used to raise CoercionFailed
+    cert = construct_theorem(borel_gl(4))
+    assert cert.b_target == 6
+    assert cert.trdeg.value == 6
+    assert len(cert.generators.elements) == 6
+
+
 def test_construct_jordan_block_action():
     # solvable t x| h5 where t acts on the x-plane by a Jordan block
     L = LieAlgebra(

@@ -134,3 +134,54 @@ def test_rendering_deterministic():
     e = (a + b) / (a - b)
     assert str(e) == str((a + b) / (a - b))
     assert "a" in str(e) and "b" in str(e)
+
+
+# -- lifts across a three-level tower ------------------------------------------
+
+T1 = QQ.extend("w1", "w2")
+T2 = T1.extend("w3", "w4", "w5")
+T3 = T2.extend("u")
+TOWER = (QQ, T1, T2, T3)
+
+
+def _sample(F, names):
+    """An element of F whose numerator and denominator use each variable in
+    ``names``, with non-integer coefficients; built by F's own arithmetic."""
+    x = F.rational(3, 2)
+    d = F.rational(-2, 5)
+    for k, name in enumerate(names):
+        v = F.var(name)
+        x = x * v + F.from_int(k + 1)
+        d = d + v * v * (k - 1)
+    return x / d
+
+
+@pytest.mark.parametrize("lo", range(3))
+def test_lift_across_every_level_pair(lo):
+    names = TOWER[lo].all_variables()
+    x = _sample(TOWER[lo], names)
+    for hi in range(lo + 1, 4):
+        F = TOWER[hi]
+        lifted = F.lift(x)
+        at_top = _sample(F, names)  # the same expression, computed in F
+        assert lifted.field == F
+        assert (lifted - at_top).is_zero
+        assert str(lifted) == str(at_top)
+        step = x  # lifting one level at a time agrees
+        for mid in range(lo + 1, hi + 1):
+            step = TOWER[mid].lift(step)
+        assert (step - lifted).is_zero
+        # arithmetic in F on the lifted element
+        v = F.var(F.variables[0])
+        assert ((lifted * F.one + lifted) / lifted - 2).is_zero
+        assert (lifted * v / lifted - v).is_zero
+
+
+def test_level3_arithmetic_on_ground_elements():
+    # elements of Q(w1, w2) seen in Q(w1, w2)(w3, w4, w5)(u): each operation
+    # cancels through the ground of the level-2 field
+    a, b, u = T3.var("w1"), T3.var("w2"), T3.var("u")
+    assert str(a * b) == "w1*w2"
+    assert (a / b * b - a).is_zero
+    assert ((a + 1) * u - u * a - u).is_zero
+    assert (T3.lift(T1.var("w1") / T1.var("w2")) * T3.one - a / b).is_zero

@@ -56,6 +56,22 @@ def test_constructor_checks():
     assert L.table == {(0, 1): {1: QQ.from_int(2)}}
 
 
+def test_out_of_range_indices_rejected():
+    S = sl2()
+    with pytest.raises(LieAlgebraError):
+        LieAlgebra(QQ, S.labels, S.table, {"levi": [99], "nilradical": [-1]})
+    for key, idxs in (("levi", [0, 3]), ("nilradical", [-1]),
+                      ("solvable_radical", [1.5]), ("central", [3])):
+        with pytest.raises(LieAlgebraError):
+            LieAlgebra(QQ, S.labels, S.table, {key: idxs})
+    with pytest.raises(LieAlgebraError):
+        LieAlgebra(QQ, ["a", "b"], {(0, 1): {5: 1}})  # [a, b] = x_5 in dim 2
+    for idxs in ([3], [-1], [0, 1, 2, 3], ["e"]):
+        with pytest.raises(LieAlgebraError):
+            S.span_of_indices(idxs)
+    assert S.span_of_indices([2, 0, 2]).pivots == (0, 2)
+
+
 def test_bracket_basis_antisymmetry():
     L = sl2()
     assert L.bracket_basis(1, 0) == {k: -c for k, c in L.bracket_basis(0, 1).items()}

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from factories import reference_solve, rref
 from lieshift.fields import QQ, FieldError
-from lieshift.linalg import Matrix, kernel_basis, normalize_vector, rank, rref, solve
+from lieshift.liealg import Subspace
+from lieshift.linalg import Matrix, kernel_basis, normalize_vector, rank, solve
 
 
 def _m(rows, ncols=None, field=QQ):
@@ -103,6 +106,16 @@ def test_normalize_vector():
     assert [str(c) for c in out2] == ["1", "t"]
 
 
+def test_elimination_rejects_elements_of_another_field():
+    QT = QQ.extend("t")
+    with pytest.raises(FieldError):
+        solve(QQ, [[QT.one]], [QT.one])
+    with pytest.raises(FieldError):
+        Subspace(QT, 2, [(QQ.one, QQ.zero)])
+    with pytest.raises(FieldError):
+        normalize_vector(QQ, [QT.var("t")])
+
+
 def test_rref_and_solve():
     rows, piv = rref(QQ, [[QQ.from_int(2), QQ.from_int(4)], [QQ.from_int(1), QQ.from_int(2)]])
     assert piv == [0]
@@ -125,3 +138,97 @@ def test_rank_agrees_with_rref():
         rows = [[QQ.rational(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m)] for _ in range(n)]
         _, piv = rref(QQ, [list(r) for r in rows])
         assert rank(Matrix(QQ, rows)) == len(piv)
+
+
+# -- echelon bases and solutions against the reference rref ------------------
+
+QT = QQ.extend("t")
+QTS = QT.extend("s")
+
+
+def _scalar(field):
+    """Small scalars; above level 0, with a non-monic denominator."""
+    small = st.integers(-3, 3)
+    if field is QQ:
+        return st.builds(QQ.rational, small, st.integers(1, 3))
+    names = field.all_variables()
+    return st.builds(
+        lambda a, b, x, c, d, y: (field.from_int(a) + b * field.var(x))
+        / (field.from_int(c) + d * field.var(y)),
+        small, small, st.sampled_from(names),
+        st.integers(1, 3), st.integers(0, 2), st.sampled_from(names),
+    )
+
+
+@st.composite
+def matrices(draw, field, max_dim):
+    """Rows of a random matrix, zeros and repeated rows likely."""
+    n = draw(st.integers(1, max_dim))
+    m = draw(st.integers(1, max_dim + 1))
+    entry = st.one_of(st.just(field.zero), _scalar(field))
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=1, max_size=n))
+    if len(rows) > 1 and draw(st.booleans()):
+        c = draw(_scalar(field))
+        rows.append([a + c * b for a, b in zip(rows[0], rows[1])])
+    return rows
+
+
+def _same(xs, ys):
+    return len(xs) == len(ys) and all(a == b and str(a) == str(b) for a, b in zip(xs, ys))
+
+
+def _check_echelon(rows):
+    field = rows[0][0].field
+    red, piv = rref(field, rows)
+    S = Subspace(field, len(rows[0]), rows)
+    assert S.pivots == tuple(piv)
+    assert len(S.basis) == len(red)
+    for got, want in zip(S.basis, red):
+        assert _same(got, normalize_vector(field, want))
+
+
+def _check_solve(rows, x):
+    field = rows[0][0].field
+    # rhs = A x is solvable; rhs = A x + e_0 may not be
+    rhs = [sum((a * b for a, b in zip(r, x)), field.zero) for r in rows]
+    for b in (rhs, [rhs[0] + field.one] + rhs[1:]):
+        got, want = solve(field, rows, b), reference_solve(field, rows, b)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert _same(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(QQ, 5))
+def test_echelon_basis_matches_reference_level0(rows):
+    _check_echelon(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(QT, 4))
+def test_echelon_basis_matches_reference_level1(rows):
+    _check_echelon(rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(matrices(QTS, 3))
+def test_echelon_basis_matches_reference_level2(rows):
+    _check_echelon(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(QQ, 5), st.data())
+def test_solve_matches_reference_level0(rows, data):
+    _check_solve(rows, data.draw(st.lists(_scalar(QQ), min_size=len(rows[0]), max_size=len(rows[0]))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(QT, 4), st.data())
+def test_solve_matches_reference_level1(rows, data):
+    _check_solve(rows, data.draw(st.lists(_scalar(QT), min_size=len(rows[0]), max_size=len(rows[0]))))
+
+
+@settings(max_examples=20, deadline=None)
+@given(matrices(QTS, 3), st.data())
+def test_solve_matches_reference_level2(rows, data):
+    _check_solve(rows, data.draw(st.lists(_scalar(QTS), min_size=len(rows[0]), max_size=len(rows[0]))))
