@@ -142,13 +142,11 @@ class Field:
         return a - b
 
     def ring_quo(self, a, b):
-        """Exact division in the numerator ring (caller guarantees it)."""
-        if self.level == 0:
-            q, r = divmod(a, b)
-            if r:
-                raise FieldError("inexact ring division")
-            return q
-        return a.quo(b)
+        """Exact division in the numerator ring; a remainder is an error."""
+        q, r = divmod(a, b) if self.level == 0 else a.div(b)
+        if r:
+            raise FieldError("inexact ring division")
+        return q
 
     def ring_gcd(self, a, b):
         if self.level == 0:
@@ -170,9 +168,11 @@ class Field:
         if self.level == 0:
             from math import lcm
 
-            dens = [int(e.raw.denominator) for e in elems]
-            m = lcm(*dens) if dens else 1
-            return [int(e.raw * m) for e in elems]
+            dens = [e.raw.denominator for e in elems]
+            if all(d == 1 for d in dens):
+                return [e.raw.numerator for e in elems]
+            m = lcm(*dens)
+            return [e.raw.numerator * (m // d) for e, d in zip(elems, dens)]
         ring = self.domain.field.ring
         lcd = ring.one
         for e in elems:

@@ -2,6 +2,10 @@
 
 All elimination is one fraction-free (Bareiss) forward pass, ``_bareiss``, on
 rows cleared to the numerator ring: integers at level 0, polynomials above.
+It rescales lazily: a row whose entry in the pivot column is zero is not
+rewritten at that step, but brought up to date by one exact division (the
+skipped factors telescope) when it is next read, so the tall, sparse
+systems of the invariant search rewrite each row only a few times.
 ``rank`` counts its pivots. ``kernel_basis`` and ``solve`` (on [A | -b], free
 variables 0) add back-substitution, ``_back_substitute``. ``echelon_basis``,
 the basis of ``liealg.Subspace``, adds clearing above each pivot in the ring.
@@ -32,7 +36,9 @@ class Matrix:
             if len(r) != self.ncols:
                 raise FieldError("ragged matrix")
             for e in r:
-                if not isinstance(e, FieldElement) or e.field != field:
+                if not isinstance(e, FieldElement) or (
+                    e.field is not field and e.field != field
+                ):
                     raise FieldError("matrix entry at wrong tower level")
 
     def __getitem__(self, ij):
@@ -52,40 +58,51 @@ class Matrix:
 
 def _bareiss(field, rows, ncols):
     """One-step Bareiss elimination of field rows cleared to the numerator
-    ring; returns the eliminated nonzero ring rows and the pivot (row, col) list."""
+    ring; returns the eliminated nonzero ring rows and the pivot (row, col) list.
+
+    Rescaling is lazy. With pivots d[0], d[1], ... and d[-1] = 1, the eager
+    step k turns each row a under the pivot row b into
+    (d[k] * a - head * b) / d[k-1], so a row with a zero head into
+    d[k] * a / d[k-1]. Here a zero-head row is left alone and records the
+    step t it is current to; the factors it skipped telescope to
+    d[k-1] / d[t-1]. It is brought up to date when it is next read: as the
+    pivot row of step k it is multiplied by d[k-1] and divided by d[t-1];
+    under a nonzero head the factor cancels out of the step, which becomes
+    (d[k] * a - head * b) / d[t-1]. Every quotient is the entry of the eager
+    form, a minor of the input, so each division is exact, and ``ring_quo``
+    still checks it. Pivot rows and pivots are the eager ones and the rows
+    below the rank are zero; only pivot rows are read.
+    """
     rows = [row for row in map(field.clear_row, rows) if any(row)]
+    is_zero, mul, sub, quo = field.ring_is_zero, field.ring_mul, field.ring_sub, field.ring_quo
     pivots = []
-    prev = field.ring_one()
+    dens = [field.ring_one()]  # dens[t] = d[t-1], the divisor of a row current to step t
+    step = [0] * len(rows)  # the step each row is current to
     r = 0
     nrows = len(rows)
     for c in range(ncols):
-        p = next(
-            (i for i in range(r, nrows) if not field.ring_is_zero(rows[i][c])), None
-        )
+        p = next((i for i in range(r, nrows) if not is_zero(rows[i][c])), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
+        step[r], step[p] = step[p], step[r]
+        row_r = rows[r]
+        if step[r] != r:  # catch up to pivot step r
+            last, old = dens[r], dens[step[r]]
+            row_r = rows[r] = [a if is_zero(a) else quo(mul(last, a), old) for a in row_r]
+        piv = row_r[c]
         for i in range(r + 1, nrows):
-            head = rows[i][c]
-            row_i, row_r = rows[i], rows[r]
-            if field.ring_is_zero(head):
-                # still rescale: entries must stay minors of the same order,
-                # or the exact division below fails at the next step
-                for j in range(c + 1, ncols):
-                    if not field.ring_is_zero(row_i[j]):
-                        row_i[j] = field.ring_quo(
-                            field.ring_mul(piv, row_i[j]), prev
-                        )
+            row_i = rows[i]
+            head = row_i[c]
+            if is_zero(head):
                 continue
+            old = dens[step[i]]
             for j in range(c + 1, ncols):
-                num = field.ring_sub(
-                    field.ring_mul(piv, row_i[j]), field.ring_mul(head, row_r[j])
-                )
-                row_i[j] = field.ring_quo(num, prev)
-            row_i[c] = field.ring_sub(head, head)
+                row_i[j] = quo(sub(mul(piv, row_i[j]), mul(head, row_r[j])), old)
+            row_i[c] = sub(head, head)
+            step[i] = r + 1
         pivots.append((r, c))
-        prev = piv
+        dens.append(piv)
         r += 1
         if r == nrows:
             break

@@ -200,6 +200,31 @@ def rref(field, rows):
     return rows, pivot_cols
 
 
+def reference_bareiss(field, rows, ncols):
+    """Eager one-step Bareiss on rows cleared to the numerator ring: every row
+    under a pivot is rewritten at every step, also where its head is zero.
+    Returns the pivot rows and the pivot columns."""
+    rows = [row for row in map(field.clear_row, rows) if any(row)]
+    pivot_cols = []
+    prev = field.ring_one()
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        piv = rows[r][c]
+        for i in range(r + 1, len(rows)):
+            head = rows[i][c]
+            rows[i] = [
+                field.ring_quo(piv * a - head * b, prev) for a, b in zip(rows[i], rows[r])
+            ]
+        pivot_cols.append(c)
+        prev = piv
+        r += 1
+    return rows[:r], pivot_cols
+
+
 def reference_solve(field, a_rows, rhs):
     """The solution of A x = rhs with free variables 0, read off the reference
     rref of [A | rhs], or None when the rhs column is a pivot."""

@@ -92,6 +92,8 @@ def test_tower_arithmetic_reduces():
 def test_clear_row_level0():
     row = [QQ.rational(1, 2), QQ.rational(2, 3), QQ.zero]
     assert QQ.clear_row(row) == [3, 4, 0]
+    assert QQ.clear_row([QQ.from_int(3), QQ.zero, QQ.from_int(-4)]) == [3, 0, -4]
+    assert QQ.clear_row([]) == []
 
 
 def test_clear_row_tower():
@@ -110,6 +112,21 @@ def test_from_ring_and_ring_gcd():
     d = a.raw.numer
     assert F.from_ring(F.ring_gcd(n, d)) == a
     assert F.from_ring(F.ring_quo(n, d)) == a
+
+
+def test_ring_quo_is_exact_at_every_level():
+    assert QQ.ring_quo(6, 3) == 2
+    with pytest.raises(FieldError):
+        QQ.ring_quo(7, 3)
+    F = QQ.extend("t")
+    t = F.var("t").raw.numer
+    assert F.ring_quo(t * t + t, t) == t + 1
+    with pytest.raises(FieldError):
+        F.ring_quo(t + 1, t)
+    G = F.extend("s")
+    s = G.var("s").raw.numer
+    with pytest.raises(FieldError):
+        G.ring_quo(s * s + 1, s)
 
 
 def test_is_zero_is_one_bool():

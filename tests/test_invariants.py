@@ -127,6 +127,23 @@ def test_symmetric_invariants_other():
     assert symmetric_invariants(B, 3) == []
 
 
+def test_symmetric_invariants_golden_gl4_so4():
+    # rendered bases pinned before the elimination rescaled rows lazily
+    L = preset("gl4").algebra
+    assert [p.render(L.labels) for p in symmetric_invariants(L, 2)] == [
+        "e11 + e22 + e33 + e44",
+        "e11*e22 + e11*e33 + e11*e44 - e12*e21 - e13*e31 - e14*e41 + e22*e33"
+        " + e22*e44 - e23*e32 - e24*e42 + e33*e44 - e34*e43",
+        "e11^2 + 2*e11*e22 + 2*e11*e33 + 2*e11*e44 + e22^2 + 2*e22*e33"
+        " + 2*e22*e44 + e33^2 + 2*e33*e44 + e44^2",
+    ]
+    L = preset("so4").algebra
+    assert [p.render(L.labels) for p in symmetric_invariants(L, 3)] == [
+        "m12*m34 - m13*m24 + m14*m23",
+        "m12^2 + m13^2 + m14^2 + m23^2 + m24^2 + m34^2",
+    ]
+
+
 def test_trdeg_examples():
     L = preset("sl2").algebra
     h = PolyElement.variable(QQ, 3, 0)

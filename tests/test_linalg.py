@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from factories import reference_solve, rref
-from lieshift.fields import QQ, FieldError
+from factories import reference_bareiss, reference_solve, rref
+from lieshift.fields import QQ, Field, FieldError
 from lieshift.liealg import Subspace
-from lieshift.linalg import Matrix, kernel_basis, normalize_vector, rank, solve
+from lieshift.linalg import Matrix, _bareiss, kernel_basis, normalize_vector, rank, solve
 
 
 def _m(rows, ncols=None, field=QQ):
@@ -232,3 +232,99 @@ def test_solve_matches_reference_level1(rows, data):
 @given(matrices(QTS, 3), st.data())
 def test_solve_matches_reference_level2(rows, data):
     _check_solve(rows, data.draw(st.lists(_scalar(QTS), min_size=len(rows[0]), max_size=len(rows[0]))))
+
+
+# -- rank and kernels of tall, sparse matrices against the reference rref -----
+# Most rows have a zero head under most pivots, so elimination leaves them
+# alone for several steps before it reads them again.
+
+
+@st.composite
+def sparse_matrices(draw, field):
+    """Up to 13 x 6, mostly zeros: blocks of rows, each block nonzero only
+    in a band of columns, shuffled, plus an optional dependent row."""
+    m = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = draw(st.integers(0, m - 1))
+        hi = draw(st.integers(lo + 1, m))
+        for _ in range(draw(st.integers(1, 4))):
+            row = [field.zero] * m
+            for j in range(lo, hi):
+                if draw(st.integers(0, 2)) == 0:
+                    row[j] = draw(_scalar(field))
+            rows.append(row)
+    rows = draw(st.permutations(rows))
+    if len(rows) > 1 and draw(st.booleans()):
+        c = draw(_scalar(field))
+        rows.append([a + c * b for a, b in zip(rows[0], rows[-1])])
+    return rows
+
+
+def _reference_kernel(field, rows):
+    """Rank and kernel basis read off the reference rref: for each free
+    column f, the unit at f with the pivot entries -red[i][f], normalized."""
+    red, piv = rref(field, rows)
+    n = len(rows[0])
+    kernel = []
+    for f in range(n):
+        if f in piv:
+            continue
+        v = [field.zero] * n
+        v[f] = field.one
+        for row, c in zip(red, piv):
+            v[c] = -row[f]
+        kernel.append(normalize_vector(field, v))
+    return len(piv), kernel
+
+
+def _check_rank_kernel(rows):
+    field = rows[0][0].field
+    # rank and kernels do not see a row's scale, so compare the pivot rows
+    # with the eager elimination too
+    got_rows, got_pivots = _bareiss(field, rows, len(rows[0]))
+    want_rows, want_cols = reference_bareiss(field, rows, len(rows[0]))
+    assert [c for _, c in got_pivots] == want_cols
+    assert [got_rows[r] for r, _ in got_pivots] == want_rows
+    want_rank, want_kernel = _reference_kernel(field, rows)
+    M = Matrix(field, rows)
+    assert rank(M) == want_rank
+    got = kernel_basis(M)
+    assert len(got) == len(want_kernel)
+    for g, w in zip(got, want_kernel):
+        assert _same(g, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices(QQ))
+def test_sparse_rank_kernel_match_reference_level0(rows):
+    _check_rank_kernel(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices(QT))
+def test_sparse_rank_kernel_match_reference_level1(rows):
+    _check_rank_kernel(rows)
+
+
+@settings(max_examples=20, deadline=None)
+@given(sparse_matrices(QTS))
+def test_sparse_rank_kernel_match_reference_level2(rows):
+    _check_rank_kernel(rows)
+
+
+def test_rank_of_diagonal_divides_once_per_row(monkeypatch):
+    # a row whose head is zero under a pivot is not rescaled there; each row
+    # of a diagonal matrix is brought up to date once, when it is the pivot
+    calls = []
+    ring_quo = Field.ring_quo
+
+    def counting_quo(self, a, b):
+        calls.append(1)
+        return ring_quo(self, a, b)
+
+    monkeypatch.setattr(Field, "ring_quo", counting_quo)
+    n = 8
+    M = _m([[(i + 2) * (i == j) for j in range(n)] for i in range(n)])
+    assert rank(M) == n
+    assert len(calls) <= n

@@ -150,6 +150,9 @@ def test_centralizer_golden():
     cen = centralizer_up_to_degree(A, gens, 1)
     rendered = sorted(u.render() for u in cen)
     assert rendered == ["1", "x", "z"]
+    # degree 2: basis order and rendering pinned before lazy row rescaling
+    cen = centralizer_up_to_degree(A, gens[:3], 2)
+    assert [u.render() for u in cen] == ["1", "z", "x", "z^2", "x*z", "x^2", "h*z + x*y"]
 
 
 def test_centralizer_of_casimir():
