@@ -70,7 +70,8 @@ def _bareiss(field, rows, ncols):
     under a nonzero head the factor cancels out of the step, which becomes
     (d[k] * a - head * b) / d[t-1]. Every quotient is the entry of the eager
     form, a minor of the input, so each division is exact, and ``ring_quo``
-    still checks it. Pivot rows and pivots are the eager ones and the rows
+    still checks it. A zero dividend is not divided: its quotient is 0. In
+    particular a column where both rows are zero is skipped. Pivot rows and pivots are the eager ones and the rows
     below the rank are zero; only pivot rows are read.
     """
     rows = [row for row in map(field.clear_row, rows) if any(row)]
@@ -98,7 +99,11 @@ def _bareiss(field, rows, ncols):
                 continue
             old = dens[step[i]]
             for j in range(c + 1, ncols):
-                row_i[j] = quo(sub(mul(piv, row_i[j]), mul(head, row_r[j])), old)
+                a, b = row_i[j], row_r[j]
+                if is_zero(a) and is_zero(b):
+                    continue  # the quotient is 0, and row_i[j] already is
+                a = sub(mul(piv, a), mul(head, b))
+                row_i[j] = a if is_zero(a) else quo(a, old)
             row_i[c] = sub(head, head)
             step[i] = r + 1
         pivots.append((r, c))

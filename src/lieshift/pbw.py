@@ -8,15 +8,28 @@ negative exponents (localization at z), which is sound because they commute
 with everything (verified, not assumed).
 
 The straightening kernels (``mul_mono``, ``symm_mono``, products,
-``commutator``, ``symmetrize``) compute on raw ``field.domain`` values, and
-``_mul_cache`` holds raw coefficients; each result is wrapped once, through
-a trusted constructor that skips the per-term checks the public
-constructor keeps for caller input.
+``commutator``, ``symmetrize``) run on a table of structure constants read
+once per algebra, and ``_mul_cache`` and ``_symm_cache`` hold coefficients of
+that table's type:
+
+* At level 0 the table is integral. With D the least common denominator of
+  the structure constants (1 for every preset), the basis y_i = D x_i has
+  [y_i, y_j] = sum D c_ij^k y_k, with integer constants, so straightening a
+  product of y-monomials only adds and multiplies integers. An element is
+  cleared once per kernel call: x^a = D^-|a| y^a, and its y-coefficients
+  are brought to integer numerators over one common denominator d. Each
+  output term n y^m over du * dv is wrapped once as the rational
+  n D^|m| / (du dv). Every step is an exact identity in U(q), so the
+  results are the products of the rational elements themselves, in the
+  same canonical form.
+* Above level 0 the table holds the raw ``field.domain`` constants and the
+  elements' raw coefficients are straightened as they are, with d = 1.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, lcm
+from operator import add
 
 from .fields import FieldElement, FieldError
 from .linalg import Matrix, kernel_basis
@@ -29,7 +42,6 @@ class EnvelopingAlgebra:
     def __init__(self, L, laurent=()):
         self.L = L
         self.field = L.field
-        self._one = L.field.domain.one
         self.dim = L.dim
         self.laurent = frozenset(laurent)
         self._central = self.laurent | L.central_indices()
@@ -41,10 +53,20 @@ class EnvelopingAlgebra:
                         "designated central index %d brackets nontrivially" % z
                     )
         rest = [i for i in range(L.dim) if i not in central]
-        order = rest + central
+        self._order = rest + central
         self._pos = [0] * L.dim
-        for p, i in enumerate(order):
+        for p, i in enumerate(self._order):
             self._pos[i] = p
+        self._zero = (0,) * L.dim
+        self._units = tuple(
+            tuple(int(k == i) for k in range(L.dim)) for i in range(L.dim)
+        )
+        if L.field.level == 0:
+            self._scale, self._brackets = _integer_table(L.raw_brackets)
+            self._one = 1
+        else:
+            self._scale, self._brackets = None, L.raw_brackets
+            self._one = L.field.domain.one
         self._mul_cache = {}
         self._symm_cache = {}
 
@@ -71,67 +93,89 @@ class EnvelopingAlgebra:
             if isinstance(c, int):
                 c = self.field.rational(c)
             if not c.is_zero:
-                terms[tuple(1 if k == i else 0 for k in range(self.dim))] = c
+                terms[self._units[i]] = c
         return PBWElement(self, terms)
 
     def from_poly(self, p):
         """Reads a polynomial's monomials as normal-ordered PBW monomials."""
         return PBWElement(self, dict(p.terms))
 
+    # -- table coefficients ----------------------------------------------------
+
+    def _numerators(self, terms):
+        """(d, {monomial: n}) for {monomial: FieldElement}: the element is
+        the sum over m of n / d times the table's basis monomial at m (the
+        y-monomial at level 0, see the module docstring)."""
+        if self._scale is None:
+            return 1, {m: c.raw for m, c in terms.items()}
+        D = self._scale
+        nums = {}
+        for m, c in terms.items():
+            n, d = int(c.raw.numerator), int(c.raw.denominator)
+            s = sum(m)
+            if s > 0:
+                d *= D**s
+            elif s < 0:
+                n *= D**-s
+            nums[m] = (n, d)
+        den = lcm(*(d for _, d in nums.values()))
+        return den, {m: n * (den // d) for m, (n, d) in nums.items()}
+
     # -- straightening core ----------------------------------------------------
 
     def mul_mono(self, a, b):
-        """Product of two normal monomials as a {monomial: raw coeff} dict."""
-        cen = self._central
-        if cen:
-            ca = tuple(e if i in cen else 0 for i, e in enumerate(a))
-            cb = tuple(e if i in cen else 0 for i, e in enumerate(b))
-            na = tuple(0 if i in cen else e for i, e in enumerate(a))
-            nb = tuple(0 if i in cen else e for i, e in enumerate(b))
-            shift = tuple(x + y for x, y in zip(ca, cb))
-            if any(shift):
-                core = self._mul_core(na, nb)
-                return {
-                    tuple(x + y for x, y in zip(k, shift)): v
-                    for k, v in core.items()
-                }
-            a, b = na, nb
-        return self._mul_core(a, b)
-
-    def _mul_core(self, a, b):
-        if not any(a):
+        """Product of two normal monomials as a {monomial: table coeff} dict."""
+        for z in self._central:
+            if a[z] or b[z]:
+                return self._mul_central(a, b)
+        zero = self._zero
+        if a == zero:
             return {b: self._one}
-        if not any(b):
+        if b == zero:
             return {a: self._one}
         key = (a, b)
         hit = self._mul_cache.get(key)
         if hit is not None:
             return hit
+        order = self._order
+        for j in order:
+            if b[j]:
+                break
+        for i in reversed(order):
+            if a[i]:
+                break
         pos = self._pos
-        i = max((k for k, e in enumerate(a) if e), key=lambda k: pos[k])
-        j = min((k for k, e in enumerate(b) if e), key=lambda k: pos[k])
+        one = self._one
         if pos[i] <= pos[j]:
-            out = {tuple(x + y for x, y in zip(a, b)): self._one}
-            self._mul_cache[key] = out
-            return out
-        a0 = tuple(e - 1 if k == i else e for k, e in enumerate(a))
-        b0 = tuple(e - 1 if k == j else e for k, e in enumerate(b))
-        ei = tuple(1 if k == i else 0 for k in range(self.dim))
-        ej = tuple(1 if k == j else 0 for k in range(self.dim))
-        out = {}
-        left = self.mul_mono(a0, ej)
-        right = self.mul_mono(ei, b0)
-        _product_into(out, self, left, right)
-        for k, ck in self.L.raw_brackets.get(i, {}).get(j, ()):
-            ek = tuple(1 if t == k else 0 for t in range(self.dim))
-            left = {m1: ck * c1 for m1, c1 in self.mul_mono(a0, ek).items()}
-            _product_into(out, self, left, {b0: self._one})
+            out = {tuple(map(add, a, b)): one}
+        else:
+            a0 = a[:i] + (a[i] - 1,) + a[i + 1 :]
+            b0 = b[:j] + (b[j] - 1,) + b[j + 1 :]
+            units = self._units
+            out = {}
+            _product_into(out, self, self.mul_mono(a0, units[j]), self.mul_mono(units[i], b0))
+            for k, ck in self._brackets.get(i, {}).get(j, ()):
+                left = {m1: ck * c1 for m1, c1 in self.mul_mono(a0, units[k]).items()}
+                _product_into(out, self, left, {b0: one})
         self._mul_cache[key] = out
         return out
 
+    def _mul_central(self, a, b):
+        """``mul_mono`` when a central exponent is nonzero: the central parts
+        commute with everything, so they are added to the product of the rest."""
+        na, nb, shift = list(a), list(b), [0] * self.dim
+        for z in self._central:
+            shift[z] = a[z] + b[z]
+            na[z] = nb[z] = 0
+        core = self.mul_mono(tuple(na), tuple(nb))
+        if not any(shift):
+            return core
+        return {tuple(map(add, k, shift)): v for k, v in core.items()}
+
     def symm_mono(self, exps):
-        """Symmetrization of one monomial as a {monomial: raw coeff} dict:
-        weighted distinct orderings."""
+        """Sum over the distinct orderings of the word of one basis monomial,
+        as a {monomial: table coeff} dict; the symmetrization is this sum
+        times prod(e_i!) / (sum e_i)!."""
         hit = self._symm_cache.get(exps)
         if hit is not None:
             return hit
@@ -140,42 +184,62 @@ class EnvelopingAlgebra:
             if e < 0:
                 raise FieldError("cannot symmetrize a formal inverse")
             letters.extend([i] * e)
-        k = len(letters)
-        if k <= 1:
-            out = {exps: self._one}
-            self._symm_cache[exps] = out
-            return out
-        mult = 1
-        for e in exps:
-            mult *= factorial(e)
-        weight = self.field.rational(mult, factorial(k)).raw
         total = {}
         for word in _multiset_perms(letters):
             cur = {(0,) * self.dim: self._one}
             for letter in word:
-                el = tuple(1 if t == letter else 0 for t in range(self.dim))
+                el = self._units[letter]
                 nxt = {}
                 for m, c in cur.items():
                     for m2, c2 in self.mul_mono(m, el).items():
                         _acc(nxt, m2, c * c2)
                 cur = nxt
             for m, c in cur.items():
-                _acc(total, m, c * weight)
+                _acc(total, m, c)
         self._symm_cache[exps] = total
         return total
 
 
+def _integer_table(raw_brackets):
+    """(D, table): D the least common denominator of the level-0 structure
+    constants, table the constants D c_ij^k of the basis y_i = D x_i as
+    Python ints, in the layout of ``LieAlgebra.raw_brackets``."""
+    D = lcm(
+        *(
+            int(c.denominator)
+            for row in raw_brackets.values()
+            for comp in row.values()
+            for _, c in comp
+        )
+    )
+    table = {
+        i: {
+            j: tuple((k, int(c.numerator) * (D // int(c.denominator))) for k, c in comp)
+            for j, comp in row.items()
+        }
+        for i, row in raw_brackets.items()
+    }
+    return D, table
+
+
 def _product_into(out, alg, left, right):
-    """Accumulate left * right into out; all three map monomials to raw
-    coefficients. Most straightening coefficients are the domain's one, so
-    products with that object are skipped."""
+    """Accumulate left * right into out; all three map monomials to nonzero
+    table coefficients, and a sum that cancels is dropped."""
     mul_mono = alg.mul_mono
-    one = alg._one
+    get = out.get
     for m1, c1 in left.items():
         for m2, c2 in right.items():
-            c12 = c1 if c2 is one else c2 if c1 is one else c1 * c2
+            c12 = c1 * c2
             for m, c in mul_mono(m1, m2).items():
-                _acc(out, m, c12 if c is one else c * c12)
+                s = get(m)
+                if s is None:
+                    out[m] = c * c12
+                else:
+                    s += c * c12
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
 
 
 def _multiset_perms(letters):
@@ -227,17 +291,24 @@ class PBWElement:
         self.terms = clean
 
     @classmethod
-    def _from_raw(cls, alg, raw):
+    def _from_raw(cls, alg, raw, den):
         """Trusted constructor for kernel output: raw maps well-formed
-        monomials to nonzero domain values, so only the wrapping is done."""
+        monomials to nonzero table coefficients, and the element is the sum
+        over m of raw[m] / den times the table's basis monomial at m; each
+        term is wrapped once."""
         self = object.__new__(cls)
         self.alg = alg
-        field = alg.field
-        self.terms = {m: FieldElement(field, c) for m, c in raw.items()}
+        field, D = alg.field, alg._scale
+        if D is None:
+            self.terms = {m: FieldElement(field, c) for m, c in raw.items()}
+            return self
+        Q = field.domain
+        terms = {}
+        for m, n in raw.items():
+            s = sum(m)
+            terms[m] = FieldElement(field, Q(n * D**s, den) if s >= 0 else Q(n, den * D**-s))
+        self.terms = terms
         return self
-
-    def _raw_terms(self):
-        return {m: c.raw for m, c in self.terms.items()}
 
     def _check(self, other):
         if self.alg is not other.alg:
@@ -276,9 +347,12 @@ class PBWElement:
                 self.alg, {m: co * c for m, co in self.terms.items()}
             )
         self._check(other)
+        alg = self.alg
+        du, ru = alg._numerators(self.terms)
+        dv, rv = alg._numerators(other.terms)
         out = {}
-        _product_into(out, self.alg, self._raw_terms(), other._raw_terms())
-        return PBWElement._from_raw(self.alg, out)
+        _product_into(out, alg, ru, rv)
+        return PBWElement._from_raw(alg, out, du * dv)
 
     def __rmul__(self, other):
         if isinstance(other, (int, FieldElement)):
@@ -351,25 +425,35 @@ def _const(alg, c):
 
 
 def commutator(u, v):
-    """[u, v] = u*v - v*u, both products accumulated into one raw dict."""
+    """[u, v] = u*v - v*u, both products accumulated into one dict of
+    table coefficients over du * dv."""
     u._check(v)
-    ru, rv = u._raw_terms(), v._raw_terms()
+    alg = u.alg
+    du, ru = alg._numerators(u.terms)
+    dv, rv = alg._numerators(v.terms)
     out = {}
-    _product_into(out, u.alg, ru, rv)
-    _product_into(out, u.alg, {m: -c for m, c in rv.items()}, ru)
-    return PBWElement._from_raw(u.alg, out)
+    _product_into(out, alg, ru, rv)
+    _product_into(out, alg, {m: -c for m, c in rv.items()}, ru)
+    return PBWElement._from_raw(alg, out, du * dv)
 
 
 def symmetrize(alg, p):
     """Symmetrization map S(q) -> U(q), monomial by monomial."""
     if p.nvars != alg.dim or p.field != alg.field:
         raise FieldError("polynomial ambient does not match the algebra")
-    out = {}
+    sums, weighted = {}, {}
     for exps, c in p.terms.items():
-        c = c.raw
-        for m, cc in alg.symm_mono(exps).items():
-            _acc(out, m, c * cc)
-    return PBWElement._from_raw(alg, out)
+        sums[exps] = alg.symm_mono(exps)
+        mult = 1
+        for e in exps:
+            mult *= factorial(e)
+        weighted[exps] = c * alg.field.rational(mult, factorial(sum(exps)))
+    den, nums = alg._numerators(weighted)
+    out = {}
+    for exps, n in nums.items():
+        for m, c in sums[exps].items():
+            _acc(out, m, n * c)
+    return PBWElement._from_raw(alg, out, den)
 
 
 def principal_symbol(u):

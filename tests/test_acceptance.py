@@ -4,6 +4,7 @@ Each test prints a single pass line with its elapsed time; pytest -v shows
 one PASSED/FAILED row per criterion.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -167,6 +168,20 @@ def test_criterion_6_constructions_hit_b():
         cert = construct_theorem(P.algebra, casimirs=P.casimirs or None)
         assert cert.trdeg.value == cert.b_target == b_of(P.algebra), name
     _done(6, "full constructions reach the bound", t0, 300)
+
+
+def test_criterion_6_gl4_generators_golden():
+    # the sha256 of the newline-joined rendered generators was recorded
+    # before straightening ran on integer tables
+    t0 = time.monotonic()
+    P = preset("gl4")
+    cert = construct_theorem(P.algebra, casimirs=P.casimirs, seed=1)
+    assert cert.trdeg.value == 10
+    text = "\n".join(g.render() for g in cert.generators.elements)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3166be795fde866b33652cb842f58d1c174263983b058ba4c5fbb7104f29d2e9"
+    )
+    _done(6, "gl4 construction with preset invariants", t0, 120)
 
 
 def test_criterion_7_property_suites():

@@ -5,8 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from factories import reference_bareiss, reference_solve, rref
 from lieshift.fields import QQ, Field, FieldError
+from lieshift.invariants import symmetric_invariants
 from lieshift.liealg import Subspace
 from lieshift.linalg import Matrix, _bareiss, kernel_basis, normalize_vector, rank, solve
+from lieshift.presets import preset
 
 
 def _m(rows, ncols=None, field=QQ):
@@ -328,3 +330,19 @@ def test_rank_of_diagonal_divides_once_per_row(monkeypatch):
     M = _m([[(i + 2) * (i == j) for j in range(n)] for i in range(n)])
     assert rank(M) == n
     assert len(calls) <= n
+
+
+def test_invariant_kernel_divides_no_zero(monkeypatch):
+    # a column where both the pivot row and the row under it are zero keeps
+    # its zero: that quotient is exactly 0, and every other one is checked
+    dividends = []
+    ring_quo = Field.ring_quo
+
+    def recording_quo(self, a, b):
+        dividends.append(a)
+        return ring_quo(self, a, b)
+
+    monkeypatch.setattr(Field, "ring_quo", recording_quo)
+    assert len(symmetric_invariants(preset("so4").algebra, 3)) == 2
+    assert dividends
+    assert all(not Field.ring_is_zero(QQ, a) for a in dividends)

@@ -177,3 +177,14 @@ def test_mul_cache_golden_size():
     assert commutator(c2, c3).is_zero
     assert isinstance(A._mul_cache, dict)
     assert len(A._mul_cache) == 591
+
+
+def test_level0_tables_hold_python_ints():
+    P = preset("sl3")
+    A = EnvelopingAlgebra(P.algebra)
+    c2, c3 = (symmetrize(A, c) for c in P.casimirs)
+    assert commutator(c2, c3).is_zero
+    assert A._mul_cache and A._symm_cache
+    for table in (A._mul_cache, A._symm_cache):
+        for out in table.values():
+            assert all(type(c) is int for c in out.values())

@@ -1,6 +1,8 @@
 """Randomized property suites, each over at least 100 seeded cases."""
 
 import random
+from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -176,6 +178,11 @@ def _kernel_algebra(rng, setting):
     z = max(L.central_indices()) if laurent else None
     if F.level == 0:
         return L, z
+    return _rescaled(rng, L, F), z
+
+
+def _rescaled(rng, L, F):
+    """L over F in the basis s_i x_i for random nonzero scalars s_i of F."""
     # x_i -> s_i x_i keeps Jacobi: c_ij^k becomes s_i s_j c_ij^k / s_k
     s = [_nonzero_scalar(rng, F) for _ in range(L.dim)]
     table = {
@@ -183,7 +190,7 @@ def _kernel_algebra(rng, setting):
         for (i, j), comp in L.table.items()
     }
     ann = {"central": L.central_indices()} if L.central_indices() else {}
-    return LieAlgebra(F, L.labels, table, ann), z
+    return LieAlgebra(F, L.labels, table, ann)
 
 
 def _random_exps(rng, n, z, max_deg):
@@ -272,13 +279,18 @@ def _ref_normal_word(L, pos, word, memo):
     return out
 
 
+def _ref_order(A):
+    """(non-central indices, central indices, position of each index) in the
+    documented normal order: input order, central generators last."""
+    cen = set(A.laurent | A.L.central_indices())
+    rest = [i for i in range(A.dim) if i not in cen]
+    return rest, cen, {i: p for p, i in enumerate(rest + sorted(cen))}
+
+
 def _ref_product(u, v):
     A = u.alg
     L = A.L
-    cen = set(A.laurent | L.central_indices())
-    # the documented normal order: input order, central generators last
-    rest = [i for i in range(L.dim) if i not in cen]
-    pos = {i: p for p, i in enumerate(rest + sorted(cen))}
+    rest, cen, pos = _ref_order(A)
     memo = {}
     terms = {}
     for m1, c1 in u.terms.items():
@@ -320,6 +332,49 @@ def test_commutator_matches_reference_straightening():
         _same(commutator(u, v), ref, lambda w: w.render())
         _same(u * v - v * u, ref, lambda w: w.render())
         _same(u * v, _ref_product(u, v), lambda w: w.render())
+
+
+def _ref_symmetrize(A, p):
+    """Each monomial of p times 1/k! summed over all k! orderings of its word."""
+    L = A.L
+    _, _, pos = _ref_order(A)
+    memo = {}
+    terms = {}
+    for exps, c in p.terms.items():
+        word = tuple(i for i in range(L.dim) for _ in range(exps[i]))
+        w = c / factorial(len(word))
+        for perm in permutations(word):
+            for m, cm in _ref_normal_word(L, pos, perm, memo).items():
+                terms[m] = terms.get(m, L.field.zero) + w * cm
+    return A.element(terms)
+
+
+def test_kernels_match_references_on_rescaled_level0_bases():
+    """Products, commutators and symmetrization over Q where the structure
+    constants have denominators: the kernels straighten on the integral
+    table of a rescaled basis, the references on the constants as given."""
+    rng = random.Random(1212)
+    fractional = 0
+    for case in range(80):
+        laurent = case % 2 == 1
+        _, L0 = random_preset_algebra(rng, LAURENT_POOL if laurent else None)
+        L = _rescaled(rng, L0, QQ)
+        fractional += any(
+            c.as_rational()[1] != 1 for comp in L.table.values() for c in comp.values()
+        )
+        z = max(L.central_indices()) if laurent else None
+        A = EnvelopingAlgebra(L, () if z is None else (z,))
+        u = _random_pbw(rng, A, z, 3)
+        v = _random_pbw(rng, A, z, 2)
+        uv, vu = _ref_product(u, v), _ref_product(v, u)
+        _same(u * v, uv, lambda w: w.render())
+        _same(commutator(u, v), uv - vu, lambda w: w.render())
+        p = _random_kernel_poly(rng, L, z)
+        p = PolyElement(
+            L.field, L.dim, {tuple(map(abs, e)): c for e, c in p.terms.items()}, p.laurent
+        )
+        _same(symmetrize(A, p), _ref_symmetrize(A, p), lambda w: w.render())
+    assert fractional >= 60
 
 
 def test_differential_at_matches_partials():
