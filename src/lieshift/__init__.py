@@ -39,6 +39,7 @@ from .pbw import (
 )
 from .invariants import (
     GeneratorSet,
+    Sampling,
     b_of,
     b_rel,
     index_of,

@@ -11,6 +11,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from . import presets as presets_mod
 from .algfile import AlgebraFileError, dump_algebra, read_algebra
@@ -27,9 +28,7 @@ from .construct import (
 )
 from .fields import FieldError
 from .invariants import (
-    DEFAULT_BOUND,
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
+    Sampling,
     b_of,
     b_rel,
     index_of,
@@ -75,7 +74,7 @@ def _load(args):
 
 
 def _sampling(args):
-    return dict(samples=args.samples, bound=args.bound, seed=args.seed)
+    return Sampling(args.samples, args.bound, args.seed)
 
 
 def _report_sample(rep):
@@ -169,17 +168,17 @@ def _cmd_info(L, P, args):
 
 
 def _cmd_index(L, P, args):
-    return {"index": _report_sample(index_of(L, **_sampling(args)))}, 0
+    return {"index": _report_sample(index_of(L, _sampling(args)))}, 0
 
 
 def _cmd_b(L, P, args):
-    return {"b": b_of(L, **_sampling(args))}, 0
+    return {"b": b_of(L, _sampling(args))}, 0
 
 
 def _cmd_b_rel(L, P, args):
     S = _subspace_arg(L, args.sub)
     try:
-        value = b_rel(L, S, **_sampling(args))
+        value = b_rel(L, S, _sampling(args))
     except LieAlgebraError as e:
         raise InputError(str(e))
     return {"b_rel": value, "sub_dim": S.dim}, 0
@@ -196,22 +195,25 @@ def _cmd_invariants(L, P, args):
 
 def _cmd_mf(L, P, args):
     cas = _casimirs(L, P, args)
-    gamma = _regular_form(L, **_sampling(args))
+    sampling = _sampling(args)
+    b = b_of(L, sampling)
+    gamma = _regular_form(L, 2 * b - L.dim, sampling)
     gens = mf_subalgebra(L, cas, gamma)
-    td = trdeg_jacobian(gens, **_sampling(args))
+    td = trdeg_jacobian(gens, sampling)
     return {
         "gamma": [str(c) for c in gamma.coords],
         "set": _render_set(gens, L.labels),
         "trdeg": _report_sample(td),
-        "b": b_of(L, **_sampling(args)),
+        "b": b,
     }, 0
 
 
 def _cmd_quantum_mf(L, P, args):
     cas = _casimirs(L, P, args)
-    gamma = _regular_form(L, **_sampling(args))
+    sampling = _sampling(args)
+    gamma = _regular_form(L, index_of(L, sampling).value, sampling)
     gens = quantum_mf(L, cas, gamma)
-    td = trdeg_jacobian(gens, **_sampling(args))
+    td = trdeg_jacobian(gens, sampling)
     return {
         "gamma": [str(c) for c in gamma.coords],
         "set": _render_set(gens, L.labels),
@@ -248,7 +250,7 @@ def _cmd_reduce_abelian(L, P, args):
                 "pass one explicitly" % cls.kind
             )
         h = cls.h
-    hat = abelian_qhat(L, h, **_sampling(args))
+    hat = abelian_qhat(L, h, _sampling(args))
     table = {}
     for (i, j), comp in sorted(hat.algebra.table.items()):
         key = "[%s, %s]" % (hat.algebra.labels[i], hat.algebra.labels[j])
@@ -286,7 +288,7 @@ def _run_construct(L, P, args, inv_deg=None):
         casimirs=cas,
         max_inv_deg=inv_deg,
         max_depth=args.depth,
-        **_sampling(args),
+        **asdict(_sampling(args)),
     )
 
 
@@ -308,7 +310,7 @@ def _cmd_maximality(L, P, args):
     # default invariant-degree bound
     cert = _run_construct(L, P, args, inv_deg=3)
     d = args.max_deg if args.max_deg is not None else 1
-    rep = maximality_probe(cert.generators, d, **_sampling(args))
+    rep = maximality_probe(cert.generators, d, _sampling(args))
     return {
         "degree": rep.degree,
         "centralizer_dim": rep.centralizer_dim,
@@ -394,8 +396,9 @@ def _cmd_reproduce(args):
         if not commutator(A1.elements[i], A1.elements[j]).is_zero
     ]
     check("first algebra commutes pairwise", not bad, str(bad))
-    td1 = trdeg_jacobian(A1, **_sampling(args))
-    b = b_of(L, **_sampling(args))
+    sampling = _sampling(args)
+    td1 = trdeg_jacobian(A1, sampling)
+    b = b_of(L, sampling)
     check("first algebra trdeg equals b", td1.value == b == 4, "trdeg %d, b %d" % (td1.value, b))
 
     cen = centralizer_up_to_degree(alg, list(A1.elements), 1)
@@ -411,7 +414,7 @@ def _cmd_reproduce(args):
         if not commutator(A2.elements[i], A2.elements[j]).is_zero
     ]
     check("second algebra commutes pairwise", not bad2, str(bad2))
-    rep = maximality_probe(A2, 1, **_sampling(args))
+    rep = maximality_probe(A2, 1, sampling)
     found_e = [u.render(L.labels) for u in rep.new_elements]
     check(
         "probe at degree 1 enlarges the second algebra by e",
@@ -419,7 +422,7 @@ def _cmd_reproduce(args):
         "new: %s, still commutative: %s" % (found_e, rep.still_commutative),
     )
 
-    cert = construct_theorem(L, casimirs=list(P.casimirs), **_sampling(args))
+    cert = construct_theorem(L, casimirs=list(P.casimirs), **asdict(sampling))
     check(
         "orchestrator certifies trdeg 4 on the preset",
         cert.trdeg.value == 4,
@@ -469,9 +472,9 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--preset", help="built-in algebra name, e.g. sl2, heisenberg3")
     common.add_argument("--file", help="path to a lieshift/1 algebra file")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
-    common.add_argument("--bound", type=_positive_int, default=DEFAULT_BOUND)
+    common.add_argument("--seed", type=int, default=Sampling.seed)
+    common.add_argument("--samples", type=_positive_int, default=Sampling.samples)
+    common.add_argument("--bound", type=_positive_int, default=Sampling.bound)
     common.add_argument(
         "--max-deg",
         type=_positive_int,

@@ -10,9 +10,16 @@ commutative subalgebra of transcendence degree (dim + index)/2.
 Nothing here is trusted without a check: dimension formulas are compared
 against sampled stabilizers, the public builders check their own output, and
 construct_theorem leaves every commutator and trdeg check to _certify.
+
+Every sampled quantity is drawn through one ``invariants.Sampling`` value,
+which construct_theorem builds from its samples, bound and seed keywords and
+hands down the recursion.  Each algebra's index is sampled once per
+construction: the b_of of a level supplies its regular form's index, and a
+reduced algebra's b, sampled as the next level's target, is checked against
+the drop by dim h - 1 once that level returns.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import lcm
 
 from .fields import FieldElement, FieldError
@@ -43,15 +50,9 @@ from .pbw import (
     symmetrize,
 )
 from .invariants import (
-    DEFAULT_BOUND,
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
     GeneratorSet,
-    _check_sampling,
+    Sampling,
     b_of,
-    index_of,
-    sample_point,
-    sample_seed,
     symmetric_invariants,
     trdeg_jacobian,
 )
@@ -250,7 +251,7 @@ def _corrected_lift(L, split, A_l, sub_vectors):
     return GeneratorSet("associative", gens, prov)
 
 
-def heisenberg_lift(L, split, A_l, sub_vectors, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAULT_SEED):
+def heisenberg_lift(L, split, A_l, sub_vectors, sampling=Sampling()):
     """Push a commutative set over the stabilizing subalgebra into U(L).
 
     Each generator of A_l maps multiplicatively through the correction map,
@@ -270,12 +271,12 @@ def heisenberg_lift(L, split, A_l, sub_vectors, samples=DEFAULT_SAMPLES, bound=D
     if sub_vectors:
         sub_space = Subspace(L.field, L.dim, sub_vectors)
         sub_alg, _ = subalgebra_of(L, sub_space)
-        target = b_of(sub_alg, samples, bound, seed) + n
+        target = b_of(sub_alg, sampling) + n
         if not sub_space.contains(split.z):
             target += 1
     else:
         target = n + 1
-    td = trdeg_jacobian(out, samples, bound, seed)
+    td = trdeg_jacobian(out, sampling)
     if td.value != target:
         raise ConstructError(
             "lifted set has transcendence degree %d, expected %d"
@@ -294,6 +295,8 @@ class HatAlgebra:
     sections are full ambient-length coefficient vectors (supported on the
     complement indices); the reduced algebra's last generator is the
     distinguished central element delta standing for the ideal direction.
+    b_ambient and b_hat are set by abelian_qhat; construct_theorem leaves
+    them None and checks the drop of b against its own targets.
     """
 
     base_field: object
@@ -304,8 +307,8 @@ class HatAlgebra:
     sections: tuple
     algebra: LieAlgebra
     min_stabilizer_dim: int
-    b_ambient: int
-    b_hat: int
+    b_ambient: int = None
+    b_hat: int = None
 
 
 def _fresh_names(field, count):
@@ -320,15 +323,18 @@ def _fresh_names(field, count):
     return tuple(out)
 
 
-def _check_abelian_ideal(L, h):
+def _ideal_action(L, h):
+    """ad[e][i], the h-coordinates of [x_i, eta_e]; raises unless h is an
+    abelian ideal."""
     for a, u in enumerate(h.basis):
         for w in h.basis[a + 1 :]:
             if any(not c.is_zero for c in bracket(L, u, w)):
                 raise ConstructError("the subspace is not abelian")
-    for i in range(L.dim):
-        for w in h.basis:
-            if not h.contains(bracket(L, L.basis_vector(i), w)):
-                raise ConstructError("the subspace is not an ideal")
+    ad = [[h.coordinates(bracket(L, L.basis_vector(i), eta)) for i in range(L.dim)]
+          for eta in h.basis]
+    if any(coords is None for ad_e in ad for coords in ad_e):
+        raise ConstructError("the subspace is not an ideal")
+    return ad
 
 
 def _coordinate_complement(L, h):
@@ -344,7 +350,7 @@ def _coordinate_complement(L, h):
     return tuple(idxs)
 
 
-def abelian_qhat(L, h, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAULT_SEED):
+def abelian_qhat(L, h, sampling=Sampling()):
     """Reduce along an abelian ideal h: sections of the complement whose
     brackets into h vanish identically on h*, over the fraction field of h*.
 
@@ -352,22 +358,33 @@ def abelian_qhat(L, h, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAUL
     (linear function) * delta.  The dimension is verified against sampled
     stabilizers (min dim q_alpha - dim h + 1) and b drops by dim h - 1.
     """
+    hat = _reduce_abelian(L, h, sampling)
+    b_amb, b_hat = b_of(L, sampling), b_of(hat.algebra, sampling)
+    _check_b_drop(b_amb, b_hat, hat.h.dim)
+    return replace(hat, b_ambient=b_amb, b_hat=b_hat)
+
+
+def _check_b_drop(b_amb, b_hat, d):
+    if b_hat != b_amb - d + 1:
+        raise ConstructError(
+            "b dropped from %s to %s; expected %s" % (b_amb, b_hat, b_amb - d + 1)
+        )
+
+
+def _reduce_abelian(L, h, sampling):
+    """abelian_qhat without b: the reduced algebra, its dimension checked."""
     if not isinstance(h, Subspace):
         h = Subspace(L.field, L.dim, [tuple(v) for v in h])
-    _check_sampling(samples, bound)
     if h.dim == 0:
         raise ConstructError("the ideal must be nonzero")
-    _check_abelian_ideal(L, h)
+    ad = _ideal_action(L, h)
     F = L.field
     d = h.dim
     names = _fresh_names(F, d)
     F2 = F.extend(*names)
     wvars = [F2.var(nm) for nm in names]
 
-    def linfunc(v):
-        coords = h.coordinates(v)
-        if coords is None:
-            raise ConstructError("bracket left the ideal; not an ideal after all")
+    def linfunc(coords):
         out = F2.zero
         for t, c in enumerate(coords):
             if not c.is_zero:
@@ -376,10 +393,7 @@ def abelian_qhat(L, h, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAUL
 
     comp = _coordinate_complement(L, h)
     r = len(comp)
-    rows = [
-        [linfunc(bracket(L, L.basis_vector(i), eta)) for i in comp]
-        for eta in h.basis
-    ]
+    rows = [[linfunc(ad_e[i]) for i in comp] for ad_e in ad]
     ker = kernel_basis(Matrix(F2, rows, ncols=r)) if rows else []
     m = len(ker)
 
@@ -458,34 +472,25 @@ def abelian_qhat(L, h, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAUL
         labels = ["u%d" % (i + 1) for i in range(m)] + ["delta"]
     qhat = LieAlgebra(F2, labels, table, {"central": [m]})
 
-    # sampled stabilizer dimensions on h*
-    best_rank = -1
-    for s in range(int(samples)):
-        alpha = sample_point(F, d, sample_seed(seed, 90_000 + s), bound)
+    # sampled stabilizer dimensions on h*: the form alpha([x_i, eta])
+    def stabilizer_form(alpha):
         srows = []
-        for eta in h.basis:
+        for ad_e in ad:
             row = []
-            for i in range(L.dim):
-                coords = h.coordinates(bracket(L, L.basis_vector(i), eta))
+            for coords in ad_e:
                 val = F.zero
                 for t, c in enumerate(coords):
                     if not c.is_zero:
                         val = val + c * alpha[t]
                 row.append(val)
             srows.append(row)
-        best_rank = max(best_rank, rank(Matrix(F, srows, ncols=L.dim)))
-    min_stab = L.dim - best_rank
+        return Matrix(F, srows, ncols=L.dim)
+
+    min_stab = L.dim - sampling.max_rank(F, d, stabilizer_form, offset=90_000)[0]
     if m + 1 != min_stab - d + 1:
         raise ConstructError(
             "reduced dimension %d disagrees with the stabilizer formula %d"
             % (m + 1, min_stab - d + 1)
-        )
-    b_amb = b_of(L, samples, bound, seed)
-    b_hat = b_of(qhat, samples, bound, seed)
-    if b_hat != b_amb - d + 1:
-        raise ConstructError(
-            "b dropped from %s to %s; expected %s"
-            % (b_amb, b_hat, b_amb - d + 1)
         )
     return HatAlgebra(
         base_field=F2,
@@ -496,15 +501,13 @@ def abelian_qhat(L, h, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAUL
         sections=tuple(sections),
         algebra=qhat,
         min_stabilizer_dim=min_stab,
-        b_ambient=b_amb,
-        b_hat=b_hat,
     )
 
 
 # -- central specialization ---------------------------------------------------
 
 
-def specialize_search(A, z_index, candidates=None, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAULT_SEED):
+def specialize_search(A, z_index, candidates=None, sampling=Sampling()):
     """First scalar c from the candidate list whose specialization of the
     central generator keeps the transcendence degree at least one lower.
 
@@ -515,13 +518,13 @@ def specialize_search(A, z_index, candidates=None, samples=DEFAULT_SAMPLES, boun
         raise ConstructError("specialization works on enveloping-algebra sets")
     if not A.elements:
         raise ConstructError("nothing to specialize")
-    before = trdeg_jacobian(A, samples, bound, seed).value
-    return _specialize(A, z_index, before, candidates, samples, bound, seed)
+    before = trdeg_jacobian(A, sampling).value
+    return _specialize(A, z_index, before, candidates, sampling)
 
 
-def _specialize(A, z_index, before, candidates, samples, bound, seed):
-    """specialize_search given before, the sampled trdeg of the nonempty
-    associative set A with the same samples, bound and seed."""
+def _specialize(A, z_index, before, candidates, sampling):
+    """specialize_search given before, the trdeg of the nonempty associative
+    set A sampled with the same sampling."""
     alg = A.elements[0].alg
     if candidates is None:
         candidates = range(1, 21)
@@ -537,7 +540,7 @@ def _specialize(A, z_index, before, candidates, samples, bound, seed):
                 continue
             keep.append(u)
             kept_src.append(p)
-        after = trdeg_jacobian(keep, samples, bound, seed).value
+        after = trdeg_jacobian(keep, sampling).value
         if after >= before - 1:
             note = " | specialized center to %s (trdeg %d -> %d)" % (c, before, after)
             return c, GeneratorSet("associative", keep, [p + note for p in kept_src])
@@ -632,12 +635,12 @@ class ConstructionCertificate:
     trace: tuple
 
 
-def _certify(L, gens, b_target, trace, samples, bound, seed):
+def _certify(L, gens, b_target, trace, sampling):
     """Check every generator pair exactly and the sampled trdeg against
     b_target: the only commutator and trdeg checks in construct_theorem."""
     if bad := _failing_pair(gens.elements, commutator):
         raise ConstructError("certificate: generators %d and %d do not commute" % bad)
-    td = trdeg_jacobian(gens, samples, bound, seed)
+    td = trdeg_jacobian(gens, sampling)
     if td.value != b_target:
         raise ConstructError(
             "certified set has transcendence degree %d but the target is %s"
@@ -655,17 +658,17 @@ def _certify(L, gens, b_target, trace, samples, bound, seed):
     )
 
 
-def _regular_form(L, samples, bound, seed):
-    ind = index_of(L, samples, bound, seed).value
+def _regular_form(L, ind, sampling):
+    """A seeded linear form whose stabilizer has dimension ind, the caller's
+    sampled index of L."""
     for i in range(60):
-        pt = sample_point(L.field, L.dim, sample_seed(seed, 70_000 + i), bound)
-        gamma = LinearForm(L.field, pt)
+        gamma = LinearForm(L.field, sampling.point(L.field, L.dim, 70_000 + i))
         if stabilizer(L, gamma).dim == ind:
             return gamma
     raise ConstructError("no regular linear form found in 60 seeded draws")
 
 
-def construct_theorem(L, casimirs=None, max_inv_deg=3, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAULT_SEED, candidates=None, max_depth=MAX_RECURSION, _depth=0):
+def construct_theorem(L, casimirs=None, max_inv_deg=3, samples=Sampling.samples, bound=Sampling.bound, seed=Sampling.seed, candidates=None, max_depth=MAX_RECURSION):
     """Certify a commutative subalgebra of U(L) of transcendence degree
     (dim + index)/2, following the case analysis on the nilradical.
 
@@ -676,8 +679,14 @@ def construct_theorem(L, casimirs=None, max_inv_deg=3, samples=DEFAULT_SAMPLES, 
     bracket stabilizer of the symplectic part, then lift through the
     correction map).  Each level validates L and its case's inputs; commutators
     and the transcendence degree are checked only by _certify, once per level.
+    samples, bound and seed are validated as one Sampling before any work.
     """
-    if _depth > max_depth:
+    return _construct(L, casimirs, max_inv_deg, Sampling(samples, bound, seed),
+                      candidates, max_depth, 0)
+
+
+def _construct(L, casimirs, max_inv_deg, sampling, candidates, max_depth, depth):
+    if depth > max_depth:
         raise ConstructError("reduction recursion exceeded %d levels" % max_depth)
     rep = validate(L)
     if not rep.ok:
@@ -685,7 +694,7 @@ def construct_theorem(L, casimirs=None, max_inv_deg=3, samples=DEFAULT_SAMPLES, 
             "input fails validation: %s %s"
             % (rep.jacobi_failures, rep.annotation_failures)
         )
-    b_target = b_of(L, samples, bound, seed)
+    b_target = b_of(L, sampling)
     trace = []
 
     if not L.table:
@@ -696,7 +705,7 @@ def construct_theorem(L, casimirs=None, max_inv_deg=3, samples=DEFAULT_SAMPLES, 
             ["abelian: generator %s" % lab for lab in L.labels],
         )
         trace.append("abelian: the whole enveloping algebra, dim %d" % L.dim)
-        return _certify(L, gens, b_target, trace, samples, bound, seed)
+        return _certify(L, gens, b_target, trace, sampling)
 
     try:
         reductive = is_reductive(L)
@@ -709,13 +718,13 @@ def construct_theorem(L, casimirs=None, max_inv_deg=3, samples=DEFAULT_SAMPLES, 
                 "no invariants up to degree %d; cannot build the shift family"
                 % max_inv_deg
             )
-        gamma = _regular_form(L, samples, bound, seed)
+        gamma = _regular_form(L, 2 * b_target - L.dim, sampling)
         gens = _symmetrize_family(L, _shift_family(L, cas, gamma))
         trace.append(
             "reductive: symmetrized shift family from %d invariants at a "
             "sampled regular form" % len(cas)
         )
-        return _certify(L, gens, b_target, trace, samples, bound, seed)
+        return _certify(L, gens, b_target, trace, sampling)
 
     try:
         cls = classify_nilradical(L)
@@ -733,20 +742,20 @@ def construct_theorem(L, casimirs=None, max_inv_deg=3, samples=DEFAULT_SAMPLES, 
         )
 
     if cls.kind == "abelian_ideal":
-        hat = abelian_qhat(L, cls.h, samples, bound, seed)
+        hat = _reduce_abelian(L, cls.h, sampling)
         trace.append(
             "abelian-ideal-reduction: ideal of dim %d, reduced dim %d over %s"
             % (hat.h.dim, hat.algebra.dim, ", ".join(hat.h_vars))
         )
-        sub_cert = construct_theorem(
-            hat.algebra, None, max_inv_deg, samples, bound, seed, candidates,
-            max_depth, _depth + 1,
+        sub_cert = _construct(
+            hat.algebra, None, max_inv_deg, sampling, candidates, max_depth, depth + 1
         )
+        _check_b_drop(b_target, sub_cert.b_target, hat.h.dim)
         trace.extend("  [reduced] " + t for t in sub_cert.trace)
-        # _certify sampled the sub-certificate's trdeg with these arguments
+        # _certify sampled the sub-certificate's trdeg with this sampling
         c, spec = _specialize(
             sub_cert.generators, hat.algebra.dim - 1, sub_cert.trdeg.value,
-            candidates, samples, bound, seed,
+            candidates, sampling,
         )
         trace.append("specialized the central element to %s" % c)
         target_alg = EnvelopingAlgebra(L)
@@ -769,7 +778,7 @@ def construct_theorem(L, casimirs=None, max_inv_deg=3, samples=DEFAULT_SAMPLES, 
                 raise ConstructError("lifted generator is not ideal-invariant")
         gset = GeneratorSet("associative", gens, prov)
         trace.append("lifted %d generators, adjoined the ideal" % len(spec.elements))
-        return _certify(L, gset, b_target, trace, samples, bound, seed)
+        return _certify(L, gset, b_target, trace, sampling)
 
     # Heisenberg nilradical
     split = cls.split
@@ -806,13 +815,11 @@ def construct_theorem(L, casimirs=None, max_inv_deg=3, samples=DEFAULT_SAMPLES, 
             "(dim %d), %d symplectic pairs" % (sub_space.dim, len(split.x))
         )
     sub_L, sub_vectors = subalgebra_of(L, sub_space)
-    sub_cert = construct_theorem(
-        sub_L, None, max_inv_deg, samples, bound, seed, candidates, max_depth, _depth + 1
-    )
+    sub_cert = _construct(sub_L, None, max_inv_deg, sampling, candidates, max_depth, depth + 1)
     trace.extend("  [stabilizer] " + t for t in sub_cert.trace)
     gens = _corrected_lift(L, split, sub_cert.generators, sub_vectors)
     trace.append("corrected lift with %d generators" % len(gens.elements))
-    return _certify(L, gens, b_target, trace, samples, bound, seed)
+    return _certify(L, gens, b_target, trace, sampling)
 
 
 # -- maximality probe ----------------------------------------------------------
@@ -834,7 +841,7 @@ def _in_span(field, rows, v):
     return rank(Matrix(field, rows + [list(v)], ncols=len(v))) == base
 
 
-def maximality_probe(A, d, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAULT_SEED):
+def maximality_probe(A, d, sampling=Sampling()):
     """Compare the degree-d centralizer of A with the span of A's own
     products: extra basis vectors are reported, together with whether the
     enlarged set still commutes and how much the transcendence degree grows.
@@ -877,8 +884,8 @@ def maximality_probe(A, d, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DE
     prod_rows = [coords(p) for p in prods]
     new = [u for u in cen if not _in_span(F, prod_rows, coords(u))]
     enlarged = elements + new
-    before = trdeg_jacobian(elements, samples, bound, seed).value
-    after = trdeg_jacobian(enlarged, samples, bound, seed).value
+    before = trdeg_jacobian(elements, sampling).value
+    after = trdeg_jacobian(enlarged, sampling).value
     return MaximalityReport(
         degree=d,
         centralizer_dim=len(cen),

@@ -15,6 +15,7 @@ otherwise; ``QQ.domain.dtype`` tells which one is running.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from sympy.polys.domains import QQ as _SYMPY_QQ
@@ -132,15 +133,6 @@ class Field:
             return self.domain.get_ring().one
         return self.domain.field.ring.one
 
-    def ring_is_zero(self, a):
-        return not a
-
-    def ring_mul(self, a, b):
-        return a * b
-
-    def ring_sub(self, a, b):
-        return a - b
-
     def ring_quo(self, a, b):
         """Exact division in the numerator ring; a remainder is an error."""
         q, r = divmod(a, b) if self.level == 0 else a.div(b)
@@ -150,8 +142,6 @@ class Field:
 
     def ring_gcd(self, a, b):
         if self.level == 0:
-            import math
-
             return math.gcd(int(a), int(b))
         return a.gcd(b)
 
@@ -166,12 +156,10 @@ class Field:
             if e.field is not self and e.field != self:
                 raise FieldError("tower-level mismatch: %r vs %r" % (self, e.field))
         if self.level == 0:
-            from math import lcm
-
             dens = [e.raw.denominator for e in elems]
             if all(d == 1 for d in dens):
                 return [e.raw.numerator for e in elems]
-            m = lcm(*dens)
+            m = math.lcm(*dens)
             return [e.raw.numerator * (m // d) for e, d in zip(elems, dens)]
         ring = self.domain.field.ring
         lcd = ring.one

@@ -1,9 +1,12 @@
 """Index, the bound b, symmetric invariants, regularity, transcendence degree.
 
 Sampling-based quantities (index, Jacobian transcendence degree) take the
-maximum of an exact rank over several random integer points.  An undershoot
-would need every sampled point to land on a proper closed subvariety, so the
-repeated maximum is reported as the generic value, together with the seed and
+maximum of an exact rank over several random integer points, all drawn by
+one frozen ``Sampling`` value (samples, bound, seed) through one loop,
+``Sampling.max_rank``.  A sampled rank can only undershoot the generic rank,
+and only when every point lands on a proper closed subvariety; by
+Schwartz-Zippel a point does so with probability at most degree/(2 bound).
+The maximum is reported as the generic value, together with the seed and
 the witness point that attained it.  All arithmetic stays exact.
 """
 
@@ -16,10 +19,6 @@ from .liealg import LinearForm, Subspace, coadjoint_form, stabilizer, subalgebra
 from .linalg import Matrix, kernel_basis, rank
 from .pbw import PBWElement, principal_symbol
 from .polyring import PolyElement, differential_at, poisson
-
-DEFAULT_SEED = 2020
-DEFAULT_SAMPLES = 5
-DEFAULT_BOUND = 10**4
 
 
 @dataclass(frozen=True)
@@ -71,18 +70,14 @@ def sample_seed(seed, i):
     return seed * 1_000_003 + i
 
 
-def _check_sampling(samples, bound):
-    if samples < 1 or bound < 1:
-        raise ValueError("samples and bound must be at least 1, got %s, %s" % (samples, bound))
-
-
 def sample_point(field, n, seed, bound, nonzero=frozenset()):
     """Random integer point, coordinates uniform in [-bound, bound].
 
     Indices in `nonzero` are redrawn until nonzero (they sit under a formal
     inverse somewhere in the caller's data).
     """
-    _check_sampling(1, bound)
+    if bound < 1:
+        raise ValueError("bound must be at least 1, got %s" % bound)
     rng = random.Random(seed)
     pt = []
     for i in range(n):
@@ -93,43 +88,68 @@ def sample_point(field, n, seed, bound, nonzero=frozenset()):
     return tuple(pt)
 
 
-def index_of(L, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAULT_SEED):
+@dataclass(frozen=True)
+class Sampling:
+    """How sampled ranks are drawn: `samples` points per rank, coordinates in
+    [-bound, bound], streams derived from `seed`.  Validated once, here."""
+
+    samples: int = 5
+    bound: int = 10**4
+    seed: int = 2020
+
+    def __post_init__(self):
+        if not all(isinstance(v, int) for v in (self.samples, self.bound, self.seed)):
+            raise TypeError("samples, bound and seed must be integers")
+        if self.samples < 1 or self.bound < 1:
+            raise ValueError(
+                "samples and bound must be at least 1, got %s, %s" % (self.samples, self.bound)
+            )
+
+    def point(self, field, n, stream, nonzero=frozenset()):
+        """The seeded point of one stream (a sample index plus a caller offset)."""
+        return sample_point(field, n, sample_seed(self.seed, stream), self.bound, nonzero)
+
+    def max_rank(self, field, n, matrix_at, offset=0, nonzero=frozenset()):
+        """(best, witness, ranks): the largest exact rank of matrix_at(p) over
+        the points of streams offset .. offset + samples - 1, the first point
+        attaining it, and every rank in stream order."""
+        best, witness, ranks = -1, (), []
+        for i in range(self.samples):
+            pt = self.point(field, n, offset + i, nonzero)
+            r = rank(matrix_at(pt))
+            ranks.append(r)
+            if r > best:
+                best, witness = r, pt
+        return best, witness, tuple(ranks)
+
+    def report(self, value, method, ranks=(), witness=()):
+        """A SampleReport stamped with this sampling's seed and samples."""
+        return SampleReport(value, method, self.seed, self.samples, ranks, witness)
+
+
+def index_of(L, sampling=Sampling()):
     """Index of L: dim minus the generic rank of the coadjoint form.
 
     The form gamma([x_i, x_j]) is evaluated at sampled integer points of the
     dual space; its rank is maximal outside a proper closed locus.
     """
-    _check_sampling(samples, bound)
-    best = -1
-    witness = ()
-    ranks = []
-    for i in range(int(samples)):
-        pt = sample_point(L.field, L.dim, sample_seed(seed, i), bound)
-        r = rank(coadjoint_form(L, LinearForm(L.field, pt)))
-        ranks.append(r)
-        if r > best:
-            best, witness = r, pt
-    return SampleReport(
-        value=L.dim - best,
-        method="coadjoint-rank-sampling",
-        seed=seed,
-        samples=int(samples),
-        ranks=tuple(ranks),
-        witness=witness,
+    best, witness, ranks = sampling.max_rank(
+        L.field, L.dim, lambda pt: coadjoint_form(L, LinearForm(L.field, pt))
     )
+    return sampling.report(L.dim - best, "coadjoint-rank-sampling", ranks, witness)
 
 
-def b_of(L, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAULT_SEED):
+def b_of(L, sampling=Sampling()):
     """(dim + index)/2, the upper bound for transcendence degrees of
     Poisson-commutative subalgebras of S(L)."""
-    two_b = L.dim + index_of(L, samples, bound, seed).value
+    two_b = L.dim + index_of(L, sampling).value
     if two_b % 2:
         # the coadjoint rank is even: an odd dim + index is a sampling failure
         raise ValueError("dim + index came out odd: the index sampling failed")
     return two_b // 2
 
 
-def b_rel(L, sub, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAULT_SEED):
+def b_rel(L, sub, sampling=Sampling()):
     """Relative bound b(L) - b(l) + ind(l) for a bracket-closed subspace l.
 
     The subalgebra's own index and b are computed intrinsically on its
@@ -138,9 +158,9 @@ def b_rel(L, sub, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAULT_SEE
     if not isinstance(sub, Subspace):
         sub = Subspace(L.field, L.dim, [tuple(v) for v in sub])
     sub_alg, _ = subalgebra_of(L, sub)
-    ind_l = index_of(sub_alg, samples, bound, seed).value
+    ind_l = index_of(sub_alg, sampling).value
     # b(l) - ind(l) = (dim l - ind l)/2, half the even rank of l's coadjoint form
-    return b_of(L, samples, bound, seed) - (sub_alg.dim - ind_l) // 2
+    return b_of(L, sampling) - (sub_alg.dim - ind_l) // 2
 
 
 def monomials_of_degree(nvars, d):
@@ -193,7 +213,7 @@ def symmetric_invariants(L, max_deg):
     return out
 
 
-def trdeg_jacobian(gens, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAULT_SEED):
+def trdeg_jacobian(gens, sampling=Sampling()):
     """Transcendence degree of a generating set via sampled Jacobian rank.
 
     Enveloping-algebra elements are first replaced by their principal symbols
@@ -201,7 +221,6 @@ def trdeg_jacobian(gens, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFA
     differentials is then sampled exactly as in index_of.  Coordinates under a
     formal inverse are kept nonzero.
     """
-    _check_sampling(samples, bound)
     if isinstance(gens, GeneratorSet):
         elements = list(gens.elements)
         if gens.flavor == "associative":
@@ -211,42 +230,22 @@ def trdeg_jacobian(gens, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFA
             principal_symbol(u) if isinstance(u, PBWElement) else u for u in gens
         ]
     if not elements:
-        return SampleReport(
-            value=0,
-            method="jacobian-rank-sampling",
-            seed=seed,
-            samples=int(samples),
-            ranks=(),
-            witness=(),
-        )
+        return sampling.report(0, "jacobian-rank-sampling")
     F = elements[0].field
     n = elements[0].nvars
     if any(f.field is not F or f.nvars != n for f in elements):
         raise FieldError("generators live in different polynomial rings")
     nz = frozenset().union(*(f.laurent for f in elements))
-    best = -1
-    witness = ()
-    ranks = []
-    for i in range(int(samples)):
-        pt = sample_point(F, n, sample_seed(seed, i), bound, nonzero=nz)
-        rows = [differential_at(f, pt) for f in elements]
-        r = rank(Matrix(F, rows, ncols=n))
-        ranks.append(r)
-        if r > best:
-            best, witness = r, pt
-    return SampleReport(
-        value=best,
-        method="jacobian-rank-sampling",
-        seed=seed,
-        samples=int(samples),
-        ranks=tuple(ranks),
-        witness=witness,
+    best, witness, ranks = sampling.max_rank(
+        F, n, lambda pt: Matrix(F, [differential_at(f, pt) for f in elements], ncols=n),
+        nonzero=nz,
     )
+    return sampling.report(best, "jacobian-rank-sampling", ranks, witness)
 
 
-def is_regular(L, gamma, samples=DEFAULT_SAMPLES, bound=DEFAULT_BOUND, seed=DEFAULT_SEED):
+def is_regular(L, gamma, sampling=Sampling()):
     """Does gamma have a coadjoint stabilizer of the minimal dimension?"""
     if not isinstance(gamma, LinearForm):
         gamma = LinearForm(L.field, gamma)
-    ind = index_of(L, samples, bound, seed).value
+    ind = index_of(L, sampling).value
     return stabilizer(L, gamma).dim == ind

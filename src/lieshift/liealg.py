@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .fields import FieldElement, FieldError
-from .linalg import Matrix, echelon_basis, kernel_basis, solve
+from .linalg import Matrix, echelon_basis, kernel_basis, rank, solve
 
 
 class LieAlgebraError(Exception):
@@ -629,8 +629,6 @@ def _killing_nondegenerate_on(L, S):
                         s = s + ca * cb * K[a, b]
             row.append(s)
         rows.append(row)
-    from .linalg import rank
-
     return rank(Matrix(F, rows, ncols=S.dim)) == S.dim
 
 
@@ -707,15 +705,7 @@ def classify_nilradical(L):
         raise LieAlgebraError("nilradical is not nilpotent")
 
     def to_ambient(S):
-        out = []
-        for b in S.basis:
-            w = L.zero_vector()
-            w = list(w)
-            for c, amb in zip(b, sub_basis):
-                if not c.is_zero:
-                    w = [wi + c * ai for wi, ai in zip(w, amb)]
-            out.append(tuple(w))
-        return Subspace(L.field, L.dim, out)
+        return Subspace(L.field, L.dim, [_sub_to_ambient(L, b, sub_basis) for b in S.basis])
 
     candidates = [to_ambient(sub_series.center)]
     for term in sub_series.lower_central:

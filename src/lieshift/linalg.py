@@ -75,14 +75,14 @@ def _bareiss(field, rows, ncols):
     below the rank are zero; only pivot rows are read.
     """
     rows = [row for row in map(field.clear_row, rows) if any(row)]
-    is_zero, mul, sub, quo = field.ring_is_zero, field.ring_mul, field.ring_sub, field.ring_quo
+    quo = field.ring_quo
     pivots = []
     dens = [field.ring_one()]  # dens[t] = d[t-1], the divisor of a row current to step t
     step = [0] * len(rows)  # the step each row is current to
     r = 0
     nrows = len(rows)
     for c in range(ncols):
-        p = next((i for i in range(r, nrows) if not is_zero(rows[i][c])), None)
+        p = next((i for i in range(r, nrows) if rows[i][c]), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
@@ -90,21 +90,21 @@ def _bareiss(field, rows, ncols):
         row_r = rows[r]
         if step[r] != r:  # catch up to pivot step r
             last, old = dens[r], dens[step[r]]
-            row_r = rows[r] = [a if is_zero(a) else quo(mul(last, a), old) for a in row_r]
+            row_r = rows[r] = [quo(last * a, old) if a else a for a in row_r]
         piv = row_r[c]
         for i in range(r + 1, nrows):
             row_i = rows[i]
             head = row_i[c]
-            if is_zero(head):
+            if not head:
                 continue
             old = dens[step[i]]
             for j in range(c + 1, ncols):
                 a, b = row_i[j], row_r[j]
-                if is_zero(a) and is_zero(b):
+                if not a and not b:
                     continue  # the quotient is 0, and row_i[j] already is
-                a = sub(mul(piv, a), mul(head, b))
-                row_i[j] = a if is_zero(a) else quo(a, old)
-            row_i[c] = sub(head, head)
+                a = piv * a - head * b
+                row_i[j] = quo(a, old) if a else a
+            row_i[c] = head - head
             step[i] = r + 1
         pivots.append((r, c))
         dens.append(piv)
@@ -128,7 +128,7 @@ def _back_substitute(field, rows, pivots, ncols, free):
         row = rows[r]
         s = dom.zero
         for j in range(c + 1, ncols):
-            if v[j] and not field.ring_is_zero(row[j]):
+            if v[j] and row[j]:
                 s = s + v[j] * row[j]
         v[c] = -s / row[c]
     return [FieldElement(field, x) for x in v]
@@ -160,11 +160,8 @@ def echelon_basis(field, rows):
         row = ring[r] = _normalize_ring_row(field, ring[r])
         for i in range(r):
             head = ring[i][c]
-            if not field.ring_is_zero(head):
-                ring[i] = [
-                    field.ring_sub(field.ring_mul(row[c], a), field.ring_mul(head, b))
-                    for a, b in zip(ring[i], row)
-                ]
+            if head:
+                ring[i] = [row[c] * a - head * b for a, b in zip(ring[i], row)]
     return [_from_ring_row(field, ring[r]) for r, _ in pivots], [c for _, c in pivots]
 
 
@@ -180,11 +177,10 @@ def _normalize_ring_row(field, row):
     (level 0) or with leading coefficient 1 (above)."""
     content = None
     for a in row:
-        if field.ring_is_zero(a):
-            continue
-        content = a if content is None else field.ring_gcd(content, a)
-    row = [a if field.ring_is_zero(a) else field.ring_quo(a, content) for a in row]
-    lead = next(a for a in row if not field.ring_is_zero(a))
+        if a:
+            content = a if content is None else field.ring_gcd(content, a)
+    row = [field.ring_quo(a, content) if a else a for a in row]
+    lead = next(a for a in row if a)
     if field.level == 0:
         return [-a for a in row] if lead < 0 else row
     lc = lead.LC
@@ -193,7 +189,7 @@ def _normalize_ring_row(field, row):
 
 def _from_ring_row(field, row):
     zero = field.zero  # one shared element for the (many) zero entries
-    return tuple(zero if field.ring_is_zero(a) else field.from_ring(a) for a in row)
+    return tuple(field.from_ring(a) if a else zero for a in row)
 
 
 def solve(field, a_rows, rhs):

@@ -33,7 +33,7 @@ from operator import add
 
 from .fields import FieldElement, FieldError
 from .linalg import Matrix, kernel_basis
-from .polyring import PolyElement, _acc
+from .polyring import PolyElement, _acc, _render_terms
 
 
 class EnvelopingAlgebra:
@@ -388,32 +388,7 @@ class PBWElement:
         return max(sum(e) for e in self.terms)
 
     def render(self, labels=None):
-        labels = labels or self.alg.L.labels
-        if not self.terms:
-            return "0"
-        items = sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-        parts = []
-        for exps, c in items:
-            order = sorted(
-                (i for i, e in enumerate(exps) if e), key=lambda i: self.alg._pos[i]
-            )
-            vs = "*".join(
-                labels[i] if exps[i] == 1 else "%s^%d" % (labels[i], exps[i])
-                for i in order
-            )
-            cs = str(c)
-            wrap = " " in cs or "/" in cs
-            neg = cs.startswith("-") and not wrap
-            if neg:
-                cs = cs[1:]
-            if wrap:
-                cs = "(%s)" % cs
-            body = cs if not vs else (vs if cs == "1" else "%s*%s" % (cs, vs))
-            if not parts:
-                parts.append("-" + body if neg else body)
-            else:
-                parts.append((" - " if neg else " + ") + body)
-        return "".join(parts)
+        return _render_terms(self.terms, labels or self.alg.L.labels, self.alg._order)
 
     def __repr__(self):
         return "PBWElement(%s)" % self.render()

@@ -224,34 +224,7 @@ class PolyElement:
         )
 
     def render(self, labels):
-        if not self.terms:
-            return "0"
-        items = sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-        parts = []
-        for exps, c in items:
-            vs = "*".join(
-                labels[i] if e == 1 else "%s^%d" % (labels[i], e)
-                for i, e in enumerate(exps)
-                if e
-            )
-            cs = str(c)
-            wrap = " " in cs or "/" in cs
-            neg = cs.startswith("-") and not wrap
-            if neg:
-                cs = cs[1:]
-            if wrap:
-                cs = "(%s)" % cs
-            if not vs:
-                body = cs
-            elif cs == "1":
-                body = vs
-            else:
-                body = "%s*%s" % (cs, vs)
-            if not parts:
-                parts.append("-" + body if neg else body)
-            else:
-                parts.append((" - " if neg else " + ") + body)
-        return "".join(parts)
+        return _render_terms(self.terms, labels, range(self.nvars))
 
     def __repr__(self):
         return "PolyElement(%s)" % self.render(
@@ -296,6 +269,36 @@ def poisson(L, f, g):
                     base[i] += 1
                     base[j] += 1
     return PolyElement._from_raw(L.field, L.dim, out, f.laurent | g.laurent)
+
+
+def _render_terms(terms, labels, order):
+    """Terms by descending degree, then exponent tuple; each monomial word
+    lists its variables in the index sequence order, zero exponents skipped.
+    A coefficient with a space or a slash is parenthesized and keeps its
+    sign; any other negative one becomes a minus sign."""
+    if not terms:
+        return "0"
+    items = sorted(terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+    parts = []
+    for exps, c in items:
+        vs = "*".join(
+            labels[i] if exps[i] == 1 else "%s^%d" % (labels[i], exps[i])
+            for i in order
+            if exps[i]
+        )
+        cs = str(c)
+        wrap = " " in cs or "/" in cs
+        neg = cs.startswith("-") and not wrap
+        if neg:
+            cs = cs[1:]
+        if wrap:
+            cs = "(%s)" % cs
+        body = cs if not vs else (vs if cs == "1" else "%s*%s" % (cs, vs))
+        if not parts:
+            parts.append("-" + body if neg else body)
+        else:
+            parts.append((" - " if neg else " + ") + body)
+    return "".join(parts)
 
 
 def _acc(d, m, c):

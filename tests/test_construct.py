@@ -1,6 +1,7 @@
 import pytest
 
 import lieshift.construct as construct_mod
+import lieshift.invariants as inv_mod
 from lieshift.construct import (
     ConstructError,
     abelian_qhat,
@@ -16,7 +17,7 @@ from lieshift.construct import (
     verify_hat_lemmas,
 )
 from lieshift.fields import QQ
-from lieshift.invariants import GeneratorSet, b_of, trdeg_jacobian
+from lieshift.invariants import GeneratorSet, Sampling, b_of, trdeg_jacobian
 from lieshift.liealg import (
     HeisenbergSplit,
     LieAlgebra,
@@ -196,10 +197,16 @@ def test_abelian_qhat_h5_center():
 
 
 @pytest.mark.parametrize("kw", [{"samples": 0}, {"bound": 0}])
-def test_abelian_qhat_rejects_nonpositive_sampling_arguments(kw):
+def test_abelian_qhat_rejects_nonpositive_sampling_arguments(kw, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before the arguments were checked")
+
+    monkeypatch.setattr(inv_mod, "sample_point", no_sampling)
     L = preset("aff1").algebra
     with pytest.raises(ValueError, match="at least 1"):
-        abelian_qhat(L, L.span_of_indices([1]), **kw)
+        abelian_qhat(L, L.span_of_indices([1]), Sampling(**kw))
+    with pytest.raises(ValueError, match="at least 1"):
+        construct_theorem(L, **kw)
 
 
 def test_abelian_qhat_rejects_bad_input():
@@ -425,6 +432,25 @@ def test_construct_samples_each_trdeg_once(monkeypatch, name, calls):
     monkeypatch.setattr(construct_mod, "trdeg_jacobian", counted)
     construct_theorem(preset(name).algebra)
     assert len(seen) == len(set(seen)) == calls
+
+
+@pytest.mark.parametrize("name,algebras", [("aff1", 2), ("borel-sl3", 3), ("sl3", 1)])
+def test_construct_samples_each_index_once(monkeypatch, name, algebras):
+    # each level's b_of supplies its regular form's index, and a reduced
+    # algebra's b is sampled once, as the next level's target
+    seen = []
+    real = inv_mod.index_of
+
+    def counted(L, *args):
+        seen.append(L)
+        return real(L, *args)
+
+    monkeypatch.setattr(inv_mod, "index_of", counted)
+    # also catch a direct call from construct, should it import index_of again
+    monkeypatch.setattr(construct_mod, "index_of", counted, raising=False)
+    P = preset(name)
+    construct_theorem(P.algebra, casimirs=P.casimirs or None)
+    assert len(seen) == len({id(L) for L in seen}) == algebras
 
 
 def test_certificate_catches_noncommuting_reductive_lift(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from lieshift.fields import QQ
 from lieshift.invariants import (
     GeneratorSet,
+    Sampling,
     b_of,
     b_rel,
     index_of,
@@ -55,14 +56,24 @@ def test_index_report_fields():
 
 @pytest.mark.parametrize("kw", [{"samples": 0}, {"samples": -1}, {"bound": 0}, {"bound": -5}])
 def test_nonpositive_sampling_arguments_rejected(kw):
-    L = preset("sl2").algebra
-    gens = GeneratorSet("poisson", [PolyElement.variable(QQ, 3, 0)], ["h"])
-    for fn, arg in ((index_of, L), (b_of, L), (trdeg_jacobian, gens)):
-        with pytest.raises(ValueError, match="at least 1"):
-            fn(arg, **kw)
+    with pytest.raises(ValueError, match="at least 1"):
+        Sampling(**kw)
     if "bound" in kw:
         with pytest.raises(ValueError, match="at least 1"):
             sample_point(QQ, 2, 7, kw["bound"])
+
+
+def test_sampling_draws_the_seeded_streams():
+    sampling = Sampling(samples=3, bound=50, seed=7)
+    assert sampling.point(QQ, 4, 90_001) == sample_point(QQ, 4, sample_seed(7, 90_001), 50)
+    L = preset("sl2").algebra
+    rep = index_of(L, sampling)
+    assert (rep.seed, rep.samples, len(rep.ranks)) == (7, 3, 3)
+    assert rep.witness == sampling.point(QQ, 3, rep.ranks.index(max(rep.ranks)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sampling.seed = 8
+    with pytest.raises(TypeError, match="integers"):
+        Sampling(samples=2.5)
 
 
 def test_b_of_raises_on_odd_dim_plus_index(monkeypatch):
