@@ -10,7 +10,7 @@ import json
 import re
 from fractions import Fraction
 
-from .fields import QQ, FieldElement, FieldError
+from .fields import QQ, FieldError
 from .liealg import HeisenbergSplit, LieAlgebra, Subspace, validate
 
 FORMAT = "lieshift/1"
@@ -32,15 +32,9 @@ def encode_scalar(c):
         p, q = c.as_rational()
         return str(p) if q == 1 else "%d/%d" % (p, q)
 
-    def ground(g):
-        base = f.base
-        if base.level == 0:
-            return FieldElement(base, base.domain.convert(g))
-        return FieldElement(base, g)
-
     def poly(p):
         return [
-            [list(exps), encode_scalar(ground(g))]
+            [list(exps), encode_scalar(f.base.from_ground(g))]
             for exps, g in sorted(p.terms())
         ]
 

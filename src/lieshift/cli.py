@@ -572,7 +572,7 @@ def main(argv=None):
     except InputError as e:
         print("input error: %s" % e, file=sys.stderr)
         return 2
-    except (ConstructError, LieAlgebraError, FieldError) as e:
+    except (ConstructError, LieAlgebraError, FieldError, VerificationFailure) as e:
         print("verification failure: %s" % e, file=sys.stderr)
         return 1
     except Exception as e:

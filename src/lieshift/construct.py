@@ -28,6 +28,7 @@ from .liealg import (
     LieAlgebraError,
     LinearForm,
     Subspace,
+    basis_brackets,
     bracket,
     check_split,
     classify_nilradical,
@@ -330,8 +331,7 @@ def _ideal_action(L, h):
         for w in h.basis[a + 1 :]:
             if any(not c.is_zero for c in bracket(L, u, w)):
                 raise ConstructError("the subspace is not abelian")
-    ad = [[h.coordinates(bracket(L, L.basis_vector(i), eta)) for i in range(L.dim)]
-          for eta in h.basis]
+    ad = [[h.coordinates(b) for b in basis_brackets(L, eta)] for eta in h.basis]
     if any(coords is None for ad_e in ad for coords in ad_e):
         raise ConstructError("the subspace is not an ideal")
     return ad
@@ -569,12 +569,6 @@ def _clear_denominators(u):
     return u * F.from_ring(acc)
 
 
-def _ground_to_field(base, g):
-    if base.level == 0:
-        return FieldElement(base, base.domain.convert(g))
-    return FieldElement(base, g)
-
-
 def _coeff_lift(hat, target_alg):
     """Map a top-level-polynomial coefficient c(w) to the ordered product
     c(h) inside U(ambient): monomials in the w variables become products of
@@ -589,7 +583,7 @@ def _coeff_lift(hat, target_alg):
             raise ConstructError("internal: denominator not cleared before lift")
         out = target_alg.zero()
         for exps, ground in raw.numer.terms():
-            term = target_alg.one() * _ground_to_field(base, ground)
+            term = target_alg.one() * base.from_ground(ground)
             for t, e in enumerate(exps):
                 for _ in range(e):
                     term = term * h_elems[t]

@@ -6,20 +6,22 @@ K(h*) during the abelian-ideal reduction. Elements are kept in a canonical
 reduced form: numerator and denominator coprime, denominator with grlex
 leading coefficient 1 (positive denominator at level 0).
 
-Arithmetic is delegated to sympy's polys domains (nested fraction fields
-with grlex ordering over sympy's QQ); this module owns the canonical form,
-the tower bookkeeping and the error contract. sympy's QQ uses gmpy2's mpq
-when gmpy2 is installed and falls back to its pure-Python ``PythonMPQ``
-otherwise; ``QQ.domain.dtype`` tells which one is running.
+Level 0 computes on the standard library's ``fractions.Fraction``; its
+``Field.domain`` offers only what the kernels use: ``zero``, ``one`` and
+``convert``. Above level 0 arithmetic is delegated to
+sympy's polys domains (nested fraction fields with grlex ordering over
+sympy's QQ), and sympy is imported when the first such field is built, so
+a computation over Q never loads it. A level-0 value enters a tower as
+sympy's ``QQ(p, q)`` (``Field.lift``) and comes back down through its
+numerator and denominator (``Field.from_ground``). This module owns the
+canonical form, the tower bookkeeping and the error contract.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
-
-from sympy.polys.domains import QQ as _SYMPY_QQ
-from sympy.polys.orderings import grlex
 
 MAX_TOWER_DEPTH = 3
 
@@ -32,8 +34,9 @@ class Field:
     """Descriptor of one level of the scalar tower.
 
     Immutable; equality and hashing are structural so a field can key caches.
-    The sympy domain is computed once, when the field is built; structurally
-    equal fields share one domain.
+    The domain is computed once, when the field is built: ``RATIONALS`` at
+    level 0, a sympy fraction field above, shared by structurally equal
+    fields.
     """
 
     __slots__ = ("level", "variables", "base", "domain")
@@ -42,7 +45,7 @@ class Field:
         self.level = level
         self.variables = tuple(variables)
         self.base = base
-        self.domain = _sympy_domain(self.variables, base)
+        self.domain = RATIONALS if base is None else _sympy_domain(self.variables, base)
 
     def __eq__(self, other):
         return (
@@ -96,7 +99,7 @@ class Field:
         if q == 0:
             raise FieldError("division by zero")
         if self.level == 0:
-            return FieldElement(self, self.domain(int(p), int(q)))
+            return FieldElement(self, Fraction(int(p), int(q)))
         return self.lift(self.base.rational(p, q))
 
     def var(self, name):
@@ -122,15 +125,24 @@ class Field:
         if f is None:
             raise FieldError("element of %r does not embed into %r" % (elem.field, self))
         raw = elem.raw
+        if elem.field.level == 0:  # into sympy's QQ, the ground of level 1
+            raw = chain[-1].domain.domain(raw.numerator, raw.denominator)
         for g in reversed(chain):
             raw = g.domain.field.ground_new(raw)
         return FieldElement(self, raw)
+
+    def from_ground(self, g):
+        """This field's element for a ground coefficient of the polynomials
+        one level up: a sympy rational at level 0, a raw element above."""
+        if self.level == 0:
+            return FieldElement(self, Fraction(int(g.numerator), int(g.denominator)))
+        return FieldElement(self, g)
 
     # -- numerator-ring access (for fraction-free elimination) ---------------
 
     def ring_one(self):
         if self.level == 0:
-            return self.domain.get_ring().one
+            return 1
         return self.domain.field.ring.one
 
     def ring_quo(self, a, b):
@@ -145,9 +157,31 @@ class Field:
             return math.gcd(int(a), int(b))
         return a.gcd(b)
 
+    # -- kernel values: integers over one denominator at level 0 ------------
+
+    def kernel_values(self, raws):
+        """(d, values) with raw value r_i = values[i] / d.
+
+        At level 0 the values are integers over the least common
+        denominator d, so a kernel adds and multiplies them without rational
+        arithmetic and divides once per result (``from_kernel``). Above
+        level 0 they are the raw values themselves, with d = 1.
+        """
+        if self.level:
+            return 1, list(raws)
+        ratios = [r.as_integer_ratio() for r in raws]
+        d = math.lcm(*(q for _, q in ratios))
+        return d, [p if q == d else p * (d // q) for p, q in ratios]
+
+    def from_kernel(self, x, d):
+        """The element x / d of a kernel value x over the denominator d."""
+        if self.level:
+            return FieldElement(self, x)
+        return FieldElement(self, Fraction(x, d))
+
     def from_ring(self, a):
         if self.level == 0:
-            return FieldElement(self, self.domain.convert(a))
+            return FieldElement(self, Fraction(a))
         return FieldElement(self, self.domain.field.new(a, self.domain.field.ring.one))
 
     def clear_row(self, elems):
@@ -156,11 +190,7 @@ class Field:
             if e.field is not self and e.field != self:
                 raise FieldError("tower-level mismatch: %r vs %r" % (self, e.field))
         if self.level == 0:
-            dens = [e.raw.denominator for e in elems]
-            if all(d == 1 for d in dens):
-                return [e.raw.numerator for e in elems]
-            m = math.lcm(*dens)
-            return [e.raw.numerator * (m // d) for e, d in zip(elems, dens)]
+            return self.kernel_values([e.raw for e in elems])[1]
         ring = self.domain.field.ring
         lcd = ring.one
         for e in elems:
@@ -170,12 +200,30 @@ class Field:
         return [e.raw.numer * lcd.quo(e.raw.denom) for e in elems]
 
 
+class _Rationals:
+    """The level-0 domain: Q on ``fractions.Fraction``."""
+
+    __slots__ = ()
+    zero = Fraction(0)
+    one = Fraction(1)
+    convert = staticmethod(Fraction)
+
+    def __repr__(self):
+        return "RATIONALS"
+
+
+RATIONALS = _Rationals()
+
+
 @lru_cache(maxsize=None)
 def _sympy_domain(variables, base):
-    """The sympy domain of the field over ``base`` adjoining ``variables``."""
-    if base is None:
-        return _SYMPY_QQ
-    domain = base.domain.frac_field(*variables, order=grlex)
+    """The sympy domain of the field over ``base`` adjoining ``variables``;
+    the only place sympy is imported."""
+    from sympy.polys.domains import QQ as sympy_qq
+    from sympy.polys.orderings import grlex
+
+    ground = sympy_qq if base.level == 0 else base.domain
+    domain = ground.frac_field(*variables, order=grlex)
     if base.level > 0:
         _convert_ground_elements(domain)
     return domain
@@ -215,7 +263,7 @@ class FieldElement:
         self.field = field
         if field.level > 0:
             lc = raw.denom.LC
-            if lc and lc != field.base.domain.one:
+            if lc and lc != field.domain.domain.one:
                 # raw_new skips cancellation, which would undo the rescale
                 raw = raw.raw_new(raw.numer.quo_ground(lc), raw.denom.quo_ground(lc))
         self.raw = raw

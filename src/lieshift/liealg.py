@@ -119,7 +119,8 @@ class Subspace:
                 acc[k] = acc.get(k, zero) + c * b
         if any(acc.values()):
             return None
-        return [FieldElement(field, c) for c in coords]
+        zero_elem = field.zero
+        return [FieldElement(field, c) if c else zero_elem for c in coords]
 
     def contains(self, v):
         return self.coordinates(v) is not None
@@ -228,14 +229,22 @@ class LieAlgebra:
         return StructureSeries(self)
 
     @cached_property
-    def raw_brackets(self):
-        """{i: {j: ((k, c_ij^k), ...)}} over the nonzero brackets [x_i, x_j],
-        both orders, with raw domain coefficients, for the arithmetic kernels."""
+    def kernel_brackets(self):
+        """(D, {i: {j: ((k, c), ...)}}): the nonzero brackets [x_i, x_j], both
+        orders, as kernel values c = D c_ij^k over one denominator D
+        (``Field.kernel_values``), for the arithmetic kernels. At level 0 the
+        c are integers, the constants of the basis y_i = D x_i; above, D = 1
+        and the c are raw domain values."""
+        D, values = self.field.kernel_values(
+            [c.raw for comp in self.table.values() for c in comp.values()]
+        )
+        it = iter(values)
         out = {}
         for (i, j), comp in self.table.items():
-            out.setdefault(i, {})[j] = tuple((k, c.raw) for k, c in comp.items())
-            out.setdefault(j, {})[i] = tuple((k, -c.raw) for k, c in comp.items())
-        return out
+            row = tuple((k, next(it)) for k in comp)
+            out.setdefault(i, {})[j] = row
+            out.setdefault(j, {})[i] = tuple((k, -c) for k, c in row)
+        return D, out
 
     def central_indices(self):
         return self.annotations.get("central", frozenset())
@@ -257,19 +266,46 @@ def _raw_support(field, v):
     return out
 
 
+def _kernel_support(field, v):
+    """(d, [(index, kernel value), ...]) over the nonzero coordinates of v."""
+    support = _raw_support(field, v)
+    d, values = field.kernel_values([x for _, x in support])
+    return d, [(i, x) for (i, _), x in zip(support, values)]
+
+
 def bracket(L, a, b):
     """[a, b] for coordinate vectors a, b.
 
-    Sums c_ij^k a_i b_j over the nonzero coordinates of a and b on raw domain
-    values and wraps each output coordinate once.
+    Sums c_ij^k a_i b_j over the nonzero coordinates of a and b on kernel
+    values (integers over one denominator at level 0, see
+    ``Field.kernel_values``) and wraps each nonzero output coordinate once;
+    the zero coordinates share one element.
     """
     if len(a) != L.dim or len(b) != L.dim:
         raise LieAlgebraError("vector length does not match ambient dim")
+    return _bracket_supports(L, _kernel_support(L.field, a), _kernel_support(L.field, b))
+
+
+def _brackets(L, us, ws=None):
+    """(i, j, [us[i], ws[j]]) over all pairs, or over the pairs i < j of us
+    when ws is None; each vector's support is read once."""
+    for v in (*us, *(ws or ())):
+        if len(v) != L.dim:
+            raise LieAlgebraError("vector length does not match ambient dim")
+    su = [_kernel_support(L.field, u) for u in us]
+    sw = su if ws is None else [_kernel_support(L.field, w) for w in ws]
+    for i, a in enumerate(su):
+        for j in range(i + 1 if ws is None else 0, len(sw)):
+            yield i, j, _bracket_supports(L, a, sw[j])
+
+
+def _bracket_supports(L, a, b):
+    """[a, b] from the ``_kernel_support`` of a and of b."""
     field = L.field
-    rows = L.raw_brackets
-    sb = _raw_support(field, b)
-    out = [field.domain.zero] * L.dim
-    for i, ca in _raw_support(field, a):
+    D, rows = L.kernel_brackets
+    (da, sa), (db, sb) = a, b
+    out = {}
+    for i, ca in sa:
         row = rows.get(i)
         if row is None:
             continue
@@ -279,8 +315,50 @@ def bracket(L, a, b):
                 continue
             c = ca * cb
             for k, s in comp:
-                out[k] += c * s
-    return tuple(FieldElement(field, x) for x in out)
+                x = out.get(k)
+                out[k] = c * s if x is None else x + c * s
+    den = da * db * D
+    zero = field.zero
+    res = [zero] * L.dim
+    for k, x in out.items():
+        if x:
+            res[k] = field.from_kernel(x, den)
+    return tuple(res)
+
+
+def basis_brackets(L, w):
+    """([x_0, w], ..., [x_{n-1}, w]): w bracketed with every basis vector.
+
+    One pass over the nonzero coordinates of w on kernel values, using
+    [x_i, w] = -sum_j w_j [x_j, x_i]; each nonzero output coordinate is
+    wrapped once and the zero coordinates share one element.
+    """
+    if len(w) != L.dim:
+        raise LieAlgebraError("vector length does not match ambient dim")
+    field = L.field
+    D, rows = L.kernel_brackets
+    dw, sw = _kernel_support(field, w)
+    out = [{} for _ in range(L.dim)]
+    for j, cw in sw:
+        for i, comp in rows.get(j, {}).items():
+            acc = out[i]
+            for k, s in comp:
+                x = acc.get(k)
+                acc[k] = -cw * s if x is None else x - cw * s
+    den = dw * D
+    zero = field.zero
+    images = []
+    for acc in out:
+        res = [zero] * L.dim
+        for k, x in acc.items():
+            if x:
+                res[k] = field.from_kernel(x, den)
+        images.append(tuple(res))
+    return images
+
+
+def _is_central(L, w):
+    return not any(any(b) for b in basis_brackets(L, w))
 
 
 @dataclass
@@ -333,20 +411,11 @@ def validate(L):
 
 
 def _is_subalgebra(L, S):
-    for i, u in enumerate(S.basis):
-        for w in S.basis[i + 1 :]:
-            if not S.contains(bracket(L, u, w)):
-                return False
-    return True
+    return all(S.contains(b) for _, _, b in _brackets(L, S.basis))
 
 
 def _is_ideal(L, S):
-    for i in range(L.dim):
-        e = L.basis_vector(i)
-        for w in S.basis:
-            if not S.contains(bracket(L, e, w)):
-                return False
-    return True
+    return all(S.contains(b) for w in S.basis for b in basis_brackets(L, w))
 
 
 def _check_annotated_subspace(L, key, S):
@@ -378,23 +447,18 @@ def check_split(L, split):
         out.append("split has mismatched x/y lengths")
         return out
     z = split.z
-    for i in range(L.dim):
-        if any(not c.is_zero for c in bracket(L, L.basis_vector(i), z)):
-            out.append("split center is not central in the ambient algebra")
-            break
-    for i, xi in enumerate(split.x):
-        for j, yj in enumerate(split.y):
-            b = bracket(L, xi, yj)
-            if i == j:
-                if tuple(b) != tuple(z):
-                    out.append("[x_%d, y_%d] != z" % (i, j))
-            elif any(not c.is_zero for c in b):
-                out.append("[x_%d, y_%d] != 0" % (i, j))
+    if not _is_central(L, z):
+        out.append("split center is not central in the ambient algebra")
+    for i, j, b in _brackets(L, split.x, split.y):
+        if i == j:
+            if tuple(b) != tuple(z):
+                out.append("[x_%d, y_%d] != z" % (i, j))
+        elif any(b):
+            out.append("[x_%d, y_%d] != 0" % (i, j))
     for name, fam in (("x", split.x), ("y", split.y)):
-        for i, u in enumerate(fam):
-            for w in fam[i + 1 :]:
-                if any(not c.is_zero for c in bracket(L, u, w)):
-                    out.append("[%s, %s] family is not isotropic" % (name, name))
+        for _, _, b in _brackets(L, fam):
+            if any(b):
+                out.append("[%s, %s] family is not isotropic" % (name, name))
     v = Subspace(F, L.dim, list(split.x) + list(split.y))
     if v.dim != 2 * n:
         out.append("x, y vectors are not independent")
@@ -411,17 +475,20 @@ def check_split(L, split):
 
 
 def coadjoint_form(L, gamma):
-    """Antisymmetric matrix gamma([x_i, x_j])."""
+    """Antisymmetric matrix gamma([x_i, x_j]), summed on kernel values."""
     F = L.field
+    D, brackets = L.kernel_brackets
+    dg, g = F.kernel_values([c.raw for c in gamma.coords])
+    den = D * dg
     zero = F.zero
     rows = [[zero] * L.dim for _ in range(L.dim)]
-    for (i, j), comp in L.table.items():
-        val = zero
-        for k, c in comp.items():
-            if not gamma.coords[k].is_zero:
-                val = val + c * gamma.coords[k]
-        rows[i][j] = val
-        rows[j][i] = -val
+    for i, row in brackets.items():
+        for j, comp in row.items():
+            if i < j:
+                val = sum(c * g[k] for k, c in comp if g[k])
+                if val:
+                    rows[i][j] = F.from_kernel(val, den)
+                    rows[j][i] = F.from_kernel(-val, den)
     return Matrix(F, rows, ncols=L.dim)
 
 
@@ -440,7 +507,7 @@ class StructureSeries:
     algebra.
 
     It holds the algebra's ``field``, ``dim``, ``table`` and
-    ``raw_brackets`` (shared, not copied), which is all that ``center_of``,
+    ``kernel_brackets`` (shared, not copied), which is all that ``center_of``,
     ``bracket`` and ``_bracket_span`` read, and stands in for the algebra in
     those calls. It holds no reference to the algebra itself, so caching it
     on the algebra makes no reference cycle and a temporary algebra is freed
@@ -451,7 +518,7 @@ class StructureSeries:
         self.field = L.field
         self.dim = L.dim
         self.table = L.table
-        self.raw_brackets = L.raw_brackets
+        self.kernel_brackets = L.kernel_brackets
 
     def _full(self):
         n = self.dim
@@ -520,13 +587,8 @@ def center_of(L):
 
 def _bracket_span(L, A, B):
     """span [A, B]; when A is B only the pairs a < b are bracketed."""
-    if A is B:
-        vecs = [
-            bracket(L, u, w) for i, u in enumerate(A.basis) for w in A.basis[i + 1 :]
-        ]
-    else:
-        vecs = [bracket(L, u, w) for u in A.basis for w in B.basis]
-    return Subspace(L.field, L.dim, vecs)
+    pairs = _brackets(L, A.basis, None if A is B else B.basis)
+    return Subspace(L.field, L.dim, [b for _, _, b in pairs])
 
 
 def structure_series(L):
@@ -550,15 +612,13 @@ def subalgebra_of(L, S):
         else:
             labels.append("v%d" % idx)
     table = {}
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            w = bracket(L, basis[i], basis[j])
-            coords = S.coordinates(w)
-            if coords is None:
-                raise LieAlgebraError("subspace is not closed under the bracket")
-            comp = {k: c for k, c in enumerate(coords) if not c.is_zero}
-            if comp:
-                table[(i, j)] = comp
+    for i, j, w in _brackets(L, basis):
+        coords = S.coordinates(w)
+        if coords is None:
+            raise LieAlgebraError("subspace is not closed under the bracket")
+        comp = {k: c for k, c in enumerate(coords) if not c.is_zero}
+        if comp:
+            table[(i, j)] = comp
     ann = {}
     # the table holds every nonzero [b_i, b_j], so b_k is central exactly
     # when no entry involves k
@@ -724,11 +784,7 @@ def classify_nilradical(L):
             continue
         if not _is_ideal(L, h):
             continue
-        acts = any(
-            any(not c.is_zero for c in bracket(L, L.basis_vector(i), w))
-            for i in range(L.dim)
-            for w in h.basis
-        )
+        acts = not all(_is_central(L, w) for w in h.basis)
         if h.dim > 1 or acts:
             return NilradicalClass(kind="abelian_ideal", nilradical=n_space, h=h)
     if n_space.dim == 1:
@@ -759,18 +815,11 @@ def _darboux_split(L, n_space, sub, sub_basis):
         )
     z = _sub_to_ambient(L, zc.basis[0], sub_basis)
     zline = Subspace(F, L.dim, [z])
-    for i in range(L.dim):
-        if any(not c.is_zero for c in bracket(L, L.basis_vector(i), z)):
-            raise LieAlgebraError(
-                "Darboux construction failure: center line is not central"
-            )
-    for i, u in enumerate(n_space.basis):
-        for w in n_space.basis[i + 1 :]:
-            b = bracket(L, u, w)
-            if any(not c.is_zero for c in b) and not zline.contains(b):
-                raise LieAlgebraError(
-                    "Darboux construction failure: [n, n] leaves the center line"
-                )
+    if not _is_central(L, z):
+        raise LieAlgebraError("Darboux construction failure: center line is not central")
+    for _, _, b in _brackets(L, n_space.basis):
+        if any(b) and not zline.contains(b):
+            raise LieAlgebraError("Darboux construction failure: [n, n] leaves the center line")
     v_basis = _stable_complement(L, n_space, sub_basis, z)
     pairs_x, pairs_y = _greedy_pairing(L, v_basis, z)
     lb = _v_stabilizer(L, pairs_x + pairs_y, z)
@@ -850,7 +899,10 @@ def _greedy_pairing(L, v_basis, z):
             cu = _omega(L, z, b, y1)
             cy = _omega(L, z, b, u)
             for t in range(len(b)):
-                b[t] = b[t] - cu * u[t] + cy * y1[t]
+                if cu and u[t]:
+                    b[t] = b[t] - cu * u[t]
+                if cy and y1[t]:
+                    b[t] = b[t] + cy * y1[t]
         xs.append(tuple(u))
         ys.append(tuple(y1))
     return xs, ys
@@ -875,8 +927,7 @@ def _v_stabilizer(L, v_vectors, z):
     rows = []
     for w in v.basis:
         row = []
-        for i in range(L.dim):
-            b = bracket(L, L.basis_vector(i), w)
+        for b in basis_brackets(L, w):
             if not vz.contains(b):
                 raise LieAlgebraError("vector outside v + span z")
             row.append(phi.of_vector(b))

@@ -184,7 +184,7 @@ def _normalize_ring_row(field, row):
     if field.level == 0:
         return [-a for a in row] if lead < 0 else row
     lc = lead.LC
-    return row if lc == field.base.domain.one else [a.quo_ground(lc) for a in row]
+    return row if lc == field.domain.domain.one else [a.quo_ground(lc) for a in row]
 
 
 def _from_ring_row(field, row):

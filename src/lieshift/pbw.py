@@ -8,9 +8,9 @@ negative exponents (localization at z), which is sound because they commute
 with everything (verified, not assumed).
 
 The straightening kernels (``mul_mono``, ``symm_mono``, products,
-``commutator``, ``symmetrize``) run on a table of structure constants read
-once per algebra, and ``_mul_cache`` and ``_symm_cache`` hold coefficients of
-that table's type:
+``commutator``, ``symmetrize``) run on the algebra's structure constants as
+kernel values (``LieAlgebra.kernel_brackets``), and ``_mul_cache`` and
+``_symm_cache`` hold coefficients of that table's type:
 
 * At level 0 the table is integral. With D the least common denominator of
   the structure constants (1 for every preset), the basis y_i = D x_i has
@@ -62,10 +62,10 @@ class EnvelopingAlgebra:
             tuple(int(k == i) for k in range(L.dim)) for i in range(L.dim)
         )
         if L.field.level == 0:
-            self._scale, self._brackets = _integer_table(L.raw_brackets)
+            self._scale, self._brackets = L.kernel_brackets
             self._one = 1
         else:
-            self._scale, self._brackets = None, L.raw_brackets
+            self._scale, self._brackets = None, L.kernel_brackets[1]
             self._one = L.field.domain.one
         self._mul_cache = {}
         self._symm_cache = {}
@@ -200,28 +200,6 @@ class EnvelopingAlgebra:
         return total
 
 
-def _integer_table(raw_brackets):
-    """(D, table): D the least common denominator of the level-0 structure
-    constants, table the constants D c_ij^k of the basis y_i = D x_i as
-    Python ints, in the layout of ``LieAlgebra.raw_brackets``."""
-    D = lcm(
-        *(
-            int(c.denominator)
-            for row in raw_brackets.values()
-            for comp in row.values()
-            for _, c in comp
-        )
-    )
-    table = {
-        i: {
-            j: tuple((k, int(c.numerator) * (D // int(c.denominator))) for k, c in comp)
-            for j, comp in row.items()
-        }
-        for i, row in raw_brackets.items()
-    }
-    return D, table
-
-
 def _product_into(out, alg, left, right):
     """Accumulate left * right into out; all three map monomials to nonzero
     table coefficients, and a sum that cancels is dropped."""
@@ -302,11 +280,11 @@ class PBWElement:
         if D is None:
             self.terms = {m: FieldElement(field, c) for m, c in raw.items()}
             return self
-        Q = field.domain
         terms = {}
         for m, n in raw.items():
             s = sum(m)
-            terms[m] = FieldElement(field, Q(n * D**s, den) if s >= 0 else Q(n, den * D**-s))
+            num, d = (n * D**s, den) if s >= 0 else (n, den * D**-s)
+            terms[m] = field.from_kernel(num, d)
         self.terms = terms
         return self
 

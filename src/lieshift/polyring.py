@@ -5,9 +5,11 @@ the algebra's tower field. Negative exponents are allowed only at explicitly
 flagged (central) indices, mirroring the localized enveloping algebra; the
 formal inverse obeys z * z^-1 = 1 eagerly through exponent addition.
 
-The Poisson kernel computes on raw ``field.domain`` values and wraps each
-result coefficient once, through a trusted constructor that skips the
-per-term checks the public constructor keeps for caller input.
+The Poisson and gradient kernels compute on kernel values (integers over
+one denominator at level 0, raw ``field.domain`` values above; see
+``Field.kernel_values``) and wrap each result coefficient once, through a
+trusted constructor that skips the per-term checks the public constructor
+keeps for caller input.
 """
 
 from __future__ import annotations
@@ -33,21 +35,20 @@ class PolyElement:
             c = c if isinstance(c, FieldElement) else field.rational(c)
             if c.field is not field and c.field != field:
                 raise FieldError("coefficient of %r in a ring over %r" % (c.field, field))
-            if not c.is_zero:
-                clean[exps] = clean.get(exps, field.zero) + c
-                if clean[exps].is_zero:
-                    del clean[exps]
+            if c:
+                _acc(clean, exps, c)
         self.terms = clean
 
     @classmethod
-    def _from_raw(cls, field, nvars, raw, laurent):
-        """Trusted constructor for kernel output: raw holds nonzero domain
-        values at well-formed exponents, so only the wrapping is done."""
+    def _from_kernel(cls, field, nvars, values, den, laurent):
+        """Trusted constructor for kernel output: values holds nonzero kernel
+        values over the denominator den at well-formed exponents, so only
+        the wrapping is done."""
         self = object.__new__(cls)
         self.field = field
         self.nvars = nvars
         self.laurent = frozenset(laurent)
-        self.terms = {e: FieldElement(field, c) for e, c in raw.items()}
+        self.terms = {e: field.from_kernel(c, den) for e, c in values.items()}
         return self
 
     # -- constructors ----------------------------------------------------
@@ -241,13 +242,15 @@ def poisson(L, f, g):
     """
     if f.field != L.field or g.field != L.field or f.nvars != L.dim or g.nvars != L.dim:
         raise FieldError("mixed polynomial ambients")
-    rows = L.raw_brackets
+    field = L.field
+    D, rows = L.kernel_brackets
+    df, fvalues = field.kernel_values([c.raw for c in f.terms.values()])
+    dg, gvalues = field.kernel_values([c.raw for c in g.terms.values()])
     gterms = [
-        (e2, c2.raw, [j for j, x in enumerate(e2) if x]) for e2, c2 in g.terms.items()
+        (e2, c2, [j for j, x in enumerate(e2) if x]) for e2, c2 in zip(g.terms, gvalues)
     ]
     out = {}
-    for e1, c1 in f.terms.items():
-        c1 = c1.raw
+    for e1, c1 in zip(f.terms, fvalues):
         s1 = [(i, rows[i]) for i, x in enumerate(e1) if x and i in rows]
         if not s1:
             continue
@@ -268,7 +271,7 @@ def poisson(L, f, g):
                         base[k] -= 1
                     base[i] += 1
                     base[j] += 1
-    return PolyElement._from_raw(L.field, L.dim, out, f.laurent | g.laurent)
+    return PolyElement._from_kernel(field, L.dim, out, df * dg * D, f.laurent | g.laurent)
 
 
 def _render_terms(terms, labels, order):
@@ -315,11 +318,13 @@ def _acc(d, m, c):
 def differential_at(f, point):
     """Gradient vector of f evaluated at a point of the dual space.
 
-    One pass over the terms on raw domain values: a term c x^e adds
-    c e_i x^(e - eps_i) to entry i for every i with e_i != 0. Powers are
-    computed once per (index, exponent), and factors equal to 1 (a zeroth
-    power, e_i = 1) are not multiplied in. A formal inverse evaluated at
-    zero raises FieldError, as ``evaluate`` does on the partial derivatives.
+    One pass over the terms on kernel values: a term c x^e adds
+    c e_i x^(e - eps_i) to entry i for every i with e_i != 0. A point
+    without denominators is raised to positive powers as kernel values
+    (integers at level 0), any other power is taken of the raw coordinate.
+    Powers are computed once per (index, exponent), and zeroth powers are
+    not multiplied in. A formal inverse evaluated at zero raises FieldError,
+    as ``evaluate`` does on the partial derivatives.
     """
     field = f.field
     if len(point) != f.nvars:
@@ -331,28 +336,32 @@ def differential_at(f, point):
         elif c.field is not field and c.field != field:
             raise FieldError("tower-level mismatch: %r vs %r" % (field, c.field))
         pt.append(c.raw)
-    one = field.domain.one
+    dp, kpt = field.kernel_values(pt)
+    if dp != 1:
+        kpt = pt
+    den, values = field.kernel_values([c.raw for c in f.terms.values()])
     powers = {}
 
     def power(i, k):
         p = powers.get((i, k))
         if p is None:
-            p = powers[(i, k)] = pt[i] ** k if k else one
+            p = powers[(i, k)] = kpt[i] ** k if k > 0 else pt[i] ** k
         return p
 
-    grad = [field.domain.zero] * f.nvars
-    for e, c in f.terms.items():
+    grad = [None] * f.nvars
+    for e, c in zip(f.terms, values):
         supp = [(i, k) for i, k in enumerate(e) if k]
         if any(k < 0 and not pt[i] for i, k in supp):
             raise FieldError("evaluating a formal inverse at zero")
         for i, k in supp:
-            g = c.raw if k == 1 else c.raw * k
+            g = c if k == 1 else c * k
             for j, kj in supp:
-                p = power(j, kj - 1 if j == i else kj)
-                if p is not one:
-                    g = g * p
-            grad[i] += g
-    return [FieldElement(field, g) for g in grad]
+                kj = kj - 1 if j == i else kj
+                if kj:
+                    g = g * power(j, kj)
+            grad[i] = g if grad[i] is None else grad[i] + g
+    zero = field.zero
+    return [zero if g is None else field.from_kernel(g, den) for g in grad]
 
 
 def gamma_shift(h, gamma, k):

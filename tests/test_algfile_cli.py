@@ -53,6 +53,42 @@ def test_scalar_codec_tower():
         decode_scalar(F, {"num": [[[0, 0], "1"]], "den": [[[0, 0], "0"]]})
 
 
+def test_scalar_codec_tower_rational_coefficients():
+    # level-0 coefficients with signs and non-unit denominators go up into
+    # Q(t) and Q(t)(s) and come back down as the same strings
+    Qt = QQ.extend("t")
+    Qts = Qt.extend("s")
+    t, s = Qt.var("t"), Qts.var("s")
+    c = (t * Qt.rational(-3, 7) + Qt.rational(1, 2)) / (t - Qt.rational(5, 4))
+    c_data = {"num": [[[0], "1/2"], [[1], "-3/7"]], "den": [[[0], "-5/4"], [[1], "1"]]}
+    assert encode_scalar(c) == c_data
+    assert decode_scalar(Qt, c_data) == c
+    c2 = (Qts.lift(c) * s + Qts.rational(-1, 3)) / (s + Qts.rational(2, 9))
+
+    def const(q):
+        return {"num": [[[0], q]], "den": [[[0], "1"]]}
+
+    c2_data = {
+        "num": [[[0], const("-1/3")], [[1], c_data]],
+        "den": [[[0], const("2/9")], [[1], const("1")]],
+    }
+    assert encode_scalar(c2) == c2_data
+    assert decode_scalar(Qts, c2_data) == c2
+    assert encode_scalar(Qts.rational(-7, 4)) == {
+        "num": [[[0], const("-7/4")]], "den": [[[0], const("1")]]
+    }
+    # the same scalars as structure constants of a loaded algebra
+    from lieshift.liealg import LieAlgebra
+
+    for F, x in ((Qt, c), (Qts, c2)):
+        L = LieAlgebra(F, ["a", "b", "z"], {(0, 1): {2: x}}, {"central": [2]})
+        data = dump_algebra(L)
+        assert data == json.loads(json.dumps(data))
+        M = load_algebra(data)
+        assert M.field == F and M.table == L.table
+        assert dump_algebra(M) == data
+
+
 def test_roundtrip_all_presets():
     for name in ALL_PRESETS:
         L = preset(name).algebra
@@ -214,6 +250,47 @@ def test_cli_invariants_and_mf():
     assert len(gens) == 2 and gens[0] == "h^2 + 4*e*f"
     qmf = json.loads(run_cli("quantum-mf", "--preset", "sl2", "--json").stdout)
     assert qmf["results"]["trdeg"]["value"] == 2
+
+
+@pytest.mark.parametrize("cmd", ["mf", "quantum-mf"])
+def test_cli_no_invariants_is_a_verification_failure(cmd):
+    # aff1 has no symmetric invariants: a failed check, exit 1
+    out = run_cli(cmd, "--preset", "aff1", "--json")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == (
+        "verification failure: no symmetric invariants up to degree 3\n"
+    )
+
+
+IMPORT_PROBE = """
+import sys
+import lieshift.cli
+print("sympy" in sys.modules)
+lieshift.cli.main(%r)
+print("sympy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_after_main",
+    [
+        (["index", "--preset", "sl3", "--json"], False),
+        (["reduce-abelian", "--preset", "borel-sl3", "--json"], True),
+    ],
+)
+def test_sympy_is_imported_only_for_tower_fields(argv, loads_after_main):
+    # a fresh interpreter: level 0 runs on fractions.Fraction, and sympy
+    # comes in with the first function field
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE % (argv,)],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == str(loads_after_main)
 
 
 def test_cli_hat_check():

@@ -231,6 +231,10 @@ def test_lift_from_hat():
     # function-field denominators are cleared first
     u = B.gen(1) * w1.inverse()
     assert lift_from_hat(hat, u, T).render() == "x2"
+    # rational coefficients of the w polynomials come down to Q unchanged
+    F = hat.base_field
+    u = B.gen(0) * (w1 * F.rational(-3, 7) + F.rational(1, 2)) + B.gen(1) * F.rational(-5, 6)
+    assert lift_from_hat(hat, u, T).render() == "(-3/7)*x1*z + (1/2)*x1 + (-5/6)*x2"
     with pytest.raises(ConstructError):
         lift_from_hat(hat, B.gen(4), T)  # delta still present
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from lieshift.fields import MAX_TOWER_DEPTH, QQ, FieldElement, FieldError
@@ -202,3 +204,63 @@ def test_level3_arithmetic_on_ground_elements():
     assert (a / b * b - a).is_zero
     assert ((a + 1) * u - u * a - u).is_zero
     assert (T3.lift(T1.var("w1") / T1.var("w2")) * T3.one - a / b).is_zero
+
+
+# -- the level-0 scalar type and its boundary with the tower -------------------
+
+# str and hash of level-0 values; the hashes are those of sympy's rationals,
+# the level-0 type before level 0 moved to fractions.Fraction, so dict and set
+# order and rendering do not depend on the type
+LEVEL0_GOLDENS = [
+    ((3, 7), "3/7", 1317624576693539401),
+    ((-1, 3), "-1/3", -1537228672809129301),
+    ((5, 1), "5", 5),
+    ((-7, 4), "-7/4", -1729382256910270465),
+    ((0, 1), "0", 0),
+]
+
+
+@pytest.mark.parametrize("pq, text, raw_hash", LEVEL0_GOLDENS)
+def test_level0_str_and_hash_are_stable(pq, text, raw_hash):
+    x = QQ.rational(*pq)
+    assert str(x) == text and repr(x) == "FieldElement(%s)" % text
+    assert hash(x.raw) == raw_hash
+    assert hash(x) == hash((QQ, x.raw))
+    assert x.as_rational() == pq
+
+
+@pytest.mark.parametrize("pq", [pq for pq, _, _ in LEVEL0_GOLDENS])
+def test_level0_scalar_lifts_into_towers_and_back(pq):
+    x = QQ.rational(*pq)
+    Qt = QQ.extend("t")
+    Qts = Qt.extend("s")
+    for F in (Qt, Qts):
+        y = F.lift(x)
+        t = F.var("t")
+        assert y.field == F and (y - F.rational(*pq)).is_zero
+        assert str(y) in (str(x), "(%s)" % x, "((%s))" % x)
+        assert ((y * t + 1) - (t * y + F.one)).is_zero
+    # down again through the ground coefficients of the numerators
+    y1 = Qt.lift(x)
+    grounds = dict(y1.raw.numer.terms())
+    if not x:
+        assert grounds == {}
+        return
+    back = QQ.from_ground(grounds[(0,)])
+    assert back == x and type(back.raw) is Fraction
+    y2 = Qts.lift(x) * Qts.var("s")
+    (exps, g), = y2.raw.numer.terms()
+    assert exps == (1,) and Qt.from_ground(g) == y1
+
+
+def test_kernel_values_round_trip():
+    raws = [QQ.rational(p, q).raw for p, q in [(1, 2), (-2, 3), (0, 1), (5, 1)]]
+    d, values = QQ.kernel_values(raws)
+    assert (d, values) == (6, [3, -4, 0, 30])
+    assert all(type(v) is int for v in values)
+    assert [QQ.from_kernel(v, d).raw for v in values] == raws
+    assert QQ.kernel_values([]) == (1, [])
+    F = QQ.extend("t")
+    x = (F.var("t") + F.rational(1, 2)) / F.var("t")
+    assert F.kernel_values([x.raw]) == (1, [x.raw])
+    assert F.from_kernel(x.raw, 1) == x

@@ -1,6 +1,7 @@
 """Randomized property suites, each over at least 100 seeded cases."""
 
 import random
+from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
@@ -15,7 +16,15 @@ from factories import (
 from lieshift.construct import construct_theorem, mf_subalgebra
 from lieshift.fields import QQ, FieldError
 from lieshift.invariants import b_of, index_of, is_regular, sample_point, trdeg_jacobian
-from lieshift.liealg import LieAlgebra, LinearForm, bracket, direct_sum, vec
+from lieshift.liealg import (
+    LieAlgebra,
+    LinearForm,
+    basis_brackets,
+    bracket,
+    coadjoint_form,
+    direct_sum,
+    vec,
+)
 from lieshift.pbw import EnvelopingAlgebra, commutator, principal_symbol, symmetrize
 from lieshift.polyring import PolyElement, differential_at, poisson
 from lieshift.presets import preset
@@ -144,7 +153,8 @@ def test_index_additivity_on_direct_sums():
 # -- raw-coefficient kernels against wrapped references -------------------------
 #
 # The kernels in liealg.bracket, polyring.poisson and pbw.commutator compute on
-# raw domain values. Each reference below uses FieldElement arithmetic only and
+# kernel values: integers over one denominator at level 0, raw domain values
+# above. Each reference below uses FieldElement arithmetic only and
 # shares no code with its kernel; results must agree by ==, hash and render.
 # Cases cycle over level 0, a level-1 field Q(t) whose structure constants and
 # coefficients carry non-monic denominators, and a Laurent central z with
@@ -226,6 +236,10 @@ def _same(new, ref, render):
     assert new == ref
     assert hash(new) == hash(ref)
     assert render(new) == render(ref)
+    # kernels compute on integers at level 0 but return Fraction scalars
+    scalars = new.terms.values() if hasattr(new, "terms") else (
+        new if isinstance(new, tuple) else (new,))
+    assert all(type(c.raw) is Fraction for c in scalars if c.field.level == 0)
 
 
 def _ref_bracket(L, a, b):
@@ -398,3 +412,33 @@ def test_differential_at_matches_partials():
         assert [c.field for c in got] == [L.field] * L.dim
         _same(tuple(got), tuple(ref), lambda v: [str(c) for c in v])
     assert raised
+
+
+def test_differential_at_matches_partials_at_integer_points():
+    """As above at nonzero integer points, the points that sampling draws:
+    the kernel takes positive powers of integers and the formal inverses'
+    negative powers of rationals."""
+    rng = random.Random(1313)
+    for case in range(120):
+        L, z = _kernel_algebra(rng, case)
+        f = _random_kernel_poly(rng, L, z)
+        pt = [L.field.from_int(rng.choice((-1, 1)) * rng.randint(1, 9)) for _ in range(L.dim)]
+        ref = [f.partial(i).evaluate(pt) for i in range(L.dim)]
+        _same(tuple(differential_at(f, pt)), tuple(ref), lambda v: [str(c) for c in v])
+
+
+def test_basis_brackets_and_coadjoint_form_match_the_dense_loop():
+    rng = random.Random(1414)
+    for case in range(100):
+        L, _ = _kernel_algebra(rng, case)
+        w = _sparse_vector(rng, L.field, L.dim)
+        images = basis_brackets(L, w)
+        assert len(images) == L.dim
+        for i, b in enumerate(images):
+            _same(b, _ref_bracket(L, L.basis_vector(i), w), lambda v: [str(c) for c in v])
+        gamma = LinearForm(L.field, _sparse_vector(rng, L.field, L.dim))
+        form = coadjoint_form(L, gamma)
+        for i in range(L.dim):
+            for j in range(L.dim):
+                ref = gamma.of_vector(_ref_bracket(L, L.basis_vector(i), L.basis_vector(j)))
+                _same(form[i, j], ref, str)
