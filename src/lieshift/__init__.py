@@ -8,7 +8,7 @@ transcendence degree together with machine-checked certificates.
 """
 
 from .fields import Field, FieldElement, FieldError, QQ
-from .linalg import Matrix, kernel_basis, rank
+from .linalg import kernel_basis, rank
 from .liealg import (
     HeisenbergSplit,
     LieAlgebra,

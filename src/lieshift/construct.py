@@ -30,15 +30,15 @@ from .liealg import (
     Subspace,
     basis_brackets,
     bracket,
+    _check_ltilde_covers,
     check_split,
     classify_nilradical,
     is_reductive,
-    ltilde,
     stabilizer,
     subalgebra_of,
     validate,
 )
-from .linalg import Matrix, kernel_basis, rank, solve
+from .linalg import kernel_basis, rank, solve
 from .polyring import PolyElement, gamma_shift, poisson
 from .pbw import (
     EnvelopingAlgebra,
@@ -196,8 +196,14 @@ class HatLemmaReport:
 def verify_hat_lemmas(L, split):
     """Exact checks that the correction map kills the ideal and preserves
     brackets: [v, hat(xi)] = 0 for every ideal generator v, and
-    [hat(xi), hat(eta)] = hat([xi, eta]) on the stabilizer basis."""
+    [hat(xi), hat(eta)] = hat([xi, eta]) on the stabilizer basis.
+    The split is checked first."""
     _require_valid_split(L, split)
+    return _hat_lemmas(L, split)
+
+
+def _hat_lemmas(L, split):
+    """verify_hat_lemmas without the split check; the caller has checked it."""
     alg = hat_algebra(L, split)
     basis = list(split.l_basis.basis)
     hats = [_hat_unchecked(L, split, b, alg) for b in basis]
@@ -394,7 +400,7 @@ def _reduce_abelian(L, h, sampling):
     comp = _coordinate_complement(L, h)
     r = len(comp)
     rows = [[linfunc(ad_e[i]) for i in comp] for ad_e in ad]
-    ker = kernel_basis(Matrix(F2, rows, ncols=r)) if rows else []
+    ker = kernel_basis(F2, rows, r)
     m = len(ker)
 
     sections = []
@@ -484,7 +490,7 @@ def _reduce_abelian(L, h, sampling):
                         val = val + c * alpha[t]
                 row.append(val)
             srows.append(row)
-        return Matrix(F, srows, ncols=L.dim)
+        return srows
 
     min_stab = L.dim - sampling.max_rank(F, d, stabilizer_form, offset=90_000)[0]
     if m + 1 != min_stab - d + 1:
@@ -674,12 +680,19 @@ def construct_theorem(L, casimirs=None, max_inv_deg=3, samples=Sampling.samples,
     correction map).  Each level validates L and its case's inputs; commutators
     and the transcendence degree are checked only by _certify, once per level.
     samples, bound and seed are validated as one Sampling before any work.
+    A Heisenberg split and its stabilizer are checked once, by check_split
+    where they are built; see _construct for the other Heisenberg checks.
     """
     return _construct(L, casimirs, max_inv_deg, Sampling(samples, bound, seed),
                       candidates, max_depth, 0)
 
 
 def _construct(L, casimirs, max_inv_deg, sampling, candidates, max_depth, depth):
+    """One level of construct_theorem.  At a Heisenberg level the split
+    comes from liealg._darboux_split, which checked it (check_split: the
+    pairing, the center, and l~ = split.l_basis a subalgebra containing z),
+    so _hat_lemmas skips that check, and the recursion on l~ checks only
+    l~ + h = q and l~ meeting h in the center line (_check_ltilde_covers)."""
     if depth > max_depth:
         raise ConstructError("reduction recursion exceeded %d levels" % max_depth)
     rep = validate(L)
@@ -776,7 +789,7 @@ def _construct(L, casimirs, max_inv_deg, sampling, candidates, max_depth, depth)
 
     # Heisenberg nilradical
     split = cls.split
-    lemma = verify_hat_lemmas(L, split)
+    lemma = _hat_lemmas(L, split)
     if not lemma.ok:
         raise ConstructError(
             "correction-map checks failed: %s"
@@ -803,7 +816,8 @@ def _construct(L, casimirs, max_inv_deg, sampling, candidates, max_depth, depth)
             % len(split.x)
         )
     else:
-        sub_space = ltilde(L, split)
+        sub_space = split.l_basis
+        _check_ltilde_covers(L, split, sub_space)
         trace.append(
             "heisenberg-stabilizer: recursing on the bracket stabilizer "
             "(dim %d), %d symplectic pairs" % (sub_space.dim, len(split.x))
@@ -829,10 +843,7 @@ class MaximalityReport:
 
 
 def _in_span(field, rows, v):
-    if not rows:
-        return all(c.is_zero for c in v)
-    base = rank(Matrix(field, rows, ncols=len(v)))
-    return rank(Matrix(field, rows + [list(v)], ncols=len(v))) == base
+    return rank(field, rows + [list(v)]) == rank(field, rows)
 
 
 def maximality_probe(A, d, sampling=Sampling()):

@@ -96,10 +96,13 @@ class Field:
         return FieldElement(self, self.domain.convert(int(n)))
 
     def rational(self, p, q=1):
+        """p/q exactly, for ints and Fractions; a float is a FieldError."""
+        if not (isinstance(p, (int, Fraction)) and isinstance(q, (int, Fraction))):
+            raise FieldError("not an exact rational: %r / %r" % (p, q))
         if q == 0:
             raise FieldError("division by zero")
         if self.level == 0:
-            return FieldElement(self, Fraction(int(p), int(q)))
+            return FieldElement(self, Fraction(p, q))
         return self.lift(self.base.rational(p, q))
 
     def var(self, name):
@@ -185,8 +188,11 @@ class Field:
         return FieldElement(self, self.domain.field.new(a, self.domain.field.ring.one))
 
     def clear_row(self, elems):
-        """Common-denominator clearing: field elements -> numerator-ring row."""
+        """Common-denominator clearing: field elements -> numerator-ring row.
+        The only check of a ``linalg`` matrix entry."""
         for e in elems:
+            if not isinstance(e, FieldElement):
+                raise FieldError("row entry %r is not a field element" % (e,))
             if e.field is not self and e.field != self:
                 raise FieldError("tower-level mismatch: %r vs %r" % (self, e.field))
         if self.level == 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .fields import FieldError
 from .liealg import LinearForm, Subspace, coadjoint_form, stabilizer, subalgebra_of
-from .linalg import Matrix, kernel_basis, rank
+from .linalg import kernel_basis, rank
 from .pbw import PBWElement, principal_symbol
 from .polyring import PolyElement, differential_at, poisson
 
@@ -110,13 +110,13 @@ class Sampling:
         return sample_point(field, n, sample_seed(self.seed, stream), self.bound, nonzero)
 
     def max_rank(self, field, n, matrix_at, offset=0, nonzero=frozenset()):
-        """(best, witness, ranks): the largest exact rank of matrix_at(p) over
-        the points of streams offset .. offset + samples - 1, the first point
-        attaining it, and every rank in stream order."""
+        """(best, witness, ranks): the largest exact rank of the rows
+        matrix_at(p) over the points of streams offset .. offset + samples - 1,
+        the first point attaining it, and every rank in stream order."""
         best, witness, ranks = -1, (), []
         for i in range(self.samples):
             pt = self.point(field, n, offset + i, nonzero)
-            r = rank(matrix_at(pt))
+            r = rank(field, matrix_at(pt))
             ranks.append(r)
             if r > best:
                 best, witness = r, pt
@@ -207,7 +207,7 @@ def symmetric_invariants(L, max_deg):
         for j, col in enumerate(cols):
             for r, c in col.items():
                 rows[r][j] = c
-        for coeffs in kernel_basis(Matrix(F, rows, ncols=len(monos))):
+        for coeffs in kernel_basis(F, rows, len(monos)):
             terms = {e: c for e, c in zip(monos, coeffs) if not c.is_zero}
             out.append(PolyElement(F, L.dim, terms))
     return out
@@ -237,7 +237,7 @@ def trdeg_jacobian(gens, sampling=Sampling()):
         raise FieldError("generators live in different polynomial rings")
     nz = frozenset().union(*(f.laurent for f in elements))
     best, witness, ranks = sampling.max_rank(
-        F, n, lambda pt: Matrix(F, [differential_at(f, pt) for f in elements], ncols=n),
+        F, n, lambda pt: [differential_at(f, pt) for f in elements],
         nonzero=nz,
     )
     return sampling.report(best, "jacobian-rank-sampling", ranks, witness)

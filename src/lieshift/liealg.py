@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .fields import FieldElement, FieldError
-from .linalg import Matrix, echelon_basis, kernel_basis, rank, solve
+from .linalg import echelon_basis, kernel_basis, rank, solve
 
 
 class LieAlgebraError(Exception):
@@ -124,9 +124,6 @@ class Subspace:
 
     def contains(self, v):
         return self.coordinates(v) is not None
-
-    def contains_subspace(self, other):
-        return all(self.contains(b) for b in other.basis)
 
     def __eq__(self, other):
         return (
@@ -475,7 +472,7 @@ def check_split(L, split):
 
 
 def coadjoint_form(L, gamma):
-    """Antisymmetric matrix gamma([x_i, x_j]), summed on kernel values."""
+    """Rows of the antisymmetric matrix gamma([x_i, x_j]), on kernel values."""
     F = L.field
     D, brackets = L.kernel_brackets
     dg, g = F.kernel_values([c.raw for c in gamma.coords])
@@ -489,12 +486,12 @@ def coadjoint_form(L, gamma):
                 if val:
                     rows[i][j] = F.from_kernel(val, den)
                     rows[j][i] = F.from_kernel(-val, den)
-    return Matrix(F, rows, ncols=L.dim)
+    return rows
 
 
 def stabilizer(L, gamma):
     """Kernel of the coadjoint form: {xi : gamma([xi, .]) = 0}."""
-    return Subspace(L.field, L.dim, kernel_basis(coadjoint_form(L, gamma)))
+    return Subspace(L.field, L.dim, kernel_basis(L.field, coadjoint_form(L, gamma), L.dim))
 
 
 class StructureSeries:
@@ -504,14 +501,15 @@ class StructureSeries:
     what it reads: ``is_nilpotent`` builds the lower central series,
     ``is_solvable`` the derived series, and ``is_abelian`` reads the bracket
     table. Obtain it through ``structure_series``, which keeps one per
-    algebra.
+    algebra. [q, q] is spanned by the rows of the bracket table, and a
+    lower-central step [q, C] by ``basis_brackets(w)`` over the basis of C.
 
     It holds the algebra's ``field``, ``dim``, ``table`` and
     ``kernel_brackets`` (shared, not copied), which is all that ``center_of``,
-    ``bracket`` and ``_bracket_span`` read, and stands in for the algebra in
-    those calls. It holds no reference to the algebra itself, so caching it
-    on the algebra makes no reference cycle and a temporary algebra is freed
-    as soon as it is dropped.
+    ``_derived_of``, ``basis_brackets`` and ``_bracket_span`` read, and stands
+    in for the algebra in those calls. It holds no reference to the algebra
+    itself, so caching it on the algebra makes no reference cycle and a
+    temporary algebra is freed as soon as it is dropped.
     """
 
     def __init__(self, L):
@@ -520,25 +518,21 @@ class StructureSeries:
         self.table = L.table
         self.kernel_brackets = L.kernel_brackets
 
-    def _full(self):
-        n = self.dim
-        return Subspace(self.field, n, [[int(k == i) for k in range(n)] for i in range(n)])
-
     @cached_property
     def center(self):
         return center_of(self)
 
     @cached_property
     def derived(self):
-        full = self._full()
-        return _bracket_span(self, full, full)
+        return _derived_of(self)
 
     @cached_property
     def lower_central(self):
-        full = self._full()
         lower = [self.derived]
         while lower[-1].dim:
-            nxt = _bracket_span(self, full, lower[-1])
+            nxt = Subspace(self.field, self.dim, [
+                b for w in lower[-1].basis for b in basis_brackets(self, w) if any(b)
+            ])
             if nxt.dim == lower[-1].dim:
                 break
             lower.append(nxt)
@@ -582,7 +576,14 @@ def center_of(L):
             eqs.setdefault((i, k), {})[j] = -c
     zero = F.zero
     rows = [[row.get(i, zero) for i in range(L.dim)] for _, row in sorted(eqs.items())]
-    return Subspace(F, L.dim, kernel_basis(Matrix(F, rows, ncols=L.dim)))
+    return Subspace(F, L.dim, kernel_basis(F, rows, L.dim))
+
+
+def _derived_of(L):
+    """[q, q]: the span of the bracket table's rows, the nonzero [x_i, x_j]."""
+    zero = L.field.zero
+    rows = [[comp.get(k, zero) for k in range(L.dim)] for comp in L.table.values()]
+    return Subspace(L.field, L.dim, rows)
 
 
 def _bracket_span(L, A, B):
@@ -649,7 +650,7 @@ def direct_sum(L1, L2):
 
 
 def killing_matrix(L):
-    """Gram matrix of the Killing form tr(ad a . ad b) on the basis."""
+    """Rows of the Killing form's Gram matrix tr(ad a . ad b) on the basis."""
     F = L.field
     ad = []
     for i in range(L.dim):
@@ -668,7 +669,7 @@ def killing_matrix(L):
                         s = s + ad[i][a][b] * ad[j][b][a]
             rows[i][j] = s
             rows[j][i] = s
-    return Matrix(F, rows, ncols=L.dim)
+    return rows
 
 
 def _killing_nondegenerate_on(L, S):
@@ -685,11 +686,11 @@ def _killing_nondegenerate_on(L, S):
                 if ca.is_zero:
                     continue
                 for b, cb in enumerate(w):
-                    if not cb.is_zero and not K[a, b].is_zero:
-                        s = s + ca * cb * K[a, b]
+                    if not cb.is_zero and not K[a][b].is_zero:
+                        s = s + ca * cb * K[a][b]
             row.append(s)
         rows.append(row)
-    return rank(Matrix(F, rows, ncols=S.dim)) == S.dim
+    return rank(F, rows) == S.dim
 
 
 def is_reductive(L):
@@ -729,7 +730,7 @@ def nilradical_of(L):
     if series.is_nilpotent:
         return L.span_of_indices(range(L.dim))
     if series.is_solvable:
-        cand = Subspace(L.field, L.dim, kernel_basis(killing_matrix(L)))
+        cand = Subspace(L.field, L.dim, kernel_basis(L.field, killing_matrix(L), L.dim))
         if _is_ideal(L, cand):
             sub, _ = subalgebra_of(L, cand)
             if structure_series(sub).is_nilpotent:
@@ -861,11 +862,8 @@ def _stable_complement(L, n_space, sub_basis, z):
             rhs.append(F.one)
             pi = solve(F, rows, rhs) if rows else None
             if pi is not None:
-                m = Matrix(F, [pi], ncols=n_space.dim)
-                comp = []
-                for k in kernel_basis(m):
-                    comp.append(_sub_to_ambient(L, k, n_space.basis))
-                return comp
+                return [_sub_to_ambient(L, k, n_space.basis)
+                        for k in kernel_basis(F, [pi], n_space.dim)]
     z_in_n = n_space.coordinates(z)
     lead = next(i for i, c in enumerate(z_in_n) if not c.is_zero)
     return [b for i, b in enumerate(n_space.basis) if i != lead]
@@ -932,18 +930,30 @@ def _v_stabilizer(L, v_vectors, z):
                 raise LieAlgebraError("vector outside v + span z")
             row.append(phi.of_vector(b))
         rows.append(row)
-    return Subspace(F, L.dim, kernel_basis(Matrix(F, rows, ncols=L.dim)))
+    return Subspace(F, L.dim, kernel_basis(F, rows, L.dim))
 
 
 def ltilde(L, split):
-    """Bracket stabilizer of v = span{x, y}; contains z, covers q with h."""
+    """Bracket stabilizer l~ of v = span{x, y}: a subalgebra containing z,
+    with l~ + h = q and l~ meeting h = span{x, y, z} in the center line.
+    Checked here for a split of any origin (the last two facts by
+    ``_check_ltilde_covers``); construct_theorem reads l~ off a checked
+    split's ``l_basis`` and calls only ``_check_ltilde_covers``."""
     lb = _v_stabilizer(L, list(split.x) + list(split.y), split.z)
     if not _is_subalgebra(L, lb):
         raise LieAlgebraError("stabilizer of v failed to close under bracket")
+    _check_ltilde_covers(L, split, lb)
+    if not lb.contains(split.z):
+        raise LieAlgebraError("stabilizer meets the ideal off the center line")
+    return lb
+
+
+def _check_ltilde_covers(L, split, lb):
+    """Raise unless lb + h = q and lb meets h = span{x, y, z} in a line;
+    for lb containing z that line is the center line."""
     h = Subspace(L.field, L.dim, list(split.x) + list(split.y) + [split.z])
     total = Subspace(L.field, L.dim, list(lb.basis) + list(h.basis))
     if total.dim != L.dim:
         raise LieAlgebraError("stabilizer plus Heisenberg ideal does not span")
-    if lb.dim + h.dim - total.dim != 1 or not lb.contains(split.z):
+    if lb.dim + h.dim - total.dim != 1:
         raise LieAlgebraError("stabilizer meets the ideal off the center line")
-    return lb

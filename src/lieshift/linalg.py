@@ -1,5 +1,11 @@
 """Exact linear algebra over the scalar tower.
 
+A matrix is a list of rows of ``FieldElement``s: ``rank(field, rows)``,
+``kernel_basis(field, rows, ncols)``, ``solve(field, a_rows, rhs)`` and
+``echelon_basis(field, rows)``. ``_bareiss`` rejects ragged rows and
+``Field.clear_row`` an entry that is not an element of ``field``, each with
+``FieldError``.
+
 All elimination is one fraction-free (Bareiss) forward pass, ``_bareiss``, on
 rows cleared to the numerator ring: integers at level 0, polynomials above.
 It rescales lazily: a row whose entry in the pivot column is zero is not
@@ -17,43 +23,6 @@ the basis of ``liealg.Subspace``, adds clearing above each pivot in the ring.
 from __future__ import annotations
 
 from .fields import FieldElement, FieldError
-
-
-class Matrix:
-    """Dense matrix with FieldElement entries, all at one tower level."""
-
-    __slots__ = ("field", "nrows", "ncols", "rows")
-
-    def __init__(self, field, rows, ncols=None):
-        self.field = field
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        if self.nrows:
-            self.ncols = len(self.rows[0])
-        else:
-            self.ncols = 0 if ncols is None else ncols
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise FieldError("ragged matrix")
-            for e in r:
-                if not isinstance(e, FieldElement) or (
-                    e.field is not field and e.field != field
-                ):
-                    raise FieldError("matrix entry at wrong tower level")
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def transpose(self):
-        return Matrix(
-            self.field,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
-
-    def __repr__(self):
-        return "Matrix(%dx%d over %r)" % (self.nrows, self.ncols, self.field)
 
 
 def _bareiss(field, rows, ncols):
@@ -74,6 +43,8 @@ def _bareiss(field, rows, ncols):
     particular a column where both rows are zero is skipped. Pivot rows and pivots are the eager ones and the rows
     below the rank are zero; only pivot rows are read.
     """
+    if any(len(row) != ncols for row in rows):
+        raise FieldError("ragged rows: each row needs %d entries" % ncols)
     rows = [row for row in map(field.clear_row, rows) if any(row)]
     quo = field.ring_quo
     pivots = []
@@ -114,8 +85,9 @@ def _bareiss(field, rows, ncols):
     return rows, pivots
 
 
-def rank(M):
-    return len(_bareiss(M.field, M.rows, M.ncols)[1])
+def rank(field, rows):
+    """The rank of the matrix with these rows."""
+    return len(_bareiss(field, rows, len(rows[0]) if rows else 0)[1])
 
 
 def _back_substitute(field, rows, pivots, ncols, free):
@@ -134,15 +106,14 @@ def _back_substitute(field, rows, pivots, ncols, free):
     return [FieldElement(field, x) for x in v]
 
 
-def kernel_basis(M):
+def kernel_basis(field, rows, ncols):
     """Canonical right-kernel basis: one normalized vector per free column,
     unit at that column before normalization."""
-    field = M.field
-    rows, pivots = _bareiss(field, M.rows, M.ncols)
+    ring, pivots = _bareiss(field, rows, ncols)
     pivot_cols = {c for _, c in pivots}
     return [
-        normalize_vector(field, _back_substitute(field, rows, pivots, M.ncols, f))
-        for f in range(M.ncols)
+        normalize_vector(field, _back_substitute(field, ring, pivots, ncols, f))
+        for f in range(ncols)
         if f not in pivot_cols
     ]
 
@@ -167,9 +138,10 @@ def echelon_basis(field, rows):
 
 def normalize_vector(field, vec):
     """Clear denominators, divide out content, orient the first nonzero entry."""
-    if all(e.is_zero for e in vec):
+    row = field.clear_row(vec)
+    if not any(row):
         return list(vec)
-    return list(_from_ring_row(field, _normalize_ring_row(field, field.clear_row(vec))))
+    return list(_from_ring_row(field, _normalize_ring_row(field, row)))
 
 
 def _normalize_ring_row(field, row):
@@ -194,6 +166,8 @@ def _from_ring_row(field, row):
 
 def solve(field, a_rows, rhs):
     """One solution x of A x = rhs over the field, or None. Free vars are 0."""
+    if len(rhs) != len(a_rows):
+        raise FieldError("%d right-hand sides for %d rows" % (len(rhs), len(a_rows)))
     if not a_rows:
         return [] if all(e.is_zero for e in rhs) else None
     ncols = len(a_rows[0])

@@ -32,7 +32,7 @@ from math import factorial, lcm
 from operator import add
 
 from .fields import FieldElement, FieldError
-from .linalg import Matrix, kernel_basis
+from .linalg import kernel_basis
 from .polyring import PolyElement, _acc, _render_terms
 
 
@@ -95,10 +95,6 @@ class EnvelopingAlgebra:
             if not c.is_zero:
                 terms[self._units[i]] = c
         return PBWElement(self, terms)
-
-    def from_poly(self, p):
-        """Reads a polynomial's monomials as normal-ordered PBW monomials."""
-        return PBWElement(self, dict(p.terms))
 
     # -- table coefficients ----------------------------------------------------
 
@@ -500,9 +496,7 @@ def centralizer_up_to_degree(alg, gens, d):
             for r, c in col.items():
                 block[r][j] = c
         rows.extend(block)
-    if not rows:
-        rows = [[field.zero] * len(monos)]
-    ker = kernel_basis(Matrix(field, rows, ncols=len(monos)))
+    ker = kernel_basis(field, rows, len(monos))
     out = []
     for v in ker:
         terms = {m: c for m, c in zip(monos, v) if not c.is_zero}

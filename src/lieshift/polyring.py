@@ -180,15 +180,6 @@ class PolyElement:
             self.laurent,
         )
 
-    def homogeneous_components(self):
-        out = {}
-        for e, c in self.terms.items():
-            out.setdefault(sum(e), {})[e] = c
-        return {
-            d: PolyElement(self.field, self.nvars, t, self.laurent)
-            for d, t in sorted(out.items())
-        }
-
     def partial(self, i):
         out = {}
         for e, c in self.terms.items():
@@ -215,14 +206,6 @@ class PolyElement:
                 v = v * pt[i] ** k
             total = total + v
         return total
-
-    def map_coefficients(self, fn, new_field):
-        return PolyElement(
-            new_field,
-            self.nvars,
-            {e: fn(c) for e, c in self.terms.items()},
-            self.laurent,
-        )
 
     def render(self, labels):
         return _render_terms(self.terms, labels, range(self.nvars))

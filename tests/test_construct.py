@@ -2,6 +2,7 @@ import pytest
 
 import lieshift.construct as construct_mod
 import lieshift.invariants as inv_mod
+import lieshift.liealg as liealg_mod
 from lieshift.construct import (
     ConstructError,
     abelian_qhat,
@@ -105,6 +106,19 @@ def test_verify_hat_lemmas():
     assert rep.ok
     assert rep.pairs_checked == 18
     assert rep.centralizer_failures == [] and rep.homomorphism_failures == []
+
+
+def test_public_hat_entry_points_check_the_split():
+    L = semidirect()
+    split = classify_nilradical(L).split
+    # sabotage: swap z for a non-central vector
+    bad = HeisenbergSplit(l_basis=split.l_basis, x=split.x, y=split.y, z=L.basis_vector(0))
+    with pytest.raises(ConstructError, match="invalid Heisenberg split"):
+        verify_hat_lemmas(L, bad)
+    with pytest.raises(ConstructError, match="invalid Heisenberg split"):
+        hat_map(L, bad, L.basis_vector(1))
+    with pytest.raises(ConstructError, match="invalid Heisenberg split"):
+        heisenberg_lift(L, bad, GeneratorSet("associative", [], []), [])
 
 
 def test_hat_is_linear():
@@ -421,6 +435,24 @@ def test_construct_checks_each_pair_once(monkeypatch):
     assert calls["commutator"] == n * (n - 1) // 2 == cert.commutativity["pairs"]
     # only the ad-invariance check of the caller's invariants
     assert calls["poisson"] == P.algebra.dim * len(P.casimirs)
+
+
+@pytest.mark.parametrize("name", ["heisenberg4", "borel-sl3"])
+def test_construct_checks_each_heisenberg_fact_once(monkeypatch, name):
+    # the Darboux split is checked once, where it is built, and its
+    # stabilizer is computed once, as the split's l_basis
+    calls = {"check_split": 0, "_v_stabilizer": 0}
+    for fn in calls:
+        real = getattr(liealg_mod, fn)
+
+        def counted(*args, _real=real, _fn=fn):
+            calls[_fn] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(liealg_mod, fn, counted)
+        monkeypatch.setattr(construct_mod, fn, counted, raising=False)
+    construct_theorem(preset(name).algebra)
+    assert calls == {"check_split": 1, "_v_stabilizer": 1}
 
 
 @pytest.mark.parametrize("name,calls", [("aff1", 3), ("borel-sl2", 3), ("borel-sl3", 4)])

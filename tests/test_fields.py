@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from lieshift.fields import MAX_TOWER_DEPTH, QQ, FieldElement, FieldError
+from lieshift.liealg import vec
+from lieshift.polyring import PolyElement
 
 
 def test_level0_arithmetic():
@@ -264,3 +266,24 @@ def test_kernel_values_round_trip():
     x = (F.var("t") + F.rational(1, 2)) / F.var("t")
     assert F.kernel_values([x.raw]) == (1, [x.raw])
     assert F.from_kernel(x.raw, 1) == x
+
+
+def test_rational_is_exact_or_an_error():
+    assert QQ.rational(Fraction(1, 2)) == QQ.rational(1, 2)
+    assert QQ.rational(Fraction(3, 2), Fraction(1, 3)).as_rational() == (9, 2)
+    assert QQ.rational(-4, 6).as_rational() == (-2, 3)
+    assert [str(c) for c in vec(QQ, [Fraction(3, 2), 2])] == ["3/2", "2"]
+    F = QQ.extend("t")
+    assert F.rational(Fraction(1, 2)) == F.lift(QQ.rational(1, 2))
+    assert str(F.rational(Fraction(-3, 4), 2)) == str(F.lift(QQ.rational(-3, 8)))
+    for bad in (2.7, 0.5, "1/2", None):
+        with pytest.raises(FieldError):
+            QQ.rational(bad)
+        with pytest.raises(FieldError):
+            F.rational(bad)
+        with pytest.raises(FieldError):
+            QQ.rational(1, bad)
+    with pytest.raises(FieldError):
+        vec(QQ, [Fraction(3, 2), 2.7])
+    with pytest.raises(FieldError):
+        PolyElement(F, 1, {(1,): 0.5})

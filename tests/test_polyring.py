@@ -52,7 +52,11 @@ def test_top_and_homogeneous_parts():
     _, h, e, f = sl2_gens()
     p = h * h * h + e * f + h + PolyElement.constant(QQ, 3, QQ.one)
     assert p.top_part() == h * h * h
-    comps = p.homogeneous_components()
+    # the homogeneous components, peeled off from the top
+    comps, rest = {}, p
+    while not rest.is_zero:
+        comps[rest.degree()] = top = rest.top_part()
+        rest = rest - top
     assert sorted(comps) == [0, 1, 2, 3]
     assert comps[2] == e * f
     assert sum(comps.values(), PolyElement.zero(QQ, 3)) == p
@@ -123,11 +127,11 @@ def test_laurent_flags_propagate():
         PolyElement(QQ, 2, {(0, -1): QQ.one})  # negative power needs the flag
 
 
-def test_map_coefficients():
+def test_coefficients_lift_into_a_tower():
     F = QQ.extend("t")
     _, h, e, f = sl2_gens()
     p = h * h + e * QQ.from_int(3)
-    q = p.map_coefficients(F.lift, F)
+    q = PolyElement(F, p.nvars, {m: F.lift(c) for m, c in p.terms.items()})
     assert q.field is F
     assert q.render(("h", "e", "f")) == "h^2 + 3*e"
 

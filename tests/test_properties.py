@@ -441,4 +441,4 @@ def test_basis_brackets_and_coadjoint_form_match_the_dense_loop():
         for i in range(L.dim):
             for j in range(L.dim):
                 ref = gamma.of_vector(_ref_bracket(L, L.basis_vector(i), L.basis_vector(j)))
-                _same(form[i, j], ref, str)
+                _same(form[i][j], ref, str)
