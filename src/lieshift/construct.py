@@ -20,7 +20,6 @@ the drop by dim h - 1 once that level returns.
 """
 
 from dataclasses import dataclass, replace
-from math import lcm
 
 from .fields import FieldElement, FieldError
 from .liealg import (
@@ -30,6 +29,7 @@ from .liealg import (
     Subspace,
     basis_brackets,
     bracket,
+    _brackets,
     _check_ltilde_covers,
     check_split,
     classify_nilradical,
@@ -38,7 +38,7 @@ from .liealg import (
     subalgebra_of,
     validate,
 )
-from .linalg import kernel_basis, rank, solve
+from .linalg import echelon_basis, kernel_basis, rank, solve
 from .polyring import PolyElement, gamma_shift, poisson
 from .pbw import (
     EnvelopingAlgebra,
@@ -344,16 +344,16 @@ def _ideal_action(L, h):
 
 
 def _coordinate_complement(L, h):
-    idxs = []
-    span = list(h.basis)
-    cur = h.dim
-    for i in range(L.dim):
-        cand = Subspace(L.field, L.dim, span + [L.basis_vector(i)])
-        if cand.dim > cur:
-            idxs.append(i)
-            span.append(L.basis_vector(i))
-            cur = cand.dim
-    return tuple(idxs)
+    """The basis indices i, in order, whose unit vector e_i is outside the
+    span of h and e_0, ..., e_{i-1}.
+
+    e_i is inside exactly when some vector of h has its last nonzero
+    coordinate at i, and these last indices are the pivot columns of h's
+    basis with the columns reversed: one elimination of dim h rows.
+    """
+    _, pivots = echelon_basis(L.field, [b[::-1] for b in h.basis])
+    last = {L.dim - 1 - c for c in pivots}
+    return tuple(i for i in range(L.dim) if i not in last)
 
 
 def abelian_qhat(L, h, sampling=Sampling()):
@@ -417,54 +417,36 @@ def _reduce_abelian(L, h, sampling):
         for row in range(L.dim)
     ]
 
-    amb_brackets = {}
-    for a in range(r):
-        for b in range(a + 1, r):
-            amb_brackets[(a, b)] = [
-                F2.lift(c)
-                for c in bracket(L, L.basis_vector(comp[a]), L.basis_vector(comp[b]))
-            ]
-
+    # L's structure constants lifted to F2, so sections bracket by the kernel
+    L2 = LieAlgebra(
+        F2,
+        L.labels,
+        {key: {k: F2.lift(c) for k, c in row.items()} for key, row in L.table.items()},
+    )
     table = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            w = [F2.zero] * L.dim
+    for a, b, w in _brackets(L2, sections):
+        coords = solve(F2, dec_rows, w)
+        if coords is None:
+            raise ConstructError("reduced bracket escaped the ambient span")
+        comp_part, h_part = coords[:r], coords[r:]
+        for eta_idx in range(d):
+            chk = F2.zero
             for i in range(r):
-                ca = ker[a][i]
-                if ca.is_zero:
-                    continue
-                for j in range(r):
-                    cb = ker[b][j]
-                    if cb.is_zero or i == j:
-                        continue
-                    pair = amb_brackets[(i, j)] if i < j else amb_brackets[(j, i)]
-                    sgn = F2.one if i < j else -F2.one
-                    f = ca * cb * sgn
-                    for t in range(L.dim):
-                        if not pair[t].is_zero:
-                            w[t] = w[t] + f * pair[t]
-            coords = solve(F2, dec_rows, w)
-            if coords is None:
-                raise ConstructError("reduced bracket escaped the ambient span")
-            comp_part, h_part = coords[:r], coords[r:]
-            for eta_idx in range(d):
-                chk = F2.zero
-                for i in range(r):
-                    chk = chk + rows[eta_idx][i] * comp_part[i]
-                if not chk.is_zero:
-                    raise ConstructError("reduced bracket is not a section again")
-            gamma = solve(F2, [[ker[c][i] for c in range(m)] for i in range(r)], comp_part)
-            if gamma is None:
-                raise ConstructError("reduced bracket is outside the section span")
-            phi = F2.zero
-            for t, c in enumerate(h_part):
-                if not c.is_zero:
-                    phi = phi + c * wvars[t]
-            comp_entry = {c: g for c, g in enumerate(gamma) if not g.is_zero}
-            if not phi.is_zero:
-                comp_entry[m] = phi
-            if comp_entry:
-                table[(a, b)] = comp_entry
+                chk = chk + rows[eta_idx][i] * comp_part[i]
+            if not chk.is_zero:
+                raise ConstructError("reduced bracket is not a section again")
+        gamma = solve(F2, [[ker[c][i] for c in range(m)] for i in range(r)], comp_part)
+        if gamma is None:
+            raise ConstructError("reduced bracket is outside the section span")
+        phi = F2.zero
+        for t, c in enumerate(h_part):
+            if not c.is_zero:
+                phi = phi + c * wvars[t]
+        comp_entry = {c: g for c, g in enumerate(gamma) if not g.is_zero}
+        if not phi.is_zero:
+            comp_entry[m] = phi
+        if comp_entry:
+            table[(a, b)] = comp_entry
 
     labels = []
     for idx, sec in enumerate(sections):
@@ -562,17 +544,7 @@ def _clear_denominators(u):
     """Multiply a PBW element by the least common denominator (of the top
     tower level) of its coefficients."""
     F = u.alg.field
-    if not u.terms:
-        return u
-    if F.level == 0:
-        m = lcm(*(int(c.raw.denominator) for c in u.terms.values()))
-        return u * F.from_int(m)
-    ring = F.domain.field.ring
-    acc = ring.one
-    for c in u.terms.values():
-        den = c.raw.denom
-        acc = acc * den.quo(acc.gcd(den))
-    return u * F.from_ring(acc)
+    return u * F.from_ring(F._lcd(u.terms.values()))
 
 
 def _coeff_lift(hat, target_alg):

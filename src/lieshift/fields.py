@@ -93,7 +93,10 @@ class Field:
         return FieldElement(self, self.domain.one)
 
     def from_int(self, n):
-        return FieldElement(self, self.domain.convert(int(n)))
+        """n as an element of this field; anything but an int is a FieldError."""
+        if not isinstance(n, int):
+            raise FieldError("not an integer: %r" % (n,))
+        return FieldElement(self, self.domain.convert(n))
 
     def rational(self, p, q=1):
         """p/q exactly, for ints and Fractions; a float is a FieldError."""
@@ -197,13 +200,19 @@ class Field:
                 raise FieldError("tower-level mismatch: %r vs %r" % (self, e.field))
         if self.level == 0:
             return self.kernel_values([e.raw for e in elems])[1]
-        ring = self.domain.field.ring
-        lcd = ring.one
+        lcd = self._lcd(elems)
+        return [e.raw.numer * lcd.quo(e.raw.denom) for e in elems]
+
+    def _lcd(self, elems):
+        """The least common denominator of elements of this field, in the
+        numerator ring: an int at level 0, a polynomial above."""
+        if self.level == 0:
+            return math.lcm(*(e.raw.denominator for e in elems))
+        lcd = self.domain.field.ring.one
         for e in elems:
             den = e.raw.denom
-            g = lcd.gcd(den)
-            lcd = lcd * den.quo(g)
-        return [e.raw.numer * lcd.quo(e.raw.denom) for e in elems]
+            lcd = lcd * den.quo(lcd.gcd(den))
+        return lcd
 
 
 class _Rationals:

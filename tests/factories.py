@@ -1,7 +1,7 @@
 """Seeded random generators shared by the property and acceptance suites."""
 
 from lieshift.fields import QQ
-from lieshift.liealg import HeisenbergSplit, LieAlgebra, darboux_split, direct_sum
+from lieshift.liealg import HeisenbergSplit, LieAlgebra, Subspace, darboux_split, direct_sum
 from lieshift.polyring import PolyElement
 from lieshift.presets import preset
 
@@ -238,3 +238,19 @@ def reference_solve(field, a_rows, rhs):
     for row, c in zip(red, pivots):
         x[c] = row[ncols]
     return x
+
+
+def reference_coordinate_complement(L, h):
+    """The basis indices i, in order, whose unit vector raises the dimension
+    of the span of h's basis and the unit vectors kept so far; one Subspace
+    per index."""
+    idxs = []
+    span = list(h.basis)
+    cur = h.dim
+    for i in range(L.dim):
+        cand = Subspace(L.field, L.dim, span + [L.basis_vector(i)])
+        if cand.dim > cur:
+            idxs.append(i)
+            span.append(L.basis_vector(i))
+            cur = cand.dim
+    return tuple(idxs)

@@ -245,6 +245,9 @@ def test_lift_from_hat():
     # function-field denominators are cleared first
     u = B.gen(1) * w1.inverse()
     assert lift_from_hat(hat, u, T).render() == "x2"
+    # by the least common denominator w1^2 (w1 + 1), not the product w1^3 (w1 + 1)
+    u = B.gen(0) * (w1 * w1).inverse() + B.gen(1) * (w1 * (w1 + 1)).inverse()
+    assert lift_from_hat(hat, u, T).render() == "x1*z + x2*z + x1"
     # rational coefficients of the w polynomials come down to Q unchanged
     F = hat.base_field
     u = B.gen(0) * (w1 * F.rational(-3, 7) + F.rational(1, 2)) + B.gen(1) * F.rational(-5, 6)
@@ -440,8 +443,10 @@ def test_construct_checks_each_pair_once(monkeypatch):
 @pytest.mark.parametrize("name", ["heisenberg4", "borel-sl3"])
 def test_construct_checks_each_heisenberg_fact_once(monkeypatch, name):
     # the Darboux split is checked once, where it is built, and its
-    # stabilizer is computed once, as the split's l_basis
-    calls = {"check_split": 0, "_v_stabilizer": 0}
+    # stabilizer is computed once, as the split's l_basis; the centrality of
+    # z is tested by classify_nilradical and by check_split, not again by
+    # _darboux_split
+    calls = {"check_split": 0, "_v_stabilizer": 0, "_is_central": 0}
     for fn in calls:
         real = getattr(liealg_mod, fn)
 
@@ -452,7 +457,11 @@ def test_construct_checks_each_heisenberg_fact_once(monkeypatch, name):
         monkeypatch.setattr(liealg_mod, fn, counted)
         monkeypatch.setattr(construct_mod, fn, counted, raising=False)
     construct_theorem(preset(name).algebra)
-    assert calls == {"check_split": 1, "_v_stabilizer": 1}
+    assert calls == {
+        "check_split": 1,
+        "_v_stabilizer": 1,
+        "_is_central": {"heisenberg4": 2, "borel-sl3": 3}[name],
+    }
 
 
 @pytest.mark.parametrize("name,calls", [("aff1", 3), ("borel-sl2", 3), ("borel-sl3", 4)])

@@ -107,6 +107,10 @@ def test_clear_row_tower():
     back = [F.from_ring(r) for r in cleared]
     # common denominator a: [1/a, a] -> [1, a^2]
     assert back == [F.one, a * a]
+    # least common denominator a (a + 1)^2, not the product a^2 (a + 1)^3
+    b = a + 1
+    cleared = F.clear_row([F.one / (a * b), F.one / (b * b), F.one / a])
+    assert [F.from_ring(r) for r in cleared] == [b, a, b * b]
 
 
 def test_from_ring_and_ring_gcd():
@@ -283,6 +287,14 @@ def test_rational_is_exact_or_an_error():
             F.rational(bad)
         with pytest.raises(FieldError):
             QQ.rational(1, bad)
+        with pytest.raises(FieldError):
+            QQ.from_int(bad)
+        with pytest.raises(FieldError):
+            F.from_int(bad)
+    assert QQ.from_int(-3).as_rational() == (-3, 1)
+    assert F.from_int(2) == F.lift(QQ.from_int(2))
+    with pytest.raises(FieldError):
+        QQ.from_int(Fraction(5, 2))
     with pytest.raises(FieldError):
         vec(QQ, [Fraction(3, 2), 2.7])
     with pytest.raises(FieldError):

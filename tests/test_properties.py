@@ -12,17 +12,20 @@ from factories import (
     random_poly,
     random_preset_algebra,
     random_vector,
+    reference_coordinate_complement,
 )
-from lieshift.construct import construct_theorem, mf_subalgebra
+from lieshift.construct import _coordinate_complement, construct_theorem, mf_subalgebra
 from lieshift.fields import QQ, FieldError
 from lieshift.invariants import b_of, index_of, is_regular, sample_point, trdeg_jacobian
 from lieshift.liealg import (
     LieAlgebra,
     LinearForm,
+    Subspace,
     basis_brackets,
     bracket,
     coadjoint_form,
     direct_sum,
+    killing_matrix,
     vec,
 )
 from lieshift.pbw import EnvelopingAlgebra, commutator, principal_symbol, symmetrize
@@ -442,3 +445,65 @@ def test_basis_brackets_and_coadjoint_form_match_the_dense_loop():
             for j in range(L.dim):
                 ref = gamma.of_vector(_ref_bracket(L, L.basis_vector(i), L.basis_vector(j)))
                 _same(form[i][j], ref, str)
+
+
+def _ref_killing(L):
+    """tr(ad x_i . ad x_j) from the dense ad matrices, (ad x_i)_kl = c_il^k."""
+    n, zero = L.dim, L.field.zero
+    ad = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for l in range(n):
+            for k, c in L.bracket_basis(i, l).items():
+                ad[i][k][l] = c
+    return [
+        [sum((ad[i][k][l] * ad[j][l][k] for k in range(n) for l in range(n)), zero)
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def test_killing_matrix_matches_dense_trace():
+    """On the kernel settings, and over Q also in a rescaled basis, where the
+    structure constants have denominators."""
+    rng = random.Random(1515)
+    fractional = 0
+    for case in range(100):
+        L, _ = _kernel_algebra(rng, case)
+        algebras = [L] if L.field.level else [L, _rescaled(rng, L, QQ)]
+        for M in algebras:
+            K, ref = killing_matrix(M), _ref_killing(M)
+            for row, ref_row in zip(K, ref):
+                _same(tuple(row), tuple(ref_row), lambda v: [str(c) for c in v])
+            fractional += any(
+                c.field.level == 0 and c.as_rational()[1] != 1 for row in K for c in row
+            )
+    assert fractional >= 10
+
+
+def test_coordinate_complement_matches_greedy_loop():
+    """Random subspaces over Q and Q(t), of random dimension, against the
+    greedy one-Subspace-per-index loop; only dim and field of L are read."""
+    rng = random.Random(1616)
+
+    def entry(F):
+        c = F.from_int(rng.randint(-3, 3))
+        return c * F.var("t") + rng.randint(-3, 3) if F.level else c
+
+    for case in range(120):
+        F = QT if case % 2 else QQ
+        n = rng.randint(1, 8)
+        L = LieAlgebra(F, ["e%d" % i for i in range(n)], {})
+        vectors = [
+            [entry(F) if rng.random() < 0.5 else F.zero for _ in range(n)]
+            for _ in range(rng.randint(1, n))
+        ]
+        h = Subspace(F, n, vectors)
+        comp = _coordinate_complement(L, h)
+        assert comp == reference_coordinate_complement(L, h)
+        assert Subspace(F, n, list(h.basis) + [L.basis_vector(i) for i in comp]).dim == n
+    # h = span{e0 + e1}: its pivot column 0 is in the complement, and 1 is not
+    for F in (QQ, QT):
+        L = LieAlgebra(F, ("a", "b", "c"), {})
+        h = Subspace(F, 3, [(1, 1, 0)])
+        assert h.pivots == (0,)
+        assert _coordinate_complement(L, h) == reference_coordinate_complement(L, h) == (0, 2)
