@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import lieshift.construct as construct_mod
@@ -370,6 +372,31 @@ def test_construct_borel_gl4_three_level_tower():
     assert cert.b_target == 6
     assert cert.trdeg.value == 6
     assert len(cert.generators.elements) == 6
+
+
+# sha256 of the newline-joined rendered generators, recorded before the
+# cleared-value format was shared by every tower level; default seeds,
+# preset invariants where the preset has them
+TOWER_GOLDENS = {
+    "aff1": "a1fce4363854ff888cff4b8e7875d600c2682390412a8cf79b37d0b11148b0fa",
+    "borel-sl2": "3f79bb7b435b05321651daefd374cdc681dc06faa65e374e38337b88ca046dea",
+    "borel-sl3": "84030b83400c5f2c689e5e6b9a349b8ee40deff8d09427d7f133cc6fb25b8f2a",
+    "sl2-semidirect-h3": "9e87a45de39ff30b431242f0cce6fcb9b83344481b0c3335525e9e7b2348843a",
+    "heisenberg4": "633f353dd7fb512d7cb019d23b05b119cf596bd2ff6996b017b52152614e4d36",
+    "heisenberg8": "667e2a36903deb49fd6b0eeff6e2058221387b195095b87659d97f0b28acddad",
+    "borel_gl(4)": "a73b75d1c55de58ba99b21e794743091c3df9ee90a66099d9455f5ef865150f3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOWER_GOLDENS))
+def test_tower_generators_golden(name):
+    if name == "borel_gl(4)":
+        cert = construct_theorem(borel_gl(4))
+    else:
+        P = preset(name)
+        cert = construct_theorem(P.algebra, casimirs=P.casimirs or None)
+    text = "\n".join(g.render() for g in cert.generators.elements)
+    assert hashlib.sha256(text.encode()).hexdigest() == TOWER_GOLDENS[name]
 
 
 def test_construct_jordan_block_action():
