@@ -38,7 +38,7 @@ from .liealg import (
     subalgebra_of,
     validate,
 )
-from .linalg import echelon_basis, kernel_basis, rank, solve
+from .linalg import echelon_basis, kernel_basis, rank
 from .polyring import PolyElement, gamma_shift, poisson
 from .pbw import (
     EnvelopingAlgebra,
@@ -345,15 +345,17 @@ def _ideal_action(L, h):
 
 def _coordinate_complement(L, h):
     """The basis indices i, in order, whose unit vector e_i is outside the
-    span of h and e_0, ..., e_{i-1}.
+    span of h and e_0, ..., e_{i-1}; and h's basis as (l, vector) pairs, each
+    vector the only one nonzero at its index l.
 
     e_i is inside exactly when some vector of h has its last nonzero
-    coordinate at i, and these last indices are the pivot columns of h's
+    coordinate at i, and these last indices l are the pivot columns of h's
     basis with the columns reversed: one elimination of dim h rows.
     """
-    _, pivots = echelon_basis(L.field, [b[::-1] for b in h.basis])
-    last = {L.dim - 1 - c for c in pivots}
-    return tuple(i for i in range(L.dim) if i not in last)
+    basis, pivots = echelon_basis(L.field, [b[::-1] for b in h.basis])
+    reduced = tuple((L.dim - 1 - c, b[::-1]) for b, c in zip(basis, pivots))
+    last = {l for l, _ in reduced}
+    return tuple(i for i in range(L.dim) if i not in last), reduced
 
 
 def abelian_qhat(L, h, sampling=Sampling()):
@@ -397,11 +399,16 @@ def _reduce_abelian(L, h, sampling):
                 out = out + F2.lift(c) * wvars[t]
         return out
 
-    comp = _coordinate_complement(L, h)
+    comp, reduced = _coordinate_complement(L, h)
     r = len(comp)
     rows = [[linfunc(ad_e[i]) for i in comp] for ad_e in ad]
     ker = kernel_basis(F2, rows, r)
     m = len(ker)
+    # each kernel vector is the only one nonzero at its free column
+    free = [
+        next(j for j in range(r) if v[j] and not any(o[j] for o in ker if o is not v))
+        for v in ker
+    ]
 
     sections = []
     for c in ker:
@@ -410,12 +417,9 @@ def _reduce_abelian(L, h, sampling):
             vec[i] = ci
         sections.append(tuple(vec))
 
-    # decomposition matrix: complement unit vectors then h basis, as columns
-    dec_rows = [
-        [F2.one if comp[a] == row else F2.zero for a in range(r)]
-        + [F2.lift(h.basis[t][row]) for t in range(d)]
-        for row in range(L.dim)
-    ]
+    # w = sum_k c_k e_comp[k] + sum_l s_l hbar_l, with s_l read at l, where
+    # only hbar_l is nonzero; hbar_l adds phi_l to the delta-coordinate
+    hbar = [(l, [F2.lift(x) for x in v], linfunc(h.coordinates(v))) for l, v in reduced]
 
     # L's structure constants lifted to F2, so sections bracket by the kernel
     L2 = LieAlgebra(
@@ -425,24 +429,22 @@ def _reduce_abelian(L, h, sampling):
     )
     table = {}
     for a, b, w in _brackets(L2, sections):
-        coords = solve(F2, dec_rows, w)
-        if coords is None:
-            raise ConstructError("reduced bracket escaped the ambient span")
-        comp_part, h_part = coords[:r], coords[r:]
+        phi = F2.zero
+        for l, v, phi_l in hbar:
+            if not w[l].is_zero:
+                s_l = w[l] / v[l]
+                phi = phi + s_l * phi_l
+                w = [x if y.is_zero else x - s_l * y for x, y in zip(w, v)]
+        comp_part = [w[i] for i in comp]
         for eta_idx in range(d):
             chk = F2.zero
             for i in range(r):
                 chk = chk + rows[eta_idx][i] * comp_part[i]
             if not chk.is_zero:
                 raise ConstructError("reduced bracket is not a section again")
-        gamma = solve(F2, [[ker[c][i] for c in range(m)] for i in range(r)], comp_part)
-        if gamma is None:
-            raise ConstructError("reduced bracket is outside the section span")
-        phi = F2.zero
-        for t, c in enumerate(h_part):
-            if not c.is_zero:
-                phi = phi + c * wvars[t]
-        comp_entry = {c: g for c, g in enumerate(gamma) if not g.is_zero}
+        comp_entry = {
+            c: comp_part[j] / ker[c][j] for c, j in enumerate(free) if not comp_part[j].is_zero
+        }
         if not phi.is_zero:
             comp_entry[m] = phi
         if comp_entry:
@@ -540,13 +542,6 @@ def _specialize(A, z_index, before, candidates, sampling):
 # -- lifting from the reduced algebra back into U(ambient) --------------------
 
 
-def _clear_denominators(u):
-    """Multiply a PBW element by the least common denominator (of the top
-    tower level) of its coefficients."""
-    F = u.alg.field
-    return u * F.from_ring(F._lcd(u.terms.values()))
-
-
 def _coeff_lift(hat, target_alg):
     """Map a top-level-polynomial coefficient c(w) to the ordered product
     c(h) inside U(ambient): monomials in the w variables become products of
@@ -556,11 +551,11 @@ def _coeff_lift(hat, target_alg):
     h_elems = [target_alg.from_vector(v) for v in hat.h.basis]
 
     def img(c):
-        raw = c.raw
-        if raw.denom != raw.denom.ring.one:
+        d, (numer,) = F2.clear([c.raw])
+        if d != 1:
             raise ConstructError("internal: denominator not cleared before lift")
         out = target_alg.zero()
-        for exps, ground in raw.numer.terms():
+        for exps, ground in numer.terms():
             term = target_alg.one() * base.from_ground(ground)
             for t, e in enumerate(exps):
                 for _ in range(e):
@@ -573,14 +568,17 @@ def _coeff_lift(hat, target_alg):
 
 def lift_from_hat(hat, u, target_alg):
     """Image in U(ambient) of a delta-specialized element of the reduced
-    enveloping algebra: denominators cleared, coefficients sent to ordered
-    products over the ideal, sections substituted for the reduced
-    generators (function coefficients kept to the left)."""
+    enveloping algebra: multiplied by the least common denominator of its
+    coefficients, coefficients sent to ordered products over the ideal,
+    sections substituted for the reduced generators (function coefficients
+    kept to the left)."""
     m = len(hat.sections)
     for exps in u.terms:
         if exps[m] != 0:
             raise ConstructError("specialize the central element before lifting")
-    cleared = _clear_denominators(u)
+    F2 = hat.base_field
+    d, _ = F2.clear([c.raw for c in u.terms.values()])
+    cleared = u * F2.from_cleared(d, 1)
     coeff_img = _coeff_lift(hat, target_alg)
     images = []
     for sec in hat.sections:
@@ -828,9 +826,8 @@ def maximality_probe(A, d, sampling=Sampling()):
     """
     if A.flavor != "associative" or not A.elements:
         raise ConstructError("the probe needs a nonempty associative set")
-    d = int(d)
-    if d < 1:
-        raise ConstructError("the probe degree must be at least 1")
+    if not isinstance(d, int) or d < 1:
+        raise ConstructError("the probe degree must be an integer of at least 1, got %r" % (d,))
     elements = list(A.elements)
     alg = elements[0].alg
     if bad := _failing_pair(elements, commutator):

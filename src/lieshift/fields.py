@@ -15,6 +15,12 @@ a computation over Q never loads it. A level-0 value enters a tower as
 sympy's ``QQ(p, q)`` (``Field.lift``) and comes back down through its
 numerator and denominator (``Field.from_ground``). This module owns the
 canonical form, the tower bookkeeping and the error contract.
+
+The arithmetic kernels and the elimination in ``linalg`` share one format
+at every level, cleared values: ``Field.clear`` brings a list of elements
+to numerators over their least common denominator, in the numerator ring
+(ints at level 0, polynomials in the level's variables above), and
+``Field.from_cleared`` wraps a result n / d once.
 """
 
 from __future__ import annotations
@@ -144,12 +150,48 @@ class Field:
             return FieldElement(self, Fraction(int(g.numerator), int(g.denominator)))
         return FieldElement(self, g)
 
-    # -- numerator-ring access (for fraction-free elimination) ---------------
+    # -- cleared values: numerators over one common denominator --------------
 
-    def ring_one(self):
+    def clear(self, raws):
+        """(d, numerators) with raw value r_i = numerators[i] / d.
+
+        The numerators lie in the numerator ring (ints at level 0,
+        polynomials in this level's variables above) and d is the least
+        common denominator, so kernels and elimination add and multiply
+        ring values and divide once per result (``from_cleared``). A unit
+        denominator costs neither a gcd nor a quotient; with every
+        denominator a unit the numerators come back as they are.
+        """
         if self.level == 0:
-            return 1
-        return self.domain.field.ring.one
+            ratios = [r.as_integer_ratio() for r in raws]
+            d = math.lcm(*(q for _, q in ratios))
+            return d, [p if q == d else p * (d // q) for p, q in ratios]
+        d = self.domain.field.ring.one
+        for r in raws:
+            q = r.denom
+            if q != 1:
+                d = q if d == 1 else d * q.quo(d.gcd(q))
+        return d, [r.numer if r.denom == d else r.numer * d.quo(r.denom) for r in raws]
+
+    def from_cleared(self, n, d):
+        """The element n / d of a numerator-ring value n over a nonzero
+        denominator d (the int 1 serves as the unit at every level)."""
+        if self.level == 0:
+            return FieldElement(self, Fraction(n, d))
+        field = self.domain.field
+        if d == 1:
+            return FieldElement(self, field.raw_new(n, field.ring.one))
+        return FieldElement(self, field.new(n, d))
+
+    def clear_row(self, elems):
+        """Field elements -> numerators over their least common denominator.
+        The only check of a ``linalg`` matrix entry."""
+        for e in elems:
+            if not isinstance(e, FieldElement):
+                raise FieldError("row entry %r is not a field element" % (e,))
+            if e.field is not self and e.field != self:
+                raise FieldError("tower-level mismatch: %r vs %r" % (self, e.field))
+        return self.clear([e.raw for e in elems])[1]
 
     def ring_quo(self, a, b):
         """Exact division in the numerator ring; a remainder is an error."""
@@ -163,56 +205,20 @@ class Field:
             return math.gcd(int(a), int(b))
         return a.gcd(b)
 
-    # -- kernel values: integers over one denominator at level 0 ------------
-
-    def kernel_values(self, raws):
-        """(d, values) with raw value r_i = values[i] / d.
-
-        At level 0 the values are integers over the least common
-        denominator d, so a kernel adds and multiplies them without rational
-        arithmetic and divides once per result (``from_kernel``). Above
-        level 0 they are the raw values themselves, with d = 1.
-        """
-        if self.level:
-            return 1, list(raws)
-        ratios = [r.as_integer_ratio() for r in raws]
-        d = math.lcm(*(q for _, q in ratios))
-        return d, [p if q == d else p * (d // q) for p, q in ratios]
-
-    def from_kernel(self, x, d):
-        """The element x / d of a kernel value x over the denominator d."""
-        if self.level:
-            return FieldElement(self, x)
-        return FieldElement(self, Fraction(x, d))
-
-    def from_ring(self, a):
+    def _primitive(self, row):
+        """The canonical numerator-ring row on the line of a nonzero one:
+        content divided out, first nonzero entry positive (level 0) or of
+        leading coefficient 1 (above), the rule kept for denominators."""
+        content = None
+        for a in row:
+            if a:
+                content = a if content is None else self.ring_gcd(content, a)
+        row = [self.ring_quo(a, content) if a else a for a in row]
+        lead = next(a for a in row if a)
         if self.level == 0:
-            return FieldElement(self, Fraction(a))
-        return FieldElement(self, self.domain.field.new(a, self.domain.field.ring.one))
-
-    def clear_row(self, elems):
-        """Common-denominator clearing: field elements -> numerator-ring row.
-        The only check of a ``linalg`` matrix entry."""
-        for e in elems:
-            if not isinstance(e, FieldElement):
-                raise FieldError("row entry %r is not a field element" % (e,))
-            if e.field is not self and e.field != self:
-                raise FieldError("tower-level mismatch: %r vs %r" % (self, e.field))
-        if self.level == 0:
-            return self.kernel_values([e.raw for e in elems])[1]
-        lcd = self._lcd(elems)
-        return [e.raw.numer * lcd.quo(e.raw.denom) for e in elems]
-
-    def _lcd(self, elems):
-        """The least common denominator of elements of this field, in the
-        numerator ring: an int at level 0, a polynomial above."""
-        if self.level == 0:
-            return math.lcm(*(e.raw.denominator for e in elems))
-        lcd = self.domain.field.ring.one
-        for e in elems:
-            den = e.raw.denom
-            lcd = lcd * den.quo(lcd.gcd(den))
-        return lcd
+            return [-a for a in row] if lead < 0 else row
+        lc = lead.LC
+        return row if lc == self.domain.domain.one else [a.quo_ground(lc) for a in row]
 
 
 class _Rationals:
@@ -267,6 +273,13 @@ def _convert_ground_elements(domain):
 
 
 QQ = Field(0, (), None)
+
+
+def _exponent(n):
+    """n, checked to be an int: a truncated 2.5 would be a wrong answer."""
+    if not isinstance(n, int):
+        raise FieldError("not an integer exponent: %r" % (n,))
+    return n
 
 
 class FieldElement:
@@ -344,7 +357,7 @@ class FieldElement:
         return FieldElement(self.field, -self.raw)
 
     def __pow__(self, n):
-        n = int(n)
+        n = _exponent(n)
         if n < 0 and not self.raw:
             raise FieldError("division by zero")
         return FieldElement(self.field, self.raw**n)

@@ -182,9 +182,11 @@ def symmetric_invariants(L, max_deg):
     x_i and monomials m of that degree, and take the exact kernel.  Constants
     are excluded; the list may be empty.
     """
+    if not isinstance(max_deg, int):
+        raise ValueError("max_deg must be an integer, got %r" % (max_deg,))
     F = L.field
     out = []
-    for d in range(1, int(max_deg) + 1):
+    for d in range(1, max_deg + 1):
         monos = list(monomials_of_degree(L.dim, d))
         row_index = {}
         cols = []

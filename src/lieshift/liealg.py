@@ -228,11 +228,10 @@ class LieAlgebra:
     @cached_property
     def kernel_brackets(self):
         """(D, {i: {j: ((k, c), ...)}}): the nonzero brackets [x_i, x_j], both
-        orders, as kernel values c = D c_ij^k over one denominator D
-        (``Field.kernel_values``), for the arithmetic kernels. At level 0 the
-        c are integers, the constants of the basis y_i = D x_i; above, D = 1
-        and the c are raw domain values."""
-        D, values = self.field.kernel_values(
+        orders, as cleared values c = D c_ij^k over the least common
+        denominator D (``Field.clear``), for the arithmetic kernels. The c
+        are numerator-ring values, the constants of the basis y_i = D x_i."""
+        D, values = self.field.clear(
             [c.raw for comp in self.table.values() for c in comp.values()]
         )
         it = iter(values)
@@ -264,19 +263,19 @@ def _raw_support(field, v):
 
 
 def _kernel_support(field, v):
-    """(d, [(index, kernel value), ...]) over the nonzero coordinates of v."""
+    """(d, [(index, cleared value), ...]) over the nonzero coordinates of v."""
     support = _raw_support(field, v)
-    d, values = field.kernel_values([x for _, x in support])
+    d, values = field.clear([x for _, x in support])
     return d, [(i, x) for (i, _), x in zip(support, values)]
 
 
 def bracket(L, a, b):
     """[a, b] for coordinate vectors a, b.
 
-    Sums c_ij^k a_i b_j over the nonzero coordinates of a and b on kernel
-    values (integers over one denominator at level 0, see
-    ``Field.kernel_values``) and wraps each nonzero output coordinate once;
-    the zero coordinates share one element.
+    Sums c_ij^k a_i b_j over the nonzero coordinates of a and b on cleared
+    values (numerators over one denominator, see ``Field.clear``) and wraps
+    each nonzero output coordinate once; the zero coordinates share one
+    element.
     """
     if len(a) != L.dim or len(b) != L.dim:
         raise LieAlgebraError("vector length does not match ambient dim")
@@ -319,14 +318,14 @@ def _bracket_supports(L, a, b):
     res = [zero] * L.dim
     for k, x in out.items():
         if x:
-            res[k] = field.from_kernel(x, den)
+            res[k] = field.from_cleared(x, den)
     return tuple(res)
 
 
 def basis_brackets(L, w):
     """([x_0, w], ..., [x_{n-1}, w]): w bracketed with every basis vector.
 
-    One pass over the nonzero coordinates of w on kernel values, using
+    One pass over the nonzero coordinates of w on cleared values, using
     [x_i, w] = -sum_j w_j [x_j, x_i]; each nonzero output coordinate is
     wrapped once and the zero coordinates share one element.
     """
@@ -349,7 +348,7 @@ def basis_brackets(L, w):
         res = [zero] * L.dim
         for k, x in acc.items():
             if x:
-                res[k] = field.from_kernel(x, den)
+                res[k] = field.from_cleared(x, den)
         images.append(tuple(res))
     return images
 
@@ -472,10 +471,10 @@ def check_split(L, split):
 
 
 def coadjoint_form(L, gamma):
-    """Rows of the antisymmetric matrix gamma([x_i, x_j]), on kernel values."""
+    """Rows of the antisymmetric matrix gamma([x_i, x_j]), on cleared values."""
     F = L.field
     D, brackets = L.kernel_brackets
-    dg, g = F.kernel_values([c.raw for c in gamma.coords])
+    dg, g = F.clear([c.raw for c in gamma.coords])
     den = D * dg
     zero = F.zero
     rows = [[zero] * L.dim for _ in range(L.dim)]
@@ -484,8 +483,8 @@ def coadjoint_form(L, gamma):
             if i < j:
                 val = sum(c * g[k] for k, c in comp if g[k])
                 if val:
-                    rows[i][j] = F.from_kernel(val, den)
-                    rows[j][i] = F.from_kernel(-val, den)
+                    rows[i][j] = F.from_cleared(val, den)
+                    rows[j][i] = F.from_cleared(-val, den)
     return rows
 
 
@@ -653,7 +652,7 @@ def killing_matrix(L):
     """Rows of the Killing form's Gram matrix tr(ad x_i . ad x_j) on the basis.
 
     With (ad x_i)_kl = c_il^k, entry (i, j) sums c_il^k c_jk^l over the
-    sparse ``kernel_brackets``, on kernel values over D^2, and is wrapped
+    sparse ``kernel_brackets``, on cleared values over D^2, and is wrapped
     once; the zero entries share one element.
     """
     F = L.field
@@ -673,7 +672,7 @@ def killing_matrix(L):
                 if e is not None:
                     s = c * e if s is None else s + c * e
             if s:
-                rows[i][j] = rows[j][i] = F.from_kernel(s, D * D)
+                rows[i][j] = rows[j][i] = F.from_cleared(s, D * D)
     return rows
 
 

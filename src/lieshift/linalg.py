@@ -7,7 +7,8 @@ A matrix is a list of rows of ``FieldElement``s: ``rank(field, rows)``,
 ``FieldError``.
 
 All elimination is one fraction-free (Bareiss) forward pass, ``_bareiss``, on
-rows cleared to the numerator ring: integers at level 0, polynomials above.
+rows cleared to the numerator ring by ``Field.clear_row``: integers at level
+0, polynomials above.
 It rescales lazily: a row whose entry in the pivot column is zero is not
 rewritten at that step, but brought up to date by one exact division (the
 skipped factors telescope) when it is next read, so the tall, sparse
@@ -15,9 +16,8 @@ systems of the invariant search rewrite each row only a few times.
 ``rank`` counts its pivots. ``kernel_basis`` and ``solve`` (on [A | -b], free
 variables 0) add back-substitution, ``_back_substitute``. ``echelon_basis``,
 the basis of ``liealg.Subspace``, adds clearing above each pivot in the ring.
-``kernel_basis``, ``echelon_basis`` and ``normalize_vector`` normalize with
-``_normalize_ring_row``: content divided out, first nonzero entry positive
-(level 0) or monic (above), so every basis returned here is canonical.
+``kernel_basis``, ``echelon_basis`` and ``normalize_vector`` normalize each
+row with ``Field._primitive``, so every basis returned here is canonical.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def _bareiss(field, rows, ncols):
     rows = [row for row in map(field.clear_row, rows) if any(row)]
     quo = field.ring_quo
     pivots = []
-    dens = [field.ring_one()]  # dens[t] = d[t-1], the divisor of a row current to step t
+    dens = [field.clear(())[0]]  # dens[t] = d[t-1]; dens[0] is the ring's unit
     step = [0] * len(rows)  # the step each row is current to
     r = 0
     nrows = len(rows)
@@ -128,7 +128,7 @@ def echelon_basis(field, rows):
         return [], []
     ring, pivots = _bareiss(field, rows, len(rows[0]))
     for r, c in reversed(pivots):
-        row = ring[r] = _normalize_ring_row(field, ring[r])
+        row = ring[r] = field._primitive(ring[r])
         for i in range(r):
             head = ring[i][c]
             if head:
@@ -141,27 +141,12 @@ def normalize_vector(field, vec):
     row = field.clear_row(vec)
     if not any(row):
         return list(vec)
-    return list(_from_ring_row(field, _normalize_ring_row(field, row)))
-
-
-def _normalize_ring_row(field, row):
-    """A nonzero ring row over its content, first nonzero entry made positive
-    (level 0) or with leading coefficient 1 (above)."""
-    content = None
-    for a in row:
-        if a:
-            content = a if content is None else field.ring_gcd(content, a)
-    row = [field.ring_quo(a, content) if a else a for a in row]
-    lead = next(a for a in row if a)
-    if field.level == 0:
-        return [-a for a in row] if lead < 0 else row
-    lc = lead.LC
-    return row if lc == field.domain.domain.one else [a.quo_ground(lc) for a in row]
+    return list(_from_ring_row(field, field._primitive(row)))
 
 
 def _from_ring_row(field, row):
     zero = field.zero  # one shared element for the (many) zero entries
-    return tuple(field.from_ring(a) if a else zero for a in row)
+    return tuple(field.from_cleared(a, 1) if a else zero for a in row)
 
 
 def solve(field, a_rows, rhs):

@@ -9,29 +9,25 @@ with everything (verified, not assumed).
 
 The straightening kernels (``mul_mono``, ``symm_mono``, products,
 ``commutator``, ``symmetrize``) run on the algebra's structure constants as
-kernel values (``LieAlgebra.kernel_brackets``), and ``_mul_cache`` and
-``_symm_cache`` hold coefficients of that table's type:
-
-* At level 0 the table is integral. With D the least common denominator of
-  the structure constants (1 for every preset), the basis y_i = D x_i has
-  [y_i, y_j] = sum D c_ij^k y_k, with integer constants, so straightening a
-  product of y-monomials only adds and multiplies integers. An element is
-  cleared once per kernel call: x^a = D^-|a| y^a, and its y-coefficients
-  are brought to integer numerators over one common denominator d. Each
-  output term n y^m over du * dv is wrapped once as the rational
-  n D^|m| / (du dv). Every step is an exact identity in U(q), so the
-  results are the products of the rational elements themselves, in the
-  same canonical form.
-* Above level 0 the table holds the raw ``field.domain`` constants and the
-  elements' raw coefficients are straightened as they are, with d = 1.
+cleared values (``LieAlgebra.kernel_brackets``), and ``_mul_cache`` and
+``_symm_cache`` hold numerator-ring coefficients: integers at level 0,
+polynomials above. With D the least common denominator of the structure
+constants (1 for every preset), the basis y_i = D x_i has
+[y_i, y_j] = sum D c_ij^k y_k with numerator-ring constants, so straightening
+a product of y-monomials only adds and multiplies ring values. An element is
+cleared once per kernel call: x^a = D^-|a| y^a, and its y-coefficients are
+brought to numerators over one common denominator d (``Field.clear``). Each
+output term n y^m over du * dv is wrapped once as n D^|m| / (du dv). Every
+step is an exact identity in U(q), so the results are the products of the
+elements themselves, in the same canonical form.
 """
 
 from __future__ import annotations
 
-from math import factorial, lcm
+from math import factorial
 from operator import add
 
-from .fields import FieldElement, FieldError
+from .fields import FieldElement, FieldError, _exponent
 from .linalg import kernel_basis
 from .polyring import PolyElement, _acc, _render_terms
 
@@ -61,12 +57,8 @@ class EnvelopingAlgebra:
         self._units = tuple(
             tuple(int(k == i) for k in range(L.dim)) for i in range(L.dim)
         )
-        if L.field.level == 0:
-            self._scale, self._brackets = L.kernel_brackets
-            self._one = 1
-        else:
-            self._scale, self._brackets = None, L.kernel_brackets[1]
-            self._one = L.field.domain.one
+        self._scale, self._brackets = L.kernel_brackets
+        self._one = self.field.clear(())[0]
         self._mul_cache = {}
         self._symm_cache = {}
 
@@ -100,22 +92,15 @@ class EnvelopingAlgebra:
 
     def _numerators(self, terms):
         """(d, {monomial: n}) for {monomial: FieldElement}: the element is
-        the sum over m of n / d times the table's basis monomial at m (the
-        y-monomial at level 0, see the module docstring)."""
-        if self._scale is None:
-            return 1, {m: c.raw for m, c in terms.items()}
+        the sum over m of n / d times the y-monomial at m (see the module
+        docstring). The coefficients are cleared once, and the D^-|m| of
+        each term is brought over the common denominator d D^top."""
+        d, nums = self.field.clear([c.raw for c in terms.values()])
         D = self._scale
-        nums = {}
-        for m, c in terms.items():
-            n, d = int(c.raw.numerator), int(c.raw.denominator)
-            s = sum(m)
-            if s > 0:
-                d *= D**s
-            elif s < 0:
-                n *= D**-s
-            nums[m] = (n, d)
-        den = lcm(*(d for _, d in nums.values()))
-        return den, {m: n * (den // d) for m, (n, d) in nums.items()}
+        if D == 1:
+            return d, dict(zip(terms, nums))
+        top = max(0, max(map(sum, terms), default=0))
+        return d * D**top, {m: n * D ** (top - sum(m)) for m, n in zip(terms, nums)}
 
     # -- straightening core ----------------------------------------------------
 
@@ -246,7 +231,7 @@ class PBWElement:
         clean = {}
         field = alg.field
         for exps, c in terms.items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(_exponent, exps))
             if len(exps) != alg.dim:
                 raise FieldError("monomial length != algebra dimension")
             for i, e in enumerate(exps):
@@ -265,22 +250,24 @@ class PBWElement:
         self.terms = clean
 
     @classmethod
-    def _from_raw(cls, alg, raw, den):
+    def _from_cleared(cls, alg, raw, den):
         """Trusted constructor for kernel output: raw maps well-formed
-        monomials to nonzero table coefficients, and the element is the sum
-        over m of raw[m] / den times the table's basis monomial at m; each
-        term is wrapped once."""
+        monomials to nonzero numerators, and the element is the sum over m
+        of raw[m] / den times the y-monomial at m; each term is wrapped
+        once, as raw[m] D^|m| / den."""
         self = object.__new__(cls)
         self.alg = alg
         field, D = alg.field, alg._scale
-        if D is None:
-            self.terms = {m: FieldElement(field, c) for m, c in raw.items()}
+        if D == 1:
+            self.terms = {m: field.from_cleared(n, den) for m, n in raw.items()}
             return self
         terms = {}
         for m, n in raw.items():
             s = sum(m)
-            num, d = (n * D**s, den) if s >= 0 else (n, den * D**-s)
-            terms[m] = field.from_kernel(num, d)
+            if s >= 0:
+                terms[m] = field.from_cleared(n * D**s, den)
+            else:
+                terms[m] = field.from_cleared(n, den * D**-s)
         self.terms = terms
         return self
 
@@ -326,7 +313,7 @@ class PBWElement:
         dv, rv = alg._numerators(other.terms)
         out = {}
         _product_into(out, alg, ru, rv)
-        return PBWElement._from_raw(alg, out, du * dv)
+        return PBWElement._from_cleared(alg, out, du * dv)
 
     def __rmul__(self, other):
         if isinstance(other, (int, FieldElement)):
@@ -334,7 +321,7 @@ class PBWElement:
         return NotImplemented
 
     def __pow__(self, n):
-        n = int(n)
+        n = _exponent(n)
         if n < 0:
             raise FieldError("negative power of a PBW element")
         out = self.alg.one()
@@ -383,7 +370,7 @@ def commutator(u, v):
     out = {}
     _product_into(out, alg, ru, rv)
     _product_into(out, alg, {m: -c for m, c in rv.items()}, ru)
-    return PBWElement._from_raw(alg, out, du * dv)
+    return PBWElement._from_cleared(alg, out, du * dv)
 
 
 def symmetrize(alg, p):
@@ -402,7 +389,7 @@ def symmetrize(alg, p):
     for exps, n in nums.items():
         for m, c in sums[exps].items():
             _acc(out, m, n * c)
-    return PBWElement._from_raw(alg, out, den)
+    return PBWElement._from_cleared(alg, out, den)
 
 
 def principal_symbol(u):

@@ -5,16 +5,15 @@ the algebra's tower field. Negative exponents are allowed only at explicitly
 flagged (central) indices, mirroring the localized enveloping algebra; the
 formal inverse obeys z * z^-1 = 1 eagerly through exponent addition.
 
-The Poisson and gradient kernels compute on kernel values (integers over
-one denominator at level 0, raw ``field.domain`` values above; see
-``Field.kernel_values``) and wrap each result coefficient once, through a
-trusted constructor that skips the per-term checks the public constructor
-keeps for caller input.
+The Poisson and gradient kernels compute on cleared values, numerators over
+one common denominator (``Field.clear``: integers at level 0, polynomials
+above), and wrap each result coefficient once, through a trusted constructor
+that skips the per-term checks the public constructor keeps for caller input.
 """
 
 from __future__ import annotations
 
-from .fields import FieldElement, FieldError
+from .fields import FieldElement, FieldError, _exponent
 
 
 class PolyElement:
@@ -26,7 +25,7 @@ class PolyElement:
         self.laurent = frozenset(laurent)
         clean = {}
         for exps, c in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(_exponent, exps))
             if len(exps) != nvars:
                 raise FieldError("exponent vector length != nvars")
             for i, e in enumerate(exps):
@@ -40,15 +39,15 @@ class PolyElement:
         self.terms = clean
 
     @classmethod
-    def _from_kernel(cls, field, nvars, values, den, laurent):
-        """Trusted constructor for kernel output: values holds nonzero kernel
-        values over the denominator den at well-formed exponents, so only
-        the wrapping is done."""
+    def _from_cleared(cls, field, nvars, values, den, laurent):
+        """Trusted constructor for kernel output: values holds nonzero
+        numerators over the denominator den at well-formed exponents, so
+        only the wrapping is done."""
         self = object.__new__(cls)
         self.field = field
         self.nvars = nvars
         self.laurent = frozenset(laurent)
-        self.terms = {e: field.from_kernel(c, den) for e, c in values.items()}
+        self.terms = {e: field.from_cleared(c, den) for e, c in values.items()}
         return self
 
     # -- constructors ----------------------------------------------------
@@ -136,7 +135,7 @@ class PolyElement:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        n = int(n)
+        n = _exponent(n)
         if n < 0:
             raise FieldError("negative power of a polynomial")
         out = PolyElement.constant(self.field, self.nvars, 1, self.laurent)
@@ -227,8 +226,8 @@ def poisson(L, f, g):
         raise FieldError("mixed polynomial ambients")
     field = L.field
     D, rows = L.kernel_brackets
-    df, fvalues = field.kernel_values([c.raw for c in f.terms.values()])
-    dg, gvalues = field.kernel_values([c.raw for c in g.terms.values()])
+    df, fvalues = field.clear([c.raw for c in f.terms.values()])
+    dg, gvalues = field.clear([c.raw for c in g.terms.values()])
     gterms = [
         (e2, c2, [j for j, x in enumerate(e2) if x]) for e2, c2 in zip(g.terms, gvalues)
     ]
@@ -254,7 +253,7 @@ def poisson(L, f, g):
                         base[k] -= 1
                     base[i] += 1
                     base[j] += 1
-    return PolyElement._from_kernel(field, L.dim, out, df * dg * D, f.laurent | g.laurent)
+    return PolyElement._from_cleared(field, L.dim, out, df * dg * D, f.laurent | g.laurent)
 
 
 def _render_terms(terms, labels, order):
@@ -301,17 +300,18 @@ def _acc(d, m, c):
 def differential_at(f, point):
     """Gradient vector of f evaluated at a point of the dual space.
 
-    One pass over the terms on kernel values: a term c x^e adds
-    c e_i x^(e - eps_i) to entry i for every i with e_i != 0. A point
-    without denominators is raised to positive powers as kernel values
-    (integers at level 0), any other power is taken of the raw coordinate.
-    Powers are computed once per (index, exponent), and zeroth powers are
-    not multiplied in. A formal inverse evaluated at zero raises FieldError,
-    as ``evaluate`` does on the partial derivatives.
+    One pass over the terms on cleared values: a term c x^e adds
+    c e_i x^(e - eps_i) to entry i for every i with e_i != 0. With the point
+    cleared to x_j = p_j / p_n, every term times prod_j p_j^off_j is a ring
+    value, for off_j the largest inverse power of x_j and off_n the largest
+    degree. Powers are computed once per (index, exponent), and zeroth
+    powers are not multiplied in. A formal inverse evaluated at zero raises
+    FieldError, as ``evaluate`` does on the partial derivatives.
     """
     field = f.field
-    if len(point) != f.nvars:
-        raise FieldError("point has %d coordinates, want %d" % (len(point), f.nvars))
+    n = f.nvars
+    if len(point) != n:
+        raise FieldError("point has %d coordinates, want %d" % (len(point), n))
     pt = []
     for c in point:
         if not isinstance(c, FieldElement):
@@ -319,38 +319,53 @@ def differential_at(f, point):
         elif c.field is not field and c.field != field:
             raise FieldError("tower-level mismatch: %r vs %r" % (field, c.field))
         pt.append(c.raw)
-    dp, kpt = field.kernel_values(pt)
-    if dp != 1:
-        kpt = pt
-    den, values = field.kernel_values([c.raw for c in f.terms.values()])
+    q, p = field.clear(pt)
+    p.append(q)
+    off = [0] * (n + 1)
+    for j in f.laurent:
+        low = min((e[j] for e in f.terms), default=0)
+        if low < 0:
+            if not pt[j]:
+                raise FieldError("evaluating a formal inverse at zero")
+            off[j] = 1 - low
+    if q != 1:
+        off[n] = max(0, max((sum(e) - 1 for e in f.terms), default=0))
+    den, values = field.clear([c.raw for c in f.terms.values()])
     powers = {}
 
     def power(i, k):
-        p = powers.get((i, k))
-        if p is None:
-            p = powers[(i, k)] = kpt[i] ** k if k > 0 else pt[i] ** k
-        return p
+        x = powers.get((i, k))
+        if x is None:
+            x = powers[(i, k)] = p[i] ** k
+        return x
 
-    grad = [None] * f.nvars
+    grad = [None] * n
     for e, c in zip(f.terms, values):
-        supp = [(i, k) for i, k in enumerate(e) if k]
-        if any(k < 0 and not pt[i] for i, k in supp):
-            raise FieldError("evaluating a formal inverse at zero")
-        for i, k in supp:
+        base = [(j, k + off[j]) for j, k in enumerate(e) if k or off[j]]
+        if q != 1:
+            base.append((n, off[n] + 1 - sum(e)))
+        for i, k in enumerate(e):
+            if not k:
+                continue
             g = c if k == 1 else c * k
-            for j, kj in supp:
-                kj = kj - 1 if j == i else kj
-                if kj:
-                    g = g * power(j, kj)
+            for j, x in base:
+                x = x - 1 if j == i else x
+                if x:
+                    g = g * power(j, x)
             grad[i] = g if grad[i] is None else grad[i] + g
+    for j, x in enumerate(off):
+        if x:
+            den = den * power(j, x)
     zero = field.zero
-    return [zero if g is None else field.from_kernel(g, den) for g in grad]
+    return [zero if g is None else field.from_cleared(g, den) for g in grad]
 
 
 def gamma_shift(h, gamma, k):
     """k-th iterated directional derivative of h along the form gamma."""
+    if not isinstance(k, int):
+        raise ValueError("the shift order must be an integer, got %r" % (k,))
     out = h
-    for _ in range(int(k)):
+    for _ in range(k):
         acc = PolyElement.zero(h.field, h.nvars, h.laurent)
         for i in range(h.nvars):
             c = gamma.coords[i]

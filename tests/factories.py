@@ -206,7 +206,7 @@ def reference_bareiss(field, rows, ncols):
     Returns the pivot rows and the pivot columns."""
     rows = [row for row in map(field.clear_row, rows) if any(row)]
     pivot_cols = []
-    prev = field.ring_one()
+    prev = field.clear(())[0]
     r = 0
     for c in range(ncols):
         p = next((i for i in range(r, len(rows)) if rows[i][c]), None)

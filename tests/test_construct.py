@@ -5,6 +5,7 @@ import pytest
 import lieshift.construct as construct_mod
 import lieshift.invariants as inv_mod
 import lieshift.liealg as liealg_mod
+import lieshift.linalg as linalg_mod
 from lieshift.construct import (
     ConstructError,
     abelian_qhat,
@@ -20,7 +21,7 @@ from lieshift.construct import (
     verify_hat_lemmas,
 )
 from lieshift.fields import QQ
-from lieshift.invariants import GeneratorSet, Sampling, b_of, trdeg_jacobian
+from lieshift.invariants import GeneratorSet, Sampling, b_of, symmetric_invariants, trdeg_jacobian
 from lieshift.liealg import (
     HeisenbergSplit,
     LieAlgebra,
@@ -31,7 +32,7 @@ from lieshift.liealg import (
     vec,
 )
 from lieshift.pbw import EnvelopingAlgebra, commutator
-from lieshift.polyring import PolyElement, poisson
+from lieshift.polyring import PolyElement, gamma_shift, poisson
 from lieshift.presets import preset
 
 
@@ -491,6 +492,22 @@ def test_construct_checks_each_heisenberg_fact_once(monkeypatch, name):
     }
 
 
+def test_reduce_abelian_solves_nothing_per_section_pair(monkeypatch):
+    # each section bracket is split along the complement and h's basis
+    # reduced at its last indices, and gamma is read at the kernel's free
+    # columns; the parent made two tower solves per pair, 6 on borel-sl3
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return linalg_mod.solve(*args)
+
+    monkeypatch.setattr(construct_mod, "solve", counted, raising=False)
+    cert = construct_theorem(preset("borel-sl3").algebra)
+    assert cert.trdeg.value == 3
+    assert calls == []
+
+
 @pytest.mark.parametrize("name,calls", [("aff1", 3), ("borel-sl2", 3), ("borel-sl3", 4)])
 def test_construct_samples_each_trdeg_once(monkeypatch, name, calls):
     # the specialization reuses the trdeg _certify sampled one level down
@@ -564,6 +581,22 @@ def test_certificate_catches_noncommuting_heisenberg_lift(monkeypatch):
 
 
 # -- maximality probe ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda L, A, h, g: gamma_shift(h, g, 1.5), ValueError),
+        (lambda L, A, h, g: symmetric_invariants(L, 2.5), ValueError),
+        (lambda L, A, h, g: maximality_probe(A, 1.9), ConstructError),
+    ],
+)
+def test_non_integer_degree_is_an_error(call, error):
+    L = preset("sl2").algebra
+    A = GeneratorSet("associative", [EnvelopingAlgebra(L).gen(0)], ["h"])
+    h = PolyElement.variable(QQ, 3, 0) ** 2
+    with pytest.raises(error, match="integer"):
+        call(L, A, h, LinearForm(QQ, vec(QQ, [1, 0, 0])))
 
 
 def test_maximality_probe_finds_missing_generator():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieshift.fields import MAX_TOWER_DEPTH, QQ, FieldElement, FieldError
 from lieshift.liealg import vec
@@ -104,22 +105,26 @@ def test_clear_row_tower():
     F = QQ.extend("a")
     a = F.var("a")
     cleared = F.clear_row([F.one / a, a])
-    back = [F.from_ring(r) for r in cleared]
+    back = [F.from_cleared(r, 1) for r in cleared]
     # common denominator a: [1/a, a] -> [1, a^2]
     assert back == [F.one, a * a]
     # least common denominator a (a + 1)^2, not the product a^2 (a + 1)^3
     b = a + 1
-    cleared = F.clear_row([F.one / (a * b), F.one / (b * b), F.one / a])
-    assert [F.from_ring(r) for r in cleared] == [b, a, b * b]
+    d, cleared = F.clear([e.raw for e in (F.one / (a * b), F.one / (b * b), F.one / a)])
+    assert F.from_cleared(d, 1) == a * b * b
+    assert [F.from_cleared(r, 1) for r in cleared] == [b, a, b * b]
 
 
-def test_from_ring_and_ring_gcd():
+def test_from_cleared_and_ring_gcd():
     F = QQ.extend("a")
     a = F.var("a")
     n = (a * a).raw.numer
     d = a.raw.numer
-    assert F.from_ring(F.ring_gcd(n, d)) == a
-    assert F.from_ring(F.ring_quo(n, d)) == a
+    assert F.from_cleared(F.ring_gcd(n, d), 1) == a
+    assert F.from_cleared(F.ring_quo(n, d), 1) == a
+    # n / d is reduced on the way in
+    assert F.from_cleared(n, d) == a
+    assert F.from_cleared(d, n) == F.one / a
 
 
 def test_ring_quo_is_exact_at_every_level():
@@ -259,17 +264,90 @@ def test_level0_scalar_lifts_into_towers_and_back(pq):
     assert exps == (1,) and Qt.from_ground(g) == y1
 
 
-def test_kernel_values_round_trip():
+def test_clear_round_trip():
     raws = [QQ.rational(p, q).raw for p, q in [(1, 2), (-2, 3), (0, 1), (5, 1)]]
-    d, values = QQ.kernel_values(raws)
+    d, values = QQ.clear(raws)
     assert (d, values) == (6, [3, -4, 0, 30])
     assert all(type(v) is int for v in values)
-    assert [QQ.from_kernel(v, d).raw for v in values] == raws
-    assert QQ.kernel_values([]) == (1, [])
+    assert [QQ.from_cleared(v, d).raw for v in values] == raws
+    assert QQ.clear([]) == (1, [])
     F = QQ.extend("t")
-    x = (F.var("t") + F.rational(1, 2)) / F.var("t")
-    assert F.kernel_values([x.raw]) == (1, [x.raw])
-    assert F.from_kernel(x.raw, 1) == x
+    t = F.var("t")
+    x = (t + F.rational(1, 2)) / t
+    d, (n,) = F.clear([x.raw])
+    assert F.from_cleared(d, 1) == t and F.from_cleared(n, 1) == t + F.rational(1, 2)
+    assert F.from_cleared(n, d) == x
+    d, values = F.clear([])
+    assert d == 1 and values == []
+
+
+@st.composite
+def _cleared_rows(draw):
+    """A tower level and a short row of its elements; small numerators and
+    denominators, so denominators often share factors or are units."""
+    F = draw(st.sampled_from(TOWER[:3]))
+    small = st.integers(-3, 3)
+    if F.level == 0:
+        entry = st.builds(QQ.rational, small, st.integers(1, 6))
+    else:
+        names = F.all_variables()
+        entry = st.builds(
+            lambda a, b, x, c, e, y: (F.from_int(a) + b * F.var(x))
+            / (F.from_int(c) + F.var(y) ** e),
+            small, small, st.sampled_from(names),
+            st.integers(1, 3), st.integers(0, 2), st.sampled_from(names),
+        )
+    return F, draw(st.lists(st.one_of(st.just(F.zero), entry), max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cleared_rows())
+def test_clear_is_least_and_round_trips(case):
+    F, elems = case
+    d, nums = F.clear([e.raw for e in elems])
+    assert [F.from_cleared(n, d) for n in nums] == elems
+    # d divides the product of the denominators, a common denominator, and
+    # shares no factor with every numerator, so it divides every common one
+    dens = [F.clear([e.raw])[0] for e in elems]
+    prod = 1 if F.level == 0 else F.clear(())[0]
+    for q in dens:
+        prod = prod * q
+    F.ring_quo(prod, d)
+    g = d
+    for n in nums:
+        if n:
+            g = F.ring_gcd(g, n)
+    assert g == 1 if F.level == 0 else g.is_ground  # a unit
+    # with unit denominators only, the numerators are the entries themselves
+    if all(q == 1 for q in dens):
+        assert d == 1
+        assert nums == [e.raw if F.level == 0 else e.raw.numer for e in elems]
+
+
+def _sl2():
+    from lieshift.pbw import EnvelopingAlgebra
+    from lieshift.presets import preset
+
+    return EnvelopingAlgebra(preset("sl2").algebra)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: QQ.from_int(3) ** 2.7,
+        lambda: QQ.extend("t").var("t") ** 2.5,
+        lambda: QQ.from_int(3) ** Fraction(1, 2),
+        lambda: PolyElement(QQ, 2, {(1.5, 0): 1}),
+        lambda: PolyElement.variable(QQ, 2, 0) ** 2.5,
+        lambda: _sl2().gen(0) ** 2.5,
+        lambda: _sl2().element({(1.9, 0, 0): 1}),
+        lambda: _sl2().gen(0, 1.5),
+    ],
+)
+def test_non_integer_exponent_is_an_error(make):
+    # int() used to truncate these: 3 ** 2.7 gave 9, x0 ** 2.5 gave x0^2
+    with pytest.raises(FieldError, match="not an integer exponent"):
+        make()
 
 
 def test_rational_is_exact_or_an_error():

@@ -498,12 +498,17 @@ def test_coordinate_complement_matches_greedy_loop():
             for _ in range(rng.randint(1, n))
         ]
         h = Subspace(F, n, vectors)
-        comp = _coordinate_complement(L, h)
+        comp, reduced = _coordinate_complement(L, h)
         assert comp == reference_coordinate_complement(L, h)
         assert Subspace(F, n, list(h.basis) + [L.basis_vector(i) for i in comp]).dim == n
+        # a basis of h, each vector the only one nonzero at its own index
+        assert sorted(comp + tuple(l for l, _ in reduced)) == list(range(n))
+        assert Subspace(F, n, [v for _, v in reduced]).basis == h.basis
+        for l, v in reduced:
+            assert [not u[l].is_zero for _, u in reduced].count(True) == 1 and v[l]
     # h = span{e0 + e1}: its pivot column 0 is in the complement, and 1 is not
     for F in (QQ, QT):
         L = LieAlgebra(F, ("a", "b", "c"), {})
         h = Subspace(F, 3, [(1, 1, 0)])
         assert h.pivots == (0,)
-        assert _coordinate_complement(L, h) == reference_coordinate_complement(L, h) == (0, 2)
+        assert _coordinate_complement(L, h)[0] == reference_coordinate_complement(L, h) == (0, 2)
