@@ -264,10 +264,8 @@ class PBWElement:
         terms = {}
         for m, n in raw.items():
             s = sum(m)
-            if s >= 0:
-                terms[m] = field.from_cleared(n * D**s, den)
-            else:
-                terms[m] = field.from_cleared(n, den * D**-s)
+            num, d = (n * D**s, den) if s >= 0 else (n, den * D**-s)
+            terms[m] = field.from_cleared(num, d)
         self.terms = terms
         return self
 
