@@ -254,3 +254,17 @@ def reference_coordinate_complement(L, h):
             span.append(L.basis_vector(i))
             cur = cand.dim
     return tuple(idxs)
+
+
+def reference_gamma_shift(h, gamma, k):
+    """The k-th iterated derivative of h along gamma by the wrapped loop:
+    each step sums gamma_i times the partial derivative in x_i."""
+    out = h
+    for _ in range(k):
+        acc = PolyElement.zero(h.field, h.nvars, h.laurent)
+        for i in range(h.nvars):
+            c = gamma.coords[i]
+            if not c.is_zero:
+                acc = acc + out.partial(i) * c
+        out = acc
+    return out

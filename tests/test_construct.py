@@ -400,6 +400,53 @@ def test_tower_generators_golden(name):
     assert hashlib.sha256(text.encode()).hexdigest() == TOWER_GOLDENS[name]
 
 
+# sha256 of the newline-joined rendered generators of the reductive and
+# Heisenberg presets, recorded before S(q) and U(q) elements shared one term
+# container; default seeds, preset invariants where the preset has them
+SQ_GOLDENS = {
+    "sl2": "a8e391c3b9da56522e86e57ec7f5f77ff2724a5a4b147fff8fe2a5c98784500a",
+    "gl2": "e7f16b1a59ca38ca2e1f04a679caae300c440d74b066e9ab9b81747dde58a15f",
+    "sl3": "8dbc033270b9fad1857949861c158f17e1a24a90a906e90e9e3338f104db044e",
+    "gl3": "1bdab02ff004587d0b5380a2be80bc535aaa80e78704ef127cc034ff92e33bb8",
+    "so3": "b70a20cb34e52509a9a745d2d44edfbc920bcfffe6e13d5a21ed9185037367ec",
+    "so4": "b01eea91e45b52f39019719c772c46cd93b598201281aa1a8842ae922632980c",
+    "heisenberg2": "18c756cb1c27a586eb4cd16a760287f1226fe56e4df87650fae332911b674d22",
+    "heisenberg3": "b8f610627b8fcafce53c1dd1acd90d625da809f7dbdce1f97c0edd3d89b468db",
+    # gl3 with its invariants searched for, not taken from the preset
+    "gl3, no preset invariants": (
+        "620bf074b2a80378bc446ebdb5e477e82fc2e9544e6d41874e8315c30e436313"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SQ_GOLDENS))
+def test_shift_generators_golden(name):
+    P = preset(name.split(",")[0])
+    if name.endswith("no preset invariants"):
+        cert = construct_theorem(P.algebra)
+        assert len(cert.generators.elements) == 14
+    else:
+        cert = construct_theorem(P.algebra, casimirs=P.casimirs or None)
+    text = "\n".join(g.render() for g in cert.generators.elements)
+    assert hashlib.sha256(text.encode()).hexdigest() == SQ_GOLDENS[name]
+
+
+# sha256 of the newline-joined rendered degree-3 invariant bases, recorded
+# at the same point
+INVARIANT_GOLDENS = {
+    "gl3": "d2dcb78f575a6a56e2c2fc3fbc6ba12278bf4d6696aee34b1a8c9daa11f6bc75",
+    "so4": "66e896ca4c8a0517365f9b17db95eebb04a7d981cc35254ab2a713bd9531eb49",
+    "sl3": "e6fbb2e2508b3e31ad0817e9019abfed1009fef769da44e1355cff8ff8eed744",
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANT_GOLDENS))
+def test_symmetric_invariants_golden(name):
+    L = preset(name).algebra
+    text = "\n".join(p.render(L.labels) for p in symmetric_invariants(L, 3))
+    assert hashlib.sha256(text.encode()).hexdigest() == INVARIANT_GOLDENS[name]
+
+
 def test_construct_jordan_block_action():
     # solvable t x| h5 where t acts on the x-plane by a Jordan block
     L = LieAlgebra(

@@ -6,6 +6,7 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from factories import (
     PRESET_POOL,
@@ -13,6 +14,7 @@ from factories import (
     random_preset_algebra,
     random_vector,
     reference_coordinate_complement,
+    reference_gamma_shift,
 )
 from lieshift.construct import _coordinate_complement, construct_theorem, mf_subalgebra
 from lieshift.fields import QQ, FieldError
@@ -29,7 +31,7 @@ from lieshift.liealg import (
     vec,
 )
 from lieshift.pbw import EnvelopingAlgebra, commutator, principal_symbol, symmetrize
-from lieshift.polyring import PolyElement, differential_at, poisson
+from lieshift.polyring import PolyElement, differential_at, gamma_shift, poisson
 from lieshift.presets import preset
 
 
@@ -428,6 +430,42 @@ def test_differential_at_matches_partials_at_integer_points():
         pt = [L.field.from_int(rng.choice((-1, 1)) * rng.randint(1, 9)) for _ in range(L.dim)]
         ref = [f.partial(i).evaluate(pt) for i in range(L.dim)]
         _same(tuple(differential_at(f, pt)), tuple(ref), lambda v: [str(c) for c in v])
+
+
+@st.composite
+def shift_inputs(draw):
+    """(h, gamma, k) over Q or Q(t), in 1 to 4 variables, with at most one
+    Laurent index carrying exponents from -2 to 2; gamma has zero entries."""
+    F = draw(st.sampled_from((QQ, QT)))
+    n = draw(st.integers(1, 4))
+    z = draw(st.sampled_from((None,) + tuple(range(n))))
+
+    def scalar():
+        p, q = draw(st.integers(-9, 9)), draw(st.integers(1, 5))
+        if F.level == 0:
+            return QQ.rational(p, q)
+        t = F.var("t")
+        return (t * p + draw(st.integers(-4, 4))) / (t * t * q + draw(st.integers(1, 4)))
+
+    def exps():
+        e = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        if z is not None:
+            e[z] = draw(st.integers(-2, 2))
+        return tuple(e)
+
+    terms = {exps(): scalar() for _ in range(draw(st.integers(0, 4)))}
+    h = PolyElement(F, n, terms, () if z is None else (z,))
+    gamma = LinearForm(F, [scalar() if draw(st.booleans()) else F.zero for _ in range(n)])
+    return h, gamma, draw(st.integers(0, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shift_inputs())
+def test_gamma_shift_matches_the_partial_loop(case):
+    h, gamma, k = case
+    got, ref = gamma_shift(h, gamma, k), reference_gamma_shift(h, gamma, k)
+    assert got.field is h.field and got.nvars == h.nvars and got.laurent == h.laurent
+    _same(got, ref, lambda p: p.render(["x%d" % i for i in range(p.nvars)]))
 
 
 def test_basis_brackets_and_coadjoint_form_match_the_dense_loop():
