@@ -99,10 +99,16 @@ class Field:
         return FieldElement(self, self.domain.one)
 
     def from_int(self, n):
-        """n as an element of this field; anything but an int is a FieldError."""
+        """n as an element of this field; anything but an int is a FieldError.
+        Above level 0, n / 1 is built from the ground's n with no
+        cancellation, the value sympy's ``convert`` reaches through it."""
         if not isinstance(n, int):
             raise FieldError("not an integer: %r" % (n,))
-        return FieldElement(self, self.domain.convert(n))
+        if self.level == 0:
+            return FieldElement(self, Fraction(n))
+        g = self.domain.domain(n) if self.level == 1 else self.base.from_int(n).raw
+        field = self.domain.field
+        return FieldElement(self, field.raw_new(field.ring.ground_new(g), field.ring.one))
 
     def rational(self, p, q=1):
         """p/q exactly, for ints and Fractions; a float is a FieldError."""

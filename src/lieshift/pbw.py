@@ -20,6 +20,14 @@ brought to numerators over one common denominator d (``Field.clear``). Each
 output term n y^m over du * dv is wrapped once as n D^|m| / (du dv). Every
 step is an exact identity in U(q), so the results are the products of the
 elements themselves, in the same canonical form.
+
+``PBWElement`` is the term container of ``polyring`` (``_Terms``), which
+holds +, -, scalar *, ==, degree and the top-degree part that
+``principal_symbol`` reads. ``EnvelopingAlgebra.element``, ``gen`` and
+``from_vector`` take caller input and check it (``polyring._checked_terms``);
+products, commutators, symmetrizations, specializations and centralizer
+bases are built trusted (``EnvelopingAlgebra._element``,
+``PBWElement._trusted``).
 """
 
 from __future__ import annotations
@@ -27,9 +35,9 @@ from __future__ import annotations
 from math import factorial
 from operator import add
 
-from .fields import FieldElement, FieldError, _exponent
+from .fields import FieldError
 from .linalg import kernel_basis
-from .polyring import PolyElement, _acc, _render_terms
+from .polyring import PolyElement, _acc, _checked_terms, _render_terms, _scalar, _Terms, _wrapped
 
 
 class EnvelopingAlgebra:
@@ -68,25 +76,17 @@ class EnvelopingAlgebra:
         return PBWElement(self, terms)
 
     def zero(self):
-        return PBWElement(self, {})
+        return PBWElement._trusted(self, {})
 
     def one(self):
-        return PBWElement(self, {(0,) * self.dim: self.field.one})
+        return PBWElement._trusted(self, {self._zero: self.field.one})
 
     def gen(self, i, power=1):
-        if power < 0 and i not in self.laurent:
-            raise FieldError("negative exponent at non-Laurent index %d" % i)
         exps = tuple(power if k == i else 0 for k in range(self.dim))
         return PBWElement(self, {exps: self.field.one})
 
     def from_vector(self, coords):
-        terms = {}
-        for i, c in enumerate(coords):
-            if isinstance(c, int):
-                c = self.field.rational(c)
-            if not c.is_zero:
-                terms[self._units[i]] = c
-        return PBWElement(self, terms)
+        return PBWElement(self, {self._units[i]: c for i, c in enumerate(coords) if c})
 
     # -- table coefficients ----------------------------------------------------
 
@@ -101,6 +101,19 @@ class EnvelopingAlgebra:
             return d, dict(zip(terms, nums))
         top = max(0, max(map(sum, terms), default=0))
         return d * D**top, {m: n * D ** (top - sum(m)) for m, n in zip(terms, nums)}
+
+    def _element(self, raw, den):
+        """The element sum over m of raw[m] / den times the y-monomial at m,
+        the inverse of ``_numerators``, built trusted: raw maps well-formed
+        monomials to nonzero numerators. Over x-monomials the term at m is
+        raw[m] D^|m| / den, brought over den D^-low for the lowest total
+        degree low < 0 of a formal inverse."""
+        D = self._scale
+        if D != 1:
+            low = min(0, min(map(sum, raw), default=0))
+            raw = {m: n * D ** (sum(m) - low) for m, n in raw.items()}
+            den = den * D**-low
+        return PBWElement._trusted(self, _wrapped(self.field, raw, den))
 
     # -- straightening core ----------------------------------------------------
 
@@ -221,141 +234,52 @@ def _multiset_perms(letters):
         out.append(tuple(cur))
 
 
-class PBWElement:
+class PBWElement(_Terms):
     """Element of U(L) (optionally localized at central z) in normal form."""
 
     __slots__ = ("alg", "terms")
+    _MIXED = "elements of different enveloping algebras"
 
     def __init__(self, alg, terms):
         self.alg = alg
-        clean = {}
-        field = alg.field
-        for exps, c in terms.items():
-            exps = tuple(map(_exponent, exps))
-            if len(exps) != alg.dim:
-                raise FieldError("monomial length != algebra dimension")
-            for i, e in enumerate(exps):
-                if e < 0 and i not in alg.laurent:
-                    raise FieldError("negative exponent at non-Laurent index %d" % i)
-            c = c if isinstance(c, FieldElement) else field.rational(c)
-            if c.field is not field and c.field != field:
-                raise FieldError("coefficient of %r in an algebra over %r" % (c.field, field))
-            if not c.is_zero:
-                prev = clean.get(exps)
-                s = c if prev is None else prev + c
-                if s.is_zero:
-                    clean.pop(exps, None)
-                else:
-                    clean[exps] = s
-        self.terms = clean
+        self.terms = _checked_terms(alg.field, alg.dim, alg.laurent, terms)
 
     @classmethod
-    def _from_cleared(cls, alg, raw, den):
-        """Trusted constructor for kernel output: raw maps well-formed
-        monomials to nonzero numerators, and the element is the sum over m
-        of raw[m] / den times the y-monomial at m; each term is wrapped
-        once, as raw[m] D^|m| / den."""
+    def _trusted(cls, alg, terms):
+        """Trusted constructor for results: terms maps well-formed monomials
+        to nonzero coefficients of the algebra's field."""
         self = object.__new__(cls)
         self.alg = alg
-        field, D = alg.field, alg._scale
-        if D == 1:
-            self.terms = {m: field.from_cleared(n, den) for m, n in raw.items()}
-            return self
-        terms = {}
-        for m, n in raw.items():
-            s = sum(m)
-            num, d = (n * D**s, den) if s >= 0 else (n, den * D**-s)
-            terms[m] = field.from_cleared(num, d)
         self.terms = terms
         return self
 
-    def _check(self, other):
-        if self.alg is not other.alg:
-            raise FieldError("elements of different enveloping algebras")
+    @property
+    def _ambient(self):
+        return self.alg
 
-    def __add__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            other = _const(self.alg, other)
-        self._check(other)
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            _acc(t, m, c)
-        return PBWElement(self.alg, t)
+    @property
+    def _ring(self):
+        return self.alg.field, self.alg.dim
 
-    __radd__ = __add__
+    def _like(self, terms, other=None):
+        return PBWElement._trusted(self.alg, terms)
 
-    def __neg__(self):
-        return PBWElement(self.alg, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            other = _const(self.alg, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            c = (
-                other
-                if isinstance(other, FieldElement)
-                else self.alg.field.rational(other)
-            )
-            return PBWElement(
-                self.alg, {m: co * c for m, co in self.terms.items()}
-            )
-        self._check(other)
+    def _product(self, other):
         alg = self.alg
         du, ru = alg._numerators(self.terms)
         dv, rv = alg._numerators(other.terms)
         out = {}
         _product_into(out, alg, ru, rv)
-        return PBWElement._from_cleared(alg, out, du * dv)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __pow__(self, n):
-        n = _exponent(n)
-        if n < 0:
-            raise FieldError("negative power of a PBW element")
-        out = self.alg.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PBWElement)
-            and self.alg is other.alg
-            and self.terms == other.terms
-        )
+        return alg._element(out, du * dv)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def degree(self):
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
 
     def render(self, labels=None):
         return _render_terms(self.terms, labels or self.alg.L.labels, self.alg._order)
 
     def __repr__(self):
         return "PBWElement(%s)" % self.render()
-
-
-def _const(alg, c):
-    c = c if isinstance(c, FieldElement) else alg.field.rational(c)
-    return PBWElement(alg, {(0,) * alg.dim: c})
 
 
 def commutator(u, v):
@@ -368,7 +292,7 @@ def commutator(u, v):
     out = {}
     _product_into(out, alg, ru, rv)
     _product_into(out, alg, {m: -c for m, c in rv.items()}, ru)
-    return PBWElement._from_cleared(alg, out, du * dv)
+    return alg._element(out, du * dv)
 
 
 def symmetrize(alg, p):
@@ -387,20 +311,13 @@ def symmetrize(alg, p):
     for exps, n in nums.items():
         for m, c in sums[exps].items():
             _acc(out, m, n * c)
-    return PBWElement._from_cleared(alg, out, den)
+    return alg._element(out, den)
 
 
 def principal_symbol(u):
     """Top filtration part of a PBW element as a polynomial (gr)."""
-    if u.is_zero:
-        return PolyElement.zero(u.alg.field, u.alg.dim, u.alg.laurent)
-    d = u.degree()
-    return PolyElement(
-        u.alg.field,
-        u.alg.dim,
-        {e: c for e, c in u.terms.items() if sum(e) == d},
-        u.alg.laurent,
-    )
+    alg = u.alg
+    return PolyElement._trusted(alg.field, alg.dim, u._top(), alg.laurent)
 
 
 def ad_invariant(u, vectors):
@@ -420,7 +337,7 @@ def specialize_central(u, z_index, c):
     alg = u.alg
     if z_index not in alg._central:
         raise FieldError("index %d is not a designated central generator" % z_index)
-    c = c if isinstance(c, FieldElement) else alg.field.rational(c)
+    c = _scalar(alg.field, c)
     out = {}
     for exps, co in u.terms.items():
         k = exps[z_index]
@@ -428,7 +345,7 @@ def specialize_central(u, z_index, c):
             raise FieldError("specializing a formal inverse at zero")
         ne = tuple(0 if i == z_index else e for i, e in enumerate(exps))
         _acc(out, ne, co * c**k)
-    return PBWElement(alg, out)
+    return PBWElement._trusted(alg, out)
 
 
 def substitute_generators(u, images, target_alg, coeff_to_elem=None):
@@ -440,7 +357,7 @@ def substitute_generators(u, images, target_alg, coeff_to_elem=None):
     """
     src = u.alg
     if coeff_to_elem is None:
-        coeff_to_elem = lambda c: _const(target_alg, c)
+        coeff_to_elem = lambda c: target_alg.one() * c
     total = target_alg.zero()
     order = sorted(range(src.dim), key=lambda i: src._pos[i])
     for exps, c in u.terms.items():
@@ -468,7 +385,7 @@ def centralizer_up_to_degree(alg, gens, d):
         cols = []
         target_index = {}
         for m in monos:
-            com = commutator(alg.element({m: field.one}), g)
+            com = commutator(PBWElement._trusted(alg, {m: field.one}), g)
             col = {}
             for mm, c in com.terms.items():
                 if mm not in target_index:
@@ -485,7 +402,7 @@ def centralizer_up_to_degree(alg, gens, d):
     out = []
     for v in ker:
         terms = {m: c for m, c in zip(monos, v) if not c.is_zero}
-        out.append(PBWElement(alg, terms))
+        out.append(PBWElement._trusted(alg, terms))
     return out
 
 

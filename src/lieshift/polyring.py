@@ -1,14 +1,21 @@
-"""Polynomials on the dual space, with the Lie-Poisson bracket.
+"""Polynomials on the dual space, with the Lie-Poisson bracket, and the term
+container they share with enveloping-algebra elements.
 
 Elements of the symmetric algebra S(q) are sparse exponent-vector dicts over
 the algebra's tower field. Negative exponents are allowed only at explicitly
 flagged (central) indices, mirroring the localized enveloping algebra; the
 formal inverse obeys z * z^-1 = 1 eagerly through exponent addition.
 
-The Poisson and gradient kernels compute on cleared values, numerators over
-one common denominator (``Field.clear``: integers at level 0, polynomials
-above), and wrap each result coefficient once, through a trusted constructor
-that skips the per-term checks the public constructor keeps for caller input.
+``_Terms`` is the one container for S(q) and U(q) (``pbw.PBWElement``): a map
+from exponent tuples to nonzero ``FieldElement``s, with the operations that
+read only the terms (+, -, scalar *, ==, degree, the top-degree part). Caller
+input is checked once, by ``_checked_terms`` in the public constructors, and
+each scalar by ``_scalar``. Every result of arithmetic on checked elements is
+built by a trusted constructor that runs no check.
+
+The Poisson, gradient and shift kernels compute on cleared values, numerators
+over one common denominator (``Field.clear``: integers at level 0,
+polynomials above), and wrap each result coefficient once.
 """
 
 from __future__ import annotations
@@ -16,39 +23,176 @@ from __future__ import annotations
 from .fields import FieldElement, FieldError, _exponent
 
 
-class PolyElement:
+def _checked_terms(field, nvars, laurent, terms):
+    """Caller-supplied terms as a dict of well-formed exponent tuples and
+    nonzero coefficients of field, equal exponents summed: the one check of
+    integer exponents, vector length, negative exponents only at Laurent
+    indices, and coefficient field."""
+    clean = {}
+    for exps, c in terms.items():
+        exps = tuple(exps)  # a tuple is kept, not copied
+        if len(exps) != nvars:
+            raise FieldError("exponent vector has length %d, want %d" % (len(exps), nvars))
+        for i, e in enumerate(exps):
+            if _exponent(e) < 0 and i not in laurent:
+                raise FieldError("negative exponent at non-Laurent index %d" % i)
+        c = _scalar(field, c)
+        if c:
+            _acc(clean, exps, c)
+    return clean
+
+
+def _scalar(field, c):
+    """A caller's scalar as an element of field: an int, a Fraction or a
+    FieldElement of field; anything else is a FieldError."""
+    if not isinstance(c, FieldElement):
+        return field.rational(c)
+    if c.field is not field and c.field != field:
+        raise FieldError("tower-level mismatch: %r vs %r" % (field, c.field))
+    return c
+
+
+def _raws(field, coords, n, what):
+    """The raw values of n caller-given coordinates in field."""
+    if len(coords) != n:
+        raise FieldError("%s has %d coordinates, want %d" % (what, len(coords), n))
+    return [_scalar(field, c).raw for c in coords]
+
+
+def _wrapped(field, values, den):
+    """{exponents: numerator} over den as {exponents: FieldElement}."""
+    return {e: field.from_cleared(n, den) for e, n in values.items()}
+
+
+class _Terms:
+    """A sparse sum of terms c x^e; ``terms`` maps exponent tuples to nonzero
+    FieldElements. A subclass names its ambient: ``_ambient``, the key two
+    elements share to be combined or equal; ``_ring``, the pair (field,
+    number of variables); ``_like(terms, other)``, a result in this ambient
+    (joined with other's), built trusted; and ``_product``."""
+
+    __slots__ = ()
+
+    def _check(self, other):
+        if self._ambient != other._ambient:
+            raise FieldError(self._MIXED)
+
+    def _operand(self, other):
+        """The terms of an operand of + or -: an element of the same class,
+        or an int or FieldElement as a constant; None for anything else."""
+        if isinstance(other, type(self)):
+            self._check(other)
+            return other.terms
+        if isinstance(other, (int, FieldElement)):
+            field, n = self._ring
+            c = _scalar(field, other)
+            return {(0,) * n: c} if c else {}
+        return None
+
+    def _plus(self, other, sign):
+        terms = self._operand(other)
+        if terms is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for e, c in terms.items():
+            _acc(out, e, c if sign > 0 else -c)
+        return self._like(out, other)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __rsub__(self, other):
+        return (-self)._plus(other, 1)
+
+    def __neg__(self):
+        return self._like({e: -c for e, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, FieldElement)):
+            return self.__rmul__(other)
+        if isinstance(other, type(self)):
+            self._check(other)
+            return self._product(other)
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if not isinstance(other, (int, FieldElement)):
+            return NotImplemented
+        c = _scalar(self._ring[0], other)
+        if not c:
+            return self._like({})
+        return self._like({e: co * c for e, co in self.terms.items()})
+
+    def __pow__(self, n):
+        n = _exponent(n)
+        if n < 0:
+            raise FieldError("negative power of a %s" % type(self).__name__)
+        field, nvars = self._ring
+        out = self._like({(0,) * nvars: field.one})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self._ambient == other._ambient
+            and self.terms == other.terms
+        )
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def degree(self):
+        """Total degree; a formal inverse counts as -1. Zero gives None."""
+        if not self.terms:
+            return None
+        return max(map(sum, self.terms))
+
+    def _top(self):
+        """The terms of the highest total degree."""
+        d = self.degree()
+        return {e: c for e, c in self.terms.items() if sum(e) == d}
+
+
+class PolyElement(_Terms):
     __slots__ = ("field", "nvars", "terms", "laurent")
+    _MIXED = "mixed polynomial ambients"
 
     def __init__(self, field, nvars, terms=None, laurent=frozenset()):
         self.field = field
         self.nvars = nvars
         self.laurent = frozenset(laurent)
-        clean = {}
-        for exps, c in (terms or {}).items():
-            exps = tuple(map(_exponent, exps))
-            if len(exps) != nvars:
-                raise FieldError("exponent vector length != nvars")
-            for i, e in enumerate(exps):
-                if e < 0 and i not in self.laurent:
-                    raise FieldError("negative exponent at non-Laurent index %d" % i)
-            c = c if isinstance(c, FieldElement) else field.rational(c)
-            if c.field is not field and c.field != field:
-                raise FieldError("coefficient of %r in a ring over %r" % (c.field, field))
-            if c:
-                _acc(clean, exps, c)
-        self.terms = clean
+        self.terms = _checked_terms(field, nvars, self.laurent, terms or {})
 
     @classmethod
-    def _from_cleared(cls, field, nvars, values, den, laurent):
-        """Trusted constructor for kernel output: values holds nonzero
-        numerators over the denominator den at well-formed exponents, so
-        only the wrapping is done."""
+    def _trusted(cls, field, nvars, terms, laurent):
+        """Trusted constructor for results: terms maps well-formed exponents
+        to nonzero coefficients of field, and laurent is a frozenset."""
         self = object.__new__(cls)
         self.field = field
         self.nvars = nvars
-        self.laurent = frozenset(laurent)
-        self.terms = {e: field.from_cleared(c, den) for e, c in values.items()}
+        self.laurent = laurent
+        self.terms = terms
         return self
+
+    @property
+    def _ambient(self):
+        return self.field, self.nvars
+
+    _ring = _ambient
+
+    def _like(self, terms, other=None):
+        laurent = self.laurent
+        if isinstance(other, PolyElement):
+            laurent = laurent | other.laurent
+        return PolyElement._trusted(self.field, self.nvars, terms, laurent)
 
     # -- constructors ----------------------------------------------------
 
@@ -68,116 +212,23 @@ class PolyElement:
     @classmethod
     def from_vector(cls, field, coords, laurent=frozenset()):
         n = len(coords)
-        terms = {}
-        for i, c in enumerate(coords):
-            if isinstance(c, int):
-                c = field.rational(c)
-            if not c.is_zero:
-                terms[tuple(1 if k == i else 0 for k in range(n))] = c
+        terms = {tuple(int(k == i) for k in range(n)): c for i, c in enumerate(coords) if c}
         return cls(field, n, terms, laurent)
 
     # -- ring ops ----------------------------------------------------------
 
-    def _check(self, other):
-        if self.field != other.field or self.nvars != other.nvars:
-            raise FieldError("mixed polynomial ambients")
-
-    def __add__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            other = PolyElement.constant(self.field, self.nvars, other, self.laurent)
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, self.field.zero) + c
-            if s.is_zero:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return PolyElement(self.field, self.nvars, terms, self.laurent | other.laurent)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyElement(
-            self.field, self.nvars, {e: -c for e, c in self.terms.items()}, self.laurent
-        )
-
-    def __sub__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            other = PolyElement.constant(self.field, self.nvars, other, self.laurent)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            c = other if isinstance(other, FieldElement) else self.field.rational(other)
-            return PolyElement(
-                self.field,
-                self.nvars,
-                {e: co * c for e, co in self.terms.items()},
-                self.laurent,
-            )
-        self._check(other)
+    def _product(self, other):
         out = {}
-        zero = self.field.zero
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, zero) + c1 * c2
-                if s.is_zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return PolyElement(self.field, self.nvars, out, self.laurent | other.laurent)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        n = _exponent(n)
-        if n < 0:
-            raise FieldError("negative power of a polynomial")
-        out = PolyElement.constant(self.field, self.nvars, 1, self.laurent)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyElement)
-            and self.field == other.field
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
+                _acc(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return self._like(out, other)
 
     def __hash__(self):
         return hash((self.field, self.nvars, frozenset(self.terms.items())))
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def degree(self):
-        """Total degree; a formal inverse counts as -1. Zero gives -inf-ish."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
     def top_part(self):
-        d = self.degree()
-        if d is None:
-            return self
-        return PolyElement(
-            self.field,
-            self.nvars,
-            {e: c for e, c in self.terms.items() if sum(e) == d},
-            self.laurent,
-        )
+        return self._like(self._top())
 
     def partial(self, i):
         out = {}
@@ -186,7 +237,7 @@ class PolyElement:
                 continue
             ne = tuple(x - 1 if k == i else x for k, x in enumerate(e))
             out[ne] = c * e[i]
-        return PolyElement(self.field, self.nvars, out, self.laurent)
+        return self._like(out)
 
     def evaluate(self, point):
         """Value at a point; formal inverses need a nonzero coordinate."""
@@ -253,7 +304,7 @@ def poisson(L, f, g):
                         base[k] -= 1
                     base[i] += 1
                     base[j] += 1
-    return PolyElement._from_cleared(field, L.dim, out, df * dg * D, f.laurent | g.laurent)
+    return f._like(_wrapped(field, out, df * dg * D), g)
 
 
 def _render_terms(terms, labels, order):
@@ -310,15 +361,7 @@ def differential_at(f, point):
     """
     field = f.field
     n = f.nvars
-    if len(point) != n:
-        raise FieldError("point has %d coordinates, want %d" % (len(point), n))
-    pt = []
-    for c in point:
-        if not isinstance(c, FieldElement):
-            c = field.rational(c)
-        elif c.field is not field and c.field != field:
-            raise FieldError("tower-level mismatch: %r vs %r" % (field, c.field))
-        pt.append(c.raw)
+    pt = _raws(field, point, n, "point")
     q, p = field.clear(pt)
     p.append(q)
     off = [0] * (n + 1)
@@ -361,15 +404,30 @@ def differential_at(f, point):
 
 
 def gamma_shift(h, gamma, k):
-    """k-th iterated directional derivative of h along the form gamma."""
+    """k-th iterated directional derivative of h along the form gamma.
+
+    One kernel on cleared values: with h = sum n_e x^e / d and gamma = g / q,
+    each step maps a term n x^e to n g_i e_i x^(e - eps_i) for every i with
+    g_i and e_i nonzero, so k steps only multiply ring values, and the result
+    is wrapped once over d q^k.
+    """
     if not isinstance(k, int):
         raise ValueError("the shift order must be an integer, got %r" % (k,))
-    out = h
+    if k < 0:
+        raise ValueError("the shift order must be nonnegative, got %d" % k)
+    field = h.field
+    q, g = field.clear(_raws(field, gamma.coords, h.nvars, "gamma"))
+    if not k:
+        return h
+    support = [(i, gi) for i, gi in enumerate(g) if gi]
+    d, values = field.clear([c.raw for c in h.terms.values()])
+    cur = dict(zip(h.terms, values))
     for _ in range(k):
-        acc = PolyElement.zero(h.field, h.nvars, h.laurent)
-        for i in range(h.nvars):
-            c = gamma.coords[i]
-            if not c.is_zero:
-                acc = acc + out.partial(i) * c
-        out = acc
-    return out
+        nxt = {}
+        for e, c in cur.items():
+            for i, gi in support:
+                ei = e[i]
+                if ei:
+                    _acc(nxt, e[:i] + (ei - 1,) + e[i + 1 :], c * gi * ei)
+        cur = nxt
+    return h._like(_wrapped(field, cur, d * q**k))

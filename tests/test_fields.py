@@ -377,3 +377,16 @@ def test_rational_is_exact_or_an_error():
         vec(QQ, [Fraction(3, 2), 2.7])
     with pytest.raises(FieldError):
         PolyElement(F, 1, {(1,): 0.5})
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, -1, 7, -12, 2**70])
+def test_from_int_matches_domain_convert(level, n):
+    # from_int builds n / 1 from the ground's n with no cancellation; it must
+    # store the raw value sympy's convert reaches, with the same str and hash
+    F = TOWER[level]
+    got, ref = F.from_int(n), F.domain.convert(n)
+    assert (got.raw.numer, got.raw.denom) == (ref.numer, ref.denom)
+    assert got.raw == ref
+    assert str(got) == str(FieldElement(F, ref))
+    assert hash(got) == hash(FieldElement(F, ref))

@@ -1,7 +1,17 @@
 import pytest
 
+import lieshift.pbw as pbw_mod
+import lieshift.polyring as polyring_mod
 from lieshift.fields import QQ, FieldError
 from lieshift.liealg import LinearForm, vec
+from lieshift.pbw import (
+    EnvelopingAlgebra,
+    centralizer_up_to_degree,
+    commutator,
+    principal_symbol,
+    specialize_central,
+    symmetrize,
+)
 from lieshift.polyring import PolyElement, differential_at, gamma_shift, poisson
 from lieshift.presets import preset
 
@@ -145,3 +155,114 @@ def test_differential_at_rejects_a_foreign_point():
     t = QQ.extend("t").var("t")
     with pytest.raises(FieldError):
         differential_at(p, (pt[0], pt[1], t))
+
+
+@pytest.mark.parametrize(
+    "gamma, k, error, match",
+    [
+        ([1, 0, 0], -1, ValueError, "nonnegative"),
+        ([1, 0], 1, FieldError, "gamma has 2 coordinates, want 3"),
+        ([1, 2, 3, 4], 1, FieldError, "gamma has 4 coordinates, want 3"),
+        ("foreign", 1, FieldError, "tower-level mismatch"),
+        ("foreign", 0, FieldError, "tower-level mismatch"),
+    ],
+)
+def test_gamma_shift_rejects_bad_input(gamma, k, error, match):
+    # a negative order used to return h, and a 4-coordinate gamma was read up
+    # to h.nvars
+    _, h, e, f = sl2_gens()
+    if gamma == "foreign":
+        F = QQ.extend("t")
+        gamma = LinearForm(F, [F.var("t"), F.one, F.zero])
+    else:
+        gamma = LinearForm(QQ, vec(QQ, gamma))
+    with pytest.raises(error, match=match):
+        gamma_shift(h * h + e * f * QQ.from_int(4), gamma, k)
+
+
+def _mixed_operands():
+    _, h, _, _ = sl2_gens()
+    u = EnvelopingAlgebra(preset("sl2").algebra).gen(0)
+    return h, u
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda h, u: u + h,
+        lambda h, u: h + u,
+        lambda h, u: h - u,
+        lambda h, u: h + 1.5,
+        lambda h, u: h * "x",
+        lambda h, u: u * 1.5,
+        lambda h, u: 1.5 * u,
+        lambda h, u: u - "x",
+    ],
+)
+def test_mixed_type_arithmetic_is_a_type_error(op):
+    with pytest.raises(TypeError):
+        op(*_mixed_operands())
+
+
+def _counted_results():
+    """(label, thunk) pairs: each thunk computes one result from elements
+    built beforehand."""
+    L, h, e, f = sl2_gens()
+    p = h * h + e * f * QQ.from_int(4) + e
+    gamma = LinearForm(QQ, vec(QQ, [1, 2, 0]))
+    A = EnvelopingAlgebra(L)
+    a, b, d = (A.gen(i) for i in range(3))
+    u = a * b + d * 3
+    H = preset("heisenberg1").algebra
+    B = EnvelopingAlgebra(H, laurent=(2,))
+    w = B.gen(0) * B.gen(2, -1) + B.gen(1)
+    c = QQ.rational(2, 3)
+    return [
+        ("poly +", lambda: p + h),
+        ("poly + scalar", lambda: p + c),
+        ("poly -", lambda: p - h),
+        ("scalar - poly", lambda: 1 - p),
+        ("poly unary -", lambda: -p),
+        ("poly * scalar", lambda: p * c),
+        ("scalar * poly", lambda: 3 * p),
+        ("poly * poly", lambda: p * h),
+        ("poly ** 2", lambda: p**2),
+        ("partial", lambda: p.partial(0)),
+        ("top_part", lambda: p.top_part()),
+        ("gamma_shift", lambda: gamma_shift(p, gamma, 2)),
+        ("poisson", lambda: poisson(L, p, h)),
+        ("pbw +", lambda: u + a),
+        ("pbw + scalar", lambda: u + 2),
+        ("pbw -", lambda: u - b),
+        ("pbw unary -", lambda: -u),
+        ("pbw * scalar", lambda: u * c),
+        ("scalar * pbw", lambda: c * u),
+        ("pbw * pbw", lambda: u * u),
+        ("commutator", lambda: commutator(u, d)),
+        ("symmetrize", lambda: symmetrize(A, p)),
+        ("principal_symbol", lambda: principal_symbol(u)),
+        ("specialize_central", lambda: specialize_central(w, 2, QQ.from_int(2))),
+        ("centralizer_up_to_degree", lambda: centralizer_up_to_degree(A, [u], 1)),
+    ]
+
+
+def test_results_are_built_without_the_input_check(monkeypatch):
+    # caller input is checked once, in the public constructors; no result of
+    # arithmetic on checked elements runs the check again
+    calls = []
+    check = polyring_mod._checked_terms
+
+    def counting(*args):
+        calls.append(args)
+        return check(*args)
+
+    for mod in (polyring_mod, pbw_mod):
+        monkeypatch.setattr(mod, "_checked_terms", counting)
+    cases = _counted_results()
+    assert calls, "the public constructors run the check"
+    for label, thunk in cases:
+        del calls[:]
+        out = thunk()
+        assert not calls, label
+        for r in out if isinstance(out, list) else [out]:
+            assert all(c for c in r.terms.values()), label
