@@ -95,7 +95,7 @@ def _encode_vector(v):
 def _decode_vector(field, data, dim):
     if not isinstance(data, list) or len(data) != dim:
         raise AlgebraFileError("vector of wrong length: %r" % (data,))
-    return tuple(decode_scalar(field, c) for c in data)
+    return tuple([decode_scalar(field, c) for c in data])
 
 
 # -- whole algebras -------------------------------------------------------

@@ -199,12 +199,12 @@ def verify_hat_lemmas(L, split):
     [hat(xi), hat(eta)] = hat([xi, eta]) on the stabilizer basis.
     The split is checked first."""
     _require_valid_split(L, split)
-    return _hat_lemmas(L, split)
+    return _hat_lemmas(L, split, hat_algebra(L, split))
 
 
-def _hat_lemmas(L, split):
-    """verify_hat_lemmas without the split check; the caller has checked it."""
-    alg = hat_algebra(L, split)
+def _hat_lemmas(L, split, alg):
+    """verify_hat_lemmas without the split check; the caller has checked it
+    and built alg, the hat algebra of the split."""
     basis = list(split.l_basis.basis)
     hats = [_hat_unchecked(L, split, b, alg) for b in basis]
     ideal = list(split.x) + list(split.y) + [split.z]
@@ -236,9 +236,9 @@ def _clear_laurent(u, zi):
     return u * u.alg.gen(zi, -m)
 
 
-def _corrected_lift(L, split, A_l, sub_vectors):
-    """heisenberg_lift without its checks; the caller has validated the split."""
-    alg = hat_algebra(L, split)
+def _corrected_lift(L, split, A_l, sub_vectors, alg):
+    """heisenberg_lift without its checks; the caller has validated the split
+    and built alg, the hat algebra of the split."""
     zi = _split_z_index(L, split)
     images = [_hat_unchecked(L, split, v, alg) for v in sub_vectors]
     gens, prov = [], []
@@ -271,7 +271,7 @@ def heisenberg_lift(L, split, A_l, sub_vectors, sampling=Sampling()):
     if A_l.flavor != "associative":
         raise ConstructError("heisenberg_lift expects an associative set")
     sub_vectors = [tuple(v) for v in sub_vectors]
-    out = _corrected_lift(L, split, A_l, sub_vectors)
+    out = _corrected_lift(L, split, A_l, sub_vectors, hat_algebra(L, split))
     if bad := _failing_pair(out.elements, commutator):
         raise ConstructError("corrected lift: generators %d and %d do not commute" % bad)
     n = len(split.x)
@@ -353,9 +353,9 @@ def _coordinate_complement(L, h):
     basis with the columns reversed: one elimination of dim h rows.
     """
     basis, pivots = echelon_basis(L.field, [b[::-1] for b in h.basis])
-    reduced = tuple((L.dim - 1 - c, b[::-1]) for b, c in zip(basis, pivots))
+    reduced = tuple([(L.dim - 1 - c, b[::-1]) for b, c in zip(basis, pivots)])
     last = {l for l, _ in reduced}
-    return tuple(i for i in range(L.dim) if i not in last), reduced
+    return tuple([i for i in range(L.dim) if i not in last]), reduced
 
 
 def abelian_qhat(L, h, sampling=Sampling()):
@@ -759,7 +759,10 @@ def _construct(L, casimirs, max_inv_deg, sampling, candidates, max_depth, depth)
 
     # Heisenberg nilradical
     split = cls.split
-    lemma = _hat_lemmas(L, split)
+    # one localized algebra for the lemmas and the lift: the lift reuses
+    # the products straightened for the lemma checks
+    alg = hat_algebra(L, split)
+    lemma = _hat_lemmas(L, split, alg)
     if not lemma.ok:
         raise ConstructError(
             "correction-map checks failed: %s"
@@ -795,7 +798,7 @@ def _construct(L, casimirs, max_inv_deg, sampling, candidates, max_depth, depth)
     sub_L, sub_vectors = subalgebra_of(L, sub_space)
     sub_cert = _construct(sub_L, None, max_inv_deg, sampling, candidates, max_depth, depth + 1)
     trace.extend("  [stabilizer] " + t for t in sub_cert.trace)
-    gens = _corrected_lift(L, split, sub_cert.generators, sub_vectors)
+    gens = _corrected_lift(L, split, sub_cert.generators, sub_vectors, alg)
     trace.append("corrected lift with %d generators" % len(gens.elements))
     return _certify(L, gens, b_target, trace, sampling)
 

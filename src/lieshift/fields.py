@@ -170,7 +170,7 @@ class Field:
         """
         if self.level == 0:
             ratios = [r.as_integer_ratio() for r in raws]
-            d = math.lcm(*(q for _, q in ratios))
+            d = math.lcm(*[q for _, q in ratios])
             return d, [p if q == d else p * (d // q) for p, q in ratios]
         d = self.domain.field.ring.one
         for r in raws:

@@ -36,7 +36,7 @@ class GeneratorSet:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "provenance", tuple(str(p) for p in self.provenance))
+        object.__setattr__(self, "provenance", tuple([str(p) for p in self.provenance]))
         if self.flavor not in ("poisson", "associative"):
             raise ValueError("flavor must be 'poisson' or 'associative'")
         if len(self.provenance) != len(self.elements):
@@ -237,7 +237,7 @@ def trdeg_jacobian(gens, sampling=Sampling()):
     n = elements[0].nvars
     if any(f.field is not F or f.nvars != n for f in elements):
         raise FieldError("generators live in different polynomial rings")
-    nz = frozenset().union(*(f.laurent for f in elements))
+    nz = frozenset().union(*[f.laurent for f in elements])
     best, witness, ranks = sampling.max_rank(
         F, n, lambda pt: [differential_at(f, pt) for f in elements],
         nonzero=nz,

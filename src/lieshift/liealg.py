@@ -82,10 +82,10 @@ class Subspace:
     def _raw(self):
         # (pivot column, raw pivot entry, ((k, raw entry), ...) over nonzeros)
         if self._raw_rows is None:
-            self._raw_rows = tuple(
-                (p, b[p].raw, tuple((k, c.raw) for k, c in enumerate(b) if c.raw))
+            self._raw_rows = tuple([
+                (p, b[p].raw, tuple([(k, c.raw) for k, c in enumerate(b) if c.raw]))
                 for b, p in zip(self.basis, self.pivots)
-            )
+            ])
         return self._raw_rows
 
     @property
@@ -151,8 +151,8 @@ class HeisenbergSplit:
     z: tuple
 
     def __post_init__(self):
-        self.x = tuple(tuple(v) for v in self.x)
-        self.y = tuple(tuple(v) for v in self.y)
+        self.x = tuple([tuple(v) for v in self.x])
+        self.y = tuple([tuple(v) for v in self.y])
         self.z = tuple(self.z)
 
 
@@ -208,7 +208,7 @@ class LieAlgebra:
         if i not in range(self.dim):
             raise LieAlgebraError("basis index %r outside range(%d)" % (i, self.dim))
         one, zero = self.field.one, self.field.zero
-        return tuple(one if k == i else zero for k in range(self.dim))
+        return tuple([one if k == i else zero for k in range(self.dim)])
 
     def zero_vector(self):
         return tuple([self.field.zero] * self.dim)
@@ -237,9 +237,9 @@ class LieAlgebra:
         it = iter(values)
         out = {}
         for (i, j), comp in self.table.items():
-            row = tuple((k, next(it)) for k in comp)
+            row = tuple([(k, next(it)) for k in comp])
             out.setdefault(i, {})[j] = row
-            out.setdefault(j, {})[i] = tuple((k, -c) for k, c in row)
+            out.setdefault(j, {})[i] = tuple([(k, -c) for k, c in row])
         return D, out
 
     def central_indices(self):

@@ -146,7 +146,7 @@ def normalize_vector(field, vec):
 
 def _from_ring_row(field, row):
     zero = field.zero  # one shared element for the (many) zero entries
-    return tuple(field.from_cleared(a, 1) if a else zero for a in row)
+    return tuple([field.from_cleared(a, 1) if a else zero for a in row])
 
 
 def solve(field, a_rows, rhs):

@@ -21,6 +21,21 @@ output term n y^m over du * dv is wrapped once as n D^|m| / (du dv). Every
 step is an exact identity in U(q), so the results are the products of the
 elements themselves, in the same canonical form.
 
+Inside the kernels a monomial is one int, the sum of e_i << (16 p_i) for the
+position p_i of generator i in the normal order: 16-bit exponent fields, the
+central ones on top. The product of a monomial by one it precedes in normal
+order is then the sum of the two ints, a key is hashed once, the last letter
+of a monomial m is in the field of its top bit and the first in the field of
+its lowest bit (m & -m), and the central part m >> (16 * number of
+non-central generators) is a signed int, so formal inverses need no special
+case. The ``_mul_cache`` holds only products that needed a swap. A product is
+straightened only if the absolute exponents of each factor's monomials sum
+to at most 32767 between the two factors (``_guard``): every exponent of the
+result then fits its field, the central ones with their sign, and a larger
+product is a FieldError, never a carry into the next field. The kernels pack
+their operands (``_numerators``) and unpack their results (``_element``);
+``PBWElement.terms`` keeps exponent tuples.
+
 ``PBWElement`` is the term container of ``polyring`` (``_Terms``), which
 holds +, -, scalar *, ==, degree and the top-degree part that
 ``principal_symbol`` reads. ``EnvelopingAlgebra.element``, ``gen`` and
@@ -33,11 +48,26 @@ bases are built trusted (``EnvelopingAlgebra._element``,
 from __future__ import annotations
 
 from math import factorial
-from operator import add
+from operator import lshift
+from struct import Struct
 
 from .fields import FieldError
 from .linalg import kernel_basis
-from .polyring import PolyElement, _acc, _checked_terms, _render_terms, _scalar, _Terms, _wrapped
+from .polyring import (
+    PolyElement,
+    _acc,
+    _checked_terms,
+    _index,
+    _render_terms,
+    _scalar,
+    _Terms,
+    _wrapped,
+)
+
+_WIDTH = 16  # bits of one exponent field; "H" below reads fields of this width
+_FIELD = (1 << _WIDTH) - 1
+_LIMIT = (1 << (_WIDTH - 1)) - 1  # the largest signed field value
+_NEVER = 1 << 62  # above the bit length of any packed monomial
 
 
 class EnvelopingAlgebra:
@@ -46,7 +76,7 @@ class EnvelopingAlgebra:
     def __init__(self, L, laurent=()):
         self.L = L
         self.field = L.field
-        self.dim = L.dim
+        self.dim = n = L.dim
         self.laurent = frozenset(laurent)
         self._central = self.laurent | L.central_indices()
         central = sorted(self._central)
@@ -61,11 +91,31 @@ class EnvelopingAlgebra:
         self._pos = [0] * L.dim
         for p, i in enumerate(self._order):
             self._pos[i] = p
-        self._zero = (0,) * L.dim
-        self._units = tuple(
-            tuple(int(k == i) for k in range(L.dim)) for i in range(L.dim)
-        )
-        self._scale, self._brackets = L.kernel_brackets
+        self._zero = (0,) * n
+        self._units = tuple([tuple([int(k == i) for k in range(n)]) for i in range(n)])
+        # packed layout (module docstring): the field shift and the packed
+        # generator of each index, and the packed generator of each position
+        self._shifts = [_WIDTH * p for p in self._pos]
+        self._gens = [1 << s for s in self._shifts]
+        self._field_units = [1 << (_WIDTH * p) for p in range(n)]
+        # _rooms[(m & -m).bit_length()]: the largest bit length of a monomial
+        # that precedes m in normal order, the top of the field of m's first
+        # letter; unbounded for m = 1
+        self._rooms = [_NEVER] + [_WIDTH * (k // _WIDTH + 1) for k in range(_WIDTH * n)]
+        self._core_bits = _WIDTH * len(rest)
+        self._core_mask = (1 << self._core_bits) - 1
+        self._core_fields = Struct("<%dH" % len(rest))
+        self._ncentral = len(central)
+        self._unpermuted = self._order == list(range(n))
+        self._scale, brackets = L.kernel_brackets
+        # _rules[p][q]: [x_i, x_j] for the generators at positions p and q,
+        # as (packed generator, table coefficient) pairs
+        self._rules = [[()] * n for _ in range(n)]
+        for i, row in brackets.items():
+            for j, comp in row.items():
+                self._rules[self._pos[i]][self._pos[j]] = tuple(
+                    [(self._gens[k], c) for k, c in comp]
+                )
         self._one = self.field.clear(())[0]
         self._mul_cache = {}
         self._symm_cache = {}
@@ -82,32 +132,66 @@ class EnvelopingAlgebra:
         return PBWElement._trusted(self, {self._zero: self.field.one})
 
     def gen(self, i, power=1):
-        exps = tuple(power if k == i else 0 for k in range(self.dim))
+        i = _index(i, self.dim)
+        exps = self._zero[:i] + (power,) + self._zero[i + 1 :]
         return PBWElement(self, {exps: self.field.one})
 
     def from_vector(self, coords):
         return PBWElement(self, {self._units[i]: c for i, c in enumerate(coords) if c})
 
-    # -- table coefficients ----------------------------------------------------
+    # -- packing at the kernel boundary -----------------------------------------
 
     def _numerators(self, terms):
-        """(d, {monomial: n}) for {monomial: FieldElement}: the element is
-        the sum over m of n / d times the y-monomial at m (see the module
-        docstring). The coefficients are cleared once, and the D^-|m| of
-        each term is brought over the common denominator d D^top."""
+        """(d, {packed monomial: n}, size) for {monomial: FieldElement}: the
+        element is the sum over m of n / d times the y-monomial at m (see
+        the module docstring), and size is the largest sum of absolute
+        exponents of a monomial (``_guard``). The coefficients are cleared
+        once, and the D^-|m| of each term is brought over the common
+        denominator d D^top."""
         d, nums = self.field.clear([c.raw for c in terms.values()])
+        top = max(map(sum, terms), default=0)
+        size = max([sum(map(abs, m)) for m in terms], default=0) if self.laurent else top
         D = self._scale
-        if D == 1:
-            return d, dict(zip(terms, nums))
-        top = max(0, max(map(sum, terms), default=0))
-        return d * D**top, {m: n * D ** (top - sum(m)) for m, n in zip(terms, nums)}
+        if D != 1:
+            top = max(0, top)
+            d = d * D**top
+            nums = [n * D ** (top - sum(m)) for m, n in zip(terms, nums)]
+        shifts = self._shifts
+        return d, {sum(map(lshift, m, shifts)): n for m, n in zip(terms, nums)}, size
+
+    def _operands(self, u, v):
+        """(du * dv, packed u, packed v) for the product of u and v."""
+        du, ru, su = self._numerators(u.terms)
+        dv, rv, sv = self._numerators(v.terms)
+        _guard(su + sv)
+        return du * dv, ru, rv
+
+    def _unpack(self, m):
+        """The exponent tuple, in index order, of a packed monomial."""
+        core = m & self._core_mask
+        fields = self._core_fields.unpack(core.to_bytes(self._core_bits // 8, "little"))
+        if self._ncentral:
+            c = m >> self._core_bits
+            cen = []
+            for _ in range(self._ncentral):
+                f = c & _FIELD
+                if f > _LIMIT:
+                    f -= 1 << _WIDTH
+                cen.append(f)
+                c = (c - f) >> _WIDTH
+            fields = [*fields, *cen]
+        if self._unpermuted:
+            return tuple(fields)
+        return tuple([fields[p] for p in self._pos])
 
     def _element(self, raw, den):
         """The element sum over m of raw[m] / den times the y-monomial at m,
-        the inverse of ``_numerators``, built trusted: raw maps well-formed
+        the inverse of ``_numerators``, built trusted: raw maps packed
         monomials to nonzero numerators. Over x-monomials the term at m is
         raw[m] D^|m| / den, brought over den D^-low for the lowest total
         degree low < 0 of a formal inverse."""
+        unpack = self._unpack
+        raw = {unpack(m): n for m, n in raw.items()}
         D = self._scale
         if D != 1:
             low = min(0, min(map(sum, raw), default=0))
@@ -118,89 +202,106 @@ class EnvelopingAlgebra:
     # -- straightening core ----------------------------------------------------
 
     def mul_mono(self, a, b):
-        """Product of two normal monomials as a {monomial: table coeff} dict."""
-        for z in self._central:
-            if a[z] or b[z]:
-                return self._mul_central(a, b)
-        zero = self._zero
-        if a == zero:
-            return {b: self._one}
-        if b == zero:
-            return {a: self._one}
-        key = (a, b)
+        """Product of two packed normal monomials as a {packed monomial:
+        table coeff} dict. A pair in normal order is its sum; only products
+        that needed a swap are cached."""
+        cb = self._core_bits
+        if self._ncentral and (a | b) >> cb:
+            return self._mul_central(a, b)
+        na = a.bit_length()
+        nb = (b & -b).bit_length()
+        if na <= self._rooms[nb]:
+            return {a + b: self._one}
+        key = a << cb | b
         hit = self._mul_cache.get(key)
         if hit is not None:
             return hit
-        order = self._order
-        for j in order:
-            if b[j]:
-                break
-        for i in reversed(order):
-            if a[i]:
-                break
-        pos = self._pos
+        # a = a0 x_i and b = x_j b0 with x_i after x_j, at positions p > q
+        p = (na - 1) // _WIDTH
+        q = (nb - 1) // _WIDTH
+        ua = self._field_units[p]
+        ub = self._field_units[q]
+        a0 = a - ua
+        b0 = b - ub
+        out = {}
+        _product_into(out, self, self.mul_mono(a0, ub), self.mul_mono(ua, b0))
         one = self._one
-        if pos[i] <= pos[j]:
-            out = {tuple(map(add, a, b)): one}
-        else:
-            a0 = a[:i] + (a[i] - 1,) + a[i + 1 :]
-            b0 = b[:j] + (b[j] - 1,) + b[j + 1 :]
-            units = self._units
-            out = {}
-            _product_into(out, self, self.mul_mono(a0, units[j]), self.mul_mono(units[i], b0))
-            for k, ck in self._brackets.get(i, {}).get(j, ()):
-                left = {m1: ck * c1 for m1, c1 in self.mul_mono(a0, units[k]).items()}
-                _product_into(out, self, left, {b0: one})
+        for uk, ck in self._rules[p][q]:
+            left = {m1: ck * c1 for m1, c1 in self.mul_mono(a0, uk).items()}
+            _product_into(out, self, left, {b0: one})
         self._mul_cache[key] = out
         return out
 
     def _mul_central(self, a, b):
         """``mul_mono`` when a central exponent is nonzero: the central parts
         commute with everything, so they are added to the product of the rest."""
-        na, nb, shift = list(a), list(b), [0] * self.dim
-        for z in self._central:
-            shift[z] = a[z] + b[z]
-            na[z] = nb[z] = 0
-        core = self.mul_mono(tuple(na), tuple(nb))
-        if not any(shift):
+        mask = self._core_mask
+        ca, cb = a & mask, b & mask
+        shift = a - ca + b - cb
+        core = self.mul_mono(ca, cb)
+        if not shift:
             return core
-        return {tuple(map(add, k, shift)): v for k, v in core.items()}
+        return {m + shift: c for m, c in core.items()}
 
-    def symm_mono(self, exps):
-        """Sum over the distinct orderings of the word of one basis monomial,
-        as a {monomial: table coeff} dict; the symmetrization is this sum
-        times prod(e_i!) / (sum e_i)!."""
-        hit = self._symm_cache.get(exps)
+    def symm_mono(self, m):
+        """Sum over the distinct orderings of the word of one packed monomial
+        without formal inverses, as a {packed monomial: table coeff} dict;
+        the symmetrization is this sum times prod(e_i!) / (sum e_i)!."""
+        hit = self._symm_cache.get(m)
         if hit is not None:
             return hit
         letters = []
-        for i, e in enumerate(exps):
-            if e < 0:
-                raise FieldError("cannot symmetrize a formal inverse")
+        for i, e in enumerate(self._unpack(m)):
             letters.extend([i] * e)
+        gens = self._gens
+        one = self._one
         total = {}
         for word in _multiset_perms(letters):
-            cur = {(0,) * self.dim: self._one}
+            cur = {0: one}
             for letter in word:
-                el = self._units[letter]
                 nxt = {}
-                for m, c in cur.items():
-                    for m2, c2 in self.mul_mono(m, el).items():
-                        _acc(nxt, m2, c * c2)
+                _product_into(nxt, self, cur, {gens[letter]: one})
                 cur = nxt
-            for m, c in cur.items():
-                _acc(total, m, c)
-        self._symm_cache[exps] = total
+            for m2, c in cur.items():
+                _acc(total, m2, c)
+        self._symm_cache[m] = total
         return total
 
 
+def _guard(size):
+    """Refuse a product whose factors' absolute exponents sum past the signed
+    field range: below it no exponent of the result leaves its field."""
+    if size > _LIMIT:
+        raise FieldError(
+            "a product of exponents summing to %d exceeds the packed range %d"
+            % (size, _LIMIT)
+        )
+
+
 def _product_into(out, alg, left, right):
-    """Accumulate left * right into out; all three map monomials to nonzero
-    table coefficients, and a sum that cancels is dropped."""
+    """Accumulate left * right into out; all three map packed monomials to
+    nonzero table coefficients, and a sum that cancels is dropped. A pair
+    already in normal order is added directly."""
     mul_mono = alg.mul_mono
     get = out.get
+    rooms = alg._rooms
+    right = [(m2, c2, rooms[(m2 & -m2).bit_length()]) for m2, c2 in right.items()]
     for m1, c1 in left.items():
-        for m2, c2 in right.items():
+        # m1 < 0 holds a formal inverse: added directly only to m2 = 1
+        n1 = m1.bit_length() if m1 >= 0 else _NEVER
+        for m2, c2, room in right:
+            if n1 <= room:
+                m = m1 + m2
+                s = get(m)
+                if s is None:
+                    out[m] = c1 * c2
+                else:
+                    s += c1 * c2
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
+                continue
             c12 = c1 * c2
             for m, c in mul_mono(m1, m2).items():
                 s = get(m)
@@ -266,11 +367,10 @@ class PBWElement(_Terms):
 
     def _product(self, other):
         alg = self.alg
-        du, ru = alg._numerators(self.terms)
-        dv, rv = alg._numerators(other.terms)
+        d, ru, rv = alg._operands(self, other)
         out = {}
         _product_into(out, alg, ru, rv)
-        return alg._element(out, du * dv)
+        return alg._element(out, d)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -287,29 +387,30 @@ def commutator(u, v):
     table coefficients over du * dv."""
     u._check(v)
     alg = u.alg
-    du, ru = alg._numerators(u.terms)
-    dv, rv = alg._numerators(v.terms)
+    d, ru, rv = alg._operands(u, v)
     out = {}
     _product_into(out, alg, ru, rv)
     _product_into(out, alg, {m: -c for m, c in rv.items()}, ru)
-    return alg._element(out, du * dv)
+    return alg._element(out, d)
 
 
 def symmetrize(alg, p):
     """Symmetrization map S(q) -> U(q), monomial by monomial."""
     if p.nvars != alg.dim or p.field != alg.field:
         raise FieldError("polynomial ambient does not match the algebra")
-    sums, weighted = {}, {}
+    weighted = {}
     for exps, c in p.terms.items():
-        sums[exps] = alg.symm_mono(exps)
+        if min(exps, default=0) < 0:
+            raise FieldError("cannot symmetrize a formal inverse")
         mult = 1
         for e in exps:
             mult *= factorial(e)
         weighted[exps] = c * alg.field.rational(mult, factorial(sum(exps)))
-    den, nums = alg._numerators(weighted)
+    den, nums, size = alg._numerators(weighted)
+    _guard(size)
     out = {}
-    for exps, n in nums.items():
-        for m, c in sums[exps].items():
+    for m0, n in nums.items():
+        for m, c in alg.symm_mono(m0).items():
             _acc(out, m, n * c)
     return alg._element(out, den)
 
@@ -343,7 +444,7 @@ def specialize_central(u, z_index, c):
         k = exps[z_index]
         if k < 0 and c.is_zero:
             raise FieldError("specializing a formal inverse at zero")
-        ne = tuple(0 if i == z_index else e for i, e in enumerate(exps))
+        ne = exps[:z_index] + (0,) + exps[z_index + 1 :]
         _acc(out, ne, co * c**k)
     return PBWElement._trusted(alg, out)
 

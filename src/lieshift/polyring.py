@@ -42,6 +42,14 @@ def _checked_terms(field, nvars, laurent, terms):
     return clean
 
 
+def _index(i, n):
+    """A caller's variable index, checked to lie in range(n): an index past
+    either end would name no variable, or the wrong one."""
+    if not isinstance(i, int) or not 0 <= i < n:
+        raise FieldError("variable index %r is not in range(%d)" % (i, n))
+    return i
+
+
 def _scalar(field, c):
     """A caller's scalar as an element of field: an int, a Fraction or a
     FieldElement of field; anything else is a FieldError."""
@@ -206,13 +214,16 @@ class PolyElement(_Terms):
 
     @classmethod
     def variable(cls, field, nvars, i, laurent=frozenset()):
-        exps = tuple(1 if k == i else 0 for k in range(nvars))
+        i = _index(i, nvars)
+        exps = (0,) * i + (1,) + (0,) * (nvars - i - 1)
         return cls(field, nvars, {exps: field.one}, laurent)
 
     @classmethod
     def from_vector(cls, field, coords, laurent=frozenset()):
         n = len(coords)
-        terms = {tuple(int(k == i) for k in range(n)): c for i, c in enumerate(coords) if c}
+        terms = {
+            (0,) * i + (1,) + (0,) * (n - i - 1): c for i, c in enumerate(coords) if c
+        }
         return cls(field, n, terms, laurent)
 
     # -- ring ops ----------------------------------------------------------
@@ -221,7 +232,7 @@ class PolyElement(_Terms):
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                _acc(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                _acc(out, tuple([a + b for a, b in zip(e1, e2)]), c1 * c2)
         return self._like(out, other)
 
     def __hash__(self):
@@ -231,12 +242,12 @@ class PolyElement(_Terms):
         return self._like(self._top())
 
     def partial(self, i):
+        i = _index(i, self.nvars)
         out = {}
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue
-            ne = tuple(x - 1 if k == i else x for k, x in enumerate(e))
-            out[ne] = c * e[i]
+            out[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
         return self._like(out)
 
     def evaluate(self, point):

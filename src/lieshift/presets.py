@@ -114,7 +114,7 @@ def _generic_matrix(mats, size):
     duals = _dual_basis(mats)
     entries = {}
     for i, d in enumerate(duals):
-        e = tuple(1 if t == i else 0 for t in range(n))
+        e = tuple([1 if t == i else 0 for t in range(n)])
         for p, c in d.items():
             entries.setdefault(p, {})[e] = _q(c)
     zero = PolyElement.zero(QQ, n)
@@ -155,8 +155,8 @@ def unit_content(p):
     if p.is_zero:
         return p
     coeffs = [Fraction(*c.as_rational()) for c in p.terms.values()]
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    g = math.gcd(*(int(c * lcm) for c in coeffs))
+    lcm = math.lcm(*[c.denominator for c in coeffs])
+    g = math.gcd(*[int(c * lcm) for c in coeffs])
     lead = max(p.terms, key=lambda e: (sum(e), e))
     scale = Fraction(lcm, g)
     if Fraction(*p.terms[lead].as_rational()) < 0:
@@ -165,13 +165,13 @@ def unit_content(p):
 
 
 def _unit(n, i):
-    return tuple(QQ.one if k == i else QQ.zero for k in range(n))
+    return tuple([QQ.one if k == i else QQ.zero for k in range(n)])
 
 
 def _abelian(n):
-    labels = tuple("a%d" % (i + 1) for i in range(n))
+    labels = tuple(["a%d" % (i + 1) for i in range(n)])
     L = LieAlgebra(QQ, labels, {}, {"central": range(n), "nilradical": range(n)})
-    cas = tuple(PolyElement.variable(QQ, n, i) for i in range(n))
+    cas = tuple([PolyElement.variable(QQ, n, i) for i in range(n)])
     return Preset("abelian%d" % n, L, cas, "abelian algebra of dimension %d" % n)
 
 
@@ -235,10 +235,10 @@ def _sl3():
 
 def _gl(n):
     mats = [_e(a, b) for a in range(n) for b in range(n)]
-    labels = tuple("e%d%d" % (a + 1, b + 1) for a in range(n) for b in range(n))
+    labels = tuple(["e%d%d" % (a + 1, b + 1) for a in range(n) for b in range(n)])
     L = _from_matrices(labels, mats)
     X = _generic_matrix(mats, n)
-    cas = tuple(unit_content(_trace_power(X, k)) for k in range(1, n + 1))
+    cas = tuple([unit_content(_trace_power(X, k)) for k in range(1, n + 1)])
     return Preset("gl%d" % n, L, cas, "gl%d with the matrix-unit basis" % n)
 
 
@@ -326,7 +326,7 @@ def _sl2_semidirect_h3():
 def _so(n):
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     mats = [_mat_add(_e(a, b), _e(b, a), -1) for (a, b) in pairs]
-    labels = tuple("m%d%d" % (a + 1, b + 1) for (a, b) in pairs)
+    labels = tuple(["m%d%d" % (a + 1, b + 1) for (a, b) in pairs])
     L = _from_matrices(labels, mats)
     X = _generic_matrix(mats, n)
     cas = [unit_content(_trace_power(X, 2))]

@@ -610,8 +610,8 @@ def test_certificate_catches_noncommuting_heisenberg_lift(monkeypatch):
     # y does not commute with the adjoined x
     real = construct_mod._corrected_lift
 
-    def faulty(L, split, A_l, sub_vectors):
-        out = real(L, split, A_l, sub_vectors)
+    def faulty(L, split, A_l, sub_vectors, alg):
+        out = real(L, split, A_l, sub_vectors, alg)
         y = out.elements[0].alg.from_vector(split.y[0])
         return GeneratorSet("associative", out.elements + (y,), out.provenance + ("y",))
 

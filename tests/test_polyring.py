@@ -81,6 +81,18 @@ def test_partial_and_evaluate():
     assert differential_at(p, pt) == [QQ.from_int(12), QQ.from_int(4), QQ.one]
 
 
+@pytest.mark.parametrize("i", [3, 7, -1, -4])
+def test_out_of_range_variable_index_is_a_field_error(i):
+    # an index past either end named no variable (variable and partial
+    # built 1 and x0*x1) or the wrong one (e[-1] read the last exponent)
+    x0, x1 = PolyElement.variable(QQ, 3, 0), PolyElement.variable(QQ, 3, 1)
+    with pytest.raises(FieldError, match="not in range"):
+        PolyElement.variable(QQ, 3, i)
+    with pytest.raises(FieldError, match="not in range"):
+        (x0 * x1).partial(i)
+    assert (x0 * x1).partial(0) == x1 and (x0 * x1).partial(2).is_zero
+
+
 def test_from_vector():
     v = PolyElement.from_vector(QQ, vec(QQ, [1, 0, -2]))
     assert v.render(("a", "b", "c")) == "a - 2*c"

@@ -30,7 +30,7 @@ from lieshift.liealg import (
     killing_matrix,
     vec,
 )
-from lieshift.pbw import EnvelopingAlgebra, commutator, principal_symbol, symmetrize
+from lieshift.pbw import _LIMIT, EnvelopingAlgebra, commutator, principal_symbol, symmetrize
 from lieshift.polyring import PolyElement, differential_at, gamma_shift, poisson
 from lieshift.presets import preset
 
@@ -351,6 +351,121 @@ def test_commutator_matches_reference_straightening():
         _same(commutator(u, v), ref, lambda w: w.render())
         _same(u * v - v * u, ref, lambda w: w.render())
         _same(u * v, _ref_product(u, v), lambda w: w.render())
+
+
+# -- the packed monomials of pbw ------------------------------------------------
+#
+# Inside the kernels a monomial is one int with a 16-bit field per generator
+# in normal order, central fields on top and signed. These cases aim at the
+# layout: two central generators with negative exponents in one monomial,
+# central generators that are not last in input order, central exponents
+# that cancel, and the exponent-range guard.
+
+
+def _permuted(L, perm):
+    """L with basis vector i renamed perm[i]; the annotated centre follows."""
+    table = {}
+    for (i, j), comp in L.table.items():
+        a, b = perm[i], perm[j]
+        sign = 1 if a < b else -1
+        table[(min(a, b), max(a, b))] = {perm[k]: c * sign for k, c in comp.items()}
+    labels = [None] * L.dim
+    for i, lab in enumerate(L.labels):
+        labels[perm[i]] = lab
+    return LieAlgebra(L.field, labels, table, {"central": {perm[z] for z in L.central_indices()}})
+
+
+def _packed_algebra(name):
+    """Heisenberg algebras whose centres leave input order in the packed
+    layout: two centres, the first (index 2) not last; one centre at index
+    0; the same two centres in a basis where both come first."""
+    H = preset("heisenberg1").algebra  # x1, y1, z
+    two = direct_sum(H, H)  # x1, y1, z, x1', y1', z'
+    return {
+        "two-centres": two,
+        "centre-first": _permuted(H, [1, 2, 0]),
+        "centres-first": _permuted(two, [2, 3, 0, 4, 5, 1]),
+    }[name]
+
+
+PACKED_CASES = ["two-centres", "centre-first", "centres-first"]
+
+
+def _random_laurent_pbw(rng, A, max_deg):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        e = [0] * A.dim
+        for _ in range(rng.randint(0, max_deg)):
+            e[rng.randrange(A.dim)] += 1
+        for z in A.laurent:
+            e[z] = rng.randint(-3, 3)
+        terms[tuple(e)] = _random_scalar(rng, A.field)
+    return A.element(terms)
+
+
+@pytest.mark.parametrize("name", PACKED_CASES)
+def test_packed_products_match_reference_with_inverted_centres(name):
+    rng = random.Random(1414)
+    L = _packed_algebra(name)
+    A = EnvelopingAlgebra(L, L.central_indices())
+    assert A._order != list(range(L.dim))
+    negative_pairs = 0
+    for case in range(40):
+        u = _random_laurent_pbw(rng, A, 3)
+        v = _random_laurent_pbw(rng, A, 2)
+        negative_pairs += any(
+            sum(e[z] < 0 for z in A.laurent) >= 2 for e in u.terms
+        )
+        uv, vu = _ref_product(u, v), _ref_product(v, u)
+        _same(u * v, uv, lambda w: w.render())
+        _same(commutator(u, v), uv - vu, lambda w: w.render())
+    if len(A.laurent) == 2:
+        assert negative_pairs >= 5
+
+
+@pytest.mark.parametrize("name", PACKED_CASES)
+def test_packed_central_exponents_cancel(name):
+    L = _packed_algebra(name)
+    A = EnvelopingAlgebra(L, L.central_indices())
+    ix, iy = L.labels.index("x1"), L.labels.index("y1")
+    x, y = A.gen(ix), A.gen(iy)
+    zs = [A.gen(z) for z in sorted(A.laurent)]
+    zinv = [A.gen(z, -1) for z in sorted(A.laurent)]
+    u, v = x, y
+    for z, w in zip(zs, zinv):
+        u, v = u * w * w, v * z * z
+    # every central exponent cancels: the product is x*y with no z left
+    assert u * v == x * y == _ref_product(u, v)
+    assert (u * v).terms == {tuple([int(i in (ix, iy)) for i in range(L.dim)]): QQ.one}
+    assert (v * u) == y * x == _ref_product(v, u)
+
+
+def test_packed_exponent_guard_is_exact():
+    """A product straightens while its factors' absolute exponents sum to at
+    most the signed field limit, and is a FieldError one past it: it never
+    returns a product whose exponent carried into the next field."""
+    sl2 = EnvelopingAlgebra(preset("sl2").algebra)
+    h = lambda k: sl2.gen(0, k)
+    assert (h(_LIMIT - 5) * h(5)).terms == {(_LIMIT, 0, 0): QQ.one}
+    with pytest.raises(FieldError, match="packed range"):
+        h(_LIMIT - 4) * h(5)
+    with pytest.raises(FieldError, match="packed range"):
+        commutator(h(_LIMIT), sl2.gen(1))
+    x = PolyElement.variable(QQ, 3, 0)
+    assert symmetrize(sl2, x**_LIMIT) == h(_LIMIT)
+    with pytest.raises(FieldError, match="packed range"):
+        symmetrize(sl2, x ** (_LIMIT + 1))
+    # signed central fields: the lower centre (index 2) of two, at the limit
+    # from below and one past it, where a wrapped field would borrow from z'
+    two = EnvelopingAlgebra(_packed_algebra("two-centres"), (2, 5))
+    z = lambda k: two.gen(2, k)
+    xz = two.gen(0) * z(-(_LIMIT - 4))
+    _same(xz * z(-3), _ref_product(xz, z(-3)), lambda w: w.render())
+    assert (xz * z(-3)).terms == {(1, 0, -(_LIMIT - 1), 0, 0, 0): QQ.one}
+    with pytest.raises(FieldError, match="packed range"):
+        xz * z(-4)
+    with pytest.raises(FieldError, match="packed range"):
+        commutator(z(-_LIMIT), two.gen(5, -1))
 
 
 def _ref_symmetrize(A, p):
