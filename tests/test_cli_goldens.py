@@ -1,0 +1,162 @@
+"""Pinned ``--json`` output of the CLI commands that the linear algebra decides.
+
+Each case runs ``lieshift.cli.main([..., "--json"])`` in-process and
+compares its exit code and the sha256 of its stdout with the table below:
+validity, symmetric invariants, the argument-shift families, the
+correction-map checks and the maximality probe at degrees 1 and 2 on every
+listed preset, and the worked paper example.
+
+``PYTHONPATH=src python tests/test_cli_goldens.py --print`` prints the
+table for the current code. Regenerate it only in a commit that documents
+an intended output change.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+
+import pytest
+
+from lieshift.cli import main
+
+PRESETS = (
+    "sl2", "gl2", "gl3", "sl3", "so3", "so4", "aff1", "borel-sl2", "borel-sl3",
+    "sl2-semidirect-h3", "heisenberg1", "heisenberg2", "heisenberg4", "abelian3",
+)
+COMMANDS = (
+    ("validate",),
+    ("invariants",),
+    ("mf",),
+    ("quantum-mf",),
+    ("hat-check",),
+    ("maximality", "--max-deg", "1"),
+    ("maximality", "--max-deg", "2"),
+)
+CASES = [cmd + ("--preset", p) for p in PRESETS for cmd in COMMANDS]
+CASES.append(("reproduce-paper-example",))
+
+
+def run(argv):
+    """(exit code, sha256 of stdout) of one in-process ``--json`` call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv) + ["--json"])
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+GOLDENS = {
+    "validate --preset sl2": (0, "31de9511663580824d7038c46c1e960058bbdeb2292be0340af32779afa6b685"),
+    "invariants --preset sl2": (0, "b88e1ffe4c1fcab3aa8268f73c40dc2ca0e9b83446711a9ce8942d1fd8f4e7ba"),
+    "mf --preset sl2": (0, "e94aa0ce9128f2706c0fa5e5afaaa6ae67f272b920311efc1ef64fedd63bc95e"),
+    "quantum-mf --preset sl2": (0, "8ae9d8d0024e7321229d7c5b73d7bc138e1a3e2ea76ed7ef8820c8b4fea8d0bd"),
+    "hat-check --preset sl2": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "maximality --max-deg 1 --preset sl2": (0, "742d4dbd0126e4c6a158b54e093545eb53989c8bb5c003d8f7b1733088f827f7"),
+    "maximality --max-deg 2 --preset sl2": (0, "df39606a10b88becea00e079f58e41864933cf5c3161eca4c350c8ba1ece3a58"),
+    "validate --preset gl2": (0, "b11328a9c6e61f62f3584a0125198b56fb1811cca62e8a406cc4e866bf182e48"),
+    "invariants --preset gl2": (0, "c89bce8e2bcb2e646f1a980a1b461aa161e50222313a2b13c5eb4b55057fdedf"),
+    "mf --preset gl2": (0, "35eb440d8278016f2b9ee320522d56e71d62027f89c40ad1c75c74477eae593a"),
+    "quantum-mf --preset gl2": (0, "3e4458df936f7a8e4975e8f85153cb43d7cfc06eb12a6a2eb7300972766d656d"),
+    "hat-check --preset gl2": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "maximality --max-deg 1 --preset gl2": (0, "d43f762383f531a508eb59a64784bcbdfbda7114555e64748d00e14e20a0f830"),
+    "maximality --max-deg 2 --preset gl2": (0, "a3637c9870df81c77d249c9afd03c0cccebf0b932919aec2eda77a71e94a7401"),
+    "validate --preset gl3": (0, "808bcc1bdfcb1dc6c5de064c97155324f6c350d5a24961c37139c666dacfb24f"),
+    "invariants --preset gl3": (0, "6b93babf3d407d13cad5c7656a4bd3763d613f02af5a437e8bc881447df43c15"),
+    "mf --preset gl3": (0, "2ac213f6504fe69a6a2a7edea0853f7c2bd75f79c1be8754b973c833fa9e0729"),
+    "quantum-mf --preset gl3": (0, "062dd15792d525653cd018d1be8dde1239e4fb2487b3faa15ebc8dc472f051e5"),
+    "hat-check --preset gl3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "maximality --max-deg 1 --preset gl3": (0, "7c1481aa82c76f918eea795ae5f0f868770a724c2f5bca11d51a26e1c62a2ad3"),
+    "maximality --max-deg 2 --preset gl3": (0, "90f60d66cd30cf6844ff9da2c7df49b1efe5ce6a42aa767d87aba77ef746bee9"),
+    "validate --preset sl3": (0, "91d69e1c8b36542b8a53869a78d2ccd6d4ca1323b341c59ac08f5e6f74e0110e"),
+    "invariants --preset sl3": (0, "1b990413184ed97656f26789f7ed612f0df75b6dead103cfc2a36ac36a4939ef"),
+    "mf --preset sl3": (0, "cef8688cd47d44013760977a81349fb34590f114f4e959dbcae01d2311047034"),
+    "quantum-mf --preset sl3": (0, "fe83f2affdbb4e10ccf483dab150593ae6cf85f4bab8ed334d23b09a30c1493c"),
+    "hat-check --preset sl3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "maximality --max-deg 1 --preset sl3": (0, "9d488c2331d19797e176f0e2c2882f328c354628b4edc25b6e940ba44c393002"),
+    "maximality --max-deg 2 --preset sl3": (0, "554369f5074db4eb794afc0e1669eac05a0acc6051100319cd46f348821e3af3"),
+    "validate --preset so3": (0, "f866b87c9e00b358b6fb3c00ed473bf54d8dfc9ca0212aaf9b06cddf1cf665a7"),
+    "invariants --preset so3": (0, "815c6de3b4044a8b481c4d40666c1408fbb04c1588a46d090dfdd26d0da24be6"),
+    "mf --preset so3": (0, "0338f4126ca32dac21eee07c395a54b3b1dee72ab4422a4aa1cfd68693d27201"),
+    "quantum-mf --preset so3": (0, "1740c43301f2d573edff2463b6592fdedfe3a451f1f6e7014bc170d165bcd501"),
+    "hat-check --preset so3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "maximality --max-deg 1 --preset so3": (0, "fce9703a7f2ccc1ba7ab0fa959d39a635e849fa98fdeaf2f9921b0e3a694ee96"),
+    "maximality --max-deg 2 --preset so3": (0, "412ac59511a0520f27c3783a77c5950ead0ed6008f74cf8a735f140882aced51"),
+    "validate --preset so4": (0, "ceb1dadb123e0d25664e69ea070010651e5d83e27562720b70f12eb2434c2eee"),
+    "invariants --preset so4": (0, "62ef3d8bf913d101ee2730dcff557dd0d77939af54b20c95957c2f2b6f3e6915"),
+    "mf --preset so4": (0, "29da99d995132240a3160d508d085322d7654d7b30eb21d9929293eca8a32585"),
+    "quantum-mf --preset so4": (0, "43d7f41b2e39aff375522c556ee2b1d699014beca73427387f3fd555a48a7bfa"),
+    "hat-check --preset so4": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "maximality --max-deg 1 --preset so4": (0, "b7920dce7fae013d806ee445db1fde89ed182028c0eb9fbbc36b2a21bc0120f0"),
+    "maximality --max-deg 2 --preset so4": (0, "db3d5a2119040518e7c334d16a7714d4440fdb109300bc314de0baa4f851c86e"),
+    "validate --preset aff1": (0, "b37aa0c8352ba952728bfad9a8df11af0a7e0f8075ca9b85e374452601ae7a5b"),
+    "invariants --preset aff1": (0, "0edf0deb918e8ce4334f613f1c4d80e3601f5ed7b3e4e294ab2630107563613f"),
+    "mf --preset aff1": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "quantum-mf --preset aff1": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "hat-check --preset aff1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "maximality --max-deg 1 --preset aff1": (0, "20cd4b1dc473d376889ced8ead143ea8412e1f73eeab267979eb1ed1bdb92faf"),
+    "maximality --max-deg 2 --preset aff1": (0, "371e310cad0cb614f67711ccad3452d58debeeaebd07a279355959ffa6b22d7e"),
+    "validate --preset borel-sl2": (0, "9b5f7a76a1ee46b8be382cabf6f9f8924b2b82a4f0e9ba5f8e4a7184e7be4000"),
+    "invariants --preset borel-sl2": (0, "e5dbdc62dc6440b7a811b4f877679f60386f383db0ffd6ed1b2ce53e1e39bff4"),
+    "mf --preset borel-sl2": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "quantum-mf --preset borel-sl2": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "hat-check --preset borel-sl2": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "maximality --max-deg 1 --preset borel-sl2": (0, "dde0a60936660e633488a0b8fbb4f5001e24d937b7da0d7c665a9b7cb18de572"),
+    "maximality --max-deg 2 --preset borel-sl2": (0, "6818b0af416b9a0ca6d53daa4f0486fa3ac0d75ee8607424d2cbc467a614c3e1"),
+    "validate --preset borel-sl3": (0, "cca331df6b10dd27c8dc53578d0a248058d4e1b1cb8535ae54e2e9e520597650"),
+    "invariants --preset borel-sl3": (0, "b3c68ed6560e48986048affb28ef5622e6b852b18609a762e1a09b8e74414c8e"),
+    "mf --preset borel-sl3": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "quantum-mf --preset borel-sl3": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "hat-check --preset borel-sl3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "maximality --max-deg 1 --preset borel-sl3": (0, "5f7bbcd9d5eef2b231372f556a4de7ef2aef84b67045ffbac2177301aa6bed1c"),
+    "maximality --max-deg 2 --preset borel-sl3": (0, "23295323db82fc74b1c0a32b2f61f13f6abb6847d00ca8193fbd7196bfc0451e"),
+    "validate --preset sl2-semidirect-h3": (0, "e4cfbbe65ac0d4e862eee301c80fb947392b4681758acc9039736e3b218955f0"),
+    "invariants --preset sl2-semidirect-h3": (0, "3e25ea94958ffebd0bb0b23d570038390528445aaef31fa4b2fb718676b6e576"),
+    "mf --preset sl2-semidirect-h3": (0, "b4a0173f9f0df8f3e3dcdc8ab49a297baf164b905b74edb46091e717f527410d"),
+    "quantum-mf --preset sl2-semidirect-h3": (0, "5cf854ba28a21adb8900b34517c8559fd20c8c277f659f61eecf34be8d2385d3"),
+    "hat-check --preset sl2-semidirect-h3": (0, "dac1cc72489e1952986fc1e5334b2127b5fff9b420ddc395a40b94b0154d19bf"),
+    "maximality --max-deg 1 --preset sl2-semidirect-h3": (0, "80a4b010db93501de9c59bd22d2064b21cb4042473fdb3ed9ce9b1a6f12fdca5"),
+    "maximality --max-deg 2 --preset sl2-semidirect-h3": (0, "de0470af0ba4143d0cf9ec034541ac33e4991ffda83c15735f8982ae013ecfee"),
+    "validate --preset heisenberg1": (0, "1b2ea8f15a80ec33224c41fb23963f94adeb5d77e806519d2ff681c97f1a3bac"),
+    "invariants --preset heisenberg1": (0, "74ba0f74a0d71d2e02d1ab50ea198ad9825aa10e68ec0d93772107a2a0b5e2c8"),
+    "mf --preset heisenberg1": (0, "9ee8c933636d3c0ae4b6c2f85f5a072866a31c58355455d780f38cb36011ea6b"),
+    "quantum-mf --preset heisenberg1": (0, "87aa44950155bef2e77e3306ef6b4494497a85020313088708eadf7f194691f2"),
+    "hat-check --preset heisenberg1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "maximality --max-deg 1 --preset heisenberg1": (0, "33d52a7c0c85b752edd3a44c6af0103466f59a9e62ed8d29d4fc75f269b4c7fe"),
+    "maximality --max-deg 2 --preset heisenberg1": (0, "82dae2370ffaf7d3f2157ae09aea0acdd5a45e21a11d5b2ee276e1c5d5528da6"),
+    "validate --preset heisenberg2": (0, "31466731771c40180fb8af8ef2798d6e463ad50e891d8699c932bec99d8f132a"),
+    "invariants --preset heisenberg2": (0, "26c503831afc4e0785d367cfa5b8a281b23cc1ab12cf24d2bb2b2f433be519d2"),
+    "mf --preset heisenberg2": (0, "52a7b0bac622227d57daa64aab0aec42bfe76c2fa7edb86de77afe3d5d962eeb"),
+    "quantum-mf --preset heisenberg2": (0, "ba45ef43e411c0d22e2d67e7229497fac4ae57e297688f53482496de7cd6df36"),
+    "hat-check --preset heisenberg2": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "maximality --max-deg 1 --preset heisenberg2": (0, "fffa94cc18c88904cb311ff8f5466e9aef0691dd246d685d3d912753c0ee7185"),
+    "maximality --max-deg 2 --preset heisenberg2": (0, "4d935f40c05ed391a1b8998373551cb92379b812ba8ec8beb429523d3bd05fa8"),
+    "validate --preset heisenberg4": (0, "c5cad49993c170411f60f431d1dee102fcb9a121cfbfd11c0b5a96d33b8e9b0e"),
+    "invariants --preset heisenberg4": (0, "7353b9c6b11a39cfc60bbea7c827e1236392a68e6981bff7d723584b5a7173eb"),
+    "mf --preset heisenberg4": (0, "cfa8dc313a75f017e7f681808c5bb79a1a89a164aff6738f90043acd5c299eff"),
+    "quantum-mf --preset heisenberg4": (0, "a67b720f4663c9f7f308921c6f15e947c3414a5a04e162f4f68f03b6854395d7"),
+    "hat-check --preset heisenberg4": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "maximality --max-deg 1 --preset heisenberg4": (0, "7f8efe890e3512f75de81ab5241965e37467597b4895ebd555444ebb180dac5b"),
+    "maximality --max-deg 2 --preset heisenberg4": (0, "c6f427b6d95b30498a2c8bea15f9371893475ea2add3a483a6fff442a83a3f3e"),
+    "validate --preset abelian3": (0, "22ad8c7ff2e84e3271b5bde054f372cffe1b30afa19bede9dfecdd75b830509f"),
+    "invariants --preset abelian3": (0, "9e94adab2d2ac8ff759be1ec9dbd763e5b540ef672e2c9c2c35655e574d93381"),
+    "mf --preset abelian3": (0, "380e5434b3446609f34341425c8daea0c4b8be89720076f5aae2c2a8f5201b52"),
+    "quantum-mf --preset abelian3": (0, "a53bc53f0b5fa3f48c29e144a2a17da63220a6ffb16afa662b8988e295024664"),
+    "hat-check --preset abelian3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "maximality --max-deg 1 --preset abelian3": (0, "a57753a3e6bde81b8aead4fef1bb895a1311976a68b7fc7ec16989b8b20ebcb9"),
+    "maximality --max-deg 2 --preset abelian3": (0, "96c11d59f0f0ea8385096d5e245ee2016dbed764a3046816071a1ea1e1025ae9"),
+    "reproduce-paper-example": (0, "36cd6cc2598b912f865d2e5c5bd4e1d6c2bf101e98f14ca969825e3726e61a00"),
+}
+
+
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_cli_json_golden(argv):
+    assert run(argv) == GOLDENS[" ".join(argv)]
+
+
+def test_goldens_cover_exactly_the_cases():
+    assert sorted(GOLDENS) == sorted(" ".join(argv) for argv in CASES)
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--print"]:
+    for argv in CASES:
+        print('    "%s": (%d, "%s"),' % ((" ".join(argv),) + run(argv)))

@@ -19,6 +19,7 @@ from factories import (
 from lieshift.construct import _coordinate_complement, construct_theorem, mf_subalgebra
 from lieshift.fields import QQ, FieldError
 from lieshift.invariants import b_of, index_of, is_regular, sample_point, trdeg_jacobian
+from lieshift.linalg import rank
 from lieshift.liealg import (
     LieAlgebra,
     LinearForm,
@@ -665,3 +666,36 @@ def test_coordinate_complement_matches_greedy_loop():
         h = Subspace(F, 3, [(1, 1, 0)])
         assert h.pivots == (0,)
         assert _coordinate_complement(L, h)[0] == reference_coordinate_complement(L, h) == (0, 2)
+
+
+def test_subspace_contains_matches_the_two_rank_span_test():
+    """Subspace(rows).contains(v) against rank(rows + [v]) == rank(rows), over
+    Q and Q(t), on random combinations of the rows (inside) and on random
+    vectors (mostly outside)."""
+    rng = random.Random(1717)
+
+    def entry(F):
+        c = F.from_int(rng.randint(-3, 3))
+        return c * F.var("t") + rng.randint(-3, 3) if F.level else c
+
+    def vector(F, n):
+        return tuple(entry(F) if rng.random() < 0.6 else F.zero for _ in range(n))
+
+    inside = outside = 0
+    for case in range(120):
+        F = QT if case % 2 else QQ
+        n = rng.randint(1, 6)
+        rows = [list(vector(F, n)) for _ in range(rng.randint(0, n))]
+        S = Subspace(F, n, rows)
+        candidates = [vector(F, n)]
+        if rows:
+            coeffs = [entry(F) for _ in rows]
+            candidates.append(
+                tuple(sum((c * r[k] for c, r in zip(coeffs, rows)), F.zero) for k in range(n))
+            )
+        for v in candidates:
+            ref = rank(F, rows + [list(v)]) == rank(F, rows)
+            assert S.contains(v) == ref
+            inside += ref
+            outside += not ref
+    assert inside >= 100 and outside >= 40
