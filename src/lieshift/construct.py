@@ -31,6 +31,7 @@ from .liealg import (
     bracket,
     _brackets,
     _check_ltilde_covers,
+    _maps_into,
     check_split,
     classify_nilradical,
     is_reductive,
@@ -38,8 +39,8 @@ from .liealg import (
     subalgebra_of,
     validate,
 )
-from .linalg import echelon_basis, kernel_basis, rank
-from .polyring import PolyElement, gamma_shift, poisson
+from .linalg import echelon_basis, kernel_basis
+from .polyring import PolyElement, coefficient_rows, gamma_shift, poisson
 from .pbw import (
     EnvelopingAlgebra,
     ad_invariant,
@@ -333,10 +334,8 @@ def _fresh_names(field, count):
 def _ideal_action(L, h):
     """ad[e][i], the h-coordinates of [x_i, eta_e]; raises unless h is an
     abelian ideal."""
-    for a, u in enumerate(h.basis):
-        for w in h.basis[a + 1 :]:
-            if any(not c.is_zero for c in bracket(L, u, w)):
-                raise ConstructError("the subspace is not abelian")
+    if any(any(b) for _, _, b in _brackets(L, h.basis)):
+        raise ConstructError("the subspace is not abelian")
     ad = [[h.coordinates(b) for b in basis_brackets(L, eta)] for eta in h.basis]
     if any(coords is None for ad_e in ad for coords in ad_e):
         raise ConstructError("the subspace is not an ideal")
@@ -769,19 +768,12 @@ def _construct(L, casimirs, max_inv_deg, sampling, candidates, max_depth, depth)
             % (lemma.centralizer_failures + lemma.homomorphism_failures)
         )
     levi = L.annotations.get("levi")
-    v_space = Subspace(L.field, L.dim, list(split.x) + list(split.y))
-    use_levi = False
-    if levi is not None and levi.dim + cls.nilradical.dim == L.dim:
-        joined = Subspace(
-            L.field, L.dim, list(levi.basis) + list(cls.nilradical.basis)
-        )
-        stable = all(
-            v_space.contains(bracket(L, u, w))
-            for u in levi.basis
-            for w in v_space.basis
-        )
-        if joined.dim == L.dim and stable:
-            use_levi = True
+    use_levi = (
+        levi is not None
+        and levi.dim + cls.nilradical.dim == L.dim
+        and Subspace(L.field, L.dim, list(levi.basis) + list(cls.nilradical.basis)).dim == L.dim
+        and _maps_into(L, levi.basis, Subspace(L.field, L.dim, list(split.x) + list(split.y)))
+    )
     if use_levi:
         sub_space = levi
         trace.append(
@@ -815,10 +807,6 @@ class MaximalityReport:
     trdeg_gain: int
 
 
-def _in_span(field, rows, v):
-    return rank(field, rows + [list(v)]) == rank(field, rows)
-
-
 def maximality_probe(A, d, sampling=Sampling()):
     """Compare the degree-d centralizer of A with the span of A's own
     products: extra basis vectors are reported, together with whether the
@@ -848,18 +836,9 @@ def maximality_probe(A, d, sampling=Sampling()):
                 q = q * g
                 prods.append(q)
 
-    monos = sorted({e for u in prods + cen for e in u.terms})
-    pos = {e: i for i, e in enumerate(monos)}
-    F = alg.field
-
-    def coords(u):
-        row = [F.zero] * len(monos)
-        for e, c in u.terms.items():
-            row[pos[e]] = c
-        return row
-
-    prod_rows = [coords(p) for p in prods]
-    new = [u for u in cen if not _in_span(F, prod_rows, coords(u))]
+    rows = coefficient_rows(prods + cen)
+    span = Subspace(alg.field, len(rows[0]), rows[: len(prods)])
+    new = [u for u, row in zip(cen, rows[len(prods) :]) if not span.contains(row)]
     enlarged = elements + new
     before = trdeg_jacobian(elements, sampling).value
     after = trdeg_jacobian(enlarged, sampling).value

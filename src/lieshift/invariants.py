@@ -10,15 +10,14 @@ The maximum is reported as the generic value, together with the seed and
 the witness point that attained it.  All arithmetic stays exact.
 """
 
-import itertools
 import random
 from dataclasses import dataclass
 
 from .fields import FieldError
 from .liealg import LinearForm, Subspace, coadjoint_form, stabilizer, subalgebra_of
-from .linalg import kernel_basis, rank
+from .linalg import kernel_of_images, rank
 from .pbw import PBWElement, principal_symbol
-from .polyring import PolyElement, differential_at, poisson
+from .polyring import PolyElement, differential_at, monomials_of_degree, poisson
 
 
 @dataclass(frozen=True)
@@ -163,53 +162,27 @@ def b_rel(L, sub, sampling=Sampling()):
     return b_of(L, sampling) - (sub_alg.dim - ind_l) // 2
 
 
-def monomials_of_degree(nvars, d):
-    """Exponent tuples of total degree d, in a fixed deterministic order."""
-    if d == 0:
-        yield (0,) * nvars
-        return
-    for combo in itertools.combinations_with_replacement(range(nvars), d):
-        e = [0] * nvars
-        for i in combo:
-            e[i] += 1
-        yield tuple(e)
-
-
 def symmetric_invariants(L, max_deg):
     """Basis of the homogeneous Poisson-central elements in degrees 1..max_deg.
 
-    Degree by degree: stack the coefficients of {x_i, m} over all generators
-    x_i and monomials m of that degree, and take the exact kernel.  Constants
-    are excluded; the list may be empty.
+    Degree by degree: the kernel of m -> ({x_i, m})_i over the monomials m
+    of that degree (``linalg.kernel_of_images``).  Constants are excluded;
+    the list may be empty.
     """
     if not isinstance(max_deg, int):
         raise ValueError("max_deg must be an integer, got %r" % (max_deg,))
     F = L.field
+    xs = [PolyElement.variable(F, L.dim, i) for i in range(L.dim)]
     out = []
     for d in range(1, max_deg + 1):
         monos = list(monomials_of_degree(L.dim, d))
-        row_index = {}
-        cols = []
+        images = []
         for e in monos:
             m = PolyElement(F, L.dim, {e: F.one})
-            col = {}
-            for i in range(L.dim):
-                br = poisson(L, PolyElement.variable(F, L.dim, i), m)
-                for oe, c in br.terms.items():
-                    key = (i, oe)
-                    if key not in row_index:
-                        row_index[key] = len(row_index)
-                    col[row_index[key]] = c
-            cols.append(col)
-        if not row_index:
-            # the adjoint action kills everything: every monomial is invariant
-            out.extend(PolyElement(F, L.dim, {e: F.one}) for e in monos)
-            continue
-        rows = [[F.zero] * len(monos) for _ in range(len(row_index))]
-        for j, col in enumerate(cols):
-            for r, c in col.items():
-                rows[r][j] = c
-        for coeffs in kernel_basis(F, rows, len(monos)):
+            images.append({
+                (i, oe): c for i, x in enumerate(xs) for oe, c in poisson(L, x, m).terms.items()
+            })
+        for coeffs in kernel_of_images(F, images):
             terms = {e: c for e, c in zip(monos, coeffs) if not c.is_zero}
             out.append(PolyElement(F, L.dim, terms))
     return out

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .fields import FieldElement, FieldError
-from .linalg import echelon_basis, kernel_basis, rank, solve
+from .linalg import echelon_basis, kernel_basis, kernel_of_images, rank, solve
 
 
 class LieAlgebraError(Exception):
@@ -323,34 +323,13 @@ def _bracket_supports(L, a, b):
 
 
 def basis_brackets(L, w):
-    """([x_0, w], ..., [x_{n-1}, w]): w bracketed with every basis vector.
-
-    One pass over the nonzero coordinates of w on cleared values, using
-    [x_i, w] = -sum_j w_j [x_j, x_i]; each nonzero output coordinate is
-    wrapped once and the zero coordinates share one element.
-    """
+    """([x_0, w], ..., [x_{n-1}, w]): w bracketed with every basis vector,
+    by ``_bracket_supports`` from each unit support and w's, read once."""
     if len(w) != L.dim:
         raise LieAlgebraError("vector length does not match ambient dim")
-    field = L.field
-    D, rows = L.kernel_brackets
-    dw, sw = _kernel_support(field, w)
-    out = [{} for _ in range(L.dim)]
-    for j, cw in sw:
-        for i, comp in rows.get(j, {}).items():
-            acc = out[i]
-            for k, s in comp:
-                x = acc.get(k)
-                acc[k] = -cw * s if x is None else x - cw * s
-    den = dw * D
-    zero = field.zero
-    images = []
-    for acc in out:
-        res = [zero] * L.dim
-        for k, x in acc.items():
-            if x:
-                res[k] = field.from_cleared(x, den)
-        images.append(tuple(res))
-    return images
+    sw = _kernel_support(L.field, w)
+    one = L.field.clear(())[0]
+    return [_bracket_supports(L, (one, [(i, one)]), sw) for i in range(L.dim)]
 
 
 def _is_central(L, w):
@@ -370,30 +349,30 @@ class ValidationReport:
 def validate(L):
     """Check Jacobi on all basis triples and sanity of annotations.
 
-    Jacobi is summed from the sparse structure constants, as
-    [[e_i, e_j], e_k] = sum_m c_ij^m [e_m, e_k] plus the two cyclic terms;
-    failing triples (i < j < k) are listed in lexicographic order.
+    Jacobi is summed from the cleared structure constants D c_ij^k of
+    ``kernel_brackets``, as [[e_i, e_j], e_k] = sum_m c_ij^m [e_m, e_k] plus
+    the two cyclic terms; the common factor D^2 changes no zero test.
+    Failing triples (i < j < k) are listed in lexicographic order.
     """
     report = ValidationReport()
-    br = [[L.bracket_basis(a, b) for b in range(L.dim)] for a in range(L.dim)]
+    _, rows = L.kernel_brackets
+    none = {}
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             for k in range(j + 1, L.dim):
                 s = {}
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, cm in br[a][b].items():
-                        for t, ct in br[m][c].items():
-                            s[t] = s[t] + cm * ct if t in s else cm * ct
-                if any(not x.is_zero for x in s.values()):
+                    for m, cm in rows.get(a, none).get(b, ()):
+                        for t, ct in rows.get(m, none).get(c, ()):
+                            x = s.get(t)
+                            s[t] = cm * ct if x is None else x + cm * ct
+                if any(s.values()):
                     report.jacobi_failures.append((i, j, k))
-    cen = L.central_indices()
-    for i in sorted(cen):
-        for j in range(L.dim):
-            if any(not c.is_zero for c in L.bracket_basis(i, j).values()):
-                report.annotation_failures.append(
-                    "central index %d brackets nontrivially with %d" % (i, j)
-                )
-                break
+    for i in sorted(L.central_indices()):
+        if i in rows:
+            report.annotation_failures.append(
+                "central index %d brackets nontrivially with %d" % (i, min(rows[i]))
+            )
     for key in ("levi", "nilradical", "solvable_radical"):
         S = L.annotations.get(key)
         if S is None:
@@ -412,6 +391,12 @@ def _is_subalgebra(L, S):
 
 def _is_ideal(L, S):
     return all(S.contains(b) for w in S.basis for b in basis_brackets(L, w))
+
+
+def _maps_into(L, us, S):
+    """Is the subspace S stable under the vectors us: [u, s] in S for every
+    u in us and s in S?"""
+    return all(S.contains(b) for _, _, b in _brackets(L, us, S.basis))
 
 
 def _check_annotated_subspace(L, key, S):
@@ -458,11 +443,8 @@ def check_split(L, split):
     v = Subspace(F, L.dim, list(split.x) + list(split.y))
     if v.dim != 2 * n:
         out.append("x, y vectors are not independent")
-    for u in split.l_basis.basis:
-        for w in v.basis:
-            if not v.contains(bracket(L, u, w)):
-                out.append("span{x, y} is not stable under l_basis")
-                break
+    if not _maps_into(L, split.l_basis.basis, v):
+        out.append("span{x, y} is not stable under l_basis")
     if not _is_subalgebra(L, split.l_basis):
         out.append("l_basis is not a subalgebra")
     if not split.l_basis.contains(z):
@@ -562,20 +544,15 @@ class StructureSeries:
 
 
 def center_of(L):
-    """Kernel of x -> ([x, e_j])_j, one equation per nonzero c_ij^k.
-
-    Row (j, k) holds c_ij^k at column i; rows of (j, k) pairs with no nonzero
-    constant are zero and do not change the kernel, so they are left out.
-    """
-    F = L.field
-    eqs = {}
+    """Kernel of x -> ([x, e_j])_j: the image of x_i has the entry c_ij^k at
+    row (j, k), one row per nonzero structure constant
+    (``linalg.kernel_of_images``)."""
+    images = [{} for _ in range(L.dim)]
     for (i, j), comp in L.table.items():
         for k, c in comp.items():
-            eqs.setdefault((j, k), {})[i] = c
-            eqs.setdefault((i, k), {})[j] = -c
-    zero = F.zero
-    rows = [[row.get(i, zero) for i in range(L.dim)] for _, row in sorted(eqs.items())]
-    return Subspace(F, L.dim, kernel_basis(F, rows, L.dim))
+            images[i][(j, k)] = c
+            images[j][(i, k)] = -c
+    return Subspace(L.field, L.dim, kernel_of_images(L.field, images))
 
 
 def _derived_of(L):
@@ -847,12 +824,7 @@ def _stable_complement(L, n_space, sub_basis, z):
     levi = L.annotations.get("levi")
     zc = Subspace(F, L.dim, [z])
     if levi is not None and levi.dim:
-        action = []
-        for u in levi.basis:
-            for w in n_space.basis:
-                bw = bracket(L, u, w)
-                if any(not c.is_zero for c in bw):
-                    action.append(bw)
+        action = [b for _, _, b in _brackets(L, levi.basis, n_space.basis) if any(b)]
         act_sub = Subspace(F, L.dim, action)
         if not act_sub.contains(z):
             # functional on n: rows are n-coordinates of the action span + z

@@ -118,6 +118,23 @@ def kernel_basis(field, rows, ncols):
     ]
 
 
+def kernel_of_images(field, images):
+    """``kernel_basis`` of the matrix whose column j is the sparse image
+    images[j], a {row key: FieldElement} dict with absent keys 0. Rows are
+    the keys in first-seen order; a kernel basis depends only on the row
+    space and the column order, so that order is free. With no keys every
+    unit vector is in the kernel."""
+    index = {}
+    for image in images:
+        for key in image:
+            index.setdefault(key, len(index))
+    rows = [[field.zero] * len(images) for _ in index]
+    for j, image in enumerate(images):
+        for key, c in image.items():
+            rows[index[key]][j] = c
+    return kernel_basis(field, rows, len(images))
+
+
 def echelon_basis(field, rows):
     """Reduced-echelon basis of the span of ``rows``, and its pivot columns.
 

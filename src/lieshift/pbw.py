@@ -52,7 +52,7 @@ from operator import lshift
 from struct import Struct
 
 from .fields import FieldError
-from .linalg import kernel_basis
+from .linalg import kernel_of_images
 from .polyring import (
     PolyElement,
     _acc,
@@ -62,6 +62,7 @@ from .polyring import (
     _scalar,
     _Terms,
     _wrapped,
+    monomials_of_degree,
 )
 
 _WIDTH = 16  # bits of one exponent field; "H" below reads fields of this width
@@ -80,12 +81,10 @@ class EnvelopingAlgebra:
         self.laurent = frozenset(laurent)
         self._central = self.laurent | L.central_indices()
         central = sorted(self._central)
+        self._scale, brackets = L.kernel_brackets
         for z in central:
-            for j in range(L.dim):
-                if any(not c.is_zero for c in L.bracket_basis(z, j).values()):
-                    raise FieldError(
-                        "designated central index %d brackets nontrivially" % z
-                    )
+            if z in brackets:
+                raise FieldError("designated central index %d brackets nontrivially" % z)
         rest = [i for i in range(L.dim) if i not in central]
         self._order = rest + central
         self._pos = [0] * L.dim
@@ -107,7 +106,6 @@ class EnvelopingAlgebra:
         self._core_fields = Struct("<%dH" % len(rest))
         self._ncentral = len(central)
         self._unpermuted = self._order == list(range(n))
-        self._scale, brackets = L.kernel_brackets
         # _rules[p][q]: [x_i, x_j] for the generators at positions p and q,
         # as (packed generator, table coefficient) pairs
         self._rules = [[()] * n for _ in range(n)]
@@ -476,47 +474,19 @@ def substitute_generators(u, images, target_alg, coeff_to_elem=None):
 def centralizer_up_to_degree(alg, gens, d):
     """Basis of {u in U, deg u <= d : [u, g] = 0 for all g}.
 
-    Exact linear solve over the coefficient field; constants always appear.
+    The kernel of m -> ([m, g])_g over the monomials m of degree at most d,
+    sorted by (degree, exponents), by ``linalg.kernel_of_images``; constants
+    always appear.
     """
-    monos = _monomials_up_to(alg.dim, d)
-    index = {m: k for k, m in enumerate(monos)}
-    field = alg.field
-    rows = []
-    for g in gens:
-        cols = []
-        target_index = {}
-        for m in monos:
-            com = commutator(PBWElement._trusted(alg, {m: field.one}), g)
-            col = {}
-            for mm, c in com.terms.items():
-                if mm not in target_index:
-                    target_index[mm] = len(target_index)
-                col[target_index[mm]] = c
-            cols.append(col)
-        nrows = len(target_index)
-        block = [[field.zero] * len(monos) for _ in range(nrows)]
-        for j, col in enumerate(cols):
-            for r, c in col.items():
-                block[r][j] = c
-        rows.extend(block)
-    ker = kernel_basis(field, rows, len(monos))
-    out = []
-    for v in ker:
-        terms = {m: c for m, c in zip(monos, v) if not c.is_zero}
-        out.append(PBWElement._trusted(alg, terms))
-    return out
-
-
-def _monomials_up_to(n, d):
-    out = []
-
-    def rec(prefix, remaining, total):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(0, d - total + 1):
-            rec(prefix + [e], remaining - 1, total + e)
-
-    rec([], n, 0)
-    out.sort(key=lambda m: (sum(m), m))
-    return out
+    monos = [m for k in range(d + 1) for m in sorted(monomials_of_degree(alg.dim, k))]
+    one = alg.field.one
+    images = []
+    for m in monos:
+        u = PBWElement._trusted(alg, {m: one})
+        images.append({
+            (k, mm): c for k, g in enumerate(gens) for mm, c in commutator(u, g).terms.items()
+        })
+    return [
+        PBWElement._trusted(alg, {m: c for m, c in zip(monos, v) if not c.is_zero})
+        for v in kernel_of_images(alg.field, images)
+    ]

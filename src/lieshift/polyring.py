@@ -20,6 +20,8 @@ polynomials above), and wrap each result coefficient once.
 
 from __future__ import annotations
 
+import itertools
+
 from .fields import FieldElement, FieldError, _exponent
 
 
@@ -357,6 +359,26 @@ def _acc(d, m, c):
         d[m] = c
     else:
         d.pop(m, None)
+
+
+def monomials_of_degree(nvars, d):
+    """Exponent tuples of total degree d, in a fixed deterministic order."""
+    if d == 0:
+        yield (0,) * nvars
+        return
+    for combo in itertools.combinations_with_replacement(range(nvars), d):
+        e = [0] * nvars
+        for i in combo:
+            e[i] += 1
+        yield tuple(e)
+
+
+def coefficient_rows(elements):
+    """The coefficient vectors of elements of one S(q) or U(q) over the
+    sorted union of their monomials; elements is nonempty."""
+    monos = sorted({e for u in elements for e in u.terms})
+    zero = elements[0]._ring[0].zero
+    return [[u.terms.get(e, zero) for e in monos] for u in elements]
 
 
 def differential_at(f, point):

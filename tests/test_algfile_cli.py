@@ -203,6 +203,23 @@ def test_cli_validate_failure(tmp_path):
     assert ok.returncode == 0
 
 
+def test_cli_validate_reports_an_unstable_split_once(tmp_path, capsys):
+    from lieshift.cli import main
+    from lieshift.liealg import HeisenbergSplit, LieAlgebra
+
+    P = preset("sl2-semidirect-h3").algebra
+    split = P.annotations["heisenberg_split"]
+    whole = HeisenbergSplit(
+        l_basis=P.span_of_indices(range(P.dim)), x=split.x, y=split.y, z=split.z
+    )
+    L = LieAlgebra(QQ, P.labels, P.table, dict(P.annotations, heisenberg_split=whole))
+    p = tmp_path / "whole_split.json"
+    p.write_text(json.dumps(dump_algebra(L)))
+    assert main(["validate", "--file", str(p), "--json"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["results"]["annotation_failures"] == ["span{x, y} is not stable under l_basis"]
+
+
 def test_cli_rejects_decimals(tmp_path):
     data = {
         "format": "lieshift/1",

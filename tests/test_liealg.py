@@ -354,6 +354,16 @@ def test_darboux_split_and_check():
     assert check_split(L, bad)
 
 
+def test_check_split_reports_an_unstable_span_once():
+    # with l_basis the whole algebra both x and y move span{x, y} off itself
+    L = preset("sl2-semidirect-h3").algebra
+    split = L.annotations["heisenberg_split"]
+    whole = HeisenbergSplit(
+        l_basis=L.span_of_indices(range(L.dim)), x=split.x, y=split.y, z=split.z
+    )
+    assert check_split(L, whole) == ["span{x, y} is not stable under l_basis"]
+
+
 def test_check_split_catches_bad_pairing():
     N = h3()
     x, y, z = (N.basis_vector(i) for i in range(3))

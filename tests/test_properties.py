@@ -19,7 +19,7 @@ from factories import (
 from lieshift.construct import _coordinate_complement, construct_theorem, mf_subalgebra
 from lieshift.fields import QQ, FieldError
 from lieshift.invariants import b_of, index_of, is_regular, sample_point, trdeg_jacobian
-from lieshift.linalg import rank
+from lieshift.linalg import kernel_basis, kernel_of_images, rank
 from lieshift.liealg import (
     LieAlgebra,
     LinearForm,
@@ -699,3 +699,40 @@ def test_subspace_contains_matches_the_two_rank_span_test():
             inside += ref
             outside += not ref
     assert inside >= 100 and outside >= 40
+
+
+def _ref_kernel_of_images(field, images):
+    """The dense assembly the bracket kernels used before kernel_of_images:
+    one row per key, here in sorted key order, and every unit vector when
+    there is no equation."""
+    keys = sorted({key for image in images for key in image})
+    if not keys:
+        return [tuple(field.one if k == j else field.zero for k in range(len(images)))
+                for j in range(len(images))]
+    rows = [[image.get(key, field.zero) for image in images] for key in keys]
+    return kernel_basis(field, rows, len(images))
+
+
+def test_kernel_of_images_matches_the_dense_assembly():
+    """Seeded sparse images over Q and Q(t), with keys shared across images,
+    some images empty, and cases with no equation at all."""
+    rng = random.Random(1818)
+    empty = shared = 0
+    for case in range(160):
+        F = QT if case % 2 else QQ
+        ncols = rng.randint(1, 7)
+        pool = [(rng.randrange(3), rng.randrange(4)) for _ in range(rng.randint(0, 6))]
+        images = [
+            {key: _nonzero_scalar(rng, F) for key in pool if rng.random() < 0.4}
+            for _ in range(ncols)
+        ]
+        got = kernel_of_images(F, images)
+        assert [tuple(v) for v in got] == [tuple(v) for v in _ref_kernel_of_images(F, images)]
+        for v in got:
+            for key in {key for image in images for key in image}:
+                assert sum((c * image[key] for c, image in zip(v, images) if key in image),
+                           F.zero).is_zero
+        empty += not any(images)
+        seen = [key for image in images for key in image]
+        shared += len(seen) > len(set(seen))
+    assert empty >= 10 and shared >= 50
