@@ -438,15 +438,20 @@ _COMMANDS = {
 }
 
 
-def _positive_int(text):
-    """argparse type of --samples, --bound and --max-deg: an integer >= 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("expected an integer >= 1, got %d" % n)
-    return n
+def _int_at_least(low):
+    """argparse type of an integer >= low: 1 for --samples, --bound and
+    --max-deg, 0 for --depth."""
+
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("expected an integer >= %d, got %r" % (low, text))
+        if n < low:
+            raise argparse.ArgumentTypeError("expected an integer >= %d, got %d" % (low, n))
+        return n
+
+    return parse
 
 
 def build_parser():
@@ -461,17 +466,17 @@ def build_parser():
     common.add_argument("--preset", help="built-in algebra name, e.g. sl2, heisenberg3")
     common.add_argument("--file", help="path to a lieshift/1 algebra file")
     common.add_argument("--seed", type=int, default=Sampling.seed)
-    common.add_argument("--samples", type=_positive_int, default=Sampling.samples)
-    common.add_argument("--bound", type=_positive_int, default=Sampling.bound)
+    common.add_argument("--samples", type=_int_at_least(1), default=Sampling.samples)
+    common.add_argument("--bound", type=_int_at_least(1), default=Sampling.bound)
     common.add_argument(
         "--max-deg",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=None,
         help="degree bound: invariant search (default 3) or probe depth (default 1)",
     )
     common.add_argument(
         "--depth",
-        type=int,
+        type=_int_at_least(0),
         default=MAX_RECURSION,
         help="reduction recursion cap",
     )

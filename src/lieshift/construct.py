@@ -637,7 +637,7 @@ def _regular_form(L, ind, sampling):
     raise ConstructError("no regular linear form found in 60 seeded draws")
 
 
-def construct_theorem(L, casimirs=None, max_inv_deg=3, samples=Sampling.samples, bound=Sampling.bound, seed=Sampling.seed, candidates=None, max_depth=MAX_RECURSION):
+def construct_theorem(L, casimirs=None, max_inv_deg=3, samples=Sampling.samples, bound=Sampling.bound, seed=Sampling.seed, max_depth=MAX_RECURSION):
     """Certify a commutative subalgebra of U(L) of transcendence degree
     (dim + index)/2, following the case analysis on the nilradical.
 
@@ -652,11 +652,10 @@ def construct_theorem(L, casimirs=None, max_inv_deg=3, samples=Sampling.samples,
     A Heisenberg split and its stabilizer are checked once, by check_split
     where they are built; see _construct for the other Heisenberg checks.
     """
-    return _construct(L, casimirs, max_inv_deg, Sampling(samples, bound, seed),
-                      candidates, max_depth, 0)
+    return _construct(L, casimirs, max_inv_deg, Sampling(samples, bound, seed), max_depth, 0)
 
 
-def _construct(L, casimirs, max_inv_deg, sampling, candidates, max_depth, depth):
+def _construct(L, casimirs, max_inv_deg, sampling, max_depth, depth):
     """One level of construct_theorem.  At a Heisenberg level the split
     comes from liealg._darboux_split, which checked it (check_split: the
     pairing, the center, and l~ = split.l_basis a subalgebra containing z),
@@ -723,15 +722,12 @@ def _construct(L, casimirs, max_inv_deg, sampling, candidates, max_depth, depth)
             "abelian-ideal-reduction: ideal of dim %d, reduced dim %d over %s"
             % (hat.h.dim, hat.algebra.dim, ", ".join(hat.h_vars))
         )
-        sub_cert = _construct(
-            hat.algebra, None, max_inv_deg, sampling, candidates, max_depth, depth + 1
-        )
+        sub_cert = _construct(hat.algebra, None, max_inv_deg, sampling, max_depth, depth + 1)
         _check_b_drop(b_target, sub_cert.b_target, hat.h.dim)
         trace.extend("  [reduced] " + t for t in sub_cert.trace)
         # _certify sampled the sub-certificate's trdeg with this sampling
         c, spec = _specialize(
-            sub_cert.generators, hat.algebra.dim - 1, sub_cert.trdeg.value,
-            candidates, sampling,
+            sub_cert.generators, hat.algebra.dim - 1, sub_cert.trdeg.value, None, sampling
         )
         trace.append("specialized the central element to %s" % c)
         target_alg = EnvelopingAlgebra(L)
@@ -788,7 +784,7 @@ def _construct(L, casimirs, max_inv_deg, sampling, candidates, max_depth, depth)
             "(dim %d), %d symplectic pairs" % (sub_space.dim, len(split.x))
         )
     sub_L, sub_vectors = subalgebra_of(L, sub_space)
-    sub_cert = _construct(sub_L, None, max_inv_deg, sampling, candidates, max_depth, depth + 1)
+    sub_cert = _construct(sub_L, None, max_inv_deg, sampling, max_depth, depth + 1)
     trace.extend("  [stabilizer] " + t for t in sub_cert.trace)
     gens = _corrected_lift(L, split, sub_cert.generators, sub_vectors, alg)
     trace.append("corrected lift with %d generators" % len(gens.elements))

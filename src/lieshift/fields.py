@@ -21,6 +21,10 @@ at every level, cleared values: ``Field.clear`` brings a list of elements
 to numerators over their least common denominator, in the numerator ring
 (ints at level 0, polynomials in the level's variables above), and
 ``Field.from_cleared`` wraps a result n / d once.
+
+``Field.coerce`` is the one check of a caller's scalar: an int, a Fraction
+or an element of that field, anything else a ``FieldError``. An int goes
+through ``from_int``, which above level 0 skips sympy's conversion chain.
 """
 
 from __future__ import annotations
@@ -119,6 +123,21 @@ class Field:
         if self.level == 0:
             return FieldElement(self, Fraction(p, q))
         return self.lift(self.base.rational(p, q))
+
+    def coerce(self, c):
+        """A caller's scalar as an element of this field: an int through
+        ``from_int``, a Fraction through ``rational``, an element of this
+        field as it is. Anything else, an element of another level
+        included, is a FieldError: the one scalar check of the library."""
+        if isinstance(c, FieldElement):
+            if c.field is not self and c.field != self:
+                raise FieldError("tower-level mismatch: %r vs %r" % (self, c.field))
+            return c
+        if isinstance(c, int):
+            return self.from_int(c)
+        if isinstance(c, Fraction):
+            return self.rational(c)
+        raise FieldError("not a scalar of %r: %r" % (self, c))
 
     def var(self, name):
         """The named tower variable as an element of this field."""
@@ -305,14 +324,10 @@ class FieldElement:
     # -- coercion ------------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise FieldError(
-                    "tower-level mismatch: %r vs %r" % (self.field, other.field)
-                )
+        if isinstance(other, FieldElement) and other.field is self.field:
             return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
+        if isinstance(other, (FieldElement, int)):
+            return self.field.coerce(other)
         return NotImplemented
 
     def __add__(self, other):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
-from .fields import FieldElement, FieldError
+from .fields import FieldElement
 from .linalg import echelon_basis, kernel_basis, kernel_of_images, rank, solve
 
 
@@ -29,10 +29,7 @@ class LieAlgebraError(Exception):
 
 
 def vec(field, coords):
-    out = []
-    for c in coords:
-        out.append(c if isinstance(c, FieldElement) else field.rational(c))
-    return tuple(out)
+    return tuple([field.coerce(c) for c in coords])
 
 
 class LinearForm:
@@ -178,7 +175,7 @@ class LieAlgebra:
             for k, c in comp.items():
                 if k not in range(self.dim):
                     raise LieAlgebraError("bracket component %r out of range" % (k,))
-                c = c if isinstance(c, FieldElement) else field.rational(c)
+                c = c if isinstance(c, FieldElement) else field.coerce(c)
                 if c.field is not field and c.field != field:
                     raise LieAlgebraError(
                         "structure constant of %r in an algebra over %r"
@@ -253,10 +250,8 @@ def _raw_support(field, v):
     """(index, raw coefficient) at the nonzero coordinates of v."""
     out = []
     for i, c in enumerate(v):
-        if not isinstance(c, FieldElement):
-            c = field.rational(c)
-        elif c.field is not field and c.field != field:
-            raise FieldError("tower-level mismatch: %r vs %r" % (field, c.field))
+        if not isinstance(c, FieldElement) or c.field is not field:
+            c = field.coerce(c)
         if c.raw:
             out.append((i, c.raw))
     return out

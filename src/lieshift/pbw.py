@@ -59,7 +59,6 @@ from .polyring import (
     _checked_terms,
     _index,
     _render_terms,
-    _scalar,
     _Terms,
     _wrapped,
     monomials_of_degree,
@@ -436,7 +435,7 @@ def specialize_central(u, z_index, c):
     alg = u.alg
     if z_index not in alg._central:
         raise FieldError("index %d is not a designated central generator" % z_index)
-    c = _scalar(alg.field, c)
+    c = alg.field.coerce(c)
     out = {}
     for exps, co in u.terms.items():
         k = exps[z_index]

@@ -10,8 +10,8 @@ formal inverse obeys z * z^-1 = 1 eagerly through exponent addition.
 from exponent tuples to nonzero ``FieldElement``s, with the operations that
 read only the terms (+, -, scalar *, ==, degree, the top-degree part). Caller
 input is checked once, by ``_checked_terms`` in the public constructors, and
-each scalar by ``_scalar``. Every result of arithmetic on checked elements is
-built by a trusted constructor that runs no check.
+each scalar by ``Field.coerce``. Every result of arithmetic on checked
+elements is built by a trusted constructor that runs no check.
 
 The Poisson, gradient and shift kernels compute on cleared values, numerators
 over one common denominator (``Field.clear``: integers at level 0,
@@ -38,7 +38,7 @@ def _checked_terms(field, nvars, laurent, terms):
         for i, e in enumerate(exps):
             if _exponent(e) < 0 and i not in laurent:
                 raise FieldError("negative exponent at non-Laurent index %d" % i)
-        c = _scalar(field, c)
+        c = field.coerce(c)
         if c:
             _acc(clean, exps, c)
     return clean
@@ -52,21 +52,11 @@ def _index(i, n):
     return i
 
 
-def _scalar(field, c):
-    """A caller's scalar as an element of field: an int, a Fraction or a
-    FieldElement of field; anything else is a FieldError."""
-    if not isinstance(c, FieldElement):
-        return field.rational(c)
-    if c.field is not field and c.field != field:
-        raise FieldError("tower-level mismatch: %r vs %r" % (field, c.field))
-    return c
-
-
 def _raws(field, coords, n, what):
     """The raw values of n caller-given coordinates in field."""
     if len(coords) != n:
         raise FieldError("%s has %d coordinates, want %d" % (what, len(coords), n))
-    return [_scalar(field, c).raw for c in coords]
+    return [field.coerce(c).raw for c in coords]
 
 
 def _wrapped(field, values, den):
@@ -95,7 +85,7 @@ class _Terms:
             return other.terms
         if isinstance(other, (int, FieldElement)):
             field, n = self._ring
-            c = _scalar(field, other)
+            c = field.coerce(other)
             return {(0,) * n: c} if c else {}
         return None
 
@@ -133,7 +123,7 @@ class _Terms:
     def __rmul__(self, other):
         if not isinstance(other, (int, FieldElement)):
             return NotImplemented
-        c = _scalar(self._ring[0], other)
+        c = self._ring[0].coerce(other)
         if not c:
             return self._like({})
         return self._like({e: co * c for e, co in self.terms.items()})
@@ -254,10 +244,7 @@ class PolyElement(_Terms):
 
     def evaluate(self, point):
         """Value at a point; formal inverses need a nonzero coordinate."""
-        pt = [
-            c if isinstance(c, FieldElement) else self.field.rational(c)
-            for c in point
-        ]
+        pt = [self.field.coerce(c) for c in point]
         total = self.field.zero
         for e, c in self.terms.items():
             v = c

@@ -399,6 +399,27 @@ def test_cli_rejects_nonpositive_sampling_args(argv, flag, capsys):
     assert "argument %s: expected an integer >= 1" % flag in captured.err
 
 
+@pytest.mark.parametrize("value", ["-1", "two"])
+def test_cli_rejects_a_negative_depth(value, capsys):
+    # --depth -1 used to reach construct_theorem and exit 1 with "reduction
+    # recursion exceeded -1 levels"
+    from lieshift.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--preset", "sl2", "--depth", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --depth: expected an integer >= 0" in captured.err
+
+
+def test_cli_accepts_depth_zero(capsys):
+    from lieshift.cli import main
+
+    assert main(["construct", "--preset", "sl2", "--depth", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["trdeg"]["value"] == 2
+
+
 def test_cli_accepts_smallest_sampling_args(capsys):
     from lieshift.cli import main
 

@@ -390,3 +390,56 @@ def test_from_int_matches_domain_convert(level, n):
     assert got.raw == ref
     assert str(got) == str(FieldElement(F, ref))
     assert hash(got) == hash(FieldElement(F, ref))
+
+
+def test_coerce_is_the_one_scalar_check():
+    F = T1
+    assert F.coerce(3) == F.from_int(3)
+    assert F.coerce(Fraction(-1, 2)) == F.rational(-1, 2)
+    w = F.var("w1")
+    assert F.coerce(w) is w
+    for bad in (2.7, "1", None, QQ.one, T2.one):
+        with pytest.raises(FieldError):
+            F.coerce(bad)
+
+
+def test_a_foreign_scalar_is_a_field_error():
+    # LinearForm used to keep an element of another level, and coadjoint_form
+    # and stabilizer then raised AttributeError
+    from lieshift.liealg import LinearForm
+
+    for make in (vec, LinearForm):
+        with pytest.raises(FieldError, match="tower-level mismatch"):
+            make(QQ, [T1.one, 1, 2])
+        with pytest.raises(FieldError, match="tower-level mismatch"):
+            make(T1, [QQ.one, 1, 2])
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_int_operands_are_from_int_operands_without_a_lift(level, monkeypatch):
+    # an int scalar above level 0 used to go through Field.lift, sympy's
+    # conversion chain (27 ms for x * 7 at level 3, against 0.03 ms)
+    from lieshift.fields import Field
+    from lieshift.liealg import LieAlgebra, LinearForm
+    from lieshift.pbw import EnvelopingAlgebra
+
+    F = TOWER[level]
+    w = F.var(F.variables[0])
+    lifts = []
+    lift = Field.lift
+    monkeypatch.setattr(Field, "lift", lambda self, e: lifts.append(e) or lift(self, e))
+    n = F.from_int
+    x = PolyElement(F, 2, {(1, 0): w, (0, 1): 3})
+    assert x == PolyElement(F, 2, {(1, 0): w, (0, 1): n(3)})
+    assert x * 7 == 7 * x == x * n(7)
+    assert x + 7 == 7 + x == x + n(7)
+    assert 7 - x == n(7) - x and x - 7 == x - n(7)
+    assert x.evaluate([2, -5]) == x.evaluate([n(2), n(-5)])
+    assert vec(F, [7, -2]) == (n(7), n(-2))
+    assert LinearForm(F, [1, 0]).coords == (n(1), n(0))
+    assert w * 7 == w * n(7) and 7 - w == n(7) - w
+    A = EnvelopingAlgebra(LieAlgebra(F, ("a", "b"), {(0, 1): {1: 2}}))
+    u = A.element({(1, 1): w, (0, 0): 4})
+    assert u * 7 == u * n(7) and u + 7 == u + n(7)
+    assert u == A.element({(1, 1): w, (0, 0): n(4)})
+    assert lifts == []
