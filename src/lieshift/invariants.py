@@ -8,6 +8,10 @@ and only when every point lands on a proper closed subvariety; by
 Schwartz-Zippel a point does so with probability at most degree/(2 bound).
 The maximum is reported as the generic value, together with the seed and
 the witness point that attained it.  All arithmetic stays exact.
+
+The symmetric invariants are the kernel of the Poisson bracket with the
+generators, taken by ``linalg.kernel_of_images``, the solver that the
+centralizers of ``pbw`` and the center of ``liealg`` share.
 """
 
 import random

@@ -13,6 +13,14 @@ lower central series and derived series is computed the first time it is
 read. The center comes from one equation per nonzero structure constant,
 and ``Subspace`` membership runs on raw domain values stored once per
 subspace.
+
+The structure constants are read through one table, ``kernel_brackets``:
+by the bracket kernels (``bracket``, ``basis_brackets``, ``coadjoint_form``,
+``killing_matrix``), by the Jacobi and central-annotation checks of
+``validate``, and by the central-index check of ``pbw.EnvelopingAlgebra``.
+``LieAlgebra.bracket_basis`` is a public accessor that no check reads.
+Whether a subspace is stable under a set of vectors is answered by
+``_maps_into`` alone.
 """
 
 from __future__ import annotations

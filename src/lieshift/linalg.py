@@ -2,7 +2,10 @@
 
 A matrix is a list of rows of ``FieldElement``s: ``rank(field, rows)``,
 ``kernel_basis(field, rows, ncols)``, ``solve(field, a_rows, rhs)`` and
-``echelon_basis(field, rows)``. ``_bareiss`` rejects ragged rows and
+``echelon_basis(field, rows)``. ``kernel_of_images(field, images)`` is the
+kernel of a map given column by column as sparse images, the one solver of
+the bracket kernels: the symmetric invariants, the centralizers in U(q) and
+the center. ``_bareiss`` rejects ragged rows and
 ``Field.clear_row`` an entry that is not an element of ``field``, each with
 ``FieldError``.
 

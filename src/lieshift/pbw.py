@@ -42,7 +42,9 @@ holds +, -, scalar *, ==, degree and the top-degree part that
 ``from_vector`` take caller input and check it (``polyring._checked_terms``);
 products, commutators, symmetrizations, specializations and centralizer
 bases are built trusted (``EnvelopingAlgebra._element``,
-``PBWElement._trusted``).
+``PBWElement._trusted``). A centralizer is the kernel of the commutator
+with its generators, taken by ``linalg.kernel_of_images``, the solver of
+the symmetric invariants and the center too.
 """
 
 from __future__ import annotations

@@ -16,6 +16,11 @@ elements is built by a trusted constructor that runs no check.
 The Poisson, gradient and shift kernels compute on cleared values, numerators
 over one common denominator (``Field.clear``: integers at level 0,
 polynomials above), and wrap each result coefficient once.
+
+``monomials_of_degree`` lists the exponent tuples of one total degree, the
+columns of the invariant and centralizer kernels. ``coefficient_rows``
+writes elements of one S(q) or U(q) as coefficient vectors over their joint
+monomials, so that a span question is one ``liealg.Subspace`` membership.
 """
 
 from __future__ import annotations
