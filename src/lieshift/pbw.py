@@ -1,13 +1,26 @@
 """PBW normal form in enveloping algebras, with central Laurent localization.
 
 Monomials are exponent vectors read as products of basis generators in a
-fixed order (input order, annotated central generators moved last). Products
-are straightened by the rewriting x_j x_i = x_i x_j + [x_j, x_i] with
-memoization on monomial pairs; designated central generators may carry
-negative exponents (localization at z), which is sound because they commute
-with everything (verified, not assumed).
+fixed order (input order, annotated central generators moved last).
+Designated central generators may carry negative exponents (localization at
+z), which is sound because they commute with everything (verified, not
+assumed).
 
-The straightening kernels (``mul_mono``, ``symm_mono``, products,
+Straightening multiplies by one generator at a time, the design of Plural
+(Levandovskyy & Schoenemann, ISSAC 2003) for algebras of solvable type. The
+one kernel is x_p * m for a normal monomial m: it is m with x_p added when
+x_p is central or precedes m's first letter x_q, and otherwise
+x_p x_q m1 = x_q (x_p m1) + [x_p, x_q] m1, cached in ``_mul_cache`` on
+(p, m) with m's central part shifted through. A product u * v is Horner's
+rule on u: its monomials are grouped by central part, then by last letter,
+so that each distinct suffix multiplies v once, one generator at a time
+(``_mul_into``); a commutator is both products accumulated into one dict. Symmetrization sums
+the distinct orderings of a monomial's word as S(m) = sum over the distinct
+letters x of m of x * S(m / x), memoized in ``_symm_cache``. Kernel work
+runs from explicit stacks (``_run``), so no Python stack grows with an
+exponent or a degree.
+
+The straightening kernels (``_apply``, ``_steps``, ``symm_mono``, products,
 ``commutator``, ``symmetrize``) run on the algebra's structure constants as
 cleared values (``LieAlgebra.kernel_brackets``), and ``_mul_cache`` and
 ``_symm_cache`` hold numerator-ring coefficients: integers at level 0,
@@ -23,12 +36,11 @@ elements themselves, in the same canonical form.
 
 Inside the kernels a monomial is one int, the sum of e_i << (16 p_i) for the
 position p_i of generator i in the normal order: 16-bit exponent fields, the
-central ones on top. The product of a monomial by one it precedes in normal
-order is then the sum of the two ints, a key is hashed once, the last letter
-of a monomial m is in the field of its top bit and the first in the field of
-its lowest bit (m & -m), and the central part m >> (16 * number of
-non-central generators) is a signed int, so formal inverses need no special
-case. The ``_mul_cache`` holds only products that needed a swap. A product is
+central ones on top. Multiplying by a generator that precedes a monomial is
+then one addition, a cache key is one int, the last letter of a monomial m
+is in the field of its top bit and the first in the field of its lowest bit
+(m & -m), and the central part m >> (16 * number of non-central generators)
+is a signed int, so formal inverses need no special case. A product is
 straightened only if the absolute exponents of each factor's monomials sum
 to at most 32767 between the two factors (``_guard``): every exponent of the
 result then fits its field, the central ones with their sign, and a larger
@@ -93,10 +105,9 @@ class EnvelopingAlgebra:
             self._pos[i] = p
         self._zero = (0,) * n
         self._units = tuple([tuple([int(k == i) for k in range(n)]) for i in range(n)])
-        # packed layout (module docstring): the field shift and the packed
-        # generator of each index, and the packed generator of each position
+        # packed layout (module docstring): the field shift of each index,
+        # and the packed generator of each position
         self._shifts = [_WIDTH * p for p in self._pos]
-        self._gens = [1 << s for s in self._shifts]
         self._field_units = [1 << (_WIDTH * p) for p in range(n)]
         # _rooms[(m & -m).bit_length()]: the largest bit length of a monomial
         # that precedes m in normal order, the top of the field of m's first
@@ -107,17 +118,23 @@ class EnvelopingAlgebra:
         self._core_fields = Struct("<%dH" % len(rest))
         self._ncentral = len(central)
         self._unpermuted = self._order == list(range(n))
+        # x_p * m is the normal monomial m + x_p exactly when _reach[p] <=
+        # _rooms[(m & -m).bit_length()]: the bit length of x_p, or 0 for a
+        # central x_p, which commutes with everything
+        self._reach = [_WIDTH * p + 1 if p < len(rest) else 0 for p in range(n)]
+        # _tags[p] + m, for a core monomial m, keys x_p * m in _mul_cache
+        self._tags = [(p + 1) << self._core_bits for p in range(n)]
         # _rules[p][q]: [x_i, x_j] for the generators at positions p and q,
-        # as (packed generator, table coefficient) pairs
+        # as (position, table coefficient) pairs
         self._rules = [[()] * n for _ in range(n)]
         for i, row in brackets.items():
             for j, comp in row.items():
                 self._rules[self._pos[i]][self._pos[j]] = tuple(
-                    [(self._gens[k], c) for k, c in comp]
+                    [(self._pos[k], c) for k, c in comp]
                 )
         self._one = self.field.clear(())[0]
         self._mul_cache = {}
-        self._symm_cache = {}
+        self._symm_cache = {0: {0: self._one}}
 
     # -- element constructors ------------------------------------------------
 
@@ -200,71 +217,172 @@ class EnvelopingAlgebra:
 
     # -- straightening core ----------------------------------------------------
 
-    def mul_mono(self, a, b):
-        """Product of two packed normal monomials as a {packed monomial:
-        table coeff} dict. A pair in normal order is its sum; only products
-        that needed a swap are cached."""
-        cb = self._core_bits
-        if self._ncentral and (a | b) >> cb:
-            return self._mul_central(a, b)
-        na = a.bit_length()
-        nb = (b & -b).bit_length()
-        if na <= self._rooms[nb]:
-            return {a + b: self._one}
-        key = a << cb | b
-        hit = self._mul_cache.get(key)
-        if hit is not None:
-            return hit
-        # a = a0 x_i and b = x_j b0 with x_i after x_j, at positions p > q
-        p = (na - 1) // _WIDTH
-        q = (nb - 1) // _WIDTH
-        ua = self._field_units[p]
-        ub = self._field_units[q]
-        a0 = a - ua
-        b0 = b - ub
-        out = {}
-        _product_into(out, self, self.mul_mono(a0, ub), self.mul_mono(ua, b0))
+    def _run(self, task):
+        """Drive a kernel generator (``_apply`` or ``_steps``) to its value
+        from an explicit stack: a product it yields as missing from
+        ``_mul_cache`` is computed by a ``_steps`` task pushed on top and sent
+        back when that task returns, so the Python stack stays flat however
+        many swaps a product chains."""
+        stack = [task]
+        value = None
+        while stack:
+            try:
+                need = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = done.value
+            else:
+                stack.append(self._steps(*need))
+                value = None
+        return value
+
+    def _apply(self, out, p, terms, scale, shift):
+        """Kernel generator: accumulate scale * x_p * terms, shifted by the
+        central monomial shift, into out, for the generator at position p;
+        terms and out map packed normal monomials to nonzero table
+        coefficients, and a sum that cancels is dropped. x_p * n is n + x_p
+        when x_p is central or precedes n's first letter; otherwise it is x_p
+        times the core of n, read from ``_mul_cache`` or yielded as missing
+        (``_run``), shifted by n's central part."""
+        plain = self._field_units[p] + shift
+        reach = self._reach[p]
+        tag = self._tags[p]
+        rooms = self._rooms
+        mask = self._core_mask
+        cache = self._mul_cache
+        get = out.get
+        for n, c in terms.items():
+            c *= scale
+            if reach <= rooms[(n & -n).bit_length()]:
+                m = n + plain
+                s = get(m)
+                if s is None:
+                    out[m] = c
+                else:
+                    s += c
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
+                continue
+            core = n & mask
+            hit = cache.get(core + tag)
+            if hit is None:
+                hit = yield p, core
+            moved = n - core + shift
+            for m, c2 in hit.items():
+                m += moved
+                s = get(m)
+                if s is None:
+                    out[m] = c * c2
+                else:
+                    s += c * c2
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
+
+    def _steps(self, p, m):
+        """Kernel generator: x_p * m for a core monomial m = x_q m1 whose
+        first letter x_q comes before x_p, as x_q (x_p m1) + [x_p, x_q] m1;
+        the result is cached in ``_mul_cache`` under m + _tags[p]."""
+        units = self._field_units
         one = self._one
-        for uk, ck in self._rules[p][q]:
-            left = {m1: ck * c1 for m1, c1 in self.mul_mono(a0, uk).items()}
-            _product_into(out, self, left, {b0: one})
-        self._mul_cache[key] = out
+        q = ((m & -m).bit_length() - 1) // _WIDTH
+        m1 = m - units[q]
+        room = self._rooms[(m1 & -m1).bit_length()]
+        if self._reach[p] <= room:
+            out = {m + units[p]: one}  # x_p m1 is normal, and so is x_q x_p m1
+        else:
+            inner = self._mul_cache.get(m1 + self._tags[p])
+            if inner is None:
+                inner = yield p, m1
+            out = {}
+            yield from self._apply(out, q, inner, one, 0)
+        for k, ck in self._rules[p][q]:
+            yield from self._apply(out, k, {m1: one}, ck, 0)
+        self._mul_cache[m + self._tags[p]] = out
         return out
 
-    def _mul_central(self, a, b):
-        """``mul_mono`` when a central exponent is nonzero: the central parts
-        commute with everything, so they are added to the product of the rest."""
+    def _mul_into(self, out, left, right):
+        """Accumulate left * right into out, all three as in ``_apply``, by
+        Horner's rule on the left factor. Its monomials are grouped by
+        central part, which only shifts the result, then by last letter x_p
+        and its exponent e: x_p^e * right is computed once, one ``_apply`` at
+        a time, for every monomial ending in x_p^e, and reused for the higher
+        powers; what precedes x_p^e is applied to it in turn, from an
+        explicit stack of pending (prefixes, product) pairs. A monomial's
+        last ``_apply`` goes straight into out."""
         mask = self._core_mask
-        ca, cb = a & mask, b & mask
-        shift = a - ca + b - cb
-        core = self.mul_mono(ca, cb)
-        if not shift:
-            return core
-        return {m + shift: c for m, c in core.items()}
+        one = self._one
+        run, apply = self._run, self._apply
+        centres = {}
+        for a, c in left.items():
+            core = a & mask
+            centres.setdefault(a - core, {})[core] = c
+        for shift, prefixes in centres.items():
+            stack = [(prefixes, right)]
+            while stack:
+                prefixes, v = stack.pop()
+                lasts = {}
+                for a, c in prefixes.items():
+                    if a:
+                        top = (a.bit_length() - 1) // _WIDTH * _WIDTH
+                        e = a >> top
+                        lasts.setdefault(top, {}).setdefault(e, {})[a - (e << top)] = c
+                        continue
+                    for n, cn in v.items():
+                        _acc(out, n + shift, c * cn)
+                for top, powers in lasts.items():
+                    p = top // _WIDTH
+                    w, done = v, 0
+                    high = max(powers)
+                    for e in sorted(powers):
+                        for _ in range(e - done - 1):
+                            nxt = {}
+                            run(apply(nxt, p, w, one, 0))
+                            w = nxt
+                        done = e
+                        rest = powers[e]
+                        if e == high and len(rest) == 1 and 0 in rest:
+                            run(apply(out, p, w, rest[0], shift))
+                        else:
+                            nxt = {}
+                            run(apply(nxt, p, w, one, 0))
+                            w = nxt
+                            stack.append((rest, w))
 
     def symm_mono(self, m):
         """Sum over the distinct orderings of the word of one packed monomial
         without formal inverses, as a {packed monomial: table coeff} dict;
-        the symmetrization is this sum times prod(e_i!) / (sum e_i)!."""
-        hit = self._symm_cache.get(m)
+        the symmetrization is this sum times prod(e_i!) / (sum e_i)!. A word
+        starts with one of the distinct letters x of m, so the sum S(m) is
+        the sum over them of x * S(m / x). It is computed for each divisor of
+        m missing from ``_symm_cache``, in an order where m / x comes before
+        m, and cached; a power of one letter is its own only ordering."""
+        cache = self._symm_cache
+        hit = cache.get(m)
         if hit is not None:
             return hit
-        letters = []
-        for i, e in enumerate(self._unpack(m)):
-            letters.extend([i] * e)
-        gens = self._gens
+        units = self._field_units
         one = self._one
-        total = {}
-        for word in _multiset_perms(letters):
-            cur = {0: one}
-            for letter in word:
-                nxt = {}
-                _product_into(nxt, self, cur, {gens[letter]: one})
-                cur = nxt
-            for m2, c in cur.items():
-                _acc(total, m2, c)
-        self._symm_cache[m] = total
-        return total
+        letters = [p for p in range(self.dim) if m >> (_WIDTH * p) & _FIELD]
+        if len(letters) == 1:
+            return {m: one}
+        divisors = [0]
+        for p in letters:
+            u = units[p]
+            e = m >> (_WIDTH * p) & _FIELD
+            divisors = [d + k * u for d in divisors for k in range(e + 1)]
+        for d in divisors[1:]:
+            if d in cache:
+                continue
+            out = {}
+            for p in letters:
+                if d >> (_WIDTH * p) & _FIELD:
+                    self._run(self._apply(out, p, cache[d - units[p]], one, 0))
+            cache[d] = out
+        return cache[m]
 
 
 def _guard(size):
@@ -275,63 +393,6 @@ def _guard(size):
             "a product of exponents summing to %d exceeds the packed range %d"
             % (size, _LIMIT)
         )
-
-
-def _product_into(out, alg, left, right):
-    """Accumulate left * right into out; all three map packed monomials to
-    nonzero table coefficients, and a sum that cancels is dropped. A pair
-    already in normal order is added directly."""
-    mul_mono = alg.mul_mono
-    get = out.get
-    rooms = alg._rooms
-    right = [(m2, c2, rooms[(m2 & -m2).bit_length()]) for m2, c2 in right.items()]
-    for m1, c1 in left.items():
-        # m1 < 0 holds a formal inverse: added directly only to m2 = 1
-        n1 = m1.bit_length() if m1 >= 0 else _NEVER
-        for m2, c2, room in right:
-            if n1 <= room:
-                m = m1 + m2
-                s = get(m)
-                if s is None:
-                    out[m] = c1 * c2
-                else:
-                    s += c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-                continue
-            c12 = c1 * c2
-            for m, c in mul_mono(m1, m2).items():
-                s = get(m)
-                if s is None:
-                    out[m] = c * c12
-                else:
-                    s += c * c12
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-
-
-def _multiset_perms(letters):
-    """All distinct orderings of a multiset, lexicographically."""
-    letters = sorted(letters)
-    n = len(letters)
-    out = [tuple(letters)]
-    cur = list(letters)
-    while True:
-        i = n - 2
-        while i >= 0 and cur[i] >= cur[i + 1]:
-            i -= 1
-        if i < 0:
-            return out
-        j = n - 1
-        while cur[j] <= cur[i]:
-            j -= 1
-        cur[i], cur[j] = cur[j], cur[i]
-        cur[i + 1 :] = reversed(cur[i + 1 :])
-        out.append(tuple(cur))
 
 
 class PBWElement(_Terms):
@@ -368,7 +429,7 @@ class PBWElement(_Terms):
         alg = self.alg
         d, ru, rv = alg._operands(self, other)
         out = {}
-        _product_into(out, alg, ru, rv)
+        alg._mul_into(out, ru, rv)
         return alg._element(out, d)
 
     def __hash__(self):
@@ -388,8 +449,8 @@ def commutator(u, v):
     alg = u.alg
     d, ru, rv = alg._operands(u, v)
     out = {}
-    _product_into(out, alg, ru, rv)
-    _product_into(out, alg, {m: -c for m, c in rv.items()}, ru)
+    alg._mul_into(out, ru, rv)
+    alg._mul_into(out, {m: -c for m, c in rv.items()}, ru)
     return alg._element(out, d)
 
 

@@ -181,6 +181,10 @@ def test_criterion_6_gl4_generators_golden():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "3166be795fde866b33652cb842f58d1c174263983b058ba4c5fbb7104f29d2e9"
     )
+    # the products x_i * m that needed a swap, one entry each (196,988 when
+    # the cache was keyed on pairs of monomials)
+    (alg,) = {g.alg for g in cert.generators.elements}
+    assert len(alg._mul_cache) == 56604
     _done(6, "gl4 construction with preset invariants", t0, 120)
 
 

@@ -179,14 +179,16 @@ def test_foreign_coefficient_rejected():
 
 
 def test_mul_cache_golden_size():
-    # the benchmark's pbw.mul_cache_entries metric counts _mul_cache entries;
-    # a product already in normal order is not stored (591 when it was)
+    # the benchmark's pbw.mul_cache_entries metric counts _mul_cache entries:
+    # products x_i * m of one generator and a normal monomial that needed a
+    # swap (325 when the cache was keyed on pairs of monomials, 591 when a
+    # product already in normal order was stored too)
     P = preset("sl3")
     A = EnvelopingAlgebra(P.algebra)
     c2, c3 = (symmetrize(A, c) for c in P.casimirs)
     assert commutator(c2, c3).is_zero
     assert isinstance(A._mul_cache, dict)
-    assert len(A._mul_cache) == 325
+    assert len(A._mul_cache) == 190
 
 
 def test_level0_tables_hold_python_ints():

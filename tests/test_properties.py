@@ -1,9 +1,10 @@
 """Randomized property suites, each over at least 100 seeded cases."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -469,6 +470,41 @@ def test_packed_exponent_guard_is_exact():
         commutator(z(-_LIMIT), two.gen(5, -1))
 
 
+def _sl2_closed_forms(A, n):
+    """(i, j, x_i x_j^n) in U(sl2), basis h, e, f with [h, e] = 2e,
+    [h, f] = -2f, [e, f] = h: e h^n = (h - 2)^n e, f h^n = (h + 2)^n f and
+    f e^n = e^n f - n h e^(n-1) + n(n-1) e^(n-1)."""
+    assert A.L.labels == ("h", "e", "f") and sorted(A.L.table) == [(0, 1), (0, 2), (1, 2)]
+
+    def shifted(s, letter):
+        return A.element({
+            (k, int(letter == 1), int(letter == 2)): comb(n, k) * s ** (n - k)
+            for k in range(n + 1)
+        })
+
+    fe = {(0, n, 1): 1, (1, n - 1, 0): -n}
+    if n > 1:
+        fe[(0, n - 1, 0)] = n * (n - 1)
+    return [(1, 0, shifted(-2, 1)), (2, 0, shifted(2, 2)), (2, 1, A.element(fe))]
+
+
+def test_long_straightening_chains_need_no_deep_stack():
+    """A product whose straightening chains a thousand swaps returns its
+    value at the default recursion limit. The closed forms agree with the
+    word-rewriting reference where it is tractable; at n = 1000 it would
+    visit about half a million words of a thousand letters."""
+    for n in (1, 2, 6):
+        A = EnvelopingAlgebra(preset("sl2").algebra)
+        for i, j, want in _sl2_closed_forms(A, n):
+            _same(A.gen(i) * A.gen(j, n), want, lambda w: w.render())
+            assert _ref_product(A.gen(i), A.gen(j, n)) == want
+    assert sys.getrecursionlimit() <= 1000
+    for k in range(3):
+        A = EnvelopingAlgebra(preset("sl2").algebra)
+        i, j, want = _sl2_closed_forms(A, 1000)[k]
+        assert A.gen(i) * A.gen(j, 1000) == want
+
+
 def _ref_symmetrize(A, p):
     """Each monomial of p times 1/k! summed over all k! orderings of its word."""
     L = A.L
@@ -510,6 +546,36 @@ def test_kernels_match_references_on_rescaled_level0_bases():
         )
         _same(symmetrize(A, p), _ref_symmetrize(A, p), lambda w: w.render())
     assert fractional >= 60
+
+
+def test_symmetrize_matches_reference_on_repeated_letters():
+    """Symmetrization sums x * S(m / x) over the distinct letters x of m;
+    the reference sums over every ordering of the word. Monomials with
+    repeated letters, the annotated centre among them, in bases whose
+    normal order is not input order."""
+    rng = random.Random(1515)
+    algebras = [
+        preset("sl2").algebra,
+        _permuted(preset("sl3").algebra, [3, 7, 0, 5, 1, 6, 2, 4]),
+        *[_packed_algebra(name) for name in PACKED_CASES],
+    ]
+    central = repeated = 0
+    for case in range(120):
+        L = algebras[case % len(algebras)]
+        A = EnvelopingAlgebra(L, L.central_indices() if case % 2 else ())
+        terms = {}
+        for _ in range(rng.randint(1, 2)):
+            e = [0] * L.dim
+            for i in rng.sample(range(L.dim), rng.randint(1, min(3, L.dim))):
+                e[i] = rng.randint(1, 3)
+            while sum(e) > 6:
+                e[max(range(L.dim), key=e.__getitem__)] -= 1
+            terms[tuple(e)] = _nonzero_scalar(rng, QQ)
+            central += any(e[z] for z in L.central_indices())
+            repeated += max(e) > 1
+        p = PolyElement(QQ, L.dim, terms)
+        _same(symmetrize(A, p), _ref_symmetrize(A, p), lambda w: w.render())
+    assert central >= 20 and repeated >= 60
 
 
 def test_differential_at_matches_partials():
