@@ -21,7 +21,7 @@ the drop by dim h - 1 once that level returns.
 
 from dataclasses import dataclass, replace
 
-from .fields import FieldElement, FieldError
+from .fields import FieldError
 from .liealg import (
     LieAlgebra,
     LieAlgebraError,
@@ -518,7 +518,9 @@ def _specialize(A, z_index, before, candidates, sampling):
     if candidates is None:
         candidates = range(1, 21)
     for cand in candidates:
-        c = cand if isinstance(cand, FieldElement) else alg.field.rational(cand)
+        # outside the try: a scalar of another field is the caller's error,
+        # not a candidate that failed
+        c = alg.field.coerce(cand)
         try:
             spec = [specialize_central(u, z_index, c) for u in A.elements]
         except FieldError:

@@ -327,12 +327,18 @@ def _bracket_supports(L, a, b):
 
 def basis_brackets(L, w):
     """([x_0, w], ..., [x_{n-1}, w]): w bracketed with every basis vector,
-    by ``_bracket_supports`` from each unit support and w's, read once."""
+    by ``_bracket_supports`` from each unit support and w's, read once; a
+    basis vector with no bracket row gets one shared zero vector."""
     if len(w) != L.dim:
         raise LieAlgebraError("vector length does not match ambient dim")
     sw = _kernel_support(L.field, w)
     one = L.field.clear(())[0]
-    return [_bracket_supports(L, (one, [(i, one)]), sw) for i in range(L.dim)]
+    rows = L.kernel_brackets[1]
+    zero = (L.field.zero,) * L.dim
+    return [
+        _bracket_supports(L, (one, [(i, one)]), sw) if i in rows else zero
+        for i in range(L.dim)
+    ]
 
 
 def _is_central(L, w):

@@ -20,7 +20,7 @@ from lieshift.construct import (
     specialize_search,
     verify_hat_lemmas,
 )
-from lieshift.fields import QQ
+from lieshift.fields import QQ, FieldError
 from lieshift.invariants import GeneratorSet, Sampling, b_of, symmetric_invariants, trdeg_jacobian
 from lieshift.liealg import (
     HeisenbergSplit,
@@ -279,6 +279,17 @@ def test_specialize_search_skips_bad_candidates():
     c, out = specialize_search(gs, 2, candidates=[0, 1])
     assert str(c) == "1"
     assert [u.render() for u in out.elements] == ["x1"]
+
+
+def test_specialize_search_reports_a_candidate_of_another_field():
+    # a candidate from another tower level is a field error, not a candidate
+    # that lost the transcendence degree
+    L = preset("heisenberg1").algebra
+    A = EnvelopingAlgebra(L, laurent=(2,))
+    gs = GeneratorSet("associative", [A.gen(2), A.gen(0) * A.gen(2, -1)], ["z", "x/z"])
+    T = QQ.extend("t")
+    with pytest.raises(FieldError, match="tower-level mismatch"):
+        specialize_search(gs, 2, candidates=[T.one, T.from_int(2)])
 
 
 # -- the full construction -----------------------------------------------------
