@@ -1,5 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
+from lieshift.algfile import dump_algebra
 from lieshift.fields import QQ
 from lieshift.invariants import trdeg_jacobian
 from lieshift.liealg import check_split, darboux_split, nilradical_of, validate
@@ -34,6 +38,84 @@ def test_all_presets_validate():
         rep = validate(P.algebra)
         assert rep.ok, "%s: %s %s" % (name, rep.jacobi_failures, rep.annotation_failures)
         assert P.description
+
+
+# (sha256 of dump_algebra as JSON with sorted keys, sha256 of the
+# newline-joined rendered Casimirs) of every registered preset, recorded
+# before the matrix families were built from one elimination each
+PRESET_GOLDENS = {
+    "aff1": (
+        "4c01326585e587104ee18803aedb43e4e41493c0d605354412607a12f9666521",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "borel-sl2": (
+        "3f6979adfe6878e4a6f0a342a50ff3ad223946c6e2ad0183f5d1e5fa156a1942",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "borel-sl3": (
+        "424d1ac87794afb711e9b8a4df7ff2e11f83a9c67db9ff2f97417f34ff79b109",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "gl2": (
+        "42aa9953443fa58f68b483640010b6bea508910fa0539a18bc37ef972cb3b312",
+        "8d0650140faaa30b8cc9ca0bc2b91d73eaa3ed18ee27062b28edef62a9b4caef",
+    ),
+    "gl3": (
+        "67ab43a3f1cd490da30703316bcf743bbc4398f757b9f1299750d18e1ce24565",
+        "553413757d1eef14ee4651954694cf4f9f4649d6f745d08efce4f0f89865c504",
+    ),
+    "gl4": (
+        "22e653e072ec85c7adcf4ff06cea0fec423daf91bb18e59b7c9b56107ef0e27b",
+        "40a32b2409afd4e4ae2ec3d424ea4a7bc34cecaf65d19ea008de31398d525b2e",
+    ),
+    "sl2": (
+        "3524f83229c465cb8409ca4aabad940f0cbb24d521cfbe8ddf7b6da6516d81fb",
+        "d80c91b186ca4afe51ce1a9019fd191883af6497ca4afba7ffa1f16704400c29",
+    ),
+    "sl2-semidirect-h3": (
+        "2809b38ef09678b3a130ee45b3e50fdc35d460a8a77eb4e0ed3ebd4670128264",
+        "db77d2347c902cec1854c1e7dfb30d42f91a08c892084be338b46014e768541a",
+    ),
+    "sl3": (
+        "969f5cd54c64a51c7f8dd4c7e43ad1937c97f81ce538020f9b7e4041a72817f4",
+        "e6fbb2e2508b3e31ad0817e9019abfed1009fef769da44e1355cff8ff8eed744",
+    ),
+    "so3": (
+        "5fc7260fa936ff360e4b87e74c4e2302c90587427518826b2e8ee05b51dc210e",
+        "f38306a444fc997d58d151cbe670942199f49724cf40a44f8dfed472cea7faae",
+    ),
+    "so4": (
+        "1f668c9fc6f7912eb4f528ece06c7836fae1ebc7a0ee1dac4e8037bf32398963",
+        "447c76b6b672b7d4df31585f8a22263913ac1b6078009c8d6924c784c269fa91",
+    ),
+    "abelian1": (
+        "fcc6e62fa9b40c308314d2506297afe9240ba0325f388e5741f4cfc59e2a6fe0",
+        "f55ff16f66f43360266b95db6f8fec01d76031054306ae4a4b380598f6cfd114",
+    ),
+    "abelian4": (
+        "f5cb0c292ace4aeea30bd5a6d0033864b8b6bacf7d36957859ff9d41cf96ca4a",
+        "526a9ca7bf3c32a14f5f89eb71a231fd2af34ea6c050020d681ca66804a477d0",
+    ),
+    "heisenberg1": (
+        "ba19e356034f83a9ac5176db56c705b76e43b430efe812f89d7e37f28d26ec17",
+        "594e519ae499312b29433b7dd8a97ff068defcba9755b6d5d00e84c524d67b06",
+    ),
+    "heisenberg3": (
+        "482eee26903bfde65335131b6bad475fed895f920502f6cb4e03f4bd78e4ad4c",
+        "594e519ae499312b29433b7dd8a97ff068defcba9755b6d5d00e84c524d67b06",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_GOLDENS))
+def test_preset_golden(name):
+    P = preset(name)
+    doc = json.dumps(dump_algebra(P.algebra), sort_keys=True)
+    text = "\n".join(c.render(P.algebra.labels) for c in P.casimirs)
+    assert (
+        hashlib.sha256(doc.encode()).hexdigest(),
+        hashlib.sha256(text.encode()).hexdigest(),
+    ) == PRESET_GOLDENS[name]
 
 
 def test_parametric_families():
