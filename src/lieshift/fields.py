@@ -46,16 +46,19 @@ class Field:
     Immutable; equality and hashing are structural so a field can key caches.
     The domain is computed once, when the field is built: ``RATIONALS`` at
     level 0, a sympy fraction field above, shared by structurally equal
-    fields.
+    fields. So are ``zero`` and ``one``, shared by every reader: a
+    ``FieldElement`` is never changed in place.
     """
 
-    __slots__ = ("level", "variables", "base", "domain")
+    __slots__ = ("level", "variables", "base", "domain", "zero", "one")
 
     def __init__(self, level, variables, base):
         self.level = level
         self.variables = tuple(variables)
         self.base = base
         self.domain = RATIONALS if base is None else _sympy_domain(self.variables, base)
+        self.zero = FieldElement(self, self.domain.zero)
+        self.one = FieldElement(self, self.domain.one)
 
     def __eq__(self, other):
         return (
@@ -93,14 +96,6 @@ class Field:
         return out
 
     # -- element constructors ------------------------------------------------
-
-    @property
-    def zero(self):
-        return FieldElement(self, self.domain.zero)
-
-    @property
-    def one(self):
-        return FieldElement(self, self.domain.one)
 
     def from_int(self, n):
         """n as an element of this field; anything but an int is a FieldError.
@@ -297,9 +292,6 @@ def _convert_ground_elements(domain):
     domain.from_FractionField = from_fraction_field
 
 
-QQ = Field(0, (), None)
-
-
 def _exponent(n):
     """n, checked to be an int: a truncated 2.5 would be a wrong answer."""
     if not isinstance(n, int):
@@ -422,6 +414,9 @@ class FieldElement:
 
     def __repr__(self):
         return "FieldElement(%s)" % render_scalar(self)
+
+
+QQ = Field(0, (), None)
 
 
 def _render_ground(field, coeff):
