@@ -1,10 +1,20 @@
 """Built-in example algebras with their standard polynomial invariants.
 
-Matrix-defined families (sl, gl, so) are generated from explicit matrices:
-structure constants come from commutators expressed back in the chosen basis,
-and invariants are trace powers of the generic matrix built over the
-trace-dual basis (plus the Pfaffian for so4).  The rest are small enough to
-write down directly.
+Matrix-defined families (sl, gl, so) are generated from explicit matrices,
+each with two eliminations (``_reduced``, one reduced echelon form of
+[rows | I]):
+
+- structure constants: the family's matrices as rows over their positions.
+  Each commutator's coordinates are read at the pivot columns, the
+  commutator is rebuilt from them and compared exactly, and the identity
+  part maps them back to the family. A dependent family, or one not closed
+  under commutators, is a ``LieAlgebraError``; no trace form is needed.
+- invariants: the trace-dual basis comes from the Gram matrix of the trace
+  form (degenerate is a ``LieAlgebraError``), the generic matrix X from it,
+  and tr X, ..., tr X^n from one running product X^k (plus the Pfaffian
+  for so4).
+
+The rest are small enough to write down directly.
 """
 
 import math
@@ -14,7 +24,7 @@ from fractions import Fraction
 
 from .fields import QQ
 from .liealg import HeisenbergSplit, LieAlgebra, LieAlgebraError, Subspace
-from .linalg import solve
+from .linalg import echelon_basis
 from .polyring import PolyElement
 
 
@@ -44,10 +54,6 @@ def _mat_add(m1, m2, s=1):
     return {p: c for p, c in out.items() if c}
 
 
-def _mat_scale(m, s):
-    return {p: s * c for p, c in m.items() if s * c}
-
-
 def _mat_commutator(m1, m2):
     out = {}
     for (a, b), c1 in m1.items():
@@ -66,44 +72,72 @@ def _trace_pair(m1, m2):
     return s
 
 
-def _in_basis(mats, target):
-    """Coordinates of a bracket value in the generating matrices."""
-    positions = sorted({p for m in mats for p in m} | set(target))
-    rows = [[_q(m.get(p, Fraction(0))) for m in mats] for p in positions]
-    rhs = [_q(target.get(p, Fraction(0))) for p in positions]
-    coords = solve(QQ, rows, rhs)
-    if coords is None:
-        raise LieAlgebraError("matrix family is not closed under commutators")
-    return coords
+def _reduced(rows, width):
+    """One reduced elimination of [rows | I], rows of ``width`` entries.
+
+    It ends at [E | P] with P . rows = E: the right part of an echelon row
+    says which combination of the rows its left part is. Returns {pivot
+    column: (pivot entry, left part, right part)} over the pivots left of
+    ``width``, the parts as sparse {column: Fraction} dicts; there are fewer
+    than rows exactly when the rows are linearly dependent.
+    """
+    k = len(rows)
+    basis, pivots = echelon_basis(QQ, [list(r) + list(_unit(k, i)) for i, r in enumerate(rows)])
+    out = {}
+    for b, c in zip(basis, pivots):
+        if c < width:
+            left = {j: Fraction(*x.as_rational()) for j, x in enumerate(b[:width]) if x}
+            right = {i: Fraction(*x.as_rational()) for i, x in enumerate(b[width:]) if x}
+            out[c] = (left[c], left, right)
+    return out
 
 
 def _from_matrices(labels, mats, annotations=None):
+    """The Lie algebra of an independent family of matrices closed under
+    commutators, in that basis. A commutator w is the combination of echelon
+    rows with coefficient w[c] / pivot at each pivot column c; it is rebuilt
+    from them and compared exactly, and the right parts give its coordinates.
+    """
+    positions = sorted({p for m in mats for p in m})
+    col = {p: j for j, p in enumerate(positions)}
+    rows = [[_q(m[p]) if p in m else QQ.zero for p in positions] for m in mats]
+    at_pivot = _reduced(rows, len(positions))
+    if len(at_pivot) < len(mats):
+        raise LieAlgebraError("matrix family is linearly dependent")
     brackets = {}
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             w = _mat_commutator(mats[i], mats[j])
             if not w:
                 continue
-            comp = {k: c for k, c in enumerate(_in_basis(mats, w)) if not c.is_zero}
-            if comp:
-                brackets[(i, j)] = comp
+            # a position outside the family keeps its key, which nothing rebuilds
+            w = {col.get(p, p): c for p, c in w.items()}
+            rebuilt, coords = {}, {}
+            for c, x in w.items():
+                if c in at_pivot:
+                    piv, left, right = at_pivot[c]
+                    rebuilt = _mat_add(rebuilt, left, x / piv)
+                    coords = _mat_add(coords, right, x / piv)
+            if rebuilt != w:
+                raise LieAlgebraError("matrix family is not closed under commutators")
+            brackets[(i, j)] = {k: _q(coords[k]) for k in sorted(coords)}
     return LieAlgebra(QQ, labels, brackets, annotations)
 
 
 def _dual_basis(mats):
-    """Trace-form dual basis: tr(mats[i] * dual[j]) = delta_ij."""
+    """Trace-form dual basis: tr(mats[i] * dual[j]) = delta_ij. Reducing
+    [gram | I] gives [D | P] with D diagonal, so gram^-1 = D^-1 P, symmetric
+    like gram: dual[j] = sum_i P[j][i] / D[j][j] * mats[i]."""
     k = len(mats)
     gram = [[_q(_trace_pair(mats[i], mats[j])) for j in range(k)] for i in range(k)]
+    echelon = _reduced(gram, k)
+    if len(echelon) < k:
+        raise LieAlgebraError("trace form is degenerate on this family")
     duals = []
-    for j in range(k):
-        rhs = [QQ.one if i == j else QQ.zero for i in range(k)]
-        coords = solve(QQ, gram, rhs)
-        if coords is None:
-            raise LieAlgebraError("trace form is degenerate on this family")
+    for piv, _, right in echelon.values():
         d = {}
-        for i, c in enumerate(coords):
-            if not c.is_zero:
-                d = _mat_add(d, _mat_scale(mats[i], Fraction(*c.as_rational())))
+        for i, c in right.items():
+            d = _mat_add(d, mats[i], c / piv)
         duals.append(d)
     return duals
 
@@ -124,29 +158,28 @@ def _generic_matrix(mats, size):
     return out
 
 
-def _mat_poly_mul(A, B):
-    size = len(A)
-    F = A[0][0].field
-    out = []
-    for a in range(size):
-        row = []
-        for b in range(size):
-            s = PolyElement.zero(F, A[0][0].nvars)
-            for t in range(size):
-                s = s + A[a][t] * B[t][b]
-            row.append(s)
-        out.append(row)
-    return out
+def _trace_powers(X, top):
+    """[tr X, tr X^2, ..., tr X^top] from one running product P = X^k; the
+    last trace reads only the diagonal of X^top."""
+    size = len(X)
+    zero = PolyElement.zero(X[0][0].field, X[0][0].nvars)
 
+    def entry(P, a, b):  # (P X)[a][b]
+        s = zero
+        for t in range(size):
+            if not (P[a][t].is_zero or X[t][b].is_zero):
+                s = s + P[a][t] * X[t][b]
+        return s
 
-def _trace_power(X, k):
     P = X
-    for _ in range(k - 1):
-        P = _mat_poly_mul(P, X)
-    s = PolyElement.zero(X[0][0].field, X[0][0].nvars)
-    for a in range(len(X)):
-        s = s + P[a][a]
-    return s
+    traces = [sum([X[a][a] for a in range(size)], zero)]
+    for k in range(2, top + 1):
+        if k < top:
+            P = [[entry(P, a, b) for b in range(size)] for a in range(size)]
+            traces.append(sum([P[a][a] for a in range(size)], zero))
+        else:
+            traces.append(sum([entry(P, a, a) for a in range(size)], zero))
+    return traces
 
 
 def unit_content(p):
@@ -229,7 +262,7 @@ def _sl3():
     labels = ("h1", "h2", "e12", "e13", "e23", "f21", "f31", "f32")
     L = _from_matrices(labels, mats)
     X = _generic_matrix(mats, 3)
-    cas = (unit_content(_trace_power(X, 2)), unit_content(_trace_power(X, 3)))
+    cas = tuple([unit_content(t) for t in _trace_powers(X, 3)[1:]])
     return Preset("sl3", L, cas, "sl3 in the standard Chevalley-style basis")
 
 
@@ -238,7 +271,7 @@ def _gl(n):
     labels = tuple(["e%d%d" % (a + 1, b + 1) for a in range(n) for b in range(n)])
     L = _from_matrices(labels, mats)
     X = _generic_matrix(mats, n)
-    cas = tuple([unit_content(_trace_power(X, k)) for k in range(1, n + 1)])
+    cas = tuple([unit_content(t) for t in _trace_powers(X, n)])
     return Preset("gl%d" % n, L, cas, "gl%d with the matrix-unit basis" % n)
 
 
@@ -329,7 +362,7 @@ def _so(n):
     labels = tuple(["m%d%d" % (a + 1, b + 1) for (a, b) in pairs])
     L = _from_matrices(labels, mats)
     X = _generic_matrix(mats, n)
-    cas = [unit_content(_trace_power(X, 2))]
+    cas = [unit_content(_trace_powers(X, 2)[1])]
     if n == 4:
         pf = (
             X[0][1] * X[2][3]

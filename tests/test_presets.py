@@ -1,12 +1,20 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
+from lieshift import presets
 from lieshift.algfile import dump_algebra
 from lieshift.fields import QQ
 from lieshift.invariants import trdeg_jacobian
-from lieshift.liealg import check_split, darboux_split, nilradical_of, validate
+from lieshift.liealg import (
+    LieAlgebraError,
+    check_split,
+    darboux_split,
+    nilradical_of,
+    validate,
+)
 from lieshift.polyring import PolyElement, poisson
 from lieshift.presets import Preset, preset, preset_names, unit_content
 
@@ -172,3 +180,107 @@ def test_unit_content():
     q = h * h * QQ.from_int(-2) + e * 4
     assert unit_content(q) == h * h - e * 2
     assert unit_content(PolyElement.zero(QQ, 2)).is_zero
+
+
+def _table(L):
+    return {key: {k: c.as_rational() for k, c in comp.items()} for key, comp in L.table.items()}
+
+
+def _closed_form_table(basis, bracket):
+    """The bracket table, as ``_table`` gives it, of the basis keys under
+    bracket(x, y), an integer {basis key: coefficient} dict."""
+    index = {x: i for i, x in enumerate(basis)}
+    out = {}
+    for i, x in enumerate(basis):
+        for y in basis[i + 1:]:
+            comp = {index[k]: (c, 1) for k, c in bracket(x, y).items() if c}
+            if comp:
+                out[(i, index[y])] = comp
+    return out
+
+
+def _add(d, key, c):
+    d[key] = d.get(key, 0) + c
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_gl_brackets_match_closed_form(n):
+    # [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb, basis E_ab row by row
+    def bracket(x, y):
+        (a, b), (c, d) = x, y
+        out = {}
+        if b == c:
+            _add(out, (a, d), 1)
+        if d == a:
+            _add(out, (c, b), -1)
+        return out
+
+    basis = [(a, b) for a in range(n) for b in range(n)]
+    assert _table(presets._gl(n).algebra) == _closed_form_table(basis, bracket)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_so_brackets_match_closed_form(n):
+    # M_ab = E_ab - E_ba for a < b, with M_ba = -M_ab and M_aa = 0:
+    # [M_ab, M_cd] = delta_bc M_ad - delta_ac M_bd - delta_bd M_ac + delta_ad M_bc
+    def bracket(x, y):
+        (a, b), (c, d) = x, y
+        out = {}
+        for delta, (p, q), sign in (
+            (b == c, (a, d), 1),
+            (a == c, (b, d), -1),
+            (b == d, (a, c), -1),
+            (a == d, (b, c), 1),
+        ):
+            if delta and p != q:
+                _add(out, (min(p, q), max(p, q)), sign if p < q else -sign)
+        return out
+
+    basis = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    assert _table(presets._so(n).algebra) == _closed_form_table(basis, bracket)
+
+
+def test_gl5_casimirs_are_invariant_and_independent():
+    P = presets._gl(5)
+    L = P.algebra
+    assert len(P.casimirs) == 5
+    for c in P.casimirs:
+        for i in range(L.dim):
+            assert poisson(L, PolyElement.variable(QQ, L.dim, i), c).is_zero, i
+    assert trdeg_jacobian(P.casimirs).value == 5
+
+
+def _from_matrices(*mats):
+    mats = [{p: Fraction(c) for p, c in m.items()} for m in mats]
+    return presets._from_matrices(tuple("x%d" % i for i in range(len(mats))), mats)
+
+
+def _generic_matrix(*mats):
+    return presets._generic_matrix([{p: Fraction(c) for p, c in m.items()} for m in mats], 3)
+
+
+REJECTED_FAMILIES = {
+    # E_12 and E_21 without the diagonal: [E_12, E_21] = E_11 - E_22
+    "not closed": (
+        lambda: _from_matrices({(0, 1): 1}, {(1, 0): 1}),
+        "matrix family is not closed under commutators",
+    ),
+    # four matrices spanning the three dimensions of sl2
+    "dependent": (
+        lambda: _from_matrices({(0, 1): 1}, {(0, 1): 2}, {(1, 0): 1}, {(0, 0): 1, (1, 1): -1}),
+        "matrix family is linearly dependent",
+    ),
+    # strictly upper-triangular: tr(x y) = 0 on the whole family
+    "degenerate trace form": (
+        lambda: _generic_matrix({(0, 1): 1}, {(0, 2): 1}, {(1, 2): 1}),
+        "trace form is degenerate on this family",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_FAMILIES))
+def test_matrix_family_rejections(case):
+    build, message = REJECTED_FAMILIES[case]
+    with pytest.raises(LieAlgebraError) as err:
+        build()
+    assert str(err.value) == message
