@@ -194,7 +194,7 @@ def unit_content(p):
     scale = Fraction(lcm, g)
     if Fraction(*p.terms[lead].as_rational()) < 0:
         scale = -scale
-    return p * PolyElement.constant(p.field, p.nvars, _q(scale))
+    return p * _q(scale)
 
 
 def _unit(n, i):
