@@ -38,7 +38,8 @@ def encode_scalar(c):
             for exps, g in sorted(p.terms())
         ]
 
-    return {"num": poly(c.raw.numer), "den": poly(c.raw.denom)}
+    den, (num,) = f.clear([c])
+    return {"num": poly(num), "den": poly(den)}
 
 
 def _is_int(x):

@@ -17,6 +17,7 @@ from . import presets as presets_mod
 from .algfile import AlgebraFileError, dump_algebra, read_algebra
 from .construct import (
     ConstructError,
+    IdealError,
     MAX_RECURSION,
     _regular_form,
     abelian_qhat,
@@ -250,7 +251,12 @@ def _cmd_reduce_abelian(L, P, args):
                 "pass one explicitly" % cls.kind
             )
         h = cls.h
-    hat = abelian_qhat(L, h, _sampling(args))
+    try:
+        hat = abelian_qhat(L, h, _sampling(args))
+    except IdealError as e:
+        if args.ideal is None:  # the classifier's ideal: not the caller's fault
+            raise
+        raise InputError(str(e))
     table = {}
     for (i, j), comp in sorted(hat.algebra.table.items()):
         key = "[%s, %s]" % (hat.algebra.labels[i], hat.algebra.labels[j])

@@ -66,6 +66,10 @@ class ConstructError(Exception):
     pass
 
 
+class IdealError(ConstructError):
+    """The subspace to reduce along is not a nonzero abelian ideal."""
+
+
 def _failing_pair(elements, bracket):
     """The first pair (a, b), a < b, whose bracket is nonzero, or None."""
     for a in range(len(elements)):
@@ -332,13 +336,15 @@ def _fresh_names(field, count):
 
 
 def _ideal_action(L, h):
-    """ad[e][i], the h-coordinates of [x_i, eta_e]; raises unless h is an
-    abelian ideal."""
+    """ad[e][i], the h-coordinates of [x_i, eta_e]; raises ``IdealError``
+    unless h is a nonzero abelian ideal, the one check of that fact."""
+    if h.dim == 0:
+        raise IdealError("the ideal must be nonzero")
     if any(any(b) for _, _, b in _brackets(L, h.basis)):
-        raise ConstructError("the subspace is not abelian")
+        raise IdealError("the subspace is not abelian")
     ad = [[h.coordinates(b) for b in basis_brackets(L, eta)] for eta in h.basis]
     if any(coords is None for ad_e in ad for coords in ad_e):
-        raise ConstructError("the subspace is not an ideal")
+        raise IdealError("the subspace is not an ideal")
     return ad
 
 
@@ -382,8 +388,6 @@ def _reduce_abelian(L, h, sampling):
     """abelian_qhat without b: the reduced algebra, its dimension checked."""
     if not isinstance(h, Subspace):
         h = Subspace(L.field, L.dim, [tuple(v) for v in h])
-    if h.dim == 0:
-        raise ConstructError("the ideal must be nonzero")
     ad = _ideal_action(L, h)
     F = L.field
     d = h.dim
@@ -552,7 +556,7 @@ def _coeff_lift(hat, target_alg):
     h_elems = [target_alg.from_vector(v) for v in hat.h.basis]
 
     def img(c):
-        d, (numer,) = F2.clear([c.raw])
+        d, (numer,) = F2.clear([c])
         if d != 1:
             raise ConstructError("internal: denominator not cleared before lift")
         out = target_alg.zero()
@@ -578,7 +582,7 @@ def lift_from_hat(hat, u, target_alg):
         if exps[m] != 0:
             raise ConstructError("specialize the central element before lifting")
     F2 = hat.base_field
-    d, _ = F2.clear([c.raw for c in u.terms.values()])
+    d, _ = F2.clear(u.terms.values())
     cleared = u * F2.from_cleared(d, 1)
     coeff_img = _coeff_lift(hat, target_alg)
     images = []

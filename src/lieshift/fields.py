@@ -6,21 +6,19 @@ K(h*) during the abelian-ideal reduction. Elements are kept in a canonical
 reduced form: numerator and denominator coprime, denominator with grlex
 leading coefficient 1 (positive denominator at level 0).
 
-Level 0 computes on the standard library's ``fractions.Fraction``; its
-``Field.domain`` offers only what the kernels use: ``zero``, ``one`` and
-``convert``. Above level 0 arithmetic is delegated to
-sympy's polys domains (nested fraction fields with grlex ordering over
-sympy's QQ), and sympy is imported when the first such field is built, so
-a computation over Q never loads it. A level-0 value enters a tower as
-sympy's ``QQ(p, q)`` (``Field.lift``) and comes back down through its
-numerator and denominator (``Field.from_ground``). This module owns the
-canonical form, the tower bookkeeping and the error contract.
+``FieldElement`` is the one scalar that leaves this module. What it wraps is
+private here: a ``fractions.Fraction`` at level 0, and above it an element
+of sympy's polys domains (nested fraction fields with grlex ordering over
+sympy's QQ). sympy is imported when the first field above level 0 is built,
+so a computation over Q never loads it. This module owns the canonical form,
+the tower bookkeeping and the error contract.
 
-The arithmetic kernels and the elimination in ``linalg`` share one format
-at every level, cleared values: ``Field.clear`` brings a list of elements
-to numerators over their least common denominator, in the numerator ring
-(ints at level 0, polynomials in the level's variables above), and
-``Field.from_cleared`` wraps a result n / d once.
+The arithmetic kernels and the elimination in ``linalg`` compute on one
+internal format at every level, cleared values: ``Field.clear`` brings a
+list of elements to numerators over their least common denominator, in the
+numerator ring (ints at level 0, polynomials in the level's variables
+above), the ``ring_*`` helpers and ``Field._primitive`` work on those ring
+values, and ``Field.from_cleared`` wraps a result n / d once.
 
 ``Field.coerce`` is the one check of a caller's scalar: an int, a Fraction
 or an element of that field, anything else a ``FieldError``. An int goes
@@ -44,10 +42,10 @@ class Field:
     """Descriptor of one level of the scalar tower.
 
     Immutable; equality and hashing are structural so a field can key caches.
-    The domain is computed once, when the field is built: ``RATIONALS`` at
-    level 0, a sympy fraction field above, shared by structurally equal
-    fields. So are ``zero`` and ``one``, shared by every reader: a
-    ``FieldElement`` is never changed in place.
+    The domain is computed once, when the field is built: None at level 0,
+    whose elements are Fractions, a sympy fraction field above, shared by
+    structurally equal fields. So are ``zero`` and ``one``, shared by every
+    reader: a ``FieldElement`` is never changed in place.
     """
 
     __slots__ = ("level", "variables", "base", "domain", "zero", "one")
@@ -56,9 +54,9 @@ class Field:
         self.level = level
         self.variables = tuple(variables)
         self.base = base
-        self.domain = RATIONALS if base is None else _sympy_domain(self.variables, base)
-        self.zero = FieldElement(self, self.domain.zero)
-        self.one = FieldElement(self, self.domain.one)
+        dom = self.domain = None if base is None else _sympy_domain(self.variables, base)
+        self.zero = FieldElement(self, Fraction(0) if dom is None else dom.zero)
+        self.one = FieldElement(self, Fraction(1) if dom is None else dom.one)
 
     def __eq__(self, other):
         return (
@@ -172,8 +170,9 @@ class Field:
 
     # -- cleared values: numerators over one common denominator --------------
 
-    def clear(self, raws):
-        """(d, numerators) with raw value r_i = numerators[i] / d.
+    def clear(self, elems):
+        """(d, numerators) with elems[i] = numerators[i] / d, for elements
+        of this field (unchecked: ``clear_row`` is the checked entry).
 
         The numerators lie in the numerator ring (ints at level 0,
         polynomials in this level's variables above) and d is the least
@@ -183,9 +182,10 @@ class Field:
         denominator a unit the numerators come back as they are.
         """
         if self.level == 0:
-            ratios = [r.as_integer_ratio() for r in raws]
+            ratios = [e.raw.as_integer_ratio() for e in elems]
             d = math.lcm(*[q for _, q in ratios])
             return d, [p if q == d else p * (d // q) for p, q in ratios]
+        raws = [e.raw for e in elems]
         d = self.domain.field.ring.one
         for r in raws:
             q = r.denom
@@ -211,7 +211,7 @@ class Field:
                 raise FieldError("row entry %r is not a field element" % (e,))
             if e.field is not self and e.field != self:
                 raise FieldError("tower-level mismatch: %r vs %r" % (self, e.field))
-        return self.clear([e.raw for e in elems])[1]
+        return self.clear(elems)[1]
 
     def ring_quo(self, a, b):
         """Exact division in the numerator ring; a remainder is an error."""
@@ -239,21 +239,6 @@ class Field:
             return [-a for a in row] if lead < 0 else row
         lc = lead.LC
         return row if lc == self.domain.domain.one else [a.quo_ground(lc) for a in row]
-
-
-class _Rationals:
-    """The level-0 domain: Q on ``fractions.Fraction``."""
-
-    __slots__ = ()
-    zero = Fraction(0)
-    one = Fraction(1)
-    convert = staticmethod(Fraction)
-
-    def __repr__(self):
-        return "RATIONALS"
-
-
-RATIONALS = _Rationals()
 
 
 @lru_cache(maxsize=None)
@@ -399,7 +384,7 @@ class FieldElement:
 
     @property
     def is_one(self):
-        return self.raw == self.field.domain.one
+        return self.raw == self.field.one.raw
 
     def as_rational(self):
         """(p, q) for a level-0 element; error above level 0."""

@@ -11,8 +11,8 @@ The structure series are lazy and cached per algebra: ``structure_series(L)``
 returns one object per algebra, and each of its center, derived algebra,
 lower central series and derived series is computed the first time it is
 read. The center comes from one equation per nonzero structure constant,
-and ``Subspace`` membership runs on raw domain values stored once per
-subspace.
+and ``Subspace`` membership runs in the numerator ring, on the cleared
+support of the vector against the basis rows as primitive ring rows.
 
 The structure constants are read through one table, ``kernel_brackets``:
 by the bracket kernels (``bracket``, ``basis_brackets``, ``coadjoint_form``,
@@ -66,12 +66,11 @@ class Subspace:
     ``linalg.echelon_basis`` builds the basis by one fraction-free elimination:
     each row is content-normalized and is the only row nonzero at its pivot
     column (``pivots[i]`` for ``basis[i]``). Membership is read from those
-    stored pivots and then checked exactly, with no elimination. The raw
-    domain values of each row's nonzero entries are stored once, on the first
-    membership query, for that check; a subspace never queried lacks them.
+    stored pivots and then checked exactly, with no elimination, on the
+    basis rows as the primitive numerator-ring rows they were built from.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_raw_rows")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_rows")
 
     def __init__(self, field, ambient_dim, vectors):
         self.field = field
@@ -82,16 +81,11 @@ class Subspace:
                 raise LieAlgebraError("vector length does not match ambient dim")
         self.basis, piv = echelon_basis(field, rows)
         self.pivots = tuple(piv)
-        self._raw_rows = None
-
-    def _raw(self):
-        # (pivot column, raw pivot entry, ((k, raw entry), ...) over nonzeros)
-        if self._raw_rows is None:
-            self._raw_rows = tuple([
-                (p, b[p].raw, tuple([(k, c.raw) for k, c in enumerate(b) if c.raw]))
-                for b, p in zip(self.basis, self.pivots)
-            ])
-        return self._raw_rows
+        # (pivot column, pivot entry, ((k, entry), ...) over nonzeros)
+        self._rows = tuple([
+            (p, r[p], tuple([(k, a) for k, a in enumerate(r) if a]))
+            for r, p in zip([field.clear(b)[1] for b in self.basis], self.pivots)
+        ])
 
     @property
     def dim(self):
@@ -103,29 +97,29 @@ class Subspace:
         The only candidate is c_i = v[p_i] / basis[i][p_i] at the pivots p_i;
         v is in the span exactly when sum c_i basis[i] - v vanishes, which is
         checked coordinate by coordinate, so a non-None answer is a proof.
-        The sum runs on raw domain values over the nonzero entries; the
-        residual is tested by difference, since raw values above level 0 are
-        not in canonical form and ``==`` on them can report false mismatches.
+        It runs in the numerator ring on v's cleared support x / d: the
+        residual d (sum c_i basis[i] - v), times the pivots used so far, is a
+        ring value, and each c_i = x[p_i] / (d basis[i][p_i]) is wrapped once.
         """
         if len(v) != self.ambient_dim:
             raise LieAlgebraError("vector length does not match ambient dim")
         field = self.field
-        zero = field.domain.zero
-        # acc is the residual sum c_i basis[i] - v, over its nonzero support
-        acc = {k: -x for k, x in _raw_support(field, v)}
-        coords = [zero] * len(self.basis)
-        for i, (p, piv, row) in enumerate(self._raw()):
-            x = acc.get(p)
-            if x is None:
+        d, support = _kernel_support(field, v)
+        x = dict(support)
+        acc = {k: -a for k, a in support}
+        for p, piv, row in self._rows:
+            a = acc.get(p)
+            if a is None:
                 continue
-            c = -x / piv
-            coords[i] = c
+            if piv != 1:
+                acc = {k: piv * b for k, b in acc.items()}
             for k, b in row:
-                acc[k] = acc.get(k, zero) + c * b
+                y = acc.get(k)
+                acc[k] = -a * b if y is None else y - a * b
         if any(acc.values()):
             return None
-        zero_elem = field.zero
-        return [FieldElement(field, c) if c else zero_elem for c in coords]
+        zero = field.zero
+        return [field.from_cleared(x[p], d * piv) if p in x else zero for p, piv, _ in self._rows]
 
     def contains(self, v):
         return self.coordinates(v) is not None
@@ -237,7 +231,7 @@ class LieAlgebra:
         denominator D (``Field.clear``), for the arithmetic kernels. The c
         are numerator-ring values, the constants of the basis y_i = D x_i."""
         D, values = self.field.clear(
-            [c.raw for comp in self.table.values() for c in comp.values()]
+            [c for comp in self.table.values() for c in comp.values()]
         )
         it = iter(values)
         out = {}
@@ -254,21 +248,16 @@ class LieAlgebra:
         return "LieAlgebra(%s)" % ", ".join(self.labels)
 
 
-def _raw_support(field, v):
-    """(index, raw coefficient) at the nonzero coordinates of v."""
-    out = []
+def _kernel_support(field, v):
+    """(d, [(index, cleared value), ...]) over the nonzero coordinates of v."""
+    zero = field.zero
+    support = []
     for i, c in enumerate(v):
         if not isinstance(c, FieldElement) or c.field is not field:
             c = field.coerce(c)
-        if c.raw:
-            out.append((i, c.raw))
-    return out
-
-
-def _kernel_support(field, v):
-    """(d, [(index, cleared value), ...]) over the nonzero coordinates of v."""
-    support = _raw_support(field, v)
-    d, values = field.clear([x for _, x in support])
+        if c is not zero and c:
+            support.append((i, c))
+    d, values = field.clear([c for _, c in support])
     return d, [(i, x) for (i, _), x in zip(support, values)]
 
 
@@ -465,7 +454,7 @@ def coadjoint_form(L, gamma):
     """Rows of the antisymmetric matrix gamma([x_i, x_j]), on cleared values."""
     F = L.field
     D, brackets = L.kernel_brackets
-    dg, g = F.clear([c.raw for c in gamma.coords])
+    dg, g = F.clear(gamma.coords)
     den = D * dg
     zero = F.zero
     rows = [[zero] * L.dim for _ in range(L.dim)]

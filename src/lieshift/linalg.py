@@ -17,15 +17,18 @@ rewritten at that step, but brought up to date by one exact division (the
 skipped factors telescope) when it is next read, so the tall, sparse
 systems of the invariant search rewrite each row only a few times.
 ``rank`` counts its pivots. ``kernel_basis`` and ``solve`` (on [A | -b], free
-variables 0) add back-substitution, ``_back_substitute``. ``echelon_basis``,
-the basis of ``liealg.Subspace``, adds clearing above each pivot in the ring.
-``kernel_basis``, ``echelon_basis`` and ``normalize_vector`` normalize each
-row with ``Field._primitive``, so every basis returned here is canonical.
+variables 0) add back-substitution, ``_back_substitute``, also in the ring:
+the free variable is set to the last pivot, so by Cramer's rule the whole
+solution is a ring row, and ``solve`` divides each entry once by that pivot.
+``echelon_basis``, the basis of ``liealg.Subspace``, adds clearing above
+each pivot in the ring. ``kernel_basis``, ``echelon_basis`` and
+``normalize_vector`` normalize each ring row with ``Field._primitive``, so
+every basis returned here is canonical.
 """
 
 from __future__ import annotations
 
-from .fields import FieldElement, FieldError
+from .fields import FieldError
 
 
 def _bareiss(field, rows, ncols):
@@ -94,28 +97,29 @@ def rank(field, rows):
 
 
 def _back_substitute(field, rows, pivots, ncols, free):
-    """The v with v[free] = 1, 0 at the other non-pivot columns and row . v = 0
-    for each eliminated row; raw domain values times ring entries, wrapped once."""
-    dom = field.domain
-    v = [dom.zero] * ncols
-    v[free] = dom.one
+    """The ring row v with v[free] = D, the last pivot (1 with none), 0 at the
+    other non-pivot columns and row . v = 0 for each eliminated row. D is
+    the minor on the pivot columns, so by Cramer's rule each v[c] is a ring
+    value and each division is exact; ``ring_quo`` still checks it."""
+    unit = field.clear(())[0]
+    v = [unit - unit] * ncols
+    v[free] = rows[pivots[-1][0]][pivots[-1][1]] if pivots else unit
     for r, c in reversed(pivots):
         row = rows[r]
-        s = dom.zero
-        for j in range(c + 1, ncols):
-            if v[j] and row[j]:
-                s = s + v[j] * row[j]
-        v[c] = -s / row[c]
-    return [FieldElement(field, x) for x in v]
+        s = sum([v[j] * row[j] for j in range(c + 1, ncols) if v[j] and row[j]])
+        if s:
+            v[c] = field.ring_quo(-s, row[c])
+    return v
 
 
 def kernel_basis(field, rows, ncols):
-    """Canonical right-kernel basis: one normalized vector per free column,
-    unit at that column before normalization."""
+    """Canonical right-kernel basis: one primitive vector per free column,
+    on the line of the kernel vector with unit entry at that column."""
     ring, pivots = _bareiss(field, rows, ncols)
     pivot_cols = {c for _, c in pivots}
+    primitive = field._primitive
     return [
-        normalize_vector(field, _back_substitute(field, ring, pivots, ncols, f))
+        list(_from_ring_row(field, primitive(_back_substitute(field, ring, pivots, ncols, f))))
         for f in range(ncols)
         if f not in pivot_cols
     ]
@@ -180,7 +184,9 @@ def solve(field, a_rows, rhs):
     rows, pivots = _bareiss(field, aug, ncols + 1)
     if pivots and pivots[-1][1] == ncols:
         return None
-    x = _back_substitute(field, rows, pivots, ncols + 1, ncols)[:ncols]
+    v = _back_substitute(field, rows, pivots, ncols + 1, ncols)
+    den, zero = v[ncols], field.zero
+    x = [field.from_cleared(a, den) if a else zero for a in v[:ncols]]
     # back-substitution is exact; verify anyway
     for r, b in zip(a_rows, rhs):
         acc = field.zero

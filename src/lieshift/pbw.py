@@ -164,7 +164,7 @@ class EnvelopingAlgebra:
         exponents of a monomial (``_guard``). The coefficients are cleared
         once, and the D^-|m| of each term is brought over the common
         denominator d D^top."""
-        d, nums = self.field.clear([c.raw for c in terms.values()])
+        d, nums = self.field.clear(terms.values())
         top = max(map(sum, terms), default=0)
         size = max([sum(map(abs, m)) for m in terms], default=0) if self.laurent else top
         D = self._scale

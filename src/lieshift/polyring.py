@@ -57,11 +57,11 @@ def _index(i, n):
     return i
 
 
-def _raws(field, coords, n, what):
-    """The raw values of n caller-given coordinates in field."""
+def _coerced(field, coords, n, what):
+    """n caller-given coordinates as elements of field."""
     if len(coords) != n:
         raise FieldError("%s has %d coordinates, want %d" % (what, len(coords), n))
-    return [field.coerce(c).raw for c in coords]
+    return [field.coerce(c) for c in coords]
 
 
 def _wrapped(field, values, den):
@@ -282,8 +282,8 @@ def poisson(L, f, g):
         raise FieldError("mixed polynomial ambients")
     field = L.field
     D, rows = L.kernel_brackets
-    df, fvalues = field.clear([c.raw for c in f.terms.values()])
-    dg, gvalues = field.clear([c.raw for c in g.terms.values()])
+    df, fvalues = field.clear(f.terms.values())
+    dg, gvalues = field.clear(g.terms.values())
     gterms = [
         (e2, c2, [j for j, x in enumerate(e2) if x]) for e2, c2 in zip(g.terms, gvalues)
     ]
@@ -386,7 +386,7 @@ def differential_at(f, point):
     """
     field = f.field
     n = f.nvars
-    pt = _raws(field, point, n, "point")
+    pt = _coerced(field, point, n, "point")
     q, p = field.clear(pt)
     p.append(q)
     off = [0] * (n + 1)
@@ -398,7 +398,7 @@ def differential_at(f, point):
             off[j] = 1 - low
     if q != 1:
         off[n] = max(0, max((sum(e) - 1 for e in f.terms), default=0))
-    den, values = field.clear([c.raw for c in f.terms.values()])
+    den, values = field.clear(f.terms.values())
     powers = {}
 
     def power(i, k):
@@ -441,11 +441,11 @@ def gamma_shift(h, gamma, k):
     if k < 0:
         raise ValueError("the shift order must be nonnegative, got %d" % k)
     field = h.field
-    q, g = field.clear(_raws(field, gamma.coords, h.nvars, "gamma"))
+    q, g = field.clear(_coerced(field, gamma.coords, h.nvars, "gamma"))
     if not k:
         return h
     support = [(i, gi) for i, gi in enumerate(g) if gi]
-    d, values = field.clear([c.raw for c in h.terms.values()])
+    d, values = field.clear(h.terms.values())
     cur = dict(zip(h.terms, values))
     for _ in range(k):
         nxt = {}

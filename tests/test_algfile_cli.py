@@ -343,6 +343,44 @@ def test_cli_reduce_abelian():
     assert rep["results"]["function_field_vars"] == ["w1"]
 
 
+@pytest.mark.parametrize(
+    "name, ideal, message",
+    [
+        ("borel-sl3", "0", "the subspace is not an ideal"),
+        ("aff1", "0", "the subspace is not an ideal"),
+        ("sl2", "0,1", "the subspace is not abelian"),
+    ],
+)
+def test_cli_reduce_abelian_rejects_a_bad_explicit_ideal(name, ideal, message, capsys):
+    # a named subspace that is not an abelian ideal is bad input, as in b-rel
+    from lieshift.cli import main
+
+    assert main(["reduce-abelian", ideal, "--preset", name, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: %s\n" % message
+
+
+def test_cli_reduce_abelian_bad_classifier_ideal_is_a_verification_failure(
+    monkeypatch, capsys
+):
+    # the same check on the ideal the classifier chose is a fault of the
+    # program, not of the input
+    from types import SimpleNamespace
+
+    from lieshift import cli
+
+    monkeypatch.setattr(
+        cli,
+        "classify_nilradical",
+        lambda L: SimpleNamespace(kind="abelian_ideal", h=L.span_of_indices([0])),
+    )
+    assert cli.main(["reduce-abelian", "--preset", "aff1", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verification failure: the subspace is not an ideal\n"
+
+
 def test_cli_construct_and_trdeg():
     out = run_cli("construct", "--preset", "heisenberg1", "--json")
     rep = json.loads(out.stdout)

@@ -64,7 +64,7 @@ def test_canonical_denominator_is_monic():
     assert e == F.rational(1, 2)
     # grlex leading coefficient of the denominator is 1 after construction
     e2 = F.one / (F.from_int(3) * a + F.one)
-    assert e2.raw.denom.LC == F.base.domain.one
+    assert e2.raw.denom.LC == 1
 
 
 def test_var_and_lift():
@@ -110,9 +110,34 @@ def test_clear_row_tower():
     assert back == [F.one, a * a]
     # least common denominator a (a + 1)^2, not the product a^2 (a + 1)^3
     b = a + 1
-    d, cleared = F.clear([e.raw for e in (F.one / (a * b), F.one / (b * b), F.one / a)])
+    d, cleared = F.clear([F.one / (a * b), F.one / (b * b), F.one / a])
     assert F.from_cleared(d, 1) == a * b * b
     assert [F.from_cleared(r, 1) for r in cleared] == [b, a, b * b]
+
+
+def test_inexact_ring_division_is_an_error():
+    with pytest.raises(FieldError) as e:
+        QQ.ring_quo(3, 2)
+    assert str(e.value) == "inexact ring division"
+    F = QQ.extend("t")
+    t = F.var("t")
+    n, d = F.clear_row([t, t + F.one])
+    with pytest.raises(FieldError) as e:
+        F.ring_quo(n, d)
+    assert str(e.value) == "inexact ring division"
+
+
+def test_lift_rejections_name_their_cause():
+    with pytest.raises(FieldError) as e:
+        QQ.lift(3)
+    assert str(e.value) == "lift expects a FieldElement"
+    Qt, Qs = QQ.extend("t"), QQ.extend("s")
+    with pytest.raises(FieldError) as e:
+        QQ.lift(Qt.var("t"))
+    assert str(e.value) == "element of Q(t) does not embed into Q"
+    with pytest.raises(FieldError) as e:
+        Qt.lift(Qs.var("s"))
+    assert str(e.value) == "element of Q(s) does not embed into Q(t)"
 
 
 def test_from_cleared_and_ring_gcd():
@@ -266,7 +291,7 @@ def test_level0_scalar_lifts_into_towers_and_back(pq):
 
 def test_clear_round_trip():
     raws = [QQ.rational(p, q).raw for p, q in [(1, 2), (-2, 3), (0, 1), (5, 1)]]
-    d, values = QQ.clear(raws)
+    d, values = QQ.clear([QQ.rational(r) for r in raws])
     assert (d, values) == (6, [3, -4, 0, 30])
     assert all(type(v) is int for v in values)
     assert [QQ.from_cleared(v, d).raw for v in values] == raws
@@ -274,7 +299,7 @@ def test_clear_round_trip():
     F = QQ.extend("t")
     t = F.var("t")
     x = (t + F.rational(1, 2)) / t
-    d, (n,) = F.clear([x.raw])
+    d, (n,) = F.clear([x])
     assert F.from_cleared(d, 1) == t and F.from_cleared(n, 1) == t + F.rational(1, 2)
     assert F.from_cleared(n, d) == x
     d, values = F.clear([])
@@ -304,11 +329,11 @@ def _cleared_rows(draw):
 @given(_cleared_rows())
 def test_clear_is_least_and_round_trips(case):
     F, elems = case
-    d, nums = F.clear([e.raw for e in elems])
+    d, nums = F.clear(elems)
     assert [F.from_cleared(n, d) for n in nums] == elems
     # d divides the product of the denominators, a common denominator, and
     # shares no factor with every numerator, so it divides every common one
-    dens = [F.clear([e.raw])[0] for e in elems]
+    dens = [F.clear([e])[0] for e in elems]
     prod = 1 if F.level == 0 else F.clear(())[0]
     for q in dens:
         prod = prod * q

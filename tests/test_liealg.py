@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,6 +178,7 @@ def test_subspace_basics():
 # -- Subspace.coordinates against the elimination it replaced ----------------
 
 QT = QQ.extend("t")
+QTS = QT.extend("s")
 
 
 def reference_coordinates(S, v):
@@ -191,6 +193,12 @@ def _scalar(field):
     small = st.integers(-3, 3)
     if field is QQ:
         return st.builds(QQ.rational, small, st.integers(1, 3))
+    if field is QTS:
+        t, s = QTS.var("t"), QTS.var("s")
+        return st.builds(
+            lambda a, b, c, d: (QTS.from_int(a) + b * t * s) / (QTS.from_int(c) + d * s + t),
+            small, small, st.integers(1, 3), st.integers(0, 2),
+        )
     t = QT.var("t")
     return st.builds(
         lambda a, b, c, d: (QT.from_int(a) + QT.from_int(b) * t) / (QT.from_int(c) + t * d),
@@ -248,6 +256,37 @@ def test_coordinates_match_reference_level0(case):
 @given(subspace_and_probes(QT))
 def test_coordinates_match_reference_level1(case):
     _check_coordinates_match(case)
+
+
+@settings(max_examples=25, deadline=None)
+@given(subspace_and_probes(QTS))
+def test_coordinates_match_reference_level2(case):
+    _check_coordinates_match(case)
+
+
+def test_coordinates_scale_the_residual_by_non_unit_pivots():
+    S = Subspace(QQ, 3, [vec(QQ, [2, 3, 0])])
+    assert S.basis == [vec(QQ, [2, 3, 0])]  # primitive, pivot entry 2
+    assert S.coordinates(vec(QQ, [4, 6, 0])) == [QQ.from_int(2)]
+    assert S.coordinates(vec(QQ, [1, Fraction(3, 2), 0])) == [QQ.rational(1, 2)]
+    assert S.coordinates(vec(QQ, [1, 1, 0])) is None
+    # two pivots 2 and 3: the residual is rescaled after the first row
+    T = Subspace(QQ, 3, [vec(QQ, [2, 0, 3]), vec(QQ, [0, 3, 1])])
+    assert [b[p] for b, p in zip(T.basis, T.pivots)] == [QQ.from_int(2), QQ.from_int(3)]
+    assert T.coordinates(vec(QQ, [1, 1, Fraction(11, 6)])) == [
+        QQ.rational(1, 2), QQ.rational(1, 3)
+    ]
+    assert T.coordinates(vec(QQ, [1, 1, 2])) is None
+
+
+def test_subspace_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(LieAlgebraError) as e:
+        Subspace(QQ, 2, [vec(QQ, [1])])
+    assert str(e.value) == "vector length does not match ambient dim"
+    S = Subspace(QQ, 2, [vec(QQ, [1, 0])])
+    with pytest.raises(LieAlgebraError) as e:
+        S.coordinates(vec(QQ, [1, 0, 0]))
+    assert str(e.value) == "vector length does not match ambient dim"
 
 
 def test_subspace_equality_is_canonical():

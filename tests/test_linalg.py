@@ -121,6 +121,18 @@ def test_normalize_vector():
     assert [str(c) for c in out2] == ["1", "t"]
 
 
+def test_matrix_rejections_name_their_cause():
+    with pytest.raises(FieldError) as e:
+        rank(QQ, [[QQ.one], [QQ.one, QQ.zero]])
+    assert str(e.value) == "ragged rows: each row needs 1 entries"
+    with pytest.raises(FieldError) as e:
+        kernel_basis(QQ, [[QQ.one, 1]], 2)
+    assert str(e.value) == "row entry 1 is not a field element"
+    with pytest.raises(FieldError) as e:
+        solve(QQ, [[QQ.one]], [QQ.one, QQ.one])
+    assert str(e.value) == "2 right-hand sides for 1 rows"
+
+
 def test_elimination_rejects_elements_of_another_field():
     QT = QQ.extend("t")
     with pytest.raises(FieldError):

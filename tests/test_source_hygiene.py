@@ -1,4 +1,5 @@
-"""Source checks on src/lieshift: tuples on hot paths are built at their size.
+"""Source checks on src/lieshift: tuples on hot paths are built at their size,
+and the raw domain values of field elements are read only in ``fields``.
 
 ``tuple(<generator>)``, ``tuple(map(...))`` and ``f(*<generator>)`` cannot
 know the length of what they consume, so CPython allocates a 10-slot tuple
@@ -9,6 +10,12 @@ that list by one, up to 2000 tuples per length, and only a full (generation
 rarely triggers one, so the lists, and the process's peak memory, creep
 with the number of calls. ``tuple([...])`` and ``f(*[...])`` build the tuple
 from a list of known length and leave the lists flat.
+
+What a ``FieldElement`` wraps (``.raw``: a Fraction, or a sympy fraction
+field element) and the sympy domain of a ``Field`` (``.domain``) are the
+private format of ``fields``. Every other module passes elements, and the
+kernels compute on the cleared values of ``Field.clear``, so no other module
+may read either attribute.
 """
 
 import ast
@@ -53,3 +60,26 @@ def test_tuples_are_built_at_their_size(path):
 def test_checker_catches_each_pattern():
     src = "tuple(x for x in y)\ntuple(map(f, y))\ng(*(x for x in y))\ntuple([x for x in y])\n"
     assert [line for line, _ in _offences(ast.parse(src))] == [1, 2, 3]
+
+
+def _format_reads(tree):
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("raw", "domain")
+            and isinstance(node.ctx, ast.Load)
+        ):
+            yield node.lineno, "." + node.attr
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in FILES if p.name != "fields.py"], ids=lambda p: p.name
+)
+def test_raw_values_stay_inside_fields(path):
+    found = list(_format_reads(ast.parse(path.read_text(), str(path))))
+    assert not found, "%s: %s" % (path.name, found)
+
+
+def test_format_checker_catches_each_read():
+    src = "c.raw\nf.domain.one\nx.raw = 1\ny = raw\ng(e.field.domain)\n"
+    assert [line for line, _ in _format_reads(ast.parse(src))] == [1, 2, 5]
