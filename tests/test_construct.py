@@ -237,6 +237,21 @@ def test_abelian_qhat_rejects_bad_input():
         abelian_qhat(L, L.span_of_indices([]))
 
 
+def test_ideal_action_names_each_rejection_exactly():
+    L = preset("heisenberg1").algebra
+    aff = preset("aff1").algebra
+    for M, idxs, want in [
+        (L, [], "the ideal must be nonzero"),
+        (L, [0, 1, 2], "the subspace is not abelian"),
+        (aff, [0], "the subspace is not an ideal"),
+    ]:
+        with pytest.raises(construct_mod.IdealError) as e:
+            construct_mod._ideal_action(M, M.span_of_indices(idxs))
+        assert str(e.value) == want
+    ad = construct_mod._ideal_action(aff, aff.span_of_indices([1]))
+    assert ad == [[[QQ.one], [QQ.zero]]]  # [t, y] = y, [y, y] = 0
+
+
 def test_lift_from_hat():
     L = preset("heisenberg2").algebra
     hat = abelian_qhat(L, L.span_of_indices([4]))

@@ -640,3 +640,107 @@ def test_subalgebra_of_marks_the_central_basis_vectors():
                 if all(all(c.is_zero for c in bracket(L, b, w)) for w in basis)
             }
             assert set(sub.central_indices()) == want, name
+
+
+# -- exact rejection messages of the bracket-to-membership checks -------------
+
+
+def _h2_split(x, y, l_basis=(4,)):
+    """A split of heisenberg2 (x1, x2, y1, y2, z) with the given families as
+    index combinations: each vector is a tuple of basis indices summed."""
+    L = preset("heisenberg2").algebra
+
+    def v(idxs):
+        return tuple([QQ.from_int(sum(1 for i in idxs if i == k)) for k in range(L.dim)])
+
+    return L, HeisenbergSplit(
+        l_basis=L.span_of_indices(l_basis),
+        x=tuple([v(i) for i in x]),
+        y=tuple([v(i) for i in y]),
+        z=L.basis_vector(4),
+    )
+
+
+def test_check_split_names_each_failure_exactly():
+    L, split = _h2_split([(0,), (1,)], [(2,), (3,)])
+    assert check_split(L, split) == []
+    cases = [
+        (([(0,), (1,)], [(2,)]), ["split has mismatched x/y lengths"]),
+        (([(0,), (1,)], [(2,), (3, 2)]), ["[x_0, y_1] != 0"]),
+        (([(0,), (1, 2)], [(2,), (3,)]), ["[x, x] family is not isotropic"]),
+        (([(0,), (1,)], [(2,), (3, 0)]), ["[y, y] family is not isotropic"]),
+    ]
+    for (x, y), want in cases:
+        L, split = _h2_split(x, y)
+        assert check_split(L, split) == want, (x, y)
+    N = h3()
+    x, y, z = (N.basis_vector(i) for i in range(3))
+    same = HeisenbergSplit(l_basis=Subspace(QQ, 3, [z]), x=(x,), y=(x,), z=z)
+    assert check_split(N, same) == ["[x_0, y_0] != z", "x, y vectors are not independent"]
+
+
+def test_check_split_names_each_l_basis_failure_exactly():
+    L = preset("sl2-semidirect-h3").algebra
+    split = L.annotations["heisenberg_split"]
+    for idxs, want in [
+        ([1, 2, 5], ["l_basis is not a subalgebra"]),  # [e, f] = h
+        ([0, 1, 2], ["l_basis does not contain z"]),
+    ]:
+        bad = HeisenbergSplit(
+            l_basis=L.span_of_indices(idxs), x=split.x, y=split.y, z=split.z
+        )
+        assert check_split(L, bad) == want, idxs
+
+
+def test_check_split_names_a_center_that_is_not_central():
+    # [x, y] = z, and t scales x and z: z is not central, all else holds
+    L = LieAlgebra(
+        QQ, ("t", "x", "y", "z"), {(0, 1): {1: 1}, (0, 3): {3: 1}, (1, 2): {3: 1}}
+    )
+    assert validate(L).ok
+    t, x, y, z = (L.basis_vector(i) for i in range(4))
+    split = HeisenbergSplit(l_basis=Subspace(QQ, 4, [z]), x=(x,), y=(y,), z=z)
+    assert check_split(L, split) == ["split center is not central in the ambient algebra"]
+
+
+def test_subalgebra_of_rejects_a_subspace_that_is_not_closed():
+    L = sl2()
+    with pytest.raises(LieAlgebraError) as e:
+        subalgebra_of(L, L.span_of_indices([1, 2]))  # [e, f] = h
+    assert str(e.value) == "subspace is not closed under the bracket"
+
+
+def test_darboux_split_names_each_failure_exactly():
+    A = preset("abelian2").algebra
+    with pytest.raises(LieAlgebraError) as e:
+        darboux_split(A, A.span_of_indices(range(2)))
+    assert str(e.value) == "Darboux construction failure: nilradical center has dimension 2"
+    F5 = filiform5()  # center span{x4}; [x0, x1] = x2 leaves it
+    with pytest.raises(LieAlgebraError) as e:
+        darboux_split(F5, F5.span_of_indices(range(5)))
+    assert str(e.value) == "Darboux construction failure: [n, n] leaves the center line"
+
+
+def test_greedy_pairing_rejects_a_degenerate_pairing():
+    N = h3()
+    x, y, z = (N.basis_vector(i) for i in range(3))
+    for v_basis in ([x, z], [x], [y, x, z]):
+        with pytest.raises(LieAlgebraError) as e:
+            liealg._greedy_pairing(N, v_basis, z)
+        assert str(e.value) == "Darboux construction failure: degenerate symplectic pairing"
+    xs, ys = liealg._greedy_pairing(N, [x, y], z)
+    assert (xs, ys) == ([x], [y])
+
+
+def test_validate_names_each_annotation_failure_exactly():
+    table = sl2().table
+    cases = [
+        (LieAlgebra(QQ, ("h", "e", "f"), table, {"levi": [1, 2]}),
+         ["levi annotation is not a subalgebra"]),
+        (LieAlgebra(QQ, ("t", "y"), {(0, 1): {1: 1}}, {"nilradical": [0, 1]}),
+         ["nilradical annotation is not nilpotent"]),
+        (LieAlgebra(QQ, ("h", "e", "f"), table, {"solvable_radical": [0, 1, 2]}),
+         ["solvable_radical annotation is not solvable"]),
+    ]
+    for L, want in cases:
+        assert validate(L).annotation_failures == want, L.annotations
