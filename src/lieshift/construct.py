@@ -27,11 +27,13 @@ from .liealg import (
     LieAlgebraError,
     LinearForm,
     Subspace,
-    basis_brackets,
     bracket,
+    _basis_brackets,
     _brackets,
     _check_ltilde_covers,
     _maps_into,
+    _supports,
+    _wrapped,
     check_split,
     classify_nilradical,
     is_reductive,
@@ -340,9 +342,10 @@ def _ideal_action(L, h):
     unless h is a nonzero abelian ideal, the one check of that fact."""
     if h.dim == 0:
         raise IdealError("the ideal must be nonzero")
-    if any(any(b) for _, _, b in _brackets(L, h.basis)):
+    rows = h._cleared_basis()
+    if any(s for _, _, (_, s) in _brackets(L, rows)):
         raise IdealError("the subspace is not abelian")
-    ad = [[h.coordinates(b) for b in basis_brackets(L, eta)] for eta in h.basis]
+    ad = [[h._coordinates(*b) for b in _basis_brackets(L, eta)] for eta in rows]
     if any(coords is None for ad_e in ad for coords in ad_e):
         raise IdealError("the subspace is not an ideal")
     return ad
@@ -431,7 +434,8 @@ def _reduce_abelian(L, h, sampling):
         {key: {k: F2.lift(c) for k, c in row.items()} for key, row in L.table.items()},
     )
     table = {}
-    for a, b, w in _brackets(L2, sections):
+    for a, b, cleared in _brackets(L2, _supports(L2, sections)):
+        w = _wrapped(L2, cleared)
         phi = F2.zero
         for l, v, phi_l in hbar:
             if not w[l].is_zero:
@@ -774,7 +778,7 @@ def _construct(L, casimirs, max_inv_deg, sampling, max_depth, depth):
         levi is not None
         and levi.dim + cls.nilradical.dim == L.dim
         and Subspace(L.field, L.dim, list(levi.basis) + list(cls.nilradical.basis)).dim == L.dim
-        and _maps_into(L, levi.basis, Subspace(L.field, L.dim, list(split.x) + list(split.y)))
+        and _maps_into(L, levi, Subspace(L.field, L.dim, list(split.x) + list(split.y)))
     )
     if use_levi:
         sub_space = levi

@@ -10,17 +10,29 @@ symplectic complement.
 The structure series are lazy and cached per algebra: ``structure_series(L)``
 returns one object per algebra, and each of its center, derived algebra,
 lower central series and derived series is computed the first time it is
-read. The center comes from one equation per nonzero structure constant,
-and ``Subspace`` membership runs in the numerator ring, on the cleared
-support of the vector against the basis rows as primitive ring rows.
+read. The center comes from one equation per nonzero structure constant.
+
+A bracket stays cleared from the kernel to the membership test. The one
+bracket kernel, ``_bracket_cleared``, takes cleared supports (index,
+numerator) over one denominator and returns [a, b] the same way, over the
+nonzero coordinates only; ``Subspace._spans`` tests such a support against
+the basis rows, kept as primitive numerator-ring rows, in the numerator
+ring. Neither scans a dense vector or wraps a scalar. Scaling is free
+there: membership and span do not change when a vector is scaled, so the
+closure, ideal, stability, isotropy and center-line tests bracket the
+stored basis rows as they are and ignore the bracket's denominator. Only a
+caller that needs values wraps: ``bracket``, ``basis_brackets`` and the
+spans of ``_span`` through ``_wrapped``, ``subalgebra_of`` and the ideal
+action of ``construct`` through ``Subspace._coordinates``, and the Darboux
+pairing, which wraps the one coordinate it reads.
 
 The structure constants are read through one table, ``kernel_brackets``:
-by the bracket kernels (``bracket``, ``basis_brackets``, ``coadjoint_form``,
+by the kernels (``_bracket_cleared``, ``coadjoint_form``,
 ``killing_matrix``), by the Jacobi and central-annotation checks of
 ``validate``, and by the central-index check of ``pbw.EnvelopingAlgebra``.
 ``LieAlgebra.bracket_basis`` is a public accessor that no check reads.
-Whether a subspace is stable under a set of vectors is answered by
-``_maps_into`` alone.
+Whether a subspace is stable under another is answered by ``_maps_into``
+alone.
 """
 
 from __future__ import annotations
@@ -65,9 +77,18 @@ class Subspace:
 
     ``linalg.echelon_basis`` builds the basis by one fraction-free elimination:
     each row is content-normalized and is the only row nonzero at its pivot
-    column (``pivots[i]`` for ``basis[i]``). Membership is read from those
-    stored pivots and then checked exactly, with no elimination, on the
-    basis rows as the primitive numerator-ring rows they were built from.
+    column (``pivots[i]`` for ``basis[i]``). Each basis vector is its own
+    primitive numerator-ring row over the unit denominator, kept in ``_rows``
+    as a cleared support, so a bracket of basis vectors reads the rows as
+    they are (``_cleared_basis``).
+
+    Membership is one residual routine, ``_spans``, on the cleared support
+    (index, x) of a vector x / d: the candidate coordinates are read at the
+    stored pivots and the residual is checked exactly, with no elimination,
+    in the numerator ring. It never reads d: scaling a vector changes neither
+    whether it lies in the span nor the span it adds to, so a bracket is
+    tested as the kernel returns it. ``coordinates`` clears its vector, takes
+    the residual and wraps each coordinate once; ``contains`` skips the wrap.
     """
 
     __slots__ = ("field", "ambient_dim", "basis", "pivots", "_rows")
@@ -95,34 +116,53 @@ class Subspace:
         """Coefficients of v in the echelon basis, or None if outside.
 
         The only candidate is c_i = v[p_i] / basis[i][p_i] at the pivots p_i;
-        v is in the span exactly when sum c_i basis[i] - v vanishes, which is
-        checked coordinate by coordinate, so a non-None answer is a proof.
-        It runs in the numerator ring on v's cleared support x / d: the
-        residual d (sum c_i basis[i] - v), times the pivots used so far, is a
-        ring value, and each c_i = x[p_i] / (d basis[i][p_i]) is wrapped once.
+        v is in the span exactly when v - sum c_i basis[i] vanishes, which
+        ``_spans`` checks coordinate by coordinate, so a non-None answer is a
+        proof. On v's cleared support x / d each c_i = x[p_i] / (d
+        basis[i][p_i]) is wrapped once.
         """
+        return self._coordinates(*self._support(v))
+
+    def contains(self, v):
+        return self._spans(self._support(v)[1])
+
+    def _support(self, v):
         if len(v) != self.ambient_dim:
             raise LieAlgebraError("vector length does not match ambient dim")
-        field = self.field
-        d, support = _kernel_support(field, v)
+        return _kernel_support(self.field, v)
+
+    def _cleared_basis(self):
+        """The basis as cleared supports (unit, row), one per basis vector."""
+        unit = self.field.clear(())[0]
+        return [(unit, row) for _, _, row in self._rows]
+
+    def _coordinates(self, d, support):
+        """``coordinates`` of the vector with cleared support x / d."""
+        if not self._spans(support):
+            return None
         x = dict(support)
-        acc = {k: -a for k, a in support}
+        field = self.field
+        zero = field.zero
+        return [field.from_cleared(x[p], d * piv) if p in x else zero for p, piv, _ in self._rows]
+
+    def _spans(self, support):
+        """Is the vector with this cleared support x / d in the span?
+
+        The residual x prod(pivots used) - sum_i (ring multiple of row i) is
+        a ring value that clears each pivot column in turn; it vanishes
+        exactly when x / d does, whatever d is.
+        """
+        acc = dict(support)
         for p, piv, row in self._rows:
             a = acc.get(p)
-            if a is None:
+            if not a:
                 continue
             if piv != 1:
                 acc = {k: piv * b for k, b in acc.items()}
             for k, b in row:
                 y = acc.get(k)
                 acc[k] = -a * b if y is None else y - a * b
-        if any(acc.values()):
-            return None
-        zero = field.zero
-        return [field.from_cleared(x[p], d * piv) if p in x else zero for p, piv, _ in self._rows]
-
-    def contains(self, v):
-        return self.coordinates(v) is not None
+        return not any(acc.values())
 
     def __eq__(self, other):
         return (
@@ -261,35 +301,23 @@ def _kernel_support(field, v):
     return d, [(i, x) for (i, _), x in zip(support, values)]
 
 
-def bracket(L, a, b):
-    """[a, b] for coordinate vectors a, b.
-
-    Sums c_ij^k a_i b_j over the nonzero coordinates of a and b on cleared
-    values (numerators over one denominator, see ``Field.clear``) and wraps
-    each nonzero output coordinate once; the zero coordinates share one
-    element.
-    """
-    if len(a) != L.dim or len(b) != L.dim:
-        raise LieAlgebraError("vector length does not match ambient dim")
-    return _bracket_supports(L, _kernel_support(L.field, a), _kernel_support(L.field, b))
-
-
-def _brackets(L, us, ws=None):
-    """(i, j, [us[i], ws[j]]) over all pairs, or over the pairs i < j of us
-    when ws is None; each vector's support is read once."""
-    for v in (*us, *(ws or ())):
+def _supports(L, vectors):
+    """The ``_kernel_support`` of each coordinate vector of L; every length
+    is checked before any vector is read."""
+    for v in vectors:
         if len(v) != L.dim:
             raise LieAlgebraError("vector length does not match ambient dim")
-    su = [_kernel_support(L.field, u) for u in us]
-    sw = su if ws is None else [_kernel_support(L.field, w) for w in ws]
-    for i, a in enumerate(su):
-        for j in range(i + 1 if ws is None else 0, len(sw)):
-            yield i, j, _bracket_supports(L, a, sw[j])
+    return [_kernel_support(L.field, v) for v in vectors]
 
 
-def _bracket_supports(L, a, b):
-    """[a, b] from the ``_kernel_support`` of a and of b."""
-    field = L.field
+def _bracket_cleared(L, a, b):
+    """[a, b] from the cleared supports a = (da, [(i, x_i), ...]) and b, as
+    (den, [(k, x), ...]) over the nonzero x, with [a, b]_k = x / den.
+
+    The one bracket kernel: it sums D c_ij^k x_i y_j over the nonzero
+    coordinates in the numerator ring (``kernel_brackets``), and den is
+    da db D. A membership test reads the result as it is.
+    """
     D, rows = L.kernel_brackets
     (da, sa), (db, sb) = a, b
     out = {}
@@ -305,33 +333,55 @@ def _bracket_supports(L, a, b):
             for k, s in comp:
                 x = out.get(k)
                 out[k] = c * s if x is None else x + c * s
-    den = da * db * D
-    zero = field.zero
-    res = [zero] * L.dim
-    for k, x in out.items():
-        if x:
-            res[k] = field.from_cleared(x, den)
+    return da * db * D, [(k, x) for k, x in out.items() if x]
+
+
+def _wrapped(L, cleared):
+    """The coordinate vector of a cleared (den, support): each nonzero
+    coordinate is wrapped once, the zero coordinates share one element."""
+    den, support = cleared
+    field = L.field
+    res = [field.zero] * L.dim
+    for k, x in support:
+        res[k] = field.from_cleared(x, den)
     return tuple(res)
 
 
+def _span(L, cleared):
+    """The Subspace spanned by cleared vectors, each read over the unit
+    denominator: scaling a vector changes no span."""
+    return Subspace(L.field, L.dim, [_wrapped(L, (1, s)) for _, s in cleared if s])
+
+
+def bracket(L, a, b):
+    """[a, b] for coordinate vectors a, b: ``_bracket_cleared``, wrapped."""
+    sa, sb = _supports(L, (a, b))
+    return _wrapped(L, _bracket_cleared(L, sa, sb))
+
+
+def _brackets(L, su, sw=None):
+    """(i, j, cleared [u_i, w_j]) over all pairs of the cleared supports su
+    and sw, or over the pairs i < j of su when sw is None."""
+    right = su if sw is None else sw
+    for i, a in enumerate(su):
+        for j in range(i + 1 if sw is None else 0, len(right)):
+            yield i, j, _bracket_cleared(L, a, right[j])
+
+
+def _basis_brackets(L, sw):
+    """The cleared [x_i, w] for every basis vector x_i, from w's support."""
+    unit = L.field.clear(())[0]
+    return [_bracket_cleared(L, (unit, ((i, unit),)), sw) for i in range(L.dim)]
+
+
 def basis_brackets(L, w):
-    """([x_0, w], ..., [x_{n-1}, w]): w bracketed with every basis vector,
-    by ``_bracket_supports`` from each unit support and w's, read once; a
-    basis vector with no bracket row gets one shared zero vector."""
-    if len(w) != L.dim:
-        raise LieAlgebraError("vector length does not match ambient dim")
-    sw = _kernel_support(L.field, w)
-    one = L.field.clear(())[0]
-    rows = L.kernel_brackets[1]
-    zero = (L.field.zero,) * L.dim
-    return [
-        _bracket_supports(L, (one, [(i, one)]), sw) if i in rows else zero
-        for i in range(L.dim)
-    ]
+    """([x_0, w], ..., [x_{n-1}, w]): w bracketed with every basis vector."""
+    return [_wrapped(L, b) for b in _basis_brackets(L, _supports(L, (w,))[0])]
 
 
-def _is_central(L, w):
-    return not any(any(b) for b in basis_brackets(L, w))
+def _is_central(L, sw):
+    """Is the vector with cleared support sw central?"""
+    return not any(s for _, s in _basis_brackets(L, sw))
 
 
 @dataclass
@@ -384,17 +434,20 @@ def validate(L):
 
 
 def _is_subalgebra(L, S):
-    return all(S.contains(b) for _, _, b in _brackets(L, S.basis))
+    return all(S._spans(s) for _, _, (_, s) in _brackets(L, S._cleared_basis()))
 
 
 def _is_ideal(L, S):
-    return all(S.contains(b) for w in S.basis for b in basis_brackets(L, w))
+    return all(
+        S._spans(s) for w in S._cleared_basis() for _, s in _basis_brackets(L, w)
+    )
 
 
-def _maps_into(L, us, S):
-    """Is the subspace S stable under the vectors us: [u, s] in S for every
-    u in us and s in S?"""
-    return all(S.contains(b) for _, _, b in _brackets(L, us, S.basis))
+def _maps_into(L, U, S):
+    """Is the subspace S stable under the subspace U: [u, s] in S for every
+    u in U and s in S?"""
+    pairs = _brackets(L, U._cleared_basis(), S._cleared_basis())
+    return all(S._spans(s) for _, _, (_, s) in pairs)
 
 
 def _check_annotated_subspace(L, key, S):
@@ -426,26 +479,29 @@ def check_split(L, split):
         out.append("split has mismatched x/y lengths")
         return out
     z = split.z
-    if not _is_central(L, z):
+    (sz,) = _supports(L, (z,))
+    if not _is_central(L, sz):
         out.append("split center is not central in the ambient algebra")
-    for i, j, b in _brackets(L, split.x, split.y):
+    sxy = _supports(L, (*split.x, *split.y))
+    sx, sy = sxy[:n], sxy[n:]
+    for i, j, b in _brackets(L, sx, sy):
         if i == j:
-            if tuple(b) != tuple(z):
+            if _wrapped(L, b) != tuple(z):
                 out.append("[x_%d, y_%d] != z" % (i, j))
-        elif any(b):
+        elif b[1]:
             out.append("[x_%d, y_%d] != 0" % (i, j))
-    for name, fam in (("x", split.x), ("y", split.y)):
-        for _, _, b in _brackets(L, fam):
-            if any(b):
+    for name, fam in (("x", sx), ("y", sy)):
+        for _, _, (_, s) in _brackets(L, fam):
+            if s:
                 out.append("[%s, %s] family is not isotropic" % (name, name))
     v = Subspace(F, L.dim, list(split.x) + list(split.y))
     if v.dim != 2 * n:
         out.append("x, y vectors are not independent")
-    if not _maps_into(L, split.l_basis.basis, v):
+    if not _maps_into(L, split.l_basis, v):
         out.append("span{x, y} is not stable under l_basis")
     if not _is_subalgebra(L, split.l_basis):
         out.append("l_basis is not a subalgebra")
-    if not split.l_basis.contains(z):
+    if not split.l_basis._spans(sz[1]):
         out.append("l_basis does not contain z")
     return out
 
@@ -481,14 +537,16 @@ class StructureSeries:
     ``is_solvable`` the derived series, and ``is_abelian`` reads the bracket
     table. Obtain it through ``structure_series``, which keeps one per
     algebra. [q, q] is spanned by the rows of the bracket table, and a
-    lower-central step [q, C] by ``basis_brackets(w)`` over the basis of C.
+    lower-central step [q, C] by the cleared ``_basis_brackets(w)`` over the
+    basis rows of C.
 
     It holds the algebra's ``field``, ``dim``, ``table`` and
     ``kernel_brackets`` (shared, not copied), which is all that ``center_of``,
-    ``_derived_of``, ``basis_brackets`` and ``_bracket_span`` read, and stands
-    in for the algebra in those calls. It holds no reference to the algebra
-    itself, so caching it on the algebra makes no reference cycle and a
-    temporary algebra is freed as soon as it is dropped.
+    ``_derived_of``, ``_basis_brackets``, ``_span`` and ``_bracket_span``
+    read, and stands in for the algebra in those calls. It holds no
+    reference to the algebra itself, so caching it on the algebra makes no
+    reference cycle and a temporary algebra is freed as soon as it is
+    dropped.
     """
 
     def __init__(self, L):
@@ -509,8 +567,8 @@ class StructureSeries:
     def lower_central(self):
         lower = [self.derived]
         while lower[-1].dim:
-            nxt = Subspace(self.field, self.dim, [
-                b for w in lower[-1].basis for b in basis_brackets(self, w) if any(b)
+            nxt = _span(self, [
+                b for w in lower[-1]._cleared_basis() for b in _basis_brackets(self, w)
             ])
             if nxt.dim == lower[-1].dim:
                 break
@@ -562,8 +620,9 @@ def _derived_of(L):
 
 def _bracket_span(L, A, B):
     """span [A, B]; when A is B only the pairs a < b are bracketed."""
-    pairs = _brackets(L, A.basis, None if A is B else B.basis)
-    return Subspace(L.field, L.dim, [b for _, _, b in pairs])
+    rows = A._cleared_basis()
+    pairs = _brackets(L, rows, None if A is B else B._cleared_basis())
+    return _span(L, [b for _, _, b in pairs])
 
 
 def structure_series(L):
@@ -587,8 +646,8 @@ def subalgebra_of(L, S):
         else:
             labels.append("v%d" % idx)
     table = {}
-    for i, j, w in _brackets(L, basis):
-        coords = S.coordinates(w)
+    for i, j, (den, s) in _brackets(L, S._cleared_basis()):
+        coords = S._coordinates(den, s)
         if coords is None:
             raise LieAlgebraError("subspace is not closed under the bracket")
         comp = {k: c for k, c in enumerate(coords) if not c.is_zero}
@@ -764,7 +823,7 @@ def classify_nilradical(L):
             continue
         if not _is_ideal(L, h):
             continue
-        acts = not all(_is_central(L, w) for w in h.basis)
+        acts = not all(_is_central(L, sw) for sw in h._cleared_basis())
         if h.dim > 1 or acts:
             return NilradicalClass(kind="abelian_ideal", nilradical=n_space, h=h)
     if n_space.dim == 1:
@@ -796,10 +855,10 @@ def _darboux_split(L, n_space, sub, sub_basis):
         )
     z = _sub_to_ambient(L, zc.basis[0], sub_basis)
     zline = Subspace(F, L.dim, [z])
-    for _, _, b in _brackets(L, n_space.basis):
-        if any(b) and not zline.contains(b):
+    for _, _, (_, s) in _brackets(L, n_space._cleared_basis()):
+        if s and not zline._spans(s):
             raise LieAlgebraError("Darboux construction failure: [n, n] leaves the center line")
-    v_basis = _stable_complement(L, n_space, sub_basis, z)
+    v_basis = _stable_complement(L, n_space, z)
     pairs_x, pairs_y = _greedy_pairing(L, v_basis, z)
     lb = _v_stabilizer(L, pairs_x + pairs_y, z)
     split = HeisenbergSplit(l_basis=lb, x=pairs_x, y=pairs_y, z=tuple(z))
@@ -817,19 +876,18 @@ def _sub_to_ambient(L, coords, sub_basis):
     return tuple(w)
 
 
-def _stable_complement(L, n_space, sub_basis, z):
+def _stable_complement(L, n_space, z):
     F = L.field
     levi = L.annotations.get("levi")
-    zc = Subspace(F, L.dim, [z])
     if levi is not None and levi.dim:
-        action = [b for _, _, b in _brackets(L, levi.basis, n_space.basis) if any(b)]
-        act_sub = Subspace(F, L.dim, action)
-        if not act_sub.contains(z):
+        pairs = _brackets(L, levi._cleared_basis(), n_space._cleared_basis())
+        action = [b for _, _, b in pairs if b[1]]
+        if not _span(L, action).contains(z):
             # functional on n: rows are n-coordinates of the action span + z
             rows = []
             rhs = []
-            for w in action:
-                rows.append(list(n_space.coordinates(w)))
+            for b in action:
+                rows.append(list(n_space._coordinates(*b)))
                 rhs.append(F.zero)
             rows.append(list(n_space.coordinates(z)))
             rhs.append(F.one)
@@ -842,33 +900,42 @@ def _stable_complement(L, n_space, sub_basis, z):
     return [b for i, b in enumerate(n_space.basis) if i != lead]
 
 
-def _omega(L, z, u, w):
-    b = bracket(L, u, w)
-    idx = next(i for i, c in enumerate(z) if not c.is_zero)
-    return b[idx] / z[idx]
+def _omega(L, z, idx, su, sw):
+    """The pairing [u, w] = omega(u, w) z mod the rest, for cleared supports
+    su, sw: the one cleared coordinate idx, z's first nonzero, is wrapped."""
+    den, s = _bracket_cleared(L, su, sw)
+    x = next((x for k, x in s if k == idx), None)
+    return L.field.zero if x is None else L.field.from_cleared(x, den) / z[idx]
 
 
 def _greedy_pairing(L, v_basis, z):
+    """Symplectic Gram-Schmidt on v_basis for omega; each work vector is
+    cleared once per round."""
     F = L.field
+    idx = next(i for i, c in enumerate(z) if not c.is_zero)
     work = [list(b) for b in v_basis]
     xs, ys = [], []
     while work:
         u = work.pop(0)
         if all(c.is_zero for c in u):
             continue
-        j = next(
-            (k for k, w in enumerate(work) if not _omega(L, z, u, w).is_zero), None
-        )
-        if j is None:
+        su = _kernel_support(F, u)
+        supports = [_kernel_support(F, w) for w in work]
+        for j, sw in enumerate(supports):
+            c = _omega(L, z, idx, su, sw)
+            if c:
+                break
+        else:
             raise LieAlgebraError(
                 "Darboux construction failure: degenerate symplectic pairing"
             )
         w = work.pop(j)
-        c = _omega(L, z, u, w)
+        del supports[j]
         y1 = [e / c for e in w]
-        for b in work:
-            cu = _omega(L, z, b, y1)
-            cy = _omega(L, z, b, u)
+        sy = _kernel_support(F, y1)
+        for b, sb in zip(work, supports):
+            cu = _omega(L, z, idx, sb, sy)
+            cy = _omega(L, z, idx, sb, su)
             for t in range(len(b)):
                 if cu and u[t]:
                     b[t] = b[t] - cu * u[t]
@@ -894,14 +961,15 @@ def _v_stabilizer(L, v_vectors, z):
     phi = solve(F, vz_rows, [F.zero] * v.dim + [F.one])
     if phi is None:
         raise LieAlgebraError("z lies in span v: no z-component modulo v")
-    phi = LinearForm(F, phi)
+    dphi, phi = F.clear(phi)
     rows = []
-    for w in v.basis:
+    for w in v._cleared_basis():
         row = []
-        for b in basis_brackets(L, w):
-            if not vz.contains(b):
+        for den, s in _basis_brackets(L, w):
+            if not vz._spans(s):
                 raise LieAlgebraError("vector outside v + span z")
-            row.append(phi.of_vector(b))
+            val = sum([phi[k] * x for k, x in s if phi[k]])
+            row.append(F.from_cleared(val, dphi * den) if val else F.zero)
         rows.append(row)
     return Subspace(F, L.dim, kernel_basis(F, rows, L.dim))
 

@@ -21,9 +21,9 @@ variables 0) add back-substitution, ``_back_substitute``, also in the ring:
 the free variable is set to the last pivot, so by Cramer's rule the whole
 solution is a ring row, and ``solve`` divides each entry once by that pivot.
 ``echelon_basis``, the basis of ``liealg.Subspace``, adds clearing above
-each pivot in the ring. ``kernel_basis``, ``echelon_basis`` and
-``normalize_vector`` normalize each ring row with ``Field._primitive``, so
-every basis returned here is canonical.
+each pivot in the ring. ``kernel_basis`` and ``echelon_basis`` normalize
+each ring row with ``Field._primitive``, so every basis returned here is
+canonical.
 """
 
 from __future__ import annotations
@@ -158,14 +158,6 @@ def echelon_basis(field, rows):
             if head:
                 ring[i] = [row[c] * a - head * b for a, b in zip(ring[i], row)]
     return [_from_ring_row(field, ring[r]) for r, _ in pivots], [c for _, c in pivots]
-
-
-def normalize_vector(field, vec):
-    """Clear denominators, divide out content, orient the first nonzero entry."""
-    row = field.clear_row(vec)
-    if not any(row):
-        return list(vec)
-    return list(_from_ring_row(field, field._primitive(row)))
 
 
 def _from_ring_row(field, row):

@@ -225,6 +225,16 @@ def reference_bareiss(field, rows, ncols):
     return rows[:r], pivot_cols
 
 
+def normalize_vector(field, vec):
+    """Clear denominators, divide out content, orient the first nonzero entry:
+    the canonical vector on the line of vec, as the library's bases are."""
+    row = field.clear_row(vec)
+    if not any(row):
+        return list(vec)
+    zero = field.zero
+    return [field.from_cleared(a, 1) if a else zero for a in field._primitive(row)]
+
+
 def reference_solve(field, a_rows, rhs):
     """The solution of A x = rhs with free variables 0, read off the reference
     rref of [A | rhs], or None when the rhs column is a pivot."""
@@ -268,3 +278,40 @@ def reference_gamma_shift(h, gamma, k):
                 acc = acc + out.partial(i) * c
         out = acc
     return out
+
+
+# -- reference bracket and membership -------------------------------------------
+# The dense path: a bracket wrapped coordinate by coordinate, then tested for
+# membership by clearing the wrapped vector and reducing it against every
+# basis row. The cleared brackets, membership and coordinates of
+# lieshift.liealg are checked against it.
+
+
+def reference_bracket(L, a, b):
+    """[a, b] by the dense loop over the structure table, on wrapped scalars."""
+    out = [L.field.zero] * L.dim
+    for (i, j), comp in L.table.items():
+        c = a[i] * b[j] - a[j] * b[i]
+        if c.is_zero:
+            continue
+        for k, s in comp.items():
+            out[k] = out[k] + c * s
+    return tuple(out)
+
+
+def reference_coordinates_by_residual(S, v):
+    """Coordinates of the wrapped vector v in S's echelon basis, or None.
+
+    v is cleared to numerators x, and for each basis row b, cleared to a ring
+    row r with pivot entry r[p], the residual becomes r[p] x - x[p] r; v lies
+    in S exactly when the residual ends at zero, and then c_i = v[p] / b[p]."""
+    F = S.field
+    acc = F.clear(list(v))[1]
+    for b, p in zip(S.basis, S.pivots):
+        row = F.clear(list(b))[1]
+        a = acc[p]
+        if a:
+            acc = [row[p] * y - a * r for y, r in zip(acc, row)]
+    if any(acc):
+        return None
+    return [v[p] / b[p] for b, p in zip(S.basis, S.pivots)]

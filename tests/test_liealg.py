@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from factories import reference_bracket, reference_coordinates_by_residual
 from lieshift import liealg
 from lieshift.construct import abelian_qhat
 from lieshift.fields import QQ, FieldError
@@ -277,6 +278,127 @@ def test_coordinates_scale_the_residual_by_non_unit_pivots():
         QQ.rational(1, 2), QQ.rational(1, 3)
     ]
     assert T.coordinates(vec(QQ, [1, 1, 2])) is None
+
+
+# -- cleared brackets and membership against the dense reference path --------
+
+
+def _pivot_rows(field, n):
+    """Rows whose primitive forms have pivot entries other than 1: 2 and 3
+    over Q, the top variable u above (u is not a unit of its ring)."""
+    if field is QQ:
+        p, q = QQ.from_int(2), QQ.from_int(3)
+    else:
+        p = field.var(field.variables[-1])
+        q = p
+    zero = field.zero
+    rows = [(p, p + 1) + (zero,) * (n - 2)]
+    if n >= 4:
+        rows.append((zero, zero, q, field.one))
+    return rows
+
+
+@st.composite
+def algebra_subspace_and_pair(draw, field):
+    n = draw(st.integers(2, 4 if field is QQ else 3))
+    scalar = _scalar(field)
+    constant = scalar
+    if field is QTS:
+        # the general scalars make the dense reference slow at this level
+        t, s = QTS.var("t"), QTS.var("s")
+        small = st.integers(-3, 3)
+        scalar = st.builds(
+            lambda a, b, c, d: (QTS.from_int(a) + b * s + c * t) / (s * d + 1),
+            small, small, small, st.integers(0, 1),
+        )
+        constant = small.map(field.from_int)
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                ks = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+                table[(i, j)] = {k: draw(constant) for k in sorted(ks)}
+    # one constant with a denominator, so the common denominator D is not 1
+    u = field.from_int(2) if field is QQ else field.var(field.variables[-1]) + 1
+    table.setdefault((0, 1), {})[n - 1] = field.one / u
+    L = LieAlgebra(field, ["x%d" % i for i in range(n)], table)
+    vector = st.lists(scalar, min_size=n, max_size=n).map(tuple)
+    a, b = draw(vector), draw(vector)
+    shape = draw(st.sampled_from(["pivots", "random", "full", "empty"]))
+    if shape == "pivots":
+        rows = _pivot_rows(field, n)
+        scales = draw(st.lists(scalar.filter(bool), min_size=len(rows), max_size=len(rows)))
+        gens = [tuple([c * e for e in r]) for c, r in zip(scales, rows)]
+    elif shape == "random":
+        gens = draw(st.lists(vector, min_size=1, max_size=n))
+    elif shape == "full":
+        gens = [L.basis_vector(i) for i in range(n)]
+    else:
+        gens = []
+    with_bracket = draw(st.booleans())
+    if with_bracket:
+        c = draw(scalar)
+        gens.append(tuple([c * e for e in bracket(L, a, b)]))
+    return L, Subspace(field, n, gens), a, b, shape == "pivots" and not with_bracket, draw(scalar)
+
+
+def _check_cleared_path(case):
+    L, S, a, b, pivots, scale = case
+    F = L.field
+    assert L.kernel_brackets[0] != 1
+    if pivots:
+        assert any(not c.is_one for c in (r[p] for r, p in zip(S.basis, S.pivots)))
+    sa, sb = liealg._supports(L, (a, b))
+    cleared = liealg._bracket_cleared(L, sa, sb)
+    assert all(x for _, x in cleared[1])
+    ref = reference_bracket(L, a, b)
+    assert liealg._wrapped(L, cleared) == ref == bracket(L, a, b)
+    want = reference_coordinates_by_residual(S, ref)
+    assert S._spans(cleared[1]) == (want is not None)
+    assert S._coordinates(*cleared) == want
+    assert S.coordinates(ref) == want
+    assert S.contains(ref) == (want is not None)
+    if not scale.is_zero:  # scaling is free: a ring multiple of the support
+        r = F.clear([scale])[1][0]
+        assert S._spans([(k, r * x) for k, x in cleared[1]]) == (want is not None)
+    basis = S.basis
+
+    def inside(u, w):
+        return reference_coordinates_by_residual(S, reference_bracket(L, u, w)) is not None
+
+    closed = all(inside(u, w) for u in basis for w in basis)
+    assert liealg._is_subalgebra(L, S) == closed
+    units = [L.basis_vector(i) for i in range(L.dim)]
+    assert liealg._is_ideal(L, S) == all(inside(e, w) for e in units for w in basis)
+    T = Subspace(F, L.dim, [a, b])
+    assert liealg._maps_into(L, T, S) == all(inside(u, w) for u in T.basis for w in basis)
+    if closed:
+        sub, _ = subalgebra_of(L, S)
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                coords = reference_coordinates_by_residual(
+                    S, reference_bracket(L, basis[i], basis[j])
+                )
+                want_ij = {k: c for k, c in enumerate(coords) if not c.is_zero}
+                assert sub.bracket_basis(i, j) == want_ij
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebra_subspace_and_pair(QQ))
+def test_cleared_membership_matches_the_dense_path_level0(case):
+    _check_cleared_path(case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebra_subspace_and_pair(QT))
+def test_cleared_membership_matches_the_dense_path_level1(case):
+    _check_cleared_path(case)
+
+
+@settings(max_examples=12, deadline=None)
+@given(algebra_subspace_and_pair(QTS))
+def test_cleared_membership_matches_the_dense_path_level2(case):
+    _check_cleared_path(case)
 
 
 def test_subspace_rejects_a_vector_of_the_wrong_length():
@@ -621,7 +743,7 @@ def test_structure_series_eliminates_no_identity(monkeypatch):
 def test_bracket_span_of_a_space_with_itself_brackets_each_pair_once(monkeypatch):
     L = preset("gl3").algebra
     full = L.span_of_indices(range(L.dim))
-    calls = _counting(monkeypatch, "_bracket_supports")  # the kernel of every bracket
+    calls = _counting(monkeypatch, "_bracket_cleared")  # the kernel of every bracket
     liealg._bracket_span(L, full, full)
     assert len(calls) == L.dim * (L.dim - 1) // 2
 

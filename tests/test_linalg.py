@@ -3,11 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from factories import reference_bareiss, reference_solve, rref
+from factories import normalize_vector, reference_bareiss, reference_solve, rref
 from lieshift.fields import QQ, Field, FieldError
 from lieshift.invariants import symmetric_invariants
 from lieshift.liealg import Subspace
-from lieshift.linalg import _bareiss, kernel_basis, normalize_vector, rank, solve
+from lieshift.linalg import _bareiss, kernel_basis, rank, solve
 from lieshift.presets import preset
 
 
