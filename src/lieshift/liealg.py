@@ -148,9 +148,10 @@ class Subspace:
     def _spans(self, support):
         """Is the vector with this cleared support x / d in the span?
 
-        The residual x prod(pivots used) - sum_i (ring multiple of row i) is
-        a ring value that clears each pivot column in turn; it vanishes
-        exactly when x / d does, whatever d is.
+        Each basis row whose pivot column the residual reaches clears that
+        column: the residual is scaled by the pivot entry and a ring multiple
+        of the row is subtracted, so it stays a ring value. It ends at zero
+        exactly when x / d lies in the span, whatever d is.
         """
         acc = dict(support)
         for p, piv, row in self._rows:
@@ -901,8 +902,8 @@ def _stable_complement(L, n_space, z):
 
 
 def _omega(L, z, idx, su, sw):
-    """The pairing [u, w] = omega(u, w) z mod the rest, for cleared supports
-    su, sw: the one cleared coordinate idx, z's first nonzero, is wrapped."""
+    """omega(u, w): the coordinate idx (z's first nonzero) of [u, w] over
+    z's, from the cleared supports su and sw; only that one is wrapped."""
     den, s = _bracket_cleared(L, su, sw)
     x = next((x for k, x in s if k == idx), None)
     return L.field.zero if x is None else L.field.from_cleared(x, den) / z[idx]

@@ -854,6 +854,26 @@ def test_greedy_pairing_rejects_a_degenerate_pairing():
     assert (xs, ys) == ([x], [y])
 
 
+def test_greedy_pairing_returns_a_darboux_basis_with_denominators():
+    # [x1, y1] = z / 2 and [x2, y2] = 3 z: D = 2, and the pairs are scaled
+    L = LieAlgebra(
+        QQ, ("x1", "x2", "y1", "y2", "z"), {(0, 2): {4: Fraction(1, 2)}, (1, 3): {4: 3}}
+    )
+    x1, x2, y1, y2, z = (L.basis_vector(i) for i in range(5))
+
+    def comb(*terms):
+        return tuple([sum((QQ.rational(c) * v[k] for c, v in terms), QQ.zero) for k in range(5)])
+
+    v_basis = [comb((1, x1), (1, y2)), comb((Fraction(2, 3), x2)), y1, comb((2, y2), (1, x2))]
+    xs, ys = liealg._greedy_pairing(L, v_basis, comb((Fraction(1, 5), z)))
+    zero = L.zero_vector()
+    for i, u in enumerate(xs):
+        for j, w in enumerate(ys):
+            assert reference_bracket(L, u, w) == (comb((Fraction(1, 5), z)) if i == j else zero)
+        for fam in (xs, ys):
+            assert all(reference_bracket(L, fam[i], w) == zero for w in fam)
+
+
 def test_validate_names_each_annotation_failure_exactly():
     table = sl2().table
     cases = [
