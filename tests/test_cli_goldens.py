@@ -4,7 +4,8 @@ Each case runs ``lieshift.cli.main([..., "--json"])`` in-process and
 compares its exit code and the sha256 of its stdout with the table below:
 validity, symmetric invariants, the argument-shift families, the
 correction-map checks and the maximality probe at degrees 1 and 2 on every
-listed preset, and the worked paper example.
+listed preset, the worked paper example, and the abelian reduction of aff1
+and borel-sl3, whose output carries the minimal stabilizer dimension.
 
 ``PYTHONPATH=src python tests/test_cli_goldens.py --print`` prints the
 table for the current code. Regenerate it only in a commit that documents
@@ -35,6 +36,7 @@ COMMANDS = (
 )
 CASES = [cmd + ("--preset", p) for p in PRESETS for cmd in COMMANDS]
 CASES.append(("reproduce-paper-example",))
+CASES += [("reduce-abelian", "--preset", p) for p in ("aff1", "borel-sl3")]
 
 
 def run(argv):
@@ -145,6 +147,8 @@ GOLDENS = {
     "maximality --max-deg 1 --preset abelian3": (0, "a57753a3e6bde81b8aead4fef1bb895a1311976a68b7fc7ec16989b8b20ebcb9"),
     "maximality --max-deg 2 --preset abelian3": (0, "96c11d59f0f0ea8385096d5e245ee2016dbed764a3046816071a1ea1e1025ae9"),
     "reproduce-paper-example": (0, "36cd6cc2598b912f865d2e5c5bd4e1d6c2bf101e98f14ca969825e3726e61a00"),
+    "reduce-abelian --preset aff1": (0, "8371b18118ca8670fcbb1a8396ba6b7912f28d4965de21253aa7e5dd2d026e1a"),
+    "reduce-abelian --preset borel-sl3": (0, "daf18c42cf0ca8539b94ae65c647a202fe8f95574423f0196249c9c539851a6a"),
 }
 
 

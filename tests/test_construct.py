@@ -252,6 +252,34 @@ def test_ideal_action_names_each_rejection_exactly():
     assert ad == [[[QQ.one], [QQ.zero]]]  # [t, y] = y, [y, y] = 0
 
 
+def test_reduce_abelian_names_a_wrong_dimension_exactly(monkeypatch):
+    # a kernel that lost a vector gives a reduced algebra one short of the
+    # stabilizer formula min dim q_alpha - dim h + 1 (4 on borel-sl3, h = e13)
+    real = construct_mod.kernel_basis
+    monkeypatch.setattr(construct_mod, "kernel_basis", lambda *args: real(*args)[:-1])
+    L = preset("borel-sl3").algebra
+    with pytest.raises(ConstructError) as e:
+        abelian_qhat(L, L.span_of_indices([4]))
+    assert str(e.value) == "reduced dimension 3 disagrees with the stabilizer formula 4"
+
+
+def test_reduce_abelian_names_a_bracket_off_the_sections_exactly(monkeypatch):
+    # a section bracket moved by h1, on which alpha([h1, e13]) = alpha(e13)
+    # does not vanish, leaves the sections
+    real = construct_mod._wrapped
+
+    def moved(L, cleared):
+        w = list(real(L, cleared))
+        w[0] = w[0] + 1
+        return tuple(w)
+
+    monkeypatch.setattr(construct_mod, "_wrapped", moved)
+    L = preset("borel-sl3").algebra
+    with pytest.raises(ConstructError) as e:
+        abelian_qhat(L, L.span_of_indices([4]))
+    assert str(e.value) == "reduced bracket is not a section again"
+
+
 def test_lift_from_hat():
     L = preset("heisenberg2").algebra
     hat = abelian_qhat(L, L.span_of_indices([4]))

@@ -477,7 +477,10 @@ def test_is_reductive():
 def test_is_reductive_rejects_lying_annotation():
     N = h3()
     bad = LieAlgebra(QQ, N.labels, N.table, {"solvable_radical": [2]})
-    with pytest.raises(LieAlgebraError):
+    with pytest.raises(LieAlgebraError, match=(
+        "^annotated radical equals the center but the Killing form "
+        "degenerates on the derived algebra$"
+    )):
         is_reductive(bad)
 
 
