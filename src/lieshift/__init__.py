@@ -22,7 +22,6 @@ from .liealg import (
     is_reductive,
     ltilde,
     stabilizer,
-    structure_series,
     subalgebra_of,
     validate,
 )

@@ -7,9 +7,10 @@ abelian ideal to a smaller algebra over a rational function field, central
 specialization, and the orchestrator gluing these into a certified
 commutative subalgebra of transcendence degree (dim + index)/2.
 
-Nothing here is trusted without a check: dimension formulas are compared
-against sampled stabilizers, the public builders check their own output, and
-construct_theorem leaves every commutator and trdeg check to _certify.
+Nothing here is trusted without a check: a reduced dimension is compared
+with the exact generic stabilizer, the public builders check their own
+output, and construct_theorem leaves every commutator and trdeg check to
+_certify.
 
 Every sampled quantity is drawn through one ``invariants.Sampling`` value,
 which construct_theorem builds from its samples, bound and seed keywords and
@@ -41,7 +42,7 @@ from .liealg import (
     subalgebra_of,
     validate,
 )
-from .linalg import echelon_basis, kernel_basis
+from .linalg import echelon_basis, kernel_basis, rank
 from .polyring import PolyElement, coefficient_rows, gamma_shift, poisson
 from .pbw import (
     EnvelopingAlgebra,
@@ -309,15 +310,15 @@ class HatAlgebra:
     sections are full ambient-length coefficient vectors (supported on the
     complement indices); the reduced algebra's last generator is the
     distinguished central element delta standing for the ideal direction.
+    min_stabilizer_dim, min dim q_alpha over alpha in h*, is read off one
+    exact rank over the function field.
     b_ambient and b_hat are set by abelian_qhat; construct_theorem leaves
     them None and checks the drop of b against its own targets.
     """
 
     base_field: object
-    ambient: LieAlgebra
     h: Subspace
     h_vars: tuple
-    complement: tuple
     sections: tuple
     algebra: LieAlgebra
     min_stabilizer_dim: int
@@ -371,10 +372,11 @@ def abelian_qhat(L, h, sampling=Sampling()):
     brackets into h vanish identically on h*, over the fraction field of h*.
 
     The reduced bracket is the bilinear one, with the h-component re-read as
-    (linear function) * delta.  The dimension is verified against sampled
-    stabilizers (min dim q_alpha - dim h + 1) and b drops by dim h - 1.
+    (linear function) * delta.  The dimension is verified against the
+    generic stabilizer (min dim q_alpha - dim h + 1, an exact rank over the
+    function field), and b, sampled, drops by dim h - 1.
     """
-    hat = _reduce_abelian(L, h, sampling)
+    hat = _reduce_abelian(L, h)
     b_amb, b_hat = b_of(L, sampling), b_of(hat.algebra, sampling)
     _check_b_drop(b_amb, b_hat, hat.h.dim)
     return replace(hat, b_ambient=b_amb, b_hat=b_hat)
@@ -387,7 +389,7 @@ def _check_b_drop(b_amb, b_hat, d):
         )
 
 
-def _reduce_abelian(L, h, sampling):
+def _reduce_abelian(L, h):
     """abelian_qhat without b: the reduced algebra, its dimension checked."""
     if not isinstance(h, Subspace):
         h = Subspace(L.field, L.dim, [tuple(v) for v in h])
@@ -407,7 +409,9 @@ def _reduce_abelian(L, h, sampling):
 
     comp, reduced = _coordinate_complement(L, h)
     r = len(comp)
-    rows = [[linfunc(ad_e[i]) for i in comp] for ad_e in ad]
+    # forms[e][i] = alpha([x_i, eta_e]) as a linear function of alpha in h*
+    forms = [[linfunc(coords) for coords in ad_e] for ad_e in ad]
+    rows = [[f[i] for i in comp] for f in forms]
     ker = kernel_basis(F2, rows, r)
     m = len(ker)
     # each kernel vector is the only one nonzero at its free column
@@ -469,21 +473,8 @@ def _reduce_abelian(L, h, sampling):
         labels = ["u%d" % (i + 1) for i in range(m)] + ["delta"]
     qhat = LieAlgebra(F2, labels, table, {"central": [m]})
 
-    # sampled stabilizer dimensions on h*: the form alpha([x_i, eta])
-    def stabilizer_form(alpha):
-        srows = []
-        for ad_e in ad:
-            row = []
-            for coords in ad_e:
-                val = F.zero
-                for t, c in enumerate(coords):
-                    if not c.is_zero:
-                        val = val + c * alpha[t]
-                row.append(val)
-            srows.append(row)
-        return srows
-
-    min_stab = L.dim - sampling.max_rank(F, d, stabilizer_form, offset=90_000)[0]
+    # q_alpha is the kernel of the forms at alpha; over F2 their rank is generic
+    min_stab = L.dim - rank(F2, forms)
     if m + 1 != min_stab - d + 1:
         raise ConstructError(
             "reduced dimension %d disagrees with the stabilizer formula %d"
@@ -491,10 +482,8 @@ def _reduce_abelian(L, h, sampling):
         )
     return HatAlgebra(
         base_field=F2,
-        ambient=L,
         h=h,
         h_vars=names,
-        complement=comp,
         sections=tuple(sections),
         algebra=qhat,
         min_stabilizer_dim=min_stab,
@@ -727,7 +716,7 @@ def _construct(L, casimirs, max_inv_deg, sampling, max_depth, depth):
         )
 
     if cls.kind == "abelian_ideal":
-        hat = _reduce_abelian(L, cls.h, sampling)
+        hat = _reduce_abelian(L, cls.h)
         trace.append(
             "abelian-ideal-reduction: ideal of dim %d, reduced dim %d over %s"
             % (hat.h.dim, hat.algebra.dim, ", ".join(hat.h_vars))

@@ -221,9 +221,17 @@ class Field:
         return q
 
     def ring_gcd(self, a, b):
+        """gcd(a, b) in the numerator ring, monic above level 0. sympy's
+        gcd can raise where its heuristic for Z[t] gives up on an input;
+        ``_prs_gcd`` then recomputes it without a heuristic."""
         if self.level == 0:
             return math.gcd(int(a), int(b))
-        return a.gcd(b)
+        from sympy.polys.polyerrors import HeuristicGCDFailed
+
+        try:
+            return a.gcd(b)
+        except HeuristicGCDFailed:
+            return _prs_gcd(self, a, b)
 
     def _primitive(self, row):
         """The canonical numerator-ring row on the line of a nonzero one:
@@ -244,7 +252,7 @@ class Field:
 @lru_cache(maxsize=None)
 def _sympy_domain(variables, base):
     """The sympy domain of the field over ``base`` adjoining ``variables``;
-    the only place sympy is imported."""
+    sympy is imported only here and by the gcd above level 0."""
     from sympy.polys.domains import QQ as sympy_qq
     from sympy.polys.orderings import grlex
 
@@ -253,6 +261,21 @@ def _sympy_domain(variables, base):
     if base.level > 0:
         _convert_ground_elements(domain)
     return domain
+
+
+def _prs_gcd(field, a, b):
+    """The monic gcd of a and b in the numerator ring of a field above level
+    0, by a subresultant PRS with no heuristic step. The numerators of a and
+    b as fractions are polynomials over Z in the tower variables, and by
+    Gauss's lemma their gcd there differs by a unit of the coefficient field
+    from the one over it."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.orderings import grlex
+    from sympy.polys.rings import PolyRing
+
+    R = PolyRing(field.all_variables(), ZZ, grlex)
+    A, B = [R(p.as_expr().as_numer_denom()[0]) for p in (a, b)]
+    return field.domain.field.ring(R.dmp_rr_prs_gcd(A, B)[0].as_expr()).monic()
 
 
 def _convert_ground_elements(domain):

@@ -112,13 +112,13 @@ class Sampling:
         """The seeded point of one stream (a sample index plus a caller offset)."""
         return sample_point(field, n, sample_seed(self.seed, stream), self.bound, nonzero)
 
-    def max_rank(self, field, n, matrix_at, offset=0, nonzero=frozenset()):
+    def max_rank(self, field, n, matrix_at, nonzero=frozenset()):
         """(best, witness, ranks): the largest exact rank of the rows
-        matrix_at(p) over the points of streams offset .. offset + samples - 1,
-        the first point attaining it, and every rank in stream order."""
+        matrix_at(p) over the points of streams 0 .. samples - 1, the first
+        point attaining it, and every rank in stream order."""
         best, witness, ranks = -1, (), []
         for i in range(self.samples):
-            pt = self.point(field, n, offset + i, nonzero)
+            pt = self.point(field, n, i, nonzero)
             r = rank(field, matrix_at(pt))
             ranks.append(r)
             if r > best:

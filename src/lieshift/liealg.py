@@ -7,10 +7,10 @@ centers, derived/lower-central series, nilradical handling, abelian-ideal
 candidates, Heisenberg (Darboux) splits and the bracket-stabilizer of the
 symplectic complement.
 
-The structure series are lazy and cached per algebra: ``structure_series(L)``
-returns one object per algebra, and each of its center, derived algebra,
-lower central series and derived series is computed the first time it is
-read. The center comes from one equation per nonzero structure constant.
+The structure facts are cached properties of the algebra: its center,
+derived algebra ([q, q], spanned by the rows of the bracket table), lower
+central series and derived series, each computed on first read. They are
+``Subspace`` values, which hold no reference back to the algebra.
 
 A bracket stays cleared from the kernel to the membership test. The one
 bracket kernel, ``_bracket_cleared``, takes cleared supports (index,
@@ -261,9 +261,39 @@ class LieAlgebra:
             return self.table.get((i, j), {})
         return {k: -c for k, c in self.table.get((j, i), {}).items()}
 
+    # -- structure facts, each computed on first read ------------------------
+
     @cached_property
-    def _structure_series(self):
-        return StructureSeries(self)
+    def center(self):
+        return center_of(self)
+
+    @cached_property
+    def derived(self):
+        return _derived_of(self)
+
+    @cached_property
+    def lower_central(self):
+        # [q, C] is spanned by the cleared [x_i, w] over the basis rows w of C
+        return _series(self.derived, lambda C: _span(self, [
+            b for w in C._cleared_basis() for b in _basis_brackets(self, w)
+        ]))
+
+    @cached_property
+    def derived_series(self):
+        return _series(self.derived, lambda D: _bracket_span(self, D, D))
+
+    @property
+    def is_nilpotent(self):
+        return self.lower_central[-1].dim == 0
+
+    @property
+    def is_solvable(self):
+        return self.derived_series[-1].dim == 0
+
+    @property
+    def is_abelian(self):
+        # the table keeps only nonzero brackets
+        return not self.table
 
     @cached_property
     def kernel_brackets(self):
@@ -463,10 +493,9 @@ def _check_annotated_subspace(L, key, S):
             sub, _ = subalgebra_of(L, S)
         except LieAlgebraError:
             return out  # not bracket-closed: no structure constants to test
-        series = structure_series(sub)
-        if key == "nilradical" and not series.is_nilpotent:
+        if key == "nilradical" and not sub.is_nilpotent:
             out.append("nilradical annotation is not nilpotent")
-        if key == "solvable_radical" and not series.is_solvable:
+        if key == "solvable_radical" and not sub.is_solvable:
             out.append("solvable_radical annotation is not solvable")
     return out
 
@@ -530,76 +559,6 @@ def stabilizer(L, gamma):
     return Subspace(L.field, L.dim, kernel_basis(L.field, coadjoint_form(L, gamma), L.dim))
 
 
-class StructureSeries:
-    """Center, derived algebra and the two series of one algebra.
-
-    Each is computed the first time it is read, so a caller pays only for
-    what it reads: ``is_nilpotent`` builds the lower central series,
-    ``is_solvable`` the derived series, and ``is_abelian`` reads the bracket
-    table. Obtain it through ``structure_series``, which keeps one per
-    algebra. [q, q] is spanned by the rows of the bracket table, and a
-    lower-central step [q, C] by the cleared ``_basis_brackets(w)`` over the
-    basis rows of C.
-
-    It holds the algebra's ``field``, ``dim``, ``table`` and
-    ``kernel_brackets`` (shared, not copied), which is all that ``center_of``,
-    ``_derived_of``, ``_basis_brackets``, ``_span`` and ``_bracket_span``
-    read, and stands in for the algebra in those calls. It holds no
-    reference to the algebra itself, so caching it on the algebra makes no
-    reference cycle and a temporary algebra is freed as soon as it is
-    dropped.
-    """
-
-    def __init__(self, L):
-        self.field = L.field
-        self.dim = L.dim
-        self.table = L.table
-        self.kernel_brackets = L.kernel_brackets
-
-    @cached_property
-    def center(self):
-        return center_of(self)
-
-    @cached_property
-    def derived(self):
-        return _derived_of(self)
-
-    @cached_property
-    def lower_central(self):
-        lower = [self.derived]
-        while lower[-1].dim:
-            nxt = _span(self, [
-                b for w in lower[-1]._cleared_basis() for b in _basis_brackets(self, w)
-            ])
-            if nxt.dim == lower[-1].dim:
-                break
-            lower.append(nxt)
-        return lower
-
-    @cached_property
-    def derived_series(self):
-        dseries = [self.derived]
-        while dseries[-1].dim:
-            nxt = _bracket_span(self, dseries[-1], dseries[-1])
-            if nxt.dim == dseries[-1].dim:
-                break
-            dseries.append(nxt)
-        return dseries
-
-    @property
-    def is_nilpotent(self):
-        return self.lower_central[-1].dim == 0
-
-    @property
-    def is_solvable(self):
-        return self.derived_series[-1].dim == 0
-
-    @property
-    def is_abelian(self):
-        # the table keeps only nonzero brackets
-        return not self.table
-
-
 def center_of(L):
     """Kernel of x -> ([x, e_j])_j: the image of x_i has the entry c_ij^k at
     row (j, k), one row per nonzero structure constant
@@ -619,16 +578,23 @@ def _derived_of(L):
     return Subspace(L.field, L.dim, rows)
 
 
+def _series(first, step):
+    """first, step(first), ... up to a term of dimension 0 or one that is
+    no smaller than the term before it, which is dropped."""
+    out = [first]
+    while out[-1].dim:
+        nxt = step(out[-1])
+        if nxt.dim == out[-1].dim:
+            break
+        out.append(nxt)
+    return out
+
+
 def _bracket_span(L, A, B):
     """span [A, B]; when A is B only the pairs a < b are bracketed."""
     rows = A._cleared_basis()
     pairs = _brackets(L, rows, None if A is B else B._cleared_basis())
     return _span(L, [b for _, _, b in pairs])
-
-
-def structure_series(L):
-    """The algebra's lazy ``StructureSeries``, one per algebra."""
-    return L._structure_series
 
 
 def subalgebra_of(L, S):
@@ -711,52 +677,30 @@ def killing_matrix(L):
     return rows
 
 
-def _killing_nondegenerate_on(L, S):
-    if S.dim == 0:
-        return True
-    K = killing_matrix(L)
-    F = L.field
-    rows = []
-    for u in S.basis:
-        row = []
-        for w in S.basis:
-            s = F.zero
-            for a, ca in enumerate(u):
-                if ca.is_zero:
-                    continue
-                for b, cb in enumerate(w):
-                    if not cb.is_zero and not K[a][b].is_zero:
-                        s = s + ca * cb * K[a][b]
-            row.append(s)
-        rows.append(row)
-    return rank(F, rows) == S.dim
-
-
 def is_reductive(L):
-    """Radical equals center; checked via annotation when present, else via
-    the exact splitting q = center + [q, q] with nondegenerate Killing form
-    on the derived algebra (Cartan's criterion).
+    """Radical equals center: checked via annotation when present, else via
+    the exact splitting q = center + [q, q]; either way the Killing form must
+    be nondegenerate on [q, q] (Cartan's criterion). On the ideal [q, q] it
+    is the Killing form of [q, q] itself.
 
-    The center and [q, q] come from a series of its own, not the one cached
-    on L: on a reductive algebra nothing else reads them, and a cached fact
-    lives as long as its algebra (keeping them raised peak RSS on the
-    reductive-shift benchmark workload by 0.1 to 0.2 MB)."""
-    series = StructureSeries(L)
+    The center and [q, q] are computed here, not read off L's cached
+    properties: caching them raised reductive-shift peak RSS by 0.1-0.2 MB."""
+    c, d = center_of(L), _derived_of(L)
     rad = L.annotations.get("solvable_radical")
     if rad is not None:
-        claim = rad == series.center
-        if claim and not _killing_nondegenerate_on(L, series.derived):
-            raise LieAlgebraError(
-                "annotated radical equals the center but the Killing form "
-                "degenerates on the derived algebra"
-            )
+        claim = rad == c
+    else:
+        claim = c.dim + d.dim == L.dim and (
+            Subspace(L.field, L.dim, list(c.basis) + list(d.basis)).dim == L.dim
+        )
+    if not claim or rank(L.field, killing_matrix(subalgebra_of(L, d)[0])) == d.dim:
         return claim
-    c, d = series.center, series.derived
-    if c.dim + d.dim != L.dim:
+    if rad is None:
         return False
-    if Subspace(L.field, L.dim, list(c.basis) + list(d.basis)).dim != L.dim:
-        return False
-    return _killing_nondegenerate_on(L, d)
+    raise LieAlgebraError(
+        "annotated radical equals the center but the Killing form "
+        "degenerates on the derived algebra"
+    )
 
 
 def nilradical_of(L):
@@ -765,15 +709,12 @@ def nilradical_of(L):
     S = L.annotations.get("nilradical")
     if S is not None:
         return S
-    series = structure_series(L)
-    if series.is_nilpotent:
+    if L.is_nilpotent:
         return L.span_of_indices(range(L.dim))
-    if series.is_solvable:
+    if L.is_solvable:
         cand = Subspace(L.field, L.dim, kernel_basis(L.field, killing_matrix(L), L.dim))
-        if _is_ideal(L, cand):
-            sub, _ = subalgebra_of(L, cand)
-            if structure_series(sub).is_nilpotent:
-                return cand
+        if _is_ideal(L, cand) and subalgebra_of(L, cand)[0].is_nilpotent:
+            return cand
         raise LieAlgebraError(
             "cannot certify the nilradical of this solvable algebra; "
             "annotate it explicitly"
@@ -800,27 +741,22 @@ def classify_nilradical(L):
     if n_space.dim == 0:
         return NilradicalClass(kind="trivial", nilradical=n_space)
     sub, sub_basis = subalgebra_of(L, n_space)
-    sub_series = structure_series(sub)
-    if not sub_series.is_nilpotent:
+    if not sub.is_nilpotent:
         raise LieAlgebraError("nilradical is not nilpotent")
 
     def to_ambient(S):
         return Subspace(L.field, L.dim, [_sub_to_ambient(L, b, sub_basis) for b in S.basis])
 
-    candidates = [to_ambient(sub_series.center)]
-    for term in sub_series.lower_central:
-        if term.dim:
-            candidates.append(to_ambient(term))
-    for term in sub_series.derived_series:
-        if term.dim:
-            candidates.append(to_ambient(term))
+    # the center of the nonzero nilpotent sub is nonzero
+    candidates = [
+        to_ambient(S) for S in [sub.center, *sub.lower_central, *sub.derived_series] if S.dim
+    ]
     seen = []
     for h in candidates:
         if h in seen:
             continue
         seen.append(h)
-        hsub, _ = subalgebra_of(L, h)
-        if not structure_series(hsub).is_abelian:
+        if not subalgebra_of(L, h)[0].is_abelian:
             continue
         if not _is_ideal(L, h):
             continue
@@ -848,7 +784,7 @@ def _darboux_split(L, n_space, sub, sub_basis):
     """darboux_split on the nilradical's subalgebra, as built by the caller;
     the check_split at the end also reports a center that is not central."""
     F = L.field
-    zc = structure_series(sub).center
+    zc = sub.center
     if zc.dim != 1:
         raise LieAlgebraError(
             "Darboux construction failure: nilradical center has dimension %d"

@@ -1,7 +1,15 @@
 """Seeded random generators shared by the property and acceptance suites."""
 
 from lieshift.fields import QQ
-from lieshift.liealg import HeisenbergSplit, LieAlgebra, Subspace, darboux_split, direct_sum
+from lieshift.liealg import (
+    HeisenbergSplit,
+    LieAlgebra,
+    Subspace,
+    bracket,
+    darboux_split,
+    direct_sum,
+    killing_matrix,
+)
 from lieshift.polyring import PolyElement
 from lieshift.presets import preset
 
@@ -315,3 +323,57 @@ def reference_coordinates_by_residual(S, v):
     if any(acc):
         return None
     return [v[p] / b[p] for b, p in zip(S.basis, S.pivots)]
+
+
+# -- reference structure checks ------------------------------------------------
+# The dense Killing restriction that is_reductive used before it took the
+# Killing form of the ideal itself, and the sampled stabilizer dimension
+# that the abelian reduction used before it took one rank over the function
+# field; the library's answers are checked against them.
+
+
+def reference_killing_nondegenerate_on(L, S):
+    """Is the Gram matrix S K S^T of L's Killing form K on S's basis, summed
+    densely over K, of full rank (by the reference rref)?"""
+    if S.dim == 0:
+        return True
+    K = killing_matrix(L)
+    F = L.field
+    rows = []
+    for u in S.basis:
+        row = []
+        for w in S.basis:
+            s = F.zero
+            for a, ca in enumerate(u):
+                if ca.is_zero:
+                    continue
+                for b, cb in enumerate(w):
+                    if not cb.is_zero and not K[a][b].is_zero:
+                        s = s + ca * cb * K[a][b]
+            row.append(s)
+        rows.append(row)
+    return len(rref(F, rows)[1]) == S.dim
+
+
+def reference_min_stabilizer_dim(L, h, sampling):
+    """dim L less the largest rank of the form alpha([x_i, eta]) (one row
+    per basis vector eta of h) at the points alpha of h* that ``sampling``
+    draws from streams 90_000 onward; a sampled rank can only undershoot
+    the generic one."""
+    F = L.field
+    ad = [
+        [h.coordinates(bracket(L, L.basis_vector(i), eta)) for i in range(L.dim)]
+        for eta in h.basis
+    ]
+
+    def stabilizer_form(alpha):
+        return [
+            [sum([c * a for c, a in zip(coords, alpha)], F.zero) for coords in ad_e]
+            for ad_e in ad
+        ]
+
+    best = max(
+        len(rref(F, stabilizer_form(sampling.point(F, h.dim, 90_000 + i)))[1])
+        for i in range(sampling.samples)
+    )
+    return L.dim - best

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from factories import reference_min_stabilizer_dim
 import lieshift.construct as construct_mod
 import lieshift.invariants as inv_mod
 import lieshift.liealg as liealg_mod
@@ -427,6 +428,24 @@ def test_construct_borel_gl4_three_level_tower():
     assert cert.b_target == 6
     assert cert.trdeg.value == 6
     assert len(cert.generators.elements) == 6
+
+
+@pytest.mark.parametrize("name", ["aff1", "borel-sl2", "borel-sl3", "borel_gl(4)"])
+def test_min_stabilizer_dim_matches_the_sampled_reference(monkeypatch, name):
+    # every abelian reduction construct_theorem reaches, over Q and above
+    seen = []
+    real = construct_mod._reduce_abelian
+
+    def recording(L, h):
+        hat = real(L, h)
+        seen.append((L, hat))
+        return hat
+
+    monkeypatch.setattr(construct_mod, "_reduce_abelian", recording)
+    construct_theorem(borel_gl(4) if name == "borel_gl(4)" else preset(name).algebra)
+    assert seen
+    for L, hat in seen:
+        assert hat.min_stabilizer_dim == reference_min_stabilizer_dim(L, hat.h, Sampling()), L
 
 
 # sha256 of the newline-joined rendered generators, recorded before the

@@ -152,6 +152,62 @@ def test_from_cleared_and_ring_gcd():
     assert F.from_cleared(d, n) == F.one / a
 
 
+def _heuristic_gives_up_once(monkeypatch):
+    """sympy's heuristic gcd in Z[x] raises on its next call, as it does on
+    some inputs; the calls to ``fields._prs_gcd`` are recorded."""
+    import sympy.polys.rings as rings
+    from sympy.polys.polyerrors import HeuristicGCDFailed
+
+    from lieshift import fields
+
+    real, calls, fallbacks = rings.heugcd, [], []
+
+    def once(f, g):
+        calls.append((f, g))
+        if len(calls) == 1:
+            raise HeuristicGCDFailed("no luck")
+        return real(f, g)
+
+    def prs(*args):
+        fallbacks.append(args)
+        return real_prs(*args)
+
+    real_prs = fields._prs_gcd
+    monkeypatch.setattr(rings, "heugcd", once)
+    monkeypatch.setattr(fields, "_prs_gcd", prs)
+    return fallbacks
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_ring_gcd_recomputes_what_the_heuristic_gave_up(monkeypatch, level):
+    # Q[t] and Q(t)[s]: each pair has two terms or more, where sympy's gcd
+    # is monic, and the fallback's gcd is the same value
+    F = QQ.extend("t")
+    t = F.var("t")
+    if level == 2:
+        F = F.extend("s")
+        t = F.lift(t)
+    x = F.var(F.variables[0])
+    g = x * x - (t + 2) / (t - 3) * x + t / 5
+    pairs = [
+        (g * (x + 1), g * (2 * x - t)),
+        (g * g * (x - t / 7), g * (x + 4)),
+        (x * x - t, t * x + 1),
+        ((x - 2) * (x + t + 1), (x - 2) * (t * x - 3)),
+    ]
+    for a, b in pairs:
+        na, nb = F.clear([a, b])[1]
+        want = F.ring_gcd(na, nb)
+        row = F._primitive([na, nb])
+        fallbacks = _heuristic_gives_up_once(monkeypatch)
+        assert F.ring_gcd(na, nb) == want
+        assert len(fallbacks) == 1
+        monkeypatch.undo()
+        _heuristic_gives_up_once(monkeypatch)
+        assert F._primitive([na, nb]) == row  # the canonical row is unchanged
+        monkeypatch.undo()
+
+
 def test_ring_quo_is_exact_at_every_level():
     assert QQ.ring_quo(6, 3) == 2
     with pytest.raises(FieldError):

@@ -6,7 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from factories import reference_bracket, reference_coordinates_by_residual
+from factories import (
+    reference_bracket,
+    reference_coordinates_by_residual,
+    reference_killing_nondegenerate_on,
+)
 from lieshift import liealg
 from lieshift.construct import abelian_qhat
 from lieshift.fields import QQ, FieldError
@@ -28,7 +32,6 @@ from lieshift.liealg import (
     ltilde,
     nilradical_of,
     stabilizer,
-    structure_series,
     subalgebra_of,
     _v_stabilizer,
     validate,
@@ -431,12 +434,11 @@ def test_coadjoint_and_stabilizer():
 
 
 def test_structure_series():
-    assert structure_series(h3()).is_nilpotent
-    s = structure_series(preset("borel-sl2").algebra)
-    assert s.is_solvable and not s.is_nilpotent and not s.is_abelian
-    t = structure_series(sl2())
-    assert not t.is_solvable and t.derived.dim == 3
-    assert structure_series(preset("abelian3").algebra).is_abelian
+    assert h3().is_nilpotent
+    B = preset("borel-sl2").algebra
+    assert B.is_solvable and not B.is_nilpotent and not B.is_abelian
+    assert not sl2().is_solvable and sl2().derived.dim == 3
+    assert preset("abelian3").algebra.is_abelian
     assert center_of(h3()).dim == 1
 
 
@@ -662,33 +664,66 @@ def _structure_cases():
 
 def test_structure_series_matches_eager_reference():
     for name, L in _structure_cases():
-        s = structure_series(L)
         full = L.span_of_indices(range(L.dim))
         lower = reference_series(L, lambda full, last: reference_span(L, full, last))
         dseries = reference_series(L, lambda full, last: reference_span(L, last, last))
         assert center_of(L) == reference_center(L), name
-        assert s.center == reference_center(L), name
-        assert s.derived == reference_span(L, full, full), name
-        assert s.lower_central == lower, name
-        assert s.derived_series == dseries, name
-        assert s.is_nilpotent == (lower[-1].dim == 0), name
-        assert s.is_solvable == (dseries[-1].dim == 0), name
-        assert s.is_abelian == (lower[0].dim == 0), name
-    assert [S.dim for S in structure_series(filiform5()).lower_central] == [3, 2, 1, 0]
+        assert L.center == reference_center(L), name
+        assert L.derived == reference_span(L, full, full), name
+        assert L.lower_central == lower, name
+        assert L.derived_series == dseries, name
+        assert L.is_nilpotent == (lower[-1].dim == 0), name
+        assert L.is_solvable == (dseries[-1].dim == 0), name
+        assert L.is_abelian == (lower[0].dim == 0), name
+    assert [S.dim for S in filiform5().lower_central] == [3, 2, 1, 0]
+
+
+def _reference_is_reductive(L):
+    """is_reductive on the reference center, [q, q] and dense Killing test;
+    the message of the rejection it would raise, if any."""
+    full = L.span_of_indices(range(L.dim))
+    c, d = reference_center(L), reference_span(L, full, full)
+    rad = L.annotations.get("solvable_radical")
+    if rad is not None:
+        if rad == c and not reference_killing_nondegenerate_on(L, d):
+            return (
+                "annotated radical equals the center but the Killing form "
+                "degenerates on the derived algebra"
+            )
+        return rad == c
+    spans = Subspace(L.field, L.dim, list(c.basis) + list(d.basis)).dim == L.dim
+    return c.dim + d.dim == L.dim and spans and reference_killing_nondegenerate_on(L, d)
+
+
+def test_is_reductive_matches_the_dense_killing_reference():
+    seen = set()
+    for name, L in _structure_cases():
+        # the Killing form of the ideal [q, q] is the restriction of q's
+        D = L.derived
+        got = rank(L.field, killing_matrix(subalgebra_of(L, D)[0])) == D.dim
+        assert got == reference_killing_nondegenerate_on(L, D), name
+        try:
+            got = is_reductive(L)
+        except LieAlgebraError as e:
+            got = str(e)
+        assert got == _reference_is_reductive(L), name
+        seen.add(got)
+    assert seen == {True, False}
 
 
 def test_structure_series_is_cached_per_algebra():
     L = preset("borel-sl3").algebra
-    assert structure_series(L) is structure_series(L)
+    assert L.center is L.center and L.lower_central is L.lower_central
     copy = LieAlgebra(L.field, L.labels, L.table)
-    assert structure_series(copy) is not structure_series(L)
+    assert copy.center == L.center and copy.center is not L.center
+    assert copy.lower_central is not L.lower_central
 
 
 def test_an_algebra_with_a_cached_series_is_freed_by_reference_counting():
     gl3 = preset("gl3").algebra
     L = LieAlgebra(gl3.field, gl3.labels, gl3.table)
-    s = structure_series(L)
-    assert s.center.dim == 1 and s.derived.dim == 8
+    center, lower = L.center, L.lower_central
+    assert center.dim == 1 and L.derived.dim == 8
     ref = weakref.ref(L)
     gc.disable()  # a reference cycle would keep L until the cyclic collector runs
     try:
@@ -696,7 +731,7 @@ def test_an_algebra_with_a_cached_series_is_freed_by_reference_counting():
         assert ref() is None
     finally:
         gc.enable()
-    assert s.lower_central[-1].dim == 8  # the series outlives its algebra
+    assert lower[-1].dim == 8  # the series outlives its algebra
 
 
 def _counting(monkeypatch, name):
@@ -734,8 +769,7 @@ def test_structure_series_eliminates_no_identity(monkeypatch):
 
     monkeypatch.setattr(liealg, "echelon_basis", recording)
     for name, L in algebras.items():
-        s = structure_series(L)
-        assert s.center is not None and s.lower_central and s.derived_series
+        assert L.center is not None and L.lower_central and L.derived_series
         F, n = L.field, L.dim
         identity = [[F.one if k == i else F.zero for k in range(n)] for i in range(n)]
         assert inputs
@@ -754,8 +788,7 @@ def test_bracket_span_of_a_space_with_itself_brackets_each_pair_once(monkeypatch
 def test_subalgebra_of_marks_the_central_basis_vectors():
     for name in ["heisenberg2", "borel-sl3", "sl2-semidirect-h3", "gl3"]:
         L = preset(name).algebra
-        spaces = [L.span_of_indices(range(L.dim)), structure_series(L).center,
-                  structure_series(L).derived]
+        spaces = [L.span_of_indices(range(L.dim)), L.center, L.derived]
         if "nilradical" in L.annotations:
             spaces.append(L.annotations["nilradical"])
         for S in spaces:

@@ -15,7 +15,8 @@ What a ``FieldElement`` wraps (``.raw``: a Fraction, or a sympy fraction
 field element) and the sympy domain of a ``Field`` (``.domain``) are the
 private format of ``fields``. Every other module passes elements, and the
 kernels compute on the cleared values of ``Field.clear``, so no other module
-may read either attribute.
+may read either attribute. For the same reason only ``fields`` imports
+sympy, at any depth: the gcd fallback for sympy's heuristic stays there.
 """
 
 import ast
@@ -83,3 +84,31 @@ def test_raw_values_stay_inside_fields(path):
 def test_format_checker_catches_each_read():
     src = "c.raw\nf.domain.one\nx.raw = 1\ny = raw\ng(e.field.domain)\n"
     assert [line for line, _ in _format_reads(ast.parse(src))] == [1, 2, 5]
+
+
+def _sympy_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(n == "sympy" or n.startswith("sympy.") for n in names):
+            yield node.lineno
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in FILES if p.name != "fields.py"], ids=lambda p: p.name
+)
+def test_only_fields_imports_sympy(path):
+    found = list(_sympy_imports(ast.parse(path.read_text(), str(path))))
+    assert not found, "%s: lines %s" % (path.name, found)
+
+
+def test_import_checker_catches_each_form():
+    src = (
+        "import sympy\nfrom sympy.polys import ring\nimport sympyx, os\n"
+        "from . import sympy\ndef f():\n    import os, sympy.polys.rings as r\n"
+    )
+    assert list(_sympy_imports(ast.parse(src))) == [1, 2, 6]
