@@ -7,10 +7,9 @@ abelian ideal to a smaller algebra over a rational function field, central
 specialization, and the orchestrator gluing these into a certified
 commutative subalgebra of transcendence degree (dim + index)/2.
 
-Nothing here is trusted without a check: a reduced dimension is compared
-with the exact generic stabilizer, the public builders check their own
-output, and construct_theorem leaves every commutator and trdeg check to
-_certify.
+Nothing here is trusted without a check: a reduced dimension meets the exact
+generic stabilizer, the public builders check their own output, and
+construct_theorem leaves every commutator and trdeg check to _certify.
 
 Every sampled quantity is drawn through one ``invariants.Sampling`` value,
 which construct_theorem builds from its samples, bound and seed keywords and
@@ -21,6 +20,7 @@ the drop by dim h - 1 once that level returns.
 """
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 from .fields import FieldError
 from .liealg import (
@@ -372,9 +372,8 @@ def abelian_qhat(L, h, sampling=Sampling()):
     brackets into h vanish identically on h*, over the fraction field of h*.
 
     The reduced bracket is the bilinear one, with the h-component re-read as
-    (linear function) * delta.  The dimension is verified against the
-    generic stabilizer (min dim q_alpha - dim h + 1, an exact rank over the
-    function field), and b, sampled, drops by dim h - 1.
+    (linear function) * delta.  The dimension is verified against the exact
+    generic stabilizer (min dim q_alpha - dim h + 1) and b drops by dim h - 1.
     """
     hat = _reduce_abelian(L, h)
     b_amb, b_hat = b_of(L, sampling), b_of(hat.algebra, sampling)
@@ -399,12 +398,14 @@ def _reduce_abelian(L, h):
     names = _fresh_names(F, d)
     F2 = F.extend(*names)
     wvars = [F2.var(nm) for nm in names]
+    # a lift to level 2 or 3 takes milliseconds, and a few values recur
+    lift = cache(F2.lift)
 
     def linfunc(coords):
         out = F2.zero
         for t, c in enumerate(coords):
             if not c.is_zero:
-                out = out + F2.lift(c) * wvars[t]
+                out = out + lift(c) * wvars[t]
         return out
 
     comp, reduced = _coordinate_complement(L, h)
@@ -429,13 +430,13 @@ def _reduce_abelian(L, h):
 
     # w = sum_k c_k e_comp[k] + sum_l s_l hbar_l, with s_l read at l, where
     # only hbar_l is nonzero; hbar_l adds phi_l to the delta-coordinate
-    hbar = [(l, [F2.lift(x) for x in v], linfunc(h.coordinates(v))) for l, v in reduced]
+    hbar = [(l, [lift(x) for x in v], linfunc(h.coordinates(v))) for l, v in reduced]
 
     # L's structure constants lifted to F2, so sections bracket by the kernel
     L2 = LieAlgebra(
         F2,
         L.labels,
-        {key: {k: F2.lift(c) for k, c in row.items()} for key, row in L.table.items()},
+        {key: {k: lift(c) for k, c in row.items()} for key, row in L.table.items()},
     )
     table = {}
     for a, b, cleared in _brackets(L2, _supports(L2, sections)):
