@@ -202,6 +202,8 @@ class LieAlgebra:
     brackets: {(i, j): {k: coeff}} for i < j; antisymmetry is by construction.
     annotations may carry: central (iterable of indices), levi, nilradical,
     solvable_radical (Subspace or index list), heisenberg_split, known_casimirs.
+    The structure facts (center, derived, lower_central, derived_series and
+    the is_* tests on them) are properties, each computed on first read.
     """
 
     def __init__(self, field, labels, brackets, annotations=None):
