@@ -4,8 +4,10 @@ Each case runs ``lieshift.cli.main([..., "--json"])`` in-process and
 compares its exit code and the sha256 of its stdout with the table below:
 validity, symmetric invariants, the argument-shift families, the
 correction-map checks and the maximality probe at degrees 1 and 2 on every
-listed preset, the worked paper example, and the abelian reduction of aff1
-and borel-sl3, whose output carries the minimal stabilizer dimension.
+listed preset, the worked paper example, the abelian reduction of aff1
+and borel-sl3, whose output carries the minimal stabilizer dimension, and
+the argument-shift families of aff1 + sl2 read from a file. No linear form
+that vanishes on its nonzero-weight vectors x, e, f is regular there.
 
 ``PYTHONPATH=src python tests/test_cli_goldens.py --print`` prints the
 table for the current code. Regenerate it only in a commit that documents
@@ -15,7 +17,10 @@ an intended output change.
 import contextlib
 import hashlib
 import io
+import json
+import os
 import sys
+import tempfile
 
 import pytest
 
@@ -38,11 +43,42 @@ CASES = [cmd + ("--preset", p) for p in PRESETS for cmd in COMMANDS]
 CASES.append(("reproduce-paper-example",))
 CASES += [("reduce-abelian", "--preset", p) for p in ("aff1", "borel-sl3")]
 
+# aff1 + sl2: [t, x] = x, [h, e] = 2e, [h, f] = -2f, [e, f] = h
+AFF1_SL2 = {
+    "format": "lieshift/1",
+    "dim": 5,
+    "basis": ["t", "x", "h", "e", "f"],
+    "brackets": [
+        {"i": 0, "j": 1, "coeffs": {"x": "1"}},
+        {"i": 2, "j": 3, "coeffs": {"e": "2"}},
+        {"i": 2, "j": 4, "coeffs": {"f": "-2"}},
+        {"i": 3, "j": 4, "coeffs": {"h": "1"}},
+    ],
+}
+FILES = {"aff1-sl2.json": AFF1_SL2}
+CASES += [(cmd, "--file", "aff1-sl2.json") for cmd in ("mf", "quantum-mf")]
+
+
+@contextlib.contextmanager
+def input_files():
+    """A fresh working directory holding FILES, so that the relative path
+    the report echoes as its input is the same on every run."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as d:
+        for name, data in FILES.items():
+            with open(os.path.join(d, name), "w") as fh:
+                json.dump(data, fh)
+        os.chdir(d)
+        try:
+            yield
+        finally:
+            os.chdir(cwd)
+
 
 def run(argv):
     """(exit code, sha256 of stdout) of one in-process ``--json`` call."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    with input_files(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(list(argv) + ["--json"])
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
@@ -149,6 +185,8 @@ GOLDENS = {
     "reproduce-paper-example": (0, "36cd6cc2598b912f865d2e5c5bd4e1d6c2bf101e98f14ca969825e3726e61a00"),
     "reduce-abelian --preset aff1": (0, "8371b18118ca8670fcbb1a8396ba6b7912f28d4965de21253aa7e5dd2d026e1a"),
     "reduce-abelian --preset borel-sl3": (0, "daf18c42cf0ca8539b94ae65c647a202fe8f95574423f0196249c9c539851a6a"),
+    "mf --file aff1-sl2.json": (0, "257d91fdf4601df2925f734df4460a1129448797a6ec83ecbdca5bad1b3531b2"),
+    "quantum-mf --file aff1-sl2.json": (0, "1ac1b9c5629877e04feef3cda5058d0f1c47780b7bf548c23094b78acd3ff53a"),
 }
 
 
