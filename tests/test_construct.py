@@ -679,6 +679,40 @@ def test_certificate_catches_noncommuting_reductive_lift(monkeypatch):
         quantum_mf(P.algebra, P.casimirs, gamma)
 
 
+def test_symmetrize_family_names_a_changed_symbol_exactly(monkeypatch):
+    # h^2 added to the lift of the Casimir changes its principal symbol
+    P = preset("sl2")
+    real = construct_mod.symmetrize
+
+    def faulty(alg, f):
+        u = real(alg, f)
+        return u + alg.gen(0) * alg.gen(0) if f.degree() == 2 else u
+
+    monkeypatch.setattr(construct_mod, "symmetrize", faulty)
+    with pytest.raises(ConstructError, match="^symmetrized lift changed the principal symbol$"):
+        construct_theorem(P.algebra, casimirs=P.casimirs)
+    gamma = LinearForm(QQ, vec(QQ, [1, 0, 0]))
+    with pytest.raises(ConstructError, match="^symmetrized lift changed the principal symbol$"):
+        quantum_mf(P.algebra, P.casimirs, gamma)
+
+
+@pytest.mark.parametrize("name", ["sl2", "so3"])
+def test_regular_form_names_a_failed_search_exactly(monkeypatch, name):
+    # every stabilizer comes back as the whole algebra, never of dim ind;
+    # sl2 has weights in its basis, so3 none
+    L = preset(name).algebra
+    calls = []
+
+    def never_regular(L, gamma):
+        calls.append(gamma)
+        return L.span_of_indices(range(L.dim))
+
+    monkeypatch.setattr(construct_mod, "stabilizer", never_regular)
+    with pytest.raises(ConstructError, match="^no regular linear form found in 60 seeded draws$"):
+        construct_theorem(L, casimirs=preset(name).casimirs)
+    assert len(calls) >= 60
+
+
 def test_certificate_catches_noncommuting_heisenberg_lift(monkeypatch):
     # y does not commute with the adjoined x
     real = construct_mod._corrected_lift
