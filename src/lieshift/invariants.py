@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .fields import FieldError
-from .liealg import LinearForm, Subspace, coadjoint_form, stabilizer, subalgebra_of
+from .liealg import LinearForm, Subspace, coadjoint_form, stabilizer, subalgebra_of, weights
 from .linalg import kernel_of_images, rank
 from .pbw import PBWElement, principal_symbol
 from .polyring import PolyElement, differential_at, monomials_of_degree, poisson
@@ -170,16 +170,24 @@ def symmetric_invariants(L, max_deg):
     """Basis of the homogeneous Poisson-central elements in degrees 1..max_deg.
 
     Degree by degree: the kernel of m -> ({x_i, m})_i over the monomials m
-    of that degree (``linalg.kernel_of_images``).  Constants are excluded;
-    the list may be empty.
+    of that degree (``linalg.kernel_of_images``).  Only monomials of weight
+    zero (``liealg.weights``) get a column: for a torus vector x_t,
+    {x_t, m} is the weight of m under x_t times m, so the row (t, m) is
+    nonzero in column m alone, and a column of nonzero weight is zero in
+    every kernel vector.  With no torus in the basis every monomial is
+    kept.  Constants are excluded; the list may be empty.
     """
     if not isinstance(max_deg, int):
         raise ValueError("max_deg must be an integer, got %r" % (max_deg,))
     F = L.field
+    by_torus = list(zip(*weights(L)))
     xs = [PolyElement.variable(F, L.dim, i) for i in range(L.dim)]
     out = []
     for d in range(1, max_deg + 1):
-        monos = list(monomials_of_degree(L.dim, d))
+        monos = [
+            e for e in monomials_of_degree(L.dim, d)
+            if not any(sum([a * w[j] for j, a in enumerate(e) if a]) for w in by_torus)
+        ]
         images = []
         for e in monos:
             m = PolyElement(F, L.dim, {e: F.one})

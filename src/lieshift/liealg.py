@@ -561,16 +561,50 @@ def stabilizer(L, gamma):
     return Subspace(L.field, L.dim, kernel_basis(L.field, coadjoint_form(L, gamma), L.dim))
 
 
+def weights(L):
+    """The weight of each basis vector under the torus of the basis, read
+    off ``kernel_brackets``: one tuple per x_j, with one cleared value
+    D c_tj^j per torus vector x_t, in the order of the torus vectors.
+
+    A torus vector x_t has ad diagonal in the basis, [x_t, x_j] in F x_j for
+    every j, and some nonzero bracket: a central vector qualifies but adds
+    no weight, so it is left out. Weights add under products, and a sum
+    of weights is zero exactly when it is zero before clearing. With no
+    torus every tuple is empty, every weight zero. Computed on each call,
+    never stored on the algebra."""
+    _, rows = L.kernel_brackets
+    torus = [
+        row for row in rows.values()
+        if all(len(comp) == 1 and comp[0][0] == j for j, comp in row.items())
+    ]
+    return [tuple([row[j][0][1] if j in row else 0 for row in torus]) for j in range(L.dim)]
+
+
 def center_of(L):
     """Kernel of x -> ([x, e_j])_j: the image of x_i has the entry c_ij^k at
     row (j, k), one row per nonzero structure constant
-    (``linalg.kernel_of_images``)."""
-    images = [{} for _ in range(L.dim)]
+    (``linalg.kernel_of_images``).
+
+    Only the basis vectors of weight zero (``weights``) get a column: the
+    row (t, j) of a torus vector x_t holds -c_tj^j in column j alone, so a
+    column of nonzero weight is zero in every kernel vector."""
+    cols = [i for i, w in enumerate(weights(L)) if not any(w)]
+    position = {i: n for n, i in enumerate(cols)}
+    images = [{} for _ in cols]
     for (i, j), comp in L.table.items():
         for k, c in comp.items():
-            images[i][(j, k)] = c
-            images[j][(i, k)] = -c
-    return Subspace(L.field, L.dim, kernel_of_images(L.field, images))
+            if i in position:
+                images[position[i]][(j, k)] = c
+            if j in position:
+                images[position[j]][(i, k)] = -c
+    zero = L.field.zero
+    vectors = []
+    for coeffs in kernel_of_images(L.field, images):
+        v = [zero] * L.dim
+        for i, c in zip(cols, coeffs):
+            v[i] = c
+        vectors.append(v)
+    return Subspace(L.field, L.dim, vectors)
 
 
 def _derived_of(L):

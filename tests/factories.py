@@ -10,7 +10,8 @@ from lieshift.liealg import (
     direct_sum,
     killing_matrix,
 )
-from lieshift.polyring import PolyElement
+from lieshift.linalg import kernel_of_images
+from lieshift.polyring import PolyElement, monomials_of_degree, poisson
 from lieshift.presets import preset
 
 
@@ -377,3 +378,47 @@ def reference_min_stabilizer_dim(L, h, sampling):
         for i in range(sampling.samples)
     )
     return L.dim - best
+
+
+def permuted(L, perm):
+    """The same algebra with basis vector i renamed perm[i]."""
+    labels = [None] * L.dim
+    for i, lab in enumerate(L.labels):
+        labels[perm[i]] = lab
+    table = {}
+    for (i, j), comp in L.table.items():
+        a, b = perm[i], perm[j]
+        sign = 1 if a < b else -1
+        table[(min(a, b), max(a, b))] = {perm[k]: c * sign for k, c in comp.items()}
+    return LieAlgebra(L.field, labels, table)
+
+
+def permuted_poly(f, perm):
+    """f with variable i renamed perm[i], as ``permuted`` renames the basis."""
+    terms = {}
+    for e, c in f.terms.items():
+        out = [0] * f.nvars
+        for i, a in enumerate(e):
+            out[perm[i]] = a
+        terms[tuple(out)] = c
+    return PolyElement(f.field, f.nvars, terms)
+
+
+def reference_symmetric_invariants(L, max_deg):
+    """The invariant search with a column for every monomial, weight or not:
+    degree by degree, the kernel of m -> ({x_i, m})_i."""
+    F = L.field
+    xs = [PolyElement.variable(F, L.dim, i) for i in range(L.dim)]
+    out = []
+    for d in range(1, max_deg + 1):
+        monos = list(monomials_of_degree(L.dim, d))
+        images = []
+        for e in monos:
+            m = PolyElement(F, L.dim, {e: F.one})
+            images.append({
+                (i, oe): c for i, x in enumerate(xs) for oe, c in poisson(L, x, m).terms.items()
+            })
+        for coeffs in kernel_of_images(F, images):
+            terms = {e: c for e, c in zip(monos, coeffs) if not c.is_zero}
+            out.append(PolyElement(F, L.dim, terms))
+    return out

@@ -1,6 +1,10 @@
 import dataclasses
+import random
 
 import pytest
+
+from factories import permuted, permuted_poly, reference_symmetric_invariants
+from lieshift.construct import construct_theorem
 
 from lieshift.fields import QQ
 from lieshift.invariants import (
@@ -16,9 +20,9 @@ from lieshift.invariants import (
     symmetric_invariants,
     trdeg_jacobian,
 )
-from lieshift.liealg import vec
+from lieshift.liealg import LieAlgebra, Subspace, center_of, vec, weights
 from lieshift.pbw import EnvelopingAlgebra
-from lieshift.polyring import PolyElement, poisson
+from lieshift.polyring import PolyElement, coefficient_rows, poisson
 from lieshift.presets import preset
 
 INDEX_B = {
@@ -153,6 +157,70 @@ def test_symmetric_invariants_golden_gl4_so4():
         "m12*m34 - m13*m24 + m14*m23",
         "m12^2 + m13^2 + m14^2 + m23^2 + m24^2 + m34^2",
     ]
+
+
+def test_weights_read_the_torus_of_the_basis():
+    # h is the torus of sl2; so3's basis has none; a central vector adds no
+    # weight, and a vector whose ad is not diagonal is no torus vector
+    assert weights(preset("sl2").algebra) == [(0,), (2,), (-2,)]
+    assert weights(preset("so3").algebra) == [(), (), ()]
+    assert weights(preset("heisenberg1").algebra) == [(), (), ()]
+    assert weights(preset("aff1").algebra) == [(0,), (1,)]
+    gl2 = preset("gl2").algebra
+    assert [any(w) for w in weights(gl2)] == [False, True, True, False]
+    t_central = LieAlgebra(QQ, ["t", "x", "y", "c"], {(0, 1): {1: 3}, (0, 2): {2: -3}, (1, 2): {0: 1}})
+    assert weights(t_central) == [(0,), (3,), (-3,), (0,)]
+
+
+def _permutations(name, count=2):
+    """count seeded permutations of the preset's basis other than the identity."""
+    rng = random.Random("graded-" + name)
+    n = preset(name).algebra.dim
+    out = []
+    while len(out) < count:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        if perm != sorted(perm):
+            out.append(perm)
+    return out
+
+
+def _span(polys):
+    """The rows of the coefficients of polys over the sorted union of their
+    monomials, as a canonical subspace with its monomial list."""
+    monos = sorted({e for f in polys for e in f.terms})
+    return monos, (Subspace(QQ, len(monos), coefficient_rows(polys)) if polys else None)
+
+
+GRADED_CASES = [(name, perm) for name in ("gl2", "gl3", "sl3", "so4") for perm in _permutations(name)]
+
+
+@pytest.mark.parametrize("name, perm", GRADED_CASES)
+def test_graded_search_matches_the_ungraded_reference_on_permuted_bases(name, perm):
+    P = preset(name)
+    L, Lp = P.algebra, permuted(P.algebra, perm)
+    graded = symmetric_invariants(Lp, 3)
+    # the same canonical basis as a column for every monomial
+    assert graded == reference_symmetric_invariants(Lp, 3)
+    # and, read back in the preset's basis, the same invariants degree by degree
+    inverse = [perm.index(i) for i in range(L.dim)]
+    back = [permuted_poly(f, inverse) for f in graded]
+    ref = reference_symmetric_invariants(L, 3)
+    for d in (1, 2, 3):
+        assert _span([f for f in back if f.degree() == d]) == _span(
+            [f for f in ref if f.degree() == d]
+        ), d
+    assert center_of(Lp) == Subspace(
+        QQ, Lp.dim, [[v[inverse[i]] for i in range(L.dim)] for v in center_of(L).basis]
+    )
+
+
+@pytest.mark.parametrize("name, perm", GRADED_CASES)
+def test_construction_on_permuted_bases_reaches_b(name, perm):
+    P = preset(name)
+    Lp = permuted(P.algebra, perm)
+    cert = construct_theorem(Lp, casimirs=[permuted_poly(c, perm) for c in P.casimirs])
+    assert cert.trdeg.value == cert.b_target == INDEX_B[name][1]
 
 
 def test_trdeg_examples():

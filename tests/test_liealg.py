@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from factories import (
+    permuted,
     reference_bracket,
     reference_coordinates_by_residual,
     reference_killing_nondegenerate_on,
@@ -614,19 +615,6 @@ def reference_series(L, step):
     return out
 
 
-def _permuted(L, perm):
-    """The same algebra with basis vector i renamed perm[i]."""
-    labels = [None] * L.dim
-    for i, lab in enumerate(L.labels):
-        labels[perm[i]] = lab
-    table = {}
-    for (i, j), comp in L.table.items():
-        a, b = perm[i], perm[j]
-        sign = 1 if a < b else -1
-        table[(min(a, b), max(a, b))] = {perm[k]: c * sign for k, c in comp.items()}
-    return LieAlgebra(L.field, labels, table)
-
-
 def _rescaled(L, field):
     """x_i -> s_i x_i over Q(t) with non-monic denominators s_i."""
     t = field.var("t")
@@ -657,7 +645,7 @@ def _structure_cases():
         yield name, L
         perm = list(range(L.dim))
         rng.shuffle(perm)
-        yield name + " permuted", _permuted(L, perm)
+        yield name + " permuted", permuted(L, perm)
         if L.dim <= 6:
             yield name + " over Q(t)", _rescaled(L, QT)
 
