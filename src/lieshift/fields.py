@@ -28,6 +28,7 @@ through ``from_int``, which above level 0 skips sympy's conversion chain.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -221,13 +222,17 @@ class Field:
         return q
 
     def ring_gcd(self, a, b):
-        """gcd(a, b) in the numerator ring, monic above level 0. sympy's
-        gcd can raise where its heuristic for Z[t] gives up on an input;
-        ``_prs_gcd`` then recomputes it without a heuristic."""
+        """gcd(a, b) in the numerator ring, monic above level 0. Above level
+        1 a pair that ``_coprime_at_a_point`` proves coprime gives the
+        ring's one at once. sympy's gcd can raise where its heuristic for
+        Z[t] gives up on an input; ``_prs_gcd`` then recomputes it without
+        a heuristic."""
         if self.level == 0:
             return math.gcd(int(a), int(b))
         from sympy.polys.polyerrors import HeuristicGCDFailed
 
+        if self.level > 1 and _coprime_at_a_point(self, a, b):
+            return self.domain.field.ring.one
         try:
             return a.gcd(b)
         except HeuristicGCDFailed:
@@ -276,6 +281,82 @@ def _prs_gcd(field, a, b):
     R = PolyRing(field.all_variables(), ZZ, grlex)
     A, B = [R(p.as_expr().as_numer_denom()[0]) for p in (a, b)]
     return field.domain.field.ring(R.dmp_rr_prs_gcd(A, B)[0].as_expr()).monic()
+
+
+def _coprime_at_a_point(field, a, b):
+    """Does a specialization of the lower tower variables prove the nonzero
+    numerator-ring values a and b of a field above level 1 coprime?
+
+    At a seeded integer point where no coefficient denominator and neither
+    leading coefficient vanishes, a common factor g of positive degree in
+    this level's variables keeps its leading monomial (its leading
+    coefficient divides theirs), so g at the point divides a and b at the
+    point over Q. If those have a gcd of degree 0, so do a and b, by Gauss's
+    lemma. False means only that this test gave no proof."""
+    if not a or not b:
+        return False
+    from sympy.polys.domains import QQ as sympy_qq
+    from sympy.polys.orderings import grlex
+    from sympy.polys.polyerrors import HeuristicGCDFailed
+    from sympy.polys.rings import PolyRing
+
+    rng = random.Random(len(field.all_variables()))
+    lower = len(field.all_variables()) - len(field.variables)
+    for _ in range(_COPRIME_POINTS):
+        point = [rng.randint(-_COPRIME_BOUND, _COPRIME_BOUND) for _ in range(lower)]
+        at = [_specialized(field.base, p, point) for p in (a, b)]
+        if any(v is None or not v.get(p.LM) for v, p in zip(at, (a, b))):
+            continue
+        R = PolyRing(field.variables, sympy_qq, grlex)
+        A, B = [R.from_dict({m: sympy_qq(c.numerator, c.denominator) for m, c in v.items()}) for v in at]
+        try:
+            return A.gcd(B).is_ground
+        except HeuristicGCDFailed:
+            return False
+    return False
+
+
+_COPRIME_POINTS = 3
+_COPRIME_BOUND = 1000
+
+
+def _specialized(base, p, point):
+    """{monomial: Fraction}: the coefficients of p, raw elements of ``base``,
+    at the integer point of base's variables, or None where a denominator
+    vanishes there."""
+    out = {}
+    for m, c in p.terms():
+        v = _value_at(base, c, point)
+        if v is None:
+            return None
+        if v:
+            out[m] = v
+    return out
+
+
+def _value_at(field, x, point):
+    """The raw element x of a field above level 0 at the integer point of
+    its variables, all tower levels, as a Fraction; None where a
+    denominator vanishes there."""
+    num, den = [_poly_at(field, p, point) for p in (x.numer, x.denom)]
+    return None if num is None or not den else num / den
+
+
+def _poly_at(field, p, point):
+    """A polynomial of the field's numerator ring at the point, or None."""
+    own, lower = point[len(point) - len(field.variables):], point[:len(point) - len(field.variables)]
+    total = Fraction(0)
+    for m, c in p.terms():
+        if field.level == 1:
+            v = Fraction(int(c.numerator), int(c.denominator))
+        else:
+            v = _value_at(field.base, c, lower)
+            if v is None:
+                return None
+        for x, e in zip(own, m):
+            v *= x ** e
+        total += v
+    return total
 
 
 def _convert_ground_elements(domain):

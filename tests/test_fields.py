@@ -154,11 +154,15 @@ def test_from_cleared_and_ring_gcd():
 
 def _heuristic_gives_up_once(monkeypatch):
     """sympy's heuristic gcd in Z[x] raises on its next call, as it does on
-    some inputs; the calls to ``fields._prs_gcd`` are recorded."""
+    some inputs; the calls to ``fields._prs_gcd`` are recorded. The
+    coprimality test at a point proves nothing, so a coprime pair above
+    level 1 reaches sympy's gcd too."""
     import sympy.polys.rings as rings
     from sympy.polys.polyerrors import HeuristicGCDFailed
 
     from lieshift import fields
+
+    monkeypatch.setattr(fields, "_coprime_at_a_point", lambda field, a, b: False)
 
     real, calls, fallbacks = rings.heugcd, [], []
 
@@ -206,6 +210,52 @@ def test_ring_gcd_recomputes_what_the_heuristic_gave_up(monkeypatch, level):
         _heuristic_gives_up_once(monkeypatch)
         assert F._primitive([na, nb]) == row  # the canonical row is unchanged
         monkeypatch.undo()
+
+
+def _random_tower_poly(rng, F, x, lower, deg):
+    """A polynomial of degree deg in x; each coefficient is a small rational
+    function of one of the lower tower variables of F."""
+    out = F.zero
+    for k in range(deg + 1):
+        v = F.var(rng.choice(lower))
+        c = F.from_int(rng.randint(1, 5)) * (v + rng.randint(-4, 4)) / (v + rng.randint(5, 9))
+        out = out + c * x**k
+    return out
+
+
+@pytest.mark.parametrize("lower", [("t",), ("t", "u")], ids=["Q(t)[x]", "Q(t)(u)[x]"])
+def test_coprime_at_a_point_agrees_with_the_prs_gcd(lower):
+    # Q(t)[x] and Q(t)(u)[x]: random pairs are coprime, and the test at a
+    # point proves it; a planted common factor, also one whose leading
+    # coefficient is not a constant, leaves the gcd to sympy, which agrees
+    # with the PRS gcd in Q(t)[x]
+    import random
+
+    from lieshift import fields
+
+    F = QQ.extend(lower[0])
+    for name in lower[1:]:
+        F = F.extend(name)
+    F = F.extend("x")
+    x = F.var("x")
+    rng = random.Random(len(lower))
+    t = F.var("t")
+    planted = [x + t, t * x * x - 3, (t + 1) / (t - 2) * x - 1]
+    for trial in range(3):
+        a = _random_tower_poly(rng, F, x, lower, rng.randint(1, 3))
+        b = _random_tower_poly(rng, F, x, lower, rng.randint(1, 3))
+        na, nb = F.clear([a, b])[1]
+        assert fields._coprime_at_a_point(F, na, nb)
+        one = F.ring_gcd(na, nb)
+        assert one == fields._prs_gcd(F, na, nb) == F.clear([F.one])[1][0]
+        g = planted[trial % len(planted)]
+        na, nb = F.clear([a * g, b * g])[1]
+        assert not fields._coprime_at_a_point(F, na, nb)
+        if len(lower) > 1:
+            continue  # sympy's own gcd in Q(t)(u)[x] takes minutes here
+        common = F.ring_gcd(na, nb)
+        assert common == fields._prs_gcd(F, na, nb)
+        assert common.degree() == F.clear([g])[1][0].degree() > 0
 
 
 def test_ring_quo_is_exact_at_every_level():
