@@ -41,6 +41,7 @@ from .liealg import (
     stabilizer,
     subalgebra_of,
     validate,
+    weights,
 )
 from .linalg import echelon_basis, kernel_basis, rank
 from .polyring import PolyElement, coefficient_rows, gamma_shift, poisson
@@ -629,9 +630,27 @@ def _certify(L, gens, b_target, trace, sampling):
 
 def _regular_form(L, ind, sampling):
     """A seeded linear form whose stabilizer has dimension ind, the caller's
-    sampled index of L."""
-    for i in range(60):
-        gamma = LinearForm(L.field, sampling.point(L.field, L.dim, 70_000 + i))
+    sampled index of L.
+
+    The first draw, from stream 70_000, is set to 0 on every basis vector
+    of nonzero weight (``liealg.weights``): for reductive L with a torus in
+    its basis a generic such form is regular semisimple, and its shifts
+    are much shorter than those of a dense form. If that draw is singular,
+    as every weight-zero form of aff1 + sl2 is, the search restarts at
+    stream 70_000 and draws over all of L*, streams 70_000 + i for i < 60.
+    With no torus the first draw is the dense one, tried once."""
+    F = L.field
+
+    def draws():
+        keep = [not any(w) for w in weights(L)]
+        if not all(keep):
+            pt = sampling.point(F, L.dim, 70_000)
+            yield tuple([c if k else F.zero for c, k in zip(pt, keep)])
+        for i in range(60):
+            yield sampling.point(F, L.dim, 70_000 + i)
+
+    for coords in draws():
+        gamma = LinearForm(F, coords)
         if stabilizer(L, gamma).dim == ind:
             return gamma
     raise ConstructError("no regular linear form found in 60 seeded draws")
