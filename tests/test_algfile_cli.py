@@ -257,13 +257,15 @@ def test_cli_json_byte_identical():
     "name, digest",
     [
         ("borel-sl3", "9e0a454f2b94bdc16171cb9d3db34f238693785dc97cd3d930cff1ecc209dec0"),
-        ("sl2-semidirect-h3", "63992faf6b57d2475e04f00c519c41abe89f2d6dcdaa112143b2083734322fb7"),
+        ("sl2-semidirect-h3", "f5a8890bd9bbfe69dd8c03256a005b59d0c8e9c48d6899087ff7754525d59588"),
         ("heisenberg4", "4546163e5837ca4ee69dd2a8d812e5e0fadbe66a2a93f656040dae4bfea6c33b"),
     ],
 )
 def test_cli_construct_json_golden(name, digest):
     # sha256 of the --json stdout, recorded before the cleared-value format
-    # was shared by every tower level
+    # was shared by every tower level; sl2-semidirect-h3 re-pinned when the
+    # regular form of its sl2 Levi level came to vanish off the weight-zero
+    # vectors
     out = run_cli("construct", "--preset", name, "--json")
     assert out.returncode == 0
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest

@@ -86,32 +86,32 @@ def run(argv):
 GOLDENS = {
     "validate --preset sl2": (0, "31de9511663580824d7038c46c1e960058bbdeb2292be0340af32779afa6b685"),
     "invariants --preset sl2": (0, "b88e1ffe4c1fcab3aa8268f73c40dc2ca0e9b83446711a9ce8942d1fd8f4e7ba"),
-    "mf --preset sl2": (0, "e94aa0ce9128f2706c0fa5e5afaaa6ae67f272b920311efc1ef64fedd63bc95e"),
-    "quantum-mf --preset sl2": (0, "8ae9d8d0024e7321229d7c5b73d7bc138e1a3e2ea76ed7ef8820c8b4fea8d0bd"),
+    "mf --preset sl2": (0, "50ecd347689981539ca425cd4a00450d8d14d5564e2e5b1b91358d9a3c61f4fc"),
+    "quantum-mf --preset sl2": (0, "035ebcecf3f4947ab6cb6671891406170a706fe921875a0d8fac9832e2f24e3d"),
     "hat-check --preset sl2": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "maximality --max-deg 1 --preset sl2": (0, "742d4dbd0126e4c6a158b54e093545eb53989c8bb5c003d8f7b1733088f827f7"),
-    "maximality --max-deg 2 --preset sl2": (0, "df39606a10b88becea00e079f58e41864933cf5c3161eca4c350c8ba1ece3a58"),
+    "maximality --max-deg 1 --preset sl2": (0, "c744d8530d2b8c41acbd4d412c3e37c5211f8b197b48936b5418ee48ef678aa9"),
+    "maximality --max-deg 2 --preset sl2": (0, "47fb70086f887db819266657772487bd9a3dc312a32720345b80170dd943290f"),
     "validate --preset gl2": (0, "b11328a9c6e61f62f3584a0125198b56fb1811cca62e8a406cc4e866bf182e48"),
     "invariants --preset gl2": (0, "c89bce8e2bcb2e646f1a980a1b461aa161e50222313a2b13c5eb4b55057fdedf"),
-    "mf --preset gl2": (0, "35eb440d8278016f2b9ee320522d56e71d62027f89c40ad1c75c74477eae593a"),
-    "quantum-mf --preset gl2": (0, "3e4458df936f7a8e4975e8f85153cb43d7cfc06eb12a6a2eb7300972766d656d"),
+    "mf --preset gl2": (0, "6b3d2ea55f1a49fa39bd3090de6299ea7bfb2f71199bb37d71ea4b7ee3290896"),
+    "quantum-mf --preset gl2": (0, "51dc7de55f1cf163d41501b371d9f8f5f04dc388626150e9709a642c447343d4"),
     "hat-check --preset gl2": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "maximality --max-deg 1 --preset gl2": (0, "d43f762383f531a508eb59a64784bcbdfbda7114555e64748d00e14e20a0f830"),
-    "maximality --max-deg 2 --preset gl2": (0, "a3637c9870df81c77d249c9afd03c0cccebf0b932919aec2eda77a71e94a7401"),
+    "maximality --max-deg 1 --preset gl2": (0, "1af7d2e26d8ae0cf883b89d509a8645ae9ef970565a63cbd61d3197bb8ee523c"),
+    "maximality --max-deg 2 --preset gl2": (0, "0a12637921695d307b53664534a605ca5924f69a60cc8daa97a09695ac8bd3ca"),
     "validate --preset gl3": (0, "808bcc1bdfcb1dc6c5de064c97155324f6c350d5a24961c37139c666dacfb24f"),
     "invariants --preset gl3": (0, "6b93babf3d407d13cad5c7656a4bd3763d613f02af5a437e8bc881447df43c15"),
-    "mf --preset gl3": (0, "2ac213f6504fe69a6a2a7edea0853f7c2bd75f79c1be8754b973c833fa9e0729"),
-    "quantum-mf --preset gl3": (0, "062dd15792d525653cd018d1be8dde1239e4fb2487b3faa15ebc8dc472f051e5"),
+    "mf --preset gl3": (0, "6f6ed80057da934613a6739ba72d0d1c890c9249a4c230f8bd584eca3ac68e7d"),
+    "quantum-mf --preset gl3": (0, "bf12f603293abeff7fca0e9f38c0233c05808814a9ca2c29b824582768c0a0ee"),
     "hat-check --preset gl3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "maximality --max-deg 1 --preset gl3": (0, "7c1481aa82c76f918eea795ae5f0f868770a724c2f5bca11d51a26e1c62a2ad3"),
-    "maximality --max-deg 2 --preset gl3": (0, "90f60d66cd30cf6844ff9da2c7df49b1efe5ce6a42aa767d87aba77ef746bee9"),
+    "maximality --max-deg 1 --preset gl3": (0, "45f666b12aff0a17430269b607550a55f7ddf09c6dd9e67c73dc63ee64b3c87b"),
+    "maximality --max-deg 2 --preset gl3": (0, "681155dd52c822f2bbf630fd4b9e882a4e40b94b8ebdedc80b25494a1524f30d"),
     "validate --preset sl3": (0, "91d69e1c8b36542b8a53869a78d2ccd6d4ca1323b341c59ac08f5e6f74e0110e"),
     "invariants --preset sl3": (0, "1b990413184ed97656f26789f7ed612f0df75b6dead103cfc2a36ac36a4939ef"),
-    "mf --preset sl3": (0, "cef8688cd47d44013760977a81349fb34590f114f4e959dbcae01d2311047034"),
-    "quantum-mf --preset sl3": (0, "fe83f2affdbb4e10ccf483dab150593ae6cf85f4bab8ed334d23b09a30c1493c"),
+    "mf --preset sl3": (0, "3921d8c2adf1a70fe75306a248934139f2796ad61880946aaedd10e1ed681f85"),
+    "quantum-mf --preset sl3": (0, "fd1329d13d03dc899bc138c02e8e4c2d444ff448e98103c8e75f214d584eff35"),
     "hat-check --preset sl3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "maximality --max-deg 1 --preset sl3": (0, "9d488c2331d19797e176f0e2c2882f328c354628b4edc25b6e940ba44c393002"),
-    "maximality --max-deg 2 --preset sl3": (0, "554369f5074db4eb794afc0e1669eac05a0acc6051100319cd46f348821e3af3"),
+    "maximality --max-deg 1 --preset sl3": (0, "b0e6bfc6107cac5418a47a189a86bba11b6040110f6247996fd5e94c60157cd2"),
+    "maximality --max-deg 2 --preset sl3": (0, "5b5da61f8ad1e99d49145a677daf1d865c205a54c40a24e4139c234f6d6f2946"),
     "validate --preset so3": (0, "f866b87c9e00b358b6fb3c00ed473bf54d8dfc9ca0212aaf9b06cddf1cf665a7"),
     "invariants --preset so3": (0, "815c6de3b4044a8b481c4d40666c1408fbb04c1588a46d090dfdd26d0da24be6"),
     "mf --preset so3": (0, "0338f4126ca32dac21eee07c395a54b3b1dee72ab4422a4aa1cfd68693d27201"),
@@ -149,11 +149,11 @@ GOLDENS = {
     "maximality --max-deg 2 --preset borel-sl3": (0, "23295323db82fc74b1c0a32b2f61f13f6abb6847d00ca8193fbd7196bfc0451e"),
     "validate --preset sl2-semidirect-h3": (0, "e4cfbbe65ac0d4e862eee301c80fb947392b4681758acc9039736e3b218955f0"),
     "invariants --preset sl2-semidirect-h3": (0, "3e25ea94958ffebd0bb0b23d570038390528445aaef31fa4b2fb718676b6e576"),
-    "mf --preset sl2-semidirect-h3": (0, "b4a0173f9f0df8f3e3dcdc8ab49a297baf164b905b74edb46091e717f527410d"),
-    "quantum-mf --preset sl2-semidirect-h3": (0, "5cf854ba28a21adb8900b34517c8559fd20c8c277f659f61eecf34be8d2385d3"),
+    "mf --preset sl2-semidirect-h3": (0, "6e1e86b66b26144cc45e5b5d4f6b2d5465715a0ede859215e2070cb23025593e"),
+    "quantum-mf --preset sl2-semidirect-h3": (0, "4f31a4c9a6f9adc920b28247ace70b9aff6ce7495d9ae0a691954969f933f864"),
     "hat-check --preset sl2-semidirect-h3": (0, "dac1cc72489e1952986fc1e5334b2127b5fff9b420ddc395a40b94b0154d19bf"),
-    "maximality --max-deg 1 --preset sl2-semidirect-h3": (0, "80a4b010db93501de9c59bd22d2064b21cb4042473fdb3ed9ce9b1a6f12fdca5"),
-    "maximality --max-deg 2 --preset sl2-semidirect-h3": (0, "de0470af0ba4143d0cf9ec034541ac33e4991ffda83c15735f8982ae013ecfee"),
+    "maximality --max-deg 1 --preset sl2-semidirect-h3": (0, "38ec50e9cb7dd2192d9cb53805bae9bef14c30cfa658fd63d0013501379bab33"),
+    "maximality --max-deg 2 --preset sl2-semidirect-h3": (0, "bae9954128e41547bedce37098f490de5e21e4f82dccf9bf5a9281bee4d407d9"),
     "validate --preset heisenberg1": (0, "1b2ea8f15a80ec33224c41fb23963f94adeb5d77e806519d2ff681c97f1a3bac"),
     "invariants --preset heisenberg1": (0, "74ba0f74a0d71d2e02d1ab50ea198ad9825aa10e68ec0d93772107a2a0b5e2c8"),
     "mf --preset heisenberg1": (0, "9ee8c933636d3c0ae4b6c2f85f5a072866a31c58355455d780f38cb36011ea6b"),
