@@ -588,18 +588,15 @@ def center_of(L):
     Only the basis vectors of weight zero (``weights``) get a column: the
     row (t, j) of a torus vector x_t holds -c_tj^j in column j alone, so a
     column of nonzero weight is zero in every kernel vector."""
-    cols = [i for i, w in enumerate(weights(L)) if not any(w)]
-    position = {i: n for n, i in enumerate(cols)}
-    images = [{} for _ in cols]
+    images = [{} for _ in range(L.dim)]
     for (i, j), comp in L.table.items():
         for k, c in comp.items():
-            if i in position:
-                images[position[i]][(j, k)] = c
-            if j in position:
-                images[position[j]][(i, k)] = -c
+            images[i][(j, k)] = c
+            images[j][(i, k)] = -c
+    cols = [i for i, w in enumerate(weights(L)) if not any(w)]
     zero = L.field.zero
     vectors = []
-    for coeffs in kernel_of_images(L.field, images):
+    for coeffs in kernel_of_images(L.field, [images[i] for i in cols]):
         v = [zero] * L.dim
         for i, c in zip(cols, coeffs):
             v[i] = c
