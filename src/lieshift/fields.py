@@ -224,9 +224,11 @@ class Field:
     def ring_gcd(self, a, b):
         """gcd(a, b) in the numerator ring, monic above level 0. Above level
         1 a pair that ``_coprime_at_a_point`` proves coprime gives the
-        ring's one at once. sympy's gcd can raise where its heuristic for
-        Z[t] gives up on an input; ``_prs_gcd`` then recomputes it without
-        a heuristic."""
+        ring's one at once; any other pair is taken over Z in every tower
+        variable (``_over_z``), where sympy's gcd is fast, instead of over
+        the rational function field below. sympy's gcd can raise where its
+        heuristic for Z[t] gives up on an input; ``_prs_gcd`` then
+        recomputes it without a heuristic."""
         if self.level == 0:
             return math.gcd(int(a), int(b))
         from sympy.polys.polyerrors import HeuristicGCDFailed
@@ -234,7 +236,10 @@ class Field:
         if self.level > 1 and _coprime_at_a_point(self, a, b):
             return self.domain.field.ring.one
         try:
-            return a.gcd(b)
+            if self.level == 1:
+                return a.gcd(b)
+            A, B = _over_z(self, a, b)
+            return _from_z(self, A.gcd(B))
         except HeuristicGCDFailed:
             return _prs_gcd(self, a, b)
 
@@ -268,19 +273,29 @@ def _sympy_domain(variables, base):
     return domain
 
 
-def _prs_gcd(field, a, b):
-    """The monic gcd of a and b in the numerator ring of a field above level
-    0, by a subresultant PRS with no heuristic step. The numerators of a and
-    b as fractions are polynomials over Z in the tower variables, and by
-    Gauss's lemma their gcd there differs by a unit of the coefficient field
-    from the one over it."""
+def _over_z(field, a, b):
+    """a and b, values of the numerator ring of a field above level 0, as
+    polynomials over Z in every tower variable: their numerators as
+    fractions. By Gauss's lemma their gcd there differs by a unit of the
+    ring from the one of a and b."""
     from sympy.polys.domains import ZZ
     from sympy.polys.orderings import grlex
     from sympy.polys.rings import PolyRing
 
     R = PolyRing(field.all_variables(), ZZ, grlex)
-    A, B = [R(p.as_expr().as_numer_denom()[0]) for p in (a, b)]
-    return field.domain.field.ring(R.dmp_rr_prs_gcd(A, B)[0].as_expr()).monic()
+    return [R(p.as_expr().as_numer_denom()[0]) for p in (a, b)]
+
+
+def _from_z(field, g):
+    """The monic value of the numerator ring on the line of g over Z."""
+    return field.domain.field.ring(g.as_expr()).monic()
+
+
+def _prs_gcd(field, a, b):
+    """The monic gcd of a and b in the numerator ring of a field above level
+    0, by a subresultant PRS over Z (``_over_z``) with no heuristic step."""
+    A, B = _over_z(field, a, b)
+    return _from_z(field, A.ring.dmp_rr_prs_gcd(A, B)[0])
 
 
 def _coprime_at_a_point(field, a, b):
@@ -300,10 +315,7 @@ def _coprime_at_a_point(field, a, b):
     from sympy.polys.polyerrors import HeuristicGCDFailed
     from sympy.polys.rings import PolyRing
 
-    rng = random.Random(len(field.all_variables()))
-    lower = len(field.all_variables()) - len(field.variables)
-    for _ in range(_COPRIME_POINTS):
-        point = [rng.randint(-_COPRIME_BOUND, _COPRIME_BOUND) for _ in range(lower)]
+    for point in _seeded_points(field):
         at = [_specialized(field.base, p, point) for p in (a, b)]
         if any(v is None or not v.get(p.LM) for v, p in zip(at, (a, b))):
             continue
@@ -318,6 +330,17 @@ def _coprime_at_a_point(field, a, b):
 
 _COPRIME_POINTS = 3
 _COPRIME_BOUND = 1000
+
+
+def _seeded_points(field):
+    """The integer points of the lower tower variables, in the order
+    ``_coprime_at_a_point`` tries them; the same for every call."""
+    rng = random.Random(len(field.all_variables()))
+    lower = len(field.all_variables()) - len(field.variables)
+    return [
+        [rng.randint(-_COPRIME_BOUND, _COPRIME_BOUND) for _ in range(lower)]
+        for _ in range(_COPRIME_POINTS)
+    ]
 
 
 def _specialized(base, p, point):

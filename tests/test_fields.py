@@ -227,8 +227,8 @@ def _random_tower_poly(rng, F, x, lower, deg):
 def test_coprime_at_a_point_agrees_with_the_prs_gcd(lower):
     # Q(t)[x] and Q(t)(u)[x]: random pairs are coprime, and the test at a
     # point proves it; a planted common factor, also one whose leading
-    # coefficient is not a constant, leaves the gcd to sympy, which agrees
-    # with the PRS gcd in Q(t)[x]
+    # coefficient is not a constant, leaves the gcd to sympy over Z, which
+    # agrees with the PRS gcd
     import random
 
     from lieshift import fields
@@ -251,11 +251,25 @@ def test_coprime_at_a_point_agrees_with_the_prs_gcd(lower):
         g = planted[trial % len(planted)]
         na, nb = F.clear([a * g, b * g])[1]
         assert not fields._coprime_at_a_point(F, na, nb)
-        if len(lower) > 1:
-            continue  # sympy's own gcd in Q(t)(u)[x] takes minutes here
         common = F.ring_gcd(na, nb)
         assert common == fields._prs_gcd(F, na, nb)
         assert common.degree() == F.clear([g])[1][0].degree() > 0
+
+
+def test_coprime_at_a_point_skips_a_point_that_loses_a_factor():
+    # at the first seeded point t0 the common factor (t - t0) x + 1 turns
+    # into the constant 1 and a denominator 1 / (t - t0) is undefined; the
+    # test moves on to the next point and finds the factor there
+    from lieshift import fields
+
+    F = QQ.extend("t").extend("x")
+    t, x = F.var("t"), F.var("x")
+    t0 = fields._seeded_points(F)[0][0]
+    g = (t - t0) * x + 1
+    for a, b in [(g * (x + 1), g * (x - 2)), (g * (x + 1 / (t - t0)), g * (x - 2))]:
+        na, nb = F.clear([a, b])[1]
+        assert not fields._coprime_at_a_point(F, na, nb)
+        assert F.ring_gcd(na, nb) == fields._prs_gcd(F, na, nb) == F.clear([g / (t - t0)])[1][0]
 
 
 def test_ring_quo_is_exact_at_every_level():
