@@ -315,11 +315,11 @@ def _coprime_at_a_point(field, a, b):
     from sympy.polys.polyerrors import HeuristicGCDFailed
     from sympy.polys.rings import PolyRing
 
+    R = PolyRing(field.variables, sympy_qq, grlex)
     for point in _seeded_points(field):
         at = [_specialized(field.base, p, point) for p in (a, b)]
         if any(v is None or not v.get(p.LM) for v, p in zip(at, (a, b))):
             continue
-        R = PolyRing(field.variables, sympy_qq, grlex)
         A, B = [R.from_dict({m: sympy_qq(c.numerator, c.denominator) for m, c in v.items()}) for v in at]
         try:
             return A.gcd(B).is_ground
@@ -367,7 +367,8 @@ def _value_at(field, x, point):
 
 def _poly_at(field, p, point):
     """A polynomial of the field's numerator ring at the point, or None."""
-    own, lower = point[len(point) - len(field.variables):], point[:len(point) - len(field.variables)]
+    k = len(point) - len(field.variables)
+    own, lower = point[k:], point[:k]
     total = Fraction(0)
     for m, c in p.terms():
         if field.level == 1:

@@ -28,8 +28,9 @@ pairing, which wraps the one coordinate it reads.
 
 The structure constants are read through one table, ``kernel_brackets``:
 by the kernels (``_bracket_cleared``, ``coadjoint_form``,
-``killing_matrix``), by the Jacobi and central-annotation checks of
-``validate``, and by the central-index check of ``pbw.EnvelopingAlgebra``.
+``killing_matrix``), by ``weights``, which reads the torus of the basis off
+it, by the Jacobi and central-annotation checks of ``validate``, and by the
+central-index check of ``pbw.EnvelopingAlgebra``.
 ``LieAlgebra.bracket_basis`` is a public accessor that no check reads.
 Whether a subspace is stable under another is answered by ``_maps_into``
 alone.

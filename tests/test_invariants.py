@@ -5,7 +5,6 @@ import pytest
 
 from factories import permuted, permuted_poly, reference_symmetric_invariants
 from lieshift.construct import construct_theorem
-
 from lieshift.fields import QQ
 from lieshift.invariants import (
     GeneratorSet,
@@ -168,8 +167,8 @@ def test_weights_read_the_torus_of_the_basis():
     assert weights(preset("aff1").algebra) == [(0,), (1,)]
     gl2 = preset("gl2").algebra
     assert [any(w) for w in weights(gl2)] == [False, True, True, False]
-    t_central = LieAlgebra(QQ, ["t", "x", "y", "c"], {(0, 1): {1: 3}, (0, 2): {2: -3}, (1, 2): {0: 1}})
-    assert weights(t_central) == [(0,), (3,), (-3,), (0,)]
+    with_center = LieAlgebra(QQ, ["t", "x", "y", "c"], {(0, 1): {1: 3}, (0, 2): {2: -3}, (1, 2): {0: 1}})
+    assert weights(with_center) == [(0,), (3,), (-3,), (0,)]
 
 
 def _permutations(name, count=2):
