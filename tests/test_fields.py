@@ -258,8 +258,9 @@ def test_coprime_at_a_point_agrees_with_the_prs_gcd(lower):
 
 def test_coprime_at_a_point_skips_a_point_that_loses_a_factor():
     # at the first seeded point t0 the common factor (t - t0) x + 1 turns
-    # into the constant 1 and a denominator 1 / (t - t0) is undefined; the
-    # test moves on to the next point and finds the factor there
+    # into the constant 1, so the pair would look coprime there, and in the
+    # second pair a coefficient's denominator t - t0 vanishes. The point
+    # test skips t0, and at the next point the factor shows
     from lieshift import fields
 
     F = QQ.extend("t").extend("x")
