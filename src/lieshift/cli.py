@@ -460,6 +460,16 @@ def _int_at_least(low):
     return parse
 
 
+def _bound(text):
+    """argparse type of --bound: an integer >= 1 that ``Sampling`` accepts."""
+    n = _int_at_least(1)(text)
+    try:
+        Sampling(bound=n)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e))
+    return n
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lieshift",
@@ -473,7 +483,7 @@ def build_parser():
     common.add_argument("--file", help="path to a lieshift/1 algebra file")
     common.add_argument("--seed", type=int, default=Sampling.seed)
     common.add_argument("--samples", type=_int_at_least(1), default=Sampling.samples)
-    common.add_argument("--bound", type=_int_at_least(1), default=Sampling.bound)
+    common.add_argument("--bound", type=_bound, default=Sampling.bound)
     common.add_argument(
         "--max-deg",
         type=_int_at_least(1),

@@ -30,6 +30,7 @@ from .liealg import (
     Subspace,
     bracket,
     _basis_brackets,
+    _bracket_cleared,
     _brackets,
     _check_ltilde_covers,
     _maps_into,
@@ -174,10 +175,12 @@ def _require_valid_split(L, split):
 def _hat_unchecked(L, split, xi, alg):
     zi = _split_z_index(L, split)
     half_zinv = alg.gen(zi, -1) * alg.field.rational(1, 2) * split.z[zi].inverse()
+    # xi is cleared once for all its brackets with the pairs
+    s_xi, *s_pairs = _supports(L, (xi,) + split.x + split.y)
+    b = [alg.from_vector(_wrapped(L, _bracket_cleared(L, s_xi, s))) for s in s_pairs]
+    k = len(split.x)
     corr = alg.zero()
-    for x_i, y_i in zip(split.x, split.y):
-        bx = alg.from_vector(bracket(L, xi, x_i))
-        by = alg.from_vector(bracket(L, xi, y_i))
+    for x_i, y_i, bx, by in zip(split.x, split.y, b[:k], b[k:]):
         corr = corr + bx * alg.from_vector(y_i) - by * alg.from_vector(x_i)
     return alg.from_vector(xi) + half_zinv * corr
 
@@ -362,7 +365,7 @@ def _coordinate_complement(L, h):
     coordinate at i, and these last indices l are the pivot columns of h's
     basis with the columns reversed: one elimination of dim h rows.
     """
-    basis, pivots = echelon_basis(L.field, [b[::-1] for b in h.basis])
+    basis, pivots, _ = echelon_basis(L.field, [b[::-1] for b in h.basis])
     reduced = tuple([(L.dim - 1 - c, b[::-1]) for b, c in zip(basis, pivots)])
     last = {l for l, _ in reduced}
     return tuple([i for i in range(L.dim) if i not in last]), reduced

@@ -23,6 +23,12 @@ values, and ``Field.from_cleared`` wraps a result n / d once.
 ``Field.coerce`` is the one check of a caller's scalar: an int, a Fraction
 or an element of that field, anything else a ``FieldError``. An int goes
 through ``from_int``, which above level 0 skips sympy's conversion chain.
+
+``Field.residues`` takes cleared values to the prime field F_p, p =
+``PRIME`` = 2^61 - 1, for the sampled ranks of ``invariants``: integers
+are reduced, and above level 0 every tower variable is specialized at a
+seeded residue. Both are ring homomorphisms where they are defined, so a
+rank mod p is never above the rank over the field.
 """
 
 from __future__ import annotations
@@ -33,6 +39,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 MAX_TOWER_DEPTH = 3
+
+# the prime of the sampled ranks (a Mersenne prime: residues fit a machine word)
+PRIME = 2**61 - 1
 
 
 class FieldError(Exception):
@@ -243,6 +252,26 @@ class Field:
         except HeuristicGCDFailed:
             return _prs_gcd(self, a, b)
 
+    def residues(self, values):
+        """Numerator-ring values mod ``PRIME``, as ints in range(PRIME).
+
+        At level 0 the integers are reduced. Above it each value is taken
+        at one seeded residue of every tower variable (``_residue_points``),
+        redrawn while a coefficient denominator vanishes there mod p; a
+        FieldError if none of the draws keeps every denominator nonzero.
+        Either way the map is a ring homomorphism on the values it is
+        defined at: a minor that is nonzero mod p is nonzero in the ring.
+        """
+        if self.level == 0:
+            return [v % PRIME for v in values]
+        for point in _residue_points(self):
+            out = [_poly_mod(self, v, point) for v in values]
+            if None not in out:
+                return out
+        raise FieldError(
+            "every residue point of %s makes a denominator vanish mod %d" % (self, PRIME)
+        )
+
     def _primitive(self, row):
         """The canonical numerator-ring row on the line of a nonzero one:
         content divided out, first nonzero entry positive (level 0) or of
@@ -381,6 +410,46 @@ def _poly_at(field, p, point):
             v *= x ** e
         total += v
     return total
+
+
+_RESIDUE_DRAWS = 8
+
+
+def _residue_points(field):
+    """The residue points mod PRIME of every tower variable, in the order
+    ``Field.residues`` tries them; the same for every call."""
+    names = field.all_variables()
+    rng = random.Random("residues of " + ",".join(names))
+    return [[rng.randrange(PRIME) for _ in names] for _ in range(_RESIDUE_DRAWS)]
+
+
+def _poly_mod(field, p, point):
+    """A polynomial of the numerator ring of a field above level 0 at the
+    residue point of every tower variable, mod PRIME; None where a
+    coefficient denominator vanishes there."""
+    k = len(point) - len(field.variables)
+    own, lower = point[k:], point[:k]
+    total = 0
+    for m, c in p.terms():
+        if field.level == 1:
+            v = _quotient_mod(int(c.numerator), int(c.denominator))
+        else:
+            v = _quotient_mod(*[_poly_mod(field.base, q, lower) for q in (c.numer, c.denom)])
+        if v is None:
+            return None
+        for x, e in zip(own, m):
+            if e:
+                v = v * pow(x, e, PRIME) % PRIME
+        total += v
+    return total % PRIME
+
+
+def _quotient_mod(num, den):
+    """num / den mod PRIME, or None where den vanishes mod PRIME (or either
+    is None)."""
+    if num is None or den is None or not den % PRIME:
+        return None
+    return num * pow(den, -1, PRIME) % PRIME
 
 
 def _convert_ground_elements(domain):

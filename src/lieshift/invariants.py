@@ -1,13 +1,24 @@
 """Index, the bound b, symmetric invariants, regularity, transcendence degree.
 
 Sampling-based quantities (index, Jacobian transcendence degree) take the
-maximum of an exact rank over several random integer points, all drawn by
-one frozen ``Sampling`` value (samples, bound, seed) through one loop,
-``Sampling.max_rank``.  A sampled rank can only undershoot the generic rank,
-and only when every point lands on a proper closed subvariety; by
-Schwartz-Zippel a point does so with probability at most degree/(2 bound).
-The maximum is reported as the generic value, together with the seed and
-the witness point that attained it.  All arithmetic stays exact.
+maximum of a rank over several random integer points, all drawn by one
+frozen ``Sampling`` value (samples, bound, seed) through one loop,
+``Sampling.max_rank``.  Its matrix has polynomial entries in the point's
+coordinates: the linear forms sum_k c_ij^k x_k of the coadjoint form, or
+the principal symbols' gradients.  Their coefficients are cleared and
+reduced once per rank modulo the prime p = 2^61 - 1 (``Field.residues``,
+which above level 0 also specializes each tower variable at a seeded
+residue), and each point is evaluated and ranked mod p
+(``linalg.rank_mod_prime``).
+
+A sampled rank can only undershoot the generic rank: a minor that is
+nonzero mod p is nonzero at the point, and nonzero over the field.  By
+Schwartz-Zippel one sample undershoots with probability at most
+degree/(2 bound + 1), plus degree/p for the tower residues, where degree is
+that of the generic minor; the bound stays below (p - 1)/2, so distinct
+coordinates stay distinct mod p.  The maximum is reported as the generic
+value, together with the seed and the witness point that attained it.
+Every other elimination (stabilizers, kernels, spans) stays exact.
 
 The symmetric invariants are the kernel of the Poisson bracket with the
 generators, taken by ``linalg.kernel_of_images``, the solver that the
@@ -17,11 +28,11 @@ centralizers of ``pbw`` and the center of ``liealg`` share.
 import random
 from dataclasses import dataclass
 
-from .fields import FieldError
-from .liealg import LinearForm, Subspace, coadjoint_form, stabilizer, subalgebra_of, weights
-from .linalg import kernel_of_images, rank
+from .fields import PRIME, FieldError
+from .liealg import LinearForm, Subspace, stabilizer, subalgebra_of, weights
+from .linalg import kernel_of_images, rank_mod_prime
 from .pbw import PBWElement, principal_symbol
-from .polyring import PolyElement, differential_at, monomials_of_degree, poisson
+from .polyring import PolyElement, monomials_of_degree, poisson
 
 
 @dataclass(frozen=True)
@@ -81,20 +92,27 @@ def sample_point(field, n, seed, bound, nonzero=frozenset()):
     """
     if bound < 1:
         raise ValueError("bound must be at least 1, got %s" % bound)
+    return tuple([field.from_int(c) for c in _draw(n, seed, bound, nonzero)])
+
+
+def _draw(n, seed, bound, nonzero):
+    """The coordinates of ``sample_point`` as ints."""
     rng = random.Random(seed)
     pt = []
     for i in range(n):
         c = rng.randint(-bound, bound)
         while i in nonzero and c == 0:
             c = rng.randint(-bound, bound)
-        pt.append(field.from_int(c))
-    return tuple(pt)
+        pt.append(c)
+    return pt
 
 
 @dataclass(frozen=True)
 class Sampling:
     """How sampled ranks are drawn: `samples` points per rank, coordinates in
-    [-bound, bound], streams derived from `seed`.  Validated once, here."""
+    [-bound, bound], streams derived from `seed`.  Validated once, here: the
+    bound stays below (p - 1)/2 for the prime p of the ranks, so distinct
+    coordinates stay distinct mod p and a nonzero one stays invertible."""
 
     samples: int = 5
     bound: int = 10**4
@@ -107,23 +125,68 @@ class Sampling:
             raise ValueError(
                 "samples and bound must be at least 1, got %s, %s" % (self.samples, self.bound)
             )
+        if self.bound >= (PRIME - 1) // 2:
+            raise ValueError(
+                "bound must be below (p - 1)/2 = %d for the prime p = 2^61 - 1, got %d"
+                % ((PRIME - 1) // 2, self.bound)
+            )
 
     def point(self, field, n, stream, nonzero=frozenset()):
         """The seeded point of one stream (a sample index plus a caller offset)."""
         return sample_point(field, n, sample_seed(self.seed, stream), self.bound, nonzero)
 
-    def max_rank(self, field, n, matrix_at, nonzero=frozenset()):
-        """(best, witness, ranks): the largest exact rank of the rows
-        matrix_at(p) over the points of streams 0 .. samples - 1, the first
-        point attaining it, and every rank in stream order."""
+    def max_rank(self, field, n, rows, nonzero=frozenset()):
+        """(best, witness, ranks): the largest rank of the matrix ``rows`` at
+        the points of streams 0 .. samples - 1, the first point attaining
+        it, and every rank in stream order.
+
+        Each entry of ``rows`` is a polynomial in the n coordinates, a
+        sequence of (monomial, coefficient) terms: a monomial is a tuple of
+        (index, exponent) pairs, negative only at an index in ``nonzero``,
+        and the coefficients are numerator-ring values (``Field.clear``).
+        They are reduced mod p once; each point, drawn as ``point`` draws
+        it, is evaluated mod p with its powers computed once, and ranked by
+        ``rank_mod_prime``, which is never above the rank over the field.
+        Only the witness is built as field elements.
+        """
+        monos = {}
+        coeffs = []
+        for row in rows:
+            for entry in row:
+                for m, c in entry:
+                    monos.setdefault(m, len(monos))
+                    coeffs.append(c)
+        it = iter(field.residues(coeffs))
+        # per row, (column, [(monomial number, residue), ...]) over nonzero entries
+        matrix = [
+            [(j, [(monos[m], next(it)) for m, _ in entry]) for j, entry in enumerate(row) if entry]
+            for row in rows
+        ]
+        ncols = len(rows[0]) if rows else 0
         best, witness, ranks = -1, (), []
         for i in range(self.samples):
-            pt = self.point(field, n, i, nonzero)
-            r = rank(field, matrix_at(pt))
+            pt = _draw(n, sample_seed(self.seed, i), self.bound, nonzero)
+            powers = {}
+            values = []
+            for m in monos:
+                v = 1
+                for j, e in m:
+                    x = powers.get((j, e))
+                    if x is None:
+                        x = powers[j, e] = pow(pt[j], e, PRIME)
+                    v = v * x % PRIME
+                values.append(v)
+            residue_rows = []
+            for row in matrix:
+                out = [0] * ncols
+                for j, entry in row:
+                    out[j] = sum([c * values[k] for k, c in entry]) % PRIME
+                residue_rows.append(out)
+            r = rank_mod_prime(residue_rows)
             ranks.append(r)
             if r > best:
                 best, witness = r, pt
-        return best, witness, tuple(ranks)
+        return best, tuple([field.from_int(c) for c in witness]), tuple(ranks)
 
     def report(self, value, method, ranks=(), witness=()):
         """A SampleReport stamped with this sampling's seed and samples."""
@@ -133,12 +196,16 @@ class Sampling:
 def index_of(L, sampling=Sampling()):
     """Index of L: dim minus the generic rank of the coadjoint form.
 
-    The form gamma([x_i, x_j]) is evaluated at sampled integer points of the
+    The form gamma([x_i, x_j]) = sum_k c_ij^k gamma_k, read off the cleared
+    table ``kernel_brackets``, is ranked at sampled integer points of the
     dual space; its rank is maximal outside a proper closed locus.
     """
-    best, witness, ranks = sampling.max_rank(
-        L.field, L.dim, lambda pt: coadjoint_form(L, LinearForm(L.field, pt))
-    )
+    _, brackets = L.kernel_brackets
+    rows = []
+    for i in range(L.dim):
+        row = brackets.get(i, {})
+        rows.append([[(((k, 1),), c) for k, c in row.get(j, ())] for j in range(L.dim)])
+    best, witness, ranks = sampling.max_rank(L.field, L.dim, rows)
     return sampling.report(L.dim - best, "coadjoint-rank-sampling", ranks, witness)
 
 
@@ -204,9 +271,10 @@ def trdeg_jacobian(gens, sampling=Sampling()):
     """Transcendence degree of a generating set via sampled Jacobian rank.
 
     Enveloping-algebra elements are first replaced by their principal symbols
-    (which preserves transcendence degree); the rank of the matrix of
-    differentials is then sampled exactly as in index_of.  Coordinates under a
-    formal inverse are kept nonzero.
+    (which preserves transcendence degree); the gradients are built once, in
+    one pass over the terms cleared over one denominator, and their rank is
+    sampled as in index_of.  Coordinates under a formal inverse are kept
+    nonzero.
     """
     if isinstance(gens, GeneratorSet):
         elements = list(gens.elements)
@@ -223,10 +291,19 @@ def trdeg_jacobian(gens, sampling=Sampling()):
     if any(f.field is not F or f.nvars != n for f in elements):
         raise FieldError("generators live in different polynomial rings")
     nz = frozenset().union(*[f.laurent for f in elements])
-    best, witness, ranks = sampling.max_rank(
-        F, n, lambda pt: [differential_at(f, pt) for f in elements],
-        nonzero=nz,
-    )
+    _, values = F.clear([c for f in elements for c in f.terms.values()])
+    it = iter(values)
+    rows = []
+    for f in elements:
+        grad = [[] for _ in range(n)]
+        for e in f.terms:
+            c = next(it)
+            for i, k in enumerate(e):
+                if k:  # c x^e contributes c k x^(e - eps_i) to entry i
+                    d = e[:i] + (k - 1,) + e[i + 1 :]
+                    grad[i].append((tuple([(j, x) for j, x in enumerate(d) if x]), c * k))
+        rows.append(grad)
+    best, witness, ranks = sampling.max_rank(F, n, rows, nonzero=nz)
     return sampling.report(best, "jacobian-rank-sampling", ranks, witness)
 
 

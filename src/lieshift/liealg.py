@@ -79,9 +79,10 @@ class Subspace:
     ``linalg.echelon_basis`` builds the basis by one fraction-free elimination:
     each row is content-normalized and is the only row nonzero at its pivot
     column (``pivots[i]`` for ``basis[i]``). Each basis vector is its own
-    primitive numerator-ring row over the unit denominator, kept in ``_rows``
-    as a cleared support, so a bracket of basis vectors reads the rows as
-    they are (``_cleared_basis``).
+    primitive numerator-ring row over the unit denominator, which
+    ``echelon_basis`` hands over with the basis; it is kept in ``_rows`` as a
+    cleared support, so a bracket of basis vectors reads the rows as they
+    are (``_cleared_basis``).
 
     Membership is one residual routine, ``_spans``, on the cleared support
     (index, x) of a vector x / d: the candidate coordinates are read at the
@@ -101,12 +102,12 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim:
                 raise LieAlgebraError("vector length does not match ambient dim")
-        self.basis, piv = echelon_basis(field, rows)
+        self.basis, piv, ring = echelon_basis(field, rows)
         self.pivots = tuple(piv)
         # (pivot column, pivot entry, ((k, entry), ...) over nonzeros)
         self._rows = tuple([
             (p, r[p], tuple([(k, a) for k, a in enumerate(r) if a]))
-            for r, p in zip([field.clear(b)[1] for b in self.basis], self.pivots)
+            for r, p in zip(ring, self.pivots)
         ])
 
     @property

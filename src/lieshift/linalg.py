@@ -2,7 +2,9 @@
 
 A matrix is a list of rows of ``FieldElement``s: ``rank(field, rows)``,
 ``kernel_basis(field, rows, ncols)``, ``solve(field, a_rows, rhs)`` and
-``echelon_basis(field, rows)``. ``kernel_of_images(field, images)`` is the
+``echelon_basis(field, rows)``. ``rank_mod_prime(rows)`` is the one
+elimination on other rows: residues mod ``fields.PRIME``, the sampled
+ranks of ``invariants``. ``kernel_of_images(field, images)`` is the
 kernel of a map given column by column as sparse images, the one solver of
 the bracket kernels: the symmetric invariants, the centralizers in U(q) and
 the center. ``_bareiss`` rejects ragged rows and
@@ -24,11 +26,16 @@ solution is a ring row, and ``solve`` divides each entry once by that pivot.
 each pivot in the ring. ``kernel_basis`` and ``echelon_basis`` normalize
 each ring row with ``Field._primitive``, so every basis returned here is
 canonical.
+
+``rank_mod_prime`` is Gaussian elimination over F_p on ints below p =
+2^61 - 1, with one modular inverse per pivot. A matrix of residues of
+numerator-ring values has a rank over F_p at most their rank over the
+field, so a sampled rank stays a lower bound on the generic one.
 """
 
 from __future__ import annotations
 
-from .fields import FieldError
+from .fields import PRIME, FieldError
 
 
 def _bareiss(field, rows, ncols):
@@ -96,6 +103,31 @@ def rank(field, rows):
     return len(_bareiss(field, rows, len(rows[0]) if rows else 0)[1])
 
 
+def rank_mod_prime(rows):
+    """The rank over F_p, p = ``PRIME``, of rows of ints in range(p), all
+    of one length. Each pivot row is scaled to a unit pivot, and only the
+    columns right of the pivot are rewritten."""
+    rows = [list(row) for row in rows if any(row)]
+    nrows = len(rows)
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        k = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = pow(rows[r][c], -1, PRIME)
+        piv = [a * inv % PRIME for a in rows[r][c + 1 :]]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            head = row[c]
+            if head:
+                row[c + 1 :] = [(a - head * b) % PRIME for a, b in zip(row[c + 1 :], piv)]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
 def _back_substitute(field, rows, pivots, ncols, free):
     """The ring row v with v[free] = D, the last pivot (1 with none), 0 at the
     other non-pivot columns and row . v = 0 for each eliminated row. D is
@@ -143,13 +175,14 @@ def kernel_of_images(field, images):
 
 
 def echelon_basis(field, rows):
-    """Reduced-echelon basis of the span of ``rows``, and its pivot columns.
+    """Reduced-echelon basis of the span of ``rows``, its pivot columns, and
+    the basis as primitive numerator-ring rows over the unit denominator.
 
     Basis row i is the only one nonzero at column ``pivots[i]``; each row is
     normalized, so a span has one basis. Zero entries share one element.
     """
     if not rows:
-        return [], []
+        return [], [], []
     ring, pivots = _bareiss(field, rows, len(rows[0]))
     for r, c in reversed(pivots):
         row = ring[r] = field._primitive(ring[r])
@@ -157,7 +190,8 @@ def echelon_basis(field, rows):
             head = ring[i][c]
             if head:
                 ring[i] = [row[c] * a - head * b for a, b in zip(ring[i], row)]
-    return [_from_ring_row(field, ring[r]) for r, _ in pivots], [c for _, c in pivots]
+    ring = [ring[r] for r, _ in pivots]
+    return [_from_ring_row(field, row) for row in ring], [c for _, c in pivots], ring
 
 
 def _from_ring_row(field, row):

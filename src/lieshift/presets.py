@@ -82,7 +82,7 @@ def _reduced(rows, width):
     than rows exactly when the rows are linearly dependent.
     """
     k = len(rows)
-    basis, pivots = echelon_basis(QQ, [list(r) + list(_unit(k, i)) for i, r in enumerate(rows)])
+    basis, pivots, _ = echelon_basis(QQ, [list(r) + list(_unit(k, i)) for i, r in enumerate(rows)])
     out = {}
     for b, c in zip(basis, pivots):
         if c < width:

@@ -312,6 +312,9 @@ print("sympy" in sys.modules)
     "argv, loads_after_main",
     [
         (["index", "--preset", "sl3", "--json"], False),
+        # sampled ranks at level 0 are taken mod p without sympy
+        (["b", "--preset", "heisenberg10", "--json"], False),
+        (["mf", "--preset", "so4", "--json"], False),
         (["reduce-abelian", "--preset", "borel-sl3", "--json"], True),
     ],
 )
@@ -437,6 +440,23 @@ def test_cli_rejects_nonpositive_sampling_args(argv, flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument %s: expected an integer >= 1" % flag in captured.err
+
+
+def test_cli_rejects_a_bound_at_half_the_prime(capsys):
+    # the sampled ranks are taken mod p = 2^61 - 1, where coordinates in
+    # [-bound, bound] must stay distinct
+    from lieshift.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["index", "--preset", "sl2", "--bound", str(2**60 - 1)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "lieshift index: error: argument --bound: bound must be below (p - 1)/2"
+        " = 1152921504606846975 for the prime p = 2^61 - 1, got 1152921504606846975\n"
+    )
+    assert main(["index", "--preset", "sl2", "--bound", str(2**60 - 2), "--json"]) == 0
 
 
 @pytest.mark.parametrize("value", ["-1", "two"])

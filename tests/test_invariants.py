@@ -2,10 +2,12 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from factories import permuted, permuted_poly, reference_symmetric_invariants
-from lieshift.construct import construct_theorem
-from lieshift.fields import QQ
+from lieshift import fields
+from lieshift.construct import ConstructError, construct_theorem
+from lieshift.fields import PRIME, QQ, FieldError
 from lieshift.invariants import (
     GeneratorSet,
     Sampling,
@@ -20,6 +22,7 @@ from lieshift.invariants import (
     trdeg_jacobian,
 )
 from lieshift.liealg import LieAlgebra, Subspace, center_of, vec, weights
+from lieshift.linalg import rank, rank_mod_prime
 from lieshift.pbw import EnvelopingAlgebra
 from lieshift.polyring import PolyElement, coefficient_rows, poisson
 from lieshift.presets import preset
@@ -77,6 +80,147 @@ def test_sampling_draws_the_seeded_streams():
         sampling.seed = 8
     with pytest.raises(TypeError, match="integers"):
         Sampling(samples=2.5)
+
+
+def test_sampling_bound_stays_below_half_the_prime():
+    # distinct coordinates in [-bound, bound] stay distinct mod p, and a
+    # nonzero one stays invertible
+    limit = (PRIME - 1) // 2
+    assert Sampling(bound=limit - 1).bound == limit - 1
+    with pytest.raises(ValueError) as exc:
+        Sampling(bound=limit)
+    assert str(exc.value) == (
+        "bound must be below (p - 1)/2 = 1152921504606846975 for the prime"
+        " p = 2^61 - 1, got 1152921504606846975"
+    )
+
+
+QT = QQ.extend("t")
+QTS = QT.extend("s")
+
+
+def _scalar(field):
+    """Small nonzero scalars; above level 0, with a non-monic denominator."""
+    small = st.integers(-3, 3).filter(bool)
+    if field is QQ:
+        return st.builds(QQ.rational, small, st.integers(1, 3))
+    names = field.all_variables()
+    return st.builds(
+        lambda a, b, x, c, d, y: (field.from_int(a) + b * field.var(x))
+        / (field.from_int(c) + d * field.var(y)),
+        small, st.integers(0, 3), st.sampled_from(names),
+        st.integers(1, 3), st.integers(0, 2), st.sampled_from(names),
+    )
+
+
+@st.composite
+def polynomial_matrices(draw, field, max_dim):
+    """(nvars, rows): entries are lists of (exponents, scalar) terms in nvars
+    coordinates, the exponent of coordinate 0 possibly -1; a row that is a
+    multiple of another is likely."""
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(st.integers(-1, 2), *[st.integers(0, 2)] * (nvars - 1))
+    entry = st.lists(st.tuples(exps, _scalar(field)), max_size=2)
+    m = draw(st.integers(1, max_dim + 1))
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=1, max_size=max_dim))
+    if draw(st.booleans()):
+        c = draw(_scalar(field))
+        rows.append([[(e, c * a) for e, a in terms] for terms in rows[0]])
+    return nvars, rows
+
+
+def _exact_at(field, rows, point):
+    """The entries of polynomial_matrices rows at a point, over the field."""
+    out = []
+    for row in rows:
+        vals = []
+        for terms in row:
+            v = field.zero
+            for e, c in terms:
+                for x, k in zip(point, e):
+                    if k:
+                        c = c * x**k
+                v = v + c
+            vals.append(v)
+        out.append(vals)
+    return out
+
+
+def _check_rank_mod_prime(field, drawn, seed):
+    nvars, rows = drawn
+    _, values = field.clear([c for row in rows for terms in row for _, c in terms])
+    it = iter(values)
+    poly_rows = [
+        [[(tuple([(j, k) for j, k in enumerate(e) if k]), next(it)) for e, _ in terms] for terms in row]
+        for row in rows
+    ]
+    best, witness, ranks = Sampling(samples=1, bound=50, seed=seed).max_rank(
+        field, nvars, poly_rows, nonzero=frozenset({0})
+    )
+    assert ranks == (best,) and not witness[0].is_zero
+    exact = rank(field, _exact_at(field, rows, witness))
+    assert best <= exact  # a minor nonzero mod p is nonzero over the field
+    assert best == exact  # but for a chance of about degree/p
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_matrices(QQ, 3), st.integers(0, 10**6))
+def test_rank_mod_prime_matches_rank_level0(drawn, seed):
+    _check_rank_mod_prime(QQ, drawn, seed)
+
+
+@settings(max_examples=50, deadline=None)
+@given(polynomial_matrices(QT, 3), st.integers(0, 10**6))
+def test_rank_mod_prime_matches_rank_level1(drawn, seed):
+    _check_rank_mod_prime(QT, drawn, seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(polynomial_matrices(QTS, 2), st.integers(0, 10**6))
+def test_rank_mod_prime_matches_rank_level2(drawn, seed):
+    _check_rank_mod_prime(QTS, drawn, seed)
+
+
+def test_rank_mod_prime_small_cases():
+    assert rank_mod_prime([]) == 0
+    assert rank_mod_prime([[0, 0], [0, 0]]) == 0
+    assert rank_mod_prime([[1, 2], [2, 4]]) == 1
+    assert rank_mod_prime([[0, 1], [1, 0]]) == 2
+    assert rank_mod_prime([[1, PRIME - 1], [PRIME - 1, 1]]) == 1  # x - y twice
+
+
+def test_a_minor_divisible_by_the_prime_lowers_the_rank_and_the_claim_is_refused():
+    # [x, y] = p z: the coadjoint form vanishes mod p, so every sampled rank
+    # drops to 0 and the index comes out 3 instead of 1; b = 3 is then a
+    # target that no certificate meets, so construction refuses
+    L = LieAlgebra(QQ, ["x", "y", "z"], {(0, 1): {2: PRIME}})
+    rep = index_of(L)
+    assert rep.ranks == (0,) * 5 and rep.value == 3
+    with pytest.raises(ConstructError) as exc:
+        construct_theorem(L)
+    assert str(exc.value) == "certified set has transcendence degree 2 but the target is 3"
+    # a Jacobian rank drops too, below the transcendence degree 2
+    gens = [PolyElement(QQ, 2, {(1, 0): PRIME}), PolyElement(QQ, 2, {(0, 1): 1})]
+    assert trdeg_jacobian(gens).value == 1
+
+
+def test_residues_redraw_a_point_where_a_denominator_vanishes():
+    first, second = fields._residue_points(QTS)[:2]
+    t, s = QTS.var("t"), QTS.var("s")
+    # the coefficient 1/(t - tau) of s has no value where t is tau
+    _, [v] = QTS.clear([s / (t - QTS.from_int(first[0]))])
+    assert fields._poly_mod(QTS, v, first) is None
+    assert QTS.residues([v]) == [second[1] * pow(second[0] - first[0], -1, PRIME) % PRIME]
+    # a denominator divisible by p vanishes at every point: an error
+    _, [w] = QTS.clear([s / QTS.from_int(PRIME)])
+    with pytest.raises(FieldError) as exc:
+        QTS.residues([w])
+    assert str(exc.value) == (
+        "every residue point of Q(t)(s) makes a denominator vanish mod %d" % PRIME
+    )
+    gens = [PolyElement(QTS, 1, {(1,): QTS.one / QTS.from_int(PRIME)})]
+    with pytest.raises(FieldError):
+        trdeg_jacobian(gens)
 
 
 def test_b_of_raises_on_odd_dim_plus_index(monkeypatch):
