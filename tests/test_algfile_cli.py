@@ -312,10 +312,10 @@ print("sympy" in sys.modules)
     "argv, loads_after_main",
     [
         (["index", "--preset", "sl3", "--json"], False),
+        (["reduce-abelian", "--preset", "borel-sl3", "--json"], True),
         # sampled ranks at level 0 are taken mod p without sympy
         (["b", "--preset", "heisenberg10", "--json"], False),
         (["mf", "--preset", "so4", "--json"], False),
-        (["reduce-abelian", "--preset", "borel-sl3", "--json"], True),
     ],
 )
 def test_sympy_is_imported_only_for_tower_fields(argv, loads_after_main):
