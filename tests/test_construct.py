@@ -153,6 +153,46 @@ def test_hat_algebra_needs_axis_center():
         hat_algebra(L, split)
 
 
+def test_split_center_off_an_axis_is_named_exactly():
+    L = LieAlgebra(QQ, ("x", "y", "z", "w"), {(0, 1): {2: 1, 3: 1}}, {"central": [2, 3]})
+    z = vec(QQ, [0, 0, 1, 1])
+    split = HeisenbergSplit(
+        l_basis=Subspace(QQ, 4, [z]), x=(L.basis_vector(0),), y=(L.basis_vector(1),), z=z
+    )
+    msg = "^split center must be a multiple of a single basis generator$"
+    with pytest.raises(ConstructError, match=msg):
+        hat_algebra(L, split)
+    with pytest.raises(ConstructError, match=msg):
+        hat_map(L, split, L.basis_vector(0))
+    with pytest.raises(ConstructError, match=msg):
+        verify_hat_lemmas(L, split)
+
+
+def test_vanished_corrected_image_is_named_exactly():
+    # two generators sent to the same vector: their difference maps to zero
+    L = semidirect()
+    split = classify_nilradical(L).split
+    U = EnvelopingAlgebra(preset("abelian2").algebra)
+    gs = GeneratorSet("associative", [U.gen(0) - U.gen(1)], ["a - b"])
+    h = L.basis_vector(0)
+    with pytest.raises(ConstructError, match="^corrected image vanished; lift is broken$"):
+        heisenberg_lift(L, split, gs, [h, h])
+
+
+def test_failed_correction_map_checks_are_named_exactly(monkeypatch):
+    real = construct_mod._hat_lemmas
+
+    def forged(*args):
+        rep = real(*args)
+        rep.homomorphism_failures.append("forged")
+        return rep
+
+    monkeypatch.setattr(construct_mod, "_hat_lemmas", forged)
+    P = preset("sl2-semidirect-h3")
+    with pytest.raises(ConstructError, match=r"^correction-map checks failed: \['forged'\]$"):
+        construct_theorem(P.algebra, casimirs=P.casimirs)
+
+
 def test_heisenberg_lift_golden():
     L = semidirect()
     split = classify_nilradical(L).split

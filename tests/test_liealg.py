@@ -551,6 +551,22 @@ def test_ltilde():
         assert lt.contains(L.basis_vector(i))
 
 
+def test_ltilde_covers_names_each_failure_exactly():
+    # the checks construct_theorem runs on a split's own l_basis, each forged
+    L = preset("sl2-semidirect-h3").algebra
+    split = classify_nilradical(L).split
+    with pytest.raises(LieAlgebraError, match="^stabilizer plus Heisenberg ideal does not span$"):
+        liealg._check_ltilde_covers(L, split, Subspace(QQ, L.dim, [split.z]))
+    # the whole algebra spans, but meets h = span{x, y, z} in dim 3
+    everything = L.span_of_indices(range(L.dim))
+    with pytest.raises(LieAlgebraError, match="^stabilizer meets the ideal off the center line$"):
+        liealg._check_ltilde_covers(L, split, everything)
+    # the sl2 copy spans with h, but misses it entirely
+    with pytest.raises(LieAlgebraError, match="^stabilizer meets the ideal off the center line$"):
+        liealg._check_ltilde_covers(L, split, L.span_of_indices([0, 1, 2]))
+    liealg._check_ltilde_covers(L, split, split.l_basis)
+
+
 def test_ltilde_is_the_split_stabilizer_on_every_heisenberg_preset():
     names = ["heisenberg1", "heisenberg2", "heisenberg4"] + [
         n for n in preset_names() if not n.endswith("N")

@@ -149,6 +149,14 @@ def test_substitute_generators():
     assert out == cas * h + cas * 3
 
 
+def test_substitute_into_a_formal_inverse_is_named_exactly():
+    L = preset("heisenberg1").algebra
+    A = EnvelopingAlgebra(L, laurent=(2,))
+    u = A.gen(0) * A.gen(2, -1)
+    with pytest.raises(FieldError, match="^cannot substitute into a formal inverse$"):
+        substitute_generators(u, [A.gen(0), A.gen(1), A.gen(2)], A)
+
+
 def test_centralizer_golden():
     # degree-1 centralizer of {z, x, zh+xy, quantum deg-3 gen} inside U(sl2 x| h3)
     L = preset("sl2-semidirect-h3").algebra
