@@ -7,6 +7,17 @@ abelian ideal to a smaller algebra over a rational function field, central
 specialization, and the orchestrator gluing these into a certified
 commutative subalgebra of transcendence degree (dim + index)/2.
 
+The correction map and the lifts compute on cleared values. A Heisenberg
+split is cleared once per level (``_Correction``); each [xi, w] comes from
+``liealg._bracket_cleared`` and is multiplied into one dict of packed
+numerator-ring terms (``EnvelopingAlgebra._mul_into``), z^-1 is a shift of
+the packed central field, and 1/(2 z_c) with every denominator is folded
+into one denominator, so ``EnvelopingAlgebra._element`` wraps each
+coefficient of hat(xi) once. The corrected lift and ``lift_from_hat``
+substitute through ``pbw.substitute_generators``, whose coefficient images
+(polynomials in the ideal, for ``lift_from_hat``) ride the same Horner
+chains.
+
 Nothing here is trusted without a check: a reduced dimension meets the exact
 generic stabilizer, the public builders check their own output, and
 construct_theorem leaves every commutator and trdeg check to _certify.
@@ -28,7 +39,6 @@ from .liealg import (
     LieAlgebraError,
     LinearForm,
     Subspace,
-    bracket,
     _basis_brackets,
     _bracket_cleared,
     _brackets,
@@ -45,9 +55,12 @@ from .liealg import (
     weights,
 )
 from .linalg import echelon_basis, kernel_basis, rank
-from .polyring import PolyElement, coefficient_rows, gamma_shift, poisson
+from .polyring import PolyElement, _acc, coefficient_rows, gamma_shift, poisson
 from .pbw import (
     EnvelopingAlgebra,
+    PBWElement,
+    _expanded,
+    _substituted,
     ad_invariant,
     centralizer_up_to_degree,
     commutator,
@@ -172,26 +185,86 @@ def _require_valid_split(L, split):
         raise ConstructError("invalid Heisenberg split: " + "; ".join(bad))
 
 
-def _hat_unchecked(L, split, xi, alg):
+@dataclass(frozen=True)
+class _Correction:
+    """A Heisenberg split cleared once for the correction map of one level.
+
+    alg is the hat algebra and zi the index of the center z = z_c x_zi.
+    pairs holds each (x_i, y_i) twice: as cleared supports over one
+    denominator d, for ``_bracket_cleared``, and packed for
+    ``EnvelopingAlgebra._mul_into``; units[k] is the packed x_k. With D
+    the algebra's ``kernel_brackets`` scale and z_c = nz / dz, hat(xi) for
+    xi over the denominator e is xi's numerators times scale_xi plus the
+    correction's times scale_corr, over e * den (see ``_hat``)."""
+
+    alg: EnvelopingAlgebra
+    zi: int
+    units: tuple
+    pairs: tuple
+    scale_xi: object
+    scale_corr: object
+    den: object
+
+
+def _correction(L, split, alg=None):
+    """The ``_Correction`` of a split, in alg or in a new hat algebra."""
     zi = _split_z_index(L, split)
-    half_zinv = alg.gen(zi, -1) * alg.field.rational(1, 2) * split.z[zi].inverse()
-    # xi is cleared once for all its brackets with the pairs
-    s_xi, *s_pairs = _supports(L, (xi,) + split.x + split.y)
-    b = [alg.from_vector(_wrapped(L, _bracket_cleared(L, s_xi, s))) for s in s_pairs]
-    k = len(split.x)
-    corr = alg.zero()
-    for x_i, y_i, bx, by in zip(split.x, split.y, b[:k], b[k:]):
-        corr = corr + bx * alg.from_vector(y_i) - by * alg.from_vector(x_i)
-    return alg.from_vector(xi) + half_zinv * corr
+    if alg is None:
+        alg = EnvelopingAlgebra(L, laurent=(zi,))
+    F = L.field
+    units = tuple([1 << shift for shift in alg._shifts])
+    coords = [[(k, F.coerce(c)) for k, c in enumerate(v) if c] for v in split.x + split.y]
+    d, nums = F.clear([c for v in coords for _, c in v])
+    it = iter(nums)
+    cleared = [(d, [(k, next(it)) for k, _ in v]) for v in coords]
+    packed = [{units[k]: c for k, c in s} for _, s in cleared]
+    n = len(split.x)
+    dz, (nz,) = F.clear([F.coerce(split.z[zi])])
+    D = alg._scale
+    return _Correction(
+        alg=alg,
+        zi=zi,
+        units=units,
+        pairs=tuple(zip(cleared[:n], cleared[n:], packed[:n], packed[n:])),
+        scale_xi=2 * nz * d * d * D,
+        scale_corr=dz,
+        den=2 * nz * d * d * D * D,
+    )
+
+
+def _hat(L, cor, s):
+    """hat(xi) = xi + (1/2z) sum_i ([xi, x_i] y_i - [xi, y_i] x_i) for xi with
+    the cleared support s = (e, [(k, n_k), ...]), each coefficient wrapped
+    once by ``EnvelopingAlgebra._element``.
+
+    Over the y_k = D x_k, [xi, x_i] = sum b_k y_k / (e d D^2), from
+    ``_bracket_cleared``, and y_i = sum n_l y_l / (d D), so every product of
+    the sum is over e d^2 D^3 and all of them accumulate into one dict. With
+    1/(2z) = D dz / (2 nz) y_zi^-1 the correction is that dict shifted by
+    y_zi^-1, times dz, over e 2 nz d^2 D^2, and xi = sum n_k y_k / (e D)
+    comes over the same denominator times 2 nz d^2 D."""
+    alg, units = cor.alg, cor.units
+    acc = {}
+    for sx, sy, px, py in cor.pairs:
+        _, bx = _bracket_cleared(L, s, sx)
+        if bx:
+            alg._mul_into(acc, {units[k]: b for k, b in bx}, py)
+        _, by = _bracket_cleared(L, s, sy)
+        if by:
+            alg._mul_into(acc, {units[k]: -b for k, b in by}, px)
+    z, f = units[cor.zi], cor.scale_corr
+    out = {m - z: c * f for m, c in acc.items()}
+    g = cor.scale_xi
+    for k, n in s[1]:
+        _acc(out, units[k], n * g)
+    return alg._element(out, s[0] * cor.den)
 
 
 def hat_map(L, split, xi, alg=None):
     """Correct xi so it commutes with the Heisenberg ideal in U(L)[z^-1]:
     xi + (1/2z) * sum_i ([xi, x_i] y_i - [xi, y_i] x_i)."""
     _require_valid_split(L, split)
-    if alg is None:
-        alg = hat_algebra(L, split)
-    return _hat_unchecked(L, split, xi, alg)
+    return _hat(L, _correction(L, split, alg), _supports(L, (xi,))[0])
 
 
 @dataclass
@@ -211,14 +284,15 @@ def verify_hat_lemmas(L, split):
     [hat(xi), hat(eta)] = hat([xi, eta]) on the stabilizer basis.
     The split is checked first."""
     _require_valid_split(L, split)
-    return _hat_lemmas(L, split, hat_algebra(L, split))
+    return _hat_lemmas(L, split, _correction(L, split))
 
 
-def _hat_lemmas(L, split, alg):
+def _hat_lemmas(L, split, cor):
     """verify_hat_lemmas without the split check; the caller has checked it
-    and built alg, the hat algebra of the split."""
-    basis = list(split.l_basis.basis)
-    hats = [_hat_unchecked(L, split, b, alg) for b in basis]
+    and cleared it into cor, its ``_Correction``."""
+    alg = cor.alg
+    basis = _supports(L, split.l_basis.basis)
+    hats = [_hat(L, cor, s) for s in basis]
     ideal = list(split.x) + list(split.y) + [split.z]
     cen_fail, hom_fail = [], []
     pairs = 0
@@ -232,8 +306,7 @@ def _hat_lemmas(L, split, alg):
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             pairs += 1
-            w = bracket(L, basis[i], basis[j])
-            rhs = _hat_unchecked(L, split, w, alg)
+            rhs = _hat(L, cor, _bracket_cleared(L, basis[i], basis[j]))
             if commutator(hats[i], hats[j]) != rhs:
                 hom_fail.append(
                     "[hat %d, hat %d] is not the hat of the bracket" % (i, j)
@@ -242,20 +315,24 @@ def _hat_lemmas(L, split, alg):
 
 
 def _clear_laurent(u, zi):
+    """u times the least power of the central x_zi that leaves no formal
+    inverse: a shift of the exponents at zi, the coefficients unchanged."""
     m = min((exps[zi] for exps in u.terms), default=0)
     if m >= 0:
         return u
-    return u * u.alg.gen(zi, -m)
+    return PBWElement._trusted(
+        u.alg, {exps[:zi] + (exps[zi] - m,) + exps[zi + 1 :]: c for exps, c in u.terms.items()}
+    )
 
 
-def _corrected_lift(L, split, A_l, sub_vectors, alg):
+def _corrected_lift(L, split, A_l, sub_vectors, cor):
     """heisenberg_lift without its checks; the caller has validated the split
-    and built alg, the hat algebra of the split."""
-    zi = _split_z_index(L, split)
-    images = [_hat_unchecked(L, split, v, alg) for v in sub_vectors]
+    and cleared it into cor, its ``_Correction``."""
+    alg = cor.alg
+    images = [_hat(L, cor, s) for s in _supports(L, sub_vectors)]
     gens, prov = [], []
     for u, p in zip(A_l.elements, A_l.provenance):
-        w = _clear_laurent(substitute_generators(u, images, alg), zi)
+        w = _clear_laurent(substitute_generators(u, images, alg), cor.zi)
         if w.is_zero:
             raise ConstructError("corrected image vanished; lift is broken")
         gens.append(w)
@@ -283,7 +360,7 @@ def heisenberg_lift(L, split, A_l, sub_vectors, sampling=Sampling()):
     if A_l.flavor != "associative":
         raise ConstructError("heisenberg_lift expects an associative set")
     sub_vectors = [tuple(v) for v in sub_vectors]
-    out = _corrected_lift(L, split, A_l, sub_vectors, hat_algebra(L, split))
+    out = _corrected_lift(L, split, A_l, sub_vectors, _correction(L, split))
     if bad := _failing_pair(out.elements, commutator):
         raise ConstructError("corrected lift: generators %d and %d do not commute" % bad)
     n = len(split.x)
@@ -545,54 +622,50 @@ def _specialize(A, z_index, before, candidates, sampling):
 # -- lifting from the reduced algebra back into U(ambient) --------------------
 
 
-def _coeff_lift(hat, target_alg):
-    """Map a top-level-polynomial coefficient c(w) to the ordered product
-    c(h) inside U(ambient): monomials in the w variables become products of
-    the corresponding ideal basis vectors, scalars staying one level down."""
-    F2 = hat.base_field
-    base = F2.base
-    h_elems = [target_alg.from_vector(v) for v in hat.h.basis]
-
-    def img(c):
-        d, (numer,) = F2.clear([c])
-        if d != 1:
-            raise ConstructError("internal: denominator not cleared before lift")
-        out = target_alg.zero()
-        for exps, ground in numer.terms():
-            term = target_alg.one() * base.from_ground(ground)
-            for t, e in enumerate(exps):
-                for _ in range(e):
-                    term = term * h_elems[t]
-            out = out + term
-        return out
-
-    return img
-
-
 def lift_from_hat(hat, u, target_alg):
     """Image in U(ambient) of a delta-specialized element of the reduced
     enveloping algebra: multiplied by the least common denominator of its
-    coefficients, coefficients sent to ordered products over the ideal,
+    coefficients, coefficients sent to ordered products over the ideal
+    (w_t to the t-th basis vector of h, scalars staying one level down),
     sections substituted for the reduced generators (function coefficients
-    kept to the left)."""
+    kept to the left).
+
+    Both substitutions are numerator-ring Horner chains
+    (``pbw._substituted``): each section's image, the sum of c_i(h) x_i over
+    its entries c_i, is wrapped once, and ``substitute_generators`` wraps
+    the result once."""
     m = len(hat.sections)
     for exps in u.terms:
         if exps[m] != 0:
             raise ConstructError("specialize the central element before lifting")
     F2 = hat.base_field
-    d, _ = F2.clear(u.terms.values())
-    cleared = u * F2.from_cleared(d, 1)
-    coeff_img = _coeff_lift(hat, target_alg)
-    images = []
-    for sec in hat.sections:
-        img = target_alg.zero()
-        for i, c in enumerate(sec):
-            if c.is_zero:
-                continue
-            img = img + coeff_img(c) * target_alg.gen(i)
-        images.append(img)
+    _, nums = F2.clear(u.terms.values())
+    cleared = PBWElement._trusted(u.alg, {e: F2.from_cleared(n, 1) for e, n in zip(u.terms, nums)})
+    h_elems = [target_alg.from_vector(v) for v in hat.h.basis]
+    images = _section_images(hat, h_elems, target_alg)
     images.append(target_alg.one())  # delta slot; exponents are zero
-    return substitute_generators(cleared, images, target_alg, coeff_to_elem=coeff_img)
+    return substitute_generators(cleared, images, target_alg, coeff_images=h_elems)
+
+
+def _section_images(hat, h_elems, target_alg):
+    """sum_i c_i(h) x_i for each section, whose entries c_i(w) are
+    polynomials: the ideal vectors h_elems and the generators packed once,
+    then one ``_substituted`` per section."""
+    F2 = hat.base_field
+    base = target_alg.field
+    packed = [target_alg._numerators(v.terms) for v in h_elems]
+    packed += [target_alg._numerators({e: base.one}) for e in target_alg._units]
+    k = len(h_elems)
+    out = []
+    for sec in hat.sections:
+        d, row = F2.clear(sec)
+        if d != 1:
+            raise ConstructError("internal: denominator not cleared before lift")
+        entries = [i for i, a in enumerate(row) if a]
+        d0, terms = _expanded(base, [row[i] for i in entries], [(k + i,) for i in entries])
+        f, raw = _substituted(target_alg, terms, packed)
+        out.append(target_alg._element(raw, d0 * f))
+    return out
 
 
 # -- certificates -------------------------------------------------------------
@@ -776,10 +849,10 @@ def _construct(L, casimirs, max_inv_deg, sampling, max_depth, depth):
 
     # Heisenberg nilradical
     split = cls.split
-    # one localized algebra for the lemmas and the lift: the lift reuses
-    # the products straightened for the lemma checks
-    alg = hat_algebra(L, split)
-    lemma = _hat_lemmas(L, split, alg)
+    # one cleared split and localized algebra for the lemmas and the lift:
+    # the lift reuses the products straightened for the lemma checks
+    cor = _correction(L, split)
+    lemma = _hat_lemmas(L, split, cor)
     if not lemma.ok:
         raise ConstructError(
             "correction-map checks failed: %s"
@@ -808,7 +881,7 @@ def _construct(L, casimirs, max_inv_deg, sampling, max_depth, depth):
     sub_L, sub_vectors = subalgebra_of(L, sub_space)
     sub_cert = _construct(sub_L, None, max_inv_deg, sampling, max_depth, depth + 1)
     trace.extend("  [stabilizer] " + t for t in sub_cert.trace)
-    gens = _corrected_lift(L, split, sub_cert.generators, sub_vectors, alg)
+    gens = _corrected_lift(L, split, sub_cert.generators, sub_vectors, cor)
     trace.append("corrected lift with %d generators" % len(gens.elements))
     return _certify(L, gens, b_target, trace, sampling)
 

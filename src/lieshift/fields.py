@@ -195,13 +195,7 @@ class Field:
             ratios = [e.raw.as_integer_ratio() for e in elems]
             d = math.lcm(*[q for _, q in ratios])
             return d, [p if q == d else p * (d // q) for p, q in ratios]
-        raws = [e.raw for e in elems]
-        d = self.domain.field.ring.one
-        for r in raws:
-            q = r.denom
-            if q != 1:
-                d = q if d == 1 else d * q.quo(d.gcd(q))
-        return d, [r.numer if r.denom == d else r.numer * d.quo(r.denom) for r in raws]
+        return _clear_raws(self, [e.raw for e in elems])
 
     def from_cleared(self, n, d):
         """The element n / d of a numerator-ring value n over a nonzero
@@ -302,22 +296,70 @@ def _sympy_domain(variables, base):
     return domain
 
 
+def _clear_raws(field, raws):
+    """``Field.clear`` on the raw elements of a field above level 0."""
+    d = field.domain.field.ring.one
+    for r in raws:
+        q = r.denom
+        if q != 1:
+            d = q if d == 1 else d * q.quo(d.gcd(q))
+    return d, [r.numer if r.denom == d else r.numer * d.quo(r.denom) for r in raws]
+
+
 def _over_z(field, a, b):
     """a and b, values of the numerator ring of a field above level 0, as
-    polynomials over Z in every tower variable: their numerators as
-    fractions. By Gauss's lemma their gcd there differs by a unit of the
-    ring from the one of a and b."""
+    polynomials over Z in every tower variable (``_flat``). By Gauss's lemma
+    their gcd there differs by a unit of the ring from the one of a and b."""
     from sympy.polys.domains import ZZ
     from sympy.polys.orderings import grlex
     from sympy.polys.rings import PolyRing
 
     R = PolyRing(field.all_variables(), ZZ, grlex)
-    return [R(p.as_expr().as_numer_denom()[0]) for p in (a, b)]
+    return [R.from_dict(_flat(field, [p])[0]) for p in (a, b)]
+
+
+def _flat(field, values):
+    """Numerator-ring values of a field above level 0 as {exponents of every
+    tower variable, lowest level first: int} dicts, all times one nonzero
+    value of the levels below, a unit of the ring: at each level the
+    coefficients of all the values are cleared over one denominator
+    (``_clear_raws``), and at level 1 the rationals over one integer."""
+    terms = [list(v.terms()) for v in values]
+    coeffs = [c for ts in terms for _, c in ts]
+    if field.level == 1:
+        den = math.lcm(*[int(c.denominator) for c in coeffs])
+        flat = iter([{(): int(c.numerator) * (den // int(c.denominator))} for c in coeffs])
+    else:
+        flat = iter(_flat(field.base, _clear_raws(field.base, coeffs)[1]))
+    out = []
+    for ts in terms:
+        d = {}
+        for m, _ in ts:
+            for low, c in next(flat).items():
+                d[low + m] = c
+        out.append(d)
+    return out
 
 
 def _from_z(field, g):
     """The monic value of the numerator ring on the line of g over Z."""
-    return field.domain.field.ring(g.as_expr()).monic()
+    return _unflat(field, dict(g)).monic()
+
+
+def _unflat(field, d):
+    """The value of the numerator ring of a field above level 0 of a
+    ``_flat`` dict, its coefficients read as integers."""
+    ring = field.domain.field.ring
+    if field.level == 1:
+        return ring.from_dict({m: ring.domain(c) for m, c in d.items()})
+    n = len(field.variables)
+    groups = {}
+    for m, c in d.items():
+        groups.setdefault(m[-n:], {})[m[:-n]] = c
+    frac = field.base.domain.field
+    return ring.from_dict(
+        {m: frac.raw_new(_unflat(field.base, low), frac.ring.one) for m, low in groups.items()}
+    )
 
 
 def _prs_gcd(field, a, b):

@@ -28,7 +28,8 @@ each ring row with ``Field._primitive``, so every basis returned here is
 canonical.
 
 ``rank_mod_prime`` is Gaussian elimination over F_p on ints below p =
-2^61 - 1, with one modular inverse per pivot. A matrix of residues of
+2^61 - 1, with one modular inverse per pivot, updating a row only where
+the pivot row is nonzero. A matrix of residues of
 numerator-ring values has a rank over F_p at most their rank over the
 field, so a sampled rank stays a lower bound on the generic one.
 """
@@ -105,23 +106,27 @@ def rank(field, rows):
 
 def rank_mod_prime(rows):
     """The rank over F_p, p = ``PRIME``, of rows of ints in range(p), all
-    of one length. Each pivot row is scaled to a unit pivot, and only the
-    columns right of the pivot are rewritten."""
+    of one length. Each pivot row is scaled to a unit pivot, and a row below
+    it is rewritten only at the columns where the scaled pivot row is
+    nonzero: the coadjoint forms and Jacobians ranked here are sparse."""
     rows = [list(row) for row in rows if any(row)]
     nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
     r = 0
-    for c in range(len(rows[0]) if rows else 0):
+    for c in range(ncols):
         k = next((i for i in range(r, nrows) if rows[i][c]), None)
         if k is None:
             continue
         rows[r], rows[k] = rows[k], rows[r]
-        inv = pow(rows[r][c], -1, PRIME)
-        piv = [a * inv % PRIME for a in rows[r][c + 1 :]]
+        top = rows[r]
+        inv = pow(top[c], -1, PRIME)
+        piv = [(j, top[j] * inv % PRIME) for j in range(c + 1, ncols) if top[j]]
         for i in range(r + 1, nrows):
             row = rows[i]
             head = row[c]
             if head:
-                row[c + 1 :] = [(a - head * b) % PRIME for a, b in zip(row[c + 1 :], piv)]
+                for j, b in piv:
+                    row[j] = (row[j] - head * b) % PRIME
         r += 1
         if r == nrows:
             break

@@ -14,14 +14,16 @@ x_p x_q m1 = x_q (x_p m1) + [x_p, x_q] m1, cached in ``_mul_cache`` on
 (p, m) with m's central part shifted through. A product u * v is Horner's
 rule on u: its monomials are grouped by central part, then by last letter,
 so that each distinct suffix multiplies v once, one generator at a time
-(``_mul_into``); a commutator is both products accumulated into one dict. Symmetrization sums
+(``_mul_into``); a commutator is both products accumulated into one dict,
+and a generator substitution is one chain of such products per monomial,
+each prefix computed once (``_substituted``). Symmetrization sums
 the distinct orderings of a monomial's word as S(m) = sum over the distinct
 letters x of m of x * S(m / x), memoized in ``_symm_cache``. Kernel work
 runs from explicit stacks (``_run``), so no Python stack grows with an
 exponent or a degree.
 
 The straightening kernels (``_apply``, ``_steps``, ``symm_mono``, products,
-``commutator``, ``symmetrize``) run on the algebra's structure constants as
+``commutator``, ``symmetrize``, ``substitute_generators``) run on the algebra's structure constants as
 cleared values (``LieAlgebra.kernel_brackets``), and ``_mul_cache`` and
 ``_symm_cache`` hold numerator-ring coefficients: integers at level 0,
 polynomials above. With D the least common denominator of the structure
@@ -509,28 +511,104 @@ def specialize_central(u, z_index, c):
     return PBWElement._trusted(alg, out)
 
 
-def substitute_generators(u, images, target_alg, coeff_to_elem=None):
+def _substituted(alg, terms, images):
+    """(f, out): the sum over terms (n, word) of n times the product, left to
+    right, of images[i] for each i of the word, in the numerator ring of alg.
+
+    images are packed as ``EnvelopingAlgebra._numerators`` returns them,
+    (d, {packed monomial: numerator}, size), and the n are numerators over
+    one denominator d0; the sum is out / (d0 f). f is the product of the
+    d_i^E_i, E_i the most factors images[i] has in one word, and each term
+    is brought over it by the d_i it misses, so nothing is divided. A word
+    is Horner's rule: each prefix product is computed once for all the words
+    that share it, and the last factor multiplies the scaled prefix straight
+    into out. The absolute exponents of a word's factors are guarded
+    together (``_guard``), which bounds every prefix too."""
+    counts = [{} for _ in terms]
+    tops = [0] * len(images)
+    for (_, word), count in zip(terms, counts):
+        _guard(sum([images[i][2] for i in word]))
+        for i in word:
+            count[i] = count.get(i, 0) + 1
+        for i, e in count.items():
+            tops[i] = max(tops[i], e)
+    scaled = [(i, images[i][0], e) for i, e in enumerate(tops) if e and images[i][0] != 1]
+    f = 1
+    for _, d, e in scaled:
+        f = f * d**e
+    prefixes = {(): {0: alg._one}}
+    out = {}
+    for (n, word), count in zip(terms, counts):
+        for i, d, e in scaled:
+            if count.get(i, 0) < e:
+                n = n * d ** (e - count.get(i, 0))
+        if not word:
+            _acc(out, 0, n)
+            continue
+        k = len(word) - 1
+        while word[:k] not in prefixes:
+            k -= 1
+        left = prefixes[word[:k]]
+        for j in range(k, len(word) - 1):
+            nxt = {}
+            alg._mul_into(nxt, left, images[word[j]][1])
+            left = prefixes[word[: j + 1]] = nxt
+        alg._mul_into(out, {m: c * n for m, c in left.items()}, images[word[-1]][1])
+    return f, out
+
+
+def _expanded(field, polys, words):
+    """(d0, terms) for ``_substituted``: each polynomial p, a numerator-ring
+    value one level above field, followed by its word, as the terms
+    (n, beta + word) of its monomials g w^beta, where variable t is image t
+    and the ground coefficients g of every p are cleared over one d0."""
+    grounds = [(p.terms(), word) for p, word in zip(polys, words)]
+    d0, nums = field.clear([field.from_ground(g) for ts, _ in grounds for _, g in ts])
+    it = iter(nums)
+    return d0, [
+        (next(it), tuple([t for t, e in enumerate(exps) for _ in range(e)]) + word)
+        for ts, word in grounds
+        for exps, _ in ts
+    ]
+
+
+def substitute_generators(u, images, target_alg, coeff_images=()):
     """Multiplicative image of u under generator substitution.
 
     images[i] replaces generator i of u's algebra; monomials expand in the
-    source normal order. coeff_to_elem maps source coefficients to elements
-    of the target algebra (defaults to scalar embedding via the same field).
+    source normal order, each coefficient on the left. Without coeff_images
+    a coefficient is a scalar of the target field. With them, u's field is
+    one level above the target's, each coefficient of u is a polynomial in
+    that level's variables, and coeff_images[t] replaces variable t.
+
+    The images are packed once (``EnvelopingAlgebra._numerators``), the
+    coefficients cleared once, every monomial is one Horner chain of
+    products in the numerator ring (``_substituted``), and the result is
+    wrapped once.
     """
     src = u.alg
-    if coeff_to_elem is None:
-        coeff_to_elem = lambda c: target_alg.one() * c
-    total = target_alg.zero()
-    order = sorted(range(src.dim), key=lambda i: src._pos[i])
-    for exps, c in u.terms.items():
-        acc = coeff_to_elem(c)
-        for i in order:
-            e = exps[i]
-            if e < 0:
-                raise FieldError("cannot substitute into a formal inverse")
-            for _ in range(e):
-                acc = acc * images[i]
-        total = total + acc
-    return total
+    field = target_alg.field
+    order = sorted(range(src.dim), key=src._pos.__getitem__)
+    shift = len(coeff_images)
+    words = []
+    for exps in u.terms:
+        if min(exps, default=0) < 0:
+            raise FieldError("cannot substitute into a formal inverse")
+        words.append(tuple([shift + i for i in order for _ in range(exps[i])]))
+    if not coeff_images:
+        d0, nums = field.clear([field.coerce(c) for c in u.terms.values()])
+        terms = list(zip(nums, words))
+    else:
+        top = src.field
+        if top.base != field:
+            raise FieldError("coefficient images lie in %r, not one level below %r" % (field, top))
+        den, polys = top.clear(u.terms.values())
+        if den != 1:
+            raise FieldError("cannot substitute into a coefficient with a denominator")
+        d0, terms = _expanded(field, polys, words)
+    packed = [target_alg._numerators(v.terms) for v in (*coeff_images, *images)]
+    f, out = _substituted(target_alg, terms, packed)
+    return target_alg._element(out, d0 * f)
 
 
 def centralizer_up_to_degree(alg, gens, d):

@@ -234,6 +234,26 @@ def reference_bareiss(field, rows, ncols):
     return rows[:r], pivot_cols
 
 
+def reference_rank_mod_prime(rows, p):
+    """The rank over F_p of integer rows by dense Gauss-Jordan: every row but
+    the pivot row is rewritten at every column at every step."""
+    rows = [[a % p for a in row] for row in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [a * inv % p for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                head = rows[i][c]
+                rows[i] = [(a - head * b) % p for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
 def normalize_vector(field, vec):
     """Clear denominators, divide out content, orient the first nonzero entry:
     the canonical vector on the line of vec, as the library's bases are."""
@@ -422,3 +442,105 @@ def reference_symmetric_invariants(L, max_deg):
             terms = {e: c for e, c in zip(monos, coeffs) if not c.is_zero}
             out.append(PolyElement(F, L.dim, terms))
     return out
+
+
+# -- reference correction map and substitution ---------------------------------
+# The correction map, generator substitution and lift from a reduced algebra
+# on wrapped elements: every bracket, product and sum is a PBWElement. The
+# numerator-ring paths of lieshift.construct and lieshift.pbw are checked
+# against them.
+
+
+def reference_hat(L, split, xi, alg):
+    """hat(xi) = xi + (1/2z) sum_i ([xi, x_i] y_i - [xi, y_i] x_i) in alg, the
+    hat algebra of the split: 2k wrapped brackets, 2k products and sums, one
+    product by the wrapped 1/(2z)."""
+    zi = next(k for k, c in enumerate(split.z) if not c.is_zero)
+    half_zinv = alg.gen(zi, -1) * alg.field.rational(1, 2) * split.z[zi].inverse()
+    corr = alg.zero()
+    for x_i, y_i in zip(split.x, split.y):
+        bx = alg.from_vector(bracket(L, xi, x_i))
+        by = alg.from_vector(bracket(L, xi, y_i))
+        corr = corr + bx * alg.from_vector(y_i) - by * alg.from_vector(x_i)
+    return alg.from_vector(xi) + half_zinv * corr
+
+
+def reference_substitute(u, images, target_alg, coeff_to_elem=None):
+    """The image of u with images[i] for generator i, monomial by monomial in
+    the source normal order, each coefficient sent by coeff_to_elem (the
+    scalar embedding by default) and multiplied on the left."""
+    src = u.alg
+    if coeff_to_elem is None:
+        coeff_to_elem = lambda c: target_alg.one() * c
+    total = target_alg.zero()
+    order = sorted(range(src.dim), key=lambda i: src._pos[i])
+    for exps, c in u.terms.items():
+        acc = coeff_to_elem(c)
+        for i in order:
+            for _ in range(exps[i]):
+                acc = acc * images[i]
+        total = total + acc
+    return total
+
+
+def reference_lift_from_hat(hat, u, target_alg):
+    """lift_from_hat on wrapped elements: u times the least common
+    denominator of its coefficients, each polynomial coefficient c(w) sent to
+    the sum of its terms g h^beta over the ideal basis h, each section to the
+    sum of c_i(h) x_i, and the result by ``reference_substitute``."""
+    F2 = hat.base_field
+    base = F2.base
+    d, _ = F2.clear(u.terms.values())
+    cleared = u * F2.from_cleared(d, 1)
+    h_elems = [target_alg.from_vector(v) for v in hat.h.basis]
+
+    def coeff_img(c):
+        (numer,) = F2.clear([c])[1]
+        out = target_alg.zero()
+        for exps, ground in numer.terms():
+            term = target_alg.one() * base.from_ground(ground)
+            for t, e in enumerate(exps):
+                for _ in range(e):
+                    term = term * h_elems[t]
+            out = out + term
+        return out
+
+    images = []
+    for sec in hat.sections:
+        img = target_alg.zero()
+        for i, c in enumerate(sec):
+            if not c.is_zero:
+                img = img + coeff_img(c) * target_alg.gen(i)
+        images.append(img)
+    images.append(target_alg.one())
+    return reference_substitute(cleared, images, target_alg, coeff_to_elem=coeff_img)
+
+
+def random_pbw_element(draw, alg, scalar, terms=3, max_deg=3):
+    """A nonzero element of alg without formal inverses: 1 to terms monomials
+    of total degree at most max_deg, coefficients from scalar(); draw(n) is
+    an int in range(n + 1)."""
+    out = alg.zero()
+    for _ in range(draw(terms - 1) + 1):
+        exps = [0] * alg.dim
+        for _ in range(draw(max_deg)):
+            exps[draw(alg.dim - 1)] += 1
+        out = out + alg.element({tuple(exps): scalar()})
+    return out if not out.is_zero else alg.one()
+
+
+# -- reference gcd over Z ----------------------------------------------------------
+
+
+def reference_prs_gcd(field, a, b):
+    """The monic gcd of numerator-ring values a and b of a field above level
+    0 by a subresultant PRS over Z, each value taken to Z in every tower
+    variable and back through a sympy expression."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.orderings import grlex
+    from sympy.polys.rings import PolyRing
+
+    R = PolyRing(field.all_variables(), ZZ, grlex)
+    A, B = [R(p.as_expr().as_numer_denom()[0]) for p in (a, b)]
+    g = R.dmp_rr_prs_gcd(A, B)[0]
+    return field.domain.field.ring(g.as_expr()).monic()

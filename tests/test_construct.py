@@ -1,8 +1,16 @@
 import hashlib
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from factories import reference_min_stabilizer_dim
+from factories import (
+    random_pbw_element,
+    reference_hat,
+    reference_lift_from_hat,
+    reference_min_stabilizer_dim,
+    reference_substitute,
+)
 import lieshift.construct as construct_mod
 import lieshift.invariants as inv_mod
 import lieshift.liealg as liealg_mod
@@ -25,6 +33,7 @@ from lieshift.fields import QQ, FieldError
 from lieshift.invariants import GeneratorSet, Sampling, b_of, symmetric_invariants, trdeg_jacobian
 from lieshift.liealg import (
     HeisenbergSplit,
+    check_split,
     LieAlgebra,
     LinearForm,
     Subspace,
@@ -32,7 +41,7 @@ from lieshift.liealg import (
     subalgebra_of,
     vec,
 )
-from lieshift.pbw import EnvelopingAlgebra, commutator
+from lieshift.pbw import EnvelopingAlgebra, commutator, specialize_central, substitute_generators
 from lieshift.polyring import PolyElement, gamma_shift, poisson
 from lieshift.presets import preset
 
@@ -149,16 +158,6 @@ def test_hat_algebra_needs_axis_center():
         y=(L.basis_vector(1),),
         z=z,
     )
-    with pytest.raises(ConstructError):
-        hat_algebra(L, split)
-
-
-def test_split_center_off_an_axis_is_named_exactly():
-    L = LieAlgebra(QQ, ("x", "y", "z", "w"), {(0, 1): {2: 1, 3: 1}}, {"central": [2, 3]})
-    z = vec(QQ, [0, 0, 1, 1])
-    split = HeisenbergSplit(
-        l_basis=Subspace(QQ, 4, [z]), x=(L.basis_vector(0),), y=(L.basis_vector(1),), z=z
-    )
     msg = "^split center must be a multiple of a single basis generator$"
     with pytest.raises(ConstructError, match=msg):
         hat_algebra(L, split)
@@ -191,6 +190,158 @@ def test_failed_correction_map_checks_are_named_exactly(monkeypatch):
     P = preset("sl2-semidirect-h3")
     with pytest.raises(ConstructError, match=r"^correction-map checks failed: \['forged'\]$"):
         construct_theorem(P.algebra, casimirs=P.casimirs)
+
+
+def _scaled_diamond(F, a, b, c):
+    """A torus t acting on a Heisenberg pair by weights a and -a, [x, y] = b z,
+    and the split with center c z: fractional constants, so straightening
+    runs on the basis D x_i with D > 1, and a center off the unit vector."""
+    L = LieAlgebra(
+        F,
+        ("t", "x", "y", "z"),
+        {(0, 1): {1: a}, (0, 2): {2: -a}, (1, 2): {3: b}},
+        {"central": [3], "nilradical": [1, 2, 3]},
+    )
+    s = classify_nilradical(L).split
+    split = HeisenbergSplit(
+        l_basis=s.l_basis,
+        x=s.x,
+        y=tuple([tuple([c * e for e in v]) for v in s.y]),
+        z=tuple([c * e for e in s.z]),
+    )
+    assert not check_split(L, split)
+    return L, split
+
+
+@cache
+def _split_case(name):
+    """(L, split, hat algebra, sub algebra, sub vectors) of a named split: the
+    Heisenberg split of a preset over Q, the one inside borel-sl3's
+    abelian-ideal reduction over Q(w1) ("borel-sl3 level 1"), or a split of
+    ``_scaled_diamond`` over Q or Q(w)."""
+    if name == "diamond/6 over Q":
+        L, split = _scaled_diamond(QQ, QQ.rational(1, 3), QQ.rational(1, 2), QQ.rational(-3, 2))
+    elif name == "diamond over Q(w)":
+        F = QQ.extend("w")
+        w = F.var("w")
+        L, split = _scaled_diamond(F, F.one / (w + 1), w / 2, w - 1)
+    else:
+        L = preset(name.split()[0]).algebra
+        if name.endswith("level 1"):
+            L = construct_mod._reduce_abelian(L, classify_nilradical(L).h).algebra
+        split = classify_nilradical(L).split
+    sub_L, sub_vectors = subalgebra_of(L, split.l_basis)
+    return L, split, hat_algebra(L, split), sub_L, sub_vectors
+
+
+SPLIT_CASES = [
+    "heisenberg4",
+    "heisenberg8",
+    "sl2-semidirect-h3",
+    "borel-sl3 level 1",
+    "diamond/6 over Q",
+    "diamond over Q(w)",
+]
+
+
+def _scalars(data, F):
+    """A drawer of small scalars of F: p/q over Q, and above it (p/q + r w)
+    over w + s or over 1, w the field's last variable."""
+    ints = lambda lo, hi: data.draw(st.integers(lo, hi))
+
+    def scalar():
+        c = F.rational(ints(-9, 9), ints(1, 4))
+        if F.level:
+            w = F.var(F.variables[-1])
+            c = c + F.rational(ints(-3, 3)) * w
+            if ints(0, 1):
+                c = c / (w + ints(-2, 2))
+        return c
+
+    return scalar
+
+
+@pytest.mark.parametrize("name", SPLIT_CASES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_hat_matches_the_dense_reference(name, data):
+    L, split, alg, _, _ = _split_case(name)
+    scalar = _scalars(data, L.field)
+    xi = tuple([scalar() if data.draw(st.booleans()) else L.field.zero for _ in range(L.dim)])
+    assert hat_map(L, split, xi, alg) == reference_hat(L, split, xi, alg)
+
+
+@pytest.mark.parametrize("name", SPLIT_CASES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_corrected_lift_matches_the_dense_reference(name, data):
+    # random words in U(l~) through the correction map, and the corrected
+    # lift, whose least power of z clears every formal inverse
+    L, split, alg, sub_L, sub_vectors = _split_case(name)
+    scalar = _scalars(data, L.field)
+    draw = lambda n: data.draw(st.integers(0, n))
+    U = EnvelopingAlgebra(sub_L)
+    u = random_pbw_element(draw, U, scalar)
+    images = [reference_hat(L, split, v, alg) for v in sub_vectors]
+    want = reference_substitute(u, images, alg)
+    assert substitute_generators(u, images, alg) == want
+    cor = construct_mod._correction(L, split, alg)
+    got = construct_mod._corrected_lift(L, split, GeneratorSet("associative", [u], ["u"]), sub_vectors, cor)
+    low = min(e[cor.zi] for e in want.terms)
+    assert got.elements[0] == (want * alg.gen(cor.zi, -low) if low < 0 else want)
+
+
+@cache
+def _reduced(name):
+    """L and its abelian-ideal reduction: along x's partner z of heisenberg2,
+    or along the ideal that classify_nilradical picks."""
+    L = preset(name).algebra
+    h = L.span_of_indices([4]) if name == "heisenberg2" else classify_nilradical(L).h
+    return L, construct_mod._reduce_abelian(L, h)
+
+
+@pytest.mark.parametrize("name", ["heisenberg2", "borel-sl3"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_lift_from_hat_matches_the_dense_reference(name, data):
+    # random words with Q(w) coefficients, delta specialized away
+    L, hat = _reduced(name)
+    B = EnvelopingAlgebra(hat.algebra)
+    T = EnvelopingAlgebra(L)
+    draw = lambda n: data.draw(st.integers(0, n))
+    u = random_pbw_element(draw, B, _scalars(data, hat.base_field))
+    u = specialize_central(u, B.dim - 1, 1)
+    if u.is_zero:
+        u = B.gen(0)
+    assert lift_from_hat(hat, u, T) == reference_lift_from_hat(hat, u, T)
+
+
+def test_coefficient_substitution_checks_are_named_exactly():
+    L, hat = _reduced("heisenberg2")
+    B = EnvelopingAlgebra(hat.algebra)
+    T = EnvelopingAlgebra(L)
+    w1 = hat.base_field.var(hat.h_vars[0])
+    h_elems = [T.from_vector(v) for v in hat.h.basis]
+    images = [T.gen(0)] * B.dim
+    with pytest.raises(FieldError, match="^cannot substitute into a coefficient with a denominator$"):
+        substitute_generators(B.gen(0) * w1.inverse(), images, T, coeff_images=h_elems)
+    # a target over Q(w1) is not one level below Q(w1)
+    with pytest.raises(FieldError, match=r"^coefficient images lie in Q\(w1\), not one level below Q\(w1\)$"):
+        substitute_generators(B.gen(0) * w1, [B.gen(0)] * B.dim, B, coeff_images=[B.gen(0)])
+    assert substitute_generators(B.gen(0) * w1, images, T, coeff_images=h_elems) == T.gen(0) * h_elems[0]
+
+
+def test_lift_of_a_section_with_a_denominator_is_named_exactly():
+    # reduced sections are ring rows; a forged one with 1/w1 has no lift
+    from dataclasses import replace
+
+    L, hat = _reduced("heisenberg2")
+    w1 = hat.base_field.var(hat.h_vars[0])
+    sec = (hat.sections[0][0] * w1.inverse(),) + hat.sections[0][1:]
+    forged = replace(hat, sections=(sec,) + hat.sections[1:])
+    B = EnvelopingAlgebra(hat.algebra)
+    with pytest.raises(ConstructError, match="^internal: denominator not cleared before lift$"):
+        lift_from_hat(forged, B.gen(0), EnvelopingAlgebra(L))
 
 
 def test_heisenberg_lift_golden():

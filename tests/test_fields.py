@@ -256,6 +256,63 @@ def test_coprime_at_a_point_agrees_with_the_prs_gcd(lower):
         assert common.degree() == F.clear([g])[1][0].degree() > 0
 
 
+@st.composite
+def _level2_pairs(draw):
+    """Two numerator-ring values of Q(t)(s) sharing a drawn factor: each a
+    short polynomial in s whose coefficients are small fractions in t."""
+    F = QQ.extend("t").extend("s")
+    t, s = F.var("t"), F.var("s")
+    small = st.integers(-4, 4)
+
+    def poly(deg):
+        out = F.zero
+        for k in range(deg + 1):
+            c = F.rational(draw(small), draw(st.integers(1, 5)))
+            c = c + F.from_int(draw(small)) * t ** draw(st.integers(0, 2))
+            if draw(st.booleans()):
+                c = c / (t + draw(st.integers(1, 4)))
+            out = out + c * s**k
+        return out
+
+    g = poly(draw(st.integers(0, 2)))
+    a, b = poly(draw(st.integers(0, 2))) * g, poly(draw(st.integers(0, 2))) * g
+    return (F, *F.clear([a, b])[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_level2_pairs())
+def test_prs_gcd_matches_the_expression_round_trip_level2(case):
+    # the Z[t, s] values built from the cleared coefficient dicts give the
+    # gcd that the round trip through sympy expressions gives
+    from factories import reference_prs_gcd
+    from lieshift import fields
+
+    F, a, b = case
+    if not a or not b:
+        return
+    want = reference_prs_gcd(F, a, b)
+    assert fields._prs_gcd(F, a, b) == want
+    A, B = fields._over_z(F, a, b)
+    assert fields._from_z(F, A) == a.monic() and fields._from_z(F, B) == b.monic()
+    assert F.ring_gcd(a, b) == want
+
+
+def test_over_z_round_trips_rational_coefficients():
+    # Q[t] and Q(t)[s] values whose coefficients are not integers come to
+    # Z[t] and Z[t, s] and back on the same line
+    from lieshift import fields
+
+    F = QQ.extend("t")
+    for K in (F, F.extend("s")):
+        x, t = K.var(K.variables[0]), K.var("t")
+        a = (x * x / 5 - t / 3 + K.rational(1, 2)) * (x + 1)
+        b = (x + 1) * (x / 7 - 2)
+        na, nb = K.clear([a, b])[1]
+        A, B = fields._over_z(K, na, nb)
+        assert fields._from_z(K, A) == na.monic() and fields._from_z(K, B) == nb.monic()
+        assert fields._prs_gcd(K, na, nb) == K.ring_gcd(na, nb) == K.clear([x + 1])[1][0]
+
+
 def test_coprime_at_a_point_skips_a_point_that_loses_a_factor():
     # at the first seeded point t0 the common factor (t - t0) x + 1 turns
     # into the constant 1, so the pair would look coprime there, and in the

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from factories import permuted, permuted_poly, reference_symmetric_invariants
+from factories import permuted, permuted_poly, reference_rank_mod_prime, reference_symmetric_invariants
 from lieshift import fields
 from lieshift.construct import ConstructError, construct_theorem
 from lieshift.fields import PRIME, QQ, FieldError
@@ -179,6 +179,26 @@ def test_rank_mod_prime_matches_rank_level1(drawn, seed):
 @given(polynomial_matrices(QTS, 2), st.integers(0, 10**6))
 def test_rank_mod_prime_matches_rank_level2(drawn, seed):
     _check_rank_mod_prime(QTS, drawn, seed)
+
+
+@st.composite
+def sparse_residue_matrices(draw):
+    """Rows of residues mod PRIME, each a combination of one to four sparse
+    base rows, so that the rank often falls short of the row count; entries
+    near 0 and near p included."""
+    ncols = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.integers(1, 3), st.integers(PRIME - 3, PRIME - 1),
+                      st.integers(0, PRIME - 1))
+    base = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=4))
+    coeff = st.sampled_from([0, 1, 1, 2, PRIME - 1])
+    combos = draw(st.lists(st.lists(coeff, min_size=len(base), max_size=len(base)), min_size=1, max_size=8))
+    return [[sum([c * b[j] for c, b in zip(cs, base)]) % PRIME for j in range(ncols)] for cs in combos]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_residue_matrices())
+def test_rank_mod_prime_matches_a_dense_elimination(rows):
+    assert rank_mod_prime(rows) == reference_rank_mod_prime(rows, PRIME)
 
 
 def test_rank_mod_prime_small_cases():
