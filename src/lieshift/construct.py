@@ -185,51 +185,38 @@ def _require_valid_split(L, split):
         raise ConstructError("invalid Heisenberg split: " + "; ".join(bad))
 
 
-@dataclass(frozen=True)
 class _Correction:
-    """A Heisenberg split cleared once for the correction map of one level.
+    """A Heisenberg split cleared once for the correction map of one level,
+    in alg or in a new hat algebra.
 
-    alg is the hat algebra and zi the index of the center z = z_c x_zi.
-    pairs holds each (x_i, y_i) twice: as cleared supports over one
-    denominator d, for ``_bracket_cleared``, and packed for
-    ``EnvelopingAlgebra._mul_into``; units[k] is the packed x_k. With D
-    the algebra's ``kernel_brackets`` scale and z_c = nz / dz, hat(xi) for
-    xi over the denominator e is xi's numerators times scale_xi plus the
-    correction's times scale_corr, over e * den (see ``_hat``)."""
+    zi is the index of the center z = z_c x_zi. pairs holds each (x_i, y_i)
+    twice: as cleared supports over one denominator d, for
+    ``_bracket_cleared``, and packed for ``EnvelopingAlgebra._mul_into``;
+    units[k] is the packed x_k. With D the algebra's ``kernel_brackets``
+    scale and z_c = nz / dz, hat(xi) for xi over the denominator e is xi's
+    numerators times scale_xi plus the correction's times scale_corr, over
+    e * den (see ``_hat``). A plain class, not a dataclass: building a
+    dataclass adds about 1 ms to every import of this module."""
 
-    alg: EnvelopingAlgebra
-    zi: int
-    units: tuple
-    pairs: tuple
-    scale_xi: object
-    scale_corr: object
-    den: object
+    __slots__ = ("alg", "zi", "units", "pairs", "scale_xi", "scale_corr", "den")
 
-
-def _correction(L, split, alg=None):
-    """The ``_Correction`` of a split, in alg or in a new hat algebra."""
-    zi = _split_z_index(L, split)
-    if alg is None:
-        alg = EnvelopingAlgebra(L, laurent=(zi,))
-    F = L.field
-    units = tuple([1 << shift for shift in alg._shifts])
-    coords = [[(k, F.coerce(c)) for k, c in enumerate(v) if c] for v in split.x + split.y]
-    d, nums = F.clear([c for v in coords for _, c in v])
-    it = iter(nums)
-    cleared = [(d, [(k, next(it)) for k, _ in v]) for v in coords]
-    packed = [{units[k]: c for k, c in s} for _, s in cleared]
-    n = len(split.x)
-    dz, (nz,) = F.clear([F.coerce(split.z[zi])])
-    D = alg._scale
-    return _Correction(
-        alg=alg,
-        zi=zi,
-        units=units,
-        pairs=tuple(zip(cleared[:n], cleared[n:], packed[:n], packed[n:])),
-        scale_xi=2 * nz * d * d * D,
-        scale_corr=dz,
-        den=2 * nz * d * d * D * D,
-    )
+    def __init__(self, L, split, alg=None):
+        self.zi = zi = _split_z_index(L, split)
+        self.alg = alg = EnvelopingAlgebra(L, laurent=(zi,)) if alg is None else alg
+        F = L.field
+        self.units = units = tuple([1 << shift for shift in alg._shifts])
+        coords = [[(k, F.coerce(c)) for k, c in enumerate(v) if c] for v in split.x + split.y]
+        d, nums = F.clear([c for v in coords for _, c in v])
+        it = iter(nums)
+        cleared = [(d, [(k, next(it)) for k, _ in v]) for v in coords]
+        packed = [{units[k]: c for k, c in s} for _, s in cleared]
+        n = len(split.x)
+        self.pairs = tuple(zip(cleared[:n], cleared[n:], packed[:n], packed[n:]))
+        dz, (nz,) = F.clear([F.coerce(split.z[zi])])
+        D = alg._scale
+        self.scale_xi = 2 * nz * d * d * D
+        self.scale_corr = dz
+        self.den = 2 * nz * d * d * D * D
 
 
 def _hat(L, cor, s):
@@ -264,7 +251,7 @@ def hat_map(L, split, xi, alg=None):
     """Correct xi so it commutes with the Heisenberg ideal in U(L)[z^-1]:
     xi + (1/2z) * sum_i ([xi, x_i] y_i - [xi, y_i] x_i)."""
     _require_valid_split(L, split)
-    return _hat(L, _correction(L, split, alg), _supports(L, (xi,))[0])
+    return _hat(L, _Correction(L, split, alg), _supports(L, (xi,))[0])
 
 
 @dataclass
@@ -284,7 +271,7 @@ def verify_hat_lemmas(L, split):
     [hat(xi), hat(eta)] = hat([xi, eta]) on the stabilizer basis.
     The split is checked first."""
     _require_valid_split(L, split)
-    return _hat_lemmas(L, split, _correction(L, split))
+    return _hat_lemmas(L, split, _Correction(L, split))
 
 
 def _hat_lemmas(L, split, cor):
@@ -360,7 +347,7 @@ def heisenberg_lift(L, split, A_l, sub_vectors, sampling=Sampling()):
     if A_l.flavor != "associative":
         raise ConstructError("heisenberg_lift expects an associative set")
     sub_vectors = [tuple(v) for v in sub_vectors]
-    out = _corrected_lift(L, split, A_l, sub_vectors, _correction(L, split))
+    out = _corrected_lift(L, split, A_l, sub_vectors, _Correction(L, split))
     if bad := _failing_pair(out.elements, commutator):
         raise ConstructError("corrected lift: generators %d and %d do not commute" % bad)
     n = len(split.x)
@@ -851,7 +838,7 @@ def _construct(L, casimirs, max_inv_deg, sampling, max_depth, depth):
     split = cls.split
     # one cleared split and localized algebra for the lemmas and the lift:
     # the lift reuses the products straightened for the lemma checks
-    cor = _correction(L, split)
+    cor = _Correction(L, split)
     lemma = _hat_lemmas(L, split, cor)
     if not lemma.ok:
         raise ConstructError(

@@ -23,8 +23,9 @@ runs from explicit stacks (``_run``), so no Python stack grows with an
 exponent or a degree.
 
 The straightening kernels (``_apply``, ``_steps``, ``symm_mono``, products,
-``commutator``, ``symmetrize``, ``substitute_generators``) run on the algebra's structure constants as
-cleared values (``LieAlgebra.kernel_brackets``), and ``_mul_cache`` and
+``commutator``, ``symmetrize``, ``substitute_generators``) run on the
+algebra's structure constants as cleared values
+(``LieAlgebra.kernel_brackets``), and ``_mul_cache`` and
 ``_symm_cache`` hold numerator-ring coefficients: integers at level 0,
 polynomials above. With D the least common denominator of the structure
 constants (1 for every preset), the basis y_i = D x_i has

@@ -285,7 +285,7 @@ def test_corrected_lift_matches_the_dense_reference(name, data):
     images = [reference_hat(L, split, v, alg) for v in sub_vectors]
     want = reference_substitute(u, images, alg)
     assert substitute_generators(u, images, alg) == want
-    cor = construct_mod._correction(L, split, alg)
+    cor = construct_mod._Correction(L, split, alg)
     got = construct_mod._corrected_lift(L, split, GeneratorSet("associative", [u], ["u"]), sub_vectors, cor)
     low = min(e[cor.zi] for e in want.terms)
     assert got.elements[0] == (want * alg.gen(cor.zi, -low) if low < 0 else want)
