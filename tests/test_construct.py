@@ -33,10 +33,10 @@ from lieshift.fields import QQ, FieldError
 from lieshift.invariants import GeneratorSet, Sampling, b_of, symmetric_invariants, trdeg_jacobian
 from lieshift.liealg import (
     HeisenbergSplit,
-    check_split,
     LieAlgebra,
     LinearForm,
     Subspace,
+    check_split,
     classify_nilradical,
     subalgebra_of,
     vec,
@@ -286,15 +286,16 @@ def test_corrected_lift_matches_the_dense_reference(name, data):
     want = reference_substitute(u, images, alg)
     assert substitute_generators(u, images, alg) == want
     cor = construct_mod._Correction(L, split, alg)
-    got = construct_mod._corrected_lift(L, split, GeneratorSet("associative", [u], ["u"]), sub_vectors, cor)
+    A = GeneratorSet("associative", [u], ["u"])
+    got = construct_mod._corrected_lift(L, split, A, sub_vectors, cor)
     low = min(e[cor.zi] for e in want.terms)
     assert got.elements[0] == (want * alg.gen(cor.zi, -low) if low < 0 else want)
 
 
 @cache
 def _reduced(name):
-    """L and its abelian-ideal reduction: along x's partner z of heisenberg2,
-    or along the ideal that classify_nilradical picks."""
+    """L and its abelian-ideal reduction: along the center line of
+    heisenberg2, or along the ideal that classify_nilradical picks."""
     L = preset(name).algebra
     h = L.span_of_indices([4]) if name == "heisenberg2" else classify_nilradical(L).h
     return L, construct_mod._reduce_abelian(L, h)

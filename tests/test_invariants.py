@@ -4,7 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from factories import permuted, permuted_poly, reference_rank_mod_prime, reference_symmetric_invariants
+from factories import (
+    permuted,
+    permuted_poly,
+    reference_rank_mod_prime,
+    reference_symmetric_invariants,
+)
 from lieshift import fields
 from lieshift.construct import ConstructError, construct_theorem
 from lieshift.fields import PRIME, QQ, FieldError
