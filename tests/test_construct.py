@@ -622,6 +622,50 @@ def test_construct_borel_gl4_three_level_tower():
     assert len(cert.generators.elements) == 6
 
 
+# the generators certified at each level of borel_gl(4)'s three-level tower,
+# innermost first, and its trace; recorded before the tower fields were flat
+BOREL_GL4_LEVELS = [
+    ("Q(w1, w2)(w3, w4, w5)(w6, w7, w8)", ["delta"]),
+    ("Q(w1, w2)(w3, w4, w5)", ["u1 - w2*u3", "e23", "delta"]),
+    (
+        "Q(w1, w2)",
+        ["e12*e24 + e13*e34 - w2*e22*delta - w2*e33*delta - w2*delta", "e23", "e13", "e24", "delta"],
+    ),
+    (
+        "Q",
+        ["e12*e24 + e13*e34 - e14*e22 - e14*e33 - e14", "e23", "e13", "e24", "e11 + e22 + e33 + e44", "e14"],
+    ),
+]
+BOREL_GL4_TRACE = [
+    "abelian-ideal-reduction: ideal of dim 2, reduced dim 8 over w1, w2",
+    "  [reduced] abelian-ideal-reduction: ideal of dim 3, reduced dim 4 over w3, w4, w5",
+    "  [reduced]   [reduced] abelian-ideal-reduction: ideal of dim 3, reduced dim 1 over w6, w7, w8",
+    "  [reduced]   [reduced]   [reduced] abelian: the whole enveloping algebra, dim 1",
+    "  [reduced]   [reduced] specialized the central element to 1",
+    "  [reduced]   [reduced] lifted 0 generators, adjoined the ideal",
+    "  [reduced] specialized the central element to 1",
+    "  [reduced] lifted 2 generators, adjoined the ideal",
+    "specialized the central element to 1",
+    "lifted 4 generators, adjoined the ideal",
+]
+
+
+def test_borel_gl4_every_level_golden(monkeypatch):
+    certs = []
+    real = construct_mod._construct
+
+    def recording(L, *args):
+        cert = real(L, *args)
+        certs.append(cert)
+        return cert
+
+    monkeypatch.setattr(construct_mod, "_construct", recording)
+    top = construct_theorem(borel_gl(4))
+    assert list(top.trace) == BOREL_GL4_TRACE
+    got = [(repr(c.algebra.field), [g.render() for g in c.generators.elements]) for c in certs]
+    assert got == BOREL_GL4_LEVELS
+
+
 @pytest.mark.parametrize("name", ["aff1", "borel-sl2", "borel-sl3", "borel_gl(4)"])
 def test_min_stabilizer_dim_matches_the_sampled_reference(monkeypatch, name):
     # every abelian reduction construct_theorem reaches, over Q and above
