@@ -623,10 +623,15 @@ def test_construct_borel_gl4_three_level_tower():
 
 
 # the generators certified at each level of borel_gl(4)'s three-level tower,
-# innermost first, and its trace; recorded before the tower fields were flat
+# innermost first, and its trace. Recorded before the tower fields were flat,
+# and the level-2 line re-pinned then: the section u3 of the second reduction
+# is a canonical kernel row, primitive in Q[w1, ..., w5] where it used to be
+# primitive in Q(w1, w2)[w3, w4, w5], so it is w2 times the old one
+# ([w5, -w3/w2] became [w2*w5, -w3]) and u1 - w2*u3 reads u1 - u3; every
+# other level, the trace and the generators over Q are unchanged
 BOREL_GL4_LEVELS = [
     ("Q(w1, w2)(w3, w4, w5)(w6, w7, w8)", ["delta"]),
-    ("Q(w1, w2)(w3, w4, w5)", ["u1 - w2*u3", "e23", "delta"]),
+    ("Q(w1, w2)(w3, w4, w5)", ["u1 - u3", "e23", "delta"]),
     (
         "Q(w1, w2)",
         ["e12*e24 + e13*e34 - w2*e22*delta - w2*e33*delta - w2*delta", "e23", "e13", "e24", "delta"],
