@@ -1,6 +1,6 @@
 """Exact commutative subalgebras of enveloping algebras.
 
-Everything is exact arithmetic over nested rational function fields: Lie
+Everything is exact arithmetic over towers of rational function fields: Lie
 algebras are given by structure constants, symmetric algebras carry the
 Lie-Poisson bracket, enveloping algebras are handled in PBW normal form,
 and the construction routines build commutative subalgebras of maximal

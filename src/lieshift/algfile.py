@@ -32,14 +32,8 @@ def encode_scalar(c):
         p, q = c.as_rational()
         return str(p) if q == 1 else "%d/%d" % (p, q)
 
-    def poly(p):
-        return [
-            [list(exps), encode_scalar(f.base.from_ground(g))]
-            for exps, g in sorted(p.terms())
-        ]
-
-    den, (num,) = f.clear([c])
-    return {"num": poly(num), "den": poly(den)}
+    num, den = [[[list(exps), encode_scalar(g)] for exps, g in p] for p in f.nested(c)]
+    return {"num": num, "den": den}
 
 
 def _is_int(x):

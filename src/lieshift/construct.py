@@ -31,7 +31,6 @@ the drop by dim h - 1 once that level returns.
 """
 
 from dataclasses import dataclass, replace
-from functools import cache
 
 from .fields import FieldError
 from .liealg import (
@@ -466,14 +465,12 @@ def _reduce_abelian(L, h):
     names = _fresh_names(F, d)
     F2 = F.extend(*names)
     wvars = [F2.var(nm) for nm in names]
-    # a lift to level 2 or 3 takes milliseconds, and a few values recur
-    lift = cache(F2.lift)
 
     def linfunc(coords):
         out = F2.zero
         for t, c in enumerate(coords):
             if not c.is_zero:
-                out = out + lift(c) * wvars[t]
+                out = out + F2.lift(c) * wvars[t]
         return out
 
     comp, reduced = _coordinate_complement(L, h)
@@ -498,13 +495,13 @@ def _reduce_abelian(L, h):
 
     # w = sum_k c_k e_comp[k] + sum_l s_l hbar_l, with s_l read at l, where
     # only hbar_l is nonzero; hbar_l adds phi_l to the delta-coordinate
-    hbar = [(l, [lift(x) for x in v], linfunc(h.coordinates(v))) for l, v in reduced]
+    hbar = [(l, [F2.lift(x) for x in v], linfunc(h.coordinates(v))) for l, v in reduced]
 
     # L's structure constants lifted to F2, so sections bracket by the kernel
     L2 = LieAlgebra(
         F2,
         L.labels,
-        {key: {k: lift(c) for k, c in row.items()} for key, row in L.table.items()},
+        {key: {k: F2.lift(c) for k, c in row.items()} for key, row in L.table.items()},
     )
     table = {}
     for a, b, cleared in _brackets(L2, _supports(L2, sections)):
@@ -626,8 +623,14 @@ def lift_from_hat(hat, u, target_alg):
         if exps[m] != 0:
             raise ConstructError("specialize the central element before lifting")
     F2 = hat.base_field
-    _, nums = F2.clear(u.terms.values())
-    cleared = PBWElement._trusted(u.alg, {e: F2.from_cleared(n, 1) for e, n in zip(u.terms, nums)})
+    d, nums = F2.clear(u.terms.values())
+    # d = l d', l in the variables below and d' the least common denominator
+    # in w, whose leading coefficient there is 1: the coefficients times d'
+    ((_, inv_l),), _ = F2.nested(F2.one / F2.from_cleared(d, 1))
+    coeffs = [F2.from_cleared(n, 1) for n in nums]
+    if not inv_l.is_one:
+        coeffs = [c * F2.lift(inv_l) for c in coeffs]
+    cleared = PBWElement._trusted(u.alg, dict(zip(u.terms, coeffs)))
     h_elems = [target_alg.from_vector(v) for v in hat.h.basis]
     images = _section_images(hat, h_elems, target_alg)
     images.append(target_alg.one())  # delta slot; exponents are zero
@@ -645,11 +648,10 @@ def _section_images(hat, h_elems, target_alg):
     k = len(h_elems)
     out = []
     for sec in hat.sections:
-        d, row = F2.clear(sec)
-        if d != 1:
+        if F2.clear(sec)[0] != 1:
             raise ConstructError("internal: denominator not cleared before lift")
-        entries = [i for i, a in enumerate(row) if a]
-        d0, terms = _expanded(base, [row[i] for i in entries], [(k + i,) for i in entries])
+        entries = [i for i, a in enumerate(sec) if a]
+        d0, terms = _expanded(F2, [sec[i] for i in entries], [(k + i,) for i in entries])
         f, raw = _substituted(target_alg, terms, packed)
         out.append(target_alg._element(raw, d0 * f))
     return out
@@ -849,7 +851,7 @@ def _construct(L, casimirs, max_inv_deg, sampling, max_depth, depth):
     use_levi = (
         levi is not None
         and levi.dim + cls.nilradical.dim == L.dim
-        and Subspace(L.field, L.dim, list(levi.basis) + list(cls.nilradical.basis)).dim == L.dim
+        and rank(L.field, list(levi.basis) + list(cls.nilradical.basis)) == L.dim
         and _maps_into(L, levi, Subspace(L.field, L.dim, list(split.x) + list(split.y)))
     )
     if use_levi:

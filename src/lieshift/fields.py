@@ -1,22 +1,28 @@
 """Exact scalar tower: rationals at the bottom, rational function fields above.
 
-Level 0 is Q. Level k > 0 is the field of fractions of a polynomial ring in
-fresh variables over the level k-1 field, used e.g. for coefficients living in
-K(h*) during the abelian-ideal reduction. Elements are kept in a canonical
-reduced form: numerator and denominator coprime, denominator with grlex
-leading coefficient 1 (positive denominator at level 0).
+Level 0 is Q. Level k > 0 adjoins fresh variables to the level k-1 field,
+used e.g. for coefficients living in K(h*) during the abelian-ideal
+reduction. Q(t)(s) is the field Q(t, s), so level k is stored flat: one
+sympy field of fractions over sympy's QQ in every tower variable, lowest
+level first, grlex-ordered. Its numerator ring is Q[every tower variable],
+where sympy's gcd is fast. Elements are kept in a canonical reduced form:
+numerator and denominator coprime, denominator with grlex leading
+coefficient 1 (positive denominator at level 0).
 
 ``FieldElement`` is the one scalar that leaves this module. What it wraps is
 private here: a ``fractions.Fraction`` at level 0, and above it an element
-of sympy's polys domains (nested fraction fields with grlex ordering over
-sympy's QQ). sympy is imported when the first field above level 0 is built,
-so a computation over Q never loads it. This module owns the canonical form,
-the tower bookkeeping and the error contract.
+of that flat sympy field. sympy is imported when the first field above
+level 0 is built, so a computation over Q never loads it. This module owns
+the canonical form, the tower bookkeeping (levels, ``lift``, ``var``) and
+the error contract. ``Field.nested`` is the one view of a value as a
+quotient of polynomials in its own level's variables over the level below:
+rendering, the ``algfile`` codec and the substitutions of ``pbw`` read it,
+so they print and encode a scalar as the nested field would.
 
 The arithmetic kernels and the elimination in ``linalg`` compute on one
 internal format at every level, cleared values: ``Field.clear`` brings a
 list of elements to numerators over their least common denominator, in the
-numerator ring (ints at level 0, polynomials in the level's variables
+numerator ring (ints at level 0, polynomials in every tower variable
 above), the ``ring_*`` helpers and ``Field._primitive`` work on those ring
 values, and ``Field.from_cleared`` wraps a result n / d once.
 
@@ -53,9 +59,11 @@ class Field:
 
     Immutable; equality and hashing are structural so a field can key caches.
     The domain is computed once, when the field is built: None at level 0,
-    whose elements are Fractions, a sympy fraction field above, shared by
-    structurally equal fields. So are ``zero`` and ``one``, shared by every
-    reader: a ``FieldElement`` is never changed in place.
+    whose elements are Fractions, above it the flat sympy fraction field
+    over QQ in ``all_variables()``, shared by every field with those
+    variables. So are ``zero`` and ``one``, shared by every reader: a
+    ``FieldElement`` is never changed in place. ``nested`` reads an element
+    as a quotient of polynomials in ``variables`` over ``base``.
     """
 
     __slots__ = ("level", "variables", "base", "domain", "zero", "one")
@@ -64,7 +72,9 @@ class Field:
         self.level = level
         self.variables = tuple(variables)
         self.base = base
-        dom = self.domain = None if base is None else _sympy_domain(self.variables, base)
+        dom = self.domain = None if base is None else _sympy_domain(
+            tuple(base.all_variables()) + self.variables
+        )
         self.zero = FieldElement(self, Fraction(0) if dom is None else dom.zero)
         self.one = FieldElement(self, Fraction(1) if dom is None else dom.one)
 
@@ -113,9 +123,10 @@ class Field:
             raise FieldError("not an integer: %r" % (n,))
         if self.level == 0:
             return FieldElement(self, Fraction(n))
-        g = self.domain.domain(n) if self.level == 1 else self.base.from_int(n).raw
         field = self.domain.field
-        return FieldElement(self, field.raw_new(field.ring.ground_new(g), field.ring.one))
+        return FieldElement(
+            self, field.raw_new(field.ring.ground_new(self.domain.domain(n)), field.ring.one)
+        )
 
     def rational(self, p, q=1):
         """p/q exactly, for ints and Fractions; a float is a FieldError."""
@@ -125,7 +136,7 @@ class Field:
             raise FieldError("division by zero")
         if self.level == 0:
             return FieldElement(self, Fraction(p, q))
-        return self.lift(self.base.rational(p, q))
+        return self.lift(QQ.rational(p, q))
 
     def coerce(self, c):
         """A caller's scalar as an element of this field: an int through
@@ -144,39 +155,38 @@ class Field:
 
     def var(self, name):
         """The named tower variable as an element of this field."""
-        if name in self.variables:
-            i = self.variables.index(name)
-            return FieldElement(self, self.domain.gens[i])
-        if self.base is None:
+        names = self.all_variables()
+        if name not in names:
             raise FieldError("unknown variable %r" % name)
-        return self.lift(self.base.var(name))
+        return FieldElement(self, self.domain.gens[names.index(name)])
 
     def lift(self, elem):
-        """Embed an element of a lower tower level into this field."""
+        """Embed an element of a lower tower level into this field.
+
+        The variables below come first in the flat ring, so a numerator and
+        a denominator lift by padding their exponent tuples with zeros: the
+        pair stays coprime and the grlex-leading monomial of the denominator
+        stays leading, so the lifted value is canonical with no cancel."""
         if not isinstance(elem, FieldElement):
             raise FieldError("lift expects a FieldElement")
-        if elem.field == self:
+        low = elem.field
+        if low == self:
             return elem
-        chain = []
         f = self
-        while f is not None and f != elem.field:
-            chain.append(f)
+        while f is not None and f != low:
             f = f.base
         if f is None:
-            raise FieldError("element of %r does not embed into %r" % (elem.field, self))
+            raise FieldError("element of %r does not embed into %r" % (low, self))
+        field = self.domain.field
         raw = elem.raw
-        if elem.field.level == 0:  # into sympy's QQ, the ground of level 1
-            raw = chain[-1].domain.domain(raw.numerator, raw.denominator)
-        for g in reversed(chain):
-            raw = g.domain.field.ground_new(raw)
-        return FieldElement(self, raw)
-
-    def from_ground(self, g):
-        """This field's element for a ground coefficient of the polynomials
-        one level up: a sympy rational at level 0, a raw element above."""
-        if self.level == 0:
-            return FieldElement(self, Fraction(int(g.numerator), int(g.denominator)))
-        return FieldElement(self, g)
+        if low.level == 0:
+            g = self.domain.domain(raw.numerator, raw.denominator)
+            return FieldElement(self, field.raw_new(field.ring.ground_new(g), field.ring.one))
+        pad = (0,) * (len(self.domain.gens) - len(low.domain.gens))
+        numer, denom = [
+            field.ring.dtype({m + pad: c for m, c in p.items()}) for p in (raw.numer, raw.denom)
+        ]
+        return FieldElement(self, field.raw_new(numer, denom))
 
     # -- cleared values: numerators over one common denominator --------------
 
@@ -185,7 +195,7 @@ class Field:
         of this field (unchecked: ``clear_row`` is the checked entry).
 
         The numerators lie in the numerator ring (ints at level 0,
-        polynomials in this level's variables above) and d is the least
+        polynomials in every tower variable above) and d is the least
         common denominator, so kernels and elimination add and multiply
         ring values and divide once per result (``from_cleared``). A unit
         denominator costs neither a gcd nor a quotient; with every
@@ -225,46 +235,57 @@ class Field:
         return q
 
     def ring_gcd(self, a, b):
-        """gcd(a, b) in the numerator ring, monic above level 0. Above level
-        1 a pair that ``_coprime_at_a_point`` proves coprime gives the
-        ring's one at once; any other pair is taken over Z in every tower
-        variable (``_over_z``), where sympy's gcd is fast, instead of over
-        the rational function field below. sympy's gcd can raise where its
-        heuristic for Z[t] gives up on an input; ``_prs_gcd`` then
-        recomputes it without a heuristic."""
+        """gcd(a, b) in the numerator ring, monic above level 0: sympy's gcd
+        of the flat ring Q[every tower variable], which is not monic where
+        an argument is a term or a constant. It can raise where its
+        heuristic over Z gives up on an input; ``_prs_gcd`` then recomputes
+        it on the same ring without a heuristic."""
         if self.level == 0:
             return math.gcd(int(a), int(b))
         from sympy.polys.polyerrors import HeuristicGCDFailed
 
-        if self.level > 1 and _coprime_at_a_point(self, a, b):
-            return self.domain.field.ring.one
         try:
-            if self.level == 1:
-                return a.gcd(b)
-            A, B = _over_z(self, a, b)
-            return _from_z(self, A.gcd(B))
+            return a.gcd(b).monic()
         except HeuristicGCDFailed:
-            return _prs_gcd(self, a, b)
+            return _prs_gcd(a, b)
 
     def residues(self, values):
         """Numerator-ring values mod ``PRIME``, as ints in range(PRIME).
 
         At level 0 the integers are reduced. Above it each value is taken
-        at one seeded residue of every tower variable (``_residue_points``),
-        redrawn while a coefficient denominator vanishes there mod p; a
-        FieldError if none of the draws keeps every denominator nonzero.
-        Either way the map is a ring homomorphism on the values it is
-        defined at: a minor that is nonzero mod p is nonzero in the ring.
+        at one seeded residue of every tower variable (``_residue_point``);
+        its coefficients are rationals, so only one whose denominator p
+        divides has no residue, at every point: a FieldError. Either way the
+        map is a ring homomorphism on the values it is defined at: a minor
+        that is nonzero mod p is nonzero in the ring.
         """
         if self.level == 0:
             return [v % PRIME for v in values]
-        for point in _residue_points(self):
-            out = [_poly_mod(self, v, point) for v in values]
-            if None not in out:
-                return out
-        raise FieldError(
-            "every residue point of %s makes a denominator vanish mod %d" % (self, PRIME)
-        )
+        point = _residue_point(self)
+        out = [_poly_mod(v, point) for v in values]
+        if None in out:
+            raise FieldError(
+                "a coefficient of a value of %s has a denominator divisible by %d" % (self, PRIME)
+            )
+        return out
+
+    def nested(self, e):
+        """The element e of a field above level 0 as a quotient of
+        polynomials in this level's variables over the level below, the
+        form of the nested field base(variables): (numerator, denominator),
+        each a list of (exponents, element of ``base``) sorted by exponents.
+
+        The flat numerator and denominator are grouped by monomial in this
+        level's variables, and every group divided by the denominator's
+        group at its grlex-leading monomial, so the denominator leads with
+        1. They are coprime in Q[every variable], so in base[variables] too
+        (Gauss's lemma), and the view is the nested field's canonical form:
+        ``render_scalar``, the ``algfile`` codec and the substitutions of
+        ``pbw`` read a scalar as it would print in base(variables)."""
+        n, base = len(self.variables), self.base
+        num, den = [_by_own_monomial(p, n) for p in (e.raw.numer, e.raw.denom)]
+        lead = den[max(den, key=lambda m: (sum(m), m))]
+        return tuple([[(m, _quotient(base, g[m], lead)) for m in sorted(g)] for g in (num, den)])
 
     def _primitive(self, row):
         """The canonical numerator-ring row on the line of a nonzero one:
@@ -283,17 +304,14 @@ class Field:
 
 
 @lru_cache(maxsize=None)
-def _sympy_domain(variables, base):
-    """The sympy domain of the field over ``base`` adjoining ``variables``;
-    sympy is imported only here and by the gcd above level 0."""
+def _sympy_domain(names):
+    """sympy's field of fractions over QQ in ``names``, grlex-ordered, shared
+    by every tower field with these variables; sympy is imported only here
+    and by the gcd above level 0."""
     from sympy.polys.domains import QQ as sympy_qq
     from sympy.polys.orderings import grlex
 
-    ground = sympy_qq if base.level == 0 else base.domain
-    domain = ground.frac_field(*variables, order=grlex)
-    if base.level > 0:
-        _convert_ground_elements(domain)
-    return domain
+    return sympy_qq.frac_field(*names, order=grlex)
 
 
 def _clear_raws(field, raws):
@@ -302,218 +320,58 @@ def _clear_raws(field, raws):
     for r in raws:
         q = r.denom
         if q != 1:
-            d = q if d == 1 else d * q.quo(d.gcd(q))
+            d = q if d == 1 else d * q.quo(field.ring_gcd(d, q))
     return d, [r.numer if r.denom == d else r.numer * d.quo(r.denom) for r in raws]
 
 
-def _over_z(field, a, b):
-    """a and b, values of the numerator ring of a field above level 0, as
-    polynomials over Z in every tower variable (``_flat``). By Gauss's lemma
-    their gcd there differs by a unit of the ring from the one of a and b."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.orderings import grlex
-    from sympy.polys.rings import PolyRing
-
-    R = PolyRing(field.all_variables(), ZZ, grlex)
-    return [R.from_dict(_flat(field, [p])[0]) for p in (a, b)]
+def _prs_gcd(a, b):
+    """The monic gcd of nonzero values a and b of a flat numerator ring, by a
+    subresultant PRS over the ring's own field of coefficients: no
+    heuristic step that can give up."""
+    return a.ring.dmp_ff_prs_gcd(a, b)[0].monic()
 
 
-def _flat(field, values):
-    """Numerator-ring values of a field above level 0 as {exponents of every
-    tower variable, lowest level first: int} dicts, all times one nonzero
-    value of the levels below, a unit of the ring: at each level the
-    coefficients of all the values are cleared over one denominator
-    (``_clear_raws``), and at level 1 the rationals over one integer."""
-    terms = [list(v.terms()) for v in values]
-    coeffs = [c for ts in terms for _, c in ts]
-    if field.level == 1:
-        den = math.lcm(*[int(c.denominator) for c in coeffs])
-        flat = iter([{(): int(c.numerator) * (den // int(c.denominator))} for c in coeffs])
-    else:
-        flat = iter(_flat(field.base, _clear_raws(field.base, coeffs)[1]))
-    out = []
-    for ts in terms:
-        d = {}
-        for m, _ in ts:
-            for low, c in next(flat).items():
-                d[low + m] = c
-        out.append(d)
-    return out
-
-
-def _from_z(field, g):
-    """The monic value of the numerator ring on the line of g over Z."""
-    return _unflat(field, dict(g)).monic()
-
-
-def _unflat(field, d):
-    """The value of the numerator ring of a field above level 0 of a
-    ``_flat`` dict, its coefficients read as integers."""
-    ring = field.domain.field.ring
-    if field.level == 1:
-        return ring.from_dict({m: ring.domain(c) for m, c in d.items()})
-    n = len(field.variables)
+def _by_own_monomial(p, n):
+    """{exponents of the last n variables: {exponents of the others: QQ}}
+    of a flat polynomial p."""
     groups = {}
-    for m, c in d.items():
+    for m, c in p.items():
         groups.setdefault(m[-n:], {})[m[:-n]] = c
-    frac = field.base.domain.field
-    return ring.from_dict(
-        {m: frac.raw_new(_unflat(field.base, low), frac.ring.one) for m, low in groups.items()}
-    )
+    return groups
 
 
-def _prs_gcd(field, a, b):
-    """The monic gcd of a and b in the numerator ring of a field above level
-    0, by a subresultant PRS over Z (``_over_z``) with no heuristic step."""
-    A, B = _over_z(field, a, b)
-    return _from_z(field, A.ring.dmp_rr_prs_gcd(A, B)[0])
+def _quotient(field, p, q):
+    """The element p / q of field for {exponents: QQ} dicts p and q != 0 of
+    its variables (at level 0 both are dicts of the empty monomial)."""
+    if field.level == 0:
+        c = p[()] / q[()]
+        return FieldElement(field, Fraction(int(c.numerator), int(c.denominator)))
+    ring = field.domain.field.ring
+    return field.from_cleared(ring.from_dict(p), ring.from_dict(q))
 
 
-def _coprime_at_a_point(field, a, b):
-    """Does a specialization of the lower tower variables prove the nonzero
-    numerator-ring values a and b of a field above level 1 coprime?
-
-    At a seeded integer point where no coefficient denominator and neither
-    leading coefficient vanishes, a common factor g of positive degree in
-    this level's variables keeps its leading monomial (its leading
-    coefficient divides theirs), so g at the point divides a and b at the
-    point over Q. If those have a gcd of degree 0, so do a and b, by Gauss's
-    lemma. False means only that this test gave no proof."""
-    if not a or not b:
-        return False
-    from sympy.polys.domains import QQ as sympy_qq
-    from sympy.polys.orderings import grlex
-    from sympy.polys.polyerrors import HeuristicGCDFailed
-    from sympy.polys.rings import PolyRing
-
-    R = PolyRing(field.variables, sympy_qq, grlex)
-    for point in _seeded_points(field):
-        at = [_specialized(field.base, p, point) for p in (a, b)]
-        if any(v is None or not v.get(p.LM) for v, p in zip(at, (a, b))):
-            continue
-        A, B = [R.from_dict({m: sympy_qq(c.numerator, c.denominator) for m, c in v.items()}) for v in at]
-        try:
-            return A.gcd(B).is_ground
-        except HeuristicGCDFailed:
-            return False
-    return False
-
-
-_COPRIME_POINTS = 3
-_COPRIME_BOUND = 1000
-
-
-def _seeded_points(field):
-    """The integer points of the lower tower variables, in the order
-    ``_coprime_at_a_point`` tries them; the same for every call."""
-    rng = random.Random(len(field.all_variables()))
-    lower = len(field.all_variables()) - len(field.variables)
-    return [
-        [rng.randint(-_COPRIME_BOUND, _COPRIME_BOUND) for _ in range(lower)]
-        for _ in range(_COPRIME_POINTS)
-    ]
-
-
-def _specialized(base, p, point):
-    """{monomial: Fraction}: the coefficients of p, raw elements of ``base``,
-    at the integer point of base's variables, or None where a denominator
-    vanishes there."""
-    out = {}
-    for m, c in p.terms():
-        v = _value_at(base, c, point)
-        if v is None:
-            return None
-        if v:
-            out[m] = v
-    return out
-
-
-def _value_at(field, x, point):
-    """The raw element x of a field above level 0 at the integer point of
-    its variables, all tower levels, as a Fraction; None where a
-    denominator vanishes there."""
-    num, den = [_poly_at(field, p, point) for p in (x.numer, x.denom)]
-    return None if num is None or not den else num / den
-
-
-def _poly_at(field, p, point):
-    """A polynomial of the field's numerator ring at the point, or None."""
-    k = len(point) - len(field.variables)
-    own, lower = point[k:], point[:k]
-    total = Fraction(0)
-    for m, c in p.terms():
-        if field.level == 1:
-            v = Fraction(int(c.numerator), int(c.denominator))
-        else:
-            v = _value_at(field.base, c, lower)
-            if v is None:
-                return None
-        for x, e in zip(own, m):
-            v *= x ** e
-        total += v
-    return total
-
-
-_RESIDUE_DRAWS = 8
-
-
-def _residue_points(field):
-    """The residue points mod PRIME of every tower variable, in the order
-    ``Field.residues`` tries them; the same for every call."""
+def _residue_point(field):
+    """The seeded residue mod PRIME of every tower variable at which
+    ``Field.residues`` evaluates; the same for every call."""
     names = field.all_variables()
     rng = random.Random("residues of " + ",".join(names))
-    return [[rng.randrange(PRIME) for _ in names] for _ in range(_RESIDUE_DRAWS)]
+    return [rng.randrange(PRIME) for _ in names]
 
 
-def _poly_mod(field, p, point):
-    """A polynomial of the numerator ring of a field above level 0 at the
-    residue point of every tower variable, mod PRIME; None where a
-    coefficient denominator vanishes there."""
-    k = len(point) - len(field.variables)
-    own, lower = point[k:], point[:k]
+def _poly_mod(p, point):
+    """A flat polynomial at the residue point of its variables, mod PRIME;
+    None where a coefficient's denominator is divisible by PRIME."""
     total = 0
-    for m, c in p.terms():
-        if field.level == 1:
-            v = _quotient_mod(int(c.numerator), int(c.denominator))
-        else:
-            v = _quotient_mod(*[_poly_mod(field.base, q, lower) for q in (c.numer, c.denom)])
-        if v is None:
+    for m, c in p.items():
+        den = int(c.denominator)
+        if not den % PRIME:
             return None
-        for x, e in zip(own, m):
+        v = int(c.numerator) * pow(den, -1, PRIME)
+        for x, e in zip(point, m):
             if e:
                 v = v * pow(x, e, PRIME) % PRIME
         total += v
     return total % PRIME
-
-
-def _quotient_mod(num, den):
-    """num / den mod PRIME, or None where den vanishes mod PRIME (or either
-    is None)."""
-    if num is None or den is None or not den % PRIME:
-        return None
-    return num * pow(den, -1, PRIME) % PRIME
-
-
-def _convert_ground_elements(domain):
-    """Let a fraction field over a fraction field take elements of its ground.
-
-    sympy's ``FractionField.from_FractionField`` maps an element by generator
-    names, so Q(w)(v) rejects an element of Q(w) that is not a constant with
-    ``CoercionFailed``. Cancelling a fraction one level up, in Q(w)(v)(u),
-    converts such coefficients back into Q(w)(v), so level-3 arithmetic and
-    lifts need this. Only this domain object is changed, and only where
-    sympy's conversion gives up.
-    """
-    sympy_convert = domain.from_FractionField
-    ring = domain.field.ring
-
-    def from_fraction_field(a, base):
-        out = sympy_convert(a, base)
-        if out is None and base == domain.domain:
-            out = domain.field.raw_new(ring.ground_new(a), ring.one)
-        return out
-
-    domain.from_FractionField = from_fraction_field
 
 
 def _exponent(n):
@@ -643,23 +501,16 @@ class FieldElement:
 QQ = Field(0, (), None)
 
 
-def _render_ground(field, coeff):
-    """Render a ground-domain coefficient of a level >= 1 polynomial."""
-    if field.level == 0:
-        return str(coeff), ("/" in str(coeff))
-    s = render_scalar(FieldElement(field, coeff))
-    return s, ("+" in s[1:] or "-" in s[1:] or "/" in s)
-
-
-def _render_poly(field, poly):
-    """field is the level of the *fraction* field owning poly's ring."""
-    terms = sorted(poly.terms(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+def _render_poly(names, terms):
+    """A polynomial in the variables ``names``, given as the (exponents,
+    coefficient) terms of ``Field.nested``."""
+    terms = sorted(terms, key=lambda t: (sum(t[0]), t[0]), reverse=True)
     if not terms:
         return "0"
-    names = field.variables
     parts = []
     for monom, coeff in terms:
-        cs, needs_paren = _render_ground(field.base, coeff)
+        cs = render_scalar(coeff)
+        needs_paren = "+" in cs[1:] or "-" in cs[1:] or "/" in cs
         vs = "*".join(
             n if e == 1 else "%s^%d" % (n, e) for n, e in zip(names, monom) if e
         )
@@ -685,8 +536,7 @@ def render_scalar(e):
     """Canonical human-readable form, stable across runs."""
     if e.field.level == 0:
         return str(e.raw)
-    num = _render_poly(e.field, e.raw.numer)
-    den = _render_poly(e.field, e.raw.denom)
+    num, den = [_render_poly(e.field.variables, p) for p in e.field.nested(e)]
     if den == "1":
         return num
     if " " in num or "/" in num:

@@ -725,9 +725,7 @@ def is_reductive(L):
     if rad is not None:
         claim = rad == c
     else:
-        claim = c.dim + d.dim == L.dim and (
-            Subspace(L.field, L.dim, list(c.basis) + list(d.basis)).dim == L.dim
-        )
+        claim = c.dim + d.dim == L.dim and rank(L.field, list(c.basis) + list(d.basis)) == L.dim
     if not claim or rank(L.field, killing_matrix(subalgebra_of(L, d)[0])) == d.dim:
         return claim
     if rad is None:
@@ -964,9 +962,9 @@ def ltilde(L, split):
 def _check_ltilde_covers(L, split, lb):
     """Raise unless lb + h = q and lb meets h = span{x, y, z} in a line;
     for lb containing z that line is the center line."""
-    h = Subspace(L.field, L.dim, list(split.x) + list(split.y) + [split.z])
-    total = Subspace(L.field, L.dim, list(lb.basis) + list(h.basis))
-    if total.dim != L.dim:
+    h = list(split.x) + list(split.y) + [split.z]
+    total = rank(L.field, list(lb.basis) + h)
+    if total != L.dim:
         raise LieAlgebraError("stabilizer plus Heisenberg ideal does not span")
-    if lb.dim + h.dim - total.dim != 1:
+    if lb.dim + rank(L.field, h) - total != 1:
         raise LieAlgebraError("stabilizer meets the ideal off the center line")

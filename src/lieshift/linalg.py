@@ -57,9 +57,19 @@ def _bareiss(field, rows, ncols):
     particular a column where both rows are zero is skipped. Pivot rows and pivots are the eager ones and the rows
     below the rank are zero; only pivot rows are read.
     """
+    return _eliminate(field, _ring_rows(field, rows, ncols), ncols)
+
+
+def _ring_rows(field, rows, ncols):
+    """The nonzero rows cleared to the numerator ring; a row whose length
+    is not ncols is a FieldError."""
     if any(len(row) != ncols for row in rows):
         raise FieldError("ragged rows: each row needs %d entries" % ncols)
-    rows = [row for row in map(field.clear_row, rows) if any(row)]
+    return [row for row in map(field.clear_row, rows) if any(row)]
+
+
+def _eliminate(field, rows, ncols):
+    """``_bareiss`` on nonzero numerator-ring rows, rewritten in place."""
     quo = field.ring_quo
     pivots = []
     dens = [field.clear(())[0]]  # dens[t] = d[t-1]; dens[0] is the ring's unit
@@ -211,19 +221,15 @@ def solve(field, a_rows, rhs):
     if not a_rows:
         return [] if all(e.is_zero for e in rhs) else None
     ncols = len(a_rows[0])
-    aug = [list(r) + [-b] for r, b in zip(a_rows, rhs)]
-    rows, pivots = _bareiss(field, aug, ncols + 1)
+    cleared = _ring_rows(field, [list(r) + [-b] for r, b in zip(a_rows, rhs)], ncols + 1)
+    rows, pivots = _eliminate(field, [list(r) for r in cleared], ncols + 1)
     if pivots and pivots[-1][1] == ncols:
         return None
     v = _back_substitute(field, rows, pivots, ncols + 1, ncols)
-    den, zero = v[ncols], field.zero
-    x = [field.from_cleared(a, den) if a else zero for a in v[:ncols]]
-    # back-substitution is exact; verify anyway
-    for r, b in zip(a_rows, rhs):
-        acc = field.zero
-        for aij, xj in zip(r, x):
-            if not aij.is_zero and not xj.is_zero:
-                acc = acc + aij * xj
-        if not (acc - b).is_zero:
+    # back-substitution is exact; verify anyway: each cleared row of [A | -b]
+    # is a nonzero multiple of its row of A x - b, and v = D [x | 1]
+    for row in cleared:
+        if sum([a * c for a, c in zip(row, v) if a and c]):
             return None
-    return x
+    den, zero = v[ncols], field.zero
+    return [field.from_cleared(a, den) if a else zero for a in v[:ncols]]

@@ -558,18 +558,24 @@ def _substituted(alg, terms, images):
     return f, out
 
 
-def _expanded(field, polys, words):
-    """(d0, terms) for ``_substituted``: each polynomial p, a numerator-ring
-    value one level above field, followed by its word, as the terms
-    (n, beta + word) of its monomials g w^beta, where variable t is image t
-    and the ground coefficients g of every p are cleared over one d0."""
-    grounds = [(p.terms(), word) for p, word in zip(polys, words)]
-    d0, nums = field.clear([field.from_ground(g) for ts, _ in grounds for _, g in ts])
+def _expanded(top, coeffs, words):
+    """(d0, terms) for ``_substituted``: each coefficient, an element of top
+    that is a polynomial in top's own variables w over the level below
+    (``Field.nested``), followed by its word, as the terms (n, beta + word)
+    of its monomials g w^beta, where variable t is image t and the
+    coefficients g of every polynomial are cleared over one d0."""
+    polys = []
+    for c in coeffs:
+        num, den = top.nested(c)
+        if len(den) > 1 or any(den[0][0]):
+            raise FieldError("cannot substitute into a coefficient with a denominator")
+        polys.append(num)
+    d0, nums = top.base.clear([g for p in polys for _, g in p])
     it = iter(nums)
     return d0, [
         (next(it), tuple([t for t, e in enumerate(exps) for _ in range(e)]) + word)
-        for ts, word in grounds
-        for exps, _ in ts
+        for p, word in zip(polys, words)
+        for exps, _ in p
     ]
 
 
@@ -603,10 +609,7 @@ def substitute_generators(u, images, target_alg, coeff_images=()):
         top = src.field
         if top.base != field:
             raise FieldError("coefficient images lie in %r, not one level below %r" % (field, top))
-        den, polys = top.clear(u.terms.values())
-        if den != 1:
-            raise FieldError("cannot substitute into a coefficient with a denominator")
-        d0, terms = _expanded(field, polys, words)
+        d0, terms = _expanded(top, u.terms.values(), words)
     packed = [target_alg._numerators(v.terms) for v in (*coeff_images, *images)]
     f, out = _substituted(target_alg, terms, packed)
     return target_alg._element(out, d0 * f)

@@ -488,17 +488,32 @@ def reference_lift_from_hat(hat, u, target_alg):
     denominator of its coefficients, each polynomial coefficient c(w) sent to
     the sum of its terms g h^beta over the ideal basis h, each section to the
     sum of c_i(h) x_i, and the result by ``reference_substitute``."""
+    from sympy import Poly, Rational, symbols
+
     F2 = hat.base_field
     base = F2.base
+    w = symbols(F2.variables)
+    # the least common denominator in w over the level below, its leading
+    # coefficient in w divided out
     d, _ = F2.clear(u.terms.values())
-    cleared = u * F2.from_cleared(d, 1)
+    lead = Poly(d.as_expr(), *w).LC(order="grlex")
+    cleared = u * F2.from_cleared(d, F2.domain.field.ring(lead))
     h_elems = [target_alg.from_vector(v) for v in hat.h.basis]
 
+    def ground(expr):
+        """A sympy expression, a polynomial in the variables below w, as an
+        element of base."""
+        if base.level == 0:
+            q = Rational(expr)
+            return base.rational(int(q.p), int(q.q))
+        return base.from_cleared(base.domain.field.ring(expr), 1)
+
     def coeff_img(c):
-        (numer,) = F2.clear([c])[1]
+        # c = numer / den with den in the variables below w
+        den, (numer,) = F2.clear([c])
         out = target_alg.zero()
-        for exps, ground in numer.terms():
-            term = target_alg.one() * base.from_ground(ground)
+        for exps, g in Poly(numer.as_expr(), *w).terms():
+            term = target_alg.one() * (ground(g) / ground(den.as_expr()))
             for t, e in enumerate(exps):
                 for _ in range(e):
                     term = term * h_elems[t]

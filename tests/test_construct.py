@@ -178,6 +178,21 @@ def test_vanished_corrected_image_is_named_exactly():
         heisenberg_lift(L, split, gs, [h, h])
 
 
+def test_vanished_lift_is_named_exactly(monkeypatch):
+    # borel-sl3 reduces along an abelian ideal and lifts two generators;
+    # each lift sent to zero
+    monkeypatch.setattr(construct_mod, "lift_from_hat", lambda hat, u, T: T.zero())
+    with pytest.raises(ConstructError, match="^lift of a nonzero generator vanished$"):
+        construct_theorem(preset("borel-sl3").algebra)
+
+
+def test_lift_that_is_not_ideal_invariant_is_named_exactly(monkeypatch):
+    # every lift sent to h1, which does not commute with the ideal e13
+    monkeypatch.setattr(construct_mod, "lift_from_hat", lambda hat, u, T: T.gen(0))
+    with pytest.raises(ConstructError, match="^lifted generator is not ideal-invariant$"):
+        construct_theorem(preset("borel-sl3").algebra)
+
+
 def test_failed_correction_map_checks_are_named_exactly(monkeypatch):
     real = construct_mod._hat_lemmas
 

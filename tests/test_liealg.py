@@ -596,8 +596,20 @@ def test_v_stabilizer_rejects_bracket_outside_v_plus_z():
     L = sl2()
     h, e, f = (L.basis_vector(i) for i in range(3))
     # [f, e] = -h lies outside span{e} + span{f}
-    with pytest.raises(LieAlgebraError, match="vector outside v \\+ span z"):
+    with pytest.raises(LieAlgebraError, match="^vector outside v \\+ span z$"):
         _v_stabilizer(L, [e], f)
+
+
+def test_ltilde_names_an_unclosed_stabilizer_exactly(monkeypatch):
+    # a forged stabilizer spanned by the sl2 copy's e and f, whose bracket h
+    # it misses
+    L = preset("sl2-semidirect-h3").algebra
+    split = classify_nilradical(L).split
+    forged = L.span_of_indices([1, 2])
+    assert not liealg._is_subalgebra(L, forged)
+    monkeypatch.setattr(liealg, "_v_stabilizer", lambda *args: forged)
+    with pytest.raises(LieAlgebraError, match="^stabilizer of v failed to close under bracket$"):
+        ltilde(L, split)
 
 
 # -- the lazy structure layer against an eager reference ---------------------

@@ -153,6 +153,27 @@ def test_rref_and_solve():
     assert solve(QQ, [], []) == []
 
 
+@pytest.mark.parametrize("field", [QQ, QQ.extend("t").extend("s")], ids=["Q", "Q(t)(s)"])
+def test_solve_checks_its_back_substitution(monkeypatch, field):
+    # a back-substitution off by one in the first unknown fails the check
+    # on the cleared rows of [A | -b], and solve returns None
+    import lieshift.linalg as linalg_mod
+
+    one = field.one
+    a_rows = [[one, one], [one, -one]]
+    rhs = [field.from_int(3), one]
+    assert solve(field, a_rows, rhs) == [field.from_int(2), one]
+    real = linalg_mod._back_substitute
+
+    def off_by_one(field, rows, pivots, ncols, free):
+        v = real(field, rows, pivots, ncols, free)
+        v[0] = v[0] + v[free]
+        return v
+
+    monkeypatch.setattr(linalg_mod, "_back_substitute", off_by_one)
+    assert solve(field, a_rows, rhs) is None
+
+
 def test_solve_underdetermined_free_vars_zero():
     x = solve(QQ, [[QQ.one, QQ.one, QQ.one]], [QQ.from_int(5)])
     assert [str(c) for c in x] == ["5", "0", "0"]
