@@ -290,9 +290,10 @@ def test_prs_gcd_matches_the_expression_round_trip_level2(case):
     assert F.ring_gcd(a, b) == want
 
 
-def test_ring_gcd_of_rational_coefficients():
+def test_over_z_round_trips_rational_coefficients():
     # Q[t] and Q[t, s] values whose coefficients are not integers: sympy's
-    # gcd, the PRS gcd and the reference over Z agree
+    # gcd and the PRS gcd agree with the reference, whose round trip takes
+    # them to Z[t] and Z[t, s] and back
     from factories import reference_prs_gcd
     from lieshift import fields
 
