@@ -248,7 +248,10 @@ def test_ring_gcd_agrees_with_the_prs_gcd(lower):
         na, nb = F.clear([a * g, b * g])[1]
         common = F.ring_gcd(na, nb)
         assert common == fields._prs_gcd(na, nb) == reference_prs_gcd(F, na, nb)
-        F.ring_quo(common, F.clear([g])[1][0])  # g divides it
+        (ng,) = F.clear([g])[1]
+        F.ring_quo(common, ng)  # g divides it
+        ix = len(F.all_variables()) - 1  # x is the last variable of the flat ring
+        assert common.degree(ix) == ng.degree(ix) > 0
 
 
 @st.composite
