@@ -8,7 +8,7 @@ Run:  python3 demos/shift_families.py
 """
 
 from lieshift.construct import mf_subalgebra, quantum_mf
-from lieshift.invariants import b_of, is_regular, sample_point, trdeg_jacobian
+from lieshift.invariants import Sampling, b_of, is_regular, trdeg_jacobian
 from lieshift.liealg import LinearForm
 from lieshift.pbw import commutator
 from lieshift.polyring import poisson
@@ -23,12 +23,13 @@ def demo(name):
     for c in P.casimirs:
         print("  ", c.render(L.labels))
 
-    seed = 0
+    sampling = Sampling(bound=50, seed=0)
+    stream = 0
     while True:
-        gamma = LinearForm(L.field, sample_point(L.field, L.dim, seed, 50))
+        gamma = LinearForm(L.field, sampling.point(L.field, L.dim, stream))
         if is_regular(L, gamma):
             break
-        seed += 1
+        stream += 1
     print("regular form:", [str(c) for c in gamma.coords])
 
     fam = mf_subalgebra(L, P.casimirs, gamma)

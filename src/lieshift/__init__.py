@@ -25,7 +25,7 @@ from .liealg import (
     subalgebra_of,
     validate,
 )
-from .polyring import PolyElement, differential_at, gamma_shift, poisson
+from .polyring import PolyElement, gamma_shift, poisson
 from .pbw import (
     EnvelopingAlgebra,
     PBWElement,

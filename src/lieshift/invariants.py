@@ -84,19 +84,12 @@ def sample_seed(seed, i):
     return seed * 1_000_003 + i
 
 
-def sample_point(field, n, seed, bound, nonzero=frozenset()):
-    """Random integer point, coordinates uniform in [-bound, bound].
+def _draw(n, seed, bound, nonzero):
+    """A random integer point as ints, coordinates uniform in [-bound, bound].
 
     Indices in `nonzero` are redrawn until nonzero (they sit under a formal
-    inverse somewhere in the caller's data).
+    inverse somewhere in the caller's data). ``Sampling`` checks the bound.
     """
-    if bound < 1:
-        raise ValueError("bound must be at least 1, got %s" % bound)
-    return tuple([field.from_int(c) for c in _draw(n, seed, bound, nonzero)])
-
-
-def _draw(n, seed, bound, nonzero):
-    """The coordinates of ``sample_point`` as ints."""
     rng = random.Random(seed)
     pt = []
     for i in range(n):
@@ -133,7 +126,8 @@ class Sampling:
 
     def point(self, field, n, stream, nonzero=frozenset()):
         """The seeded point of one stream (a sample index plus a caller offset)."""
-        return sample_point(field, n, sample_seed(self.seed, stream), self.bound, nonzero)
+        pt = _draw(n, sample_seed(self.seed, stream), self.bound, nonzero)
+        return tuple([field.from_int(c) for c in pt])
 
     def max_rank(self, field, n, rows, nonzero=frozenset()):
         """(best, witness, ranks): the largest rank of the matrix ``rows`` at

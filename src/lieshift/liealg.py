@@ -62,13 +62,6 @@ class LinearForm:
         self.field = field
         self.coords = vec(field, coords)
 
-    def of_vector(self, v):
-        s = self.field.zero
-        for c, a in zip(self.coords, v):
-            if not c.is_zero and not a.is_zero:
-                s = s + c * a
-        return s
-
     def __repr__(self):
         return "LinearForm(%s)" % (", ".join(str(c) for c in self.coords))
 
@@ -542,6 +535,10 @@ def check_split(L, split):
 
 def coadjoint_form(L, gamma):
     """Rows of the antisymmetric matrix gamma([x_i, x_j]), on cleared values."""
+    if len(gamma.coords) != L.dim:
+        raise LieAlgebraError(
+            "linear form has %d coordinates, want %d" % (len(gamma.coords), L.dim)
+        )
     F = L.field
     D, brackets = L.kernel_brackets
     dg, g = F.clear(gamma.coords)

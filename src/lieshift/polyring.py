@@ -13,9 +13,9 @@ input is checked once, by ``_checked_terms`` in the public constructors, and
 each scalar by ``Field.coerce``. Every result of arithmetic on checked
 elements is built by a trusted constructor that runs no check.
 
-The Poisson, gradient and shift kernels compute on cleared values, numerators
-over one common denominator (``Field.clear``: integers at level 0,
-polynomials above), and wrap each result coefficient once.
+The Poisson and shift kernels compute on cleared values, numerators over
+one common denominator (``Field.clear``: integers at level 0, polynomials
+above), and wrap each result coefficient once.
 
 ``monomials_of_degree`` lists the exponent tuples of one total degree, the
 columns of the invariant and centralizer kernels. ``coefficient_rows``
@@ -238,30 +238,6 @@ class PolyElement(_Terms):
     def top_part(self):
         return self._like(self._top())
 
-    def partial(self, i):
-        i = _index(i, self.nvars)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            out[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
-        return self._like(out)
-
-    def evaluate(self, point):
-        """Value at a point; formal inverses need a nonzero coordinate."""
-        pt = [self.field.coerce(c) for c in point]
-        total = self.field.zero
-        for e, c in self.terms.items():
-            v = c
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                if k < 0 and pt[i].is_zero:
-                    raise FieldError("evaluating a formal inverse at zero")
-                v = v * pt[i] ** k
-            total = total + v
-        return total
-
     def render(self, labels):
         return _render_terms(self.terms, labels, range(self.nvars))
 
@@ -371,61 +347,6 @@ def coefficient_rows(elements):
     monos = sorted({e for u in elements for e in u.terms})
     zero = elements[0]._ring[0].zero
     return [[u.terms.get(e, zero) for e in monos] for u in elements]
-
-
-def differential_at(f, point):
-    """Gradient vector of f evaluated at a point of the dual space.
-
-    One pass over the terms on cleared values: a term c x^e adds
-    c e_i x^(e - eps_i) to entry i for every i with e_i != 0. With the point
-    cleared to x_j = p_j / p_n, every term times prod_j p_j^off_j is a ring
-    value, for off_j the largest inverse power of x_j and off_n the largest
-    degree. Powers are computed once per (index, exponent), and zeroth
-    powers are not multiplied in. A formal inverse evaluated at zero raises
-    FieldError, as ``evaluate`` does on the partial derivatives.
-    """
-    field = f.field
-    n = f.nvars
-    pt = _coerced(field, point, n, "point")
-    q, p = field.clear(pt)
-    p.append(q)
-    off = [0] * (n + 1)
-    for j in f.laurent:
-        low = min((e[j] for e in f.terms), default=0)
-        if low < 0:
-            if not pt[j]:
-                raise FieldError("evaluating a formal inverse at zero")
-            off[j] = 1 - low
-    if q != 1:
-        off[n] = max(0, max((sum(e) - 1 for e in f.terms), default=0))
-    den, values = field.clear(f.terms.values())
-    powers = {}
-
-    def power(i, k):
-        x = powers.get((i, k))
-        if x is None:
-            x = powers[(i, k)] = p[i] ** k
-        return x
-
-    grad = [None] * n
-    for e, c in zip(f.terms, values):
-        base = [(j, k + off[j]) for j, k in enumerate(e) if k or off[j]]
-        if q != 1:
-            base.append((n, off[n] + 1 - sum(e)))
-        for i, k in enumerate(e):
-            if not k:
-                continue
-            g = c if k == 1 else c * k
-            for j, x in base:
-                x = x - 1 if j == i else x
-                if x:
-                    g = g * power(j, x)
-            grad[i] = g if grad[i] is None else grad[i] + g
-    for j, x in enumerate(off):
-        if x:
-            den = den * power(j, x)
-    zero = field.zero
-    return [zero if g is None else field.from_cleared(g, den) for g in grad]
 
 
 def gamma_shift(h, gamma, k):

@@ -295,6 +295,15 @@ def reference_coordinate_complement(L, h):
     return tuple(idxs)
 
 
+def reference_partial(f, i):
+    """The partial derivative of f in x_i, term by term on wrapped scalars."""
+    out = {}
+    for e, c in f.terms.items():
+        if e[i]:
+            out[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
+    return PolyElement(f.field, f.nvars, out, f.laurent)
+
+
 def reference_gamma_shift(h, gamma, k):
     """The k-th iterated derivative of h along gamma by the wrapped loop:
     each step sums gamma_i times the partial derivative in x_i."""
@@ -304,7 +313,7 @@ def reference_gamma_shift(h, gamma, k):
         for i in range(h.nvars):
             c = gamma.coords[i]
             if not c.is_zero:
-                acc = acc + out.partial(i) * c
+                acc = acc + reference_partial(out, i) * c
         out = acc
     return out
 

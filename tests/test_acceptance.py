@@ -21,10 +21,10 @@ from lieshift.construct import (
     verify_hat_lemmas,
 )
 from lieshift.invariants import (
+    Sampling,
     b_of,
     index_of,
     is_regular,
-    sample_point,
     trdeg_jacobian,
 )
 from lieshift.liealg import LinearForm, check_split, classify_nilradical
@@ -128,13 +128,14 @@ def test_criterion_4_abelian_reduction_dimensions():
 
 def test_criterion_5_shift_families():
     t0 = time.monotonic()
+    sampling = Sampling(bound=100, seed=0)
     for name, want in (("sl2", 2), ("sl3", 5)):
         P = preset(name)
         L = P.algebra
         found = 0
         attempt = 0
         while found < 5:
-            gamma = LinearForm(L.field, sample_point(L.field, L.dim, 4242 + attempt, 100))
+            gamma = LinearForm(L.field, sampling.point(L.field, L.dim, 4242 + attempt))
             attempt += 1
             if not is_regular(L, gamma):
                 continue

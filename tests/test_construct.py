@@ -426,12 +426,16 @@ def test_abelian_qhat_rejects_nonpositive_sampling_arguments(kw, monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled before the arguments were checked")
 
-    monkeypatch.setattr(inv_mod, "sample_point", no_sampling)
+    monkeypatch.setattr(inv_mod, "_draw", no_sampling)
     L = preset("aff1").algebra
     with pytest.raises(ValueError, match="at least 1"):
         abelian_qhat(L, L.span_of_indices([1]), Sampling(**kw))
     with pytest.raises(ValueError, match="at least 1"):
         construct_theorem(L, **kw)
+    # the patched draw is the one behind both sampled ranks and Sampling.point
+    for draw in (lambda: inv_mod.index_of(L), lambda: Sampling().point(QQ, 2, 0)):
+        with pytest.raises(AssertionError, match="sampled before"):
+            draw()
 
 
 def test_abelian_qhat_rejects_bad_input():
@@ -518,7 +522,7 @@ def test_specialize_search():
     assert str(c) == "1"
     assert [u.render() for u in out.elements] == ["a1"]
     assert "specialized center to 1 (trdeg 2 -> 1)" in out.provenance[0]
-    with pytest.raises(ConstructError):
+    with pytest.raises(ConstructError, match="nothing to specialize"):
         specialize_search(GeneratorSet("associative", [], []), 0)
 
 
@@ -805,7 +809,7 @@ def test_construct_jordan_block_action():
 
 
 def test_construct_respects_depth_cap():
-    with pytest.raises(ConstructError):
+    with pytest.raises(ConstructError, match="reduction recursion exceeded 0 levels"):
         construct_theorem(preset("aff1").algebra, max_depth=0)
 
 

@@ -46,7 +46,7 @@ def test_depth_cap():
     f = QQ
     for k in range(MAX_TOWER_DEPTH):
         f = f.extend("v%d" % k)
-    with pytest.raises(FieldError):
+    with pytest.raises(FieldError, match="tower depth capped at 3"):
         f.extend("w")
 
 
@@ -673,7 +673,6 @@ def test_int_operands_are_from_int_operands_without_a_lift(level, monkeypatch):
     assert x * 7 == 7 * x == x * n(7)
     assert x + 7 == 7 + x == x + n(7)
     assert 7 - x == n(7) - x and x - 7 == x - n(7)
-    assert x.evaluate([2, -5]) == x.evaluate([n(2), n(-5)])
     assert vec(F, [7, -2]) == (n(7), n(-2))
     assert LinearForm(F, [1, 0]).coords == (n(1), n(0))
     assert w * 7 == w * n(7) and 7 - w == n(7) - w

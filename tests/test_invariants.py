@@ -21,7 +21,6 @@ from lieshift.invariants import (
     index_of,
     is_regular,
     monomials_of_degree,
-    sample_point,
     sample_seed,
     symmetric_invariants,
     trdeg_jacobian,
@@ -69,14 +68,14 @@ def test_index_report_fields():
 def test_nonpositive_sampling_arguments_rejected(kw):
     with pytest.raises(ValueError, match="at least 1"):
         Sampling(**kw)
-    if "bound" in kw:
-        with pytest.raises(ValueError, match="at least 1"):
-            sample_point(QQ, 2, 7, kw["bound"])
 
 
 def test_sampling_draws_the_seeded_streams():
     sampling = Sampling(samples=3, bound=50, seed=7)
-    assert sampling.point(QQ, 4, 90_001) == sample_point(QQ, 4, sample_seed(7, 90_001), 50)
+    # stream s of seed 7 is stream sample_seed(7, s) of seed 0
+    assert sampling.point(QQ, 4, 90_001) == Sampling(bound=50, seed=0).point(
+        QQ, 4, sample_seed(7, 90_001)
+    )
     L = preset("sl2").algebra
     rep = index_of(L, sampling)
     assert (rep.seed, rep.samples, len(rep.ranks)) == (7, 3, 3)
@@ -260,12 +259,12 @@ def test_b_of_raises_on_odd_dim_plus_index(monkeypatch):
 
 
 def test_sampling_determinism():
-    a = sample_point(QQ, 4, sample_seed(2020, 0), 10**4)
-    b = sample_point(QQ, 4, sample_seed(2020, 0), 10**4)
+    a = Sampling().point(QQ, 4, 0)
+    b = Sampling().point(QQ, 4, 0)
     assert a == b
-    c = sample_point(QQ, 4, sample_seed(2020, 1), 10**4)
+    c = Sampling().point(QQ, 4, 1)
     assert a != c
-    nz = sample_point(QQ, 3, sample_seed(1, 2), 100, nonzero=frozenset({1}))
+    nz = Sampling(bound=100, seed=1).point(QQ, 3, 2, nonzero=frozenset({1}))
     assert not nz[1].is_zero
 
 

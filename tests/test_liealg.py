@@ -15,6 +15,7 @@ from factories import (
 from lieshift import liealg
 from lieshift.construct import abelian_qhat
 from lieshift.fields import QQ, FieldError
+from lieshift.invariants import is_regular
 from lieshift.liealg import (
     HeisenbergSplit,
     LieAlgebra,
@@ -432,6 +433,18 @@ def test_coadjoint_and_stabilizer():
     N = h3()
     stz = stabilizer(N, LinearForm(QQ, vec(QQ, [0, 0, 1])))
     assert stz.dim == 1 and stz.contains(N.basis_vector(2))
+
+
+@pytest.mark.parametrize("coords", [[1, 0], [1, 0, 0, 5], [0, 1, 0, 0]])
+def test_wrong_length_linear_form_is_rejected(coords):
+    # a short form read past its end; a long one dropped its extra
+    # coordinates and gave a plausible stabilizer and regularity
+    L = sl2()
+    gamma = LinearForm(QQ, coords)
+    want = "linear form has %d coordinates, want 3" % len(coords)
+    for use in (coadjoint_form, stabilizer, is_regular):
+        with pytest.raises(LieAlgebraError, match=want):
+            use(L, gamma)
 
 
 def test_structure_series():

@@ -103,6 +103,8 @@ def test_laurent_center():
     assert (x * zinv) * (y * z) == x * y
     # commutator uses the straightening rule through the inverse power
     assert commutator(x, y) == z
+    with pytest.raises(FieldError, match="^cannot symmetrize a formal inverse$"):
+        symmetrize(A, principal_symbol(x * zinv))
     with pytest.raises(FieldError):
         EnvelopingAlgebra(L).gen(2, -1)
 

@@ -12,7 +12,7 @@ from lieshift.pbw import (
     specialize_central,
     symmetrize,
 )
-from lieshift.polyring import PolyElement, differential_at, gamma_shift, poisson
+from lieshift.polyring import PolyElement, gamma_shift, poisson
 from lieshift.presets import preset
 
 
@@ -72,25 +72,12 @@ def test_top_and_homogeneous_parts():
     assert sum(comps.values(), PolyElement.zero(QQ, 3)) == p
 
 
-def test_partial_and_evaluate():
-    _, h, e, f = sl2_gens()
-    p = h * h * e + f
-    assert p.partial(0) == h * e * QQ.from_int(2)
-    pt = vec(QQ, [2, 3, 5])
-    assert str(p.evaluate(pt)) == "17"
-    assert differential_at(p, pt) == [QQ.from_int(12), QQ.from_int(4), QQ.one]
-
-
 @pytest.mark.parametrize("i", [3, 7, -1, -4])
 def test_out_of_range_variable_index_is_a_field_error(i):
-    # an index past either end named no variable (variable and partial
-    # built 1 and x0*x1) or the wrong one (e[-1] read the last exponent)
-    x0, x1 = PolyElement.variable(QQ, 3, 0), PolyElement.variable(QQ, 3, 1)
+    # an index past either end named no variable or the wrong one (e[-1]
+    # read the last exponent)
     with pytest.raises(FieldError, match="not in range"):
         PolyElement.variable(QQ, 3, i)
-    with pytest.raises(FieldError, match="not in range"):
-        (x0 * x1).partial(i)
-    assert (x0 * x1).partial(0) == x1 and (x0 * x1).partial(2).is_zero
 
 
 def test_from_vector():
@@ -156,17 +143,6 @@ def test_coefficients_lift_into_a_tower():
     q = PolyElement(F, p.nvars, {m: F.lift(c) for m, c in p.terms.items()})
     assert q.field is F
     assert q.render(("h", "e", "f")) == "h^2 + 3*e"
-
-
-def test_differential_at_rejects_a_foreign_point():
-    _, h, e, f = sl2_gens()
-    p = h * h * e + f
-    pt = vec(QQ, [2, 3, 5])
-    with pytest.raises(FieldError):
-        differential_at(p, pt[:2])
-    t = QQ.extend("t").var("t")
-    with pytest.raises(FieldError):
-        differential_at(p, (pt[0], pt[1], t))
 
 
 @pytest.mark.parametrize(
@@ -239,7 +215,6 @@ def _counted_results():
         ("scalar * poly", lambda: 3 * p),
         ("poly * poly", lambda: p * h),
         ("poly ** 2", lambda: p**2),
-        ("partial", lambda: p.partial(0)),
         ("top_part", lambda: p.top_part()),
         ("gamma_shift", lambda: gamma_shift(p, gamma, 2)),
         ("poisson", lambda: poisson(L, p, h)),

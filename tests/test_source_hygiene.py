@@ -17,6 +17,9 @@ private format of ``fields``. Every other module passes elements, and the
 kernels compute on the cleared values of ``Field.clear``, so no other module
 may read either attribute. For the same reason only ``fields`` imports
 sympy, at any depth: the gcd fallback for sympy's heuristic stays there.
+
+Every name a module imports is read in it (``__init__`` re-exports, so it is
+exempt): a deletion that leaves an import behind fails here.
 """
 
 import ast
@@ -112,3 +115,37 @@ def test_import_checker_catches_each_form():
         "from . import sympy\ndef f():\n    import os, sympy.polys.rings as r\n"
     )
     assert list(_sympy_imports(ast.parse(src))) == [1, 2, 6]
+
+
+def _unused_imports(tree):
+    """(line, name) of each name an import binds that the module never reads;
+    ``from __future__`` imports bind no name."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names if a.name != "*"]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [(line, name) for line, name in bound if name not in read]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in FILES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_import_is_read(path):
+    found = _unused_imports(ast.parse(path.read_text(), str(path)))
+    assert not found, "%s: %s" % (path.name, found)
+
+
+def test_unused_import_checker_catches_each_form():
+    src = (
+        "from __future__ import annotations\nimport os, sys\nimport a.b as c\n"
+        "from .m import f, g as h, u\ndef k():\n    import json\n    return sys.argv, h\n"
+        "x: f = os.sep\n"
+    )
+    assert _unused_imports(ast.parse(src)) == [(3, "c"), (4, "u"), (6, "json")]
