@@ -20,7 +20,6 @@ from .liealg import (
     coadjoint_form,
     direct_sum,
     is_reductive,
-    ltilde,
     stabilizer,
     subalgebra_of,
     validate,
@@ -51,11 +50,9 @@ from .construct import (
     abelian_qhat,
     construct_theorem,
     hat_map,
-    heisenberg_lift,
     maximality_probe,
     mf_subalgebra,
     quantum_mf,
-    specialize_search,
     verify_hat_lemmas,
 )
 from . import presets

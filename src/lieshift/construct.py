@@ -32,7 +32,6 @@ the drop by dim h - 1 once that level returns.
 
 from dataclasses import dataclass, replace
 
-from .fields import FieldError
 from .liealg import (
     LieAlgebra,
     LieAlgebraError,
@@ -42,6 +41,7 @@ from .liealg import (
     _bracket_cleared,
     _brackets,
     _check_ltilde_covers,
+    _is_abelian,
     _maps_into,
     _supports,
     _wrapped,
@@ -312,8 +312,13 @@ def _clear_laurent(u, zi):
 
 
 def _corrected_lift(L, split, A_l, sub_vectors, cor):
-    """heisenberg_lift without its checks; the caller has validated the split
-    and cleared it into cor, its ``_Correction``."""
+    """Push the associative set A_l, over the subalgebra with the ambient
+    basis sub_vectors, into U(L): each generator maps multiplicatively
+    through the correction map and is multiplied by the least power of the
+    split center that clears formal inverses, and the isotropic x-generators
+    and the center are adjoined. The caller has validated the split and
+    cleared it into cor, its ``_Correction``; the pairs and the
+    transcendence degree are left to _certify."""
     alg = cor.alg
     images = [_hat(L, cor, s) for s in _supports(L, sub_vectors)]
     gens, prov = [], []
@@ -331,40 +336,6 @@ def _corrected_lift(L, split, A_l, sub_vectors, cor):
         gens.append(z_elem)
         prov.append("adjoined split center")
     return GeneratorSet("associative", gens, prov)
-
-
-def heisenberg_lift(L, split, A_l, sub_vectors, sampling=Sampling()):
-    """Push a commutative set over the stabilizing subalgebra into U(L).
-
-    Each generator of A_l maps multiplicatively through the correction map,
-    gets multiplied by the least power of the split center clearing formal
-    inverses, and the isotropic x-generators and the center are adjoined.
-    Commutativity and the transcendence-degree target b(sub) + n (+1 when the
-    center is outside sub) are verified; construct_theorem leaves both to _certify.
-    """
-    _require_valid_split(L, split)
-    if A_l.flavor != "associative":
-        raise ConstructError("heisenberg_lift expects an associative set")
-    sub_vectors = [tuple(v) for v in sub_vectors]
-    out = _corrected_lift(L, split, A_l, sub_vectors, _Correction(L, split))
-    if bad := _failing_pair(out.elements, commutator):
-        raise ConstructError("corrected lift: generators %d and %d do not commute" % bad)
-    n = len(split.x)
-    if sub_vectors:
-        sub_space = Subspace(L.field, L.dim, sub_vectors)
-        sub_alg, _ = subalgebra_of(L, sub_space)
-        target = b_of(sub_alg, sampling) + n
-        if not sub_space.contains(split.z):
-            target += 1
-    else:
-        target = n + 1
-    td = trdeg_jacobian(out, sampling)
-    if td.value != target:
-        raise ConstructError(
-            "lifted set has transcendence degree %d, expected %d"
-            % (td.value, target)
-        )
-    return out
 
 
 # -- abelian-ideal reduction -------------------------------------------------
@@ -410,10 +381,9 @@ def _ideal_action(L, h):
     unless h is a nonzero abelian ideal, the one check of that fact."""
     if h.dim == 0:
         raise IdealError("the ideal must be nonzero")
-    rows = h._cleared_basis()
-    if any(s for _, _, (_, s) in _brackets(L, rows)):
+    if not _is_abelian(L, h):
         raise IdealError("the subspace is not abelian")
-    ad = [[h._coordinates(*b) for b in _basis_brackets(L, eta)] for eta in rows]
+    ad = [[h._coordinates(*b) for b in _basis_brackets(L, eta)] for eta in h._cleared_basis()]
     if any(coords is None for ad_e in ad for coords in ad_e):
         raise IdealError("the subspace is not an ideal")
     return ad
@@ -559,35 +529,15 @@ def _reduce_abelian(L, h):
 # -- central specialization ---------------------------------------------------
 
 
-def specialize_search(A, z_index, candidates=None, sampling=Sampling()):
-    """First scalar c from the candidate list whose specialization of the
-    central generator keeps the transcendence degree at least one lower.
-
-    Returns (c, specialized set); constants and zeros are dropped from the
-    output.  Candidates default to 1..20.
-    """
-    if A.flavor != "associative":
-        raise ConstructError("specialization works on enveloping-algebra sets")
-    if not A.elements:
-        raise ConstructError("nothing to specialize")
-    before = trdeg_jacobian(A, sampling).value
-    return _specialize(A, z_index, before, candidates, sampling)
-
-
-def _specialize(A, z_index, before, candidates, sampling):
-    """specialize_search given before, the trdeg of the nonempty associative
-    set A sampled with the same sampling."""
-    alg = A.elements[0].alg
-    if candidates is None:
-        candidates = range(1, 21)
-    for cand in candidates:
-        # outside the try: a scalar of another field is the caller's error,
-        # not a candidate that failed
-        c = alg.field.coerce(cand)
-        try:
-            spec = [specialize_central(u, z_index, c) for u in A.elements]
-        except FieldError:
-            continue
+def _specialize(A, z_index, before, sampling):
+    """First c in 1..20 whose specialization of the central generator
+    z_index keeps the transcendence degree of the nonempty associative set A
+    at least before - 1, before being A's trdeg sampled with the same
+    sampling. Returns (c, specialized set); constants and zeros are dropped.
+    Every c is nonzero, so a formal inverse of the generator specializes too."""
+    field = A.elements[0].alg.field
+    for c in map(field.coerce, range(1, 21)):
+        spec = [specialize_central(u, z_index, c) for u in A.elements]
         keep, kept_src = [], []
         for u, p in zip(spec, A.provenance):
             if u.is_zero or u.degree() == 0:
@@ -743,8 +693,11 @@ def _construct(L, casimirs, max_inv_deg, sampling, max_depth, depth):
     """One level of construct_theorem.  At a Heisenberg level the split
     comes from liealg._darboux_split, which checked it (check_split: the
     pairing, the center, and l~ = split.l_basis a subalgebra containing z),
-    so _hat_lemmas skips that check, and the recursion on l~ checks only
-    l~ + h = q and l~ meeting h in the center line (_check_ltilde_covers)."""
+    so _hat_lemmas and _corrected_lift skip that check, and the recursion on
+    l~ checks only l~ + h = q and l~ meeting h in the center line
+    (_check_ltilde_covers, one rank). The abelian-ideal step specializes
+    through _specialize, whose before is the trdeg _certify sampled one
+    level down."""
     if depth > max_depth:
         raise ConstructError("reduction recursion exceeded %d levels" % max_depth)
     rep = validate(L)
@@ -811,7 +764,7 @@ def _construct(L, casimirs, max_inv_deg, sampling, max_depth, depth):
         trace.extend("  [reduced] " + t for t in sub_cert.trace)
         # _certify sampled the sub-certificate's trdeg with this sampling
         c, spec = _specialize(
-            sub_cert.generators, hat.algebra.dim - 1, sub_cert.trdeg.value, None, sampling
+            sub_cert.generators, hat.algebra.dim - 1, sub_cert.trdeg.value, sampling
         )
         trace.append("specialized the central element to %s" % c)
         target_alg = EnvelopingAlgebra(L)

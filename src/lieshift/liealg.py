@@ -465,6 +465,11 @@ def _is_subalgebra(L, S):
     return all(S._spans(s) for _, _, (_, s) in _brackets(L, S._cleared_basis()))
 
 
+def _is_abelian(L, S):
+    """Is every bracket of S's basis rows zero? One scan of the pairs."""
+    return not any(s for _, _, (_, s) in _brackets(L, S._cleared_basis()))
+
+
 def _is_ideal(L, S):
     return all(
         S._spans(s) for w in S._cleared_basis() for _, s in _basis_brackets(L, w)
@@ -539,6 +544,8 @@ def coadjoint_form(L, gamma):
         raise LieAlgebraError(
             "linear form has %d coordinates, want %d" % (len(gamma.coords), L.dim)
         )
+    if gamma.field != L.field:
+        raise LieAlgebraError("linear form over %r, algebra over %r" % (gamma.field, L.field))
     F = L.field
     D, brackets = L.kernel_brackets
     dg, g = F.clear(gamma.coords)
@@ -786,9 +793,7 @@ def classify_nilradical(L):
         if h in seen:
             continue
         seen.append(h)
-        if not subalgebra_of(L, h)[0].is_abelian:
-            continue
-        if not _is_ideal(L, h):
+        if not _is_abelian(L, h) or not _is_ideal(L, h):
             continue
         acts = not all(_is_central(L, sw) for sw in h._cleared_basis())
         if h.dim > 1 or acts:
@@ -799,20 +804,15 @@ def classify_nilradical(L):
     return NilradicalClass(kind="heisenberg", nilradical=n_space, split=split)
 
 
-def darboux_split(L, n_space):
-    """Greedy symplectic pairing on a complement of the center line.
+def _darboux_split(L, n_space, sub, sub_basis):
+    """Greedy symplectic pairing on a complement of the center line of the
+    nilradical n_space, with (sub, sub_basis) = subalgebra_of(L, n_space) as
+    built by the caller; l_basis is the bracket stabilizer of the pairs.
 
     When a levi annotation is present the complement is chosen inside the
     kernel of a functional vanishing on [levi, n], which makes span{x, y}
-    levi-stable whenever that is possible.
-    """
-    sub, sub_basis = subalgebra_of(L, n_space)
-    return _darboux_split(L, n_space, sub, sub_basis)
-
-
-def _darboux_split(L, n_space, sub, sub_basis):
-    """darboux_split on the nilradical's subalgebra, as built by the caller;
-    the check_split at the end also reports a center that is not central."""
+    levi-stable whenever that is possible. The check_split at the end also
+    reports a center that is not central."""
     F = L.field
     zc = sub.center
     if zc.dim != 1:
@@ -941,27 +941,14 @@ def _v_stabilizer(L, v_vectors, z):
     return Subspace(F, L.dim, kernel_basis(F, rows, L.dim))
 
 
-def ltilde(L, split):
-    """Bracket stabilizer l~ of v = span{x, y}: a subalgebra containing z,
-    with l~ + h = q and l~ meeting h = span{x, y, z} in the center line.
-    Checked here for a split of any origin (the last two facts by
-    ``_check_ltilde_covers``); construct_theorem reads l~ off a checked
-    split's ``l_basis`` and calls only ``_check_ltilde_covers``."""
-    lb = _v_stabilizer(L, list(split.x) + list(split.y), split.z)
-    if not _is_subalgebra(L, lb):
-        raise LieAlgebraError("stabilizer of v failed to close under bracket")
-    _check_ltilde_covers(L, split, lb)
-    if not lb.contains(split.z):
-        raise LieAlgebraError("stabilizer meets the ideal off the center line")
-    return lb
-
-
 def _check_ltilde_covers(L, split, lb):
     """Raise unless lb + h = q and lb meets h = span{x, y, z} in a line;
-    for lb containing z that line is the center line."""
+    for lb containing z that line is the center line. The split has passed
+    check_split: x and y are independent and pair to z != 0, so z is outside
+    their span and dim h = len(h), and one rank gives both facts."""
     h = list(split.x) + list(split.y) + [split.z]
     total = rank(L.field, list(lb.basis) + h)
     if total != L.dim:
         raise LieAlgebraError("stabilizer plus Heisenberg ideal does not span")
-    if lb.dim + rank(L.field, h) - total != 1:
+    if lb.dim + len(h) - total != 1:
         raise LieAlgebraError("stabilizer meets the ideal off the center line")

@@ -6,9 +6,10 @@ from lieshift.liealg import (
     LieAlgebra,
     Subspace,
     bracket,
-    darboux_split,
+    _darboux_split,
     direct_sum,
     killing_matrix,
+    subalgebra_of,
 )
 from lieshift.linalg import kernel_of_images
 from lieshift.polyring import PolyElement, monomials_of_degree, poisson
@@ -143,7 +144,8 @@ def random_valid_split(rng):
     randomized; the stabilizing part keeps dim <= 3 and n <= 3."""
     fams = _split_families()
     L, l_idx, heis_idx = fams[rng.randrange(len(fams))]
-    base = darboux_split(L, L.span_of_indices(heis_idx))
+    heis = L.span_of_indices(heis_idx)
+    base = _darboux_split(L, heis, *subalgebra_of(L, heis))
     xs, ys = random_symplectic_images(rng, L.field, list(base.x), list(base.y))
     split = HeisenbergSplit(
         l_basis=L.span_of_indices(l_idx),
@@ -383,6 +385,35 @@ def reference_killing_nondegenerate_on(L, S):
             row.append(s)
         rows.append(row)
     return len(rref(F, rows)[1]) == S.dim
+
+
+def reference_nullspace(field, rows, ncols):
+    """A basis of {c : row . c = 0 for every row}, read off the reference
+    rref: one vector per free column."""
+    red, pivots = rref(field, rows)
+    out = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [field.zero] * ncols
+        v[f] = field.one
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        out.append(tuple(v))
+    return out
+
+
+def reference_v_stabilizer(L, split):
+    """{xi : [xi, v] in v} for v = span{x, y}: f([xi, w]) = 0 for every w of
+    v's spanning set and every f of a basis of the annihilator of v, each
+    bracket by the dense loop and each kernel by the reference rref."""
+    F, n = L.field, L.dim
+    v = list(split.x) + list(split.y)
+    annihilator = reference_nullspace(F, v, n)
+    rows = []
+    for w in v:
+        images = [reference_bracket(L, L.basis_vector(i), w) for i in range(n)]
+        for f in annihilator:
+            rows.append([sum([a * b for a, b in zip(f, im)], F.zero) for im in images])
+    return Subspace(F, n, reference_nullspace(F, rows, n))
 
 
 def reference_min_stabilizer_dim(L, h, sampling):

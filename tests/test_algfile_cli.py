@@ -16,7 +16,7 @@ from lieshift.algfile import (
     write_algebra,
 )
 from lieshift.fields import QQ
-from lieshift.liealg import classify_nilradical, darboux_split, nilradical_of, validate
+from lieshift.liealg import classify_nilradical, validate
 from lieshift.presets import preset, preset_names
 
 ALL_PRESETS = ["abelian1", "abelian3", "heisenberg1", "heisenberg2"] + [
@@ -103,7 +103,7 @@ def test_roundtrip_all_presets():
 
 def test_roundtrip_split_annotation():
     H = preset("heisenberg2").algebra
-    split = darboux_split(H, nilradical_of(H))
+    split = classify_nilradical(H).split
     from lieshift.liealg import LieAlgebra
 
     L = LieAlgebra(QQ, H.labels, H.table, dict(H.annotations, heisenberg_split=split))
@@ -578,7 +578,7 @@ def _documents():
     from lieshift.liealg import LieAlgebra
 
     H = preset("heisenberg2").algebra
-    split = darboux_split(H, nilradical_of(H))
+    split = classify_nilradical(H).split
     ann = dict(H.annotations, heisenberg_split=split)
     return [
         dump_algebra(preset("sl2").algebra),

@@ -21,12 +21,10 @@ from lieshift.construct import (
     construct_theorem,
     hat_algebra,
     hat_map,
-    heisenberg_lift,
     lift_from_hat,
     maximality_probe,
     mf_subalgebra,
     quantum_mf,
-    specialize_search,
     verify_hat_lemmas,
 )
 from lieshift.fields import QQ, FieldError
@@ -130,8 +128,6 @@ def test_public_hat_entry_points_check_the_split():
         verify_hat_lemmas(L, bad)
     with pytest.raises(ConstructError, match="invalid Heisenberg split"):
         hat_map(L, bad, L.basis_vector(1))
-    with pytest.raises(ConstructError, match="invalid Heisenberg split"):
-        heisenberg_lift(L, bad, GeneratorSet("associative", [], []), [])
 
 
 def test_hat_is_linear():
@@ -174,8 +170,9 @@ def test_vanished_corrected_image_is_named_exactly():
     U = EnvelopingAlgebra(preset("abelian2").algebra)
     gs = GeneratorSet("associative", [U.gen(0) - U.gen(1)], ["a - b"])
     h = L.basis_vector(0)
+    cor = construct_mod._Correction(L, split)
     with pytest.raises(ConstructError, match="^corrected image vanished; lift is broken$"):
-        heisenberg_lift(L, split, gs, [h, h])
+        construct_mod._corrected_lift(L, split, gs, [h, h], cor)
 
 
 def test_vanished_lift_is_named_exactly(monkeypatch):
@@ -367,7 +364,7 @@ def test_heisenberg_lift_golden():
     sub_alg, amb = subalgebra_of(L, hspan)
     Uh = EnvelopingAlgebra(sub_alg)
     gs = GeneratorSet("associative", [Uh.gen(0)], ["h"])
-    out = heisenberg_lift(L, split, gs, amb)
+    out = construct_mod._corrected_lift(L, split, gs, amb, construct_mod._Correction(L, split))
     assert [u.render() for u in out.elements] == ["h*z + x*y + (-1/2)*z", "x", "z"]
     assert out.provenance[0] == "corrected lift of: h"
     assert trdeg_jacobian(out).value == 3
@@ -376,18 +373,10 @@ def test_heisenberg_lift_golden():
 def test_heisenberg_lift_empty_sub():
     L = semidirect()
     split = classify_nilradical(L).split
-    out = heisenberg_lift(L, split, GeneratorSet("associative", [], []), [])
+    empty = GeneratorSet("associative", [], [])
+    out = construct_mod._corrected_lift(L, split, empty, [], construct_mod._Correction(L, split))
     assert [u.render() for u in out.elements] == ["x", "z"]
     assert trdeg_jacobian(out).value == 2
-
-
-def test_heisenberg_lift_rejects_poisson_flavor():
-    L = semidirect()
-    split = classify_nilradical(L).split
-    p = PolyElement.variable(QQ, 1, 0)
-    gs = GeneratorSet("poisson", [p], ["h"])
-    with pytest.raises(ConstructError):
-        heisenberg_lift(L, split, gs, [L.basis_vector(0)])
 
 
 # -- abelian-ideal reduction ---------------------------------------------------
@@ -518,33 +507,20 @@ def test_specialize_search():
     L = preset("abelian2").algebra
     A = EnvelopingAlgebra(L)
     gs = GeneratorSet("associative", [A.gen(1), A.gen(1) * A.gen(0)], ["z", "z*h"])
-    c, out = specialize_search(gs, 1)
+    c, out = construct_mod._specialize(gs, 1, trdeg_jacobian(gs).value, Sampling())
     assert str(c) == "1"
     assert [u.render() for u in out.elements] == ["a1"]
     assert "specialized center to 1 (trdeg 2 -> 1)" in out.provenance[0]
-    with pytest.raises(ConstructError, match="nothing to specialize"):
-        specialize_search(GeneratorSet("associative", [], []), 0)
 
 
-def test_specialize_search_skips_bad_candidates():
-    # a formal inverse forbids c = 0, so the zero candidate is skipped
-    L = preset("heisenberg1").algebra
-    A = EnvelopingAlgebra(L, laurent=(2,))
-    gs = GeneratorSet("associative", [A.gen(2), A.gen(0) * A.gen(2, -1)], ["z", "x/z"])
-    c, out = specialize_search(gs, 2, candidates=[0, 1])
-    assert str(c) == "1"
-    assert [u.render() for u in out.elements] == ["x1"]
-
-
-def test_specialize_search_reports_a_candidate_of_another_field():
-    # a candidate from another tower level is a field error, not a candidate
-    # that lost the transcendence degree
-    L = preset("heisenberg1").algebra
-    A = EnvelopingAlgebra(L, laurent=(2,))
-    gs = GeneratorSet("associative", [A.gen(2), A.gen(0) * A.gen(2, -1)], ["z", "x/z"])
-    T = QQ.extend("t")
-    with pytest.raises(FieldError, match="tower-level mismatch"):
-        specialize_search(gs, 2, candidates=[T.one, T.from_int(2)])
+def test_specialize_names_a_search_without_a_candidate_exactly():
+    # before = 4 asks for trdeg 3 of at most two generators: no c in 1..20
+    L = preset("abelian2").algebra
+    A = EnvelopingAlgebra(L)
+    gs = GeneratorSet("associative", [A.gen(1), A.gen(1) * A.gen(0)], ["z", "z*h"])
+    msg = "^no candidate kept the transcendence degree; extend the list$"
+    with pytest.raises(ConstructError, match=msg):
+        construct_mod._specialize(gs, 1, 4, Sampling())
 
 
 # -- the full construction -----------------------------------------------------
@@ -877,6 +853,33 @@ def test_construct_checks_each_heisenberg_fact_once(monkeypatch, name):
     }
 
 
+@pytest.mark.parametrize("name", ["heisenberg1", "heisenberg4", "borel-sl3"])
+def test_ltilde_covers_ranks_once_per_heisenberg_level(monkeypatch, name):
+    # the split passed check_split, so dim span{x, y, z} = 2n + 1 needs no
+    # rank of its own: one rank of l~ + h per bracket-stabilizer level
+    levels, ranks = [], []
+    real_rank, real_covers = liealg_mod.rank, liealg_mod._check_ltilde_covers
+
+    def counted_rank(*args):
+        if levels and levels[-1] is None:
+            ranks.append(len(levels))
+        return real_rank(*args)
+
+    def covers(*args):
+        levels.append(None)
+        try:
+            return real_covers(*args)
+        finally:
+            levels[-1] = args[0]
+
+    monkeypatch.setattr(liealg_mod, "rank", counted_rank)
+    monkeypatch.setattr(construct_mod, "_check_ltilde_covers", covers)
+    cert = construct_theorem(preset(name).algebra)
+    stabilizer_levels = [t for t in cert.trace if "heisenberg-stabilizer:" in t]
+    assert len(levels) == len(stabilizer_levels) >= 1
+    assert ranks == list(range(1, len(levels) + 1))
+
+
 def test_reduce_abelian_solves_nothing_per_section_pair(monkeypatch):
     # each section bracket is split along the complement and h's basis
     # reduced at its last indices, and gamma is read at the kernel's free
@@ -991,12 +994,6 @@ def test_certificate_catches_noncommuting_heisenberg_lift(monkeypatch):
     P = preset("sl2-semidirect-h3")
     with pytest.raises(ConstructError, match=r"^certificate: generators \d+ and \d+ do not commute$"):
         construct_theorem(P.algebra, casimirs=P.casimirs)
-    L = P.algebra
-    split = classify_nilradical(L).split
-    sub_alg, amb = subalgebra_of(L, L.span_of_indices([0]))
-    gs = GeneratorSet("associative", [EnvelopingAlgebra(sub_alg).gen(0)], ["h"])
-    with pytest.raises(ConstructError, match="^corrected lift: generators"):
-        heisenberg_lift(L, split, gs, amb)
 
 
 # -- maximality probe ----------------------------------------------------------

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from factories import (
     reference_bracket,
     reference_coordinates_by_residual,
     reference_killing_nondegenerate_on,
+    reference_v_stabilizer,
 )
 from lieshift import liealg
 from lieshift.construct import abelian_qhat
@@ -27,11 +29,10 @@ from lieshift.liealg import (
     check_split,
     classify_nilradical,
     coadjoint_form,
-    darboux_split,
+    _darboux_split,
     direct_sum,
     is_reductive,
     killing_matrix,
-    ltilde,
     nilradical_of,
     stabilizer,
     subalgebra_of,
@@ -447,6 +448,22 @@ def test_wrong_length_linear_form_is_rejected(coords):
             use(L, gamma)
 
 
+def test_linear_form_over_another_field_is_rejected():
+    # a Q(t) form on sl2 failed inside Field.clear with an AttributeError,
+    # and so did a Q form on an algebra over Q(w1)
+    T = QQ.extend("t")
+    N = preset("heisenberg2").algebra
+    H = abelian_qhat(N, N.span_of_indices([4])).algebra
+    cases = [
+        (sl2(), LinearForm(T, [T.var("t"), 0, 0]), "linear form over Q(t), algebra over Q"),
+        (H, LinearForm(QQ, [1] + [0] * (H.dim - 1)), "linear form over Q, algebra over Q(w1)"),
+    ]
+    for L, gamma, want in cases:
+        for use in (coadjoint_form, stabilizer, is_regular):
+            with pytest.raises(LieAlgebraError, match="^%s$" % re.escape(want)):
+                use(L, gamma)
+
+
 def test_structure_series():
     assert h3().is_nilpotent
     B = preset("borel-sl2").algebra
@@ -526,7 +543,8 @@ def test_classify_nilradical_kinds():
 
 def test_darboux_split_and_check():
     L = preset("sl2-semidirect-h3").algebra
-    split = darboux_split(L, nilradical_of(L))
+    n = nilradical_of(L)
+    split = _darboux_split(L, n, *subalgebra_of(L, n))
     assert check_split(L, split) == []
     assert len(split.x) == 1 and len(split.y) == 1
     # sabotage: swap z for a non-central vector
@@ -557,7 +575,8 @@ def test_check_split_catches_bad_pairing():
 def test_ltilde():
     L = preset("sl2-semidirect-h3").algebra
     split = classify_nilradical(L).split
-    lt = ltilde(L, split)
+    lt = split.l_basis
+    assert lt == reference_v_stabilizer(L, split)
     assert lt.dim == 4
     assert lt.contains(split.z)
     for i in range(3):  # sl2 copy sits inside the stabilizer
@@ -592,7 +611,7 @@ def test_ltilde_is_the_split_stabilizer_on_every_heisenberg_preset():
         cls = classify_nilradical(L)
         if cls.kind == "heisenberg":
             seen.append(name)
-            assert ltilde(L, cls.split) == cls.split.l_basis, name
+            assert reference_v_stabilizer(L, cls.split) == cls.split.l_basis, name
     assert seen == ["heisenberg1", "heisenberg2", "heisenberg4", "sl2-semidirect-h3"]
 
 
@@ -614,15 +633,15 @@ def test_v_stabilizer_rejects_bracket_outside_v_plus_z():
 
 
 def test_ltilde_names_an_unclosed_stabilizer_exactly(monkeypatch):
-    # a forged stabilizer spanned by the sl2 copy's e and f, whose bracket h
-    # it misses
+    # a forged stabilizer spanned by the sl2 copy's e and f and by z, which
+    # misses [e, f] = h; check_split at the end of _darboux_split names it
     L = preset("sl2-semidirect-h3").algebra
-    split = classify_nilradical(L).split
-    forged = L.span_of_indices([1, 2])
+    forged = L.span_of_indices([1, 2, 5])
     assert not liealg._is_subalgebra(L, forged)
     monkeypatch.setattr(liealg, "_v_stabilizer", lambda *args: forged)
-    with pytest.raises(LieAlgebraError, match="^stabilizer of v failed to close under bracket$"):
-        ltilde(L, split)
+    msg = "^Darboux construction failure: l_basis is not a subalgebra$"
+    with pytest.raises(LieAlgebraError, match=msg):
+        classify_nilradical(L)
 
 
 # -- the lazy structure layer against an eager reference ---------------------
@@ -899,12 +918,14 @@ def test_subalgebra_of_rejects_a_subspace_that_is_not_closed():
 
 def test_darboux_split_names_each_failure_exactly():
     A = preset("abelian2").algebra
+    n = A.span_of_indices(range(2))
     with pytest.raises(LieAlgebraError) as e:
-        darboux_split(A, A.span_of_indices(range(2)))
+        _darboux_split(A, n, *subalgebra_of(A, n))
     assert str(e.value) == "Darboux construction failure: nilradical center has dimension 2"
     F5 = filiform5()  # center span{x4}; [x0, x1] = x2 leaves it
+    n = F5.span_of_indices(range(5))
     with pytest.raises(LieAlgebraError) as e:
-        darboux_split(F5, F5.span_of_indices(range(5)))
+        _darboux_split(F5, n, *subalgebra_of(F5, n))
     assert str(e.value) == "Darboux construction failure: [n, n] leaves the center line"
 
 

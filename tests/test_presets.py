@@ -11,8 +11,7 @@ from lieshift.invariants import trdeg_jacobian
 from lieshift.liealg import (
     LieAlgebraError,
     check_split,
-    darboux_split,
-    nilradical_of,
+    classify_nilradical,
     validate,
 )
 from lieshift.polyring import PolyElement, poisson
@@ -133,7 +132,7 @@ def test_parametric_families():
     assert H.dim == 5
     assert H.labels == ("x1", "x2", "y1", "y2", "z")
     assert H.central_indices() == frozenset({4})
-    split = darboux_split(H, nilradical_of(H))
+    split = classify_nilradical(H).split
     assert check_split(H, split) == []
 
 

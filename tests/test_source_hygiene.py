@@ -19,7 +19,10 @@ may read either attribute. For the same reason only ``fields`` imports
 sympy, at any depth: the gcd fallback for sympy's heuristic stays there.
 
 Every name a module imports is read in it (``__init__`` re-exports, so it is
-exempt): a deletion that leaves an import behind fails here.
+exempt): a deletion that leaves an import behind fails here. Likewise every
+private function or class (``_name``, dunders exempt) is read by some module
+of the package outside its own body: a deletion that orphans a helper fails
+here.
 """
 
 import ast
@@ -149,3 +152,44 @@ def test_unused_import_checker_catches_each_form():
         "x: f = os.sep\n"
     )
     assert _unused_imports(ast.parse(src)) == [(3, "c"), (4, "u"), (6, "json")]
+
+
+def _unread_private_definitions(trees):
+    """(module, line, name) of each ``_name`` function or class, at any depth,
+    whose name no module of ``trees`` (name -> ast) reads, as a name or as an
+    attribute, outside the definition's own lines; dunders are exempt."""
+    defs, reads = [], []
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    defs.append((mod, node.lineno, node.end_lineno, name))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((mod, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.append((mod, node.lineno, node.attr))
+    return [
+        (mod, first, name)
+        for mod, first, last, name in defs
+        if not any(
+            n == name and (m != mod or not first <= line <= last) for m, line, n in reads
+        )
+    ]
+
+
+def test_every_private_definition_is_read():
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in FILES}
+    assert _unread_private_definitions(trees) == []
+
+
+def test_private_definition_checker_catches_each_form():
+    trees = {
+        "a.py": ast.parse(
+            "def _helper():\n    pass\ndef _orphan():\n    return _orphan()\n"
+            "class _Kept:\n    def _m(self):\n        pass\n    def __init__(self):\n"
+            "        self._n = 1\n    def _n(self):\n        pass\n"
+        ),
+        "b.py": ast.parse("from .a import _helper, _Kept\n_helper(), _Kept()._m\n"),
+    }
+    assert _unread_private_definitions(trees) == [("a.py", 3, "_orphan"), ("a.py", 10, "_n")]
