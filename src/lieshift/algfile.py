@@ -162,6 +162,8 @@ def load_algebra(data, check=True):
 
     check=True also runs the Jacobi/annotation validator and raises on
     failure; the validate command loads with check=False to report instead.
+    The report stays with the algebra (``liealg.validate``), so a later
+    ``construct_theorem`` on it does not validate it again.
     """
     if not isinstance(data, dict):
         raise AlgebraFileError("top level must be an object")
@@ -235,7 +237,7 @@ def load_algebra(data, check=True):
             msgs = ["jacobi fails on %s" % (t,) for t in rep.jacobi_failures]
             raise AlgebraFileError(
                 "algebra fails validation: %s"
-                % "; ".join(msgs + rep.annotation_failures)
+                % "; ".join([*msgs, *rep.annotation_failures])
             )
     return L
 

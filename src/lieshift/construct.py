@@ -21,6 +21,10 @@ chains.
 Nothing here is trusted without a check: a reduced dimension meets the exact
 generic stabilizer, the public builders check their own output, and
 construct_theorem leaves every commutator and trdeg check to _certify.
+Every algebra is validated once: ``liealg.validate`` keeps its report with
+the algebra, so the top level reuses the validation of ``load_algebra``
+(or runs it, for an algebra nothing has validated), and each sub-level
+algebra the construction builds is validated once, at its own level.
 
 Every sampled quantity is drawn through one ``invariants.Sampling`` value,
 which construct_theorem builds from its samples, bound and seed keywords and
@@ -680,8 +684,11 @@ def construct_theorem(L, casimirs=None, max_inv_deg=3, samples=Sampling.samples,
     function field, specialize the central element, lift, adjoin the ideal),
     and a Heisenberg nilradical (recurse on the levi factor or on the
     bracket stabilizer of the symplectic part, then lift through the
-    correction map).  Each level validates L and its case's inputs; commutators
-    and the transcendence degree are checked only by _certify, once per level.
+    correction map).  Each level checks that L is valid and checks its case's
+    inputs: the top level reads the report of an earlier validation of L,
+    such as ``load_algebra``'s, and each sub-level algebra, built by the
+    level above, is validated once. Commutators and the transcendence
+    degree are checked only by _certify, once per level.
     samples, bound and seed are validated as one Sampling before any work.
     A Heisenberg split and its stabilizer are checked once, by check_split
     where they are built; see _construct for the other Heisenberg checks.
@@ -697,14 +704,15 @@ def _construct(L, casimirs, max_inv_deg, sampling, max_depth, depth):
     l~ checks only l~ + h = q and l~ meeting h in the center line
     (_check_ltilde_covers, one rank). The abelian-ideal step specializes
     through _specialize, whose before is the trdeg _certify sampled one
-    level down."""
+    level down. validate(L) scans L only if nothing has validated it: a
+    loaded algebra's report is reused, a sub-level algebra is new here."""
     if depth > max_depth:
         raise ConstructError("reduction recursion exceeded %d levels" % max_depth)
     rep = validate(L)
     if not rep.ok:
         raise ConstructError(
             "input fails validation: %s %s"
-            % (rep.jacobi_failures, rep.annotation_failures)
+            % (list(rep.jacobi_failures), list(rep.annotation_failures))
         )
     b_target = b_of(L, sampling)
     trace = []

@@ -21,8 +21,8 @@ ring. Neither scans a dense vector or wraps a scalar. Scaling is free
 there: membership and span do not change when a vector is scaled, so the
 closure, ideal, stability, isotropy and center-line tests bracket the
 stored basis rows as they are and ignore the bracket's denominator. Only a
-caller that needs values wraps: ``bracket``, ``basis_brackets`` and the
-spans of ``_span`` through ``_wrapped``, ``subalgebra_of`` and the ideal
+caller that needs values wraps: ``bracket`` and the spans of ``_span``
+through ``_wrapped``, ``subalgebra_of`` and the ideal
 action of ``construct`` through ``Subspace._coordinates``, and the Darboux
 pairing, which wraps the one coordinate it reads.
 
@@ -38,7 +38,7 @@ alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .fields import FieldElement
@@ -198,7 +198,9 @@ class LieAlgebra:
     annotations may carry: central (iterable of indices), levi, nilradical,
     solvable_radical (Subspace or index list), heisenberg_split, known_casimirs.
     The structure facts (center, derived, lower_central, derived_series and
-    the is_* tests on them) are properties, each computed on first read.
+    the is_* tests on them) are properties, each computed on first read. So
+    are the report of ``validate`` and the subalgebra of the nilradical
+    annotation, which ``validate`` and ``classify_nilradical`` share.
     """
 
     def __init__(self, field, labels, brackets, annotations=None):
@@ -277,7 +279,7 @@ class LieAlgebra:
 
     @cached_property
     def derived_series(self):
-        return _series(self.derived, lambda D: _bracket_span(self, D, D))
+        return _derived_series(self)
 
     @property
     def is_nilpotent(self):
@@ -291,6 +293,20 @@ class LieAlgebra:
     def is_abelian(self):
         # the table keeps only nonzero brackets
         return not self.table
+
+    @cached_property
+    def _validation(self):
+        """The report of ``validate``: the Jacobi scan and every annotation
+        check run once per algebra."""
+        return ValidationReport(_jacobi_failures(self), _annotation_failures(self))
+
+    @cached_property
+    def _nilradical_sub(self):
+        """subalgebra_of(self, nilradical annotation): built once, by
+        ``validate``'s nilpotency check, and read again by
+        ``classify_nilradical``. An annotation that is not bracket-closed
+        raises LieAlgebraError on every read."""
+        return subalgebra_of(self, self.annotations["nilradical"])
 
     @cached_property
     def kernel_brackets(self):
@@ -402,20 +418,18 @@ def _basis_brackets(L, sw):
     return [_bracket_cleared(L, (unit, ((i, unit),)), sw) for i in range(L.dim)]
 
 
-def basis_brackets(L, w):
-    """([x_0, w], ..., [x_{n-1}, w]): w bracketed with every basis vector."""
-    return [_wrapped(L, b) for b in _basis_brackets(L, _supports(L, (w,))[0])]
-
-
 def _is_central(L, sw):
     """Is the vector with cleared support sw central?"""
     return not any(s for _, s in _basis_brackets(L, sw))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
-    jacobi_failures: list = dc_field(default_factory=list)
-    annotation_failures: list = dc_field(default_factory=list)
+    """What ``validate`` found; immutable, since one report is shared by
+    every caller that validates the same algebra."""
+
+    jacobi_failures: tuple = ()
+    annotation_failures: tuple = ()
 
     @property
     def ok(self):
@@ -425,14 +439,27 @@ class ValidationReport:
 def validate(L):
     """Check Jacobi on all basis triples and sanity of annotations.
 
+    The report is a structure fact of L, like its center: the first call
+    computes it and every later call returns the same report. So an
+    algebra that ``load_algebra`` checked is not scanned again by
+    ``construct_theorem`` or the validate command, and one that nothing
+    has validated is scanned at its first call. The nilradical
+    annotation's subalgebra, built for its nilpotency check, is kept for
+    ``classify_nilradical``.
+    """
+    return L._validation
+
+
+def _jacobi_failures(L):
+    """The triples (i < j < k) on which Jacobi fails, in lexicographic order.
+
     Jacobi is summed from the cleared structure constants D c_ij^k of
     ``kernel_brackets``, as [[e_i, e_j], e_k] = sum_m c_ij^m [e_m, e_k] plus
     the two cyclic terms; the common factor D^2 changes no zero test.
-    Failing triples (i < j < k) are listed in lexicographic order.
     """
-    report = ValidationReport()
     _, rows = L.kernel_brackets
     none = {}
+    out = []
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             for k in range(j + 1, L.dim):
@@ -443,22 +470,25 @@ def validate(L):
                             x = s.get(t)
                             s[t] = cm * ct if x is None else x + cm * ct
                 if any(s.values()):
-                    report.jacobi_failures.append((i, j, k))
-    for i in sorted(L.central_indices()):
-        if i in rows:
-            report.annotation_failures.append(
-                "central index %d brackets nontrivially with %d" % (i, min(rows[i]))
-            )
+                    out.append((i, j, k))
+    return tuple(out)
+
+
+def _annotation_failures(L):
+    """One message per failed annotation check, central indices first."""
+    _, rows = L.kernel_brackets
+    out = [
+        "central index %d brackets nontrivially with %d" % (i, min(rows[i]))
+        for i in sorted(L.central_indices()) if i in rows
+    ]
     for key in ("levi", "nilradical", "solvable_radical"):
         S = L.annotations.get(key)
-        if S is None:
-            continue
-        msg = _check_annotated_subspace(L, key, S)
-        report.annotation_failures.extend(msg)
+        if S is not None:
+            out.extend(_check_annotated_subspace(L, key, S))
     split = L.annotations.get("heisenberg_split")
     if split is not None:
-        report.annotation_failures.extend(check_split(L, split))
-    return report
+        out.extend(check_split(L, split))
+    return tuple(out)
 
 
 def _is_subalgebra(L, S):
@@ -492,7 +522,7 @@ def _check_annotated_subspace(L, key, S):
         if not _is_ideal(L, S):
             out.append("%s annotation is not an ideal" % key)
         try:
-            sub, _ = subalgebra_of(L, S)
+            sub, _ = L._nilradical_sub if key == "nilradical" else subalgebra_of(L, S)
         except LieAlgebraError:
             return out  # not bracket-closed: no structure constants to test
         if key == "nilradical" and not sub.is_nilpotent:
@@ -629,6 +659,10 @@ def _series(first, step):
     return out
 
 
+def _derived_series(L):
+    return _series(L.derived, lambda D: _bracket_span(L, D, D))
+
+
 def _bracket_span(L, A, B):
     """span [A, B]; when A is B only the pairs a < b are bracketed."""
     rows = A._cleared_basis()
@@ -742,16 +776,29 @@ def is_reductive(L):
 
 def nilradical_of(L):
     """Annotated nilradical, or an exact computation for the nilpotent and
-    solvable cases (Killing radical, certified nilpotent); error otherwise."""
+    solvable cases (Killing radical, certified nilpotent); error otherwise.
+    See ``_nilradical`` for the subalgebra built with it."""
+    return _nilradical(L)[0]
+
+
+def _nilradical(L):
+    """(n, sub, sub_basis): n = nilradical_of(L) and (sub, sub_basis) =
+    subalgebra_of(L, n), built once. For an annotated n it is the
+    subalgebra that ``validate`` built (``LieAlgebra._nilradical_sub``);
+    in the solvable case it is the one that certified the Killing radical
+    nilpotent."""
     S = L.annotations.get("nilradical")
     if S is not None:
-        return S
+        return (S, *L._nilradical_sub)
     if L.is_nilpotent:
-        return L.span_of_indices(range(L.dim))
+        S = L.span_of_indices(range(L.dim))
+        return (S, *subalgebra_of(L, S))
     if L.is_solvable:
         cand = Subspace(L.field, L.dim, kernel_basis(L.field, killing_matrix(L), L.dim))
-        if _is_ideal(L, cand) and subalgebra_of(L, cand)[0].is_nilpotent:
-            return cand
+        if _is_ideal(L, cand):
+            sub, sub_basis = subalgebra_of(L, cand)
+            if sub.is_nilpotent:
+                return cand, sub, sub_basis
         raise LieAlgebraError(
             "cannot certify the nilradical of this solvable algebra; "
             "annotate it explicitly"
@@ -773,11 +820,16 @@ def classify_nilradical(L):
     abelian_ideal: some characteristic abelian ideal h of the nilradical has
     dim h > 1 or [q, h] != 0. Otherwise the nilradical is a line or a
     Heisenberg algebra and a Darboux split is constructed.
+
+    The nilradical's subalgebra comes from ``_nilradical``: an annotated
+    nilradical's is the one ``validate`` built and tested nilpotent, so
+    the nilpotency test here reads its lower central series. Its center
+    and derived series are computed here on each call, not cached on it.
     """
-    n_space = nilradical_of(L)
+    n_space, sub, sub_basis = _nilradical(L)
     if n_space.dim == 0:
         return NilradicalClass(kind="trivial", nilradical=n_space)
-    sub, sub_basis = subalgebra_of(L, n_space)
+    # reached by an annotated nilradical of an algebra nothing validated
     if not sub.is_nilpotent:
         raise LieAlgebraError("nilradical is not nilpotent")
 
@@ -785,8 +837,9 @@ def classify_nilradical(L):
         return Subspace(L.field, L.dim, [_sub_to_ambient(L, b, sub_basis) for b in S.basis])
 
     # the center of the nonzero nilpotent sub is nonzero
+    zc = center_of(sub)
     candidates = [
-        to_ambient(S) for S in [sub.center, *sub.lower_central, *sub.derived_series] if S.dim
+        to_ambient(S) for S in [zc, *sub.lower_central, *_derived_series(sub)] if S.dim
     ]
     seen = []
     for h in candidates:
@@ -800,21 +853,21 @@ def classify_nilradical(L):
             return NilradicalClass(kind="abelian_ideal", nilradical=n_space, h=h)
     if n_space.dim == 1:
         return NilradicalClass(kind="line", nilradical=n_space, h=n_space)
-    split = _darboux_split(L, n_space, sub, sub_basis)
+    split = _darboux_split(L, n_space, zc, sub_basis)
     return NilradicalClass(kind="heisenberg", nilradical=n_space, split=split)
 
 
-def _darboux_split(L, n_space, sub, sub_basis):
+def _darboux_split(L, n_space, zc, sub_basis):
     """Greedy symplectic pairing on a complement of the center line of the
-    nilradical n_space, with (sub, sub_basis) = subalgebra_of(L, n_space) as
-    built by the caller; l_basis is the bracket stabilizer of the pairs.
+    nilradical n_space, with (sub, sub_basis) = subalgebra_of(L, n_space)
+    and zc = center_of(sub) as built by the caller; l_basis is the bracket
+    stabilizer of the pairs.
 
     When a levi annotation is present the complement is chosen inside the
     kernel of a functional vanishing on [levi, n], which makes span{x, y}
     levi-stable whenever that is possible. The check_split at the end also
     reports a center that is not central."""
     F = L.field
-    zc = sub.center
     if zc.dim != 1:
         raise LieAlgebraError(
             "Darboux construction failure: nilradical center has dimension %d"

@@ -145,7 +145,8 @@ def random_valid_split(rng):
     fams = _split_families()
     L, l_idx, heis_idx = fams[rng.randrange(len(fams))]
     heis = L.span_of_indices(heis_idx)
-    base = _darboux_split(L, heis, *subalgebra_of(L, heis))
+    sub, sub_basis = subalgebra_of(L, heis)
+    base = _darboux_split(L, heis, sub.center, sub_basis)
     xs, ys = random_symplectic_images(rng, L.field, list(base.x), list(base.y))
     split = HeisenbergSplit(
         l_basis=L.span_of_indices(l_idx),

@@ -220,6 +220,30 @@ def test_cli_validate_reports_an_unstable_split_once(tmp_path, capsys):
     assert rep["results"]["annotation_failures"] == ["span{x, y} is not stable under l_basis"]
 
 
+def test_cli_scans_jacobi_once_per_algebra(tmp_path, monkeypatch, capsys):
+    # validate scans its unchecked load once; construct reuses the report of
+    # the checked load and scans only the stabilizer level it builds
+    import lieshift.liealg as liealg_mod
+    from lieshift.cli import main
+
+    scanned = []
+    real = liealg_mod._jacobi_failures
+
+    def counted(L):
+        scanned.append(L.dim)
+        return real(L)
+
+    monkeypatch.setattr(liealg_mod, "_jacobi_failures", counted)
+    p = tmp_path / "heisenberg4.json"
+    write_algebra(preset("heisenberg4").algebra, p)
+    assert main(["validate", "--file", str(p), "--json"]) == 0
+    assert scanned == [9]
+    scanned.clear()
+    assert main(["construct", "--file", str(p), "--json"]) == 0
+    assert scanned == [9, 1]
+    capsys.readouterr()
+
+
 def test_cli_rejects_decimals(tmp_path):
     data = {
         "format": "lieshift/1",
@@ -643,3 +667,80 @@ def test_load_raises_only_algebra_file_errors(doc, check):
         load_algebra(doc, check=check)
     except AlgebraFileError:
         pass
+
+
+# -- the CLI argument space: exit 0, 1 or 2, never 3 or a traceback ----------
+
+_FLAG_VALUES = {
+    "--seed": ["0", "7", "-3", "x", "1.5", ""],
+    "--samples": ["1", "2", "0", "-1", "two", "1e3"],
+    "--bound": ["1", "50", str(2**60 - 2), str(2**60 - 1), "0", "-5", "ten"],
+    "--max-deg": ["1", "2", "0", "-1", "x"],
+    "--depth": ["0", "3", "-1", "two"],
+}
+_CLI_PRESETS = ["sl2", "aff1", "heisenberg1", "borel-sl2", "abelian2", "nope", "heisenberg0"]
+
+
+@st.composite
+def cli_files(draw):
+    """(kind, content): a document to write as JSON, raw bytes, or a path
+    that is missing or a directory."""
+    kind = draw(st.sampled_from(["valid", "mutated", "jacobi", "bytes", "missing", "dir"]))
+    if kind == "valid":
+        return kind, draw(st.sampled_from(DOCUMENTS))
+    if kind == "mutated":
+        return kind, draw(mutated_documents())
+    if kind == "jacobi":
+        return kind, {
+            "format": "lieshift/1", "dim": 3, "basis": ["x", "y", "z"],
+            "brackets": [{"i": 0, "j": 1, "coeffs": {"z": "1"}},
+                         {"i": 0, "j": 2, "coeffs": {"x": "1"}},
+                         {"i": 1, "j": 2, "coeffs": {"y": "1"}}],
+        }
+    if kind == "bytes":
+        return kind, draw(st.sampled_from([b"", b"{", b"\xff\xfe", b"[]", b"null", b"[[[[[]]]]]"]))
+    return kind, None
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_argument_space_exits_0_1_or_2(data, tmp_path_factory):
+    import contextlib
+    import io
+
+    from lieshift.cli import main
+
+    command = data.draw(st.sampled_from(["info", "validate", "index", "b"]))
+    argv = [command]
+    source = data.draw(st.sampled_from(["neither", "preset", "file", "both"]))
+    if source in ("preset", "both"):
+        argv += ["--preset", data.draw(st.sampled_from(_CLI_PRESETS))]
+    if source in ("file", "both"):
+        root = tmp_path_factory.getbasetemp() / "cli-fuzz"
+        root.mkdir(exist_ok=True)
+        kind, content = data.draw(cli_files())
+        path = root / ("missing.json" if kind == "missing" else "doc.json")
+        if kind == "dir":
+            path = root
+        elif kind == "bytes":
+            path.write_bytes(content)
+        elif kind != "missing":
+            path.write_text(json.dumps(content))
+        argv += ["--file", str(path)]
+    for flag, values in _FLAG_VALUES.items():
+        if data.draw(st.booleans()):
+            argv += [flag, data.draw(st.sampled_from(values))]
+    if data.draw(st.booleans()):
+        argv.append("--json")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse rejects an argument with exit 2
+            code = e.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    if code:  # a message on stderr, or the validate command's failing report
+        assert err.getvalue() or command == "validate" and out.getvalue(), argv
+    elif "--json" in argv:
+        assert json.loads(out.getvalue())["command"] == command

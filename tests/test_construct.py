@@ -27,6 +27,7 @@ from lieshift.construct import (
     quantum_mf,
     verify_hat_lemmas,
 )
+from lieshift.algfile import dump_algebra, load_algebra
 from lieshift.fields import QQ, FieldError
 from lieshift.invariants import GeneratorSet, Sampling, b_of, symmetric_invariants, trdeg_jacobian
 from lieshift.liealg import (
@@ -794,6 +795,71 @@ def test_construct_rejects_unusable_nilradical():
     lying = LieAlgebra(QQ, N.labels, N.table, {"central": [2], "nilradical": [2]})
     with pytest.raises(ConstructError):
         construct_theorem(lying)
+
+
+JACOBI_FAILING_DOC = {
+    "format": "lieshift/1",
+    "dim": 3,
+    "basis": ["x", "y", "z"],
+    "brackets": [
+        {"i": 0, "j": 1, "coeffs": {"z": "1"}},
+        {"i": 0, "j": 2, "coeffs": {"x": "1"}},
+        {"i": 1, "j": 2, "coeffs": {"y": "1"}},
+    ],
+}
+
+
+def test_construct_validates_an_algebra_nothing_has_validated():
+    # the report is kept per algebra, so an algebra built directly or loaded
+    # unchecked is still scanned at construct_theorem's entry
+    built = LieAlgebra(QQ, ("x", "y", "z"), {(0, 1): {2: 1}, (0, 2): {0: 1}, (1, 2): {1: 1}})
+    unchecked = load_algebra(JACOBI_FAILING_DOC, check=False)
+    for L in (built, unchecked):
+        with pytest.raises(ConstructError) as e:
+            construct_theorem(L)
+        assert str(e.value) == "input fails validation: [(0, 1, 2)] []"
+
+
+def test_construct_scans_jacobi_once_per_algebra(monkeypatch):
+    # load_algebra validates the top level; construct_theorem reuses that
+    # report and validates the stabilizer level it builds, once
+    scanned = []
+    real = liealg_mod._jacobi_failures
+
+    def counted(L):
+        scanned.append(L)
+        return real(L)
+
+    monkeypatch.setattr(liealg_mod, "_jacobi_failures", counted)
+    L = load_algebra(dump_algebra(preset("heisenberg8").algebra))
+    assert scanned == [L]
+    cert = construct_theorem(L)
+    assert cert.b_target == 9
+    assert [M.dim for M in scanned] == [17, 1]
+    assert len({id(M) for M in scanned}) == 2
+
+
+def test_classify_reuses_the_nilradical_subalgebra(monkeypatch):
+    # an annotated nilradical's subalgebra is the one validate built; the
+    # Killing radical's is the one that certified it nilpotent
+    built = []
+    real = liealg_mod.subalgebra_of
+
+    def counted(L, S):
+        built.append(S)
+        return real(L, S)
+
+    monkeypatch.setattr(liealg_mod, "subalgebra_of", counted)
+    L = load_algebra(dump_algebra(preset("sl2-semidirect-h3").algebra))
+    nil = L.annotations["nilradical"]
+    assert built.count(nil) == 1
+    assert classify_nilradical(L).kind == "heisenberg"
+    assert built.count(nil) == 1
+    aff = preset("aff1").algebra
+    plain = LieAlgebra(QQ, aff.labels, aff.table)
+    built.clear()
+    assert classify_nilradical(plain).kind == "abelian_ideal"
+    assert len(built) == 1
 
 
 def test_certificate_commutators_exact():

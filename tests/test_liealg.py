@@ -114,7 +114,7 @@ def test_validate_good_and_bad():
     bad = LieAlgebra(QQ, ["x", "y", "z"], {(0, 1): {2: 1}, (0, 2): {0: 1}, (1, 2): {1: 1}})
     rep = validate(bad)
     assert not rep.ok
-    assert rep.jacobi_failures == [(0, 1, 2)]
+    assert rep.jacobi_failures == ((0, 1, 2),)
 
 
 def reference_jacobi_failures(L):
@@ -145,7 +145,7 @@ def test_validate_lists_every_failing_triple():
     bad = _perturbed(gl3, (1, 5), 2, QQ.from_int(1))  # [e12, e23] = e13 + e13
     rep = validate(bad)
     assert len(rep.jacobi_failures) > 1
-    assert rep.jacobi_failures == reference_jacobi_failures(bad)
+    assert rep.jacobi_failures == tuple(reference_jacobi_failures(bad))
     L = preset("borel-sl3").algebra
     hat = abelian_qhat(L, classify_nilradical(L).h).algebra
     assert hat.field.level == 1 and validate(hat).ok
@@ -153,7 +153,7 @@ def test_validate_lists_every_failing_triple():
     bad_hat = _perturbed(hat, (0, 3), 1, w1)  # [u1, delta] = w1 e12
     rep = validate(bad_hat)
     assert len(rep.jacobi_failures) > 1
-    assert rep.jacobi_failures == reference_jacobi_failures(bad_hat)
+    assert rep.jacobi_failures == tuple(reference_jacobi_failures(bad_hat))
 
 
 def test_validate_annotation_failures():
@@ -168,7 +168,7 @@ def test_validate_annotation_failures():
 def test_validate_reports_an_annotation_that_is_not_bracket_closed():
     # [e, f] = h leaves span{e, f}: no structure constants to test nilpotency on
     L = LieAlgebra(QQ, ("h", "e", "f"), sl2().table, {"nilradical": [1, 2]})
-    assert validate(L).annotation_failures == ["nilradical annotation is not an ideal"]
+    assert validate(L).annotation_failures == ("nilradical annotation is not an ideal",)
 
 
 def test_subspace_basics():
@@ -544,7 +544,8 @@ def test_classify_nilradical_kinds():
 def test_darboux_split_and_check():
     L = preset("sl2-semidirect-h3").algebra
     n = nilradical_of(L)
-    split = _darboux_split(L, n, *subalgebra_of(L, n))
+    sub, sub_basis = subalgebra_of(L, n)
+    split = _darboux_split(L, n, sub.center, sub_basis)
     assert check_split(L, split) == []
     assert len(split.x) == 1 and len(split.y) == 1
     # sabotage: swap z for a non-central vector
@@ -920,12 +921,14 @@ def test_darboux_split_names_each_failure_exactly():
     A = preset("abelian2").algebra
     n = A.span_of_indices(range(2))
     with pytest.raises(LieAlgebraError) as e:
-        _darboux_split(A, n, *subalgebra_of(A, n))
+        sub, sub_basis = subalgebra_of(A, n)
+        _darboux_split(A, n, sub.center, sub_basis)
     assert str(e.value) == "Darboux construction failure: nilradical center has dimension 2"
     F5 = filiform5()  # center span{x4}; [x0, x1] = x2 leaves it
     n = F5.span_of_indices(range(5))
     with pytest.raises(LieAlgebraError) as e:
-        _darboux_split(F5, n, *subalgebra_of(F5, n))
+        sub, sub_basis = subalgebra_of(F5, n)
+        _darboux_split(F5, n, sub.center, sub_basis)
     assert str(e.value) == "Darboux construction failure: [n, n] leaves the center line"
 
 
@@ -964,11 +967,19 @@ def test_validate_names_each_annotation_failure_exactly():
     table = sl2().table
     cases = [
         (LieAlgebra(QQ, ("h", "e", "f"), table, {"levi": [1, 2]}),
-         ["levi annotation is not a subalgebra"]),
+         ("levi annotation is not a subalgebra",)),
         (LieAlgebra(QQ, ("t", "y"), {(0, 1): {1: 1}}, {"nilradical": [0, 1]}),
-         ["nilradical annotation is not nilpotent"]),
+         ("nilradical annotation is not nilpotent",)),
         (LieAlgebra(QQ, ("h", "e", "f"), table, {"solvable_radical": [0, 1, 2]}),
-         ["solvable_radical annotation is not solvable"]),
+         ("solvable_radical annotation is not solvable",)),
     ]
     for L, want in cases:
         assert validate(L).annotation_failures == want, L.annotations
+
+
+def test_classify_names_a_nilradical_that_is_not_nilpotent():
+    # reached only when nothing validated the annotation: validate reports it
+    L = LieAlgebra(QQ, ("t", "y"), {(0, 1): {1: 1}}, {"nilradical": [0, 1]})
+    with pytest.raises(LieAlgebraError) as e:
+        classify_nilradical(L)
+    assert str(e.value) == "nilradical is not nilpotent"
