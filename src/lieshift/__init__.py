@@ -49,7 +49,6 @@ from .construct import (
     ConstructError,
     abelian_qhat,
     construct_theorem,
-    hat_map,
     maximality_probe,
     mf_subalgebra,
     quantum_mf,

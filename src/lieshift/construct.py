@@ -177,17 +177,6 @@ def _split_z_index(L, split):
     return hits[0]
 
 
-def hat_algebra(L, split):
-    """U(L) localized at the split center."""
-    return EnvelopingAlgebra(L, laurent=(_split_z_index(L, split),))
-
-
-def _require_valid_split(L, split):
-    bad = check_split(L, split)
-    if bad:
-        raise ConstructError("invalid Heisenberg split: " + "; ".join(bad))
-
-
 class _Correction:
     """A Heisenberg split cleared once for the correction map of one level,
     in alg or in a new hat algebra.
@@ -250,13 +239,6 @@ def _hat(L, cor, s):
     return alg._element(out, s[0] * cor.den)
 
 
-def hat_map(L, split, xi, alg=None):
-    """Correct xi so it commutes with the Heisenberg ideal in U(L)[z^-1]:
-    xi + (1/2z) * sum_i ([xi, x_i] y_i - [xi, y_i] x_i)."""
-    _require_valid_split(L, split)
-    return _hat(L, _Correction(L, split, alg), _supports(L, (xi,))[0])
-
-
 @dataclass
 class HatLemmaReport:
     centralizer_failures: list
@@ -273,7 +255,9 @@ def verify_hat_lemmas(L, split):
     brackets: [v, hat(xi)] = 0 for every ideal generator v, and
     [hat(xi), hat(eta)] = hat([xi, eta]) on the stabilizer basis.
     The split is checked first."""
-    _require_valid_split(L, split)
+    bad = check_split(L, split)
+    if bad:
+        raise ConstructError("invalid Heisenberg split: " + "; ".join(bad))
     return _hat_lemmas(L, split, _Correction(L, split))
 
 
@@ -347,7 +331,8 @@ def _corrected_lift(L, split, A_l, sub_vectors, cor):
 
 @dataclass(frozen=True)
 class HatAlgebra:
-    """The reduced algebra over the function field of the ideal's dual space.
+    """The reduced algebra over the function field of the ideal's dual space,
+    which is ``algebra.field``.
 
     sections are full ambient-length coefficient vectors (supported on the
     complement indices); the reduced algebra's last generator is the
@@ -358,7 +343,6 @@ class HatAlgebra:
     them None and checks the drop of b against its own targets.
     """
 
-    base_field: object
     h: Subspace
     h_vars: tuple
     sections: tuple
@@ -521,7 +505,6 @@ def _reduce_abelian(L, h):
             % (m + 1, min_stab - d + 1)
         )
     return HatAlgebra(
-        base_field=F2,
         h=h,
         h_vars=names,
         sections=tuple(sections),
@@ -576,7 +559,7 @@ def lift_from_hat(hat, u, target_alg):
     for exps in u.terms:
         if exps[m] != 0:
             raise ConstructError("specialize the central element before lifting")
-    F2 = hat.base_field
+    F2 = hat.algebra.field
     d, nums = F2.clear(u.terms.values())
     # d = l d', l in the variables below and d' the least common denominator
     # in w, whose leading coefficient there is 1: the coefficients times d'
@@ -595,7 +578,7 @@ def _section_images(hat, h_elems, target_alg):
     """sum_i c_i(h) x_i for each section, whose entries c_i(w) are
     polynomials: the ideal vectors h_elems and the generators packed once,
     then one ``_substituted`` per section."""
-    F2 = hat.base_field
+    F2 = hat.algebra.field
     base = target_alg.field
     packed = [target_alg._numerators(v.terms) for v in h_elems]
     packed += [target_alg._numerators({e: base.one}) for e in target_alg._units]

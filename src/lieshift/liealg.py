@@ -7,10 +7,14 @@ centers, derived/lower-central series, nilradical handling, abelian-ideal
 candidates, Heisenberg (Darboux) splits and the bracket-stabilizer of the
 symplectic complement.
 
-The structure facts are cached properties of the algebra: its center,
-derived algebra ([q, q], spanned by the rows of the bracket table), lower
-central series and derived series, each computed on first read. They are
-``Subspace`` values, which hold no reference back to the algebra.
+Each structure fact is one function of the algebra: ``center_of``,
+``_derived_of`` ([q, q], spanned by the rows of the bracket table), and
+``_lower_central`` and ``_derived_series``, which start from [q, q] as the
+caller computed it. A caller that needs several facts computes [q, q] once
+and passes it on. A ``LieAlgebra`` stores only what more than one caller
+reads: ``kernel_brackets``, the ``validate`` report, and the subalgebra of
+the nilradical annotation with its lower central series, which
+``validate`` builds and ``classify_nilradical`` reads.
 
 A bracket stays cleared from the kernel to the membership test. The one
 bracket kernel, ``_bracket_cleared``, takes cleared supports (index,
@@ -197,10 +201,11 @@ class LieAlgebra:
     brackets: {(i, j): {k: coeff}} for i < j; antisymmetry is by construction.
     annotations may carry: central (iterable of indices), levi, nilradical,
     solvable_radical (Subspace or index list), heisenberg_split, known_casimirs.
-    The structure facts (center, derived, lower_central, derived_series and
-    the is_* tests on them) are properties, each computed on first read. So
-    are the report of ``validate`` and the subalgebra of the nilradical
-    annotation, which ``validate`` and ``classify_nilradical`` share.
+    Three values are computed on first read and kept, each because more than
+    one caller reads it: ``kernel_brackets``, the report of ``validate``, and
+    the subalgebra of the nilradical annotation with its lower central
+    series. Every other structure fact is a function of the algebra
+    (``center_of``, ``_derived_of``, ``_lower_central``, ``_derived_series``).
     """
 
     def __init__(self, field, labels, brackets, annotations=None):
@@ -260,60 +265,28 @@ class LieAlgebra:
             return self.table.get((i, j), {})
         return {k: -c for k, c in self.table.get((j, i), {}).items()}
 
-    # -- structure facts, each computed on first read ------------------------
-
-    @cached_property
-    def center(self):
-        return center_of(self)
-
-    @cached_property
-    def derived(self):
-        return _derived_of(self)
-
-    @cached_property
-    def lower_central(self):
-        # [q, C] is spanned by the cleared [x_i, w] over the basis rows w of C
-        return _series(self.derived, lambda C: _span(self, [
-            b for w in C._cleared_basis() for b in _basis_brackets(self, w)
-        ]))
-
-    @cached_property
-    def derived_series(self):
-        return _derived_series(self)
-
-    @property
-    def is_nilpotent(self):
-        return self.lower_central[-1].dim == 0
-
-    @property
-    def is_solvable(self):
-        return self.derived_series[-1].dim == 0
-
-    @property
-    def is_abelian(self):
-        # the table keeps only nonzero brackets
-        return not self.table
-
     @cached_property
     def _validation(self):
-        """The report of ``validate``: the Jacobi scan and every annotation
-        check run once per algebra."""
+        """The report of ``validate``, kept so that every caller that
+        validates this algebra shares one Jacobi scan."""
         return ValidationReport(_jacobi_failures(self), _annotation_failures(self))
 
     @cached_property
     def _nilradical_sub(self):
-        """subalgebra_of(self, nilradical annotation): built once, by
-        ``validate``'s nilpotency check, and read again by
-        ``classify_nilradical``. An annotation that is not bracket-closed
-        raises LieAlgebraError on every read."""
-        return subalgebra_of(self, self.annotations["nilradical"])
+        """(sub, sub_basis, lower central series of sub) for the nilradical
+        annotation, kept so that ``classify_nilradical`` reads what
+        ``validate``'s nilpotency check built. An annotation that is not
+        bracket-closed raises LieAlgebraError on every read."""
+        sub, sub_basis = subalgebra_of(self, self.annotations["nilradical"])
+        return sub, sub_basis, _lower_central(sub, _derived_of(sub))
 
     @cached_property
     def kernel_brackets(self):
         """(D, {i: {j: ((k, c), ...)}}): the nonzero brackets [x_i, x_j], both
         orders, as cleared values c = D c_ij^k over the least common
         denominator D (``Field.clear``), for the arithmetic kernels. The c
-        are numerator-ring values, the constants of the basis y_i = D x_i."""
+        are numerator-ring values, the constants of the basis y_i = D x_i.
+        Kept because every bracket, Jacobi and Killing kernel reads it."""
         D, values = self.field.clear(
             [c for comp in self.table.values() for c in comp.values()]
         )
@@ -439,13 +412,12 @@ class ValidationReport:
 def validate(L):
     """Check Jacobi on all basis triples and sanity of annotations.
 
-    The report is a structure fact of L, like its center: the first call
-    computes it and every later call returns the same report. So an
-    algebra that ``load_algebra`` checked is not scanned again by
-    ``construct_theorem`` or the validate command, and one that nothing
-    has validated is scanned at its first call. The nilradical
-    annotation's subalgebra, built for its nilpotency check, is kept for
-    ``classify_nilradical``.
+    The report is kept with L: the first call computes it and every later
+    call returns the same report. So an algebra that ``load_algebra``
+    checked is not scanned again by ``construct_theorem`` or the validate
+    command, and one that nothing has validated is scanned at its first
+    call. The nilradical annotation's subalgebra and lower central series,
+    built for its nilpotency check, are kept for ``classify_nilradical``.
     """
     return L._validation
 
@@ -522,13 +494,17 @@ def _check_annotated_subspace(L, key, S):
         if not _is_ideal(L, S):
             out.append("%s annotation is not an ideal" % key)
         try:
-            sub, _ = L._nilradical_sub if key == "nilradical" else subalgebra_of(L, S)
+            if key == "nilradical":
+                last = L._nilradical_sub[2][-1]
+            else:
+                sub, _ = subalgebra_of(L, S)
+                last = _derived_series(sub, _derived_of(sub))[-1]
         except LieAlgebraError:
             return out  # not bracket-closed: no structure constants to test
-        if key == "nilradical" and not sub.is_nilpotent:
-            out.append("nilradical annotation is not nilpotent")
-        if key == "solvable_radical" and not sub.is_solvable:
-            out.append("solvable_radical annotation is not solvable")
+        if last.dim:
+            out.append("%s annotation is not %s" % (
+                key, "nilpotent" if key == "nilradical" else "solvable"
+            ))
     return out
 
 
@@ -659,8 +635,17 @@ def _series(first, step):
     return out
 
 
-def _derived_series(L):
-    return _series(L.derived, lambda D: _bracket_span(L, D, D))
+def _lower_central(L, derived):
+    """The lower central series from derived = [q, q]: [q, C] is spanned by
+    the cleared [x_i, w] over the basis rows w of C."""
+    return _series(derived, lambda C: _span(L, [
+        b for w in C._cleared_basis() for b in _basis_brackets(L, w)
+    ]))
+
+
+def _derived_series(L, derived):
+    """The derived series from derived = [q, q]."""
+    return _series(derived, lambda D: _bracket_span(L, D, D))
 
 
 def _bracket_span(L, A, B):
@@ -754,10 +739,7 @@ def is_reductive(L):
     """Radical equals center: checked via annotation when present, else via
     the exact splitting q = center + [q, q]; either way the Killing form must
     be nondegenerate on [q, q] (Cartan's criterion). On the ideal [q, q] it
-    is the Killing form of [q, q] itself.
-
-    The center and [q, q] are computed here, not read off L's cached
-    properties: caching them raised reductive-shift peak RSS by 0.1-0.2 MB."""
+    is the Killing form of [q, q] itself."""
     c, d = center_of(L), _derived_of(L)
     rad = L.annotations.get("solvable_radical")
     if rad is not None:
@@ -774,31 +756,30 @@ def is_reductive(L):
     )
 
 
-def nilradical_of(L):
-    """Annotated nilradical, or an exact computation for the nilpotent and
-    solvable cases (Killing radical, certified nilpotent); error otherwise.
-    See ``_nilradical`` for the subalgebra built with it."""
-    return _nilradical(L)[0]
-
-
 def _nilradical(L):
-    """(n, sub, sub_basis): n = nilradical_of(L) and (sub, sub_basis) =
-    subalgebra_of(L, n), built once. For an annotated n it is the
-    subalgebra that ``validate`` built (``LieAlgebra._nilradical_sub``);
-    in the solvable case it is the one that certified the Killing radical
-    nilpotent."""
+    """(n, sub, sub_basis, lower): the nilradical n, (sub, sub_basis) =
+    subalgebra_of(L, n) and lower, the lower central series of sub, each
+    built once. An annotated n is read off ``LieAlgebra._nilradical_sub``,
+    which ``validate`` built; otherwise it is exact for the nilpotent and
+    solvable cases (the Killing radical, certified nilpotent by the series
+    returned with it), and an error for every other algebra. [q, q] is
+    computed once for both series of L."""
     S = L.annotations.get("nilradical")
     if S is not None:
         return (S, *L._nilradical_sub)
-    if L.is_nilpotent:
+    derived = _derived_of(L)
+    lower = _lower_central(L, derived)
+    if not lower[-1].dim:
         S = L.span_of_indices(range(L.dim))
-        return (S, *subalgebra_of(L, S))
-    if L.is_solvable:
+        # the echelon basis of q is the unit basis: L's series is sub's
+        return (S, *subalgebra_of(L, S), lower)
+    if not _derived_series(L, derived)[-1].dim:
         cand = Subspace(L.field, L.dim, kernel_basis(L.field, killing_matrix(L), L.dim))
         if _is_ideal(L, cand):
             sub, sub_basis = subalgebra_of(L, cand)
-            if sub.is_nilpotent:
-                return cand, sub, sub_basis
+            lower = _lower_central(sub, _derived_of(sub))
+            if not lower[-1].dim:
+                return cand, sub, sub_basis, lower
         raise LieAlgebraError(
             "cannot certify the nilradical of this solvable algebra; "
             "annotate it explicitly"
@@ -821,16 +802,15 @@ def classify_nilradical(L):
     dim h > 1 or [q, h] != 0. Otherwise the nilradical is a line or a
     Heisenberg algebra and a Darboux split is constructed.
 
-    The nilradical's subalgebra comes from ``_nilradical``: an annotated
-    nilradical's is the one ``validate`` built and tested nilpotent, so
-    the nilpotency test here reads its lower central series. Its center
-    and derived series are computed here on each call, not cached on it.
+    The nilradical's subalgebra and its lower central series come from
+    ``_nilradical``: nilpotency is read off the series' last term, and the
+    candidates are the center, the series and the derived series.
     """
-    n_space, sub, sub_basis = _nilradical(L)
+    n_space, sub, sub_basis, lower = _nilradical(L)
     if n_space.dim == 0:
         return NilradicalClass(kind="trivial", nilradical=n_space)
     # reached by an annotated nilradical of an algebra nothing validated
-    if not sub.is_nilpotent:
+    if lower[-1].dim:
         raise LieAlgebraError("nilradical is not nilpotent")
 
     def to_ambient(S):
@@ -839,7 +819,7 @@ def classify_nilradical(L):
     # the center of the nonzero nilpotent sub is nonzero
     zc = center_of(sub)
     candidates = [
-        to_ambient(S) for S in [zc, *sub.lower_central, *_derived_series(sub)] if S.dim
+        to_ambient(S) for S in [zc, *lower, *_derived_series(sub, lower[0])] if S.dim
     ]
     seen = []
     for h in candidates:

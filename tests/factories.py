@@ -7,6 +7,7 @@ from lieshift.liealg import (
     Subspace,
     bracket,
     _darboux_split,
+    center_of,
     direct_sum,
     killing_matrix,
     subalgebra_of,
@@ -146,7 +147,7 @@ def random_valid_split(rng):
     L, l_idx, heis_idx = fams[rng.randrange(len(fams))]
     heis = L.span_of_indices(heis_idx)
     sub, sub_basis = subalgebra_of(L, heis)
-    base = _darboux_split(L, heis, sub.center, sub_basis)
+    base = _darboux_split(L, heis, center_of(sub), sub_basis)
     xs, ys = random_symplectic_images(rng, L.field, list(base.x), list(base.y))
     split = HeisenbergSplit(
         l_basis=L.span_of_indices(l_idx),
@@ -531,7 +532,7 @@ def reference_lift_from_hat(hat, u, target_alg):
     sum of c_i(h) x_i, and the result by ``reference_substitute``."""
     from sympy import Poly, Rational, symbols
 
-    F2 = hat.base_field
+    F2 = hat.algebra.field
     base = F2.base
     w = symbols(F2.variables)
     # the least common denominator in w over the level below, its leading

@@ -19,8 +19,6 @@ from lieshift.construct import (
     ConstructError,
     abelian_qhat,
     construct_theorem,
-    hat_algebra,
-    hat_map,
     lift_from_hat,
     maximality_probe,
     mf_subalgebra,
@@ -94,11 +92,17 @@ def test_quantum_mf_sl3_commutes():
 # -- Heisenberg reduction ------------------------------------------------------
 
 
+def _hat(L, cor, xi):
+    """The correction map of cor's split at the coordinate vector xi."""
+    return construct_mod._hat(L, cor, liealg_mod._supports(L, (xi,))[0])
+
+
 def test_hat_map_goldens():
     L = semidirect()
     split = classify_nilradical(L).split
-    alg = hat_algebra(L, split)
-    imgs = [hat_map(L, split, L.basis_vector(i), alg).render() for i in range(3)]
+    cor = construct_mod._Correction(L, split)
+    alg = cor.alg
+    imgs = [_hat(L, cor, L.basis_vector(i)).render() for i in range(3)]
     assert imgs == [
         "h + x*y*z^-1 + (-1/2)",
         "e + (-1/2)*x^2*z^-1",
@@ -107,7 +111,7 @@ def test_hat_map_goldens():
     # the corrected generators commute with the ideal pair
     x, y = alg.from_vector(split.x[0]), alg.from_vector(split.y[0])
     for i in range(3):
-        u = hat_map(L, split, L.basis_vector(i), alg)
+        u = _hat(L, cor, L.basis_vector(i))
         assert commutator(u, x).is_zero and commutator(u, y).is_zero
 
 
@@ -127,17 +131,15 @@ def test_public_hat_entry_points_check_the_split():
     bad = HeisenbergSplit(l_basis=split.l_basis, x=split.x, y=split.y, z=L.basis_vector(0))
     with pytest.raises(ConstructError, match="invalid Heisenberg split"):
         verify_hat_lemmas(L, bad)
-    with pytest.raises(ConstructError, match="invalid Heisenberg split"):
-        hat_map(L, bad, L.basis_vector(1))
 
 
 def test_hat_is_linear():
     L = semidirect()
     split = classify_nilradical(L).split
-    alg = hat_algebra(L, split)
+    cor = construct_mod._Correction(L, split)
     u = vec(QQ, [1, 2, 0, 0, 0, 0])
-    a = hat_map(L, split, u, alg)
-    b = hat_map(L, split, L.basis_vector(0), alg) + hat_map(L, split, L.basis_vector(1), alg) * 2
+    a = _hat(L, cor, u)
+    b = _hat(L, cor, L.basis_vector(0)) + _hat(L, cor, L.basis_vector(1)) * 2
     assert a == b
 
 
@@ -157,9 +159,7 @@ def test_hat_algebra_needs_axis_center():
     )
     msg = "^split center must be a multiple of a single basis generator$"
     with pytest.raises(ConstructError, match=msg):
-        hat_algebra(L, split)
-    with pytest.raises(ConstructError, match=msg):
-        hat_map(L, split, L.basis_vector(0))
+        construct_mod._Correction(L, split)
     with pytest.raises(ConstructError, match=msg):
         verify_hat_lemmas(L, split)
 
@@ -244,7 +244,7 @@ def _split_case(name):
             L = construct_mod._reduce_abelian(L, classify_nilradical(L).h).algebra
         split = classify_nilradical(L).split
     sub_L, sub_vectors = subalgebra_of(L, split.l_basis)
-    return L, split, hat_algebra(L, split), sub_L, sub_vectors
+    return L, split, construct_mod._Correction(L, split).alg, sub_L, sub_vectors
 
 
 SPLIT_CASES = [
@@ -281,7 +281,8 @@ def test_hat_matches_the_dense_reference(name, data):
     L, split, alg, _, _ = _split_case(name)
     scalar = _scalars(data, L.field)
     xi = tuple([scalar() if data.draw(st.booleans()) else L.field.zero for _ in range(L.dim)])
-    assert hat_map(L, split, xi, alg) == reference_hat(L, split, xi, alg)
+    cor = construct_mod._Correction(L, split, alg)
+    assert _hat(L, cor, xi) == reference_hat(L, split, xi, alg)
 
 
 @pytest.mark.parametrize("name", SPLIT_CASES)
@@ -323,7 +324,7 @@ def test_lift_from_hat_matches_the_dense_reference(name, data):
     B = EnvelopingAlgebra(hat.algebra)
     T = EnvelopingAlgebra(L)
     draw = lambda n: data.draw(st.integers(0, n))
-    u = random_pbw_element(draw, B, _scalars(data, hat.base_field))
+    u = random_pbw_element(draw, B, _scalars(data, hat.algebra.field))
     u = specialize_central(u, B.dim - 1, 1)
     if u.is_zero:
         u = B.gen(0)
@@ -334,7 +335,7 @@ def test_coefficient_substitution_checks_are_named_exactly():
     L, hat = _reduced("heisenberg2")
     B = EnvelopingAlgebra(hat.algebra)
     T = EnvelopingAlgebra(L)
-    w1 = hat.base_field.var(hat.h_vars[0])
+    w1 = hat.algebra.field.var(hat.h_vars[0])
     h_elems = [T.from_vector(v) for v in hat.h.basis]
     images = [T.gen(0)] * B.dim
     with pytest.raises(FieldError, match="^cannot substitute into a coefficient with a denominator$"):
@@ -350,7 +351,7 @@ def test_lift_of_a_section_with_a_denominator_is_named_exactly():
     from dataclasses import replace
 
     L, hat = _reduced("heisenberg2")
-    w1 = hat.base_field.var(hat.h_vars[0])
+    w1 = hat.algebra.field.var(hat.h_vars[0])
     sec = (hat.sections[0][0] * w1.inverse(),) + hat.sections[0][1:]
     forged = replace(hat, sections=(sec,) + hat.sections[1:])
     B = EnvelopingAlgebra(hat.algebra)
@@ -488,7 +489,7 @@ def test_lift_from_hat():
     B = EnvelopingAlgebra(hat.algebra)
     T = EnvelopingAlgebra(L)
     assert lift_from_hat(hat, B.gen(0), T).render() == "x1"
-    w1 = hat.base_field.var(hat.h_vars[0])
+    w1 = hat.algebra.field.var(hat.h_vars[0])
     assert lift_from_hat(hat, B.gen(0) * w1, T).render() == "x1*z"
     # function-field denominators are cleared first
     u = B.gen(1) * w1.inverse()
@@ -497,7 +498,7 @@ def test_lift_from_hat():
     u = B.gen(0) * (w1 * w1).inverse() + B.gen(1) * (w1 * (w1 + 1)).inverse()
     assert lift_from_hat(hat, u, T).render() == "x1*z + x2*z + x1"
     # rational coefficients of the w polynomials come down to Q unchanged
-    F = hat.base_field
+    F = hat.algebra.field
     u = B.gen(0) * (w1 * F.rational(-3, 7) + F.rational(1, 2)) + B.gen(1) * F.rational(-5, 6)
     assert lift_from_hat(hat, u, T).render() == "(-3/7)*x1*z + (1/2)*x1 + (-5/6)*x2"
     with pytest.raises(ConstructError):

@@ -15,7 +15,7 @@ from factories import (
     reference_v_stabilizer,
 )
 from lieshift import liealg
-from lieshift.construct import abelian_qhat
+from lieshift.construct import abelian_qhat, construct_theorem
 from lieshift.fields import QQ, FieldError
 from lieshift.invariants import is_regular
 from lieshift.liealg import (
@@ -30,10 +30,13 @@ from lieshift.liealg import (
     classify_nilradical,
     coadjoint_form,
     _darboux_split,
+    _derived_of,
+    _derived_series,
     direct_sum,
     is_reductive,
     killing_matrix,
-    nilradical_of,
+    _lower_central,
+    _nilradical,
     stabilizer,
     subalgebra_of,
     _v_stabilizer,
@@ -465,11 +468,14 @@ def test_linear_form_over_another_field_is_rejected():
 
 
 def test_structure_series():
-    assert h3().is_nilpotent
+    N = h3()
+    assert _lower_central(N, _derived_of(N))[-1].dim == 0  # nilpotent
     B = preset("borel-sl2").algebra
-    assert B.is_solvable and not B.is_nilpotent and not B.is_abelian
-    assert not sl2().is_solvable and sl2().derived.dim == 3
-    assert preset("abelian3").algebra.is_abelian
+    dB = _derived_of(B)
+    assert _derived_series(B, dB)[-1].dim == 0 and _lower_central(B, dB)[-1].dim
+    S = sl2()
+    assert _derived_of(S).dim == 3 and _derived_series(S, _derived_of(S))[-1].dim == 3
+    assert _derived_of(preset("abelian3").algebra).dim == 0
     assert center_of(h3()).dim == 1
 
 
@@ -518,16 +524,16 @@ def test_is_reductive_rejects_lying_annotation():
 
 
 def test_nilradical_of():
-    assert nilradical_of(h3()).dim == 3
+    assert classify_nilradical(h3()).nilradical.dim == 3
     aff = preset("aff1").algebra
     nr = aff.annotations.get("nilradical")
     plain = LieAlgebra(QQ, aff.labels, aff.table)
-    assert nilradical_of(plain).dim == 1
+    assert _nilradical(plain)[0].dim == 1
     if nr is not None:
-        assert nilradical_of(plain) == nr
+        assert _nilradical(plain)[0] == nr
     bare_sl2 = LieAlgebra(QQ, ("h", "e", "f"), sl2().table)
     with pytest.raises(LieAlgebraError):
-        nilradical_of(bare_sl2)
+        _nilradical(bare_sl2)
 
 
 def test_classify_nilradical_kinds():
@@ -543,9 +549,9 @@ def test_classify_nilradical_kinds():
 
 def test_darboux_split_and_check():
     L = preset("sl2-semidirect-h3").algebra
-    n = nilradical_of(L)
+    n = classify_nilradical(L).nilradical
     sub, sub_basis = subalgebra_of(L, n)
-    split = _darboux_split(L, n, sub.center, sub_basis)
+    split = _darboux_split(L, n, center_of(sub), sub_basis)
     assert check_split(L, split) == []
     assert len(split.x) == 1 and len(split.y) == 1
     # sabotage: swap z for a non-central vector
@@ -716,15 +722,13 @@ def test_structure_series_matches_eager_reference():
         full = L.span_of_indices(range(L.dim))
         lower = reference_series(L, lambda full, last: reference_span(L, full, last))
         dseries = reference_series(L, lambda full, last: reference_span(L, last, last))
+        derived = _derived_of(L)
         assert center_of(L) == reference_center(L), name
-        assert L.center == reference_center(L), name
-        assert L.derived == reference_span(L, full, full), name
-        assert L.lower_central == lower, name
-        assert L.derived_series == dseries, name
-        assert L.is_nilpotent == (lower[-1].dim == 0), name
-        assert L.is_solvable == (dseries[-1].dim == 0), name
-        assert L.is_abelian == (lower[0].dim == 0), name
-    assert [S.dim for S in filiform5().lower_central] == [3, 2, 1, 0]
+        assert derived == reference_span(L, full, full), name
+        assert _lower_central(L, derived) == lower, name
+        assert _derived_series(L, derived) == dseries, name
+    F5 = filiform5()
+    assert [S.dim for S in _lower_central(F5, _derived_of(F5))] == [3, 2, 1, 0]
 
 
 def _reference_is_reductive(L):
@@ -748,7 +752,7 @@ def test_is_reductive_matches_the_dense_killing_reference():
     seen = set()
     for name, L in _structure_cases():
         # the Killing form of the ideal [q, q] is the restriction of q's
-        D = L.derived
+        D = _derived_of(L)
         got = rank(L.field, killing_matrix(subalgebra_of(L, D)[0])) == D.dim
         assert got == reference_killing_nondegenerate_on(L, D), name
         try:
@@ -760,19 +764,14 @@ def test_is_reductive_matches_the_dense_killing_reference():
     assert seen == {True, False}
 
 
-def test_structure_series_is_cached_per_algebra():
-    L = preset("borel-sl3").algebra
-    assert L.center is L.center and L.lower_central is L.lower_central
-    copy = LieAlgebra(L.field, L.labels, L.table)
-    assert copy.center == L.center and copy.center is not L.center
-    assert copy.lower_central is not L.lower_central
-
-
 def test_an_algebra_with_a_cached_series_is_freed_by_reference_counting():
-    gl3 = preset("gl3").algebra
-    L = LieAlgebra(gl3.field, gl3.labels, gl3.table)
-    center, lower = L.center, L.lower_central
-    assert center.dim == 1 and L.derived.dim == 8
+    # every value an algebra keeps: kernel_brackets, the validate report, and
+    # the nilradical subalgebra with its series, read again by classify
+    P = preset("sl2-semidirect-h3").algebra
+    L = LieAlgebra(P.field, P.labels, P.table, P.annotations)
+    assert validate(L).ok and classify_nilradical(L).kind == "heisenberg"
+    sub, _, lower = L._nilradical_sub
+    assert L.kernel_brackets and L._validation is validate(L)
     ref = weakref.ref(L)
     gc.disable()  # a reference cycle would keep L until the cyclic collector runs
     try:
@@ -780,7 +779,7 @@ def test_an_algebra_with_a_cached_series_is_freed_by_reference_counting():
         assert ref() is None
     finally:
         gc.enable()
-    assert lower[-1].dim == 8  # the series outlives its algebra
+    assert sub.dim == 3 and lower[-1].dim == 0  # the series outlives its algebra
 
 
 def _counting(monkeypatch, name):
@@ -807,6 +806,16 @@ def test_is_reductive_builds_center_and_derived_once(monkeypatch):
     assert not spans  # [q, q] is read off the bracket table
 
 
+def test_construct_computes_each_structure_fact_as_often_as_before(monkeypatch):
+    # one construct_theorem on borel-sl3, which validates it, reduces along
+    # an abelian ideal and recurses twice: [q, q] and the series of every
+    # algebra it classifies, each computed where it is first needed
+    derived = _counting(monkeypatch, "_derived_of")
+    series = _counting(monkeypatch, "_series")
+    construct_theorem(preset("borel-sl3").algebra)
+    assert (len(derived), len(series)) == (6, 7)
+
+
 def test_structure_series_eliminates_no_identity(monkeypatch):
     algebras = {name: preset(name).algebra for name in ["heisenberg2", "borel-sl3", "gl3"]}
     inputs = []
@@ -818,7 +827,9 @@ def test_structure_series_eliminates_no_identity(monkeypatch):
 
     monkeypatch.setattr(liealg, "echelon_basis", recording)
     for name, L in algebras.items():
-        assert L.center is not None and L.lower_central and L.derived_series
+        derived = _derived_of(L)
+        assert center_of(L) is not None
+        assert _lower_central(L, derived) and _derived_series(L, derived)
         F, n = L.field, L.dim
         identity = [[F.one if k == i else F.zero for k in range(n)] for i in range(n)]
         assert inputs
@@ -837,7 +848,7 @@ def test_bracket_span_of_a_space_with_itself_brackets_each_pair_once(monkeypatch
 def test_subalgebra_of_marks_the_central_basis_vectors():
     for name in ["heisenberg2", "borel-sl3", "sl2-semidirect-h3", "gl3"]:
         L = preset(name).algebra
-        spaces = [L.span_of_indices(range(L.dim)), L.center, L.derived]
+        spaces = [L.span_of_indices(range(L.dim)), center_of(L), _derived_of(L)]
         if "nilradical" in L.annotations:
             spaces.append(L.annotations["nilradical"])
         for S in spaces:
@@ -922,13 +933,13 @@ def test_darboux_split_names_each_failure_exactly():
     n = A.span_of_indices(range(2))
     with pytest.raises(LieAlgebraError) as e:
         sub, sub_basis = subalgebra_of(A, n)
-        _darboux_split(A, n, sub.center, sub_basis)
+        _darboux_split(A, n, center_of(sub), sub_basis)
     assert str(e.value) == "Darboux construction failure: nilradical center has dimension 2"
     F5 = filiform5()  # center span{x4}; [x0, x1] = x2 leaves it
     n = F5.span_of_indices(range(5))
     with pytest.raises(LieAlgebraError) as e:
         sub, sub_basis = subalgebra_of(F5, n)
-        _darboux_split(F5, n, sub.center, sub_basis)
+        _darboux_split(F5, n, center_of(sub), sub_basis)
     assert str(e.value) == "Darboux construction failure: [n, n] leaves the center line"
 
 

@@ -23,6 +23,11 @@ exempt): a deletion that leaves an import behind fails here. Likewise every
 private function or class (``_name``, dunders exempt) is read by some module
 of the package outside its own body: a deletion that orphans a helper fails
 here.
+
+A ``LieAlgebra`` stores only the values that more than one caller reads:
+``kernel_brackets``, ``_validation`` and ``_nilradical_sub`` are the only
+``cached_property`` in the package. Every other structure fact is a function
+of the algebra, so a new cache has to be added to ``KEPT`` with its reason.
 """
 
 import ast
@@ -193,3 +198,48 @@ def test_private_definition_checker_catches_each_form():
         "b.py": ast.parse("from .a import _helper, _Kept\n_helper(), _Kept()._m\n"),
     }
     assert _unread_private_definitions(trees) == [("a.py", 3, "_orphan"), ("a.py", 10, "_n")]
+
+
+# (class, method): each value the package keeps once computed
+KEPT = {
+    ("LieAlgebra", "kernel_brackets"),  # every bracket kernel reads it
+    ("LieAlgebra", "_validation"),  # load_algebra, construct and the CLI share it
+    ("LieAlgebra", "_nilradical_sub"),  # built by validate, read by classify
+}
+
+
+def _cached_properties(tree):
+    """(line, where) of each use of ``cached_property``, other than its import,
+    that is not the decorator of a method in ``KEPT``."""
+    allowed = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and (cls.name, fn.name) in KEPT:
+                    allowed.update(id(d) for d in fn.decorator_list)
+    for node in ast.walk(tree):
+        name = (
+            node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else None
+        )
+        if name == "cached_property" and id(node) not in allowed:
+            yield node.lineno, "cached_property"
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+def test_only_the_kept_values_are_cached(path):
+    found = list(_cached_properties(ast.parse(path.read_text(), str(path))))
+    assert not found, "%s: %s" % (path.name, found)
+
+
+def test_cache_checker_catches_each_form():
+    src = (
+        "from functools import cached_property\nimport functools\n"
+        "class LieAlgebra:\n    @cached_property\n    def center(self):\n        pass\n"
+        "    @cached_property\n    def kernel_brackets(self):\n        pass\n"
+        "    @functools.cached_property\n    def derived(self):\n        pass\n"
+        "    lower = cached_property(f)\n"
+        "class Other:\n    @cached_property\n    def _validation(self):\n        pass\n"
+    )
+    assert sorted(line for line, _ in _cached_properties(ast.parse(src))) == [4, 10, 13, 15]
