@@ -681,3 +681,84 @@ def test_int_operands_are_from_int_operands_without_a_lift(level, monkeypatch):
     assert u * 7 == u * n(7) and u + 7 == u + n(7)
     assert u == A.element({(1, 1): w, (0, 0): n(4)})
     assert lifts == []
+
+
+# -- rendering goldens: one printer for scalars, S(q) and U(q) -----------------
+
+Qt = QQ.extend("t")
+Qts = Qt.extend("s")
+
+
+def _level1(t, q):
+    return [
+        t * t * q(-3, 2) + 2 * t - 1,
+        (t - 1) / (3 * t * t + 2),
+        -t / (2 * t + 4),
+        q(-3, 4),
+        (t * t * q(1, 2) - q(1, 3)) / (t + q(5, 7)),
+    ]
+
+
+def _level2(t, s, q):
+    return [
+        (t + 1) * s * s - t * s + 1 / t,
+        -s / t,
+        (s * t - 1) / ((t + 1) * s + q(1, 2)),
+        (s * s + s / (t - 1)) / (t * s - 2),
+        q(-5, 3) * s,
+        -(t * t + 1) * s / (2 * t),
+        (-t - 1) * s + 1,
+        -2 * t * s + t,
+    ]
+
+
+# level 1: nested coefficients in Q, negative and fractional; level 2: in
+# Q(t), sums, negatives and fractions among them
+RENDER_GOLDENS = [
+    (1, "(-3/2)*t^2 + 2*t - 1"),
+    (1, "((1/3)*t + (-1/3))/(t^2 + (2/3))"),
+    (1, "((-1/2)*t)/(t + 2)"),
+    (1, "(-3/4)"),
+    (1, "((1/2)*t^2 + (-1/3))/(t + (5/7))"),
+    (2, "(t + 1)*s^2 - t*s + (1/t)"),
+    (2, "(-1/t)*s"),
+    (2, "((t/(t + 1))*s + (-1/(t + 1)))/(s + (((1/2))/(t + 1)))"),
+    (2, "((1/t)*s^2 + (1/(t^2 - t))*s)/(s + (-2/t))"),
+    (2, "((-5/3))*s"),
+    (2, "(((-1/2)*t^2 + (-1/2))/t)*s"),
+    (2, "(-t - 1)*s + 1"),
+    (2, "-2*t*s + t"),
+]
+
+
+def test_scalar_rendering_goldens():
+    got = [(1, str(x)) for x in _level1(Qt.var("t"), Qt.rational)]
+    got += [(2, str(x)) for x in _level2(Qts.var("t"), Qts.var("s"), Qts.rational)]
+    assert got == RENDER_GOLDENS
+    # a scalar lifted from level 1 prints as a constant of level 2
+    assert str(Qts.lift(Qt.var("t") / (Qt.var("t") + 1))) == "(t/(t + 1))"
+
+
+def test_sum_rendering_goldens_over_a_level2_field():
+    from lieshift.liealg import LieAlgebra
+    from lieshift.pbw import EnvelopingAlgebra
+
+    t, s, q = Qts.var("t"), Qts.var("s"), Qts.rational
+    p = PolyElement(
+        Qts,
+        3,
+        {(2, 0, 1): (t + 1) / s, (0, 1, 0): -1 / t, (1, 0, 0): q(-3, 2) * s,
+         (0, 0, 0): s / (t - 1), (1, 1, 0): -t},
+    )
+    assert p.render(("a", "b", "c")) == (
+        "(((t + 1))/s)*a^2*c - t*a*b + (((-3/2))*s)*a + ((-1/t))*b + ((1/(t - 1))*s)"
+    )
+    # z is central, so the PBW order, and each monomial word, puts it last
+    L = LieAlgebra(Qts, ("z", "x", "y"), {(1, 2): {0: Qts.one}}, {"central": [0]})
+    A = EnvelopingAlgebra(L)
+    z, x, y = A.gen(0), A.gen(1), A.gen(2)
+    u = (t + 1) / s * x * z + (-1 / t) * y * y * z * z + q(-3, 2) * s * y * x - t * z + s / (t - 1)
+    assert u.render() == (
+        "((-1/t))*y^2*z^2 + (((t + 1))/s)*x*z + (((-3/2))*s)*x*y"
+        " + (((3/2))*s - t)*z + ((1/(t - 1))*s)"
+    )
