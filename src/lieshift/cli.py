@@ -89,7 +89,7 @@ def _report_sample(rep):
     }
 
 
-def _render_set(gs, labels):
+def _report_set(gs, labels):
     return {
         "flavor": gs.flavor,
         "generators": [g.render(labels) for g in gs.elements],
@@ -203,7 +203,7 @@ def _cmd_mf(L, P, args):
     td = trdeg_jacobian(gens, sampling)
     return {
         "gamma": [str(c) for c in gamma.coords],
-        "set": _render_set(gens, L.labels),
+        "set": _report_set(gens, L.labels),
         "trdeg": _report_sample(td),
         "b": b,
     }, 0
@@ -217,7 +217,7 @@ def _cmd_quantum_mf(L, P, args):
     td = trdeg_jacobian(gens, sampling)
     return {
         "gamma": [str(c) for c in gamma.coords],
-        "set": _render_set(gens, L.labels),
+        "set": _report_set(gens, L.labels),
         "trdeg": _report_sample(td),
         "commutative": True,
     }, 0
@@ -279,7 +279,7 @@ def _certificate_results(L, cert):
     return {
         "b": cert.b_target,
         "trdeg": _report_sample(cert.trdeg),
-        "set": _render_set(cert.generators, L.labels),
+        "set": _report_set(cert.generators, L.labels),
         "commutativity": dict(cert.commutativity),
         "trace": list(cert.trace),
     }
@@ -323,7 +323,7 @@ def _cmd_maximality(L, P, args):
         "new_elements": [u.render(L.labels) for u in rep.new_elements],
         "still_commutative": rep.still_commutative,
         "trdeg_gain": rep.trdeg_gain,
-        "set": _render_set(cert.generators, L.labels),
+        "set": _report_set(cert.generators, L.labels),
     }, 0
 
 

@@ -45,6 +45,7 @@ from .liealg import (
     _bracket_cleared,
     _brackets,
     _check_ltilde_covers,
+    _derived_labels,
     _is_abelian,
     _maps_into,
     _supports,
@@ -64,7 +65,6 @@ from .pbw import (
     PBWElement,
     _expanded,
     _substituted,
-    ad_invariant,
     centralizer_up_to_degree,
     commutator,
     principal_symbol,
@@ -485,16 +485,7 @@ def _reduce_abelian(L, h):
         if comp_entry:
             table[(a, b)] = comp_entry
 
-    labels = []
-    for idx, sec in enumerate(sections):
-        hits = [k for k, c in enumerate(sec) if not c.is_zero]
-        if len(hits) == 1 and sec[hits[0]].is_one:
-            labels.append(L.labels[hits[0]])
-        else:
-            labels.append("u%d" % (idx + 1))
-    labels.append("delta")
-    if len(set(labels)) != len(labels):
-        labels = ["u%d" % (i + 1) for i in range(m)] + ["delta"]
+    labels = _derived_labels(L, sections, ["u%d" % (i + 1) for i in range(m)] + ["delta"])
     qhat = LieAlgebra(F2, labels, table, {"central": [m]})
 
     # q_alpha is the kernel of the forms at alpha; over F2 their rank is generic
@@ -687,8 +678,11 @@ def _construct(L, casimirs, max_inv_deg, sampling, max_depth, depth):
     l~ checks only l~ + h = q and l~ meeting h in the center line
     (_check_ltilde_covers, one rank). The abelian-ideal step specializes
     through _specialize, whose before is the trdeg _certify sampled one
-    level down. validate(L) scans L only if nothing has validated it: a
-    loaded algebra's report is reused, a sub-level algebra is new here."""
+    level down, and adjoins every basis vector of the ideal that the lifts
+    do not already contain, so _certify's pair check is also the one check
+    that the lifts commute with the ideal. validate(L) scans L only if
+    nothing has validated it: a loaded algebra's report is reused, a
+    sub-level algebra is new here."""
     if depth > max_depth:
         raise ConstructError("reduction recursion exceeded %d levels" % max_depth)
     rep = validate(L)
@@ -773,9 +767,6 @@ def _construct(L, casimirs, max_inv_deg, sampling, max_depth, depth):
             if all(g != el for g in gens):
                 gens.append(el)
                 prov.append("adjoined ideal generator %d" % t)
-        for g in gens:
-            if not ad_invariant(g, list(hat.h.basis)):
-                raise ConstructError("lifted generator is not ideal-invariant")
         gset = GeneratorSet("associative", gens, prov)
         trace.append("lifted %d generators, adjoined the ideal" % len(spec.elements))
         return _certify(L, gset, b_target, trace, sampling)

@@ -19,6 +19,13 @@ quotient of polynomials in its own level's variables over the level below:
 rendering, the ``algfile`` codec and the substitutions of ``pbw`` read it,
 so they print and encode a scalar as the nested field would.
 
+This module also owns the one printer of a sum of terms, ``_render_terms``:
+``render_scalar`` prints both parts of ``Field.nested`` through it, and
+``polyring`` and ``pbw`` print elements of S(q) and U(q) through it. A
+coefficient is parenthesized when its string has a space or a slash. Tower
+variables are identifiers (``Field.extend``), so a printed scalar has a
+space only between the terms of a sum and a slash only in a quotient.
+
 The arithmetic kernels and the elimination in ``linalg`` compute on one
 internal format at every level, cleared values: ``Field.clear`` brings a
 list of elements to numerators over their least common denominator, in the
@@ -95,11 +102,15 @@ class Field:
         return "%r(%s)" % (self.base, ", ".join(self.variables))
 
     def extend(self, *names):
-        """Adjoin fresh variables, moving one level up the tower."""
+        """Adjoin fresh variables, named by identifiers, moving one level up
+        the tower."""
         if self.level >= MAX_TOWER_DEPTH:
             raise FieldError("tower depth capped at %d" % MAX_TOWER_DEPTH)
         if len(set(names)) != len(names) or not names:
             raise FieldError("extension variables must be distinct and nonempty")
+        for name in names:
+            if not (isinstance(name, str) and name.isidentifier()):
+                raise FieldError("extension variables must be identifiers, got %r" % (name,))
         clash = set(names) & set(self.all_variables())
         if clash:
             raise FieldError("variable names already used: %s" % sorted(clash))
@@ -501,30 +512,29 @@ class FieldElement:
 QQ = Field(0, (), None)
 
 
-def _render_poly(names, terms):
-    """A polynomial in the variables ``names``, given as the (exponents,
-    coefficient) terms of ``Field.nested``."""
-    terms = sorted(terms, key=lambda t: (sum(t[0]), t[0]), reverse=True)
+def _render_terms(terms, labels, order):
+    """Terms by descending degree, then exponent tuple; each monomial word
+    lists its variables in the index sequence order, zero exponents skipped.
+    A coefficient with a space or a slash is parenthesized and keeps its
+    sign; any other negative one becomes a minus sign."""
     if not terms:
         return "0"
+    items = sorted(terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
     parts = []
-    for monom, coeff in terms:
-        cs = render_scalar(coeff)
-        needs_paren = "+" in cs[1:] or "-" in cs[1:] or "/" in cs
+    for exps, c in items:
         vs = "*".join(
-            n if e == 1 else "%s^%d" % (n, e) for n, e in zip(names, monom) if e
+            labels[i] if exps[i] == 1 else "%s^%d" % (labels[i], exps[i])
+            for i in order
+            if exps[i]
         )
-        neg = cs.startswith("-") and not needs_paren
+        cs = str(c)
+        wrap = " " in cs or "/" in cs
+        neg = cs.startswith("-") and not wrap
         if neg:
             cs = cs[1:]
-        if needs_paren:
+        if wrap:
             cs = "(%s)" % cs
-        if not vs:
-            body = cs
-        elif cs == "1":
-            body = vs
-        else:
-            body = "%s*%s" % (cs, vs)
+        body = cs if not vs else (vs if cs == "1" else "%s*%s" % (cs, vs))
         if not parts:
             parts.append("-" + body if neg else body)
         else:
@@ -536,7 +546,8 @@ def render_scalar(e):
     """Canonical human-readable form, stable across runs."""
     if e.field.level == 0:
         return str(e.raw)
-    num, den = [_render_poly(e.field.variables, p) for p in e.field.nested(e)]
+    names = e.field.variables
+    num, den = [_render_terms(dict(p), names, range(len(names))) for p in e.field.nested(e)]
     if den == "1":
         return num
     if " " in num or "/" in num:

@@ -655,21 +655,30 @@ def _bracket_span(L, A, B):
     return _span(L, [b for _, _, b in pairs])
 
 
+def _derived_labels(L, vectors, generic):
+    """The labels of a basis derived from L: a vector that is a plain
+    coordinate vector of L keeps its ambient label, any other takes the
+    generic name at its position, and the generic names past the vectors
+    label the basis elements that follow them. If a label repeats, every
+    label is generic. The one naming rule of ``subalgebra_of`` and of the
+    reduced algebra of ``construct``."""
+    labels = list(generic)
+    for idx, v in enumerate(vectors):
+        hits = [k for k, c in enumerate(v) if c]
+        if len(hits) == 1 and v[hits[0]].is_one:
+            labels[idx] = L.labels[hits[0]]
+    return labels if len(set(labels)) == len(labels) else list(generic)
+
+
 def subalgebra_of(L, S):
     """Structure constants of a bracket-closed subspace in its echelon basis.
 
-    Returns (sub_algebra, list of ambient basis vectors). Labels reuse the
-    ambient label when a basis vector is a plain coordinate vector.
+    Returns (sub_algebra, list of ambient basis vectors), labelled by
+    ``_derived_labels`` with the generic names v0, v1, ...
     """
     F = L.field
     basis = list(S.basis)
-    labels = []
-    for idx, b in enumerate(basis):
-        hits = [k for k, c in enumerate(b) if not c.is_zero]
-        if len(hits) == 1 and b[hits[0]].is_one:
-            labels.append(L.labels[hits[0]])
-        else:
-            labels.append("v%d" % idx)
+    labels = _derived_labels(L, basis, ["v%d" % idx for idx in range(len(basis))])
     table = {}
     for i, j, (den, s) in _brackets(L, S._cleared_basis()):
         coords = S._coordinates(den, s)
@@ -688,11 +697,15 @@ def subalgebra_of(L, S):
 
 
 def direct_sum(L1, L2):
+    """L1 + L2 with L2's basis after L1's; a label of L2 already taken is
+    primed until it is new."""
     if L1.field != L2.field:
         raise LieAlgebraError("tower-level mismatch between summands")
     labels = list(L1.labels)
     for lab in L2.labels:
-        labels.append(lab if lab not in labels else lab + "'")
+        while lab in labels:
+            lab += "'"
+        labels.append(lab)
     table = {}
     for (i, j), comp in L1.table.items():
         table[(i, j)] = dict(comp)

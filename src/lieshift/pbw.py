@@ -68,14 +68,13 @@ from math import factorial
 from operator import lshift
 from struct import Struct
 
-from .fields import FieldError
+from .fields import FieldError, _render_terms
 from .linalg import kernel_of_images
 from .polyring import (
     PolyElement,
     _acc,
     _checked_terms,
     _index,
-    _render_terms,
     _Terms,
     _wrapped,
     monomials_of_degree,

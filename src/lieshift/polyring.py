@@ -11,7 +11,8 @@ from exponent tuples to nonzero ``FieldElement``s, with the operations that
 read only the terms (+, -, scalar *, ==, degree, the top-degree part). Caller
 input is checked once, by ``_checked_terms`` in the public constructors, and
 each scalar by ``Field.coerce``. Every result of arithmetic on checked
-elements is built by a trusted constructor that runs no check.
+elements is built by a trusted constructor that runs no check. Both print
+through ``fields._render_terms``, the printer of tower scalars too.
 
 The Poisson and shift kernels compute on cleared values, numerators over
 one common denominator (``Field.clear``: integers at level 0, polynomials
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 
-from .fields import FieldElement, FieldError, _exponent
+from .fields import FieldElement, FieldError, _exponent, _render_terms
 
 
 def _checked_terms(field, nvars, laurent, terms):
@@ -286,36 +287,6 @@ def poisson(L, f, g):
                     base[i] += 1
                     base[j] += 1
     return f._like(_wrapped(field, out, df * dg * D), g)
-
-
-def _render_terms(terms, labels, order):
-    """Terms by descending degree, then exponent tuple; each monomial word
-    lists its variables in the index sequence order, zero exponents skipped.
-    A coefficient with a space or a slash is parenthesized and keeps its
-    sign; any other negative one becomes a minus sign."""
-    if not terms:
-        return "0"
-    items = sorted(terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-    parts = []
-    for exps, c in items:
-        vs = "*".join(
-            labels[i] if exps[i] == 1 else "%s^%d" % (labels[i], exps[i])
-            for i in order
-            if exps[i]
-        )
-        cs = str(c)
-        wrap = " " in cs or "/" in cs
-        neg = cs.startswith("-") and not wrap
-        if neg:
-            cs = cs[1:]
-        if wrap:
-            cs = "(%s)" % cs
-        body = cs if not vs else (vs if cs == "1" else "%s*%s" % (cs, vs))
-        if not parts:
-            parts.append("-" + body if neg else body)
-        else:
-            parts.append((" - " if neg else " + ") + body)
-    return "".join(parts)
 
 
 def _acc(d, m, c):

@@ -7,7 +7,10 @@ correction-map checks and the maximality probe at degrees 1 and 2 on every
 listed preset, the worked paper example, the abelian reduction of aff1
 and borel-sl3, whose output carries the minimal stabilizer dimension, and
 the argument-shift families of aff1 + sl2 read from a file. No linear form
-that vanishes on its nonzero-weight vectors x, e, f is regular there.
+that vanishes on its nonzero-weight vectors x, e, f is regular there. Two
+more files: the construction on gl2 with a basis label that clashes with a
+derived basis's generic name, and the abelian reduction of a borel-sl3 over
+Q(t), whose reduced brackets are scalars of Q(t)(w1).
 
 ``PYTHONPATH=src python tests/test_cli_goldens.py --print`` prints the
 table for the current code. Regenerate it only in a commit that documents
@@ -55,8 +58,53 @@ AFF1_SL2 = {
         {"i": 3, "j": 4, "coeffs": {"h": "1"}},
     ],
 }
-FILES = {"aff1-sl2.json": AFF1_SL2}
+# gl2 with e12 named v0, the generic name of the first vector of [q, q]'s
+# basis, which is not a coordinate vector: [q, q] falls back to generic names
+GL2_V0 = {
+    "format": "lieshift/1",
+    "dim": 4,
+    "basis": ["e11", "v0", "e21", "e22"],
+    "brackets": [
+        {"i": 0, "j": 1, "coeffs": {"v0": "1"}},
+        {"i": 0, "j": 2, "coeffs": {"e21": "-1"}},
+        {"i": 1, "j": 2, "coeffs": {"e11": "1", "e22": "-1"}},
+        {"i": 1, "j": 3, "coeffs": {"v0": "1"}},
+        {"i": 2, "j": 3, "coeffs": {"e21": "-1"}},
+    ],
+}
+
+
+def _qt(*terms, den=(([0], "1"),)):
+    """A scalar of Q(t) in the file format: sum of c t^k over terms (k, c),
+    over den."""
+    return {"num": [[[k], c] for k, c in terms], "den": [list(d) for d in den]}
+
+
+# borel-sl3 over Q(t): h1 acts by t, -1 and t - 1, and [e12, e23] =
+# ((t + 1)/t) e13, so the reduced algebra over Q(t)(w1) prints level-2 scalars
+BOREL_SL3_QT = {
+    "format": "lieshift/1",
+    "dim": 5,
+    "field": {"tower": [["t"]]},
+    "basis": ["h1", "h2", "e12", "e23", "e13"],
+    "brackets": [
+        {"i": 0, "j": 2, "coeffs": {"e12": _qt((1, "1"))}},
+        {"i": 0, "j": 3, "coeffs": {"e23": "-1"}},
+        {"i": 0, "j": 4, "coeffs": {"e13": _qt((0, "-1"), (1, "1"))}},
+        {"i": 1, "j": 2, "coeffs": {"e12": "-1"}},
+        {"i": 1, "j": 3, "coeffs": {"e23": "2"}},
+        {"i": 1, "j": 4, "coeffs": {"e13": "1"}},
+        {"i": 2, "j": 3, "coeffs": {"e13": _qt((0, "1"), (1, "1"), den=(([1], "1"),))}},
+    ],
+    "annotations": {
+        "nilradical": [
+            ["0", "0", "1", "0", "0"], ["0", "0", "0", "1", "0"], ["0", "0", "0", "0", "1"],
+        ],
+    },
+}
+FILES = {"aff1-sl2.json": AFF1_SL2, "gl2-v0.json": GL2_V0, "borel-sl3-qt.json": BOREL_SL3_QT}
 CASES += [(cmd, "--file", "aff1-sl2.json") for cmd in ("mf", "quantum-mf")]
+CASES += [("construct", "--file", "gl2-v0.json"), ("reduce-abelian", "--file", "borel-sl3-qt.json")]
 
 
 @contextlib.contextmanager
@@ -187,6 +235,8 @@ GOLDENS = {
     "reduce-abelian --preset borel-sl3": (0, "daf18c42cf0ca8539b94ae65c647a202fe8f95574423f0196249c9c539851a6a"),
     "mf --file aff1-sl2.json": (0, "257d91fdf4601df2925f734df4460a1129448797a6ec83ecbdca5bad1b3531b2"),
     "quantum-mf --file aff1-sl2.json": (0, "1ac1b9c5629877e04feef3cda5058d0f1c47780b7bf548c23094b78acd3ff53a"),
+    "construct --file gl2-v0.json": (0, "43e778995e1854875a8a2ab3c4d00af99fefbc254083fb7c19fd7595a2497e87"),
+    "reduce-abelian --file borel-sl3-qt.json": (0, "6f52adfa9ddcbed094d0c82ace42c0dbf115c5d9169fa4adecc5ed9e83419e83"),
 }
 
 

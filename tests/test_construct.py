@@ -185,10 +185,31 @@ def test_vanished_lift_is_named_exactly(monkeypatch):
 
 
 def test_lift_that_is_not_ideal_invariant_is_named_exactly(monkeypatch):
-    # every lift sent to h1, which does not commute with the ideal e13
+    # every lift sent to h1, which does not commute with the ideal e13; the
+    # ideal's basis is among the generators, so the certificate's pair check
+    # is the one that meets it
     monkeypatch.setattr(construct_mod, "lift_from_hat", lambda hat, u, T: T.gen(0))
-    with pytest.raises(ConstructError, match="^lifted generator is not ideal-invariant$"):
+    with pytest.raises(
+        ConstructError, match="^certificate: generators 0 and 2 do not commute$"
+    ):
         construct_theorem(preset("borel-sl3").algebra)
+
+
+@pytest.mark.parametrize(
+    "name, label, b",
+    [("gl2", "e12", 3), ("gl2", "e21", 3)]
+    + [("gl3", lab, 6) for lab in ("e12", "e13", "e21", "e23", "e31", "e32")],
+)
+def test_a_label_named_like_a_generic_one_certifies(name, label, b):
+    # each document renames one label to v0, the generic name of a derived
+    # basis vector; the subalgebra [q, q] of is_reductive then repeated v0,
+    # and construct raised "duplicate basis labels"
+    data = dump_algebra(preset(name).algebra)
+    data["basis"] = ["v0" if x == label else x for x in data["basis"]]
+    for entry in data["brackets"]:
+        entry["coeffs"] = {"v0" if k == label else k: c for k, c in entry["coeffs"].items()}
+    cert = construct_theorem(load_algebra(data))
+    assert cert.b_target == cert.trdeg.value == b
 
 
 def test_failed_correction_map_checks_are_named_exactly(monkeypatch):

@@ -42,6 +42,15 @@ def test_extend_and_variables():
         QQ.extend("x", "x")
 
 
+@pytest.mark.parametrize("name", ["x y", "a-b", "", 1])
+def test_extend_accepts_only_identifier_names(name):
+    # "x y" was accepted and its first product raised sympy's GeneratorsError;
+    # with "a-b" a scalar (a-b)*s printed as a difference
+    with pytest.raises(FieldError) as e:
+        QQ.extend("t", name)
+    assert str(e.value) == "extension variables must be identifiers, got %r" % (name,)
+
+
 def test_depth_cap():
     f = QQ
     for k in range(MAX_TOWER_DEPTH):

@@ -490,6 +490,23 @@ def test_subalgebra_of():
         subalgebra_of(L, L.span_of_indices([1, 2]))  # [e, f] = h escapes
 
 
+def test_derived_labels_fall_back_to_generic_names_on_a_clash():
+    # gl2 with e12 named v0: [q, q]'s echelon basis starts with a vector that
+    # is not a coordinate vector, whose generic name v0 was also e12's, and
+    # subalgebra_of raised "duplicate basis labels"
+    gl2 = preset("gl2").algebra
+    assert subalgebra_of(gl2, _derived_of(gl2))[0].labels == ("v0", "e12", "e21")
+    L = LieAlgebra(QQ, ("e11", "v0", "e21", "e22"), gl2.table)
+    assert subalgebra_of(L, _derived_of(L))[0].labels == ("v0", "v1", "v2")
+    assert is_reductive(L)
+
+
+def test_direct_sum_primes_a_label_until_it_is_new():
+    # (a, a') + (a) gave a' twice and raised "duplicate basis labels"
+    L = direct_sum(LieAlgebra(QQ, ("a", "a'"), {}), LieAlgebra(QQ, ("a", "b"), {}))
+    assert L.labels == ("a", "a'", "a''", "b")
+
+
 def test_direct_sum():
     L = direct_sum(sl2(), preset("abelian1").algebra)
     assert L.dim == 4
