@@ -45,7 +45,8 @@ def test_extend_and_variables():
 @pytest.mark.parametrize("name", ["x y", "a-b", "", 1])
 def test_extend_accepts_only_identifier_names(name):
     # "x y" was accepted and its first product raised sympy's GeneratorsError;
-    # with "a-b" a scalar (a-b)*s printed as a difference
+    # on a product with "a-b" the scalar and term printers disagreed on
+    # parentheses, (a-b)*s against a-b*s
     with pytest.raises(FieldError) as e:
         QQ.extend("t", name)
     assert str(e.value) == "extension variables must be identifiers, got %r" % (name,)
