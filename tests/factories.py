@@ -455,6 +455,36 @@ def permuted(L, perm):
     return LieAlgebra(L.field, labels, table)
 
 
+def permuted_annotated(L, perm):
+    """``permuted``, with every annotation carried to the new basis: central
+    indices renamed, annotated subspaces and the split's vectors permuted."""
+
+    def move(v):
+        out = [None] * L.dim
+        for i, c in enumerate(v):
+            out[perm[i]] = c
+        return tuple(out)
+
+    def span(S):
+        return Subspace(L.field, L.dim, [move(b) for b in S.basis])
+
+    ann = {}
+    for key, val in L.annotations.items():
+        if key == "central":
+            ann[key] = [perm[i] for i in val]
+        elif key == "heisenberg_split":
+            ann[key] = HeisenbergSplit(
+                l_basis=span(val.l_basis),
+                x=[move(v) for v in val.x],
+                y=[move(v) for v in val.y],
+                z=move(val.z),
+            )
+        else:
+            ann[key] = span(val)
+    P = permuted(L, perm)
+    return LieAlgebra(L.field, P.labels, P.table, ann)
+
+
 def permuted_poly(f, perm):
     """f with variable i renamed perm[i], as ``permuted`` renames the basis."""
     terms = {}

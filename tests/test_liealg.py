@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from factories import (
     permuted,
+    permuted_annotated,
     reference_bracket,
     reference_coordinates_by_residual,
     reference_killing_nondegenerate_on,
@@ -637,6 +638,49 @@ def test_ltilde_is_the_split_stabilizer_on_every_heisenberg_preset():
             seen.append(name)
             assert reference_v_stabilizer(L, cls.split) == cls.split.l_basis, name
     assert seen == ["heisenberg1", "heisenberg2", "heisenberg4", "sl2-semidirect-h3"]
+
+
+# classify_nilradical's Darboux split: x, y, z and l_basis by label, in the
+# preset's axis basis and after a permutation seeded by the preset's name
+# that carries the annotations (sl2-semidirect-h3 keeps its levi branch)
+SPLIT_GOLDENS = {
+    ("heisenberg1", "axis"): (["x1"], ["y1"], "z", ["z"]),
+    ("heisenberg1", "permuted"): (["y1"], ["-x1"], "z", ["z"]),
+    ("heisenberg2", "axis"): (["x1", "x2"], ["y1", "y2"], "z", ["z"]),
+    ("heisenberg2", "permuted"): (["x1", "y2"], ["y1", "-x2"], "z", ["z"]),
+    ("heisenberg4", "axis"): (["x1", "x2", "x3", "x4"], ["y1", "y2", "y3", "y4"], "z", ["z"]),
+    ("heisenberg4", "permuted"): (
+        ["y3", "y2", "x1", "y4"], ["-x3", "-x2", "y1", "-x4"], "z", ["z"]
+    ),
+    ("sl2-semidirect-h3", "axis"): (["x"], ["y"], "z", ["h", "e", "f", "z"]),
+    ("sl2-semidirect-h3", "permuted"): (["y"], ["-x"], "z", ["f", "e", "z", "h"]),
+}
+
+
+def _by_label(L, v):
+    terms = []
+    for c, lab in zip(v, L.labels):
+        if c:
+            terms.append(lab if c.is_one else "-" + lab if (-c).is_one else "%s*%s" % (c, lab))
+    return " + ".join(terms)
+
+
+@pytest.mark.parametrize("name,basis", list(SPLIT_GOLDENS))
+def test_split_goldens(name, basis):
+    L = preset(name).algebra
+    if basis == "permuted":
+        perm = list(range(L.dim))
+        random.Random(name).shuffle(perm)
+        L = permuted_annotated(L, perm)
+        assert validate(L).ok
+    split = classify_nilradical(L).split
+    got = (
+        [_by_label(L, v) for v in split.x],
+        [_by_label(L, v) for v in split.y],
+        _by_label(L, split.z),
+        [_by_label(L, v) for v in split.l_basis.basis],
+    )
+    assert got == SPLIT_GOLDENS[name, basis]
 
 
 def test_v_stabilizer_rejects_z_in_span_v():
