@@ -18,8 +18,10 @@ substitute through ``pbw.substitute_generators``, whose coefficient images
 (polynomials in the ideal, for ``lift_from_hat``) ride the same Horner
 chains.
 
-Nothing here is trusted without a check: a reduced dimension meets the exact
-generic stabilizer, the public builders check their own output, and
+Nothing here is trusted without a check: a reduced dimension meets the
+stabilizer formula, with the generic rank of the stabilizer forms sampled
+over h* (``Sampling.max_rank``) rather than read off the elimination that
+built the sections; the public builders check their own output, and
 construct_theorem leaves every commutator and trdeg check to _certify.
 Every algebra is validated once: ``liealg.validate`` keeps its report with
 the algebra, so the top level reuses the validation of ``load_algebra``
@@ -337,8 +339,9 @@ class HatAlgebra:
     sections are full ambient-length coefficient vectors (supported on the
     complement indices); the reduced algebra's last generator is the
     distinguished central element delta standing for the ideal direction.
-    min_stabilizer_dim, min dim q_alpha over alpha in h*, is read off one
-    exact rank over the function field.
+    min_stabilizer_dim, min dim q_alpha over alpha in h*, is dim h plus the
+    number of sections, read off their kernel, which a rank sampled over h*
+    checks.
     b_ambient and b_hat are set by abelian_qhat; construct_theorem leaves
     them None and checks the drop of b against its own targets.
     """
@@ -397,10 +400,11 @@ def abelian_qhat(L, h, sampling=Sampling()):
     brackets into h vanish identically on h*, over the fraction field of h*.
 
     The reduced bracket is the bilinear one, with the h-component re-read as
-    (linear function) * delta.  The dimension is verified against the exact
-    generic stabilizer (min dim q_alpha - dim h + 1) and b drops by dim h - 1.
+    (linear function) * delta.  The dimension is verified against the
+    generic stabilizer (min dim q_alpha - dim h + 1, its rank sampled) and b
+    drops by dim h - 1.
     """
-    hat = _reduce_abelian(L, h)
+    hat = _reduce_abelian(L, h, sampling)
     b_amb, b_hat = b_of(L, sampling), b_of(hat.algebra, sampling)
     _check_b_drop(b_amb, b_hat, hat.h.dim)
     return replace(hat, b_ambient=b_amb, b_hat=b_hat)
@@ -413,8 +417,9 @@ def _check_b_drop(b_amb, b_hat, d):
         )
 
 
-def _reduce_abelian(L, h):
-    """abelian_qhat without b: the reduced algebra, its dimension checked."""
+def _reduce_abelian(L, h, sampling):
+    """abelian_qhat without b: the reduced algebra, its dimension checked
+    against the rank of the forms alpha([x_i, eta]) sampled over h*."""
     if not isinstance(h, Subspace):
         h = Subspace(L.field, L.dim, [tuple(v) for v in h])
     ad = _ideal_action(L, h)
@@ -433,9 +438,8 @@ def _reduce_abelian(L, h):
 
     comp, reduced = _coordinate_complement(L, h)
     r = len(comp)
-    # forms[e][i] = alpha([x_i, eta_e]) as a linear function of alpha in h*
-    forms = [[linfunc(coords) for coords in ad_e] for ad_e in ad]
-    rows = [[f[i] for i in comp] for f in forms]
+    # rows[e][k] = alpha([x_comp[k], eta_e]) as a linear function of alpha in h*
+    rows = [[linfunc(ad_e[i]) for i in comp] for ad_e in ad]
     ker = kernel_basis(F2, rows, r)
     m = len(ker)
     # each kernel vector is the only one nonzero at its free column
@@ -488,19 +492,24 @@ def _reduce_abelian(L, h):
     labels = _derived_labels(L, sections, ["u%d" % (i + 1) for i in range(m)] + ["delta"])
     qhat = LieAlgebra(F2, labels, table, {"central": [m]})
 
-    # q_alpha is the kernel of the forms at alpha; over F2 their rank is generic
-    min_stab = L.dim - rank(F2, forms)
-    if m + 1 != min_stab - d + 1:
+    # q_alpha is the kernel of the forms at alpha, all L.dim columns of them;
+    # their generic rank, sampled at points of h* as index_of samples the
+    # coadjoint form, must be the rank r - m of the kernel above
+    _, values = F.clear([c for ad_e in ad for coords in ad_e for c in coords])
+    it = iter(values)
+    forms = [[[(((t, 1),), next(it)) for t in range(d)] for _ in ad_e] for ad_e in ad]
+    generic = sampling.max_rank(F, d, forms)[0]
+    if m != r - generic:
         raise ConstructError(
             "reduced dimension %d disagrees with the stabilizer formula %d"
-            % (m + 1, min_stab - d + 1)
+            % (m + 1, r - generic + 1)
         )
     return HatAlgebra(
         h=h,
         h_vars=names,
         sections=tuple(sections),
         algebra=qhat,
-        min_stabilizer_dim=min_stab,
+        min_stabilizer_dim=m + d,
     )
 
 
@@ -739,7 +748,7 @@ def _construct(L, casimirs, max_inv_deg, sampling, max_depth, depth):
         )
 
     if cls.kind == "abelian_ideal":
-        hat = _reduce_abelian(L, cls.h)
+        hat = _reduce_abelian(L, cls.h, sampling)
         trace.append(
             "abelian-ideal-reduction: ideal of dim %d, reduced dim %d over %s"
             % (hat.h.dim, hat.algebra.dim, ", ".join(hat.h_vars))

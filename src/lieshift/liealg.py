@@ -27,8 +27,10 @@ closure, ideal, stability, isotropy and center-line tests bracket the
 stored basis rows as they are and ignore the bracket's denominator. Only a
 caller that needs values wraps: ``bracket`` and the spans of ``_span``
 through ``_wrapped``, ``subalgebra_of`` and the ideal
-action of ``construct`` through ``Subspace._coordinates``, and the Darboux
-pairing, which wraps the one coordinate it reads.
+action of ``construct`` through ``Subspace._coordinates``, and the
+Heisenberg split's functional psi (``_functional``), which wraps one value
+per bracket: the z-component of a vector of the nilradical, the one fact
+that the Darboux pairing and the stabilizer of its complement read.
 
 The structure constants are read through one table, ``kernel_brackets``:
 by the kernels (``_bracket_cleared``, ``coadjoint_form``,
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .fields import FieldElement
-from .linalg import echelon_basis, kernel_basis, kernel_of_images, rank, solve
+from .linalg import echelon_basis, kernel_basis, kernel_of_images, rank
 
 
 class LieAlgebraError(Exception):
@@ -856,9 +858,12 @@ def _darboux_split(L, n_space, zc, sub_basis):
     and zc = center_of(sub) as built by the caller; l_basis is the bracket
     stabilizer of the pairs.
 
-    When a levi annotation is present the complement is chosen inside the
-    kernel of a functional vanishing on [levi, n], which makes span{x, y}
-    levi-stable whenever that is possible. The check_split at the end also
+    One functional psi on n with psi(z) = 1 (``_stable_complement``) gives
+    the z-component of every vector of n: the complement v is n cap ker psi,
+    the pairing is omega(u, w) = psi([u, w]) and l_basis is cut out by
+    psi([xi, w]) = 0 for w in v. When a levi annotation is present psi also
+    vanishes on [levi, n] where that is possible, which makes span{x, y}
+    levi-stable. The check_split at the end verifies l_basis and also
     reports a center that is not central."""
     F = L.field
     if zc.dim != 1:
@@ -871,9 +876,9 @@ def _darboux_split(L, n_space, zc, sub_basis):
     for _, _, (_, s) in _brackets(L, n_space._cleared_basis()):
         if s and not zline._spans(s):
             raise LieAlgebraError("Darboux construction failure: [n, n] leaves the center line")
-    v_basis = _stable_complement(L, n_space, z)
-    pairs_x, pairs_y = _greedy_pairing(L, v_basis, z)
-    lb = _v_stabilizer(L, pairs_x + pairs_y, z)
+    psi, v_basis = _stable_complement(L, n_space, z)
+    pairs_x, pairs_y = _greedy_pairing(L, v_basis, psi)
+    lb = _v_stabilizer(L, pairs_x + pairs_y, psi)
     split = HeisenbergSplit(l_basis=lb, x=pairs_x, y=pairs_y, z=tuple(z))
     bad = check_split(L, split)
     if bad:
@@ -890,42 +895,55 @@ def _sub_to_ambient(L, coords, sub_basis):
 
 
 def _stable_complement(L, n_space, z):
+    """(psi, v): the split's functional psi, a sparse {ambient index:
+    coefficient} map over the pivot columns of n_space with psi(z) = 1, and
+    a basis of v = n_space cap ker psi.
+
+    With a levi annotation, pi on n's coordinates vanishes on the action
+    [levi, n] and takes 1 at z, when some such pi exists: the last kernel
+    vector of [action | 0; z | -1], read over its last entry, and psi is pi
+    read at n's pivots. Otherwise psi = 1/z[p] at z's first nonzero
+    coordinate p, the pivot of the basis row of n that v leaves out.
+    """
     F = L.field
     levi = L.annotations.get("levi")
     if levi is not None and levi.dim:
         pairs = _brackets(L, levi._cleared_basis(), n_space._cleared_basis())
-        action = [b for _, _, b in pairs if b[1]]
-        if not _span(L, action).contains(z):
-            # functional on n: rows are n-coordinates of the action span + z
-            rows = []
-            rhs = []
-            for b in action:
-                rows.append(list(n_space._coordinates(*b)))
-                rhs.append(F.zero)
-            rows.append(list(n_space.coordinates(z)))
-            rhs.append(F.one)
-            pi = solve(F, rows, rhs) if rows else None
-            if pi is not None:
-                return [_sub_to_ambient(L, k, n_space.basis)
-                        for k in kernel_basis(F, [pi], n_space.dim)]
-    z_in_n = n_space.coordinates(z)
-    lead = next(i for i, c in enumerate(z_in_n) if not c.is_zero)
-    return [b for i, b in enumerate(n_space.basis) if i != lead]
+        rows = [n_space._coordinates(*b) + [F.zero] for _, _, b in pairs if b[1]]
+        rows.append(n_space.coordinates(z) + [-F.one])
+        kernel = kernel_basis(F, rows, n_space.dim + 1)
+        if kernel and kernel[-1][-1]:
+            pi = kernel[-1]
+            psi = {
+                p: c / (pi[-1] * b[p])
+                for c, b, p in zip(pi, n_space.basis, n_space.pivots) if c
+            }
+            v = kernel_basis(F, [pi[:-1]], n_space.dim)
+            return psi, [_sub_to_ambient(L, k, n_space.basis) for k in v]
+    p = next(k for k, c in enumerate(z) if c)
+    return {p: 1 / z[p]}, [b for b, q in zip(n_space.basis, n_space.pivots) if q != p]
 
 
-def _omega(L, z, idx, su, sw):
-    """omega(u, w): the coordinate idx (z's first nonzero) of [u, w] over
-    z's, from the cleared supports su and sw; only that one is wrapped."""
-    den, s = _bracket_cleared(L, su, sw)
-    x = next((x for k, x in s if k == idx), None)
-    return L.field.zero if x is None else L.field.from_cleared(x, den) / z[idx]
-
-
-def _greedy_pairing(L, v_basis, z):
-    """Symplectic Gram-Schmidt on v_basis for omega; each work vector is
-    cleared once per round."""
+def _functional(L, psi):
+    """psi as a function of a cleared vector (den, support): psi's
+    coefficients are cleared once, and each value is wrapped once."""
     F = L.field
-    idx = next(i for i, c in enumerate(z) if not c.is_zero)
+    d, values = F.clear(list(psi.values()))
+    cleared = dict(zip(psi, values))
+
+    def value(vector):
+        den, s = vector
+        x = sum([cleared[k] * a for k, a in s if k in cleared])
+        return F.from_cleared(x, d * den) if x else F.zero
+
+    return value
+
+
+def _greedy_pairing(L, v_basis, psi):
+    """Symplectic Gram-Schmidt on v_basis for omega(u, w) = psi([u, w]);
+    each work vector is cleared once per round."""
+    F = L.field
+    omega = _functional(L, psi)
     work = [list(b) for b in v_basis]
     xs, ys = [], []
     while work:
@@ -935,7 +953,7 @@ def _greedy_pairing(L, v_basis, z):
         su = _kernel_support(F, u)
         supports = [_kernel_support(F, w) for w in work]
         for j, sw in enumerate(supports):
-            c = _omega(L, z, idx, su, sw)
+            c = omega(_bracket_cleared(L, su, sw))
             if c:
                 break
         else:
@@ -947,8 +965,8 @@ def _greedy_pairing(L, v_basis, z):
         y1 = [e / c for e in w]
         sy = _kernel_support(F, y1)
         for b, sb in zip(work, supports):
-            cu = _omega(L, z, idx, sb, sy)
-            cy = _omega(L, z, idx, sb, su)
+            cu = omega(_bracket_cleared(L, sb, sy))
+            cy = omega(_bracket_cleared(L, sb, su))
             for t in range(len(b)):
                 if cu and u[t]:
                     b[t] = b[t] - cu * u[t]
@@ -959,31 +977,15 @@ def _greedy_pairing(L, v_basis, z):
     return xs, ys
 
 
-def _v_stabilizer(L, v_vectors, z):
-    """{xi in q : [xi, v] stays in v}, cut out by the z-component vanishing.
+def _v_stabilizer(L, v_vectors, psi):
+    """{xi in q : [xi, v] stays in v} for v = span v_vectors = n cap ker psi.
 
-    Every [x_i, w] (w in v) must lie in v + span z; its z-component is
-    phi([x_i, w]) for one functional phi with phi(v) = 0 and phi(z) = 1,
-    solved once. Raises LieAlgebraError when z lies in span v (no such phi)
-    or when a bracket leaves v + span z.
+    Each [x_i, w] (w in v) lies in the ideal n = v + span z, so it lies in v
+    exactly when psi([x_i, w]) vanishes: one row per w, one kernel.
     """
     F = L.field
-    v = Subspace(F, L.dim, v_vectors)
-    vz_rows = list(v.basis) + [z]
-    vz = Subspace(F, L.dim, vz_rows)
-    phi = solve(F, vz_rows, [F.zero] * v.dim + [F.one])
-    if phi is None:
-        raise LieAlgebraError("z lies in span v: no z-component modulo v")
-    dphi, phi = F.clear(phi)
-    rows = []
-    for w in v._cleared_basis():
-        row = []
-        for den, s in _basis_brackets(L, w):
-            if not vz._spans(s):
-                raise LieAlgebraError("vector outside v + span z")
-            val = sum([phi[k] * x for k, x in s if phi[k]])
-            row.append(F.from_cleared(val, dphi * den) if val else F.zero)
-        rows.append(row)
+    value = _functional(L, psi)
+    rows = [[value(b) for b in _basis_brackets(L, w)] for w in _supports(L, v_vectors)]
     return Subspace(F, L.dim, kernel_basis(F, rows, L.dim))
 
 

@@ -1,8 +1,8 @@
 """Exact linear algebra over the scalar tower.
 
 A matrix is a list of rows of ``FieldElement``s: ``rank(field, rows)``,
-``kernel_basis(field, rows, ncols)``, ``solve(field, a_rows, rhs)`` and
-``echelon_basis(field, rows)``. ``rank_mod_prime(rows)`` is the one
+``kernel_basis(field, rows, ncols)`` and ``echelon_basis(field, rows)``.
+``rank_mod_prime(rows)`` is the one
 elimination on other rows: residues mod ``fields.PRIME``, the sampled
 ranks of ``invariants``. ``kernel_of_images(field, images)`` is the
 kernel of a map given column by column as sparse images, the one solver of
@@ -18,10 +18,11 @@ It rescales lazily: a row whose entry in the pivot column is zero is not
 rewritten at that step, but brought up to date by one exact division (the
 skipped factors telescope) when it is next read, so the tall, sparse
 systems of the invariant search rewrite each row only a few times.
-``rank`` counts its pivots. ``kernel_basis`` and ``solve`` (on [A | -b], free
-variables 0) add back-substitution, ``_back_substitute``, also in the ring:
-the free variable is set to the last pivot, so by Cramer's rule the whole
-solution is a ring row, and ``solve`` divides each entry once by that pivot.
+``rank`` counts its pivots. ``kernel_basis`` adds back-substitution,
+``_back_substitute``, also in the ring: the free variable is set to the
+last pivot, so by Cramer's rule the whole kernel vector is a ring row.
+A linear system A x = b is a kernel of [A | -b]: its solutions are the
+kernel vectors whose last entry is nonzero, read over that entry.
 ``echelon_basis``, the basis of ``liealg.Subspace``, adds clearing above
 each pivot in the ring. ``kernel_basis`` and ``echelon_basis`` normalize
 each ring row with ``Field._primitive``, so every basis returned here is
@@ -57,19 +58,9 @@ def _bareiss(field, rows, ncols):
     particular a column where both rows are zero is skipped. Pivot rows and pivots are the eager ones and the rows
     below the rank are zero; only pivot rows are read.
     """
-    return _eliminate(field, _ring_rows(field, rows, ncols), ncols)
-
-
-def _ring_rows(field, rows, ncols):
-    """The nonzero rows cleared to the numerator ring; a row whose length
-    is not ncols is a FieldError."""
     if any(len(row) != ncols for row in rows):
         raise FieldError("ragged rows: each row needs %d entries" % ncols)
-    return [row for row in map(field.clear_row, rows) if any(row)]
-
-
-def _eliminate(field, rows, ncols):
-    """``_bareiss`` on nonzero numerator-ring rows, rewritten in place."""
+    rows = [row for row in map(field.clear_row, rows) if any(row)]
     quo = field.ring_quo
     pivots = []
     dens = [field.clear(())[0]]  # dens[t] = d[t-1]; dens[0] is the ring's unit
@@ -212,24 +203,3 @@ def echelon_basis(field, rows):
 def _from_ring_row(field, row):
     zero = field.zero  # one shared element for the (many) zero entries
     return tuple([field.from_cleared(a, 1) if a else zero for a in row])
-
-
-def solve(field, a_rows, rhs):
-    """One solution x of A x = rhs over the field, or None. Free vars are 0."""
-    if len(rhs) != len(a_rows):
-        raise FieldError("%d right-hand sides for %d rows" % (len(rhs), len(a_rows)))
-    if not a_rows:
-        return [] if all(e.is_zero for e in rhs) else None
-    ncols = len(a_rows[0])
-    cleared = _ring_rows(field, [list(r) + [-b] for r, b in zip(a_rows, rhs)], ncols + 1)
-    rows, pivots = _eliminate(field, [list(r) for r in cleared], ncols + 1)
-    if pivots and pivots[-1][1] == ncols:
-        return None
-    v = _back_substitute(field, rows, pivots, ncols + 1, ncols)
-    # back-substitution is exact; verify anyway: each cleared row of [A | -b]
-    # is a nonzero multiple of its row of A x - b, and v = D [x | 1]
-    for row in cleared:
-        if sum([a * c for a, c in zip(row, v) if a and c]):
-            return None
-    den, zero = v[ncols], field.zero
-    return [field.from_cleared(a, den) if a else zero for a in v[:ncols]]

@@ -14,7 +14,6 @@ from factories import (
 import lieshift.construct as construct_mod
 import lieshift.invariants as inv_mod
 import lieshift.liealg as liealg_mod
-import lieshift.linalg as linalg_mod
 from lieshift.construct import (
     ConstructError,
     abelian_qhat,
@@ -262,7 +261,7 @@ def _split_case(name):
     else:
         L = preset(name.split()[0]).algebra
         if name.endswith("level 1"):
-            L = construct_mod._reduce_abelian(L, classify_nilradical(L).h).algebra
+            L = construct_mod._reduce_abelian(L, classify_nilradical(L).h, Sampling()).algebra
         split = classify_nilradical(L).split
     sub_L, sub_vectors = subalgebra_of(L, split.l_basis)
     return L, split, construct_mod._Correction(L, split).alg, sub_L, sub_vectors
@@ -333,7 +332,7 @@ def _reduced(name):
     heisenberg2, or along the ideal that classify_nilradical picks."""
     L = preset(name).algebra
     h = L.span_of_indices([4]) if name == "heisenberg2" else classify_nilradical(L).h
-    return L, construct_mod._reduce_abelian(L, h)
+    return L, construct_mod._reduce_abelian(L, h, Sampling())
 
 
 @pytest.mark.parametrize("name", ["heisenberg2", "borel-sl3"])
@@ -695,8 +694,8 @@ def test_min_stabilizer_dim_matches_the_sampled_reference(monkeypatch, name):
     seen = []
     real = construct_mod._reduce_abelian
 
-    def recording(L, h):
-        hat = real(L, h)
+    def recording(L, h, sampling):
+        hat = real(L, h, sampling)
         seen.append((L, hat))
         return hat
 
@@ -966,22 +965,6 @@ def test_ltilde_covers_ranks_once_per_heisenberg_level(monkeypatch, name):
     stabilizer_levels = [t for t in cert.trace if "heisenberg-stabilizer:" in t]
     assert len(levels) == len(stabilizer_levels) >= 1
     assert ranks == list(range(1, len(levels) + 1))
-
-
-def test_reduce_abelian_solves_nothing_per_section_pair(monkeypatch):
-    # each section bracket is split along the complement and h's basis
-    # reduced at its last indices, and gamma is read at the kernel's free
-    # columns; the parent made two tower solves per pair, 6 on borel-sl3
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return linalg_mod.solve(*args)
-
-    monkeypatch.setattr(construct_mod, "solve", counted, raising=False)
-    cert = construct_theorem(preset("borel-sl3").algebra)
-    assert cert.trdeg.value == 3
-    assert calls == []
 
 
 @pytest.mark.parametrize("name,calls", [("aff1", 3), ("borel-sl2", 3), ("borel-sl3", 4)])

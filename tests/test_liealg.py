@@ -13,6 +13,7 @@ from factories import (
     reference_bracket,
     reference_coordinates_by_residual,
     reference_killing_nondegenerate_on,
+    reference_solve,
     reference_v_stabilizer,
 )
 from lieshift import liealg
@@ -40,11 +41,10 @@ from lieshift.liealg import (
     _nilradical,
     stabilizer,
     subalgebra_of,
-    _v_stabilizer,
     validate,
     vec,
 )
-from lieshift.linalg import kernel_basis, rank, solve
+from lieshift.linalg import kernel_basis, rank
 from lieshift.presets import preset, preset_names
 
 
@@ -193,11 +193,11 @@ QTS = QT.extend("s")
 
 
 def reference_coordinates(S, v):
-    """Coordinates by solving basis^T c = v with a fresh elimination."""
+    """Coordinates by solving basis^T c = v with the reference rref."""
     if not S.basis:
         return [] if all(c.is_zero for c in vec(S.field, v)) else None
     cols = [list(b) for b in zip(*S.basis)]
-    return solve(S.field, cols, list(vec(S.field, v)))
+    return reference_solve(S.field, cols, list(vec(S.field, v)))
 
 
 def _scalar(field):
@@ -683,21 +683,22 @@ def test_split_goldens(name, basis):
     assert got == SPLIT_GOLDENS[name, basis]
 
 
-def test_v_stabilizer_rejects_z_in_span_v():
-    N = h3()
-    x, y, z = (N.basis_vector(i) for i in range(3))
-    with pytest.raises(LieAlgebraError, match="z lies in span v"):
-        _v_stabilizer(N, [x, y], x)
-    with pytest.raises(LieAlgebraError, match="z lies in span v"):
-        _v_stabilizer(N, [x, y], N.zero_vector())
+def test_a_forged_functional_is_caught_by_check_split(monkeypatch):
+    # psi plus the x-coordinate still takes 1 at z, so the pairing is the
+    # same; its stabilizer rows keep h + y and e - x, a subalgebra with z
+    # that moves x off span{x, y}. check_split, the one check of l_basis,
+    # names it
+    L = preset("sl2-semidirect-h3").algebra
+    real = liealg._stable_complement
 
+    def forged(*args):
+        psi, v = real(*args)
+        return {**psi, 3: QQ.one}, v
 
-def test_v_stabilizer_rejects_bracket_outside_v_plus_z():
-    L = sl2()
-    h, e, f = (L.basis_vector(i) for i in range(3))
-    # [f, e] = -h lies outside span{e} + span{f}
-    with pytest.raises(LieAlgebraError, match="^vector outside v \\+ span z$"):
-        _v_stabilizer(L, [e], f)
+    monkeypatch.setattr(liealg, "_stable_complement", forged)
+    msg = "^Darboux construction failure: span\\{x, y\\} is not stable under l_basis$"
+    with pytest.raises(LieAlgebraError, match=msg):
+        classify_nilradical(L)
 
 
 def test_ltilde_names_an_unclosed_stabilizer_exactly(monkeypatch):
@@ -1007,11 +1008,12 @@ def test_darboux_split_names_each_failure_exactly():
 def test_greedy_pairing_rejects_a_degenerate_pairing():
     N = h3()
     x, y, z = (N.basis_vector(i) for i in range(3))
+    psi = {2: QQ.one}  # the z-coordinate
     for v_basis in ([x, z], [x], [y, x, z]):
         with pytest.raises(LieAlgebraError) as e:
-            liealg._greedy_pairing(N, v_basis, z)
+            liealg._greedy_pairing(N, v_basis, psi)
         assert str(e.value) == "Darboux construction failure: degenerate symplectic pairing"
-    xs, ys = liealg._greedy_pairing(N, [x, y], z)
+    xs, ys = liealg._greedy_pairing(N, [x, y], psi)
     assert (xs, ys) == ([x], [y])
 
 
@@ -1026,7 +1028,8 @@ def test_greedy_pairing_returns_a_darboux_basis_with_denominators():
         return tuple([sum((QQ.rational(c) * v[k] for c, v in terms), QQ.zero) for k in range(5)])
 
     v_basis = [comb((1, x1), (1, y2)), comb((Fraction(2, 3), x2)), y1, comb((2, y2), (1, x2))]
-    xs, ys = liealg._greedy_pairing(L, v_basis, comb((Fraction(1, 5), z)))
+    # psi(z / 5) = 1
+    xs, ys = liealg._greedy_pairing(L, v_basis, {4: QQ.from_int(5)})
     zero = L.zero_vector()
     for i, u in enumerate(xs):
         for j, w in enumerate(ys):

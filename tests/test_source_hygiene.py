@@ -24,6 +24,13 @@ private function or class (``_name``, dunders exempt) is read by some module
 of the package outside its own body: a deletion that orphans a helper fails
 here.
 
+Every public function or class, and every public method of a module-level
+class, is read by some module of the package other than ``__init__``,
+outside its own body: a re-export is not a use, so a deletion that leaves a
+public function without callers fails here. A public name kept for users
+alone is listed in ``PUBLIC_API`` with its reason, and the list holds no
+name that has since gained a reader or been deleted.
+
 A ``LieAlgebra`` stores only the values that more than one caller reads:
 ``kernel_brackets``, ``_validation`` and ``_nilradical_sub`` are the only
 ``cached_property`` in the package. Every other structure fact is a function
@@ -198,6 +205,77 @@ def test_private_definition_checker_catches_each_form():
         "b.py": ast.parse("from .a import _helper, _Kept\n_helper(), _Kept()._m\n"),
     }
     assert _unread_private_definitions(trees) == [("a.py", 3, "_orphan"), ("a.py", 10, "_n")]
+
+
+# (module, name): each public definition that no library code reads, kept
+# for users
+PUBLIC_API = {
+    ("algfile.py", "write_algebra"): "the pair of read_algebra: writes a file it reads back",
+    ("fields.py", "FieldElement.inverse"): "arithmetic API, 1 / x by name",
+    ("invariants.py", "is_regular"): "the regularity test of a form, exported by __init__",
+    ("liealg.py", "direct_sum"): "builds q1 + q2; exported by __init__",
+    ("liealg.py", "LieAlgebra.bracket_basis"): "reads the table by basis pair",
+    ("polyring.py", "PolyElement.constant"): "the pair of PolyElement.variable",
+    ("presets.py", "preset_names"): "lists the registered presets",
+}
+
+
+def _unread_public_definitions(trees):
+    """(module, line, name) of each public function or class, and each public
+    method (``Class.name``) of a module-level class, whose own name no
+    module of ``trees`` other than ``__init__.py`` reads, as a name or as an
+    attribute, outside the definition's own lines."""
+    defs, reads = [], []
+    for mod, tree in trees.items():
+        scopes = [(None, tree.body)] + [
+            (node.name, node.body) for node in tree.body if isinstance(node, ast.ClassDef)
+        ]
+        for cls, body in scopes:
+            for node in body:
+                if (
+                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                ):
+                    qual = node.name if cls is None else "%s.%s" % (cls, node.name)
+                    defs.append((mod, node.lineno, node.end_lineno, node.name, qual))
+        if mod == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((mod, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.append((mod, node.lineno, node.attr))
+    return [
+        (mod, first, qual)
+        for mod, first, last, name, qual in defs
+        if not any(
+            n == name and (m != mod or not first <= line <= last) for m, line, n in reads
+        )
+    ]
+
+
+def test_every_public_definition_is_read_or_kept():
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in FILES}
+    found = sorted((mod, name) for mod, _, name in _unread_public_definitions(trees))
+    assert found == sorted(PUBLIC_API)
+
+
+def test_public_definition_checker_catches_each_form():
+    trees = {
+        "a.py": ast.parse(
+            "def used():\n    pass\ndef orphan():\n    pass\n"
+            "def solve(x):\n    return solve(x)\n"
+            "class C:\n    def m(self):\n        pass\n    def n(self):\n        pass\n"
+            "    def __init__(self):\n        pass\n    def _p(self):\n        pass\n"
+        ),
+        "b.py": ast.parse("from .a import used, C\nused(), C().m\n"),
+        "__init__.py": ast.parse(
+            "from .a import orphan, solve\n__all__ = [f.__name__ for f in (orphan, solve)]\n"
+        ),
+    }
+    assert _unread_public_definitions(trees) == [
+        ("a.py", 3, "orphan"), ("a.py", 5, "solve"), ("a.py", 10, "C.n"),
+    ]
 
 
 # (class, method): each value the package keeps once computed
