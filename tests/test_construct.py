@@ -1113,3 +1113,20 @@ def test_maximality_probe_saturated_set():
     rep = maximality_probe(gs, 1)
     assert rep.new_elements == ()
     assert rep.centralizer_dim == 3  # 1, z, x
+
+
+def test_a_13_dimensional_upper_triangular_algebra_is_refused_as_pinned():
+    # a valid solvable algebra: the strictly upper units e13 ... e45 of 5 x 5
+    # matrices and four diagonal matrices, with [d, e_ij] = (d_i - d_j) e_ij
+    # and [e_ij, e_jk] = e_ik. No candidate of the abelian-ideal search keeps
+    # the transcendence degree; once the search reaches it, this test is to
+    # pin its certificate instead
+    import json
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent / "data" / "upper-triangular-13.json"
+    L = load_algebra(json.loads(path.read_text()))
+    assert L.dim == 13
+    with pytest.raises(ConstructError) as exc:
+        construct_theorem(L)
+    assert str(exc.value) == "no candidate kept the transcendence degree; extend the list"

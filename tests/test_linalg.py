@@ -7,7 +7,7 @@ from factories import normalize_vector, reference_bareiss, reference_solve, rref
 from lieshift.fields import QQ, Field, FieldError
 from lieshift.invariants import symmetric_invariants
 from lieshift.liealg import Subspace
-from lieshift.linalg import _bareiss, kernel_basis, rank
+from lieshift.linalg import _bareiss, echelon_basis, kernel_basis, rank
 from lieshift.presets import preset
 
 
@@ -329,3 +329,78 @@ def test_invariant_kernel_divides_no_zero(monkeypatch):
     assert len(symmetric_invariants(preset("so4").algebra, 3)) == 2
     assert dividends
     assert all(a != 0 for a in dividends)
+
+
+# -- basis goldens over Q(t) and Q(t)(s) -----------------------------------------
+
+
+def _golden_entry(rng, F):
+    """Zero to two terms, each a small rational times at most one tower
+    variable, over one variable plus a small integer three times in ten."""
+    names = F.all_variables()
+    out = F.zero
+    for _ in range(rng.randint(0, 2)):
+        term = F.rational(rng.randint(-4, 4), rng.randint(1, 3))
+        for name in rng.sample(names, rng.randint(0, 1)):
+            term = term * F.var(name)
+        out = out + term
+    if rng.random() < 0.3:
+        out = out / (F.var(rng.choice(names)) + rng.randint(1, 3))
+    return out
+
+
+def _golden_matrices(F):
+    """Six seeded matrices over F with one to three rows and two to four
+    columns; with more than one row, one more row is a combination of the
+    first two, so the rank falls short of the row count."""
+    rng = random.Random("basis goldens %r" % F)
+    out = []
+    for _ in range(6):
+        nrows, ncols = rng.randint(1, 3), rng.randint(2, 4)
+        rows = [[_golden_entry(rng, F) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1:
+            c = _golden_entry(rng, F)
+            rows.append([c * a + b for a, b in zip(rows[0], rows[1])])
+        out.append(rows)
+    return out
+
+
+def _rendered_bases(F, rows):
+    basis, pivots, _ = echelon_basis(F, rows)
+    kernel = kernel_basis(F, rows, len(rows[0]))
+    return [[str(c) for c in v] for v in basis], pivots, [[str(c) for c in v] for v in kernel]
+
+
+def test_basis_goldens_on_small_matrices():
+    # each basis row is the one of its line whose first nonzero entry leads
+    # with 1 above level 0: [[2t, t]] spans the line of (1, 1/2)
+    t = QT.var("t")
+    assert _rendered_bases(QT, [[2 * t, t]]) == ([["1", "(1/2)"]], [0], [["1", "-2"]])
+    t, s = QTS.var("t"), QTS.var("s")
+    # the flat leading coefficient is read in Q[t, s], grlex
+    rows = [[t / 2 + QTS.rational(1, 3), s], [(3 * t + 2) * s, 6 * s * s]]
+    assert _rendered_bases(QTS, rows) == (
+        [["(t + (2/3))", "2*s"]], [0], [["s", "((-1/2)*t + (-1/3))"]]
+    )
+    rows = [[t / 2 + QTS.rational(1, 3), 2 * s, QTS.rational(-3, 4)]]
+    assert _rendered_bases(QTS, rows) == (
+        [["(t + (2/3))", "4*s", "((-3/2))"]],
+        [0],
+        [["s", "((-1/4)*t + (-1/6))", "0"], ["1", "0", "((2/3)*t + (4/9))"]],
+    )
+
+
+# sha256 of the rendered echelon bases, pivots and kernel bases of the six
+# matrices of ``_golden_matrices``
+BASIS_GOLDENS = {
+    "Q(t)": "978c5af9abb4c48e8937df3395faa2a4c72b474082600ff0099c61ef014a87f8",
+    "Q(t)(s)": "d38b9ee240f1d879c82917e75ed580b3ae4dde789bc50bf0100b192a89396bbc",
+}
+
+
+@pytest.mark.parametrize("field", [QT, QTS], ids=repr)
+def test_basis_goldens_on_seeded_matrices(field):
+    import hashlib
+
+    got = [_rendered_bases(field, rows) for rows in _golden_matrices(field)]
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == BASIS_GOLDENS[repr(field)]
