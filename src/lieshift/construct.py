@@ -561,10 +561,12 @@ def lift_from_hat(hat, u, target_alg):
             raise ConstructError("specialize the central element before lifting")
     F2 = hat.algebra.field
     d, nums = F2.clear(u.terms.values())
-    # d = l d', l in the variables below and d' the least common denominator
-    # in w, whose leading coefficient there is 1: the coefficients times d'
-    ((_, inv_l),), _ = F2.nested(F2.one / F2.from_cleared(d, 1))
-    coeffs = [F2.from_cleared(n, 1) for n in nums]
+    # over its grlex leading coefficient c, d / c = l d', l in the variables
+    # below and d' the least common denominator in w, whose leading
+    # coefficient there is 1: the coefficients times d'
+    c = F2._lead(d)
+    ((_, inv_l),), _ = F2.nested(F2.one / F2.from_cleared(d, c))
+    coeffs = [F2.from_cleared(n, c) for n in nums]
     if not inv_l.is_one:
         coeffs = [c * F2.lift(inv_l) for c in coeffs]
     cleared = PBWElement._trusted(u.alg, dict(zip(u.terms, coeffs)))
@@ -585,7 +587,8 @@ def _section_images(hat, h_elems, target_alg):
     k = len(h_elems)
     out = []
     for sec in hat.sections:
-        if F2.clear(sec)[0] != 1:
+        d = F2.clear(sec)[0]
+        if d != F2._lead(d):  # a denominator that is not an integer
             raise ConstructError("internal: denominator not cleared before lift")
         entries = [i for i, a in enumerate(sec) if a]
         d0, terms = _expanded(F2, [sec[i] for i in entries], [(k + i,) for i in entries])

@@ -3,11 +3,14 @@
 Level 0 is Q. Level k > 0 adjoins fresh variables to the level k-1 field,
 used e.g. for coefficients living in K(h*) during the abelian-ideal
 reduction. Q(t)(s) is the field Q(t, s), so level k is stored flat: one
-sympy field of fractions over sympy's QQ in every tower variable, lowest
-level first, grlex-ordered. Its numerator ring is Q[every tower variable],
-where sympy's gcd is fast. Elements are kept in a canonical reduced form:
-numerator and denominator coprime, denominator with grlex leading
-coefficient 1 (positive denominator at level 0).
+sympy field of fractions over sympy's ZZ in every tower variable, lowest
+level first, grlex-ordered. Its numerator ring is Z[every tower variable]:
+its coefficients are Python ints (gmpy2's ``mpz`` where sympy finds
+gmpy2), which sympy multiplies, divides and takes gcds of faster than its
+rationals. Elements are kept in a canonical reduced form: numerator and
+denominator coprime in Z[every tower variable], integer content included,
+and the denominator's grlex leading coefficient positive (positive
+denominator at level 0). sympy's cancellation over ZZ produces that form.
 
 ``FieldElement`` is the one scalar that leaves this module. What it wraps is
 private here: a ``fractions.Fraction`` at level 0, and above it an element
@@ -29,9 +32,11 @@ space only between the terms of a sum and a slash only in a quotient.
 The arithmetic kernels and the elimination in ``linalg`` compute on one
 internal format at every level, cleared values: ``Field.clear`` brings a
 list of elements to numerators over their least common denominator, in the
-numerator ring (ints at level 0, polynomials in every tower variable
-above), the ``ring_*`` helpers and ``Field._primitive`` work on those ring
-values, and ``Field.from_cleared`` wraps a result n / d once.
+numerator ring (ints at level 0, polynomials with integer coefficients in
+every tower variable above), the ``ring_*`` helpers and
+``Field._primitive`` work on those ring values, and ``Field.from_cleared``
+wraps a result n / d once. A basis row that ``linalg`` returns is a
+primitive ring row over ``Field._lead`` of its first nonzero entry.
 
 ``Field.coerce`` is the one check of a caller's scalar: an int, a Fraction
 or an element of that field, anything else a ``FieldError``. An int goes
@@ -40,8 +45,9 @@ through ``from_int``, which above level 0 skips sympy's conversion chain.
 ``Field.residues`` takes cleared values to the prime field F_p, p =
 ``PRIME`` = 2^61 - 1, for the sampled ranks of ``invariants``: integers
 are reduced, and above level 0 every tower variable is specialized at a
-seeded residue. Both are ring homomorphisms where they are defined, so a
-rank mod p is never above the rank over the field.
+seeded residue. Both are ring homomorphisms defined on every cleared value,
+whose coefficients are integers, so a rank mod p is never above the rank
+over the field.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ class Field:
     Immutable; equality and hashing are structural so a field can key caches.
     The domain is computed once, when the field is built: None at level 0,
     whose elements are Fractions, above it the flat sympy fraction field
-    over QQ in ``all_variables()``, shared by every field with those
+    over ZZ in ``all_variables()``, shared by every field with those
     variables. So are ``zero`` and ``one``, shared by every reader: a
     ``FieldElement`` is never changed in place. ``nested`` reads an element
     as a quotient of polynomials in ``variables`` over ``base``.
@@ -191,8 +197,8 @@ class Field:
         field = self.domain.field
         raw = elem.raw
         if low.level == 0:
-            g = self.domain.domain(raw.numerator, raw.denominator)
-            return FieldElement(self, field.raw_new(field.ring.ground_new(g), field.ring.one))
+            numer, denom = [field.ring.ground_new(x) for x in raw.as_integer_ratio()]
+            return FieldElement(self, field.raw_new(numer, denom))
         pad = (0,) * (len(self.domain.gens) - len(low.domain.gens))
         numer, denom = [
             field.ring.dtype({m + pad: c for m, c in p.items()}) for p in (raw.numer, raw.denom)
@@ -246,39 +252,35 @@ class Field:
         return q
 
     def ring_gcd(self, a, b):
-        """gcd(a, b) in the numerator ring, monic above level 0: sympy's gcd
-        of the flat ring Q[every tower variable], which is not monic where
-        an argument is a term or a constant. It can raise where its
-        heuristic over Z gives up on an input; ``_prs_gcd`` then recomputes
-        it on the same ring without a heuristic."""
+        """gcd(a, b) in the numerator ring: above level 0 the primitive gcd
+        in Z[every tower variable], integer content included, with positive
+        grlex leading coefficient. sympy's gcd of the flat ring leaves the
+        sign to its heuristic over Z, and can raise where that heuristic
+        gives up on an input; ``_prs_gcd`` then recomputes it on the same
+        ring without a heuristic."""
         if self.level == 0:
             return math.gcd(int(a), int(b))
         from sympy.polys.polyerrors import HeuristicGCDFailed
 
         try:
-            return a.gcd(b).monic()
+            g = a.gcd(b)
         except HeuristicGCDFailed:
             return _prs_gcd(a, b)
+        return -g if g.LC < 0 else g
 
     def residues(self, values):
         """Numerator-ring values mod ``PRIME``, as ints in range(PRIME).
 
         At level 0 the integers are reduced. Above it each value is taken
         at one seeded residue of every tower variable (``_residue_point``);
-        its coefficients are rationals, so only one whose denominator p
-        divides has no residue, at every point: a FieldError. Either way the
-        map is a ring homomorphism on the values it is defined at: a minor
-        that is nonzero mod p is nonzero in the ring.
+        its coefficients are integers, so every value has a residue. Either
+        way the map is a ring homomorphism: a minor that is nonzero mod p is
+        nonzero in the ring.
         """
         if self.level == 0:
             return [v % PRIME for v in values]
         point = _residue_point(self)
-        out = [_poly_mod(v, point) for v in values]
-        if None in out:
-            raise FieldError(
-                "a coefficient of a value of %s has a denominator divisible by %d" % (self, PRIME)
-            )
-        return out
+        return [_poly_mod(v, point) for v in values]
 
     def nested(self, e):
         """The element e of a field above level 0 as a quotient of
@@ -289,7 +291,7 @@ class Field:
         The flat numerator and denominator are grouped by monomial in this
         level's variables, and every group divided by the denominator's
         group at its grlex-leading monomial, so the denominator leads with
-        1. They are coprime in Q[every variable], so in base[variables] too
+        1. They are coprime in Z[every variable], so in base[variables] too
         (Gauss's lemma), and the view is the nested field's canonical form:
         ``render_scalar``, the ``algfile`` codec and the substitutions of
         ``pbw`` read a scalar as it would print in base(variables)."""
@@ -300,29 +302,38 @@ class Field:
 
     def _primitive(self, row):
         """The canonical numerator-ring row on the line of a nonzero one:
-        content divided out, first nonzero entry positive (level 0) or of
-        leading coefficient 1 (above), the rule kept for denominators."""
+        its content divided out, so primitive over Z above level 0, and its
+        first nonzero entry positive (level 0) or of positive grlex leading
+        coefficient (above), the sign rule kept for denominators."""
         content = None
         for a in row:
             if a:
                 content = a if content is None else self.ring_gcd(content, a)
         row = [self.ring_quo(a, content) if a else a for a in row]
         lead = next(a for a in row if a)
+        return [-a for a in row] if (lead if self.level == 0 else lead.LC) < 0 else row
+
+    def _lead(self, a):
+        """The divisor that takes a primitive ring row whose first nonzero
+        entry is a to the basis row of its line: 1 at level 0, whose basis
+        rows are the primitive ones, and above it a's grlex leading
+        coefficient as a ring constant, so that the basis row's first entry
+        leads with 1. ``linalg`` and ``Subspace`` wrap and clear basis rows
+        over it; a ring value equal to its own lead is a constant."""
         if self.level == 0:
-            return [-a for a in row] if lead < 0 else row
-        lc = lead.LC
-        return row if lc == self.domain.domain.one else [a.quo_ground(lc) for a in row]
+            return 1
+        return self.domain.field.ring.ground_new(a.LC)
 
 
 @lru_cache(maxsize=None)
 def _sympy_domain(names):
-    """sympy's field of fractions over QQ in ``names``, grlex-ordered, shared
+    """sympy's field of fractions over ZZ in ``names``, grlex-ordered, shared
     by every tower field with these variables; sympy is imported only here
     and by the gcd above level 0."""
-    from sympy.polys.domains import QQ as sympy_qq
+    from sympy.polys.domains import ZZ
     from sympy.polys.orderings import grlex
 
-    return sympy_qq.frac_field(*names, order=grlex)
+    return ZZ.frac_field(*names, order=grlex)
 
 
 def _clear_raws(field, raws):
@@ -336,14 +347,15 @@ def _clear_raws(field, raws):
 
 
 def _prs_gcd(a, b):
-    """The monic gcd of nonzero values a and b of a flat numerator ring, by a
-    subresultant PRS over the ring's own field of coefficients: no
-    heuristic step that can give up."""
-    return a.ring.dmp_ff_prs_gcd(a, b)[0].monic()
+    """The primitive gcd, with positive grlex leading coefficient, of nonzero
+    values a and b of a flat numerator ring, by a subresultant PRS over Z:
+    no heuristic step that can give up."""
+    g = a.ring.dmp_rr_prs_gcd(a, b)[0]
+    return -g if g.LC < 0 else g
 
 
 def _by_own_monomial(p, n):
-    """{exponents of the last n variables: {exponents of the others: QQ}}
+    """{exponents of the last n variables: {exponents of the others: ZZ}}
     of a flat polynomial p."""
     groups = {}
     for m, c in p.items():
@@ -352,11 +364,10 @@ def _by_own_monomial(p, n):
 
 
 def _quotient(field, p, q):
-    """The element p / q of field for {exponents: QQ} dicts p and q != 0 of
+    """The element p / q of field for {exponents: ZZ} dicts p and q != 0 of
     its variables (at level 0 both are dicts of the empty monomial)."""
     if field.level == 0:
-        c = p[()] / q[()]
-        return FieldElement(field, Fraction(int(c.numerator), int(c.denominator)))
+        return FieldElement(field, Fraction(int(p[()]), int(q[()])))
     ring = field.domain.field.ring
     return field.from_cleared(ring.from_dict(p), ring.from_dict(q))
 
@@ -370,14 +381,11 @@ def _residue_point(field):
 
 
 def _poly_mod(p, point):
-    """A flat polynomial at the residue point of its variables, mod PRIME;
-    None where a coefficient's denominator is divisible by PRIME."""
+    """A flat polynomial with integer coefficients at the residue point of
+    its variables, mod PRIME."""
     total = 0
     for m, c in p.items():
-        den = int(c.denominator)
-        if not den % PRIME:
-            return None
-        v = int(c.numerator) * pow(den, -1, PRIME)
+        v = int(c)
         for x, e in zip(point, m):
             if e:
                 v = v * pow(x, e, PRIME) % PRIME
@@ -399,11 +407,10 @@ class FieldElement:
 
     def __init__(self, field, raw):
         self.field = field
-        if field.level > 0:
-            lc = raw.denom.LC
-            if lc and lc != field.domain.domain.one:
-                # raw_new skips cancellation, which would undo the rescale
-                raw = raw.raw_new(raw.numer.quo_ground(lc), raw.denom.quo_ground(lc))
+        if field.level > 0 and raw.denom.LC < 0:
+            # sympy's raw_new paths, a negative power among them, skip the
+            # cancellation that makes the denominator lead positive
+            raw = raw.raw_new(-raw.numer, -raw.denom)
         self.raw = raw
 
     # -- coercion ------------------------------------------------------------

@@ -77,11 +77,11 @@ class Subspace:
 
     ``linalg.echelon_basis`` builds the basis by one fraction-free elimination:
     each row is content-normalized and is the only row nonzero at its pivot
-    column (``pivots[i]`` for ``basis[i]``). Each basis vector is its own
-    primitive numerator-ring row over the unit denominator, which
-    ``echelon_basis`` hands over with the basis; it is kept in ``_rows`` as a
-    cleared support, so a bracket of basis vectors reads the rows as they
-    are (``_cleared_basis``).
+    column (``pivots[i]`` for ``basis[i]``). Each basis vector is its
+    primitive numerator-ring row over ``Field._lead`` of its pivot entry,
+    the ring row that ``echelon_basis`` hands over with the basis; it is
+    kept in ``_rows`` as a cleared support, so a bracket of basis vectors
+    reads the rows as they are (``_cleared_basis``).
 
     Membership is one residual routine, ``_spans``, on the cleared support
     (index, x) of a vector x / d: the candidate coordinates are read at the
@@ -133,18 +133,22 @@ class Subspace:
         return _kernel_support(self.field, v)
 
     def _cleared_basis(self):
-        """The basis as cleared supports (unit, row), one per basis vector."""
-        unit = self.field.clear(())[0]
-        return [(unit, row) for _, _, row in self._rows]
+        """The basis as cleared supports (lead, row), one per basis vector."""
+        lead = self.field._lead
+        return [(lead(piv), row) for _, piv, row in self._rows]
 
     def _coordinates(self, d, support):
-        """``coordinates`` of the vector with cleared support x / d."""
+        """``coordinates`` of the vector with cleared support x / d: on the
+        basis vector row / lead, x[p] lead / (d piv)."""
         if not self._spans(support):
             return None
         x = dict(support)
         field = self.field
-        zero = field.zero
-        return [field.from_cleared(x[p], d * piv) if p in x else zero for p, piv, _ in self._rows]
+        zero, lead = field.zero, field._lead
+        return [
+            field.from_cleared(x[p] * lead(piv), d * piv) if p in x else zero
+            for p, piv, _ in self._rows
+        ]
 
     def _spans(self, support):
         """Is the vector with this cleared support x / d in the span?

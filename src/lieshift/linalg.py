@@ -25,8 +25,9 @@ A linear system A x = b is a kernel of [A | -b]: its solutions are the
 kernel vectors whose last entry is nonzero, read over that entry.
 ``echelon_basis``, the basis of ``liealg.Subspace``, adds clearing above
 each pivot in the ring. ``kernel_basis`` and ``echelon_basis`` normalize
-each ring row with ``Field._primitive``, so every basis returned here is
-canonical.
+each ring row with ``Field._primitive`` and wrap it over ``Field._lead`` of
+its first nonzero entry, so every basis returned here is canonical: above
+level 0 its rows are the ones whose first nonzero entry leads with 1.
 
 ``rank_mod_prime`` is Gaussian elimination over F_p on ints below p =
 2^61 - 1, with one modular inverse per pivot, updating a row only where
@@ -182,7 +183,8 @@ def kernel_of_images(field, images):
 
 def echelon_basis(field, rows):
     """Reduced-echelon basis of the span of ``rows``, its pivot columns, and
-    the basis as primitive numerator-ring rows over the unit denominator.
+    the basis as primitive numerator-ring rows, each over ``Field._lead``
+    of its pivot entry.
 
     Basis row i is the only one nonzero at column ``pivots[i]``; each row is
     normalized, so a span has one basis. Zero entries share one element.
@@ -201,5 +203,8 @@ def echelon_basis(field, rows):
 
 
 def _from_ring_row(field, row):
+    """The basis row of the line of a primitive ring row: each entry over
+    ``Field._lead`` of the first nonzero one."""
+    lead = field._lead(next(a for a in row if a))
     zero = field.zero  # one shared element for the (many) zero entries
-    return tuple([field.from_cleared(a, 1) if a else zero for a in row])
+    return tuple([field.from_cleared(a, lead) if a else zero for a in row])

@@ -259,13 +259,23 @@ def reference_rank_mod_prime(rows, p):
 
 
 def normalize_vector(field, vec):
-    """Clear denominators, divide out content, orient the first nonzero entry:
-    the canonical vector on the line of vec, as the library's bases are."""
+    """Clear denominators, divide out content, orient the first nonzero entry,
+    and above level 0 divide by that entry's grlex leading coefficient, read
+    off a sympy ``Poly``: the canonical vector on the line of vec, as the
+    library's bases are."""
     row = field.clear_row(vec)
     if not any(row):
         return list(vec)
     zero = field.zero
-    return [field.from_cleared(a, 1) if a else zero for a in field._primitive(row)]
+    row = field._primitive(row)
+    out = [field.from_cleared(a, 1) if a else zero for a in row]
+    if field.level == 0:
+        return out
+    from sympy import Poly, symbols
+
+    first = next(a for a in row if a)
+    lead = Poly(first.as_expr(), *symbols(field.all_variables())).LC(order="grlex")
+    return [c / field.from_int(int(lead)) for c in out]
 
 
 def reference_solve(field, a_rows, rhs):
@@ -620,14 +630,19 @@ def random_pbw_element(draw, alg, scalar, terms=3, max_deg=3):
 
 
 def reference_prs_gcd(field, a, b):
-    """The monic gcd of numerator-ring values a and b of a field above level
-    0 by a subresultant PRS over Z, each value taken to Z in every tower
-    variable and back through a sympy expression."""
+    """The primitive gcd, with positive grlex leading coefficient, of
+    numerator-ring values a and b of a field above level 0 by a subresultant
+    PRS over Z, each value taken to a ring of its own in every tower variable
+    and back through a sympy expression; the sign is read off a sympy
+    ``Poly``."""
+    from sympy import Poly, symbols
     from sympy.polys.domains import ZZ
     from sympy.polys.orderings import grlex
     from sympy.polys.rings import PolyRing
 
     R = PolyRing(field.all_variables(), ZZ, grlex)
-    A, B = [R(p.as_expr().as_numer_denom()[0]) for p in (a, b)]
-    g = R.dmp_rr_prs_gcd(A, B)[0]
-    return field.domain.field.ring(g.as_expr()).monic()
+    A, B = [R(p.as_expr()) for p in (a, b)]
+    g = R.dmp_rr_prs_gcd(A, B)[0].as_expr()
+    if Poly(g, *symbols(field.all_variables())).LC(order="grlex") < 0:
+        g = -g
+    return field.domain.field.ring(g)

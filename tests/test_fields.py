@@ -67,14 +67,22 @@ def test_tower_equality_and_hash():
     assert F1 != QQ.extend("b")
 
 
-def test_canonical_denominator_is_monic():
+def test_canonical_denominator_is_primitive_and_positive():
     F = QQ.extend("a", "b")
     a, b = F.var("a"), F.var("b")
     e = (a + b) / (2 * a + 2 * b)
     assert e == F.rational(1, 2)
-    # grlex leading coefficient of the denominator is 1 after construction
-    e2 = F.one / (F.from_int(3) * a + F.one)
-    assert e2.raw.denom.LC == 1
+    assert (e.raw.numer, e.raw.denom) == (F.clear([F.one])[1][0], F.clear([e])[0])
+    # numerator and denominator are coprime in Z[a, b], integer content
+    # included, and the denominator's grlex leading coefficient is positive
+    # after construction, a negative power included
+    three_a = F.clear([F.from_int(3) * a])[1][0]
+    for e2 in (F.one / (F.from_int(3) * a + F.one), (-3 * a - 1) ** -1, (6 * b) / (4 * a * b - 2 * b)):
+        num, den = e2.raw.numer, e2.raw.denom
+        assert den.LC > 0
+        assert F.ring_gcd(num, den) == F.clear([F.one])[1][0]
+    assert F.clear([(-3 * a - 1) ** -1])[0] == three_a + 1
+    assert str((6 * b) / (4 * a * b - 2 * b)) == "((3/2))/(a + (-1/2))"
 
 
 def test_var_and_lift():
@@ -190,8 +198,8 @@ def _heuristic_gives_up_once(monkeypatch):
 
 @pytest.mark.parametrize("level", [1, 2])
 def test_ring_gcd_recomputes_what_the_heuristic_gave_up(monkeypatch, level):
-    # Q[t] and Q[t, s]: each pair has two terms or more, where sympy's gcd
-    # is monic, and the fallback's gcd is the same value
+    # Z[t] and Z[t, s]: each pair has two terms or more, where sympy's gcd
+    # comes from its heuristic, and the fallback's gcd is the same value
     F = QQ.extend("t")
     t = F.var("t")
     if level == 2:
@@ -290,7 +298,7 @@ def _level2_pairs(draw):
 @settings(max_examples=40, deadline=None)
 @given(_level2_pairs())
 def test_prs_gcd_matches_the_expression_round_trip_level2(case):
-    # sympy's gcd and the PRS gcd in Q[t, s] give the gcd that the round
+    # sympy's gcd and the PRS gcd in Z[t, s] give the gcd that the round
     # trip through sympy expressions over Z gives
     from factories import reference_prs_gcd
     from lieshift import fields
@@ -304,9 +312,9 @@ def test_prs_gcd_matches_the_expression_round_trip_level2(case):
 
 
 def test_over_z_round_trips_rational_coefficients():
-    # Q[t] and Q[t, s] values whose coefficients are not integers: sympy's
-    # gcd and the PRS gcd agree with the reference, whose round trip takes
-    # them to Z[t] and Z[t, s] and back
+    # elements of Q(t) and Q(t)(s) whose coefficients are not integers,
+    # cleared to Z[t] and Z[t, s]: sympy's gcd and the PRS gcd agree with the
+    # reference, whose round trip goes through sympy expressions
     from factories import reference_prs_gcd
     from lieshift import fields
 
@@ -335,7 +343,7 @@ def _level3_draw(rng, F):
 def test_level3_cancellation_is_canonical():
     # over Q(t)(s)(u) a common factor b cancels to the same element, with
     # the same hash, and the gcd of the cleared numerators of a b and c b is
-    # the monic gcd of the reference over Z. The nested field Q(t)(s)(u)
+    # the primitive gcd of the reference over Z. The nested field Q(t)(s)(u)
     # missed the first on 2 of these 40 draws
     import random
 
@@ -524,7 +532,8 @@ def test_clear_round_trip():
     t = F.var("t")
     x = (t + F.rational(1, 2)) / t
     d, (n,) = F.clear([x])
-    assert F.from_cleared(d, 1) == t and F.from_cleared(n, 1) == t + F.rational(1, 2)
+    # the cleared values are integer polynomials: (2t + 1) / 2t
+    assert F.from_cleared(d, 1) == 2 * t and F.from_cleared(n, 1) == 2 * t + 1
     assert F.from_cleared(n, d) == x
     d, values = F.clear([])
     assert d == 1 and values == []

@@ -12,7 +12,7 @@ from factories import (
 )
 from lieshift import fields
 from lieshift.construct import ConstructError, construct_theorem
-from lieshift.fields import PRIME, QQ, FieldError
+from lieshift.fields import PRIME, QQ
 from lieshift.invariants import (
     GeneratorSet,
     Sampling,
@@ -228,24 +228,21 @@ def test_a_minor_divisible_by_the_prime_lowers_the_rank_and_the_claim_is_refused
     assert trdeg_jacobian(gens).value == 1
 
 
-def test_residues_reject_a_denominator_divisible_by_p():
+def test_residues_of_a_denominator_divisible_by_p():
     point = fields._residue_point(QTS)
     t, s = QTS.var("t"), QTS.var("s")
     # the denominator t - tau of s / (t - tau) is cleared away, even where
     # t is tau: the cleared value is s
     _, [v] = QTS.clear([s / (t - QTS.from_int(point[0]))])
     assert QTS.residues([v]) == [point[1]]
-    # a denominator divisible by p has no residue at any point: an error
-    _, [w] = QTS.clear([s / QTS.from_int(PRIME)])
-    assert fields._poly_mod(w, point) is None
-    with pytest.raises(FieldError) as exc:
-        QTS.residues([w])
-    assert str(exc.value) == (
-        "a coefficient of a value of Q(t)(s) has a denominator divisible by %d" % PRIME
-    )
+    # the integer denominator p of s / p is cleared away too: cleared values
+    # have integer coefficients, so every one has a residue, here that of s
+    d, [w] = QTS.clear([s / QTS.from_int(PRIME)])
+    assert QTS.from_cleared(d, 1) == QTS.from_int(PRIME)
+    assert QTS.residues([w]) == [point[1]]
+    # so the Jacobian rank of x / p is sampled like that of x
     gens = [PolyElement(QTS, 1, {(1,): QTS.one / QTS.from_int(PRIME)})]
-    with pytest.raises(FieldError):
-        trdeg_jacobian(gens)
+    assert trdeg_jacobian(gens).value == 1
 
 
 def test_b_of_raises_on_odd_dim_plus_index(monkeypatch):

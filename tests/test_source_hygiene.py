@@ -15,7 +15,9 @@ What a ``FieldElement`` wraps (``.raw``: a Fraction, or a sympy fraction
 field element) and the sympy domain of a ``Field`` (``.domain``) are the
 private format of ``fields``. Every other module passes elements, and the
 kernels compute on the cleared values of ``Field.clear``, so no other module
-may read either attribute. For the same reason only ``fields`` imports
+may read either attribute, nor the sympy ring API that reads inside a value
+(``.LC``, ``.numer``, ``.denom``, ``.quo_ground``, ``.monic``): a basis
+scale or a sign is a ``Field`` method. For the same reason only ``fields`` imports
 sympy, at any depth: the gcd fallback for sympy's heuristic stays there.
 
 Every name a module imports is read in it (``__init__`` re-exports, so it is
@@ -81,11 +83,14 @@ def test_checker_catches_each_pattern():
     assert [line for line, _ in _offences(ast.parse(src))] == [1, 2, 3]
 
 
+FORMAT_ATTRS = ("raw", "domain", "LC", "numer", "denom", "quo_ground", "monic")
+
+
 def _format_reads(tree):
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
-            and node.attr in ("raw", "domain")
+            and node.attr in FORMAT_ATTRS
             and isinstance(node.ctx, ast.Load)
         ):
             yield node.lineno, "." + node.attr
@@ -102,6 +107,13 @@ def test_raw_values_stay_inside_fields(path):
 def test_format_checker_catches_each_read():
     src = "c.raw\nf.domain.one\nx.raw = 1\ny = raw\ng(e.field.domain)\n"
     assert [line for line, _ in _format_reads(ast.parse(src))] == [1, 2, 5]
+    src = (
+        "lead = a.LC\nn = e.numer * 2\nf(x.denom)\nb = a.quo_ground(lc)\nm = g.monic()\n"
+        "x.LC = 1\nLC = monic\nq.numerator\n"
+    )
+    assert [what for _, what in sorted(_format_reads(ast.parse(src)))] == [
+        ".LC", ".numer", ".denom", ".quo_ground", ".monic"
+    ]
 
 
 def _sympy_imports(tree):
