@@ -561,12 +561,12 @@ def lift_from_hat(hat, u, target_alg):
             raise ConstructError("specialize the central element before lifting")
     F2 = hat.algebra.field
     d, nums = F2.clear(u.terms.values())
-    # over its grlex leading coefficient c, d / c = l d', l in the variables
-    # below and d' the least common denominator in w, whose leading
-    # coefficient there is 1: the coefficients times d'
-    c = F2._lead(d)
-    ((_, inv_l),), _ = F2.nested(F2.one / F2.from_cleared(d, c))
-    coeffs = [F2.from_cleared(n, c) for n in nums]
+    # over its grlex leading coefficient lc, d / lc = l d', l in the
+    # variables below and d' the least common denominator in w, whose
+    # leading coefficient there is 1: the coefficients times d'
+    lc = F2._lead(d)
+    ((_, inv_l),), _ = F2.nested(F2.one / F2.from_cleared(d, lc))
+    coeffs = [F2.from_cleared(n, lc) for n in nums]
     if not inv_l.is_one:
         coeffs = [c * F2.lift(inv_l) for c in coeffs]
     cleared = PBWElement._trusted(u.alg, dict(zip(u.terms, coeffs)))

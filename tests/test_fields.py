@@ -72,17 +72,18 @@ def test_canonical_denominator_is_primitive_and_positive():
     a, b = F.var("a"), F.var("b")
     e = (a + b) / (2 * a + 2 * b)
     assert e == F.rational(1, 2)
-    assert (e.raw.numer, e.raw.denom) == (F.clear([F.one])[1][0], F.clear([e])[0])
     # numerator and denominator are coprime in Z[a, b], integer content
     # included, and the denominator's grlex leading coefficient is positive
     # after construction, a negative power included
-    three_a = F.clear([F.from_int(3) * a])[1][0]
-    for e2 in (F.one / (F.from_int(3) * a + F.one), (-3 * a - 1) ** -1, (6 * b) / (4 * a * b - 2 * b)):
-        num, den = e2.raw.numer, e2.raw.denom
-        assert den.LC > 0
-        assert F.ring_gcd(num, den) == F.clear([F.one])[1][0]
-    assert F.clear([(-3 * a - 1) ** -1])[0] == three_a + 1
-    assert str((6 * b) / (4 * a * b - 2 * b)) == "((3/2))/(a + (-1/2))"
+    for x, num, den in [
+        (e, F.one, F.from_int(2)),
+        (F.one / (3 * a + 1), F.one, 3 * a + 1),
+        ((-3 * a - 1) ** -1, -F.one, 3 * a + 1),
+        ((6 * b) / (4 * a * b - 2 * b), F.from_int(3), 2 * a - 1),
+    ]:
+        n, d = x.raw.numer, x.raw.denom
+        assert (F.from_cleared(n, 1), F.from_cleared(d, 1)) == (num, den)
+        assert d.LC > 0 and F.ring_gcd(n, d) == 1
 
 
 def test_var_and_lift():
