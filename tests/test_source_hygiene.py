@@ -17,8 +17,9 @@ private format of ``fields``. Every other module passes elements, and the
 kernels compute on the cleared values of ``Field.clear``, so no other module
 may read either attribute, nor the sympy ring API that reads inside a value
 (``.LC``, ``.numer``, ``.denom``, ``.quo_ground``, ``.monic``): a basis
-scale or a sign is a ``Field`` method. For the same reason only ``fields`` imports
-sympy, at any depth: the gcd fallback for sympy's heuristic stays there.
+scale or a sign is a ``Field`` method. For the same reason only ``fields``
+imports sympy, at any depth: the gcd fallback for sympy's heuristic stays
+there.
 
 Every name a module imports is read in it (``__init__`` re-exports, so it is
 exempt): a deletion that leaves an import behind fails here. Likewise every
