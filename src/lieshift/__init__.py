@@ -31,6 +31,7 @@ from .pbw import (
     ad_invariant,
     centralizer_up_to_degree,
     commutator,
+    first_noncommuting_pair,
     principal_symbol,
     specialize_central,
     symmetrize,

@@ -47,14 +47,14 @@ from .liealg import (
     _bracket_cleared,
     _brackets,
     _check_ltilde_covers,
+    _classify,
     _derived_labels,
     _is_abelian,
     _maps_into,
+    _reductivity,
     _supports,
     _wrapped,
     check_split,
-    classify_nilradical,
-    is_reductive,
     stabilizer,
     subalgebra_of,
     validate,
@@ -69,6 +69,7 @@ from .pbw import (
     _substituted,
     centralizer_up_to_degree,
     commutator,
+    first_noncommuting_pair,
     principal_symbol,
     specialize_central,
     substitute_generators,
@@ -93,11 +94,12 @@ class IdealError(ConstructError):
     """The subspace to reduce along is not a nonzero abelian ideal."""
 
 
-def _failing_pair(elements, bracket):
-    """The first pair (a, b), a < b, whose bracket is nonzero, or None."""
+def _failing_pair(L, elements):
+    """The first pair (a, b), a < b, whose Poisson bracket is nonzero, or
+    None; ``pbw.first_noncommuting_pair`` is its pair check in U(L)."""
     for a in range(len(elements)):
         for b in range(a + 1, len(elements)):
-            if not bracket(elements[a], elements[b]).is_zero:
+            if not poisson(L, elements[a], elements[b]).is_zero:
                 return a, b
     return None
 
@@ -148,7 +150,7 @@ def mf_subalgebra(L, casimirs, gamma):
     0 <= k < m; constants are dropped.
     """
     out = _shift_family(L, casimirs, gamma)
-    if bad := _failing_pair(out.elements, lambda f, g: poisson(L, f, g)):
+    if bad := _failing_pair(L, out.elements):
         raise ConstructError("shift family fails to Poisson-commute (generators %d, %d)" % bad)
     return out
 
@@ -161,7 +163,7 @@ def quantum_mf(L, casimirs, gamma):
     symbol of each lift is checked to reproduce the shift it came from.
     """
     out = _symmetrize_family(L, mf_subalgebra(L, casimirs, gamma))
-    if bad := _failing_pair(out.elements, commutator):
+    if bad := first_noncommuting_pair(out.elements):
         raise ConstructError("symmetrized shifts fail to commute in the enveloping algebra "
                              "(generators %d, %d); recording negative verdict" % bad)
     return out
@@ -611,9 +613,10 @@ class ConstructionCertificate:
 
 
 def _certify(L, gens, b_target, trace, sampling):
-    """Check every generator pair exactly and the sampled trdeg against
-    b_target: the only commutator and trdeg checks in construct_theorem."""
-    if bad := _failing_pair(gens.elements, commutator):
+    """Check every generator pair exactly (``pbw.first_noncommuting_pair``)
+    and the sampled trdeg against b_target: the only commutator and trdeg
+    checks in construct_theorem."""
+    if bad := first_noncommuting_pair(gens.elements):
         raise ConstructError("certificate: generators %d and %d do not commute" % bad)
     td = trdeg_jacobian(gens, sampling)
     if td.value != b_target:
@@ -717,7 +720,7 @@ def _construct(L, casimirs, max_inv_deg, sampling, max_depth, depth):
         return _certify(L, gens, b_target, trace, sampling)
 
     try:
-        reductive = is_reductive(L)
+        reductive, center, derived = _reductivity(L)
     except LieAlgebraError as e:
         raise ConstructError(str(e))
     if reductive:
@@ -736,7 +739,7 @@ def _construct(L, casimirs, max_inv_deg, sampling, max_depth, depth):
         return _certify(L, gens, b_target, trace, sampling)
 
     try:
-        cls = classify_nilradical(L)
+        cls = _classify(L, center, derived)
     except LieAlgebraError as e:
         raise ConstructError(str(e))
 
@@ -848,7 +851,7 @@ def maximality_probe(A, d, sampling=Sampling()):
         raise ConstructError("the probe degree must be an integer of at least 1, got %r" % (d,))
     elements = list(A.elements)
     alg = elements[0].alg
-    if bad := _failing_pair(elements, commutator):
+    if bad := first_noncommuting_pair(elements):
         raise ConstructError("maximality probe input: generators %d and %d do not commute" % bad)
     cen = centralizer_up_to_degree(alg, elements, d)
 
@@ -873,6 +876,6 @@ def maximality_probe(A, d, sampling=Sampling()):
         degree=d,
         centralizer_dim=len(cen),
         new_elements=tuple(new),
-        still_commutative=_failing_pair(enlarged, commutator) is None,
+        still_commutative=first_noncommuting_pair(enlarged) is None,
         trdeg_gain=after - before,
     )

@@ -11,7 +11,9 @@ Each structure fact is one function of the algebra: ``center_of``,
 ``_derived_of`` ([q, q], spanned by the rows of the bracket table), and
 ``_lower_central`` and ``_derived_series``, which start from [q, q] as the
 caller computed it. A caller that needs several facts computes [q, q] once
-and passes it on. A ``LieAlgebra`` stores only what more than one caller
+and passes it on: the construction's reductivity test (``_reductivity``)
+hands its center and [q, q] to the nilradical's classification
+(``_classify``). A ``LieAlgebra`` stores only what more than one caller
 reads: ``kernel_brackets``, the ``validate`` report, and the subalgebra of
 the nilradical annotation with its lower central series, which
 ``validate`` builds and ``classify_nilradical`` reads.
@@ -759,6 +761,12 @@ def is_reductive(L):
     the exact splitting q = center + [q, q]; either way the Killing form must
     be nondegenerate on [q, q] (Cartan's criterion). On the ideal [q, q] it
     is the Killing form of [q, q] itself."""
+    return _reductivity(L)[0]
+
+
+def _reductivity(L):
+    """(is_reductive(L), center, [q, q]): the verdict with the two facts it
+    was read from, which ``_classify`` reuses."""
     c, d = center_of(L), _derived_of(L)
     rad = L.annotations.get("solvable_radical")
     if rad is not None:
@@ -766,27 +774,28 @@ def is_reductive(L):
     else:
         claim = c.dim + d.dim == L.dim and rank(L.field, list(c.basis) + list(d.basis)) == L.dim
     if not claim or rank(L.field, killing_matrix(subalgebra_of(L, d)[0])) == d.dim:
-        return claim
+        return claim, c, d
     if rad is None:
-        return False
+        return False, c, d
     raise LieAlgebraError(
         "annotated radical equals the center but the Killing form "
         "degenerates on the derived algebra"
     )
 
 
-def _nilradical(L):
+def _nilradical(L, derived=None):
     """(n, sub, sub_basis, lower): the nilradical n, (sub, sub_basis) =
     subalgebra_of(L, n) and lower, the lower central series of sub, each
     built once. An annotated n is read off ``LieAlgebra._nilradical_sub``,
     which ``validate`` built; otherwise it is exact for the nilpotent and
     solvable cases (the Killing radical, certified nilpotent by the series
     returned with it), and an error for every other algebra. [q, q] is
-    computed once for both series of L."""
+    computed once for both series of L, unless the caller passes it."""
     S = L.annotations.get("nilradical")
     if S is not None:
         return (S, *L._nilradical_sub)
-    derived = _derived_of(L)
+    if derived is None:
+        derived = _derived_of(L)
     lower = _lower_central(L, derived)
     if not lower[-1].dim:
         S = L.span_of_indices(range(L.dim))
@@ -825,7 +834,14 @@ def classify_nilradical(L):
     ``_nilradical``: nilpotency is read off the series' last term, and the
     candidates are the center, the series and the derived series.
     """
-    n_space, sub, sub_basis, lower = _nilradical(L)
+    return _classify(L)
+
+
+def _classify(L, center=None, derived=None):
+    """classify_nilradical(L), reusing L's center and [q, q] when the caller
+    has them (``_reductivity``). A nilradical that is all of q has the unit
+    basis as its echelon basis, so its subalgebra's center is L's."""
+    n_space, sub, sub_basis, lower = _nilradical(L, derived)
     if n_space.dim == 0:
         return NilradicalClass(kind="trivial", nilradical=n_space)
     # reached by an annotated nilradical of an algebra nothing validated
@@ -836,7 +852,7 @@ def classify_nilradical(L):
         return Subspace(L.field, L.dim, [_sub_to_ambient(L, b, sub_basis) for b in S.basis])
 
     # the center of the nonzero nilpotent sub is nonzero
-    zc = center_of(sub)
+    zc = center if center is not None and n_space.dim == L.dim else center_of(sub)
     candidates = [
         to_ambient(S) for S in [zc, *lower, *_derived_series(sub, lower[0])] if S.dim
     ]

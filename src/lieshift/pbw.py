@@ -11,21 +11,27 @@ Straightening multiplies by one generator at a time, the design of Plural
 one kernel is x_p * m for a normal monomial m: it is m with x_p added when
 x_p is central or precedes m's first letter x_q, and otherwise
 x_p x_q m1 = x_q (x_p m1) + [x_p, x_q] m1, cached in ``_mul_cache`` on
-(p, m) with m's central part shifted through. A product u * v is Horner's
-rule on u: its monomials are grouped by central part, then by last letter,
-so that each distinct suffix multiplies v once, one generator at a time
-(``_mul_into``); a commutator is both products accumulated into one dict,
-and a generator substitution is one chain of such products per monomial,
-each prefix computed once (``_substituted``). Symmetrization sums
+(p, m) with m's central part shifted through. Products with one right
+factor v are Horner's rule over one trie of the left factors
+(``_products_into``): their monomials are grouped by central part, then by
+last letter and its exponent, so that each distinct suffix multiplies v
+once, one generator at a time, for every left factor that shares it. A
+product u * v is the trie of u alone (``_mul_into``), and a commutator is
+both products accumulated into one dict. The pair check of a generator set
+(``first_noncommuting_pair``) straightens each element once as the right
+factor against the trie of all the others, with the sign of each
+commutator folded into its left factor, into one dict per pair. A
+generator substitution is one chain of products per monomial, each prefix
+computed once (``_substituted``). Symmetrization sums
 the distinct orderings of a monomial's word as S(m) = sum over the distinct
 letters x of m of x * S(m / x), memoized in ``_symm_cache``. Kernel work
 runs from explicit stacks (``_run``), so no Python stack grows with an
 exponent or a degree.
 
 The straightening kernels (``_apply``, ``_steps``, ``symm_mono``, products,
-``commutator``, ``symmetrize``, ``substitute_generators``) run on the
-algebra's structure constants as cleared values
-(``LieAlgebra.kernel_brackets``), and ``_mul_cache`` and
+``commutator``, ``first_noncommuting_pair``, ``symmetrize``,
+``substitute_generators``) run on the algebra's structure constants as
+cleared values (``LieAlgebra.kernel_brackets``), and ``_mul_cache`` and
 ``_symm_cache`` hold numerator-ring coefficients: integers at level 0,
 polynomials above. With D the least common denominator of the structure
 constants (1 for every preset), the basis y_i = D x_i has
@@ -306,35 +312,42 @@ class EnvelopingAlgebra:
         self._mul_cache[m + self._tags[p]] = out
         return out
 
-    def _mul_into(self, out, left, right):
-        """Accumulate left * right into out, all three as in ``_apply``, by
-        Horner's rule on the left factor. Its monomials are grouped by
-        central part, which only shifts the result, then by last letter x_p
-        and its exponent e: x_p^e * right is computed once, one ``_apply`` at
-        a time, for every monomial ending in x_p^e, and reused for the higher
-        powers; what precedes x_p^e is applied to it in turn, from an
-        explicit stack of pending (prefixes, product) pairs. A monomial's
-        last ``_apply`` goes straight into out."""
+    def _products_into(self, outs, lefts, right):
+        """Accumulate left * right into outs[owner] for each owner's left
+        factor in lefts, all as in ``_apply``, by Horner's rule over one
+        trie of every left factor's monomials. They are grouped by central
+        part, which only shifts a product, then by last letter x_p and its
+        exponent e: x_p^e * right is computed once, one ``_apply`` at a
+        time, for every monomial of every owner ending in x_p^e, and reused
+        for the higher powers; what precedes x_p^e is applied to it in turn,
+        from an explicit stack of pending (prefixes, product) pairs. Each
+        owner whose monomial ends at a node adds its coefficient times the
+        node's product into its out; when one owner's monomial is all that
+        is left at the last power, its last ``_apply`` goes straight into
+        its out."""
         mask = self._core_mask
         one = self._one
         run, apply = self._run, self._apply
         centres = {}
-        for a, c in left.items():
-            core = a & mask
-            centres.setdefault(a - core, {})[core] = c
+        for owner, left in lefts.items():
+            for a, c in left.items():
+                core = a & mask
+                centres.setdefault(a - core, {}).setdefault(core, []).append((owner, c))
         for shift, prefixes in centres.items():
             stack = [(prefixes, right)]
             while stack:
                 prefixes, v = stack.pop()
                 lasts = {}
-                for a, c in prefixes.items():
+                for a, ends in prefixes.items():
                     if a:
                         top = (a.bit_length() - 1) // _WIDTH * _WIDTH
                         e = a >> top
-                        lasts.setdefault(top, {}).setdefault(e, {})[a - (e << top)] = c
+                        lasts.setdefault(top, {}).setdefault(e, {})[a - (e << top)] = ends
                         continue
-                    for n, cn in v.items():
-                        _acc(out, n + shift, c * cn)
+                    for owner, c in ends:
+                        out = outs[owner]
+                        for n, cn in v.items():
+                            _acc(out, n + shift, c * cn)
                 for top, powers in lasts.items():
                     p = top // _WIDTH
                     w, done = v, 0
@@ -346,13 +359,19 @@ class EnvelopingAlgebra:
                             w = nxt
                         done = e
                         rest = powers[e]
-                        if e == high and len(rest) == 1 and 0 in rest:
-                            run(apply(out, p, w, rest[0], shift))
+                        if e == high and len(rest) == 1 and len(rest.get(0, ())) == 1:
+                            ((owner, c),) = rest[0]
+                            run(apply(outs[owner], p, w, c, shift))
                         else:
                             nxt = {}
                             run(apply(nxt, p, w, one, 0))
                             w = nxt
                             stack.append((rest, w))
+
+    def _mul_into(self, out, left, right):
+        """Accumulate left * right into out: ``_products_into`` for one
+        owner."""
+        self._products_into({0: out}, {0: left}, right)
 
     def symm_mono(self, m):
         """Sum over the distinct orderings of the word of one packed monomial
@@ -454,6 +473,50 @@ def commutator(u, v):
     alg._mul_into(out, ru, rv)
     alg._mul_into(out, {m: -c for m, c in rv.items()}, ru)
     return alg._element(out, d)
+
+
+def first_noncommuting_pair(elements):
+    """The first pair (a, b), a < b, in lexicographic order, of elements
+    whose commutator is nonzero, or None: the pair a loop of ``commutator``
+    calls finds first, with each right factor straightened once.
+
+    Each element is packed once (``EnvelopingAlgebra._numerators``). For
+    each right factor r, one ``_products_into`` call straightens l * r for
+    every other l over one trie of their monomials, with the sign of
+    [min(l, r), max(l, r)] folded into l's coefficients, into one dict per
+    pair: both products of a pair are numerators over d_l d_r, as in
+    ``commutator``, so the dict is complete once both of the pair's factors
+    have been the right one, and empty exactly when the pair commutes. It
+    is freed then. A pair whose exponents leave the packed range
+    (``_guard``) is not straightened, and raises unless an earlier pair
+    fails; elements of different algebras raise before any product."""
+    n = len(elements)
+    for u in elements[1:]:
+        elements[0]._check(u)
+    packed = [u.alg._numerators(u.terms) for u in elements]
+    sizes = [size for _, _, size in packed]
+    nums = [raw for _, raw, _ in packed]
+    negs = [{m: -c for m, c in raw.items()} for raw in nums]
+    pairs = {}
+    bad = None
+    for r in range(n):
+        outs, lefts = {}, {}
+        for l in range(n):
+            if l != r and sizes[l] + sizes[r] <= _LIMIT:
+                lefts[l] = nums[l] if l < r else negs[l]
+                outs[l] = pairs.setdefault((min(l, r), max(l, r)), {})
+        elements[r].alg._products_into(outs, lefts, nums[r])
+        for a in range(r):
+            if pairs.pop((a, r), None) and (bad is None or (a, r) < bad):
+                bad = (a, r)
+        if bad is not None and bad[0] == 0:
+            break  # every pair (0, b) with b < bad[1] commutes
+    for a in range(n):
+        for b in range(a + 1, n):
+            if (a, b) == bad:
+                return bad
+            _guard(sizes[a] + sizes[b])
+    return bad
 
 
 def symmetrize(alg, p):

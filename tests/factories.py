@@ -13,6 +13,7 @@ from lieshift.liealg import (
     subalgebra_of,
 )
 from lieshift.linalg import kernel_of_images
+from lieshift.pbw import commutator
 from lieshift.polyring import PolyElement, monomials_of_degree, poisson
 from lieshift.presets import preset
 
@@ -563,6 +564,17 @@ def reference_substitute(u, images, target_alg, coeff_to_elem=None):
                 acc = acc * images[i]
         total = total + acc
     return total
+
+
+def reference_first_noncommuting_pair(elements):
+    """The first pair (a, b), a < b, in lexicographic order, whose
+    commutator is nonzero, or None: one ``commutator`` call per pair, each
+    straightening both of its products on its own."""
+    for a in range(len(elements)):
+        for b in range(a + 1, len(elements)):
+            if not commutator(elements[a], elements[b]).is_zero:
+                return a, b
+    return None
 
 
 def reference_lift_from_hat(hat, u, target_alg):

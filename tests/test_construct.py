@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from factories import (
     random_pbw_element,
+    reference_first_noncommuting_pair,
     reference_hat,
     reference_lift_from_hat,
     reference_min_stabilizer_dim,
@@ -37,7 +38,13 @@ from lieshift.liealg import (
     subalgebra_of,
     vec,
 )
-from lieshift.pbw import EnvelopingAlgebra, commutator, specialize_central, substitute_generators
+from lieshift.pbw import (
+    EnvelopingAlgebra,
+    commutator,
+    first_noncommuting_pair,
+    specialize_central,
+    substitute_generators,
+)
 from lieshift.polyring import PolyElement, gamma_shift, poisson
 from lieshift.presets import preset
 
@@ -898,22 +905,126 @@ def test_certificate_commutators_exact():
     }
 
 
+def _counting_pair_checks(monkeypatch):
+    """(levels, checks): the dimension of each _construct level, and per
+    pair check its number of elements and the number of left factors of
+    each _products_into call it makes."""
+    levels, checks, active = [], [], []
+    real_construct = construct_mod._construct
+    real_check = construct_mod.first_noncommuting_pair
+    real_products = EnvelopingAlgebra._products_into
+
+    def construct(*args):
+        levels.append(args[0].dim)
+        return real_construct(*args)
+
+    def check(elements):
+        lefts = []
+        checks.append((len(elements), lefts))
+        active.append(lefts)
+        try:
+            return real_check(elements)
+        finally:
+            active.pop()
+
+    def products(self, outs, lefts, right):
+        if active:
+            active[-1].append(len(lefts))
+        return real_products(self, outs, lefts, right)
+
+    monkeypatch.setattr(construct_mod, "_construct", construct)
+    monkeypatch.setattr(construct_mod, "first_noncommuting_pair", check)
+    monkeypatch.setattr(EnvelopingAlgebra, "_products_into", products)
+    return levels, checks
+
+
 def test_construct_checks_each_pair_once(monkeypatch):
-    calls = {"commutator": 0, "poisson": 0}
-    for name in calls:
-        real = getattr(construct_mod, name)
+    # one pair check, which straightens each of the n(n - 1) ordered
+    # products once: n right factors, each against the n - 1 others
+    calls = {"poisson": 0}
+    real = construct_mod.poisson
 
-        def counted(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
+    def counted(*args):
+        calls["poisson"] += 1
+        return real(*args)
 
-        monkeypatch.setattr(construct_mod, name, counted)
+    monkeypatch.setattr(construct_mod, "poisson", counted)
+    levels, checks = _counting_pair_checks(monkeypatch)
     P = preset("sl3")
     cert = construct_theorem(P.algebra, casimirs=P.casimirs)
     n = len(cert.generators)
-    assert calls["commutator"] == n * (n - 1) // 2 == cert.commutativity["pairs"]
+    assert len(levels) == 1
+    assert checks == [(n, [n - 1] * n)]
+    assert n * (n - 1) == 2 * cert.commutativity["pairs"]
     # only the ad-invariance check of the caller's invariants
     assert calls["poisson"] == P.algebra.dim * len(P.casimirs)
+
+
+@pytest.mark.parametrize("name", ["borel-sl3", "heisenberg4", "sl2-semidirect-h3"])
+def test_construct_checks_each_pair_once_per_level(monkeypatch, name):
+    levels, checks = _counting_pair_checks(monkeypatch)
+    construct_theorem(preset(name).algebra)
+    assert len(levels) > 1 and len(checks) == len(levels)
+    for n, lefts in checks:
+        assert lefts == [n - 1] * n
+
+
+# (preset, which certified set): the top level, heisenberg4's corrected lift
+# in U(q) localized at its center, and borel-sl3's reduced algebra over Q(w1)
+PAIR_CASES = [
+    ("gl2", -1), ("gl3", -1), ("gl4", -1), ("sl3", -1), ("so4", -1),
+    ("heisenberg4", -1), ("borel-sl3", -2),
+]
+
+
+@cache
+def _certified_set(name, which):
+    """The generators of one set that _certify certified in a
+    construct_theorem of the named preset, in the order it checked them."""
+    sets = []
+    real = construct_mod._certify
+
+    def recording(L, gens, *args):
+        sets.append(gens.elements)
+        return real(L, gens, *args)
+
+    construct_mod._certify = recording
+    try:
+        P = preset(name)
+        construct_theorem(P.algebra, casimirs=P.casimirs)
+    finally:
+        construct_mod._certify = real
+    return tuple(sets[which])
+
+
+def test_certified_set_cases_cover_the_laurent_and_level_1_sets():
+    assert _certified_set("heisenberg4", -1)[0].alg.laurent
+    assert _certified_set("borel-sl3", -2)[0].alg.field.level == 1
+
+
+@pytest.mark.parametrize("name,which", PAIR_CASES)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_pair_check_matches_the_commutator_loop(name, which, data):
+    # a certified set, with one or two generators perturbed by a monomial,
+    # a formal inverse of a localized center included, and optionally a zero
+    # element first, so that the first failing pair need not start at 0
+    elements = list(_certified_set(name, which))
+    alg = elements[0].alg
+    assert first_noncommuting_pair(elements) is None
+    scalar = _scalars(data, alg.field)
+    draw = lambda n: data.draw(st.integers(0, n))
+    for _ in range(draw(1) + 1):
+        k = draw(len(elements) - 1)
+        exps = [0] * alg.dim
+        for _ in range(draw(2)):
+            exps[draw(alg.dim - 1)] += 1
+        for z in alg.laurent:
+            exps[z] -= draw(1)
+        elements[k] = elements[k] + alg.element({tuple(exps): scalar()})
+    if data.draw(st.booleans()):
+        elements.insert(0, alg.zero())
+    assert first_noncommuting_pair(elements) == reference_first_noncommuting_pair(elements)
 
 
 @pytest.mark.parametrize("name", ["heisenberg4", "borel-sl3"])

@@ -871,11 +871,27 @@ def test_is_reductive_builds_center_and_derived_once(monkeypatch):
 def test_construct_computes_each_structure_fact_as_often_as_before(monkeypatch):
     # one construct_theorem on borel-sl3, which validates it, reduces along
     # an abelian ideal and recurses twice: [q, q] and the series of every
-    # algebra it classifies, each computed where it is first needed
+    # algebra it classifies, each computed where it is first needed; the
+    # level-1 reduced algebra's [q, q] serves both the reductivity test and
+    # the nilradical (6 before they shared it)
     derived = _counting(monkeypatch, "_derived_of")
     series = _counting(monkeypatch, "_series")
     construct_theorem(preset("borel-sl3").algebra)
-    assert (len(derived), len(series)) == (6, 7)
+    assert (len(derived), len(series)) == (5, 7)
+
+
+@pytest.mark.parametrize("name", ["borel-sl3", "heisenberg4"])
+def test_construct_computes_center_and_derived_once_per_algebra(monkeypatch, name):
+    # classify_nilradical reuses the center and [q, q] that the reductivity
+    # test computed; heisenberg4's nilradical is all of q, so the center of
+    # its nilradical subalgebra is q's and is not computed again
+    centers = _counting(monkeypatch, "center_of")
+    derived = _counting(monkeypatch, "_derived_of")
+    construct_theorem(preset(name).algebra)
+    for calls in (centers, derived):
+        algebras = [args[0] for args in calls]  # held alive by the lists
+        assert len({id(L) for L in algebras}) == len(algebras)
+    assert (len(centers), len(derived)) == {"borel-sl3": (4, 5), "heisenberg4": (1, 2)}[name]
 
 
 def test_structure_series_eliminates_no_identity(monkeypatch):

@@ -15,6 +15,7 @@ from factories import (
     random_preset_algebra,
     random_vector,
     reference_coordinate_complement,
+    reference_first_noncommuting_pair,
     reference_gamma_shift,
     reference_partial,
 )
@@ -35,7 +36,14 @@ from lieshift.liealg import (
     killing_matrix,
     vec,
 )
-from lieshift.pbw import _LIMIT, EnvelopingAlgebra, commutator, principal_symbol, symmetrize
+from lieshift.pbw import (
+    _LIMIT,
+    EnvelopingAlgebra,
+    commutator,
+    first_noncommuting_pair,
+    principal_symbol,
+    symmetrize,
+)
 from lieshift.polyring import PolyElement, gamma_shift, poisson
 from lieshift.presets import preset
 
@@ -472,6 +480,39 @@ def test_packed_exponent_guard_is_exact():
         xz * z(-4)
     with pytest.raises(FieldError, match="packed range"):
         commutator(z(-_LIMIT), two.gen(5, -1))
+
+
+def _outcome(check, elements):
+    try:
+        return check(elements)
+    except FieldError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("word", ["xBBy", "xByB", "BxBy", "xyBB", "BB", "xxBB", "BzB"])
+def test_pair_check_guards_each_pair_where_the_loop_would(word):
+    """A pair whose exponents leave the packed range raises as its
+    commutator would, unless an earlier pair already fails: the answer, or
+    the error, of a loop of commutator calls. B is z^(LIMIT - 4) in
+    U(heisenberg1), central, so two of them are one pair past the range."""
+    H = EnvelopingAlgebra(preset("heisenberg1").algebra)
+    letters = {"x": H.gen(0), "y": H.gen(1), "z": H.gen(2), "B": H.gen(2, _LIMIT - 4)}
+    elements = [letters[c] for c in word]
+    want = _outcome(reference_first_noncommuting_pair, elements)
+    assert _outcome(first_noncommuting_pair, elements) == want
+    assert want == {
+        "xBBy": (0, 3), "xByB": (0, 2), "xyBB": (0, 1),
+    }.get(word, "a product of exponents summing to %d exceeds the packed range %d"
+          % (2 * (_LIMIT - 4), _LIMIT))
+
+
+def test_pair_check_refuses_elements_of_two_algebras():
+    A = EnvelopingAlgebra(preset("sl2").algebra)
+    B = EnvelopingAlgebra(preset("sl2").algebra)
+    with pytest.raises(FieldError, match="^elements of different enveloping algebras$"):
+        first_noncommuting_pair([A.gen(0), A.gen(1), B.gen(0)])
+    assert first_noncommuting_pair([]) is None
+    assert first_noncommuting_pair([A.gen(1)]) is None
 
 
 def _sl2_closed_forms(A, n):

@@ -226,7 +226,9 @@ PUBLIC_API = {
     ("algfile.py", "write_algebra"): "the pair of read_algebra: writes a file it reads back",
     ("fields.py", "FieldElement.inverse"): "arithmetic API, 1 / x by name",
     ("invariants.py", "is_regular"): "the regularity test of a form, exported by __init__",
+    ("liealg.py", "bracket"): "the bracket of two coordinate vectors; exported by __init__",
     ("liealg.py", "direct_sum"): "builds q1 + q2; exported by __init__",
+    ("liealg.py", "is_reductive"): "the reductivity test by name; exported by __init__",
     ("liealg.py", "LieAlgebra.bracket_basis"): "reads the table by basis pair",
     ("polyring.py", "PolyElement.constant"): "the pair of PolyElement.variable",
     ("presets.py", "preset_names"): "lists the registered presets",
