@@ -13,10 +13,14 @@ Each structure fact is one function of the algebra: ``center_of``,
 caller computed it. A caller that needs several facts computes [q, q] once
 and passes it on: the construction's reductivity test (``_reductivity``)
 hands its center and [q, q] to the nilradical's classification
-(``_classify``). A ``LieAlgebra`` stores only what more than one caller
-reads: ``kernel_brackets``, the ``validate`` report, and the subalgebra of
-the nilradical annotation with its lower central series, which
-``validate`` builds and ``classify_nilradical`` reads.
+(``_classify``). The structure of an ideal or subalgebra S is computed in
+q's basis, as subspaces of q: its series start from [S, S]
+(``_bracket_span``) and ``_lower_central`` takes S as the acting
+subspace; only its center is read in the coordinates of S's echelon basis
+(``center_of``). A ``LieAlgebra`` stores only what more than one caller
+reads: ``kernel_brackets``, the ``validate`` report, and the lower central
+series of the nilradical annotation, which ``validate`` builds and
+``classify_nilradical`` reads.
 
 A bracket stays cleared from the kernel to the membership test. The one
 bracket kernel, ``_bracket_cleared``, takes cleared supports (index,
@@ -29,7 +33,8 @@ closure, ideal, stability, isotropy and center-line tests bracket the
 stored basis rows as they are and ignore the bracket's denominator. Only a
 caller that needs values wraps: ``bracket`` and the spans of ``_span``
 through ``_wrapped``, ``subalgebra_of`` and the ideal
-action of ``construct`` through ``Subspace._coordinates``, and the
+action of ``construct`` through ``Subspace._coordinates``, the center of
+a subalgebra (``center_of``) at its pivot columns, and the
 Heisenberg split's functional psi (``_functional``), which wraps one value
 per bracket: the z-component of a vector of the nilradical, the one fact
 that the Darboux pairing and the stabilizer of its complement read.
@@ -208,11 +213,11 @@ class LieAlgebra:
 
     brackets: {(i, j): {k: coeff}} for i < j; antisymmetry is by construction.
     annotations may carry: central (iterable of indices), levi, nilradical,
-    solvable_radical (Subspace or index list), heisenberg_split, known_casimirs.
+    solvable_radical (Subspace or index list), heisenberg_split.
     Three values are computed on first read and kept, each because more than
     one caller reads it: ``kernel_brackets``, the report of ``validate``, and
-    the subalgebra of the nilradical annotation with its lower central
-    series. Every other structure fact is a function of the algebra
+    the lower central series of the nilradical annotation, as subspaces of
+    q. Every other structure fact is a function of the algebra
     (``center_of``, ``_derived_of``, ``_lower_central``, ``_derived_series``).
     """
 
@@ -280,13 +285,17 @@ class LieAlgebra:
         return ValidationReport(_jacobi_failures(self), _annotation_failures(self))
 
     @cached_property
-    def _nilradical_sub(self):
-        """(sub, sub_basis, lower central series of sub) for the nilradical
-        annotation, kept so that ``classify_nilradical`` reads what
-        ``validate``'s nilpotency check built. An annotation that is not
-        bracket-closed raises LieAlgebraError on every read."""
-        sub, sub_basis = subalgebra_of(self, self.annotations["nilradical"])
-        return sub, sub_basis, _lower_central(sub, _derived_of(sub))
+    def _nilradical_lower(self):
+        """The lower central series of the nilradical annotation n, as
+        subspaces of q, kept so that ``classify_nilradical`` reads what
+        ``validate``'s nilpotency check built. n is closed exactly when
+        [n, n] lies in n; an annotation that is not raises LieAlgebraError
+        on every read."""
+        n = self.annotations["nilradical"]
+        derived = _bracket_span(self, n, n)
+        if not all(n._spans(s) for _, s in derived._cleared_basis()):
+            raise LieAlgebraError("subspace is not closed under the bracket")
+        return _lower_central(self, derived, n)
 
     @cached_property
     def kernel_brackets(self):
@@ -424,8 +433,8 @@ def validate(L):
     call returns the same report. So an algebra that ``load_algebra``
     checked is not scanned again by ``construct_theorem`` or the validate
     command, and one that nothing has validated is scanned at its first
-    call. The nilradical annotation's subalgebra and lower central series,
-    built for its nilpotency check, are kept for ``classify_nilradical``.
+    call. The nilradical annotation's lower central series, built for its
+    nilpotency check, is kept for ``classify_nilradical``.
     """
     return L._validation
 
@@ -471,10 +480,6 @@ def _annotation_failures(L):
     return tuple(out)
 
 
-def _is_subalgebra(L, S):
-    return all(S._spans(s) for _, _, (_, s) in _brackets(L, S._cleared_basis()))
-
-
 def _is_abelian(L, S):
     """Is every bracket of S's basis rows zero? One scan of the pairs."""
     return not any(s for _, _, (_, s) in _brackets(L, S._cleared_basis()))
@@ -488,31 +493,32 @@ def _is_ideal(L, S):
 
 def _maps_into(L, U, S):
     """Is the subspace S stable under the subspace U: [u, s] in S for every
-    u in U and s in S?"""
-    pairs = _brackets(L, U._cleared_basis(), S._cleared_basis())
+    u in U and s in S? When U is S only the pairs u < s are bracketed, so
+    ``_maps_into(L, S, S)`` is the closure test of a subalgebra."""
+    rows = S._cleared_basis()
+    pairs = _brackets(L, rows) if U is S else _brackets(L, U._cleared_basis(), rows)
     return all(S._spans(s) for _, _, (_, s) in pairs)
 
 
 def _check_annotated_subspace(L, key, S):
-    out = []
+    """The failures of an annotated subspace, read as subspaces of q: an
+    ideal is closed, so only a subspace that is not one is tested for
+    closure, and the series of one that is not closed are not read."""
     if key == "levi":
-        if not _is_subalgebra(L, S):
-            out.append("levi annotation is not a subalgebra")
+        return [] if _maps_into(L, S, S) else ["levi annotation is not a subalgebra"]
+    out = []
+    if not _is_ideal(L, S):
+        out.append("%s annotation is not an ideal" % key)
+        if not _maps_into(L, S, S):
+            return out
+    if key == "nilradical":
+        last = L._nilradical_lower[-1]
     else:
-        if not _is_ideal(L, S):
-            out.append("%s annotation is not an ideal" % key)
-        try:
-            if key == "nilradical":
-                last = L._nilradical_sub[2][-1]
-            else:
-                sub, _ = subalgebra_of(L, S)
-                last = _derived_series(sub, _derived_of(sub))[-1]
-        except LieAlgebraError:
-            return out  # not bracket-closed: no structure constants to test
-        if last.dim:
-            out.append("%s annotation is not %s" % (
-                key, "nilpotent" if key == "nilradical" else "solvable"
-            ))
+        last = _derived_series(L, _bracket_span(L, S, S))[-1]
+    if last.dim:
+        out.append("%s annotation is not %s" % (
+            key, "nilpotent" if key == "nilradical" else "solvable"
+        ))
     return out
 
 
@@ -545,7 +551,7 @@ def check_split(L, split):
         out.append("x, y vectors are not independent")
     if not _maps_into(L, split.l_basis, v):
         out.append("span{x, y} is not stable under l_basis")
-    if not _is_subalgebra(L, split.l_basis):
+    if not _maps_into(L, split.l_basis, split.l_basis):
         out.append("l_basis is not a subalgebra")
     if not split.l_basis._spans(sz[1]):
         out.append("l_basis does not contain z")
@@ -600,28 +606,44 @@ def weights(L):
     return [tuple([row[j][0][1] if j in row else 0 for row in torus]) for j in range(L.dim)]
 
 
-def center_of(L):
-    """Kernel of x -> ([x, e_j])_j: the image of x_i has the entry c_ij^k at
-    row (j, k), one row per nonzero structure constant
-    (``linalg.kernel_of_images``).
+def center_of(L, S=None):
+    """The center of q, or of the subalgebra S of q in the coordinates of
+    S's echelon basis b_0, b_1, ...: the kernel of x -> ([x, b_j])_j
+    (``linalg.kernel_of_images``), where the image of b_i has the entry
+    [b_i, b_j]_k at row (j, k), one row per nonzero coordinate.
 
-    Only the basis vectors of weight zero (``weights``) get a column: the
-    row (t, j) of a torus vector x_t holds -c_tj^j in column j alone, so a
-    column of nonzero weight is zero in every kernel vector."""
-    images = [{} for _ in range(L.dim)]
-    for (i, j), comp in L.table.items():
-        for k, c in comp.items():
+    For q the entries are the structure constants c_ij^k, and only the basis
+    vectors of weight zero (``weights``) get a column: the row (t, j) of a
+    torus vector x_t holds -c_tj^j in column j alone, so a column of nonzero
+    weight is zero in every kernel vector. For S the brackets of its basis
+    rows are read at S's pivot columns alone: a vector of the closed S is
+    fixed by its entries there, so the kernel is S's own."""
+    F = L.field
+    if S is None:
+        brackets = [(i, j, comp.items()) for (i, j), comp in L.table.items()]
+        cols = [i for i, w in enumerate(weights(L)) if not any(w)]
+        dim = L.dim
+    else:
+        pivots = frozenset(S.pivots)
+        brackets = [
+            (i, j, [(k, F.from_cleared(x, den)) for k, x in s if k in pivots])
+            for i, j, (den, s) in _brackets(L, S._cleared_basis())
+        ]
+        dim = S.dim
+        cols = range(dim)
+    images = [{} for _ in range(dim)]
+    for i, j, comp in brackets:
+        for k, c in comp:
             images[i][(j, k)] = c
             images[j][(i, k)] = -c
-    cols = [i for i, w in enumerate(weights(L)) if not any(w)]
-    zero = L.field.zero
+    zero = F.zero
     vectors = []
-    for coeffs in kernel_of_images(L.field, [images[i] for i in cols]):
-        v = [zero] * L.dim
+    for coeffs in kernel_of_images(F, [images[i] for i in cols]):
+        v = [zero] * dim
         for i, c in zip(cols, coeffs):
             v[i] = c
         vectors.append(v)
-    return Subspace(L.field, L.dim, vectors)
+    return Subspace(F, dim, vectors)
 
 
 def _derived_of(L):
@@ -643,23 +665,25 @@ def _series(first, step):
     return out
 
 
-def _lower_central(L, derived):
-    """The lower central series from derived = [q, q]: [q, C] is spanned by
-    the cleared [x_i, w] over the basis rows w of C."""
-    return _series(derived, lambda C: _span(L, [
-        b for w in C._cleared_basis() for b in _basis_brackets(L, w)
-    ]))
+def _lower_central(L, derived, S=None):
+    """The lower central series of the ideal S of q, or of q itself when S
+    is None, from derived = [S, S]: each step is [S, C] (``_bracket_span``)."""
+    return _series(derived, lambda C: _bracket_span(L, S, C))
 
 
 def _derived_series(L, derived):
-    """The derived series from derived = [q, q]."""
+    """The derived series from derived = [S, S], for q or any subalgebra S."""
     return _series(derived, lambda D: _bracket_span(L, D, D))
 
 
 def _bracket_span(L, A, B):
-    """span [A, B]; when A is B only the pairs a < b are bracketed."""
-    rows = A._cleared_basis()
-    pairs = _brackets(L, rows, None if A is B else B._cleared_basis())
+    """span [A, B] of subspaces of q. A is None for q itself, whose basis
+    vectors are bracketed as unit rows (``_basis_brackets``), never
+    eliminated; when A is B only the pairs a < b are bracketed."""
+    rows = B._cleared_basis()
+    if A is None:
+        return _span(L, [b for w in rows for b in _basis_brackets(L, w)])
+    pairs = _brackets(L, rows) if A is B else _brackets(L, A._cleared_basis(), rows)
     return _span(L, [b for _, _, b in pairs])
 
 
@@ -784,30 +808,27 @@ def _reductivity(L):
 
 
 def _nilradical(L, derived=None):
-    """(n, sub, sub_basis, lower): the nilradical n, (sub, sub_basis) =
-    subalgebra_of(L, n) and lower, the lower central series of sub, each
-    built once. An annotated n is read off ``LieAlgebra._nilradical_sub``,
-    which ``validate`` built; otherwise it is exact for the nilpotent and
-    solvable cases (the Killing radical, certified nilpotent by the series
-    returned with it), and an error for every other algebra. [q, q] is
-    computed once for both series of L, unless the caller passes it."""
+    """(n, lower): the nilradical n and its lower central series, as
+    subspaces of q. An annotated n is read off
+    ``LieAlgebra._nilradical_lower``, which ``validate`` built; otherwise it
+    is exact for the nilpotent and solvable cases (the Killing radical,
+    certified nilpotent by the series returned with it), and an error for
+    every other algebra. [q, q] is computed once for both series of L,
+    unless the caller passes it."""
     S = L.annotations.get("nilradical")
     if S is not None:
-        return (S, *L._nilradical_sub)
+        return S, L._nilradical_lower
     if derived is None:
         derived = _derived_of(L)
     lower = _lower_central(L, derived)
     if not lower[-1].dim:
-        S = L.span_of_indices(range(L.dim))
-        # the echelon basis of q is the unit basis: L's series is sub's
-        return (S, *subalgebra_of(L, S), lower)
+        return L.span_of_indices(range(L.dim)), lower
     if not _derived_series(L, derived)[-1].dim:
         cand = Subspace(L.field, L.dim, kernel_basis(L.field, killing_matrix(L), L.dim))
         if _is_ideal(L, cand):
-            sub, sub_basis = subalgebra_of(L, cand)
-            lower = _lower_central(sub, _derived_of(sub))
+            lower = _lower_central(L, _bracket_span(L, cand, cand), cand)
             if not lower[-1].dim:
-                return cand, sub, sub_basis, lower
+                return cand, lower
         raise LieAlgebraError(
             "cannot certify the nilradical of this solvable algebra; "
             "annotate it explicitly"
@@ -830,32 +851,29 @@ def classify_nilradical(L):
     dim h > 1 or [q, h] != 0. Otherwise the nilradical is a line or a
     Heisenberg algebra and a Darboux split is constructed.
 
-    The nilradical's subalgebra and its lower central series come from
-    ``_nilradical``: nilpotency is read off the series' last term, and the
-    candidates are the center, the series and the derived series.
+    The nilradical and its lower central series come from ``_nilradical``:
+    nilpotency is read off the series' last term, and the candidates are
+    the center, the series and the derived series, all subspaces of q.
     """
     return _classify(L)
 
 
 def _classify(L, center=None, derived=None):
     """classify_nilradical(L), reusing L's center and [q, q] when the caller
-    has them (``_reductivity``). A nilradical that is all of q has the unit
-    basis as its echelon basis, so its subalgebra's center is L's."""
-    n_space, sub, sub_basis, lower = _nilradical(L, derived)
+    has them (``_reductivity``). The center of n is taken in the coordinates
+    of n's echelon basis (``center_of``): a nilradical that is all of q has
+    the unit basis, so its center is L's."""
+    n_space, lower = _nilradical(L, derived)
     if n_space.dim == 0:
         return NilradicalClass(kind="trivial", nilradical=n_space)
     # reached by an annotated nilradical of an algebra nothing validated
     if lower[-1].dim:
         raise LieAlgebraError("nilradical is not nilpotent")
-
-    def to_ambient(S):
-        return Subspace(L.field, L.dim, [_sub_to_ambient(L, b, sub_basis) for b in S.basis])
-
-    # the center of the nonzero nilpotent sub is nonzero
-    zc = center if center is not None and n_space.dim == L.dim else center_of(sub)
-    candidates = [
-        to_ambient(S) for S in [zc, *lower, *_derived_series(sub, lower[0])] if S.dim
-    ]
+    if center is None or n_space.dim < L.dim:
+        center = center_of(L, n_space)
+    # the center of the nonzero nilpotent n is nonzero
+    zn = Subspace(L.field, L.dim, [_sub_to_ambient(L, c, n_space.basis) for c in center.basis])
+    candidates = [S for S in [zn, *lower, *_derived_series(L, lower[0])] if S.dim]
     seen = []
     for h in candidates:
         if h in seen:
@@ -868,15 +886,16 @@ def _classify(L, center=None, derived=None):
             return NilradicalClass(kind="abelian_ideal", nilradical=n_space, h=h)
     if n_space.dim == 1:
         return NilradicalClass(kind="line", nilradical=n_space, h=n_space)
-    split = _darboux_split(L, n_space, zc, sub_basis)
+    split = _darboux_split(L, n_space, center)
     return NilradicalClass(kind="heisenberg", nilradical=n_space, split=split)
 
 
-def _darboux_split(L, n_space, zc, sub_basis):
+def _darboux_split(L, n_space, zc):
     """Greedy symplectic pairing on a complement of the center line of the
-    nilradical n_space, with (sub, sub_basis) = subalgebra_of(L, n_space)
-    and zc = center_of(sub) as built by the caller; l_basis is the bracket
-    stabilizer of the pairs.
+    nilradical n_space, with zc its center in the coordinates of n_space's
+    echelon basis (``center_of``) as built by the caller; l_basis is the
+    bracket stabilizer of the pairs. z = sum c_i b_i for the basis vector c
+    of zc and n_space's basis b.
 
     One functional psi on n with psi(z) = 1 (``_stable_complement``) gives
     the z-component of every vector of n: the complement v is n cap ker psi,
@@ -891,7 +910,7 @@ def _darboux_split(L, n_space, zc, sub_basis):
             "Darboux construction failure: nilradical center has dimension %d"
             % zc.dim
         )
-    z = _sub_to_ambient(L, zc.basis[0], sub_basis)
+    z = _sub_to_ambient(L, zc.basis[0], n_space.basis)
     zline = Subspace(F, L.dim, [z])
     for _, _, (_, s) in _brackets(L, n_space._cleared_basis()):
         if s and not zline._spans(s):

@@ -1,21 +1,32 @@
 """Seeded random generators shared by the property and acceptance suites."""
 
+from fractions import Fraction
+
 from lieshift.fields import QQ
 from lieshift.liealg import (
     HeisenbergSplit,
     LieAlgebra,
+    LieAlgebraError,
+    NilradicalClass,
     Subspace,
     bracket,
     _darboux_split,
+    _derived_of,
+    _derived_series,
+    _is_abelian,
+    _is_central,
+    _is_ideal,
+    _lower_central,
+    _sub_to_ambient,
     center_of,
     direct_sum,
     killing_matrix,
     subalgebra_of,
 )
-from lieshift.linalg import kernel_of_images
+from lieshift.linalg import kernel_basis, kernel_of_images
 from lieshift.pbw import commutator
 from lieshift.polyring import PolyElement, monomials_of_degree, poisson
-from lieshift.presets import preset
+from lieshift.presets import _mat_add, preset
 
 
 def random_rational(rng, bound=20):
@@ -147,8 +158,7 @@ def random_valid_split(rng):
     fams = _split_families()
     L, l_idx, heis_idx = fams[rng.randrange(len(fams))]
     heis = L.span_of_indices(heis_idx)
-    sub, sub_basis = subalgebra_of(L, heis)
-    base = _darboux_split(L, heis, center_of(sub), sub_basis)
+    base = _darboux_split(L, heis, center_of(L, heis))
     xs, ys = random_symplectic_images(rng, L.field, list(base.x), list(base.y))
     split = HeisenbergSplit(
         l_basis=L.span_of_indices(l_idx),
@@ -427,6 +437,83 @@ def reference_v_stabilizer(L, split):
         for f in annihilator:
             rows.append([sum([a * b for a, b in zip(f, im)], F.zero) for im in images])
     return Subspace(F, n, reference_nullspace(F, rows, n))
+
+
+def random_upper_triangular_family(randint):
+    """Matrices, each a {(row, col): Fraction} dict, that span a subalgebra
+    of the upper-triangular k x k matrices, k in 3..5: a nonempty subset of
+    the strictly upper units closed under composition (e_ab e_bc = e_ac),
+    then 0-2 diagonal matrices with entries in {0, +-1, 2}, each kept when
+    it is independent of those kept before, then up to three mixes that add
+    1, -1 or 2 times one member to another. randint(a, b) draws an int in
+    [a, b]: ``random.Random.randint`` or a hypothesis draw."""
+    k = randint(3, 5)
+    units = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    chosen = {p for p in units if randint(0, 1)} or {units[randint(0, len(units) - 1)]}
+    while True:
+        more = {(a, c) for a, b in chosen for b2, c in chosen if b == b2} - chosen
+        if not more:
+            break
+        chosen |= more
+    mats = [{p: Fraction(1)} for p in sorted(chosen)]
+    diags = []
+    for _ in range(randint(0, 2)):
+        d = [(0, 1, -1, 2)[randint(0, 3)] for _ in range(k)]
+        if any(d) and all(
+            any(d[i] * e[j] != d[j] * e[i] for i in range(k) for j in range(k)) for e in diags
+        ):
+            diags.append(d)
+    mats += [{(i, i): Fraction(c) for i, c in enumerate(d) if c} for d in diags]
+    for _ in range(randint(0, 3) if len(mats) > 1 else 0):
+        a, b = randint(0, len(mats) - 1), randint(0, len(mats) - 2)
+        mats[a] = _mat_add(mats[a], mats[b + (b >= a)], (1, -1, 2)[randint(0, 2)])
+    return mats
+
+
+def reference_classify_nilradical(L):
+    """classify_nilradical through a copy of the nilradical n: n is built
+    as its own algebra (``subalgebra_of``), its center, lower central series
+    and derived series are computed there, in n's own basis, and each is
+    mapped back to q vector by vector."""
+    n = L.annotations.get("nilradical")
+    annotated = n is not None
+    uncertified = "cannot certify the nilradical of this solvable algebra; annotate it explicitly"
+    if not annotated:
+        derived = _derived_of(L)
+        if not _lower_central(L, derived)[-1].dim:
+            n = L.span_of_indices(range(L.dim))
+        elif _derived_series(L, derived)[-1].dim:
+            raise LieAlgebraError("nilradical annotation required for this algebra")
+        else:  # the Killing radical, certified an ideal and nilpotent
+            n = Subspace(L.field, L.dim, kernel_basis(L.field, killing_matrix(L), L.dim))
+            if not _is_ideal(L, n):
+                raise LieAlgebraError(uncertified)
+    sub, basis = subalgebra_of(L, n)
+    lower = _lower_central(sub, _derived_of(sub))
+    if n.dim == 0:
+        return NilradicalClass(kind="trivial", nilradical=n)
+    if lower[-1].dim:
+        raise LieAlgebraError("nilradical is not nilpotent" if annotated else uncertified)
+
+    def to_ambient(S):
+        return Subspace(L.field, L.dim, [_sub_to_ambient(L, b, basis) for b in S.basis])
+
+    zc = center_of(sub)
+    seen = []
+    for S in [zc, *lower, *_derived_series(sub, lower[0])]:
+        h = to_ambient(S)
+        if not h.dim or h in seen:
+            continue
+        seen.append(h)
+        if not _is_abelian(L, h) or not _is_ideal(L, h):
+            continue
+        acts = not all(_is_central(L, sw) for sw in h._cleared_basis())
+        if h.dim > 1 or acts:
+            return NilradicalClass(kind="abelian_ideal", nilradical=n, h=h)
+    if n.dim == 1:
+        return NilradicalClass(kind="line", nilradical=n, h=n)
+    split = _darboux_split(L, n, zc)
+    return NilradicalClass(kind="heisenberg", nilradical=n, split=split)
 
 
 def reference_min_stabilizer_dim(L, h, sampling):

@@ -867,27 +867,32 @@ def test_construct_scans_jacobi_once_per_algebra(monkeypatch):
     assert len({id(M) for M in scanned}) == 2
 
 
-def test_classify_reuses_the_nilradical_subalgebra(monkeypatch):
-    # an annotated nilradical's subalgebra is the one validate built; the
-    # Killing radical's is the one that certified it nilpotent
-    built = []
-    real = liealg_mod.subalgebra_of
+def test_classify_builds_no_copy_of_the_nilradical(monkeypatch):
+    # an annotated nilradical's lower central series is the one validate
+    # built, as subspaces of q; classifying it, the center of a proper n and
+    # the Killing radical of an unannotated algebra build no subalgebra
+    built, series = [], []
+    real_sub, real_lower = liealg_mod.subalgebra_of, liealg_mod._lower_central
 
-    def counted(L, S):
+    def counted_sub(L, S):
         built.append(S)
-        return real(L, S)
+        return real_sub(L, S)
 
-    monkeypatch.setattr(liealg_mod, "subalgebra_of", counted)
+    def counted_lower(*args):
+        series.append(args)
+        return real_lower(*args)
+
+    monkeypatch.setattr(liealg_mod, "subalgebra_of", counted_sub)
+    monkeypatch.setattr(liealg_mod, "_lower_central", counted_lower)
     L = load_algebra(dump_algebra(preset("sl2-semidirect-h3").algebra))
     nil = L.annotations["nilradical"]
-    assert built.count(nil) == 1
+    assert nil.dim < L.dim and len(series) == 1
     assert classify_nilradical(L).kind == "heisenberg"
-    assert built.count(nil) == 1
+    assert len(series) == 1
     aff = preset("aff1").algebra
     plain = LieAlgebra(QQ, aff.labels, aff.table)
-    built.clear()
     assert classify_nilradical(plain).kind == "abelian_ideal"
-    assert len(built) == 1
+    assert built == []
 
 
 def test_certificate_commutators_exact():

@@ -2,6 +2,7 @@ import gc
 import random
 import re
 import weakref
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from factories import (
     reference_bracket,
     reference_coordinates_by_residual,
     reference_killing_nondegenerate_on,
+    random_upper_triangular_family,
+    reference_classify_nilradical,
     reference_solve,
     reference_v_stabilizer,
 )
@@ -45,7 +48,7 @@ from lieshift.liealg import (
     vec,
 )
 from lieshift.linalg import kernel_basis, rank
-from lieshift.presets import preset, preset_names
+from lieshift.presets import _from_matrices, preset, preset_names
 
 
 def sl2():
@@ -377,7 +380,7 @@ def _check_cleared_path(case):
         return reference_coordinates_by_residual(S, reference_bracket(L, u, w)) is not None
 
     closed = all(inside(u, w) for u in basis for w in basis)
-    assert liealg._is_subalgebra(L, S) == closed
+    assert liealg._maps_into(L, S, S) == closed
     units = [L.basis_vector(i) for i in range(L.dim)]
     assert liealg._is_ideal(L, S) == all(inside(e, w) for e in units for w in basis)
     T = Subspace(F, L.dim, [a, b])
@@ -568,8 +571,7 @@ def test_classify_nilradical_kinds():
 def test_darboux_split_and_check():
     L = preset("sl2-semidirect-h3").algebra
     n = classify_nilradical(L).nilradical
-    sub, sub_basis = subalgebra_of(L, n)
-    split = _darboux_split(L, n, center_of(sub), sub_basis)
+    split = _darboux_split(L, n, center_of(L, n))
     assert check_split(L, split) == []
     assert len(split.x) == 1 and len(split.y) == 1
     # sabotage: swap z for a non-central vector
@@ -706,7 +708,7 @@ def test_ltilde_names_an_unclosed_stabilizer_exactly(monkeypatch):
     # misses [e, f] = h; check_split at the end of _darboux_split names it
     L = preset("sl2-semidirect-h3").algebra
     forged = L.span_of_indices([1, 2, 5])
-    assert not liealg._is_subalgebra(L, forged)
+    assert not liealg._maps_into(L, forged, forged)
     monkeypatch.setattr(liealg, "_v_stabilizer", lambda *args: forged)
     msg = "^Darboux construction failure: l_basis is not a subalgebra$"
     with pytest.raises(LieAlgebraError, match=msg):
@@ -793,6 +795,49 @@ def test_structure_series_matches_eager_reference():
     assert [S.dim for S in _lower_central(F5, _derived_of(F5))] == [3, 2, 1, 0]
 
 
+def _classification(classify, L):
+    """kind, n, h and the split's x, y, z and l~, or the rejection."""
+    try:
+        c = classify(L)
+    except LieAlgebraError as e:
+        return str(e)
+    s = c.split
+    return c.kind, c.nilradical, c.h, s and (s.x, s.y, s.z, s.l_basis)
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=5))
+@given(st.data())
+def test_classify_matches_the_route_through_a_copy_of_the_nilradical(data):
+    # subalgebras of upper-triangular matrices in a mixed basis, classified
+    # in q's basis and through a copy of n in its own basis
+    mats = random_upper_triangular_family(lambda a, b: data.draw(st.integers(a, b)))
+    L = _from_matrices(["m%d" % i for i in range(len(mats))], mats)
+    got = _classification(classify_nilradical, L)
+    assert got == _classification(reference_classify_nilradical, L)
+
+
+def test_classify_matches_the_route_through_a_copy_over_qt():
+    # upper-triangular families rescaled over Q(t), where n's echelon rows
+    # have pivot entries other than 1: one draw's split center
+    # z = sum c_i b_i is not the echelon row of its line, which a center
+    # read in q's coordinates would give; then the structure cases
+    rng = random.Random(3526)
+    families = []
+    while len(families) < 12:
+        mats = random_upper_triangular_family(rng.randint)
+        if len(mats) <= 7:
+            L = _from_matrices(["m%d" % i for i in range(len(mats))], mats)
+            families.append(("family over Q(t)", _rescaled(L, QT)))
+    rescaled_z = False
+    for name, L in families + list(_structure_cases()):
+        got = _classification(classify_nilradical, L)
+        assert got == _classification(reference_classify_nilradical, L), name
+        if got[0] == "heisenberg":
+            z = got[3][2]
+            rescaled_z |= Subspace(L.field, L.dim, [z]).basis[0] != z
+    assert rescaled_z
+
+
 def _reference_is_reductive(L):
     """is_reductive on the reference center, [q, q] and dense Killing test;
     the message of the rejection it would raise, if any."""
@@ -828,11 +873,11 @@ def test_is_reductive_matches_the_dense_killing_reference():
 
 def test_an_algebra_with_a_cached_series_is_freed_by_reference_counting():
     # every value an algebra keeps: kernel_brackets, the validate report, and
-    # the nilradical subalgebra with its series, read again by classify
+    # the lower central series of the nilradical, read again by classify
     P = preset("sl2-semidirect-h3").algebra
     L = LieAlgebra(P.field, P.labels, P.table, P.annotations)
     assert validate(L).ok and classify_nilradical(L).kind == "heisenberg"
-    sub, _, lower = L._nilradical_sub
+    lower = L._nilradical_lower
     assert L.kernel_brackets and L._validation is validate(L)
     ref = weakref.ref(L)
     gc.disable()  # a reference cycle would keep L until the cyclic collector runs
@@ -841,7 +886,8 @@ def test_an_algebra_with_a_cached_series_is_freed_by_reference_counting():
         assert ref() is None
     finally:
         gc.enable()
-    assert sub.dim == 3 and lower[-1].dim == 0  # the series outlives its algebra
+    # the series outlives its algebra: [n, n] = span{z} in q, then 0
+    assert [(S.dim, S.ambient_dim) for S in lower] == [(1, 6), (0, 6)]
 
 
 def _counting(monkeypatch, name):
@@ -873,25 +919,38 @@ def test_construct_computes_each_structure_fact_as_often_as_before(monkeypatch):
     # an abelian ideal and recurses twice: [q, q] and the series of every
     # algebra it classifies, each computed where it is first needed; the
     # level-1 reduced algebra's [q, q] serves both the reductivity test and
-    # the nilradical (6 before they shared it)
-    derived = _counting(monkeypatch, "_derived_of")
-    series = _counting(monkeypatch, "_series")
+    # the nilradical. An annotated nilradical n is classified as subspaces
+    # of q: [n, n] is a _bracket_span, not a _derived_of of a copy of n
+    # (5 _derived_of with the copies), every series step is a _bracket_span,
+    # and no subalgebra is built
+    counts = {
+        name: _counting(monkeypatch, name)
+        for name in ["_derived_of", "_series", "_bracket_span", "center_of", "subalgebra_of"]
+    }
     construct_theorem(preset("borel-sl3").algebra)
-    assert (len(derived), len(series)) == (5, 7)
+    assert {name: len(calls) for name, calls in counts.items()} == {
+        "_derived_of": 2, "_series": 7, "_bracket_span": 12, "center_of": 4, "subalgebra_of": 0,
+    }
 
 
 @pytest.mark.parametrize("name", ["borel-sl3", "heisenberg4"])
 def test_construct_computes_center_and_derived_once_per_algebra(monkeypatch, name):
     # classify_nilradical reuses the center and [q, q] that the reductivity
-    # test computed; heisenberg4's nilradical is all of q, so the center of
-    # its nilradical subalgebra is q's and is not computed again
+    # test computed; heisenberg4's nilradical is all of q, so its center is
+    # q's and is not computed again. The center of a proper nilradical n is
+    # center_of(L, n), once per algebra and n; [n, n] is a _bracket_span
     centers = _counting(monkeypatch, "center_of")
     derived = _counting(monkeypatch, "_derived_of")
+    spans = _counting(monkeypatch, "_bracket_span")
+    copies = _counting(monkeypatch, "subalgebra_of")
     construct_theorem(preset(name).algebra)
-    for calls in (centers, derived):
-        algebras = [args[0] for args in calls]  # held alive by the lists
-        assert len({id(L) for L in algebras}) == len(algebras)
-    assert (len(centers), len(derived)) == {"borel-sl3": (4, 5), "heisenberg4": (1, 2)}[name]
+    keys = [(id(args[0]),) + args[1:] for args in centers]  # held alive by the lists
+    assert len(set(keys)) == len(keys)
+    assert len({id(args[0]) for args in derived}) == len(derived)
+    assert not copies
+    assert (len(centers), len(derived), len(spans)) == {
+        "borel-sl3": (4, 2, 12), "heisenberg4": (1, 1, 3),
+    }[name]
 
 
 def test_structure_series_eliminates_no_identity(monkeypatch):
@@ -1010,14 +1069,12 @@ def test_darboux_split_names_each_failure_exactly():
     A = preset("abelian2").algebra
     n = A.span_of_indices(range(2))
     with pytest.raises(LieAlgebraError) as e:
-        sub, sub_basis = subalgebra_of(A, n)
-        _darboux_split(A, n, center_of(sub), sub_basis)
+        _darboux_split(A, n, center_of(A, n))
     assert str(e.value) == "Darboux construction failure: nilradical center has dimension 2"
     F5 = filiform5()  # center span{x4}; [x0, x1] = x2 leaves it
     n = F5.span_of_indices(range(5))
     with pytest.raises(LieAlgebraError) as e:
-        sub, sub_basis = subalgebra_of(F5, n)
-        _darboux_split(F5, n, center_of(sub), sub_basis)
+        _darboux_split(F5, n, center_of(F5, n))
     assert str(e.value) == "Darboux construction failure: [n, n] leaves the center line"
 
 
@@ -1074,3 +1131,14 @@ def test_classify_names_a_nilradical_that_is_not_nilpotent():
     with pytest.raises(LieAlgebraError) as e:
         classify_nilradical(L)
     assert str(e.value) == "nilradical is not nilpotent"
+
+
+def test_classify_names_a_nilradical_that_is_not_closed():
+    # reached only when nothing validated the annotation: [e, f] = h leaves
+    # span{e, f}, which validate reports as not an ideal; every read raises
+    L = LieAlgebra(QQ, ("h", "e", "f"), sl2().table, {"nilradical": [1, 2]})
+    for _ in range(2):
+        with pytest.raises(LieAlgebraError) as e:
+            classify_nilradical(L)
+        assert str(e.value) == "subspace is not closed under the bracket"
+    assert validate(L).annotation_failures == ("nilradical annotation is not an ideal",)

@@ -35,7 +35,7 @@ alone is listed in ``PUBLIC_API`` with its reason, and the list holds no
 name that has since gained a reader or been deleted.
 
 A ``LieAlgebra`` stores only the values that more than one caller reads:
-``kernel_brackets``, ``_validation`` and ``_nilradical_sub`` are the only
+``kernel_brackets``, ``_validation`` and ``_nilradical_lower`` are the only
 ``cached_property`` in the package. Every other structure fact is a function
 of the algebra, so a new cache has to be added to ``KEPT`` with its reason.
 """
@@ -297,7 +297,7 @@ def test_public_definition_checker_catches_each_form():
 KEPT = {
     ("LieAlgebra", "kernel_brackets"),  # every bracket kernel reads it
     ("LieAlgebra", "_validation"),  # load_algebra, construct and the CLI share it
-    ("LieAlgebra", "_nilradical_sub"),  # built by validate, read by classify
+    ("LieAlgebra", "_nilradical_lower"),  # n's lower central series in q: validate builds it, classify reads it
 }
 
 
